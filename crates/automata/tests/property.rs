@@ -5,7 +5,7 @@
 #![forbid(unsafe_code)]
 
 use proptest::prelude::*;
-use relm_automata::{ascii_alphabet, Dfa, Fst, Nfa, Symbol, WalkTable};
+use relm_automata::{ascii_alphabet, reverse, Dfa, Fst, Nfa, StateId, Symbol, WalkTable};
 
 /// A recursive strategy over small NFAs with a 3-symbol alphabet.
 fn small_nfa() -> impl Strategy<Value = Nfa> {
@@ -26,6 +26,228 @@ fn small_nfa() -> impl Strategy<Value = Nfa> {
 
 fn short_string() -> impl Strategy<Value = Vec<Symbol>> {
     proptest::collection::vec(0u32..3, 0..7)
+}
+
+/// Most states a [`partial_dfa`] has, and the length of the key vector
+/// [`permuted`] needs to shuffle one.
+const MAX_STATES: usize = 40;
+
+/// Random *partial* DFAs built straight through [`Dfa::from_parts`]:
+/// 1–40 states over at most 6 symbols, each edge present with
+/// probability one half, a random accepting set and a random start, so
+/// unreachable and dead states are common and two states often differ
+/// only in *having* an edge — the case `small_nfa()` almost never
+/// reaches. Every other automaton is a blow-up of a smaller random one
+/// (each state copies the accepting flag and the edge symbols of a class
+/// and points at arbitrary members of the target classes), so that there
+/// is something to merge.
+fn partial_dfa() -> impl Strategy<Value = Dfa> {
+    proptest::collection::vec(0usize..1 << 16, 1024..1025).prop_map(|draws| {
+        let mut draws = draws.into_iter();
+        let mut draw = |bound: usize| draws.next().expect("1024 draws are enough") % bound;
+        let n = 1 + draw(MAX_STATES);
+        let symbols = 1 + draw(6);
+        let classes = if draw(2) == 0 { n } else { 1 + draw(n) };
+        // The first `classes` states are one of each class, so every
+        // class has a member.
+        let class_of: Vec<usize> = (0..n)
+            .map(|s| if s < classes { s } else { draw(classes) })
+            .collect();
+        let members: Vec<Vec<StateId>> = (0..classes)
+            .map(|c| (0..n).filter(|&s| class_of[s] == c).collect())
+            .collect();
+        let class_accepting: Vec<bool> = (0..classes).map(|_| draw(2) == 1).collect();
+        let class_edges: Vec<Vec<Option<usize>>> = (0..classes)
+            .map(|_| {
+                (0..symbols)
+                    .map(|_| (draw(2) == 1).then(|| draw(classes)))
+                    .collect()
+            })
+            .collect();
+        let accepting: Vec<StateId> = (0..n).filter(|&s| class_accepting[class_of[s]]).collect();
+        let mut transitions = Vec::new();
+        for s in 0..n {
+            for (a, edge) in class_edges[class_of[s]].iter().enumerate() {
+                if let Some(target_class) = *edge {
+                    let targets = &members[target_class];
+                    transitions.push((s, a as Symbol, targets[draw(targets.len())]));
+                }
+            }
+        }
+        Dfa::from_parts(n, draw(n), &accepting, &transitions)
+    })
+}
+
+/// Keys that [`permuted`] sorts the state ids by.
+fn permutation_keys() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(0u32..1 << 16, MAX_STATES..MAX_STATES + 1)
+}
+
+/// The sorted symbols on `dfa`'s edges.
+fn symbols_of(dfa: &Dfa) -> Vec<Symbol> {
+    let mut symbols: Vec<Symbol> = (0..dfa.state_count())
+        .flat_map(|s| dfa.transitions(s).map(|(a, _)| a))
+        .collect();
+    symbols.sort_unstable();
+    symbols.dedup();
+    symbols
+}
+
+/// Number of Myhill–Nerode classes of `dfa`'s language (the dead class
+/// not counted; 0 for the empty language), by a deliberately naive
+/// reference that shares no code with `Dfa::minimize`: it reads the
+/// automaton through its accessors only, finds the live states by
+/// fixpoint, completes them with an explicit dead state into a dense
+/// table over the automaton's own alphabet, and runs Moore's refinement
+/// — start from accepting ≠ non-accepting, and separate two states
+/// whenever some symbol leads them to separated states — until nothing
+/// changes. Signatures instead of a pair table, so that the thousand
+/// states of an edit automaton are still within reach.
+fn naive_class_count(dfa: &Dfa) -> usize {
+    let n = dfa.state_count();
+    let symbols = symbols_of(dfa);
+    let mut reachable = vec![false; n];
+    reachable[dfa.start()] = true;
+    let mut productive: Vec<bool> = (0..n).map(|s| dfa.is_accepting(s)).collect();
+    loop {
+        let mut changed = false;
+        for s in 0..n {
+            for (_, t) in dfa.transitions(s) {
+                if reachable[s] && !reachable[t] {
+                    reachable[t] = true;
+                    changed = true;
+                }
+                if productive[t] && !productive[s] {
+                    productive[s] = true;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    let live: Vec<StateId> = (0..n).filter(|&s| reachable[s] && productive[s]).collect();
+    if live.is_empty() {
+        return 0;
+    }
+    // Row `i` is live state `live[i]`; the last row is the dead state.
+    let dead = live.len();
+    let row_of = |s: StateId| live.binary_search(&s).unwrap_or(dead);
+    let mut table = vec![vec![dead; symbols.len()]; dead + 1];
+    for (i, &s) in live.iter().enumerate() {
+        for (a, t) in dfa.transitions(s) {
+            table[i][symbols.binary_search(&a).unwrap()] = row_of(t);
+        }
+    }
+    let mut class: Vec<usize> = (0..=dead)
+        .map(|i| usize::from(i < dead && dfa.is_accepting(live[i])))
+        .collect();
+    let mut class_count = 0;
+    loop {
+        let mut ids = std::collections::BTreeMap::new();
+        let next: Vec<usize> = (0..=dead)
+            .map(|i| {
+                let signature: Vec<usize> = std::iter::once(class[i])
+                    .chain(table[i].iter().map(|&t| class[t]))
+                    .collect();
+                let fresh = ids.len();
+                *ids.entry(signature).or_insert(fresh)
+            })
+            .collect();
+        if ids.len() == class_count {
+            break;
+        }
+        class_count = ids.len();
+        class = next;
+    }
+    // A live state reaches acceptance and the dead state does not, so
+    // the dead state is alone in its class.
+    assert!((0..dead).all(|i| class[i] != class[dead]));
+    class_count - 1
+}
+
+/// First string of at most `max_len` symbols over `symbols` that one of
+/// `a`, `b` accepts and the other rejects, by walking both at once.
+fn first_disagreement(a: &Dfa, b: &Dfa, symbols: &[Symbol], max_len: usize) -> Option<Vec<Symbol>> {
+    fn walk(
+        (a, sa): (&Dfa, Option<StateId>),
+        (b, sb): (&Dfa, Option<StateId>),
+        symbols: &[Symbol],
+        budget: usize,
+        string: &mut Vec<Symbol>,
+    ) -> bool {
+        if sa.is_some_and(|s| a.is_accepting(s)) != sb.is_some_and(|s| b.is_accepting(s)) {
+            return true;
+        }
+        if budget == 0 || (sa.is_none() && sb.is_none()) {
+            return false;
+        }
+        for &sym in symbols {
+            string.push(sym);
+            let ta = sa.and_then(|s| a.step(s, sym));
+            let tb = sb.and_then(|s| b.step(s, sym));
+            if walk((a, ta), (b, tb), symbols, budget - 1, string) {
+                return true;
+            }
+            string.pop();
+        }
+        false
+    }
+    let mut string = Vec::new();
+    walk(
+        (a, Some(a.start())),
+        (b, Some(b.start())),
+        symbols,
+        max_len,
+        &mut string,
+    )
+    .then_some(string)
+}
+
+/// `dfa` with its states renumbered in the order of `keys` (ties by
+/// id), rebuilt through [`Dfa::from_parts`]: the same language from a
+/// different numbering.
+fn permuted(dfa: &Dfa, keys: &[u32]) -> Dfa {
+    let n = dfa.state_count();
+    let mut order: Vec<StateId> = (0..n).collect();
+    order.sort_by_key(|&s| (keys[s % keys.len()], s));
+    let mut new_id = vec![0; n];
+    for (id, &s) in order.iter().enumerate() {
+        new_id[s] = id;
+    }
+    let accepting: Vec<StateId> = (0..n)
+        .filter(|&s| dfa.is_accepting(s))
+        .map(|s| new_id[s])
+        .collect();
+    let transitions: Vec<(StateId, Symbol, StateId)> = (0..n)
+        .flat_map(|s| {
+            let new_id = &new_id;
+            dfa.transitions(s)
+                .map(move |(a, t)| (new_id[s], a, new_id[t]))
+        })
+        .collect();
+    Dfa::from_parts(n, new_id[dfa.start()], &accepting, &transitions)
+}
+
+/// Everything `Dfa::minimize` promises, checked against the naive
+/// reference: the class count, the language, minimality, idempotence,
+/// and canonicity — the result depends on the language only, not on how
+/// the input numbered or arranged its states.
+fn check_minimize(dfa: &Dfa, keys: &[u32]) -> Result<(), String> {
+    let min = dfa.minimize();
+    // The empty language keeps one (dead) state: a `Dfa` has a start.
+    prop_assert_eq!(min.state_count(), naive_class_count(dfa).max(1));
+    let disagreement = first_disagreement(dfa, &min, &symbols_of(dfa), 6);
+    prop_assert!(
+        disagreement.is_none(),
+        "membership differs on {disagreement:?}"
+    );
+    prop_assert_eq!(naive_class_count(&min).max(1), min.state_count());
+    prop_assert_eq!(&min.minimize(), &min);
+    prop_assert_eq!(&permuted(dfa, keys).minimize(), &min);
+    prop_assert_eq!(&reverse(&reverse(dfa)).minimize(), &min);
+    Ok(())
 }
 
 proptest! {
@@ -198,6 +420,26 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `minimize` against the naive reference, on combinator trees.
+    #[test]
+    fn minimize_matches_naive_reference_on_nfas(nfa in small_nfa(), keys in permutation_keys()) {
+        check_minimize(&nfa.determinize(), &keys)?;
+    }
+
+    /// `minimize` against the naive reference, on random partial DFAs
+    /// with unreachable, dead and mergeable states.
+    #[test]
+    fn minimize_matches_naive_reference_on_partial_dfas(
+        dfa in partial_dfa(),
+        keys in permutation_keys(),
+    ) {
+        check_minimize(&dfa, &keys)?;
+    }
+}
+
 #[test]
 fn levenshtein_expansion_is_monotone_in_distance() {
     let word = Nfa::literal(relm_automata::str_symbols("query"));
@@ -213,4 +455,24 @@ fn levenshtein_expansion_is_monotone_in_distance() {
         }
         previous = Some(current);
     }
+}
+
+/// The heavy shape of a cold compile, in tier-1: the Levenshtein-1
+/// expansion (what `Preprocessor::levenshtein(1)` builds) of a
+/// bias-style template over the 95 printable-ASCII symbols, about a
+/// thousand states wide before minimization.
+#[test]
+fn minimize_levenshtein_template_matches_naive_reference() {
+    let lit = |text: &str| Nfa::literal(relm_automata::str_symbols(text));
+    // The man was trained in ((art)|(science)|(medicine)).
+    let template = lit("The man was trained in ")
+        .concat(lit("art").union(lit("science")).union(lit("medicine")))
+        .concat(lit("."));
+    let dfa = relm_automata::levenshtein_within(&template, 1, &ascii_alphabet()).determinize();
+    assert_eq!(symbols_of(&dfa).len(), 95);
+    let min = dfa.minimize();
+    assert_eq!(min.state_count(), naive_class_count(&dfa));
+    assert!(min.state_count() < dfa.state_count());
+    assert!(min.equivalent(&dfa));
+    assert_eq!(min.minimize(), min);
 }
