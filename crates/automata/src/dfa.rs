@@ -160,6 +160,103 @@ where
     states
 }
 
+/// A partition of the states `0..n` for [`Dfa::minimize`]: every block
+/// is an index range over one permutation vector, and a block is split
+/// by first moving the states to separate to the front of its range.
+struct Partition {
+    /// The states, grouped by block.
+    elems: Vec<StateId>,
+    /// `elems[loc[s]] == s`.
+    loc: Vec<usize>,
+    /// The block each state is in.
+    block_of: Vec<usize>,
+    /// Block `b` is `elems[first[b]..end[b]]`, its first `marked[b]`
+    /// states the marked ones.
+    first: Vec<usize>,
+    end: Vec<usize>,
+    marked: Vec<usize>,
+}
+
+impl Partition {
+    /// The states `0..n` in at most two blocks: those `accepting` holds
+    /// for, then the rest. An empty side gets no block.
+    fn new(n: usize, accepting: impl Fn(StateId) -> bool) -> Self {
+        let (mut elems, rest): (Vec<StateId>, Vec<StateId>) = (0..n).partition(|&s| accepting(s));
+        let split = elems.len();
+        elems.extend(rest);
+        let mut partition = Partition {
+            loc: vec![0; n],
+            block_of: vec![0; n],
+            first: Vec::new(),
+            end: Vec::new(),
+            marked: Vec::new(),
+            elems,
+        };
+        for (i, &s) in partition.elems.iter().enumerate() {
+            partition.loc[s] = i;
+        }
+        for (first, end) in [(0, split), (split, n)] {
+            if first < end {
+                partition.push_block(first, end);
+            }
+        }
+        partition
+    }
+
+    fn block_count(&self) -> usize {
+        self.first.len()
+    }
+
+    fn members(&self, block: usize) -> &[StateId] {
+        &self.elems[self.first[block]..self.end[block]]
+    }
+
+    /// Make `elems[first..end]` a new block and return its id.
+    fn push_block(&mut self, first: usize, end: usize) -> usize {
+        let block = self.first.len();
+        for &s in &self.elems[first..end] {
+            self.block_of[s] = block;
+        }
+        self.first.push(first);
+        self.end.push(end);
+        self.marked.push(0);
+        block
+    }
+
+    /// Mark the unmarked state `s`, recording its block in `touched`
+    /// when it is the block's first marked state.
+    fn mark(&mut self, s: StateId, touched: &mut Vec<usize>) {
+        let block = self.block_of[s];
+        let slot = self.first[block] + self.marked[block];
+        debug_assert!(self.loc[s] >= slot, "state marked twice");
+        if self.marked[block] == 0 {
+            touched.push(block);
+        }
+        let other = self.elems[slot];
+        self.elems.swap(self.loc[s], slot);
+        self.loc[other] = self.loc[s];
+        self.loc[s] = slot;
+        self.marked[block] += 1;
+    }
+
+    /// Unmark `block`; if only some of its states were marked, move the
+    /// smaller of the two sides into a new block and return that.
+    fn split(&mut self, block: usize) -> Option<usize> {
+        let (first, end) = (self.first[block], self.end[block]);
+        let mid = first + std::mem::take(&mut self.marked[block]);
+        if mid == end {
+            return None;
+        }
+        if mid - first <= end - mid {
+            self.first[block] = mid;
+            Some(self.push_block(first, mid))
+        } else {
+            self.end[block] = mid;
+            Some(self.push_block(mid, end))
+        }
+    }
+}
+
 /// A single DFA state with transitions sorted by symbol (binary-searchable).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct DfaState {
@@ -462,8 +559,21 @@ impl Dfa {
         out
     }
 
-    /// Hopcroft's minimization algorithm. The result is the canonical
-    /// minimal DFA for the language (after trimming dead states).
+    /// Hopcroft's minimization algorithm: the canonical minimal DFA for
+    /// the language, with dead and unreachable states trimmed away.
+    ///
+    /// The result depends on the language only, not on how `self`
+    /// numbers or arranges its states, and golden digests, stored plan
+    /// artifacts and plan-memo byte counts rely on its exact numbering:
+    /// states are numbered in BFS order from the start state (which is
+    /// 0), each state's edges visited in ascending symbol order. Two
+    /// automata for the same language therefore minimize to values that
+    /// compare equal (`==`).
+    ///
+    /// Runs in `O(m log n)` for `m` transitions and `n` states (plus
+    /// the sort of each splitter's in-edges by symbol): partition
+    /// refinement over the trimmed *partial* automaton, no dead state
+    /// and no completion over the alphabet.
     #[must_use]
     pub fn minimize(&self) -> Dfa {
         let trimmed = self.trim();
@@ -471,120 +581,89 @@ impl Dfa {
             return Dfa::empty();
         }
         let n = trimmed.states.len();
-        let alphabet = trimmed.alphabet();
 
-        // Work over the *completed* automaton with a virtual dead state `n`
-        // so the partition refinement is well-defined on partial DFAs.
-        let dead = n;
-        let total = n + 1;
-        let step = |s: StateId, a: Symbol| -> StateId {
-            if s == dead {
-                dead
-            } else {
-                trimmed.step(s, a).unwrap_or(dead)
-            }
-        };
-
-        // Reverse transition index: rev[a-index][target] = sources.
-        let sym_index: HashMap<Symbol, usize> =
-            alphabet.iter().enumerate().map(|(i, &a)| (a, i)).collect();
-        let mut rev: Vec<Vec<Vec<StateId>>> = vec![vec![Vec::new(); total]; alphabet.len()];
-        for s in 0..total {
-            for (ai, &a) in alphabet.iter().enumerate() {
-                let t = step(s, a);
-                rev[ai][t].push(s);
+        // Reverse edges in CSR form: the in-edges of `t`, as
+        // `(symbol, source)`, are `rev[rev_start[t]..rev_start[t + 1]]`.
+        let mut rev_start = vec![0usize; n + 1];
+        for st in &trimmed.states {
+            for &(_, t) in &st.transitions {
+                rev_start[t + 1] += 1;
             }
         }
-        let _ = sym_index;
-
-        // Partition refinement.
-        let mut partition: Vec<BTreeSet<StateId>> = Vec::new();
-        let accepting: BTreeSet<StateId> =
-            (0..n).filter(|&s| trimmed.states[s].accepting).collect();
-        let rest: BTreeSet<StateId> = (0..total).filter(|s| !accepting.contains(s)).collect();
-        if !accepting.is_empty() {
-            partition.push(accepting.clone());
+        for t in 0..n {
+            rev_start[t + 1] += rev_start[t];
         }
-        if !rest.is_empty() {
-            partition.push(rest);
+        let mut rev: Vec<(Symbol, StateId)> = vec![(0, 0); rev_start[n]];
+        let mut fill = rev_start.clone();
+        for (s, st) in trimmed.states.iter().enumerate() {
+            for &(a, t) in &st.transitions {
+                rev[fill[t]] = (a, s);
+                fill[t] += 1;
+            }
         }
-        let mut worklist: Vec<BTreeSet<StateId>> = partition.clone();
 
+        // The transition function is partial, so a state with no
+        // `a`-edge and a state whose `a`-edge misses the accepting block
+        // are told apart only by refining against the non-accepting
+        // block too: both initial blocks start on the worklist. (A
+        // missing edge leads to the dead state, which is in neither and
+        // whose n·|Σ| in-edges are never enumerated.)
+        let mut partition = Partition::new(n, |s| trimmed.states[s].accepting);
+        let mut worklist: Vec<usize> = (0..partition.block_count()).collect();
+        let mut in_edges: Vec<(Symbol, StateId)> = Vec::new();
+        let mut touched: Vec<usize> = Vec::new();
         while let Some(splitter) = worklist.pop() {
-            for rev_a in rev.iter().take(alphabet.len()) {
-                // X = states with an `a`-transition into the splitter.
-                let mut x: BTreeSet<StateId> = BTreeSet::new();
-                for &t in &splitter {
-                    for &s in &rev_a[t] {
-                        x.insert(s);
+            // Snapshot the splitter's in-edges before anything is split:
+            // the splitter itself may be, and refining against the set
+            // it was when popped stays correct.
+            in_edges.clear();
+            for &t in partition.members(splitter) {
+                in_edges.extend_from_slice(&rev[rev_start[t]..rev_start[t + 1]]);
+            }
+            in_edges.sort_unstable();
+            for group in in_edges.chunk_by(|x, y| x.0 == y.0) {
+                // A state has one edge per symbol, so no source repeats
+                // within a group.
+                for &(_, s) in group {
+                    partition.mark(s, &mut touched);
+                }
+                for block in touched.drain(..) {
+                    // The new block is the smaller half. If `block` was
+                    // still waiting on the worklist both halves now
+                    // are; if not, the smaller half is enough.
+                    if let Some(smaller) = partition.split(block) {
+                        worklist.push(smaller);
                     }
                 }
-                if x.is_empty() {
-                    continue;
-                }
-                let mut new_partition = Vec::with_capacity(partition.len());
-                for block in partition.drain(..) {
-                    let inter: BTreeSet<StateId> = block.intersection(&x).copied().collect();
-                    let diff: BTreeSet<StateId> = block.difference(&x).copied().collect();
-                    if inter.is_empty() || diff.is_empty() {
-                        new_partition.push(block);
-                        continue;
-                    }
-                    // Split the block; refine worklist per Hopcroft.
-                    if let Some(pos) = worklist.iter().position(|w| *w == block) {
-                        worklist.swap_remove(pos);
-                        worklist.push(inter.clone());
-                        worklist.push(diff.clone());
-                    } else if inter.len() <= diff.len() {
-                        worklist.push(inter.clone());
-                    } else {
-                        worklist.push(diff.clone());
-                    }
-                    new_partition.push(inter);
-                    new_partition.push(diff);
-                }
-                partition = new_partition;
             }
         }
 
-        // Build the quotient automaton (skipping the dead-state block).
-        let mut block_of = vec![usize::MAX; total];
-        for (bi, block) in partition.iter().enumerate() {
-            for &s in block {
-                block_of[s] = bi;
-            }
-        }
-        let dead_block = block_of[dead];
-        let mut block_remap: HashMap<usize, StateId> = HashMap::new();
+        // Build the quotient automaton, numbering blocks in BFS order
+        // from the start block. All members of a block have the same
+        // edge symbols into the same blocks, so any one represents it.
+        let mut block_remap = vec![usize::MAX; partition.block_count()];
         let mut out = Dfa {
             states: Vec::new(),
             start: 0,
         };
-        // Deterministic ordering: BFS from the start block.
-        let mut queue = VecDeque::from([block_of[trimmed.start]]);
-        block_remap.insert(block_of[trimmed.start], 0);
+        let start_block = partition.block_of[trimmed.start];
+        let mut queue = VecDeque::from([start_block]);
+        block_remap[start_block] = 0;
         out.states.push(DfaState::default());
         while let Some(bi) = queue.pop_front() {
-            let id = block_remap[&bi];
-            let repr = *partition[bi].iter().next().expect("non-empty block"); // lint: allow(panic, "Hopcroft blocks are created non-empty and only split into non-empty halves")
-            out.states[id].accepting = repr < n && trimmed.states[repr].accepting;
-            let mut trans = Vec::new();
-            if repr < n {
-                for &(a, t) in &trimmed.states[repr].transitions {
-                    let tb = block_of[t];
-                    if tb == dead_block {
-                        continue;
-                    }
-                    let tid = *block_remap.entry(tb).or_insert_with(|| {
-                        out.states.push(DfaState::default());
-                        queue.push_back(tb);
-                        out.states.len() - 1
-                    });
-                    trans.push((a, tid));
+            let id = block_remap[bi];
+            let repr = &trimmed.states[partition.members(bi)[0]];
+            out.states[id].accepting = repr.accepting;
+            let mut trans = Vec::with_capacity(repr.transitions.len());
+            for &(a, t) in &repr.transitions {
+                let tb = partition.block_of[t];
+                if block_remap[tb] == usize::MAX {
+                    block_remap[tb] = out.states.len();
+                    out.states.push(DfaState::default());
+                    queue.push_back(tb);
                 }
+                trans.push((a, block_remap[tb]));
             }
-            trans.sort_unstable_by_key(|&(a, _)| a);
-            trans.dedup();
             out.states[id].transitions = trans;
         }
         out.trim()
@@ -1165,6 +1244,30 @@ mod tests {
     }
 
     #[test]
+    fn minimize_numbers_states_in_bfs_symbol_order() {
+        // (ab|cb)d? — the `a` and `c` branches merge, and `d` is a
+        // branch out of an accepting state. BFS from the start, edges
+        // in symbol order: 0 -a,c-> 1 -b-> 2 (accepting) -d-> 3
+        // (accepting).
+        let b = || Nfa::literal(s("b"));
+        let pattern = Nfa::literal(s("a"))
+            .concat(b())
+            .union(Nfa::literal(s("c")).concat(b()))
+            .concat(Nfa::literal(s("d")).optional());
+        let m = dfa(pattern).minimize();
+        let edges: Vec<(StateId, Symbol, StateId)> = (0..m.state_count())
+            .flat_map(|q| m.transitions(q).map(move |(a, t)| (q, a, t)))
+            .collect();
+        let [a, b, c, d] = [b'a', b'b', b'c', b'd'].map(u32::from);
+        assert_eq!(m.start(), 0);
+        assert_eq!(edges, vec![(0, a, 1), (0, c, 1), (1, b, 2), (2, d, 3)]);
+        let accepting: Vec<StateId> = (0..m.state_count())
+            .filter(|&q| m.is_accepting(q))
+            .collect();
+        assert_eq!(accepting, vec![2, 3]);
+    }
+
+    #[test]
     fn minimize_preserves_language() {
         let patterns: Vec<Nfa> = vec![
             Nfa::literal(s("cat")).union(Nfa::literal(s("car"))),
@@ -1193,7 +1296,7 @@ mod tests {
         let inter = any3.intersect(&choices);
         assert!(inter.contains(s("dog")));
         assert!(inter.contains(s("cow")));
-        assert!(!inter.contains(s("cat")) || inter.contains(s("cat"))); // cat ⊆ any3 chars
+        assert!(!inter.contains(s("cat"))); // in any3, not among the choices
         let only = dfa(Nfa::literal(s("dog")));
         let inter2 = inter.intersect(&only);
         assert!(inter2.contains(s("dog")));
