@@ -40,6 +40,8 @@ pub use ast::{Ast, ClassItem};
 pub use compile::compile_ast;
 pub use parser::{parse, ParseRegexError};
 
+use std::sync::OnceLock;
+
 use relm_automata::{Dfa, Nfa};
 
 /// A compiled regular expression: the parsed [`Ast`] plus its byte-level
@@ -47,17 +49,20 @@ use relm_automata::{Dfa, Nfa};
 ///
 /// The [`Nfa`] is kept for constructions that operate on the Thompson
 /// graph (Levenshtein preprocessing); the minimized [`Dfa`] backs
-/// membership tests and the ReLM token compiler.
+/// membership tests. The DFA is built on first use ([`Regex::dfa`] or
+/// [`Regex::is_match`]) and kept: the query compiler reads only the NFA,
+/// so a query never pays for a DFA nobody looks at.
 #[derive(Debug, Clone)]
 pub struct Regex {
     pattern: String,
     ast: Ast,
     nfa: Nfa,
-    dfa: Dfa,
+    dfa: OnceLock<Dfa>,
 }
 
 impl Regex {
-    /// Parse and compile `pattern`.
+    /// Parse `pattern` and compile it to its Thompson NFA. The minimized
+    /// DFA is not built here but on first use.
     ///
     /// # Errors
     ///
@@ -67,12 +72,11 @@ impl Regex {
     pub fn compile(pattern: &str) -> Result<Self, ParseRegexError> {
         let ast = parse(pattern)?;
         let nfa = compile_ast(&ast);
-        let dfa = nfa.determinize().minimize();
         Ok(Regex {
             pattern: pattern.to_owned(),
             ast,
             nfa,
-            dfa,
+            dfa: OnceLock::new(),
         })
     }
 
@@ -91,15 +95,17 @@ impl Regex {
         &self.nfa
     }
 
-    /// The minimized DFA over bytes.
+    /// The minimized DFA over bytes: `nfa().determinize().minimize()`,
+    /// built on the first call and kept (a clone taken afterwards
+    /// carries it along).
     pub fn dfa(&self) -> &Dfa {
-        &self.dfa
+        self.dfa.get_or_init(|| self.nfa.determinize().minimize())
     }
 
     /// Whole-string match test (ReLM queries are always anchored: the
     /// query language *is* the set of matching strings).
     pub fn is_match(&self, text: &str) -> bool {
-        self.dfa.contains(text.bytes().map(u32::from))
+        self.dfa().contains(text.bytes().map(u32::from))
     }
 }
 
@@ -169,6 +175,20 @@ mod tests {
         let re = Regex::compile(&escape(s)).unwrap();
         assert!(re.is_match(s));
         assert!(!re.is_match("axb?c*d+e|f(g)h[i]j{k}l\\m-n^o$p"));
+    }
+
+    #[test]
+    fn dfa_is_built_on_first_use() {
+        let re = Regex::compile("The ((cat)|(dog)) sat( down)?").unwrap();
+        let before = re.clone();
+        assert_eq!(re.dfa(), &re.nfa().determinize().minimize());
+        let after = re.clone();
+        assert_eq!(before.dfa(), re.dfa());
+        assert_eq!(after.dfa(), re.dfa());
+        // `is_match` on a value whose `dfa()` was never called.
+        let fresh = Regex::compile("The ((cat)|(dog)) sat( down)?").unwrap();
+        assert!(fresh.is_match("The dog sat down"));
+        assert!(!fresh.is_match("The cow sat"));
     }
 
     #[test]
