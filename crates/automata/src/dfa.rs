@@ -181,9 +181,9 @@ impl Partition {
     /// The states `0..n` in at most two blocks: those `accepting` holds
     /// for, then the rest. An empty side gets no block.
     fn new(n: usize, accepting: impl Fn(StateId) -> bool) -> Self {
-        let (mut elems, rest): (Vec<StateId>, Vec<StateId>) = (0..n).partition(|&s| accepting(s));
-        let split = elems.len();
-        elems.extend(rest);
+        let mut elems: Vec<StateId> = (0..n).collect();
+        elems.sort_by_key(|&s| !accepting(s));
+        let split = elems.partition_point(|&s| accepting(s));
         let mut partition = Partition {
             loc: vec![0; n],
             block_of: vec![0; n],

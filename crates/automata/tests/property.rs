@@ -83,16 +83,6 @@ fn permutation_keys() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..1 << 16, MAX_STATES..MAX_STATES + 1)
 }
 
-/// The sorted symbols on `dfa`'s edges.
-fn symbols_of(dfa: &Dfa) -> Vec<Symbol> {
-    let mut symbols: Vec<Symbol> = (0..dfa.state_count())
-        .flat_map(|s| dfa.transitions(s).map(|(a, _)| a))
-        .collect();
-    symbols.sort_unstable();
-    symbols.dedup();
-    symbols
-}
-
 /// Number of Myhill–Nerode classes of `dfa`'s language (the dead class
 /// not counted; 0 for the empty language), by a deliberately naive
 /// reference that shares no code with `Dfa::minimize`: it reads the
@@ -105,7 +95,7 @@ fn symbols_of(dfa: &Dfa) -> Vec<Symbol> {
 /// states of an edit automaton are still within reach.
 fn naive_class_count(dfa: &Dfa) -> usize {
     let n = dfa.state_count();
-    let symbols = symbols_of(dfa);
+    let symbols = dfa.alphabet();
     let mut reachable = vec![false; n];
     reachable[dfa.start()] = true;
     let mut productive: Vec<bool> = (0..n).map(|s| dfa.is_accepting(s)).collect();
@@ -238,7 +228,7 @@ fn check_minimize(dfa: &Dfa, keys: &[u32]) -> Result<(), String> {
     let min = dfa.minimize();
     // The empty language keeps one (dead) state: a `Dfa` has a start.
     prop_assert_eq!(min.state_count(), naive_class_count(dfa).max(1));
-    let disagreement = first_disagreement(dfa, &min, &symbols_of(dfa), 6);
+    let disagreement = first_disagreement(dfa, &min, &dfa.alphabet(), 6);
     prop_assert!(
         disagreement.is_none(),
         "membership differs on {disagreement:?}"
@@ -469,7 +459,7 @@ fn minimize_levenshtein_template_matches_naive_reference() {
         .concat(lit("art").union(lit("science")).union(lit("medicine")))
         .concat(lit("."));
     let dfa = relm_automata::levenshtein_within(&template, 1, &ascii_alphabet()).determinize();
-    assert_eq!(symbols_of(&dfa).len(), 95);
+    assert_eq!(dfa.alphabet().len(), 95);
     let min = dfa.minimize();
     assert_eq!(min.state_count(), naive_class_count(&dfa));
     assert!(min.state_count() < dfa.state_count());
