@@ -178,3 +178,78 @@ fn batched_mode_does_strictly_less_model_work() {
         s.cache_misses
     );
 }
+
+/// The work one fixed query does, reduced to what a rewrite of the
+/// per-expansion code must leave untouched: which nodes are expanded,
+/// which contexts are requested, how they split into hits, misses and
+/// batches, and the score bits of what comes out.
+fn pinned_work(query: &SearchQuery, take: usize) -> ([u64; 7], Vec<u64>) {
+    let (tok, lm) = fixture();
+    // An explicit worker count: `Parallelism::auto()` widens Dijkstra's
+    // frontier prefetch with the host's cores, and with it the batch and
+    // hit counts.
+    let client = relm::Relm::builder(&lm, tok)
+        .parallelism(relm::Parallelism::Serial)
+        .build()
+        .expect("client");
+    let mut results = client.search(query).expect("search");
+    let bits = (&mut results)
+        .take(take)
+        .map(|m| m.log_prob.to_bits())
+        .collect();
+    let s = results.stats();
+    let counts = [
+        s.expansions,
+        s.lm_calls,
+        s.emitted,
+        s.cache_hits,
+        s.cache_misses,
+        s.batches,
+        s.speculative_scored,
+    ];
+    (counts, bits)
+}
+
+fn pinned_query() -> SearchQuery {
+    SearchQuery::new(QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"))
+}
+
+// Counts are `[expansions, lm_calls, emitted, cache_hits, cache_misses,
+// batches, speculative_scored]`.
+
+#[test]
+fn shortest_path_work_counts_are_pinned() {
+    let query = pinned_query().with_policy(DecodingPolicy::top_k(2));
+    let (counts, bits) = pinned_work(&query, 10);
+    assert_eq!(counts, [9, 9, 2, 2, 8, 7, 0]);
+    assert_eq!(bits, [0xbfef6f8be16d64ed, 0xc000d86357c8fd90]);
+}
+
+#[test]
+fn beam_work_counts_are_pinned() {
+    let query = pinned_query().with_strategy(SearchStrategy::Beam { width: 4 });
+    let (counts, bits) = pinned_work(&query, 10);
+    assert_eq!(counts, [21, 21, 5, 1, 20, 8, 0]);
+    assert_eq!(
+        bits,
+        [
+            0xbfef6f8be16d64ed,
+            0xc000d86357c8fd90,
+            0xc000fa0f2350d7dd,
+            0xc027e57c9285db74,
+            0xc02c212f0740a14f,
+        ]
+    );
+}
+
+#[test]
+fn sampling_work_counts_are_pinned() {
+    let query = pinned_query().with_strategy(SearchStrategy::RandomSampling { seed: 41 });
+    let (counts, bits) = pinned_work(&query, 12);
+    assert_eq!(counts, [48, 96, 12, 110, 17, 12, 15]);
+    // The three most probable matches, as the beam ranks them above.
+    const A: u64 = 0xbfef6f8be16d64ed;
+    const B: u64 = 0xc000d86357c8fd90;
+    const C: u64 = 0xc000fa0f2350d7dd;
+    assert_eq!(bits, [A, C, A, A, A, A, A, A, B, A, B, C]);
+}
