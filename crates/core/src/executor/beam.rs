@@ -15,7 +15,7 @@
 //! emission order is only approximately by probability. The executor
 //! bench quantifies the trade-off.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use relm_automata::WorkerPool;
@@ -319,10 +319,9 @@ fn expand_path(compiled: &CompiledQuery, p: &BeamPath, log_probs: &[f64]) -> Vec
     let body = &compiled.parts.body.automaton;
     let mut out = Vec::new();
     if p.machine_is_body {
-        let allowed: HashMap<TokenId, f64> =
-            compiled.policy.allowed(log_probs).into_iter().collect();
+        let allowed = compiled.policy.filter(log_probs);
         for (sym, target) in body.transitions(p.state) {
-            if let Some(&lp) = allowed.get(&sym) {
+            if let Some(lp) = allowed.get(sym) {
                 let mut tokens = p.tokens.clone();
                 tokens.push(sym);
                 out.push(BeamPath {

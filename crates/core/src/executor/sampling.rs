@@ -30,7 +30,7 @@
 //! and speculative cache reads go through counter-free `peek`s that the
 //! engine's admission heuristics cannot observe.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -368,11 +368,10 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
                 out.push(ctx);
                 continue;
             };
-            let allowed: HashMap<TokenId, f64> =
-                self.compiled.policy.allowed(&dist).into_iter().collect();
+            let allowed = self.compiled.policy.filter(&dist);
             let mut ranked: Vec<(TokenId, usize, f64)> = body
                 .transitions(state)
-                .filter_map(|(sym, next)| allowed.get(&sym).map(|&lp| (sym, next, lp.exp())))
+                .filter_map(|(sym, next)| allowed.get(sym).map(|lp| (sym, next, lp.exp())))
                 .collect();
             ranked.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
             ranked.truncate(spec.top_k);
@@ -411,18 +410,13 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             }
             let log_probs = self.engine.score(&ctx);
             self.stats.lm_calls += 1;
-            let allowed: HashMap<TokenId, f64> = self
-                .compiled
-                .policy
-                .allowed(&log_probs)
-                .into_iter()
-                .collect();
+            let allowed = self.compiled.policy.filter(&log_probs);
 
             // Options: automaton edges the policy permits, plus EOS-stop
             // at accepting states.
             let mut choices: Vec<(Option<(TokenId, usize)>, f64)> = Vec::new();
             for (sym, target) in body.transitions(state) {
-                if let Some(&lp) = allowed.get(&sym) {
+                if let Some(lp) = allowed.get(sym) {
                     choices.push((Some((sym, target)), lp.exp()));
                 }
             }
@@ -530,10 +524,9 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
                 let Some(dist) = self.engine.peek(c) else {
                     continue;
                 };
-                let allowed: HashMap<TokenId, f64> =
-                    self.compiled.policy.allowed(&dist).into_iter().collect();
+                let allowed = self.compiled.policy.filter(&dist);
                 for (sym, target) in body.transitions(*state) {
-                    if let Some(&lp) = allowed.get(&sym) {
+                    if let Some(lp) = allowed.get(sym) {
                         let mut cc = Vec::with_capacity(c.len() + 1);
                         cc.extend_from_slice(c);
                         cc.push(sym);

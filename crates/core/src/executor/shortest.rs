@@ -21,7 +21,7 @@
 //! inference pattern.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{LanguageModel, ScoringMode};
@@ -322,19 +322,14 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
             }
             Machine::Done => unreachable!("Done nodes are never expanded"), // lint: allow(panic, "Done nodes are popped as results, never pushed for expansion")
             Machine::Body => {
-                let allowed: HashMap<TokenId, f64> = self
-                    .compiled
-                    .policy
-                    .allowed(&log_probs)
-                    .into_iter()
-                    .collect();
+                let allowed = self.compiled.policy.filter(&log_probs);
                 // EOS-required queries: leaving an accepting state toward
                 // emission costs the EOS step, and EOS must survive the
                 // decoding rules like any other body token.
                 if self.compiled.require_eos
                     && self.compiled.parts.body.automaton.is_accepting(node.state)
                 {
-                    if let Some(&eos_lp) = allowed.get(&self.engine.eos()) {
+                    if let Some(eos_lp) = allowed.get(self.engine.eos()) {
                         self.heap.push(Reverse(Node {
                             cost: Cost(node.cost.0 - eos_lp),
                             machine: Machine::Done,
@@ -345,7 +340,7 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
                     }
                 }
                 for (sym, target) in self.compiled.parts.body.automaton.transitions(node.state) {
-                    let Some(&lp) = allowed.get(&sym) else {
+                    let Some(lp) = allowed.get(sym) else {
                         continue; // transitive top-k elimination
                     };
                     let mut tokens = node.tokens.clone();

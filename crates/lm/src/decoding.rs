@@ -8,8 +8,68 @@
 //! rule during graph traversal, which is what makes its pruning
 //! *transitive*: a token cut at step `i` eliminates every string sharing
 //! that prefix.
+//!
+//! The rule is applied through a membership view, [`Allowed`]: a
+//! traversal step asks about the few tokens on its automaton edges, so
+//! [`DecodingPolicy::filter`] finds only *where the cut falls* and
+//! [`Allowed::get`] answers each question in O(1) from the row itself.
+//! Under the strict total order of a row's entries — descending
+//! log-probability by `total_cmp`, then ascending token id — every
+//! cutoff keeps a prefix, so the kept set is described exactly by its
+//! last member. [`DecodingPolicy::allowed`] is the same set written out
+//! in that order, for callers that enumerate it.
+
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use crate::TokenId;
+
+/// The strict total order of a row's entries: most probable first, ties
+/// to the lower token id. No two entries of one row compare equal, which
+/// is what makes an unstable selection under it deterministic.
+fn rank(a: &(TokenId, f64), b: &(TokenId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Where a policy's cutoffs fall in a row's [`rank`] order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cut {
+    /// No cutoff bites: every finite entry is kept.
+    Nowhere,
+    /// The last kept entry; everything ranked after it is cut.
+    After(TokenId, f64),
+    /// Nothing is kept (`top_k(0)`, or a nucleus over no finite entry).
+    Everything,
+}
+
+/// The tokens a [`DecodingPolicy`] keeps for one next-token row, as a
+/// membership view: built by [`DecodingPolicy::filter`], asked with
+/// [`Allowed::get`]. At temperature 1 it borrows the row it was built
+/// from.
+#[derive(Debug, Clone)]
+pub struct Allowed<'a> {
+    scaled: Cow<'a, [f64]>,
+    cut: Cut,
+}
+
+impl Allowed<'_> {
+    /// The temperature-scaled log probability of `token` if it survives
+    /// the policy, `None` if it is cut, impossible (non-finite) or out
+    /// of the row's range.
+    pub fn get(&self, token: TokenId) -> Option<f64> {
+        let lp = *self.scaled.get(token as usize)?;
+        if !lp.is_finite() {
+            return None;
+        }
+        match self.cut {
+            Cut::Nowhere => Some(lp),
+            Cut::After(last, last_lp) => {
+                (rank(&(token, lp), &(last, last_lp)) != Ordering::Greater).then_some(lp)
+            }
+            Cut::Everything => None,
+        }
+    }
+}
 
 /// A decoding policy: temperature scaling followed by top-k and/or top-p
 /// filtering.
@@ -25,8 +85,9 @@ use crate::TokenId;
 ///
 /// let policy = DecodingPolicy::top_k(40); // the paper's extraction setting
 /// let log_probs = vec![(0.5f64).ln(), (0.3f64).ln(), (0.2f64).ln()];
-/// let allowed = policy.allowed(&log_probs);
-/// assert_eq!(allowed.len(), 3); // k=40 keeps all three
+/// let allowed = policy.filter(&log_probs);
+/// assert_eq!(allowed.get(2), Some(log_probs[2])); // k=40 keeps all three
+/// assert_eq!(DecodingPolicy::top_k(2).filter(&log_probs).get(2), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodingPolicy {
@@ -93,35 +154,61 @@ impl DecodingPolicy {
     /// Apply temperature scaling to `log_probs`, renormalizing.
     /// Returns the input unchanged when temperature is 1.
     pub fn scaled_log_probs(&self, log_probs: &[f64]) -> Vec<f64> {
+        self.scaled(log_probs).into_owned()
+    }
+
+    /// [`Self::scaled_log_probs`] without the copy at temperature 1.
+    fn scaled<'a>(&self, log_probs: &'a [f64]) -> Cow<'a, [f64]> {
         if (self.temperature - 1.0).abs() < f64::EPSILON {
-            return log_probs.to_vec();
+            return Cow::Borrowed(log_probs);
         }
         let scaled: Vec<f64> = log_probs.iter().map(|lp| lp / self.temperature).collect();
         let m = scaled.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let lse = m + scaled.iter().map(|x| (x - m).exp()).sum::<f64>().ln();
-        scaled.iter().map(|x| x - lse).collect()
+        Cow::Owned(scaled.iter().map(|x| x - lse).collect())
     }
 
     /// The set of tokens *permitted* by this policy for the given
-    /// next-token distribution, with their (temperature-scaled) log
-    /// probabilities. This is the decision rule `p(x) > 0` of §2.4:
-    /// a returned token may extend a string of the model's language.
+    /// next-token distribution, as a membership view over their
+    /// (temperature-scaled) log probabilities. This is the decision rule
+    /// `p(x) > 0` of §2.4: a token the view returns may extend a string
+    /// of the model's language.
     ///
-    /// Sorted by descending probability. Ties in the top-k cut are broken
-    /// by token id for determinism.
-    pub fn allowed(&self, log_probs: &[f64]) -> Vec<(TokenId, f64)> {
-        let scaled = self.scaled_log_probs(log_probs);
+    /// Costs nothing beyond the temperature pass when no cutoff can bite
+    /// (`top_k` unset or at least the row's length), one O(V) selection
+    /// for top-k, and a sort only for top-p — the nucleus is a running
+    /// sum in rank order, and the sum's bits depend on that order.
+    pub fn filter<'a>(&self, log_probs: &'a [f64]) -> Allowed<'a> {
+        let scaled = self.scaled(log_probs);
+        let cut = self.cut(&scaled);
+        Allowed { scaled, cut }
+    }
+
+    /// Where this policy's cutoffs fall in `scaled` — the one place the
+    /// cut rule lives.
+    fn cut(&self, scaled: &[f64]) -> Cut {
+        // A top-k no shorter than the row cannot bite: skip even the
+        // count of finite entries.
+        let top_k = self.top_k.filter(|&k| k < scaled.len());
+        if top_k.is_none() && self.top_p.is_none() {
+            return Cut::Nowhere;
+        }
         let mut entries: Vec<(TokenId, f64)> = scaled
             .iter()
             .enumerate()
             .filter(|(_, lp)| lp.is_finite())
             .map(|(t, &lp)| (t as TokenId, lp))
             .collect();
-        entries.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        if let Some(k) = self.top_k {
+        if let Some(k) = top_k.filter(|&k| k < entries.len()) {
+            if k > 0 {
+                entries.select_nth_unstable_by(k - 1, rank);
+            }
             entries.truncate(k);
+        } else if self.top_p.is_none() {
+            return Cut::Nowhere;
         }
         if let Some(p) = self.top_p {
+            entries.sort_unstable_by(rank);
             let mut mass = 0.0;
             let mut keep = 0;
             for (_, lp) in &entries {
@@ -133,12 +220,31 @@ impl DecodingPolicy {
             }
             entries.truncate(keep);
         }
+        // After a selection the last kept entry sits at the end whether
+        // or not the rest was sorted.
+        match entries.last() {
+            Some(&(token, lp)) => Cut::After(token, lp),
+            None => Cut::Everything,
+        }
+    }
+
+    /// The tokens [`Self::filter`] keeps, with their (temperature-scaled)
+    /// log probabilities, written out in rank order: descending
+    /// probability, ties broken by token id. For callers that enumerate
+    /// the permitted set (ancestral sampling); a traversal that asks
+    /// about a few tokens uses the view.
+    pub fn allowed(&self, log_probs: &[f64]) -> Vec<(TokenId, f64)> {
+        let view = self.filter(log_probs);
+        let mut entries: Vec<(TokenId, f64)> = (0..log_probs.len())
+            .filter_map(|t| view.get(t as TokenId).map(|lp| (t as TokenId, lp)))
+            .collect();
+        entries.sort_unstable_by(rank);
         entries
     }
 
     /// Whether `token` survives the policy given the distribution.
     pub fn permits(&self, log_probs: &[f64], token: TokenId) -> bool {
-        self.allowed(log_probs).iter().any(|&(t, _)| t == token)
+        self.filter(log_probs).get(token).is_some()
     }
 }
 

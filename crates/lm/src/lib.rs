@@ -14,7 +14,8 @@
 //! Also provided:
 //!
 //! * [`DecodingPolicy`] — top-k / top-p / temperature decision rules
-//!   (§2.4): these define the language `L_m` of the model,
+//!   (§2.4): these define the language `L_m` of the model; traversals
+//!   ask them through the O(1) membership view [`Allowed`],
 //! * [`sample_sequence`] / ancestral sampling used by the paper's
 //!   baselines,
 //! * [`CachedLm`] — a bounded memoizing wrapper (graph traversals
@@ -49,7 +50,7 @@ mod simd;
 
 pub use accel::AcceleratorSim;
 pub use cache::{CachedLm, DEFAULT_CACHED_LM_BYTES};
-pub use decoding::DecodingPolicy;
+pub use decoding::{Allowed, DecodingPolicy};
 pub use engine::{ScoringEngine, ScoringMode, ScoringStats, DEFAULT_ENGINE_CACHE_BYTES};
 pub use eval::{perplexity, top_k_accuracy};
 pub use neural::{NeuralLm, NeuralLmConfig};
