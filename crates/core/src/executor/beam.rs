@@ -228,24 +228,25 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
         // level, and the merge concatenates them in submission order —
         // so the candidate list, and therefore the stable sort and
         // truncation below, are byte-identical to the serial loop.
-        let work: Vec<(&BeamPath, &Vec<f64>)> =
+        let work: Vec<(&BeamPath, &Arc<[f64]>)> =
             expandable.iter().copied().zip(scores.iter()).collect();
         let threads = self.compiled.parallelism.threads();
-        let vocab = scores.first().map_or(0, Vec::len);
+        let vocab = scores.first().map_or(0, |row| row.len());
         let level_work = work.len().saturating_mul(vocab);
         let pool = WorkerPool::for_parallelism(self.compiled.parallelism);
         let mut next: Vec<BeamPath> =
             if pool.workers() > 0 && threads > 1 && level_work >= BEAM_SHARD_MIN_WORK {
                 // Pool jobs are `'static`: each shard owns clones of its
-                // paths and score rows, plus an `Arc` of the compiled query
-                // (cheap — the automata inside are already `Arc`-shared).
+                // paths, shares their score rows, and holds an `Arc` of
+                // the compiled query (cheap — the automata inside are
+                // already `Arc`-shared).
                 let chunk = work.len().div_ceil(threads);
-                let shards: Vec<Vec<(BeamPath, Vec<f64>)>> = work
+                let shards: Vec<Vec<(BeamPath, Arc<[f64]>)>> = work
                     .chunks(chunk)
                     .map(|shard| {
                         shard
                             .iter()
-                            .map(|&(p, lp)| (p.clone(), lp.clone()))
+                            .map(|&(p, lp)| (p.clone(), Arc::clone(lp)))
                             .collect()
                     })
                     .collect();

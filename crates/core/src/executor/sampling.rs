@@ -590,10 +590,18 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
         let mut ctx = Vec::with_capacity(tokens.len() + 1);
         ctx.push(self.engine.eos());
         ctx.extend_from_slice(&tokens);
-        // Scoring the emitted match runs through the engine: the
-        // walk just visited every prefix of `ctx`, so this is all
-        // cache hits in batched mode.
-        let log_prob = relm_lm::sequence_log_prob(&*self.engine, &ctx, 1);
+        // Score the emitted match: one engine request per token, summed
+        // left to right over the shared rows (the additions, and so the
+        // bits, of `relm_lm::sequence_log_prob`). The body walk scored
+        // the contexts from the end of the prefix on, so those are hits.
+        // The prefix walk reads walk counts only and never calls the
+        // model, so the template's contexts are scored here for the
+        // first time, and looked up here again on every later emission
+        // — about half of this executor's `lm_calls`.
+        let mut log_prob = 0.0;
+        for i in 1..ctx.len() {
+            log_prob += self.engine.score(&ctx[..i])[ctx[i] as usize];
+        }
         self.stats.lm_calls += tokens.len() as u64;
         let canonical = self.tokenizer.encode(&text) == tokens;
         self.stats.emitted += 1;

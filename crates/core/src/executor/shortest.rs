@@ -22,6 +22,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
 
 use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{LanguageModel, ScoringMode};
@@ -244,7 +245,7 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
     /// model call. Prefetching is free of side effects on the traversal:
     /// scoring is deterministic and pure, so results are byte-identical
     /// to the serial path.
-    fn score_frontier(&mut self, ctx: Vec<TokenId>) -> Vec<f64> {
+    fn score_frontier(&mut self, ctx: Vec<TokenId>) -> Arc<[f64]> {
         if self.compiled.scoring == ScoringMode::Serial
             || self.engine.is_cached(&ctx)
             // Once the engine stops admitting cache entries, prefetched

@@ -34,11 +34,14 @@ const ENTRY_OVERHEAD_BYTES: usize = 112;
 
 /// One memoized distribution. The key is shared with the index map
 /// (`Arc`), so each context's bytes are stored once and `cost` charges
-/// them once.
+/// them once. The row is shared with its readers: a hit hands out a
+/// clone of the `Arc`, never of the floats, so a row a reader still
+/// holds outlives its eviction — the byte budget bounds the table, not
+/// the process.
 #[derive(Debug)]
 struct Entry {
     key: Arc<[TokenId]>,
-    value: Vec<f64>,
+    value: Arc<[f64]>,
     generation: u64,
     referenced: bool,
     cost: usize,
@@ -207,12 +210,12 @@ impl ClockCache {
     /// cached parent distributions through this: a counting lookup would
     /// let speculative probes inflate the reuse signal that drives the
     /// shared cache's admission gate, making speculation observable.
-    pub(crate) fn peek(&self, context: &[TokenId]) -> Option<Vec<f64>> {
+    pub(crate) fn peek(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
         self.map
             .get(context)
             .and_then(|&slot| self.slots.get(slot)?.as_ref())
             .filter(|e| e.generation == self.generation)
-            .map(|e| e.value.clone())
+            .map(|e| Arc::clone(&e.value))
     }
 
     /// Look up `context`, setting its referenced bit on a hit. A stale
@@ -223,14 +226,14 @@ impl ClockCache {
     /// on contact and reported as a miss: in a long-lived server one
     /// broken slot must cost one recomputation, not poison every later
     /// query with a cascading panic.
-    pub(crate) fn lookup(&mut self, context: &[TokenId]) -> Option<Vec<f64>> {
+    pub(crate) fn lookup(&mut self, context: &[TokenId]) -> Option<Arc<[f64]>> {
         let slot = *self.map.get(context)?;
         match self.slots.get_mut(slot).and_then(Option::as_mut) {
             Some(entry) if entry.generation == self.generation => {
                 entry.referenced = true;
                 entry.hits += 1;
                 self.reuse_hits += 1;
-                Some(entry.value.clone())
+                Some(Arc::clone(&entry.value))
             }
             Some(_) => {
                 self.remove_slot(slot);
@@ -254,7 +257,7 @@ impl ClockCache {
     /// Admit `context -> distribution` (first writer wins), evicting as
     /// needed to respect the byte budget. Entries larger than the whole
     /// budget are not admitted.
-    pub(crate) fn insert(&mut self, context: Vec<TokenId>, distribution: Vec<f64>) {
+    pub(crate) fn insert(&mut self, context: Vec<TokenId>, distribution: Arc<[f64]>) {
         if self.contains(&context) {
             return; // first writer wins, matching the old HashMap entry API
         }
@@ -338,7 +341,7 @@ impl ClockCache {
 mod tests {
     use super::*;
 
-    fn dist(n: usize, seed: f64) -> Vec<f64> {
+    fn dist(n: usize, seed: f64) -> Arc<[f64]> {
         (0..n).map(|i| seed - i as f64).collect()
     }
 

@@ -12,6 +12,8 @@
 //! `HashMap`, so long audits cannot leak memory through a wrapper that
 //! outlives its queries.
 
+use std::sync::Arc;
+
 use parking_lot::Mutex;
 
 use crate::bounded::ClockCache;
@@ -97,7 +99,7 @@ impl<M: LanguageModel> CachedLm<M> {
     /// partition a batch into hits and misses before one batched model
     /// call.
     pub fn lookup(&self, context: &[TokenId]) -> Option<Vec<f64>> {
-        self.cache.lock().lookup(context)
+        self.cache.lock().lookup(context).map(|row| row.to_vec())
     }
 
     /// Whether `context` is memoized.
@@ -108,7 +110,7 @@ impl<M: LanguageModel> CachedLm<M> {
     /// Store a computed distribution (first writer wins, matching the
     /// fill rule of [`next_log_probs`](LanguageModel::next_log_probs)).
     pub fn insert(&self, context: Vec<TokenId>, distribution: Vec<f64>) {
-        self.cache.lock().insert(context, distribution);
+        self.cache.lock().insert(context, distribution.into());
     }
 }
 
@@ -130,7 +132,9 @@ impl<M: LanguageModel> LanguageModel for CachedLm<M> {
             return hit;
         }
         let computed = self.inner.next_log_probs(context);
-        self.insert(context.to_vec(), computed.clone());
+        self.cache
+            .lock()
+            .insert(context.to_vec(), computed.as_slice().into());
         computed
     }
 
@@ -142,17 +146,18 @@ impl<M: LanguageModel> LanguageModel for CachedLm<M> {
             let mut table = self.cache.lock();
             BatchPlan::partition(contexts, |ctx| table.lookup(ctx))
         };
-        if plan.misses.is_empty() {
-            return plan.fill(Vec::new());
-        }
-        let computed = self.inner.next_log_probs_batch(&plan.misses);
-        {
+        let mut computed: Vec<Arc<[f64]>> = Vec::new();
+        if !plan.misses.is_empty() {
+            let rows = self.inner.next_log_probs_batch(&plan.misses);
+            computed.extend(rows.into_iter().map(Arc::from));
             let mut table = self.cache.lock();
-            for (ctx, dist) in plan.misses.iter().zip(&computed) {
-                table.insert(ctx.to_vec(), dist.clone());
+            for (ctx, row) in plan.misses.iter().zip(&computed) {
+                table.insert(ctx.to_vec(), Arc::clone(row));
             }
         }
-        plan.fill(computed)
+        // The table's rows are shared; this trait hands out fresh ones.
+        let rows = plan.fill(&computed);
+        rows.iter().map(|row| row.to_vec()).collect()
     }
 }
 
@@ -161,19 +166,27 @@ impl<M: LanguageModel> LanguageModel for CachedLm<M> {
 /// [`crate::ScoringEngine::score_batch`]. Hits are resolved up front;
 /// duplicate misses collapse onto one evaluation slot.
 pub(crate) struct BatchPlan<'a> {
-    /// Per input slot: the hit, or `None` for a miss.
-    results: Vec<Option<Vec<f64>>>,
-    /// Per input slot: index into `misses` for miss slots.
-    slot_miss: Vec<Option<usize>>,
+    slots: Vec<Slot>,
     /// Deduplicated contexts that need a model evaluation.
     pub misses: Vec<&'a [TokenId]>,
+}
+
+/// One input slot of a [`BatchPlan`].
+enum Slot {
+    /// Served from the cache: the shared row.
+    Hit(Arc<[f64]>),
+    /// Needs the model: the context's index into `misses`.
+    Miss(usize),
 }
 
 impl<'a> BatchPlan<'a> {
     /// Number of input slots resolved from the cache (table hits, not
     /// counting duplicate-miss collapses).
     pub fn hit_count(&self) -> usize {
-        self.results.iter().flatten().count()
+        self.slots
+            .iter()
+            .filter(|slot| matches!(slot, Slot::Hit(_)))
+            .count()
     }
 
     /// Partition `contexts` using `lookup` to resolve hits. `lookup` is
@@ -181,57 +194,35 @@ impl<'a> BatchPlan<'a> {
     /// re-acquiring a mutex per context.
     pub fn partition(
         contexts: &[&'a [TokenId]],
-        mut lookup: impl FnMut(&[TokenId]) -> Option<Vec<f64>>,
+        mut lookup: impl FnMut(&[TokenId]) -> Option<Arc<[f64]>>,
     ) -> Self {
-        let mut results = Vec::with_capacity(contexts.len());
-        let mut slot_miss = Vec::with_capacity(contexts.len());
         let mut miss_index: std::collections::HashMap<&[TokenId], usize> =
             std::collections::HashMap::new();
         let mut misses: Vec<&[TokenId]> = Vec::new();
-        for &ctx in contexts {
-            if let Some(hit) = lookup(ctx) {
-                results.push(Some(hit));
-                slot_miss.push(None);
-            } else {
-                let idx = *miss_index.entry(ctx).or_insert_with(|| {
+        let slots = contexts
+            .iter()
+            .map(|&ctx| match lookup(ctx) {
+                Some(row) => Slot::Hit(row),
+                None => Slot::Miss(*miss_index.entry(ctx).or_insert_with(|| {
                     misses.push(ctx);
                     misses.len() - 1
-                });
-                results.push(None);
-                slot_miss.push(Some(idx));
-            }
-        }
-        BatchPlan {
-            results,
-            slot_miss,
-            misses,
-        }
+                })),
+            })
+            .collect();
+        BatchPlan { slots, misses }
     }
 
-    /// Resolve the plan with the evaluated miss distributions (one per
-    /// entry of `misses`, in order), moving each distribution into its
-    /// last user instead of cloning.
-    pub fn fill(self, computed: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    /// Resolve the plan with the evaluated miss rows (one per entry of
+    /// `misses`, in order): every slot that missed shares its context's
+    /// one row.
+    pub fn fill(self, computed: &[Arc<[f64]>]) -> Vec<Arc<[f64]>> {
         debug_assert_eq!(computed.len(), self.misses.len());
-        let mut remaining_users = vec![0usize; computed.len()];
-        for idx in self.slot_miss.iter().flatten() {
-            remaining_users[*idx] += 1;
-        }
-        let mut computed: Vec<Option<Vec<f64>>> = computed.into_iter().map(Some).collect();
-        let mut results = self.results;
-        for (slot, miss) in results.iter_mut().zip(&self.slot_miss) {
-            if let Some(idx) = *miss {
-                remaining_users[idx] -= 1;
-                *slot = if remaining_users[idx] == 0 {
-                    computed[idx].take()
-                } else {
-                    computed[idx].clone()
-                };
-            }
-        }
-        results
+        self.slots
             .into_iter()
-            .map(|r| r.expect("all batch contexts filled")) // lint: allow(panic, "every batch index was filled by the cached or computed arm above")
+            .map(|slot| match slot {
+                Slot::Hit(row) => row,
+                Slot::Miss(index) => Arc::clone(&computed[index]),
+            })
             .collect()
     }
 }

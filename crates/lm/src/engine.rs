@@ -175,7 +175,7 @@ enum CacheHandle {
 }
 
 impl CacheHandle {
-    fn lookup(&self, context: &[TokenId]) -> Option<Vec<f64>> {
+    fn lookup(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
         match self {
             CacheHandle::Private(table) => table.lock().lookup(context),
             CacheHandle::Shared(cache) => cache.lookup(context),
@@ -193,7 +193,7 @@ impl CacheHandle {
     /// Read a memoized distribution without touching any counter —
     /// neither hit/miss tallies nor the per-entry reuse depth behind the
     /// shared admission gate. The speculation read path.
-    fn peek(&self, context: &[TokenId]) -> Option<Vec<f64>> {
+    fn peek(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
         match self {
             CacheHandle::Private(table) => table.lock().peek(context),
             CacheHandle::Shared(cache) => cache.peek(context),
@@ -215,7 +215,7 @@ impl CacheHandle {
     }
 
     /// Admit many distributions under one lock acquisition.
-    fn insert_many<'a>(&self, entries: impl Iterator<Item = (&'a [TokenId], Vec<f64>)>) {
+    fn insert_many<'a>(&self, entries: impl Iterator<Item = (&'a [TokenId], Arc<[f64]>)>) {
         match self {
             CacheHandle::Private(table) => {
                 let mut table = table.lock();
@@ -236,7 +236,7 @@ impl CacheHandle {
         }
     }
 
-    fn insert(&self, context: Vec<TokenId>, distribution: Vec<f64>) {
+    fn insert(&self, context: Vec<TokenId>, distribution: Arc<[f64]>) {
         match self {
             CacheHandle::Private(table) => table.lock().insert(context, distribution),
             CacheHandle::Shared(cache) => cache.insert(context, distribution),
@@ -355,15 +355,18 @@ impl<M: LanguageModel> ScoringEngine<M> {
     /// parallel settings go to the persistent pool, falling back to the
     /// model's own batch override when the model cannot pool (all paths
     /// are bit-identical).
-    fn compute_scores(&self, misses: &[&[TokenId]]) -> Vec<Vec<f64>> {
+    fn compute_scores(&self, misses: &[&[TokenId]]) -> Vec<Arc<[f64]>> {
         if !self.parallelism.is_parallel() {
             return misses
                 .iter()
-                .map(|ctx| self.model().next_log_probs(ctx))
+                .map(|ctx| self.model().next_log_probs(ctx).into())
                 .collect();
         }
         crate::pool::pooled_scores(self.model(), misses, self.parallelism)
             .unwrap_or_else(|| self.model().next_log_probs_batch(misses))
+            .into_iter()
+            .map(Arc::from)
+            .collect()
     }
 
     /// The wrapped model.
@@ -413,11 +416,14 @@ impl<M: LanguageModel> ScoringEngine<M> {
         self.cache.len()
     }
 
-    /// Score one context.
-    pub fn score(&self, context: &[TokenId]) -> Vec<f64> {
+    /// Score one context. The row is shared with the memo table (a hit
+    /// copies nothing; a miss is converted once and that allocation is
+    /// what the table keeps), so it is immutable and may outlive its
+    /// eviction.
+    pub fn score(&self, context: &[TokenId]) -> Arc<[f64]> {
         if self.mode == ScoringMode::Serial {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return self.model().next_log_probs(context);
+            return self.model().next_log_probs(context).into();
         }
         if let Some(hit) = self.cache.lookup(context) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -426,9 +432,9 @@ impl<M: LanguageModel> ScoringEngine<M> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_contexts.fetch_add(1, Ordering::Relaxed);
-        let computed = self.model().next_log_probs(context);
+        let computed: Arc<[f64]> = self.model().next_log_probs(context).into();
         if self.admission_open() {
-            self.cache.insert(context.to_vec(), computed.clone());
+            self.cache.insert(context.to_vec(), Arc::clone(&computed));
         }
         computed
     }
@@ -436,8 +442,9 @@ impl<M: LanguageModel> ScoringEngine<M> {
     /// Score a batch of contexts, in input order: hits come from the
     /// memo table, duplicate misses collapse to one evaluation, and the
     /// surviving misses go to the model in a single
-    /// [`LanguageModel::next_log_probs_batch`] call.
-    pub fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
+    /// [`LanguageModel::next_log_probs_batch`] call. Rows are shared as
+    /// in [`Self::score`]; duplicates of one context share one row.
+    pub fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Arc<[f64]>> {
         if contexts.is_empty() {
             return Vec::new();
         }
@@ -446,7 +453,7 @@ impl<M: LanguageModel> ScoringEngine<M> {
                 .fetch_add(contexts.len() as u64, Ordering::Relaxed);
             return contexts
                 .iter()
-                .map(|ctx| self.model().next_log_probs(ctx))
+                .map(|ctx| self.model().next_log_probs(ctx).into())
                 .collect();
         }
         let plan = self.cache.partition_batch(contexts);
@@ -458,7 +465,7 @@ impl<M: LanguageModel> ScoringEngine<M> {
         self.hits
             .fetch_add(contexts.len() as u64 - miss_count, Ordering::Relaxed);
         if plan.misses.is_empty() {
-            return plan.fill(Vec::new());
+            return plan.fill(&[]);
         }
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_contexts
@@ -469,10 +476,10 @@ impl<M: LanguageModel> ScoringEngine<M> {
                 plan.misses
                     .iter()
                     .zip(&computed)
-                    .map(|(&ctx, dist)| (ctx, dist.clone())),
+                    .map(|(&ctx, row)| (ctx, Arc::clone(row))),
             );
         }
-        plan.fill(computed)
+        plan.fill(&computed)
     }
 
     /// Score one coalesced batch assembled by a multi-query driver from
@@ -498,7 +505,7 @@ impl<M: LanguageModel> ScoringEngine<M> {
         &self,
         contexts: &[&[TokenId]],
         source_queries: usize,
-    ) -> Vec<Vec<f64>> {
+    ) -> Vec<Arc<[f64]>> {
         let batches_before = self.batches.load(Ordering::Relaxed);
         let contexts_before = self.batched_contexts.load(Ordering::Relaxed);
         let out = self.score_batch(contexts);
@@ -528,7 +535,7 @@ impl<M: LanguageModel> ScoringEngine<M> {
     /// a counting read from the speculative path would change admission
     /// decisions — and thereby cache contents and batch shapes — between
     /// speculative and non-speculative runs.
-    pub fn peek(&self, context: &[TokenId]) -> Option<Vec<f64>> {
+    pub fn peek(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
         if self.mode != ScoringMode::Batched {
             return None;
         }
@@ -545,7 +552,7 @@ impl<M: LanguageModel> ScoringEngine<M> {
     /// Like coalesced attribution, the before/after counter read is only
     /// exact when one speculating caller drives the engine at a time;
     /// results stay correct regardless.
-    pub fn score_batch_speculative(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
+    pub fn score_batch_speculative(&self, contexts: &[&[TokenId]]) -> Vec<Arc<[f64]>> {
         let batches_before = self.batches.load(Ordering::Relaxed);
         let out = self.score_batch(contexts);
         let issued = self.batches.load(Ordering::Relaxed) - batches_before;
@@ -570,12 +577,17 @@ impl<M: LanguageModel> LanguageModel for ScoringEngine<M> {
         self.model().max_sequence_len()
     }
 
+    // Models hand out fresh rows, so the shared ones are copied out at
+    // this boundary.
     fn next_log_probs(&self, context: &[TokenId]) -> Vec<f64> {
-        self.score(context)
+        self.score(context).to_vec()
     }
 
     fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
         self.score_batch(contexts)
+            .iter()
+            .map(|row| row.to_vec())
+            .collect()
     }
 }
 
@@ -608,7 +620,7 @@ mod tests {
         let refs: Vec<&[_]> = contexts.iter().map(Vec::as_slice).collect();
         let batched = engine.score_batch(&refs);
         for (ctx, out) in contexts.iter().zip(&batched) {
-            assert_eq!(out, &lm.next_log_probs(ctx));
+            assert_eq!(out[..], lm.next_log_probs(ctx));
         }
     }
 
@@ -657,6 +669,27 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_shared_with_the_memo_table_not_copied() {
+        let (tok, lm) = fixture();
+        let engine = ScoringEngine::new(&lm);
+        let a = tok.encode("the");
+        let b = tok.encode("the cat");
+        let miss = engine.score(&a);
+        assert!(
+            Arc::ptr_eq(&miss, &engine.score(&a)),
+            "a hit is the miss's row"
+        );
+        let batch = engine.score_batch(&[&b, &a, &b]);
+        assert!(Arc::ptr_eq(&batch[1], &miss));
+        assert!(
+            Arc::ptr_eq(&batch[0], &batch[2]),
+            "duplicates of a missing context share its one row"
+        );
+        let peeked = engine.peek(&b).expect("admitted");
+        assert!(Arc::ptr_eq(&peeked, &batch[0]), "the table keeps that row");
+    }
+
+    #[test]
     fn serial_mode_is_uncached_and_unbatched() {
         let (tok, lm) = fixture();
         let engine = ScoringEngine::with_mode(&lm, ScoringMode::Serial);
@@ -664,7 +697,7 @@ mod tests {
         engine.score(&a);
         engine.score(&a);
         let out = engine.score_batch(&[&a, &a]);
-        assert_eq!(out[0], lm.next_log_probs(&a));
+        assert_eq!(out[0][..], lm.next_log_probs(&a));
         let stats = engine.stats();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.cache_misses, 4);
@@ -725,7 +758,7 @@ mod tests {
         );
         // Values are still correct after the bypass engages.
         let probe = vec![3 as TokenId, 1];
-        assert_eq!(engine.score(&probe), lm.next_log_probs(&probe));
+        assert_eq!(engine.score(&probe)[..], lm.next_log_probs(&probe));
     }
 
     #[test]
@@ -785,7 +818,7 @@ mod tests {
         let second =
             ScoringEngine::with_shared_cache(&lm, ScoringMode::Batched, Arc::clone(&cache));
         let out = second.score_batch(&[&a, &b]);
-        assert_eq!(out[0], lm.next_log_probs(&a));
+        assert_eq!(out[0][..], lm.next_log_probs(&a));
         let stats = second.stats();
         assert_eq!(stats.cache_hits, 2, "cross-engine hits: {stats:?}");
         assert_eq!(stats.cache_misses, 0);
@@ -847,7 +880,7 @@ mod tests {
         let a = tok.encode("the");
         let b = tok.encode("the cat");
         let out = engine.score_batch_coalesced(&[&a, &b], 2);
-        assert_eq!(out[0], lm.next_log_probs(&a));
+        assert_eq!(out[0][..], lm.next_log_probs(&a));
         let stats = engine.stats();
         assert_eq!(stats.coalesced_batches, 1);
         assert_eq!(stats.coalesced_contexts, 2);
@@ -871,7 +904,7 @@ mod tests {
         let a = tok.encode("the");
         let b = tok.encode("the cat");
         let out = engine.score_batch_speculative(&[&a, &b]);
-        assert_eq!(out[0], lm.next_log_probs(&a));
+        assert_eq!(out[0][..], lm.next_log_probs(&a));
         let stats = engine.stats();
         assert_eq!(stats.speculative_batches, 1);
         assert_eq!(stats.batches, 1);

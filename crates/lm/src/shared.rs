@@ -25,6 +25,7 @@
 //!   gate reopens by itself as soon as reuse accumulates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -122,8 +123,9 @@ impl SharedScoringCache {
         }
     }
 
-    /// Look up a context, counting the hit or miss.
-    pub fn lookup(&self, context: &[TokenId]) -> Option<Vec<f64>> {
+    /// Look up a context, counting the hit or miss. A hit shares the
+    /// cached row; nothing is copied.
+    pub fn lookup(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
         let out = self.table.lock().lookup(context);
         match out {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -144,7 +146,7 @@ impl SharedScoringCache {
     /// read speculation uses to rank a cached parent's out-edges: a
     /// counting read would let speculative probes reopen or hold open
     /// the admission gate, making speculation observable.
-    pub fn peek(&self, context: &[TokenId]) -> Option<Vec<f64>> {
+    pub fn peek(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
         self.table.lock().peek(context)
     }
 
@@ -159,7 +161,10 @@ impl SharedScoringCache {
     }
 
     /// Admit many distributions under one lock acquisition.
-    pub(crate) fn insert_many<'a>(&self, entries: impl Iterator<Item = (&'a [TokenId], Vec<f64>)>) {
+    pub(crate) fn insert_many<'a>(
+        &self,
+        entries: impl Iterator<Item = (&'a [TokenId], Arc<[f64]>)>,
+    ) {
         let mut table = self.table.lock();
         for (ctx, dist) in entries {
             table.insert(ctx.to_vec(), dist);
@@ -174,9 +179,10 @@ impl SharedScoringCache {
     }
 
     /// Admit a distribution (first writer wins; evicts under budget
-    /// pressure).
-    pub fn insert(&self, context: Vec<TokenId>, distribution: Vec<f64>) {
-        self.table.lock().insert(context, distribution);
+    /// pressure). A fresh `Vec` is converted once; a row the caller
+    /// already shares goes into the table as it is.
+    pub fn insert(&self, context: Vec<TokenId>, distribution: impl Into<Arc<[f64]>>) {
+        self.table.lock().insert(context, distribution.into());
     }
 
     /// Invalidate every entry in O(1). Call when the model or tokenizer
@@ -235,7 +241,7 @@ impl SharedScoringCache {
         }
         let before = table.insertions();
         for (context, distribution) in entries {
-            table.insert(context, distribution);
+            table.insert(context, distribution.into());
         }
         (table.insertions() - before) as usize
     }
@@ -290,7 +296,7 @@ mod tests {
         let cache = SharedScoringCache::new(1 << 20);
         assert!(cache.lookup(&[1]).is_none());
         cache.insert(vec![1], vec![0.0, -1.0]);
-        assert_eq!(cache.lookup(&[1]), Some(vec![0.0, -1.0]));
+        assert_eq!(cache.lookup(&[1]).as_deref(), Some(&[0.0, -1.0][..]));
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -316,7 +322,7 @@ mod tests {
         assert!(cache.lookup(&[5]).is_none());
         assert!(cache.is_empty());
         cache.insert(vec![5], vec![-3.0]);
-        assert_eq!(cache.lookup(&[5]), Some(vec![-3.0]));
+        assert_eq!(cache.lookup(&[5]).as_deref(), Some(&[-3.0][..]));
     }
 
     #[test]
@@ -364,8 +370,8 @@ mod tests {
         let restored = SharedScoringCache::new(1 << 20);
         let admitted = restored.import_entries(generation, entries);
         assert_eq!(admitted, 2);
-        assert_eq!(restored.peek(&[1]), Some(vec![-1.0, -2.0]));
-        assert_eq!(restored.peek(&[2, 3]), Some(vec![-0.5]));
+        assert_eq!(restored.peek(&[1]).as_deref(), Some(&[-1.0, -2.0][..]));
+        assert_eq!(restored.peek(&[2, 3]).as_deref(), Some(&[-0.5][..]));
     }
 
     #[test]
