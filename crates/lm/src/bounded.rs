@@ -18,9 +18,13 @@
 //!
 //! **Generations**: every entry is tagged with the generation current at
 //! insertion. [`ClockCache::bump_generation`] invalidates the whole
-//! table in O(1): stale entries miss on lookup (and are removed on
-//! contact) and the eviction hand discards them eagerly, so a swapped
-//! model or tokenizer can never be served a distribution computed by its
+//! table and drops the outgoing generation's rows on the spot, so a
+//! swapped-out model's distributions neither serve nor keep occupying
+//! the byte budget. The tag checks stay as the second line of defence:
+//! an entry of another generation misses on lookup, is removed on
+//! contact and is the eviction hand's first choice, and an import
+//! tagged with an older generation is refused — a swapped model or
+//! tokenizer can never be served a distribution computed by its
 //! predecessor.
 
 use std::collections::HashMap;
@@ -111,14 +115,12 @@ impl ClockCache {
         std::mem::size_of_val(key) + std::mem::size_of_val(value) + ENTRY_OVERHEAD_BYTES
     }
 
-    /// Number of live (current-generation) entries. Stale entries not
-    /// yet collected are excluded. O(1).
+    /// Number of live (current-generation) entries. O(1).
     pub(crate) fn len(&self) -> usize {
         self.live
     }
 
-    /// Current estimated resident bytes (stale, uncollected entries
-    /// included — they still occupy memory).
+    /// Current estimated bytes of every entry the table holds.
     pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
@@ -165,12 +167,17 @@ impl ClockCache {
         self.generation
     }
 
-    /// Invalidate every entry in O(1): subsequent lookups miss, and the
-    /// stale entries are collected lazily (on contact or by the eviction
-    /// hand).
+    /// Invalidate every entry and collect it here: the outgoing
+    /// generation's rows are dropped (counted as evictions) and their
+    /// bytes returned to the budget. Leaving them to the eviction hand
+    /// kept a swapped-out model's rows resident *and charged* until one
+    /// insert at a time displaced them — a session swapping models per
+    /// query ran with the whole budget occupied by rows nothing could
+    /// read.
     pub(crate) fn bump_generation(&mut self) {
         self.generation += 1;
-        self.live = 0;
+        self.evictions += self.slots.iter().flatten().count() as u64;
+        self.clear();
     }
 
     /// Drop everything, keeping the budget and counters.
@@ -411,6 +418,27 @@ mod tests {
     }
 
     #[test]
+    fn generation_bump_returns_the_outgoing_rows_to_the_budget() {
+        let mut c = ClockCache::new(1 << 20);
+        for i in 0..6u32 {
+            c.insert(vec![i], dist(8, f64::from(i)));
+        }
+        let held = c.lookup(&[0]).expect("resident");
+        c.bump_generation();
+        // Regression: the bump only moved a tag, so the old rows stayed
+        // resident and charged until the hand evicted them one insert at
+        // a time.
+        assert_eq!(c.bytes(), 0);
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.evictions(), 6, "collected rows count as evictions");
+        assert_eq!(held[..], dist(8, 0.0)[..], "a reader's row outlives it");
+        c.insert(vec![0], dist(8, 9.0));
+        assert_eq!(c.lookup(&[0]), Some(dist(8, 9.0)));
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.bytes(), ClockCache::cost_of(&[0], &dist(8, 9.0)));
+    }
+
+    #[test]
     fn stale_entries_are_reclaimed_by_the_sweep() {
         let entry_cost = ClockCache::cost_of(&[0], &dist(8, 0.0));
         let mut c = ClockCache::new(entry_cost * 4);
@@ -418,7 +446,8 @@ mod tests {
             c.insert(vec![i], dist(8, f64::from(i)));
         }
         c.bump_generation();
-        // The budget is full of stale entries; new inserts must reclaim.
+        // A budget the outgoing generation had filled admits a full
+        // budget of new entries.
         for i in 10..14u32 {
             c.insert(vec![i], dist(8, f64::from(i)));
         }

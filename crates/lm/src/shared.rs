@@ -15,7 +15,8 @@
 //!   audits cannot leak memory through the memo table;
 //! * **generation-tagged** — swapping the model (or tokenizer) behind a
 //!   session bumps the generation, so a stale distribution can never be
-//!   served across the swap;
+//!   served across the swap, and drops the outgoing rows so they stop
+//!   occupying the budget;
 //! * **thread-safe** — a `Mutex` around the table plus atomic counters;
 //!   engines on different threads may share one cache;
 //! * **reuse-gated admission** — after a warm-up window the cache keeps
@@ -185,10 +186,11 @@ impl SharedScoringCache {
         self.table.lock().insert(context, distribution.into());
     }
 
-    /// Invalidate every entry in O(1). Call when the model or tokenizer
-    /// behind the session changes; stale entries can then never be
-    /// served, and their memory is reclaimed lazily by the eviction
-    /// sweep.
+    /// Invalidate every entry. Call when the model or tokenizer behind
+    /// the session changes: stale entries can then never be served, and
+    /// their rows are dropped here (counted as evictions), so the byte
+    /// budget is free for the incoming model at once. A row a reader
+    /// still holds lives until that reader lets go of it.
     pub fn bump_generation(&self) {
         self.table.lock().bump_generation();
     }

@@ -166,6 +166,39 @@ fn model_swap_never_serves_cross_model_distributions() {
 }
 
 #[test]
+fn swapped_out_models_do_not_squat_the_scoring_cache_budget() {
+    // Regression: a swap only moved the cache's generation tag, so each
+    // outgoing model's rows stayed resident and charged until the clock
+    // hand got to them, and a session swapping per query grew to its
+    // whole budget in rows nothing could read.
+    let (tok, _) = fixture();
+    let cat_lm = NGramLm::train(&tok, &["the cat sat on the mat"], NGramConfig::xl());
+    let dog_lm = NGramLm::train(&tok, &["the dog sat on the log"], NGramConfig::xl());
+    let query = SearchQuery::new(
+        QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
+    )
+    .with_strategy(SearchStrategy::RandomSampling { seed: 9 });
+
+    let mut session = RelmSession::new(&cat_lm, tok.clone());
+    let mut first_round = 0;
+    for round in 0..20 {
+        let model = if round % 2 == 0 { &dog_lm } else { &cat_lm };
+        session.swap_model(model).unwrap();
+        assert_eq!(session.stats().scoring.bytes, 0, "round {round}");
+        assert!(session.search(&query).unwrap().take(6).count() > 0);
+        let bytes = session.stats().scoring.bytes;
+        assert!(bytes > 0, "round {round} cached nothing");
+        if round == 0 {
+            first_round = bytes;
+        }
+        assert!(
+            bytes < 2 * first_round,
+            "round {round}: {bytes} bytes against {first_round} in the first"
+        );
+    }
+}
+
+#[test]
 fn plan_and_execute_split_reuses_one_compilation() {
     let (tok, lm) = fixture();
     let session = RelmSession::new(&lm, tok.clone());
