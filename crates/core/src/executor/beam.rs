@@ -28,12 +28,13 @@ use crate::executor::{
 use crate::results::MatchResult;
 
 /// Minimum `paths × vocabulary size` before a beam level's expansion
-/// fans out to a worker pool. Per-path expansion is dominated by the
-/// policy filter over the whole distribution (`O(V)` per path), so the
-/// product measures the level's real work; below roughly this much a
-/// thread spawn costs more than it parallelizes, and the level expands
-/// on the calling thread (identically — the gate picks who computes,
-/// never what).
+/// fans out to a worker pool. Under a top-k or top-p policy per-path
+/// expansion is dominated by finding the cut in the whole distribution
+/// (`O(V)` per path), so the product bounds the level's real work (an
+/// unfiltered policy costs only the path's out-degree); below roughly
+/// this much a thread spawn costs more than it parallelizes, and the
+/// level expands on the calling thread (identically — the gate picks
+/// who computes, never what).
 const BEAM_SHARD_MIN_WORK: usize = 1 << 14;
 
 #[derive(Debug, Clone)]

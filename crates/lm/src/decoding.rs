@@ -235,8 +235,8 @@ impl DecodingPolicy {
     /// about a few tokens uses the view.
     pub fn allowed(&self, log_probs: &[f64]) -> Vec<(TokenId, f64)> {
         let view = self.filter(log_probs);
-        let mut entries: Vec<(TokenId, f64)> = (0..log_probs.len())
-            .filter_map(|t| view.get(t as TokenId).map(|lp| (t as TokenId, lp)))
+        let mut entries: Vec<(TokenId, f64)> = (0..log_probs.len() as TokenId)
+            .filter_map(|t| view.get(t).map(|lp| (t, lp)))
             .collect();
         entries.sort_unstable_by(rank);
         entries

@@ -7,7 +7,7 @@
 //! [`ScoringEngine`] is that layer for this workspace: it sits between
 //! the executors and any [`LanguageModel`] and provides
 //!
-//! 1. **memoization** — a [`CachedLm`] table serves revisited contexts
+//! 1. **memoization** — a bounded memo table serves revisited contexts
 //!    without model work (graph traversals revisit constantly),
 //! 2. **deduplication** — identical contexts inside one batch are
 //!    evaluated once,
@@ -32,6 +32,15 @@
 //! the same byte-budgeted clock-eviction policy; the shared flavor adds
 //! generation tags so a swapped model can never be served a stale
 //! distribution.
+//!
+//! **Rows are shared, not copied.** Every scoring call hands out
+//! `Arc<[f64]>` rows: the table and any number of readers hold one
+//! immutable allocation. A hit clones the `Arc`; a computed miss is
+//! converted once and that same allocation goes into the table;
+//! duplicates of one context in a batch share one row. A row a reader
+//! still holds outlives its eviction, so the byte budget bounds the
+//! table, not the process. Only [`LanguageModel::next_log_probs`] on the
+//! engine copies, because that trait hands out fresh `Vec`s.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -356,17 +365,16 @@ impl<M: LanguageModel> ScoringEngine<M> {
     /// model's own batch override when the model cannot pool (all paths
     /// are bit-identical).
     fn compute_scores(&self, misses: &[&[TokenId]]) -> Vec<Arc<[f64]>> {
-        if !self.parallelism.is_parallel() {
-            return misses
+        let rows = if self.parallelism.is_parallel() {
+            crate::pool::pooled_scores(self.model(), misses, self.parallelism)
+                .unwrap_or_else(|| self.model().next_log_probs_batch(misses))
+        } else {
+            misses
                 .iter()
-                .map(|ctx| self.model().next_log_probs(ctx).into())
-                .collect();
-        }
-        crate::pool::pooled_scores(self.model(), misses, self.parallelism)
-            .unwrap_or_else(|| self.model().next_log_probs_batch(misses))
-            .into_iter()
-            .map(Arc::from)
-            .collect()
+                .map(|ctx| self.model().next_log_probs(ctx))
+                .collect()
+        };
+        rows.into_iter().map(Arc::from).collect()
     }
 
     /// The wrapped model.

@@ -78,7 +78,7 @@ fn assert_view_matches_reference(policy: &DecodingPolicy, row: &[f64]) {
     assert_eq!(enumerated, expected, "{row:?} under {policy:?}");
 }
 
-fn policy(top_k: Option<usize>, top_p: Option<f64>, temperature: f64) -> DecodingPolicy {
+fn policy_of(top_k: Option<usize>, top_p: Option<f64>, temperature: f64) -> DecodingPolicy {
     DecodingPolicy {
         top_k,
         top_p,
@@ -113,7 +113,7 @@ fn view_of_degenerate_rows_and_cutoffs() {
     for top_k in [None, Some(0), Some(1), Some(5), Some(6), Some(100)] {
         for top_p in [None, Some(0.3), Some(1.0)] {
             for temperature in [0.5, 1.0, 2.0] {
-                let policy = policy(top_k, top_p, temperature);
+                let policy = policy_of(top_k, top_p, temperature);
                 assert_view_matches_reference(&policy, &impossible);
                 assert_view_matches_reference(&policy, &row);
                 assert_view_matches_reference(&policy, &[]);
@@ -187,7 +187,7 @@ proptest! {
         let k = k.min(row.len() + 2);
         // p = 1 exactly now and then: the range above is half-open.
         let p = if exact_p == 0 { 1.0 } else { p };
-        let policy = policy(
+        let policy = policy_of(
             (use_k == 1).then_some(k),
             (use_p == 1).then_some(p),
             [0.5, 1.0, 2.0][t],
