@@ -184,12 +184,21 @@ fn batched_mode_does_strictly_less_model_work() {
 /// which contexts are requested, how they split into hits, misses and
 /// batches, and the score bits of what comes out.
 fn pinned_work(query: &SearchQuery, take: usize) -> ([u64; 7], Vec<u64>) {
+    pinned_work_with(query, take, relm::Speculation::new())
+}
+
+fn pinned_work_with(
+    query: &SearchQuery,
+    take: usize,
+    speculation: relm::Speculation,
+) -> ([u64; 7], Vec<u64>) {
     let (tok, lm) = fixture();
     // An explicit worker count: `Parallelism::auto()` widens Dijkstra's
     // frontier prefetch with the host's cores, and with it the batch and
     // hit counts.
     let client = relm::Relm::builder(&lm, tok)
         .parallelism(relm::Parallelism::Serial)
+        .speculation(speculation)
         .build()
         .expect("client");
     let mut results = client.search(query).expect("search");
@@ -245,11 +254,17 @@ fn beam_work_counts_are_pinned() {
 #[test]
 fn sampling_work_counts_are_pinned() {
     let query = pinned_query().with_strategy(SearchStrategy::RandomSampling { seed: 41 });
-    let (counts, bits) = pinned_work(&query, 12);
-    assert_eq!(counts, [48, 96, 12, 110, 17, 12, 15]);
     // The three most probable matches, as the beam ranks them above.
     const A: u64 = 0xbfef6f8be16d64ed;
     const B: u64 = 0xc000d86357c8fd90;
     const C: u64 = 0xc000fa0f2350d7dd;
+    let (counts, bits) = pinned_work(&query, 12);
+    assert_eq!(counts, [48, 96, 12, 110, 17, 12, 15]);
+    assert_eq!(bits, [A, C, A, A, A, A, A, A, B, A, B, C]);
+    // The same walk scoring only what it stands on: three fewer model
+    // evaluations, and two that speculation had folded into a batch
+    // arrive as single-context demand batches.
+    let (counts, bits) = pinned_work_with(&query, 12, relm::Speculation::off());
+    assert_eq!(counts, [48, 96, 12, 98, 14, 14, 0]);
     assert_eq!(bits, [A, C, A, A, A, A, A, A, B, A, B, C]);
 }
