@@ -7,8 +7,7 @@
 //! conditioning prefix.
 
 use relm_core::{
-    ExecutionStats, Preprocessor, QuerySet, QueryString, Relm, SearchQuery, SearchStrategy,
-    TokenizationStrategy,
+    Preprocessor, QuerySet, QueryString, Relm, SearchQuery, SearchStrategy, TokenizationStrategy,
 };
 use relm_datasets::PROFESSIONS;
 use relm_lm::{LanguageModel, ScoringStats};
@@ -155,9 +154,6 @@ pub struct BiasRun {
     /// The query set's shared scoring-engine counters — the
     /// cross-query coalescing provenance of this cell.
     pub scoring: ScoringStats,
-    /// Per-query execution counters summed over the set — the
-    /// speculation provenance of the cell's sampling walks.
-    pub execution: ExecutionStats,
 }
 
 /// Run both genders under `config` and compute the χ² independence test
@@ -197,20 +193,9 @@ pub fn run_config<M: LanguageModel>(
         keep.iter().map(|&i| woman_counts[i]).collect(),
     ];
     let chi2 = chi2_independence(&table).ok();
-    let mut execution = ExecutionStats::default();
-    for outcome in &report.outcomes {
-        execution.expansions += outcome.stats.expansions;
-        execution.lm_calls += outcome.stats.lm_calls;
-        execution.emitted += outcome.stats.emitted;
-        execution.dead_ends += outcome.stats.dead_ends;
-        execution.speculative_scored += outcome.stats.speculative_scored;
-        execution.speculation_hits += outcome.stats.speculation_hits;
-        execution.speculation_wasted += outcome.stats.speculation_wasted;
-    }
     BiasRun {
         chi2,
         scoring: report.scoring,
-        execution,
         dists,
     }
 }

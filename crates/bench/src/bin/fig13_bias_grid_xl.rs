@@ -48,7 +48,6 @@ fn run_grid<M: relm_lm::LanguageModel>(client: &relm_core::Relm<M>, samples: usi
                 println!("  chi2 = {:.2}, log10 p = {:.1}", r.statistic, r.log10_p);
             }
             report::coalescing_stats(&config.label(), &run.scoring);
-            report::speculation_stats(&config.label(), &run.execution);
         }
     }
 }

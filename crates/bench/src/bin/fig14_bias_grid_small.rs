@@ -43,7 +43,6 @@ fn main() {
                 println!("  chi2 = {:.2}, log10 p = {:.1}", r.statistic, r.log10_p);
             }
             report::coalescing_stats(&config.label(), &run.scoring);
-            report::speculation_stats(&config.label(), &run.execution);
         }
     }
     report::session_stats("fig14", &client.stats());

@@ -76,7 +76,6 @@ fn main() {
             None => println!("  chi2 unavailable (degenerate table)"),
         }
         report::coalescing_stats(panel, &run.scoring);
-        report::speculation_stats(panel, &run.execution);
     }
     report::session_stats("fig7", &client.stats());
 }

@@ -80,29 +80,12 @@ pub fn coalescing_stats(label: &str, scoring: &relm_lm::ScoringStats) {
     let tick_fill = scoring.coalesced_contexts as f64 / scoring.coalesced_batches.max(1) as f64;
     println!(
         "[run_many coalescing: {label}] {} coalesced batches ({} cross-query), \
-         {} contexts (mean tick fill {:.2}); engine-wide mean batch {:.2}; \
-         {} speculative batches",
+         {} contexts (mean tick fill {:.2}); engine-wide mean batch {:.2}",
         scoring.coalesced_batches,
         scoring.cross_query_batches,
         scoring.coalesced_contexts,
         tick_fill,
-        scoring.mean_batch_size(),
-        scoring.speculative_batches
-    );
-}
-
-/// Print a query's (or set's) speculative-scoring counters: how much
-/// lookahead work was issued, how often the walks actually stepped into
-/// it, and how much went unconsumed. Wasted speculation costs wall
-/// clock only — scoring is pure, so it can never change results.
-pub fn speculation_stats(label: &str, stats: &relm_core::ExecutionStats) {
-    let hit_rate = stats.speculation_hits as f64 / stats.speculative_scored.max(1) as f64;
-    println!(
-        "[speculation: {label}] {} contexts pre-scored, {} hits ({:.0}% hit rate), {} wasted",
-        stats.speculative_scored,
-        stats.speculation_hits,
-        100.0 * hit_rate,
-        stats.speculation_wasted
+        scoring.mean_batch_size()
     );
 }
 
@@ -116,6 +99,5 @@ mod tests {
         super::metric("m", 1.5, "units");
         super::session_stats("test", &relm_core::SessionStats::default());
         super::coalescing_stats("test", &relm_lm::ScoringStats::default());
-        super::speculation_stats("test", &relm_core::ExecutionStats::default());
     }
 }

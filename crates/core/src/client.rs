@@ -18,9 +18,6 @@
 //!   results are byte-identical to running each query alone — scoring
 //!   is pure, so pre-scoring another query's frontier can never change
 //!   a traversal — which `tests/client.rs` enforces bit-for-bit.
-//!
-//! The legacy free functions (`search`/`plan`/`execute`) remain as
-//! deprecated one-shot shims; new code should hold a client.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,24 +28,23 @@ use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{LanguageModel, ScoringEngine, ScoringMode, ScoringStats, SharedScoringCache};
 
 use crate::executor::{CompiledSearch, ExecutionStats, SearchResults, StepOutcome};
-use crate::query::{QueryId, QuerySet, SearchQuery, TickQuantum};
+use crate::query::{QueryId, QuerySet, SearchQuery};
 use crate::results::MatchResult;
-use crate::session::{RelmSession, SessionConfig, SessionStats, Speculation};
+use crate::session::{RelmSession, SessionConfig, SessionStats};
 use crate::RelmError;
 
 /// Uncached frontier contexts gathered per in-flight query per
 /// coalescing tick. Generous enough to cover a whole beam level or
 /// episode block, so a tick absorbs the executor's next batch instead
-/// of splitting it; executors whose lookahead is speculative (Dijkstra)
+/// of splitting it; executors that prefetch on their own (Dijkstra)
 /// self-cap below this at their own prefetch bound.
 const COALESCE_LOOKAHEAD: usize = 32;
 
-/// Coalescing ticks the driver always runs (and measures) before
-/// [`TickQuantum::Adaptive`] may start skipping: enough to observe the
-/// model's real per-tick scoring cost, and a floor that keeps the
-/// cross-query provenance counters meaningful even when the adaptive
-/// policy then turns ticking off.
-const ADAPTIVE_TICK_WARMUP: u64 = 3;
+/// Coalescing ticks the driver always runs (and measures) before it may
+/// start skipping: enough to observe the model's real per-tick scoring
+/// cost, and a floor that keeps the cross-query provenance counters
+/// meaningful even when the driver then turns ticking off.
+const TICK_WARMUP: u64 = 3;
 
 /// Configures and validates a [`Relm`] client. Obtained from
 /// [`Relm::builder`]; consumed by [`RelmBuilder::build`].
@@ -91,15 +87,6 @@ impl<M: LanguageModel> RelmBuilder<M> {
     /// path; results are byte-identical for every setting.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.config = self.config.with_parallelism(parallelism);
-        self
-    }
-
-    /// Set the speculative-scoring policy for sampling body walks (see
-    /// [`Speculation`]; default: enabled with top-4 single-level
-    /// lookahead). Speculation trades wasted forward passes for batch
-    /// fill; results are byte-identical for every setting.
-    pub fn speculation(mut self, speculation: Speculation) -> Self {
-        self.config = self.config.with_speculation(speculation);
         self
     }
 
@@ -188,12 +175,6 @@ pub struct QueryCompletion {
     pub expired: bool,
 }
 
-/// Smoothing factor of the per-query speculation hit-rate EWMA: each
-/// tick's observed rate contributes a quarter, so a query's standing
-/// adapts within a few ticks without thrashing on one lucky (or
-/// unlucky) draw.
-const SPEC_EWMA_ALPHA: f64 = 0.25;
-
 /// One in-flight execution inside a [`QueryDriver`].
 struct DriverSlot<'a, M: LanguageModel> {
     id: QueryId,
@@ -210,17 +191,6 @@ struct DriverSlot<'a, M: LanguageModel> {
     /// The deadline fired: `done` was forced, the completion carries
     /// `expired = true`, and the slot counts as expired, not completed.
     expired: bool,
-    /// EWMA of this query's speculation hit rate, the priority of the
-    /// slack-fill rotation. Starts optimistic (1.0) so a newly admitted
-    /// query gets slack until it proves cold; queries whose guesses
-    /// stop landing decay toward the back of the line. Ordering is a
-    /// scheduling decision only — scoring is pure, so it can never
-    /// change results.
-    spec_hit_ewma: f64,
-    /// `speculative_scored` as of the last EWMA update (delta basis).
-    spec_scored_seen: u64,
-    /// `speculation_hits` as of the last EWMA update (delta basis).
-    spec_hits_seen: u64,
 }
 
 /// The open-world multi-query driver: the admission loop behind
@@ -285,7 +255,6 @@ pub struct QueryDriver<'a, M: LanguageModel> {
     engine: Arc<ScoringEngine<&'a M>>,
     slots: Vec<DriverSlot<'a, M>>,
     next_id: u64,
-    quantum: TickQuantum,
     ticks_run: u64,
     ticks_skipped: u64,
     gather_nanos: u128,
@@ -298,7 +267,7 @@ pub struct QueryDriver<'a, M: LanguageModel> {
 }
 
 impl<'a, M: LanguageModel> QueryDriver<'a, M> {
-    fn new(session: &'a RelmSession<M>, quantum: TickQuantum) -> Self {
+    fn new(session: &'a RelmSession<M>) -> Self {
         QueryDriver {
             session,
             engine: Arc::new(
@@ -311,7 +280,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
             ),
             slots: Vec::new(),
             next_id: 0,
-            quantum,
             ticks_run: 0,
             ticks_skipped: 0,
             gather_nanos: 0,
@@ -322,13 +290,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
             cancelled: 0,
             expired: 0,
         }
-    }
-
-    /// Set the coalescing-tick policy (default [`TickQuantum::Adaptive`]).
-    #[must_use]
-    pub fn with_tick_quantum(mut self, quantum: TickQuantum) -> Self {
-        self.quantum = quantum;
-        self
     }
 
     /// Admit a query, collecting up to `max_results` matches. The query
@@ -410,9 +371,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
             done: max_results == 0,
             deadline,
             expired: false,
-            spec_hit_ewma: 1.0,
-            spec_scored_seen: 0,
-            spec_hits_seen: 0,
         });
         Ok(id)
     }
@@ -464,50 +422,22 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         self.engine.stats()
     }
 
-    /// The slack-fill rotation: refresh each live batched query's
-    /// speculation hit-rate EWMA from the counters it accumulated since
-    /// the last tick, then order the queries hottest-first. Under the
-    /// old admission-order rotation an early-admitted cold query
-    /// (guesses never landing) burned the whole slack every tick while
-    /// a hot later-admitted query starved; now slack follows the
-    /// queries whose guesses land. The sort is stable, so ties —
-    /// including freshly admitted queries at their optimistic prior —
-    /// still break by admission order. Ordering is a scheduling
-    /// decision only: scoring is pure, so it can never change results.
-    fn slack_rotation(&mut self) -> Vec<usize> {
-        let mut order: Vec<usize> = Vec::new();
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            if slot.done || slot.serial {
-                continue;
-            }
-            let stats = slot.results.stats();
-            let d_scored = stats
-                .speculative_scored
-                .saturating_sub(slot.spec_scored_seen);
-            if d_scored > 0 {
-                let d_hits = stats.speculation_hits.saturating_sub(slot.spec_hits_seen);
-                let rate = d_hits.min(d_scored) as f64 / d_scored as f64;
-                slot.spec_hit_ewma =
-                    SPEC_EWMA_ALPHA * rate + (1.0 - SPEC_EWMA_ALPHA) * slot.spec_hit_ewma;
-                slot.spec_scored_seen = stats.speculative_scored;
-                slot.spec_hits_seen = stats.speculation_hits;
-            }
-            order.push(idx);
-        }
-        order.sort_by(|&a, &b| {
-            self.slots[b]
-                .spec_hit_ewma
-                .total_cmp(&self.slots[a].spec_hit_ewma)
-        });
-        order
-    }
-
     /// One driver rotation: a coalescing tick over every live frontier
-    /// (when two or more batched queries are in flight and the
-    /// [`TickQuantum`] allows), then one bounded step of every live
-    /// query. Returns the completion notifications for queries that
-    /// finished during this rotation — the callback boundary a serving
-    /// loop routes back to its connections.
+    /// (when two or more batched queries are in flight and ticking still
+    /// pays), then one bounded step of every live query. Returns the
+    /// completion notifications for queries that finished during this
+    /// rotation — the callback boundary a serving loop routes back to
+    /// its connections.
+    ///
+    /// A tick front-loads model work the executors would do anyway, so
+    /// it pays off exactly when a model call is expensive relative to
+    /// the driver's own gather/dedup overhead. The driver measures both:
+    /// the first three ticks always run, and from then on ticking stops
+    /// for good once the time spent scoring tick batches falls below the
+    /// time spent assembling them ([`QueryDriver::tick_counts`] reports
+    /// run and skipped). Skipping can never change results: scoring is
+    /// pure and every executor scores its own frontier on demand; only
+    /// the batching schedule changes.
     pub fn tick(&mut self) -> Vec<QueryCompletion> {
         if self.slots.is_empty() {
             return Vec::new();
@@ -535,14 +465,13 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         // Phase 1: the coalescing tick. Only worth an engine call while
         // two or more batched executions are in flight — a lone query
         // already batches internally, and serial queries never
-        // participate. See `TickQuantum` for the adaptive policy; the
-        // accounting mirrors the closed-batch driver this generalizes.
+        // participate.
         let batched_live = self
             .slots
             .iter()
             .filter(|slot| !slot.done && !slot.serial)
             .count();
-        if batched_live >= 2 && self.quantum != TickQuantum::Never {
+        if batched_live >= 2 {
             if self.ticks_unprofitable {
                 self.ticks_skipped += 1;
             } else {
@@ -565,26 +494,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
                         }
                     }
                 }
-                // Slack fill: when the demand frontiers leave batch
-                // capacity unused, top it up with speculative successor
-                // contexts from the live sampling walks — strictly
-                // lowest-priority (demand contexts are already in the
-                // batch and are never displaced), and free to be wrong:
-                // scoring is pure and the walks never observe what was
-                // pre-scored, so results are byte-identical either way.
-                if batch.len() < COALESCE_LOOKAHEAD {
-                    for idx in self.slack_rotation() {
-                        let slack = COALESCE_LOOKAHEAD - batch.len();
-                        if slack == 0 {
-                            break;
-                        }
-                        for ctx in self.slots[idx].results.speculative_contexts(slack) {
-                            if seen.insert(ctx.clone()) {
-                                batch.push(ctx);
-                            }
-                        }
-                    }
-                }
                 self.gather_nanos += gather_start.elapsed().as_nanos();
                 if !batch.is_empty() {
                     let refs: Vec<&[TokenId]> = batch.iter().map(Vec::as_slice).collect();
@@ -593,10 +502,7 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
                     self.scoring_nanos += scoring_start.elapsed().as_nanos();
                 }
                 self.ticks_run += 1;
-                if self.quantum == TickQuantum::Adaptive
-                    && self.ticks_run >= ADAPTIVE_TICK_WARMUP
-                    && self.scoring_nanos < self.gather_nanos
-                {
+                if self.ticks_run >= TICK_WARMUP && self.scoring_nanos < self.gather_nanos {
                     // Sticky decision: the model has shown itself cheaper
                     // than the tick machinery, so stop paying for ticks
                     // (exposed via `ExecutionStats::coalesce_ticks_skipped`).
@@ -771,7 +677,7 @@ impl<M: LanguageModel> Relm<M> {
     }
 
     /// Plan and execute one query — the client's primary single-query
-    /// path, byte-identical to the legacy `search()` free function.
+    /// path.
     ///
     /// # Errors
     ///
@@ -804,13 +710,11 @@ impl<M: LanguageModel> Relm<M> {
     /// their one-call-per-context contract: they are stepped in the
     /// same rotation but neither feed nor read the shared batches.
     ///
-    /// The tick phase is governed by the set's [`TickQuantum`]: under
-    /// the default adaptive policy the driver measures each tick's
-    /// assembly overhead against the model work it front-loads and
-    /// stops ticking (after a short always-on warmup) when the model is
-    /// too cheap for coalescing to win wall-clock — closing the "draw
-    /// on cheap models" gap without touching results. The decision is
-    /// visible in [`ExecutionStats::coalesce_ticks`] /
+    /// There is one tick rule (see [`QueryDriver::tick`]): the driver
+    /// measures each tick's assembly overhead against the model work it
+    /// front-loads and stops ticking, after a short always-on warmup,
+    /// when the model is too cheap for coalescing to win wall-clock.
+    /// The decision is visible in [`ExecutionStats::coalesce_ticks`] /
     /// [`ExecutionStats::coalesce_ticks_skipped`] on every outcome.
     ///
     /// # Errors
@@ -826,7 +730,7 @@ impl<M: LanguageModel> Relm<M> {
             .map(|spec| self.session.plan(&spec.query))
             .collect::<Result<_, _>>()?;
 
-        let mut driver = QueryDriver::new(&self.session, set.tick_quantum());
+        let mut driver = QueryDriver::new(&self.session);
         let mut ids = Vec::with_capacity(plans.len());
         for (spec, plan) in set.specs().iter().zip(&plans) {
             ids.push(driver.admit_plan(plan, spec.max_results)?);
@@ -869,7 +773,7 @@ impl<M: LanguageModel> Relm<M> {
     /// [`QueryDriver::tick`] — all through the same coalescing engine,
     /// with per-query results byte-identical to solo execution.
     pub fn driver(&self) -> QueryDriver<'_, M> {
-        QueryDriver::new(&self.session, TickQuantum::default())
+        QueryDriver::new(&self.session)
     }
 
     /// Aggregated reuse counters (plan memo + shared scoring cache).
@@ -1132,51 +1036,6 @@ mod tests {
         assert_eq!(completions.len(), 1, "cancelled query never completes");
         assert_eq!(completions[0].id, fast);
         assert_eq!(driver.counts(), (2, 1, 1));
-    }
-
-    #[test]
-    fn cold_query_no_longer_starves_a_hot_querys_slack() {
-        let (tok, lm) = fixture();
-        let client = Relm::new(lm, tok).unwrap();
-        let mut driver = client.driver();
-        // The cold query is admitted FIRST — under the old
-        // admission-order rotation it had first claim on the slack
-        // every tick, no matter how badly its guesses landed.
-        let cold = SearchQuery::new(QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))"))
-            .with_strategy(SearchStrategy::RandomSampling { seed: 11 })
-            .with_max_expansions(10_000);
-        let hot = SearchQuery::new(QueryString::new(
-            "the ((cat)|(dog)) sat on the ((mat)|(log))",
-        ))
-        .with_strategy(SearchStrategy::RandomSampling { seed: 7 })
-        .with_max_expansions(10_000);
-        driver.admit(&cold, 50).unwrap();
-        driver.admit(&hot, 50).unwrap();
-        // Fresh queries share the optimistic prior: ties break by
-        // admission order, exactly the old rotation.
-        assert_eq!(driver.slack_rotation(), vec![0, 1]);
-        // Run a few ticks so the cold slot accumulates real
-        // speculative-scored counters for the EWMA to consume.
-        for _ in 0..4 {
-            let _ = driver.tick();
-        }
-        assert!(
-            driver.slots[0].results.stats().speculative_scored > 0,
-            "slack fill must have issued speculation for the cold slot"
-        );
-        // Replay the cold slot's history as all-miss: rebase its delta
-        // counters so every speculative context it scored counts as a
-        // miss, then let the rotation consume the delta repeatedly —
-        // the EWMA decays toward zero like a run of landless ticks.
-        for _ in 0..8 {
-            driver.slots[0].spec_scored_seen = 0;
-            driver.slots[0].spec_hits_seen = driver.slots[0].results.stats().speculation_hits;
-            let _ = driver.slack_rotation();
-        }
-        assert!(driver.slots[0].spec_hit_ewma < driver.slots[1].spec_hit_ewma);
-        // Regression: the hot later-admitted query now outranks the
-        // cold early one — slack follows hit rate, not admission order.
-        assert_eq!(driver.slack_rotation(), vec![1, 0]);
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //!   suffixes are drawn from the model restricted to the automaton, with
 //!   EOS disambiguating stop-vs-continue at accepting states.
 //!
-//! Since the session refactor the pipeline is split in two: [`plan`]
-//! compiles a query into a [`CompiledSearch`] (regex → NFA → DFA → token
-//! automaton — the expensive part), and [`execute`] runs a compiled plan
-//! against a model. [`search`] composes them for the stateless one-shot
-//! path; [`crate::RelmSession`] memoizes the plans and pools the scoring
-//! cache across queries.
+//! The pipeline is split in two: planning compiles a query into a
+//! [`CompiledSearch`] (regex → NFA → DFA → token automaton — the
+//! expensive part) and execution runs a compiled plan against a model.
+//! [`crate::RelmSession`] owns both halves: it memoizes the plans and
+//! pools the scoring cache across queries.
 
 mod beam;
 mod sampling;
@@ -38,7 +37,6 @@ use crate::compiler::{
 };
 use crate::query::{PrefixSampling, SearchQuery, SearchStrategy, TokenizationStrategy};
 use crate::results::MatchResult;
-use crate::session::Speculation;
 use crate::RelmError;
 
 pub(crate) use beam::BeamIter;
@@ -126,33 +124,27 @@ pub struct ExecutionStats {
     /// Estimated resident bytes of the scoring cache (a gauge).
     pub cache_bytes: u64,
     /// Session plan-memo hits observed when this search was planned
-    /// (cumulative session counter; zero for stateless searches).
+    /// (cumulative session counter).
     pub plan_cache_hits: u64,
     /// Session plan-memo misses observed when this search was planned
-    /// (cumulative session counter; for stateless searches every plan is
-    /// compiled fresh, but the stateless path does not count).
+    /// (cumulative session counter).
     pub plan_cache_misses: u64,
     /// Coalescing ticks the `run_many` driver ran while this query's
     /// set executed (a driver-wide counter, stamped identically on
     /// every query of the set; zero outside `run_many`).
     pub coalesce_ticks: u64,
-    /// Coalescing ticks the driver *skipped* because the adaptive tick
-    /// quantum measured the model's per-call cost below the tick's own
-    /// overhead (also driver-wide; see
-    /// [`crate::TickQuantum::Adaptive`]). Skipping never changes
-    /// results — scoring is pure — only the batching schedule.
+    /// Coalescing ticks the driver *skipped* because it measured the
+    /// model's per-call cost below the tick's own overhead (also
+    /// driver-wide; see [`crate::QueryDriver::tick`]). Skipping never
+    /// changes results — scoring is pure — only the batching schedule.
     pub coalesce_ticks_skipped: u64,
-    /// Successor contexts this search pre-scored speculatively (before
-    /// the RNG committed to a walk edge). Speculation never changes
-    /// results — scoring is pure and the RNG stream never observes it —
-    /// it only moves model work earlier and into larger batches.
+    /// Always 0 since speculative scoring was deleted; the frozen
+    /// benchmark still reads it, and the next bench PR drops it with its
+    /// `engine.speculative_scored` row.
     pub speculative_scored: u64,
-    /// Speculatively scored contexts the walk actually stepped into (a
-    /// demand request served warm because a guess landed).
+    /// Always 0, for the same reason; dropped by the next bench PR with
+    /// its `engine.speculation_hit_share` row.
     pub speculation_hits: u64,
-    /// Speculatively scored contexts the walk never consumed
-    /// (`speculative_scored - speculation_hits`, a derived gauge).
-    pub speculation_wasted: u64,
 }
 
 impl ExecutionStats {
@@ -316,11 +308,6 @@ pub(crate) struct CompiledQuery {
     /// tables). Never part of the plan key: results are byte-identical
     /// for every setting.
     pub parallelism: Parallelism,
-    /// Speculative-scoring policy for sampling body walks. Like
-    /// `parallelism`, never part of the plan key: speculation is
-    /// invisible to the RNG stream and the traversal, so results are
-    /// byte-identical for every setting.
-    pub speculation: Speculation,
 }
 
 /// Compile `query`'s patterns into token automata — the expensive,
@@ -429,7 +416,6 @@ pub(crate) fn assemble_compiled(
     parts: Arc<PlanParts>,
     max_sequence_len: usize,
     par: Parallelism,
-    speculation: Speculation,
 ) -> Result<CompiledQuery, RelmError> {
     let max_tokens = query
         .max_tokens
@@ -447,23 +433,11 @@ pub(crate) fn assemble_compiled(
         distinct_texts: query.distinct_texts,
         scoring: query.scoring,
         parallelism: par,
-        speculation,
     })
 }
 
-/// Compile `query` end-to-end (no memoization).
-pub(crate) fn compile_query(
-    query: &SearchQuery,
-    tokenizer: &BpeTokenizer,
-    max_sequence_len: usize,
-    par: Parallelism,
-) -> Result<CompiledQuery, RelmError> {
-    let parts = Arc::new(compile_parts(query, tokenizer, par)?);
-    assemble_compiled(query, parts, max_sequence_len, par, Speculation::default())
-}
-
-/// An executable, compiled ReLM query: the output of [`plan`] and the
-/// input of [`execute`].
+/// An executable, compiled ReLM query: the output of
+/// [`crate::Relm::plan`] and the input of [`crate::Relm::execute`].
 ///
 /// Compilation (regex → NFA → DFA → token automaton) dominates the
 /// wall-clock of small searches, so separating it from execution lets
@@ -477,15 +451,14 @@ pub struct CompiledSearch {
     pub(crate) max_expansions: usize,
     pub(crate) max_sample_attempts: usize,
     /// Fingerprint of the tokenizer the automata were compiled against;
-    /// [`execute`] refuses to run the plan with any other tokenizer
+    /// execution refuses to run the plan with any other tokenizer
     /// (the token ids would mean different bytes).
     pub(crate) tokenizer_fingerprint: u64,
 }
 
 impl CompiledSearch {
     /// Attach `query`'s execution flags to its compiled form — the one
-    /// place the flag set is copied, shared by [`plan`] and
-    /// [`crate::RelmSession::plan`].
+    /// place the flag set is copied.
     pub(crate) fn from_query(
         query: &SearchQuery,
         compiled: CompiledQuery,
@@ -500,7 +473,7 @@ impl CompiledSearch {
         }
     }
 
-    /// Guard [`execute`] against a plan/runtime mismatch: the tokenizer
+    /// Guard execution against a plan/runtime mismatch: the tokenizer
     /// must be the one the automata were compiled over, and the plan's
     /// token budget must fit the executing model's context window (a
     /// plan compiled against a larger-context model would otherwise
@@ -540,37 +513,6 @@ impl CompiledSearch {
     }
 }
 
-/// Compile `query` into an executable plan without running it — the
-/// legacy free-function shim.
-///
-/// Deprecated in favor of [`crate::Relm::plan`], which serves repeated
-/// compilations from the client's plan memo.
-///
-/// `max_sequence_len` is the model bound used to cap per-match tokens
-/// (pass [`LanguageModel::max_sequence_len`] of the model you will
-/// execute against).
-///
-/// # Errors
-///
-/// The same errors as [`search`]: invalid patterns, empty languages,
-/// inconsistent parameters.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the `Relm` client: `Relm::builder(model, tokenizer).build()?.plan(&query)`"
-)]
-pub fn plan(
-    query: &SearchQuery,
-    tokenizer: &BpeTokenizer,
-    max_sequence_len: usize,
-) -> Result<CompiledSearch, RelmError> {
-    let compiled = compile_query(query, tokenizer, max_sequence_len, Parallelism::auto())?;
-    Ok(CompiledSearch::from_query(
-        query,
-        compiled,
-        tokenizer.fingerprint(),
-    ))
-}
-
 /// Post-hoc acceptance checks shared by both traversals: runtime
 /// canonicity (when the canonical automaton fell back to the full
 /// construction) and deferred filters (tested on the *body* text).
@@ -600,7 +542,7 @@ pub(crate) fn passes_runtime_checks(
     true
 }
 
-/// The result stream of [`search`]: an iterator of [`MatchResult`]s whose
+/// The result stream of [`crate::Relm::search`]: an iterator of [`MatchResult`]s whose
 /// order is defined by the query's traversal strategy.
 ///
 /// Shortest-path streams are finite (language exhausted or expansion cap
@@ -608,8 +550,8 @@ pub(crate) fn passes_runtime_checks(
 /// exhausted — callers use [`Iterator::take`].
 pub struct SearchResults<'a, M: LanguageModel> {
     inner: Inner<'a, M>,
-    /// Session plan-memo counters stamped at plan time (zero for the
-    /// stateless path); folded into [`Self::stats`].
+    /// Session plan-memo counters stamped at plan time; folded into
+    /// [`Self::stats`].
     plan_hits: u64,
     plan_misses: u64,
 }
@@ -671,23 +613,6 @@ impl<'a, M: LanguageModel> SearchResults<'a, M> {
             Inner::Beam(it) => it.frontier_contexts(limit),
         }
     }
-
-    /// Up to `limit` *speculative* contexts: probable successors of this
-    /// execution's pending walks that demand scoring has not asked for
-    /// (and may never ask for). A coalescing driver uses these as
-    /// lowest-priority fill for slack batch capacity — behind every
-    /// query's demand frontier, never displacing it. Pre-scoring them is
-    /// invisible to the traversal and the RNG stream (scoring is pure
-    /// and the executor reads caches without counting), so results stay
-    /// byte-identical whether or not any of these are scored. Only
-    /// sampling executions speculate; the deterministic executors'
-    /// frontier is already their exact demand set.
-    pub(crate) fn speculative_contexts(&mut self, limit: usize) -> Vec<Vec<relm_bpe::TokenId>> {
-        match &mut self.inner {
-            Inner::Sampling(it) => it.speculative_contexts(limit),
-            Inner::Shortest(_) | Inner::Beam(_) => Vec::new(),
-        }
-    }
 }
 
 impl<'a, M: LanguageModel> Iterator for SearchResults<'a, M> {
@@ -695,8 +620,8 @@ impl<'a, M: LanguageModel> Iterator for SearchResults<'a, M> {
 
     fn next(&mut self) -> Option<MatchResult> {
         if let Inner::Sampling(it) = &mut self.inner {
-            // Legacy semantics: every `next()` call starts with a fresh
-            // attempt budget (a driver instead resets on emission).
+            // Every `next()` call starts with a fresh attempt budget (a
+            // driver instead resets on emission).
             it.reset_attempt_budget();
         }
         loop {
@@ -710,9 +635,9 @@ impl<'a, M: LanguageModel> Iterator for SearchResults<'a, M> {
 }
 
 /// Run a compiled plan through the given scoring engine — the common
-/// back end of [`execute`], [`crate::RelmSession::execute`], and the
-/// multi-query driver of [`crate::Relm::run_many`] (which passes an
-/// [`EngineHandle::Shared`] so several executions pump one engine).
+/// back end of [`crate::RelmSession::execute`] and the multi-query
+/// driver of [`crate::Relm::run_many`] (which passes an
+/// [`EngineHandle::Pooled`] so several executions pump one engine).
 pub(crate) fn execute_with_engine<'a, M: LanguageModel>(
     engine: EngineHandle<'a, M>,
     tokenizer: &'a BpeTokenizer,
@@ -741,65 +666,6 @@ pub(crate) fn execute_with_engine<'a, M: LanguageModel>(
         inner,
         plan_hits: 0,
         plan_misses: 0,
-    }
-}
-
-/// Execute a compiled plan against `model` with a fresh private scoring
-/// cache — the legacy free-function shim.
-///
-/// Deprecated in favor of the [`crate::Relm`] client
-/// ([`crate::Relm::execute`]), which additionally pools compiled plans
-/// and memoized scores across queries; this shim is the client's
-/// one-shot equivalent with nothing retained afterwards.
-///
-/// # Errors
-///
-/// [`RelmError::InvalidQuery`] if `tokenizer` is not the tokenizer the
-/// plan was compiled against, or the plan's token budget exceeds
-/// `model`'s maximum sequence length.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the `Relm` client: `Relm::builder(model, tokenizer).build()?.execute(&plan)`"
-)]
-pub fn execute<'a, M: LanguageModel>(
-    model: &'a M,
-    tokenizer: &'a BpeTokenizer,
-    plan: &CompiledSearch,
-) -> Result<SearchResults<'a, M>, RelmError> {
-    plan.check_compatible(tokenizer.fingerprint(), model.max_sequence_len())?;
-    let engine = EngineHandle::Owned(Box::new(
-        ScoringEngine::with_mode(model, plan.compiled.scoring)
-            .with_parallelism(plan.compiled.parallelism),
-    ));
-    Ok(execute_with_engine(engine, tokenizer, plan))
-}
-
-/// Execute `query` against `model`: the legacy one-shot entry point (the
-/// `relm.search` of Figure 4), a thin shim equal to a single-use client.
-///
-/// Deprecated in favor of the [`crate::Relm`] client
-/// ([`crate::Relm::search`]), which produces byte-identical results
-/// (proven by `tests/client.rs`) while memoizing plans and pooling the
-/// scoring cache across queries — and whose
-/// [`crate::Relm::run_many`] coalesces scoring across whole query sets.
-///
-/// # Errors
-///
-/// Returns [`RelmError`] if a pattern fails to parse, a language is
-/// empty, or query parameters are inconsistent.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the `Relm` client: `Relm::builder(model, tokenizer).build()?.search(&query)`"
-)]
-pub fn search<'a, M: LanguageModel>(
-    model: &'a M,
-    tokenizer: &'a BpeTokenizer,
-    query: &SearchQuery,
-) -> Result<SearchResults<'a, M>, RelmError> {
-    #[allow(deprecated)]
-    {
-        let compiled = plan(query, tokenizer, model.max_sequence_len())?;
-        execute(model, tokenizer, &compiled)
     }
 }
 

@@ -15,22 +15,12 @@
 //! Scoring is **episode-batched**: prefixes are drawn in blocks (the
 //! prefix walk needs no model, only walk counts), and the block's
 //! initial body contexts are batch-scored through the
-//! [`ScoringEngine`] before the walks start, so every episode begins
+//! [`relm_lm::ScoringEngine`] before the walks start, so every episode begins
 //! cache-warm and shared prefixes across episodes are never re-scored.
 //! The RNG stream does not depend on the scoring mode, so serial and
 //! batched runs sample byte-identical episodes.
-//!
-//! On top of that, body walks score **speculatively** (see
-//! [`crate::Speculation`]): before each RNG draw, the walk's own choice
-//! weights — derived from the already-scored parent distribution — rank
-//! the out-edges, and the most probable successor contexts are
-//! batch-scored ahead of the draw. A correct guess makes the next step a
-//! cache hit; a wrong guess wastes a forward pass but cannot change
-//! results, because scoring is pure, speculation never touches the RNG,
-//! and speculative cache reads go through counter-free `peek`s that the
-//! engine's admission heuristics cannot observe.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -42,18 +32,13 @@ use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{LanguageModel, ScoringMode};
 
 use crate::executor::{
-    passes_runtime_checks, CompiledQuery, EngineHandle, ExecutionStats, PlanParts, StepOutcome,
+    passes_runtime_checks, CompiledQuery, EngineHandle, ExecutionStats, StepOutcome,
 };
 use crate::query::PrefixSampling;
 use crate::results::MatchResult;
 
 /// Number of episode prefixes drawn (and batch-scored) per block.
 const EPISODE_BATCH: usize = 8;
-
-/// Cap on the set of speculatively scored contexts awaiting consumption;
-/// the set is cleared wholesale when it would grow past this (losing
-/// hit attribution for the cleared entries, never correctness).
-const SPECULATION_OUTSTANDING_CAP: usize = 4096;
 
 /// The random-sampling result iterator. See the module docs.
 pub(crate) struct SamplingIter<'a, M: LanguageModel> {
@@ -66,16 +51,11 @@ pub(crate) struct SamplingIter<'a, M: LanguageModel> {
     max_attempts: usize,
     /// Episodes attempted since the last emission (dead-end prefix
     /// draws included); the search is exhausted when this reaches
-    /// `max_attempts`. `Iterator::next` grants a fresh budget per call
-    /// (the legacy contract); a driver resets only on emission.
+    /// `max_attempts`. `Iterator::next` grants a fresh budget per call;
+    /// a driver resets only on emission.
     attempts_since_result: usize,
     /// Pre-drawn episode prefixes awaiting their body walk.
     pending: VecDeque<Vec<TokenId>>,
-    /// Contexts scored speculatively but not yet consumed by a demand
-    /// request — the ledger behind `speculation_hits`. Purely
-    /// observability: membership never influences what gets scored or
-    /// sampled.
-    outstanding: HashSet<Vec<TokenId>>,
 }
 
 impl<'a, M: LanguageModel> SamplingIter<'a, M> {
@@ -99,45 +79,15 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             max_attempts,
             attempts_since_result: 0,
             pending: VecDeque::new(),
-            outstanding: HashSet::new(),
         }
     }
 
     pub(crate) fn stats(&self) -> ExecutionStats {
-        let mut stats = self.stats.merge_scoring(self.engine.stats());
-        // Wasted = issued but not (yet) consumed — a snapshot gauge;
-        // still-outstanding contexts may yet become hits.
-        stats.speculation_wasted = stats
-            .speculative_scored
-            .saturating_sub(stats.speculation_hits);
-        stats
+        self.stats.merge_scoring(self.engine.stats())
     }
 
-    /// Whether speculative scoring is currently allowed: the policy must
-    /// be enabled and non-degenerate, the engine batched and still
-    /// admitting cache entries (a speculative score that cannot be
-    /// cached is pure waste), and the adaptive throttle open. The
-    /// throttle mirrors the shared cache's admission gate: free during
-    /// warmup, then open only while the observed hit rate clears
-    /// `1/throttle_hit_divisor`. It is re-evaluated continuously — a
-    /// workload that becomes predictable re-engages on its own.
-    fn speculation_open(&self) -> bool {
-        let spec = self.compiled.speculation;
-        spec.enabled
-            && spec.top_k > 0
-            && spec.depth > 0
-            && self.compiled.scoring == ScoringMode::Batched
-            && self.engine.admits_new_entries()
-            && (self.stats.speculative_scored < spec.throttle_warmup
-                || self
-                    .stats
-                    .speculation_hits
-                    .saturating_mul(spec.throttle_hit_divisor)
-                    >= self.stats.speculative_scored)
-    }
-
-    /// Grant a fresh attempt budget — `Iterator::next`'s legacy
-    /// semantics (each call may spend up to `max_attempts` episodes).
+    /// Grant a fresh attempt budget — `Iterator::next`'s contract
+    /// (each call may spend up to `max_attempts` episodes).
     pub(crate) fn reset_attempt_budget(&mut self) {
         self.attempts_since_result = 0;
     }
@@ -214,7 +164,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             && self.compiled.scoring == ScoringMode::Batched
             && self.pending.len() > 1
             // If the engine has stopped admitting cache entries the warm
-            // block's scores would be discarded — skip the speculation.
+            // block's scores would be discarded — skip the warm-up.
             && self.engine.admits_new_entries()
         {
             // Warm the cache for the block's first body steps. Scoring is
@@ -239,12 +189,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
     /// `limit`. Refills the block if it is empty (the same RNG-stream
     /// point where sequential execution would refill), skipping the
     /// internal warm scoring: the driver's coalesced tick covers it.
-    ///
-    /// When the episode roots are already warm (the steady state after
-    /// the first tick) the frontier also surfaces the pending walks'
-    /// most probable *successor* contexts, so a coalescing driver never
-    /// sees an empty frontier mid-stream and ticks with underfilled
-    /// batches.
     pub(crate) fn frontier_contexts(&mut self, limit: usize) -> Vec<Vec<TokenId>> {
         if limit == 0
             || self.compiled.scoring == ScoringMode::Serial
@@ -271,117 +215,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
                 }
             }
         }
-        if out.len() < limit {
-            // Successor contexts are strictly longer than the roots, so
-            // the two sets cannot collide.
-            let successors = self.speculative_contexts(limit - out.len());
-            out.extend(successors);
-        }
-        out
-    }
-
-    /// Up to `limit` speculative contexts: the uncached fringe of the
-    /// pending episode block's most probable body paths, found by a
-    /// best-first descent from each root along cached distributions
-    /// (read through the counter-free [`peek`] so probing cannot
-    /// perturb the engine's admission heuristics). The walks' demand
-    /// scoring and the in-walk lookahead keep the top of that tree
-    /// warm, so the fringe sits one step beyond wherever the walks have
-    /// reached — a coalescing driver uses it as lowest-priority fill
-    /// for slack batch capacity, pushing the warm spine deeper every
-    /// tick. Gated by the same adaptive throttle as in-walk
-    /// speculation; returns nothing while the roots themselves are
-    /// still cold (demand scoring gets there first).
-    ///
-    /// [`peek`]: relm_lm::ScoringEngine::peek
-    pub(crate) fn speculative_contexts(&mut self, limit: usize) -> Vec<Vec<TokenId>> {
-        if limit == 0 || self.attempts_since_result >= self.max_attempts || !self.speculation_open()
-        {
-            return Vec::new();
-        }
-        let parts = Arc::clone(&self.compiled.parts);
-        let body = &parts.body.automaton;
-        let spec = self.compiled.speculation;
-        let roots: Vec<Vec<TokenId>> = if parts.prefix.is_none() {
-            vec![vec![self.engine.eos()]]
-        } else {
-            self.fill_pending(false);
-            let mut seen: HashSet<&[TokenId]> = HashSet::new();
-            self.pending
-                .iter()
-                .filter(|prefix| seen.insert(prefix.as_slice()))
-                .map(|prefix| {
-                    let mut ctx = Vec::with_capacity(prefix.len() + 1);
-                    ctx.push(self.engine.eos());
-                    ctx.extend_from_slice(prefix);
-                    ctx
-                })
-                .collect()
-        };
-        // Best-first descent over the speculation tree. Nodes whose
-        // distribution is cached are the spine — expand their ranked
-        // successors (chaining probabilities, like the in-walk
-        // lookahead) — and uncached nodes are the fringe worth
-        // pre-scoring. Because the walks' own demand scoring and the
-        // in-walk lookahead keep the top of the tree warm, the fringe
-        // sits one level beyond wherever the walks have reached, so
-        // each tick pushes the warm spine deeper along the model's most
-        // probable paths. Roots with no cached distribution are demand
-        // work (`frontier_contexts` surfaces them), never speculation.
-        let mut frontier: Vec<(f64, usize, Vec<TokenId>, bool)> = roots
-            .into_iter()
-            .map(|root| (1.0, body.start(), root, true))
-            .collect();
-        let mut out: Vec<Vec<TokenId>> = Vec::new();
-        // Bounds the spine walk so a tick's gather cost stays
-        // proportional to what it can actually batch.
-        let mut pops = 64 + 4 * limit;
-        while pops > 0 && out.len() < limit {
-            pops -= 1;
-            // Deterministic arg-max scan (ties -> first inserted).
-            let Some(best) =
-                (0..frontier.len()).reduce(
-                    |a, b| {
-                        if frontier[b].0 > frontier[a].0 {
-                            b
-                        } else {
-                            a
-                        }
-                    },
-                )
-            else {
-                break;
-            };
-            let (weight, state, ctx, at_root) = frontier.swap_remove(best);
-            let Some(dist) = self.engine.peek(&ctx) else {
-                if at_root || self.outstanding.contains(&ctx) {
-                    // Uncached roots are demand; outstanding contexts
-                    // are already in flight in this tick's batch.
-                    continue;
-                }
-                if self.outstanding.len() >= SPECULATION_OUTSTANDING_CAP {
-                    self.outstanding.clear();
-                }
-                if self.outstanding.insert(ctx.clone()) {
-                    self.stats.speculative_scored += 1;
-                }
-                out.push(ctx);
-                continue;
-            };
-            let allowed = self.compiled.policy.filter(&dist);
-            let mut ranked: Vec<(TokenId, usize, f64)> = body
-                .transitions(state)
-                .filter_map(|(sym, next)| allowed.get(sym).map(|lp| (sym, next, lp.exp())))
-                .collect();
-            ranked.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-            ranked.truncate(spec.top_k);
-            for (sym, next, p) in ranked {
-                let mut succ = Vec::with_capacity(ctx.len() + 1);
-                succ.extend_from_slice(&ctx);
-                succ.push(sym);
-                frontier.push((weight * p, next, succ, false));
-            }
-        }
         out
     }
 
@@ -403,11 +236,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             let mut ctx = Vec::with_capacity(tokens.len() + 1);
             ctx.push(self.engine.eos());
             ctx.extend_from_slice(&*tokens);
-            if self.outstanding.remove(&ctx) {
-                // A speculated successor is now demanded: the guess
-                // landed and this score is served warm.
-                self.stats.speculation_hits += 1;
-            }
             let log_probs = self.engine.score(&ctx);
             self.stats.lm_calls += 1;
             let allowed = self.compiled.policy.filter(&log_probs);
@@ -430,12 +258,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             if choices.is_empty() || total <= 0.0 {
                 return false;
             }
-            // Speculate *before* the draw: pre-score the most probable
-            // successor contexts so the chosen edge's next step is
-            // already warm. This makes no RNG calls and the draw below
-            // never reads anything speculation wrote, so the sampled
-            // episode is byte-identical with speculation off.
-            self.speculate_in_walk(&parts, &ctx, &choices);
             let mut u = self.rng.gen::<f64>() * total;
             let mut picked = choices.len() - 1;
             for (i, &(_, w)) in choices.iter().enumerate() {
@@ -452,89 +274,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
                     state = target;
                 }
             }
-        }
-    }
-
-    /// Pre-score the most probable successor contexts of the current
-    /// walk step, ahead of the RNG committing to an edge.
-    ///
-    /// Level 1 ranks the walk's own `Step` choices — weights already
-    /// derived from the demand-scored parent distribution — and
-    /// batch-scores the uncached top-K successor contexts through
-    /// [`relm_lm::ScoringEngine::score_batch_speculative`]. Deeper
-    /// levels chain: each scored candidate's distribution is read back
-    /// through the counter-free `peek` and its own out-edges join the
-    /// next level weighted by the product of edge probabilities.
-    ///
-    /// Purity: no RNG calls, no reads the traversal depends on, and all
-    /// cache probes are counter-free, so enabling or disabling this
-    /// cannot change any sampled episode.
-    fn speculate_in_walk(
-        &mut self,
-        parts: &PlanParts,
-        ctx: &[TokenId],
-        choices: &[(Option<(TokenId, usize)>, f64)],
-    ) {
-        if !self.speculation_open() {
-            return;
-        }
-        let spec = self.compiled.speculation;
-        let body = &parts.body.automaton;
-        // (automaton state, successor context, chained weight)
-        let mut level: Vec<(usize, Vec<TokenId>, f64)> = choices
-            .iter()
-            .filter_map(|&(step, w)| {
-                step.map(|(sym, target)| {
-                    let mut c = Vec::with_capacity(ctx.len() + 1);
-                    c.extend_from_slice(ctx);
-                    c.push(sym);
-                    (target, c, w)
-                })
-            })
-            .collect();
-        for depth in 0..spec.depth {
-            if level.is_empty() {
-                break;
-            }
-            // Stable sort: ties keep transition order, so the candidate
-            // set is deterministic.
-            level.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-            level.truncate(spec.top_k);
-            let fresh: Vec<Vec<TokenId>> = level
-                .iter()
-                .filter(|(_, c, _)| !self.engine.is_cached(c) && !self.outstanding.contains(c))
-                .map(|(_, c, _)| c.clone())
-                .collect();
-            if !fresh.is_empty() {
-                if self.outstanding.len() + fresh.len() > SPECULATION_OUTSTANDING_CAP {
-                    self.outstanding.clear();
-                }
-                for c in &fresh {
-                    self.outstanding.insert(c.clone());
-                }
-                self.stats.speculative_scored += fresh.len() as u64;
-                let refs: Vec<&[TokenId]> = fresh.iter().map(Vec::as_slice).collect();
-                let _ = self.engine.score_batch_speculative(&refs);
-            }
-            if depth + 1 >= spec.depth {
-                break;
-            }
-            let mut next: Vec<(usize, Vec<TokenId>, f64)> = Vec::new();
-            for (state, c, w) in &level {
-                let Some(dist) = self.engine.peek(c) else {
-                    continue;
-                };
-                let allowed = self.compiled.policy.filter(&dist);
-                for (sym, target) in body.transitions(*state) {
-                    if let Some(lp) = allowed.get(sym) {
-                        let mut cc = Vec::with_capacity(c.len() + 1);
-                        cc.extend_from_slice(c);
-                        cc.push(sym);
-                        next.push((target, cc, w * lp.exp()));
-                    }
-                }
-            }
-            level = next;
         }
     }
 }
@@ -618,9 +357,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
 
 #[cfg(test)]
 mod tests {
-    // The legacy one-shot `search` shim stays covered here.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::query::{
         PrefixSampling, QueryString, SearchQuery, SearchStrategy, TokenizationStrategy,
@@ -643,6 +379,11 @@ mod tests {
         (tok, lm)
     }
 
+    /// A client with nothing memoized: every search through it is cold.
+    fn cold<'m>(lm: &'m NGramLm, tok: &BpeTokenizer) -> crate::Relm<&'m NGramLm> {
+        crate::Relm::new(lm, tok.clone()).unwrap()
+    }
+
     fn sampling_query(pattern: &str, prefix: Option<&str>, seed: u64) -> SearchQuery {
         let mut qs = QueryString::new(pattern);
         if let Some(p) = prefix {
@@ -663,7 +404,7 @@ mod tests {
             "the ((man)|(woman)) was trained in ((art)|(medicine)|(computer science)|(engineering))",
         )
         .unwrap();
-        let samples: Vec<_> = crate::search(&lm, &tok, &query).unwrap().take(30).collect();
+        let samples: Vec<_> = cold(&lm, &tok).search(&query).unwrap().take(30).collect();
         assert!(!samples.is_empty());
         for s in &samples {
             assert!(re.is_match(&s.text), "out-of-language sample {:?}", s.text);
@@ -674,18 +415,21 @@ mod tests {
     fn sampling_is_seed_deterministic() {
         let (tok, lm) = fixture();
         let q = |seed| sampling_query("the ((man)|(woman)) was", Some("the"), seed);
-        let a: Vec<String> = crate::search(&lm, &tok, &q(5))
+        let a: Vec<String> = cold(&lm, &tok)
+            .search(&q(5))
             .unwrap()
             .take(10)
             .map(|m| m.text)
             .collect();
-        let b: Vec<String> = crate::search(&lm, &tok, &q(5))
+        let b: Vec<String> = cold(&lm, &tok)
+            .search(&q(5))
             .unwrap()
             .take(10)
             .map(|m| m.text)
             .collect();
         assert_eq!(a, b);
-        let c: Vec<String> = crate::search(&lm, &tok, &q(6))
+        let c: Vec<String> = cold(&lm, &tok)
+            .search(&q(6))
             .unwrap()
             .take(10)
             .map(|m| m.text)
@@ -704,7 +448,7 @@ mod tests {
             13,
         );
         let mut counts: HashMap<String, usize> = HashMap::new();
-        for m in crate::search(&lm, &tok, &query).unwrap().take(60) {
+        for m in cold(&lm, &tok).search(&query).unwrap().take(60) {
             let suffix = m
                 .text
                 .trim_start_matches("the man was trained in ")
@@ -728,7 +472,7 @@ mod tests {
             .with_tokenization(TokenizationStrategy::All);
         let mut counts: HashMap<usize, usize> = HashMap::new();
         let n = 400;
-        for m in crate::search(&lm, &tok, &query).unwrap().take(n) {
+        for m in cold(&lm, &tok).search(&query).unwrap().take(n) {
             *counts.entry(m.prefix_len).or_default() += 1;
         }
         // Under uniform-string sampling, prefix lengths 1 (a or b: 2
@@ -759,7 +503,7 @@ mod tests {
                 .with_prefix_sampling(mode);
             let mut a = 0usize;
             let mut total = 0usize;
-            for m in crate::search(&lm, &tok, &query).unwrap().take(300) {
+            for m in cold(&lm, &tok).search(&query).unwrap().take(300) {
                 if m.text.starts_with('a') {
                     a += 1;
                 }
@@ -785,7 +529,8 @@ mod tests {
         let tok = BpeTokenizer::train(corpus, 5);
         let lm = NGramLm::train(&tok, &docs, NGramConfig::small());
         let query = sampling_query("(b)|(bb)|(bbb)", None, 31);
-        let texts: std::collections::HashSet<String> = crate::search(&lm, &tok, &query)
+        let texts: std::collections::HashSet<String> = cold(&lm, &tok)
+            .search(&query)
             .unwrap()
             .take(200)
             .map(|m| m.text)
@@ -801,7 +546,7 @@ mod tests {
         let (tok, lm) = fixture();
         let query =
             sampling_query("zzzzqqqq", None, 1).with_policy(relm_lm::DecodingPolicy::greedy());
-        let results: Vec<_> = crate::search(&lm, &tok, &query).unwrap().take(5).collect();
+        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().take(5).collect();
         assert!(results.len() <= 5); // typically 0; must terminate
     }
 
@@ -809,7 +554,8 @@ mod tests {
     fn stats_count_episodes() {
         let (tok, lm) = fixture();
         let query = sampling_query("the ((man)|(woman))", Some("the"), 77);
-        let mut results = crate::search(&lm, &tok, &query).unwrap();
+        let client = cold(&lm, &tok);
+        let mut results = client.search(&query).unwrap();
         let n = (&mut results).take(5).count();
         assert_eq!(n, 5);
         let stats = results.stats();

@@ -14,8 +14,8 @@
 //!
 //! Scoring is **frontier-batched**: when the popped node's context
 //! misses the [`ScoringEngine`] memo table, the contexts of other
-//! expandable heap nodes are speculatively batched into the same model
-//! call. Scoring is pure, so prefetching never changes which node is
+//! expandable heap nodes are prefetched in the same model call.
+//! Scoring is pure, so prefetching never changes which node is
 //! expanded or emitted — it only fills the cache the later pops will
 //! hit, turning Dijkstra's one-at-a-time calls into the paper's batched
 //! inference pattern.
@@ -32,9 +32,9 @@ use crate::executor::{
 };
 use crate::results::MatchResult;
 
-/// Cap on contexts speculatively scored per model call **per worker**.
+/// Cap on contexts prefetched per model call **per worker**.
 /// The prefetch picks the *cheapest* frontier nodes — the ones Dijkstra
-/// pops next — so nearly every speculated context is consumed. Under a
+/// pops next — so nearly every prefetched context is consumed. Under a
 /// parallel setting the cap scales with the worker count
 /// ([`ShortestPathIter::frontier_cap`]): one `step()` then scores a
 /// whole frontier shard in a single engine batch, which the model's
@@ -441,9 +441,6 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
 
 #[cfg(test)]
 mod tests {
-    // The legacy one-shot `search` shim stays covered here.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::query::{QueryString, SearchQuery, TokenizationStrategy};
     use relm_lm::{DecodingPolicy, NGramConfig, NGramLm};
@@ -462,9 +459,14 @@ mod tests {
         (tok, lm)
     }
 
+    /// A client with nothing memoized: every search through it is cold.
+    fn cold<'m>(lm: &'m NGramLm, tok: &BpeTokenizer) -> crate::Relm<&'m NGramLm> {
+        crate::Relm::new(lm, tok.clone()).unwrap()
+    }
+
     fn run(query: SearchQuery, n: usize) -> Vec<MatchResult> {
         let (tok, lm) = fixture();
-        crate::search(&lm, &tok, &query).unwrap().take(n).collect()
+        cold(&lm, &tok).search(&query).unwrap().take(n).collect()
     }
 
     #[test]
@@ -527,7 +529,8 @@ mod tests {
     fn match_log_prob_matches_model_score() {
         let (tok, lm) = fixture();
         let query = SearchQuery::new(QueryString::new("the cat sat"));
-        let m = crate::search(&lm, &tok, &query)
+        let m = cold(&lm, &tok)
+            .search(&query)
             .unwrap()
             .next()
             .expect("match");
@@ -562,7 +565,7 @@ mod tests {
     fn expansion_cap_terminates() {
         let query = SearchQuery::new(QueryString::new("[a-z]+")).with_max_expansions(5);
         let (tok, lm) = fixture();
-        let results: Vec<_> = crate::search(&lm, &tok, &query).unwrap().collect();
+        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().collect();
         let _ = results; // must terminate without exhausting memory
     }
 
@@ -570,7 +573,8 @@ mod tests {
     fn stats_reflect_work() {
         let (tok, lm) = fixture();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog))"));
-        let mut results = crate::search(&lm, &tok, &query).unwrap();
+        let client = cold(&lm, &tok);
+        let mut results = client.search(&query).unwrap();
         let _ = (&mut results).take(2).count();
         let stats = results.stats();
         assert!(stats.expansions > 0);
@@ -595,7 +599,7 @@ mod tests {
         let query =
             SearchQuery::new(QueryString::new("she saw ((it)|(the))").with_prefix("she saw"))
                 .with_eos_termination();
-        let results: Vec<_> = crate::search(&lm, &tok, &query).unwrap().take(2).collect();
+        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().take(2).collect();
         assert!(!results.is_empty());
         // "it" terminates documents in training; "the" never does.
         assert_eq!(results[0].text, "she saw it");
@@ -610,7 +614,8 @@ mod tests {
         let stop = relm_regex::Regex::compile("the").unwrap().dfa().clone();
         let query = SearchQuery::new(QueryString::new("the"))
             .with_preprocessor(crate::Preprocessor::filter(stop));
-        let err = crate::search(&lm, &tok, &query)
+        let err = cold(&lm, &tok)
+            .search(&query)
             .err()
             .expect("empty language");
         assert_eq!(err, crate::RelmError::EmptyLanguage);

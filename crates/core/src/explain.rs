@@ -8,7 +8,7 @@
 
 use relm_bpe::BpeTokenizer;
 
-use crate::executor::compile_query;
+use crate::executor::{assemble_compiled, compile_parts};
 use crate::query::{SearchQuery, SearchStrategy, TokenizationStrategy};
 use crate::RelmError;
 
@@ -74,19 +74,16 @@ impl std::fmt::Display for QueryPlan {
 ///
 /// # Errors
 ///
-/// The same errors as [`crate::search`]: invalid patterns, empty
+/// The same errors as [`crate::Relm::plan`]: invalid patterns, empty
 /// languages, inconsistent parameters.
 pub fn explain(
     query: &SearchQuery,
     tokenizer: &BpeTokenizer,
     max_sequence_len: usize,
 ) -> Result<QueryPlan, RelmError> {
-    let compiled = compile_query(
-        query,
-        tokenizer,
-        max_sequence_len,
-        relm_automata::Parallelism::auto(),
-    )?;
+    let par = relm_automata::Parallelism::auto();
+    let parts = std::sync::Arc::new(compile_parts(query, tokenizer, par)?);
+    let compiled = assemble_compiled(query, parts, max_sequence_len, par)?;
     Ok(QueryPlan {
         prefix_machine: compiled.parts.prefix.as_ref().map(|p| MachineShape {
             states: p.state_count(),

@@ -66,14 +66,12 @@ mod session;
 
 pub use client::{QueryCompletion, QueryDriver, QueryOutcome, QuerySetReport, Relm, RelmBuilder};
 pub use error::{RelmError, RelmErrorKind};
-#[allow(deprecated)] // the legacy shims remain exported until removal
-pub use executor::{execute, plan, search};
 pub use executor::{CompiledSearch, ExecutionStats, SearchResults};
 pub use explain::{explain, MachineShape, QueryPlan};
 pub use preprocess::{FilterPreprocessor, LevenshteinPreprocessor, Preprocessor};
 pub use query::{
     PrefixSampling, QueryId, QuerySet, QuerySpec, QueryString, SearchQuery, SearchStrategy,
-    TickQuantum, TokenizationStrategy,
+    TokenizationStrategy,
 };
 // The sharding knob lives in relm-automata (compilation is where the
 // shards run) but is configured through `SessionConfig`/`RelmBuilder`,
@@ -103,6 +101,4 @@ pub(crate) fn test_lexicon(seed: u64, words: usize, len: usize) -> Vec<String> {
     out
 }
 pub use results::MatchResult;
-pub use session::{
-    PlanSource, RelmSession, SessionConfig, SessionStats, Speculation, DEFAULT_PLAN_MEMO_BYTES,
-};
+pub use session::{PlanSource, RelmSession, SessionConfig, SessionStats, DEFAULT_PLAN_MEMO_BYTES};

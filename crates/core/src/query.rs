@@ -273,33 +273,6 @@ impl QuerySpec {
     }
 }
 
-/// How [`crate::Relm::run_many`]'s driver decides whether to run its
-/// coalescing ticks — the per-rotation engine calls that merge the
-/// frontiers of every in-flight query into one shared model batch.
-///
-/// A tick front-loads model work the executors would do anyway, so it
-/// pays off exactly when a model call is expensive relative to the
-/// driver's own gather/dedup overhead (the accelerator regime). On a
-/// near-free substrate the tick is pure overhead — PR 3's measured
-/// "wall-clock draw on cheap models". Skipping ticks can never change
-/// results: scoring is pure, and every executor scores its own frontier
-/// on demand; only the batching schedule changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TickQuantum {
-    /// Measure during a short warmup, then skip ticks when the model's
-    /// per-tick scoring cost is below the measured tick overhead. The
-    /// default: accelerator-priced models keep coalescing, near-free
-    /// models stop paying for it.
-    #[default]
-    Adaptive,
-    /// Run a tick on every rotation (the pre-adaptive behavior; useful
-    /// for benchmarking the coalesced schedule itself).
-    Always,
-    /// Never tick: queries still interleave and share the engine's
-    /// memo table, but no cross-query batches are assembled.
-    Never,
-}
-
 /// An ordered batch of heterogeneous queries submitted together through
 /// [`crate::Relm::run_many`], which executes them against **one shared
 /// scoring engine** so scoring requests from different queries coalesce
@@ -319,26 +292,12 @@ pub enum TickQuantum {
 #[derive(Debug, Clone, Default)]
 pub struct QuerySet {
     specs: Vec<QuerySpec>,
-    tick_quantum: TickQuantum,
 }
 
 impl QuerySet {
     /// An empty query set.
     pub fn new() -> Self {
         QuerySet::default()
-    }
-
-    /// Set how the `run_many` driver decides to run coalescing ticks
-    /// (default [`TickQuantum::Adaptive`]).
-    #[must_use]
-    pub fn with_tick_quantum(mut self, tick_quantum: TickQuantum) -> Self {
-        self.tick_quantum = tick_quantum;
-        self
-    }
-
-    /// The driver's tick policy for this set.
-    pub fn tick_quantum(&self) -> TickQuantum {
-        self.tick_quantum
     }
 
     /// Append a query collecting up to `max_results` matches (builder
@@ -377,7 +336,6 @@ impl FromIterator<(SearchQuery, usize)> for QuerySet {
                 .into_iter()
                 .map(|(query, max_results)| QuerySpec::new(query, max_results))
                 .collect(),
-            tick_quantum: TickQuantum::default(),
         }
     }
 }

@@ -4,10 +4,10 @@
 //! ReLM audits are batteries, not one-shots: a memorization sweep runs
 //! the same URL pattern against hundreds of prefixes, a bias panel runs
 //! one template per gender × configuration, a toxicity battery compiles
-//! a query per shard match. The stateless [`crate::search`] recompiles
-//! the query (regex → NFA → DFA → token automaton — the measured
-//! wall-clock majority on small searches) and throws away the scoring
-//! memo after every call. [`RelmSession`] keeps both:
+//! a query per shard match. A runtime with no state would recompile the
+//! query (regex → NFA → DFA → token automaton — the measured wall-clock
+//! majority on small searches) and throw away the scoring memo after
+//! every call. [`RelmSession`] keeps both:
 //!
 //! * a **compiled-plan memo** keyed by `(pattern, prefix, tokenization
 //!   strategy, preprocessors, tokenizer fingerprint)` — repeated or
@@ -53,107 +53,6 @@ pub const DEFAULT_PLAN_MEMO_BYTES: usize = 64 << 20;
 /// automata payload.
 const PLAN_ENTRY_OVERHEAD_BYTES: usize = 256;
 
-/// Speculative-scoring policy for sampling body walks.
-///
-/// A sampling walk draws one token at a time, and each draw needs the
-/// distribution for exactly one context — the last serial hole in an
-/// otherwise batched pipeline. Because scoring is pure, the executor may
-/// *speculate*: rank the current automaton state's out-edges by the
-/// already-scored parent distribution and batch-score the most probable
-/// successor contexts before the RNG picks one. A correct guess turns
-/// the next step into a cache hit; a wrong guess wastes a forward pass
-/// but can never change results, because the RNG stream and the
-/// traversal never observe what was pre-scored.
-///
-/// An adaptive throttle mirrors the shared cache's admission gate: after
-/// `throttle_warmup` speculative contexts have been issued, speculation
-/// stays open only while `hits * throttle_hit_divisor >= issued` — on
-/// trivially cheap models or cold caches where guesses rarely land, the
-/// executor backs off instead of scoring garbage. The gate is
-/// re-evaluated continuously, so a workload that becomes predictable
-/// re-engages speculation on its own.
-///
-/// ```
-/// use relm_core::{SessionConfig, Speculation};
-///
-/// let config = SessionConfig::new()
-///     .with_speculation(Speculation::new().with_top_k(8).with_depth(2));
-/// assert_eq!(config.speculation.top_k, 8);
-/// let off = SessionConfig::new().with_speculation(Speculation::off());
-/// assert!(!off.speculation.enabled);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct Speculation {
-    /// Master switch. `Speculation::off()` disables all lookahead.
-    pub enabled: bool,
-    /// Successor contexts pre-scored per lookahead level (the K of
-    /// top-K). Zero disables speculation.
-    pub top_k: usize,
-    /// Lookahead levels per walk step: 1 pre-scores the children of the
-    /// current state, 2 also pre-scores the most probable grandchildren
-    /// (weighted by the chained edge probabilities), and so on. Zero
-    /// disables speculation.
-    pub depth: usize,
-    /// Speculative contexts issued before the hit-rate throttle engages.
-    pub throttle_warmup: u64,
-    /// Throttle divisor: speculation stays open while
-    /// `hits * divisor >= issued` (i.e. hit rate ≥ 1/divisor).
-    pub throttle_hit_divisor: u64,
-}
-
-impl Speculation {
-    /// The default policy: enabled, top-4 single-level lookahead, with
-    /// the throttle engaging after 32 issued contexts at a 25% hit-rate
-    /// floor.
-    pub fn new() -> Self {
-        Speculation {
-            enabled: true,
-            top_k: 4,
-            depth: 1,
-            throttle_warmup: 32,
-            throttle_hit_divisor: 4,
-        }
-    }
-
-    /// Speculation fully disabled.
-    pub fn off() -> Self {
-        Speculation {
-            enabled: false,
-            ..Speculation::new()
-        }
-    }
-
-    /// Set how many successor contexts are pre-scored per level.
-    #[must_use]
-    pub fn with_top_k(mut self, top_k: usize) -> Self {
-        self.top_k = top_k;
-        self
-    }
-
-    /// Set how many lookahead levels are pre-scored per walk step.
-    #[must_use]
-    pub fn with_depth(mut self, depth: usize) -> Self {
-        self.depth = depth;
-        self
-    }
-
-    /// Set the adaptive throttle: `warmup` contexts issued before the
-    /// gate engages, then a hit-rate floor of `1/hit_divisor`.
-    #[must_use]
-    pub fn with_throttle(mut self, warmup: u64, hit_divisor: u64) -> Self {
-        self.throttle_warmup = warmup;
-        self.throttle_hit_divisor = hit_divisor;
-        self
-    }
-}
-
-impl Default for Speculation {
-    fn default() -> Self {
-        Speculation::new()
-    }
-}
-
 /// Tuning knobs for a [`RelmSession`] (and therefore a [`crate::Relm`]
 /// client). Build with the `with_*` methods — the struct is
 /// `#[non_exhaustive]`, so new knobs can be added without a breaking
@@ -188,14 +87,6 @@ pub struct SessionConfig {
     /// trades wall-clock only, never answers, and is deliberately not
     /// part of the plan-memo key.
     pub parallelism: Parallelism,
-    /// Speculative scoring policy for sampling body walks: before each
-    /// RNG draw the executor may pre-score the most probable successor
-    /// contexts so the next step is already warm. Scoring is pure and
-    /// the RNG stream never observes speculation, so — like
-    /// [`SessionConfig::parallelism`] — this trades wall-clock only,
-    /// never answers, and is deliberately not part of the plan-memo
-    /// key.
-    pub speculation: Speculation,
     /// Directory of an on-disk warm-artifact store
     /// ([`relm_store::PlanStore`]). When set, the session consults the
     /// store on every plan-memo miss before compiling (a disk hit skips
@@ -217,7 +108,6 @@ impl SessionConfig {
             plan_memo_capacity: 256,
             plan_memo_bytes: DEFAULT_PLAN_MEMO_BYTES,
             parallelism: Parallelism::auto(),
-            speculation: Speculation::new(),
             plan_store: None,
         }
     }
@@ -247,13 +137,6 @@ impl SessionConfig {
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Set the speculative-scoring policy for sampling body walks.
-    #[must_use]
-    pub fn with_speculation(mut self, speculation: Speculation) -> Self {
-        self.speculation = speculation;
         self
     }
 
@@ -637,8 +520,8 @@ fn restore_parts(artifact: PlanArtifact) -> PlanParts {
 /// module docs.
 ///
 /// `M` is any [`LanguageModel`] (including `&M`, so a session can borrow
-/// a model owned elsewhere). The stateless [`crate::search`] remains the
-/// one-shot path; a session makes *repeated* queries start warm.
+/// a model owned elsewhere). A session makes *repeated* queries start
+/// warm.
 ///
 /// # Example
 ///
@@ -752,8 +635,8 @@ impl<M: LanguageModel> RelmSession<M> {
     ///
     /// # Errors
     ///
-    /// The same errors as [`crate::search`]. Failed compilations are not
-    /// memoized.
+    /// Invalid patterns, empty languages, inconsistent parameters.
+    /// Failed compilations are not memoized.
     pub fn plan(&self, query: &SearchQuery) -> Result<CompiledSearch, RelmError> {
         self.plan_traced(query).map(|(plan, _)| plan)
     }
@@ -808,7 +691,6 @@ impl<M: LanguageModel> RelmSession<M> {
             parts,
             self.model.max_sequence_len(),
             self.config.parallelism,
-            self.config.speculation,
         )?;
         Ok((
             CompiledSearch::from_query(query, compiled, self.tokenizer_fingerprint),
@@ -1025,12 +907,11 @@ impl<M: LanguageModel> RelmSession<M> {
         ))
     }
 
-    /// Plan and execute in one call — the session-aware equivalent of
-    /// [`crate::search`].
+    /// Plan and execute in one call.
     ///
     /// # Errors
     ///
-    /// The same errors as [`crate::search`].
+    /// The same errors as [`Self::plan`] and [`Self::execute`].
     pub fn search(&self, query: &SearchQuery) -> Result<SearchResults<'_, M>, RelmError> {
         let plan = self.plan(query)?;
         self.execute(&plan)

@@ -212,19 +212,6 @@ impl ClockCache {
             .is_some_and(|e| e.generation == self.generation)
     }
 
-    /// Read `context`'s distribution without touching the referenced
-    /// bit, the per-entry hit depth, or `reuse_hits`. Speculation reads
-    /// cached parent distributions through this: a counting lookup would
-    /// let speculative probes inflate the reuse signal that drives the
-    /// shared cache's admission gate, making speculation observable.
-    pub(crate) fn peek(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
-        self.map
-            .get(context)
-            .and_then(|&slot| self.slots.get(slot)?.as_ref())
-            .filter(|e| e.generation == self.generation)
-            .map(|e| Arc::clone(&e.value))
-    }
-
     /// Look up `context`, setting its referenced bit on a hit. A stale
     /// (older-generation) entry is removed on contact and reported as a
     /// miss. A mapping that points at an empty or out-of-range slot —

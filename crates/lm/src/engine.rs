@@ -21,8 +21,7 @@
 //!
 //! [`ScoringMode::Serial`] bypasses all of it and scores one context at
 //! a time straight through the model — the reference path that batched
-//! executors are tested byte-identical against, and the baseline the
-//! executor benches compare throughput with.
+//! executors are tested byte-identical against.
 //!
 //! The memo table behind the engine comes in two flavors: a **private**
 //! table (the default — per-engine, discarded with the engine) and a
@@ -111,11 +110,6 @@ pub struct ScoringStats {
     /// more distinct queries** — the cross-query shared batches that
     /// per-query execution can never produce.
     pub cross_query_batches: u64,
-    /// Model batches issued through [`ScoringEngine::score_batch_speculative`]
-    /// — lookahead work scored *ahead of* a demand request, on the bet
-    /// that a sampling walk is about to ask for it. Purity makes a lost
-    /// bet cost only the wasted forward pass, never a wrong result.
-    pub speculative_batches: u64,
 }
 
 impl ScoringStats {
@@ -169,7 +163,6 @@ pub struct ScoringEngine<M> {
     coalesced_batches: AtomicU64,
     coalesced_contexts: AtomicU64,
     cross_query_batches: AtomicU64,
-    speculative_batches: AtomicU64,
     /// Set once the admission policy observes a near-zero hit rate;
     /// existing entries keep serving but no new ones are written.
     write_bypass: AtomicBool,
@@ -196,16 +189,6 @@ impl CacheHandle {
         match self {
             CacheHandle::Private(table) => table.lock().contains(context),
             CacheHandle::Shared(cache) => cache.probe(context),
-        }
-    }
-
-    /// Read a memoized distribution without touching any counter —
-    /// neither hit/miss tallies nor the per-entry reuse depth behind the
-    /// shared admission gate. The speculation read path.
-    fn peek(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
-        match self {
-            CacheHandle::Private(table) => table.lock().peek(context),
-            CacheHandle::Shared(cache) => cache.peek(context),
         }
     }
 
@@ -310,7 +293,6 @@ impl<M: LanguageModel> ScoringEngine<M> {
             coalesced_batches: AtomicU64::new(0),
             coalesced_contexts: AtomicU64::new(0),
             cross_query_batches: AtomicU64::new(0),
-            speculative_batches: AtomicU64::new(0),
             write_bypass: AtomicBool::new(false),
         }
     }
@@ -400,7 +382,6 @@ impl<M: LanguageModel> ScoringEngine<M> {
             coalesced_batches: self.coalesced_batches.load(Ordering::Relaxed),
             coalesced_contexts: self.coalesced_contexts.load(Ordering::Relaxed),
             cross_query_batches: self.cross_query_batches.load(Ordering::Relaxed),
-            speculative_batches: self.speculative_batches.load(Ordering::Relaxed),
         }
     }
 
@@ -412,9 +393,9 @@ impl<M: LanguageModel> ScoringEngine<M> {
     }
 
     /// Whether the memo table still admits new entries. Executors
-    /// consult this before speculative work (frontier prefetch, episode
-    /// warm blocks): once admission closes, speculation's results would
-    /// be discarded and recomputed, so it should stop too.
+    /// consult this before scoring ahead of demand (frontier prefetch,
+    /// episode warm blocks): once admission closes, a prefetched score
+    /// would be discarded and recomputed, so prefetching stops too.
     pub fn admits_new_entries(&self) -> bool {
         self.mode == ScoringMode::Batched && self.admission_open()
     }
@@ -528,45 +509,6 @@ impl<M: LanguageModel> ScoringEngine<M> {
                 self.cross_query_batches
                     .fetch_add(issued, Ordering::Relaxed);
             }
-        }
-        out
-    }
-
-    /// Read a memoized distribution without perturbing *any* counter —
-    /// not this engine's hit/miss tallies and not the per-entry reuse
-    /// depth behind the shared cache's admission gate. Always `None` in
-    /// serial mode.
-    ///
-    /// This is the read speculation ranks candidates with: a sampling
-    /// walk peeks its already-cached parent distribution to pick the
-    /// top-K out-edges worth pre-scoring. It must be invisible, because
-    /// a counting read from the speculative path would change admission
-    /// decisions — and thereby cache contents and batch shapes — between
-    /// speculative and non-speculative runs.
-    pub fn peek(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
-        if self.mode != ScoringMode::Batched {
-            return None;
-        }
-        self.cache.peek(context)
-    }
-
-    /// Score a batch of *speculative* contexts — lookahead candidates a
-    /// sampling walk (or the coalescing driver's slack fill) bets will
-    /// be demanded next. Behaves exactly like [`Self::score_batch`]
-    /// (results land in the memo table, ready to be served as demand
-    /// hits), but attributes any model batch it issues to
-    /// [`ScoringStats::speculative_batches`].
-    ///
-    /// Like coalesced attribution, the before/after counter read is only
-    /// exact when one speculating caller drives the engine at a time;
-    /// results stay correct regardless.
-    pub fn score_batch_speculative(&self, contexts: &[&[TokenId]]) -> Vec<Arc<[f64]>> {
-        let batches_before = self.batches.load(Ordering::Relaxed);
-        let out = self.score_batch(contexts);
-        let issued = self.batches.load(Ordering::Relaxed) - batches_before;
-        if issued > 0 {
-            self.speculative_batches
-                .fetch_add(issued, Ordering::Relaxed);
         }
         out
     }
@@ -693,8 +635,10 @@ mod tests {
             Arc::ptr_eq(&batch[0], &batch[2]),
             "duplicates of a missing context share its one row"
         );
-        let peeked = engine.peek(&b).expect("admitted");
-        assert!(Arc::ptr_eq(&peeked, &batch[0]), "the table keeps that row");
+        assert!(
+            Arc::ptr_eq(&engine.score(&b), &batch[0]),
+            "the table keeps that row"
+        );
     }
 
     #[test]
@@ -903,68 +847,6 @@ mod tests {
         assert_eq!(stats.coalesced_batches, 2);
         assert_eq!(stats.cross_query_batches, 1);
         assert!((stats.mean_batch_size() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speculative_batches_are_attributed_and_warm_the_cache() {
-        let (tok, lm) = fixture();
-        let engine = ScoringEngine::new(&lm);
-        let a = tok.encode("the");
-        let b = tok.encode("the cat");
-        let out = engine.score_batch_speculative(&[&a, &b]);
-        assert_eq!(out[0][..], lm.next_log_probs(&a));
-        let stats = engine.stats();
-        assert_eq!(stats.speculative_batches, 1);
-        assert_eq!(stats.batches, 1);
-        // The speculated contexts now serve as demand hits.
-        engine.score(&a);
-        let stats = engine.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.batches, 1, "demand score served from the memo");
-        // A fully warm speculative batch issues nothing: not attributed.
-        engine.score_batch_speculative(&[&a, &b]);
-        assert_eq!(engine.stats().speculative_batches, 1);
-    }
-
-    #[test]
-    fn peek_reads_without_counting() {
-        let (tok, lm) = fixture();
-        let engine = ScoringEngine::new(&lm);
-        let a = tok.encode("the");
-        assert!(engine.peek(&a).is_none());
-        let scored = engine.score(&a);
-        let before = engine.stats();
-        assert_eq!(engine.peek(&a).as_deref(), Some(&scored[..]));
-        assert_eq!(engine.stats(), before, "peek must not move any counter");
-        // Serial mode never exposes cached state.
-        let serial = ScoringEngine::with_mode(&lm, ScoringMode::Serial);
-        serial.score(&a);
-        assert!(serial.peek(&a).is_none());
-    }
-
-    #[test]
-    fn peek_does_not_feed_the_shared_admission_gate() {
-        // Reuse observed via `lookup` reopens the gate
-        // (shared_cache_admission_follows_observed_reuse); the same
-        // traffic through `peek` must leave it closed.
-        let (_tok, lm) = fixture();
-        let cache = Arc::new(SharedScoringCache::new(64 << 20));
-        let engine =
-            ScoringEngine::with_shared_cache(&lm, ScoringMode::Batched, Arc::clone(&cache));
-        let warmup = crate::shared::SHARED_ADMISSION_WARMUP;
-        for i in 0..warmup + 64 {
-            let ctx = vec![(i % lm.vocab_size() as u64) as TokenId, (i / 7) as TokenId];
-            let _ = engine.score(&ctx);
-        }
-        assert!(!cache.stats().admitting);
-        let probe = vec![0 as TokenId, 0];
-        for _ in 0..64 {
-            assert!(engine.peek(&probe).is_some());
-        }
-        assert!(
-            !cache.stats().admitting,
-            "peeks must not count as observed reuse"
-        );
     }
 
     #[test]

@@ -141,16 +141,6 @@ impl SharedScoringCache {
         self.table.lock().contains(context)
     }
 
-    /// Read a memoized distribution without perturbing any counter —
-    /// not the hit/miss tallies and, unlike [`Self::lookup`], not the
-    /// per-entry reuse depth that drives the admission gate. This is the
-    /// read speculation uses to rank a cached parent's out-edges: a
-    /// counting read would let speculative probes reopen or hold open
-    /// the admission gate, making speculation observable.
-    pub fn peek(&self, context: &[TokenId]) -> Option<Arc<[f64]>> {
-        self.table.lock().peek(context)
-    }
-
     /// Partition a scoring batch against the table, holding the mutex
     /// once for the whole batch. No counters are touched here: the
     /// caller reports one miss per *unique* missing context via
@@ -372,8 +362,8 @@ mod tests {
         let restored = SharedScoringCache::new(1 << 20);
         let admitted = restored.import_entries(generation, entries);
         assert_eq!(admitted, 2);
-        assert_eq!(restored.peek(&[1]).as_deref(), Some(&[-1.0, -2.0][..]));
-        assert_eq!(restored.peek(&[2, 3]).as_deref(), Some(&[-0.5][..]));
+        assert_eq!(restored.lookup(&[1]).as_deref(), Some(&[-1.0, -2.0][..]));
+        assert_eq!(restored.lookup(&[2, 3]).as_deref(), Some(&[-0.5][..]));
     }
 
     #[test]

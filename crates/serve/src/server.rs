@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use relm_core::{PlanSource, QueryId, Relm, TickQuantum};
+use relm_core::{PlanSource, QueryId, Relm};
 use relm_lm::LanguageModel;
 
 use crate::conn::Connection;
@@ -61,8 +61,6 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// How long the reactor parks on an idle pass.
     pub park: Duration,
-    /// The driver's coalescing-tick policy.
-    pub tick_quantum: TickQuantum,
     /// Exit the serve loop after this many completed queries (`None` =
     /// serve until the shutdown flag flips). Scripted smoke tests and
     /// benches use it for deterministic shutdown.
@@ -92,13 +90,12 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// The default knobs (1 MiB frames, 500µs park, adaptive ticks,
-    /// one shard, 1024 in flight globally / 64 per connection).
+    /// The default knobs (1 MiB frames, 500µs park, one shard, 1024 in
+    /// flight globally / 64 per connection).
     pub fn new() -> Self {
         ServerConfig {
             max_frame_bytes: MAX_FRAME_BYTES,
             park: Duration::from_micros(500),
-            tick_quantum: TickQuantum::default(),
             max_requests: None,
             preload_store: false,
             flush_store: false,
@@ -119,13 +116,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_park(mut self, park: Duration) -> Self {
         self.park = park;
-        self
-    }
-
-    /// Set the coalescing-tick policy.
-    #[must_use]
-    pub fn with_tick_quantum(mut self, quantum: TickQuantum) -> Self {
-        self.tick_quantum = quantum;
         self
     }
 
@@ -462,10 +452,7 @@ impl<M: LanguageModel> RelmServer<M> {
         shared: &SharedCounters,
     ) -> ShardReport {
         let mut reactor = PollReactor::new();
-        let mut driver = self
-            .client
-            .driver()
-            .with_tick_quantum(self.config.tick_quantum);
+        let mut driver = self.client.driver();
         let mut conns: HashMap<u64, Connection> = HashMap::new();
         // In-flight query -> (connection token, request id to echo).
         let mut routes: HashMap<QueryId, (u64, u64)> = HashMap::new();

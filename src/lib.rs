@@ -54,11 +54,8 @@ pub use relm_core::{
     MachineShape, MatchResult, PlanSource, PrefixSampling, Preprocessor, QueryCompletion,
     QueryDriver, QueryId, QueryOutcome, QueryPlan, QuerySet, QuerySetReport, QuerySpec,
     QueryString, Relm, RelmBuilder, RelmError, RelmErrorKind, RelmSession, SearchQuery,
-    SearchResults, SearchStrategy, SessionConfig, SessionStats, Speculation, TickQuantum,
-    TokenizationStrategy,
+    SearchResults, SearchStrategy, SessionConfig, SessionStats, TokenizationStrategy,
 };
-#[allow(deprecated)] // the legacy one-shot shims remain exported until removal
-pub use relm_core::{execute, plan, search};
 pub use relm_lm::{
     fan_out_scores, perplexity, pooled_scores, sample_sequence, score_batch, sequence_log_prob,
     top_k_accuracy, AcceleratorSim, CachedLm, DecodingPolicy, ForwardKernel, LanguageModel,

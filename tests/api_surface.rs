@@ -127,13 +127,7 @@ fn facade_reexport_list_matches_snapshot() {
         "SearchStrategy",
         "SessionConfig",
         "SessionStats",
-        "Speculation",
-        "TickQuantum",
         "TokenizationStrategy",
-        // relm-core: deprecated one-shot shims (removal is a major)
-        "execute",
-        "plan",
-        "search",
         // relm-lm
         "fan_out_scores",
         "perplexity",

@@ -2,9 +2,9 @@
 //! entry point. Two invariants are enforced **bit-for-bit** (including
 //! the f64 score bits):
 //!
-//! 1. `Relm::search` produces results byte-identical to the legacy
-//!    `search()` free function and to `RelmSession::search`, for all
-//!    three executor types;
+//! 1. `Relm::search` produces results byte-identical to
+//!    `RelmSession::search`, cold and warm, for all three executor
+//!    types;
 //! 2. `Relm::run_many` produces, per query, results byte-identical to
 //!    running the same queries sequentially — even under scoring-cache
 //!    eviction pressure and across model swaps — while its shared
@@ -12,12 +12,10 @@
 //!    execution can never produce.
 
 #![forbid(unsafe_code)]
-// The deprecated one-shot shims are the reference path under test.
-#![allow(deprecated)]
 
 use relm::{
-    search, BpeTokenizer, DecodingPolicy, LanguageModel, MatchResult, NGramConfig, NGramLm,
-    QuerySet, QueryString, Relm, RelmSession, SearchQuery, SearchStrategy, SessionConfig,
+    BpeTokenizer, DecodingPolicy, LanguageModel, MatchResult, NGramConfig, NGramLm, QuerySet,
+    QueryString, Relm, RelmSession, SearchQuery, SearchStrategy, SessionConfig,
 };
 
 fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -114,7 +112,7 @@ fn run_sequentially<M: relm::LanguageModel>(
 }
 
 #[test]
-fn client_search_is_byte_identical_to_legacy_and_session() {
+fn client_search_is_byte_identical_to_session() {
     let (tok, lm) = fixture();
     let client = Relm::new(&lm, tok.clone()).unwrap();
     let session = RelmSession::new(&lm, tok.clone());
@@ -124,15 +122,24 @@ fn client_search_is_byte_identical_to_legacy_and_session() {
         )
         .with_policy(DecodingPolicy::top_k(40))
         .with_strategy(strategy);
-        let legacy: Vec<MatchResult> = search(&lm, &tok, &query).unwrap().take(10).collect();
         let via_session: Vec<MatchResult> = session.search(&query).unwrap().take(10).collect();
         let via_client: Vec<MatchResult> = client.search(&query).unwrap().take(10).collect();
         // And a warm client pass (plan memo + scoring cache now hot).
         let warm: Vec<MatchResult> = client.search(&query).unwrap().take(10).collect();
-        assert!(!legacy.is_empty(), "{label}: fixture must produce matches");
-        assert_identical(&legacy, &via_session, &format!("{label} legacy-vs-session"));
-        assert_identical(&legacy, &via_client, &format!("{label} legacy-vs-client"));
-        assert_identical(&legacy, &warm, &format!("{label} legacy-vs-warm-client"));
+        assert!(
+            !via_session.is_empty(),
+            "{label}: fixture must produce matches"
+        );
+        assert_identical(
+            &via_session,
+            &via_client,
+            &format!("{label} session-vs-client"),
+        );
+        assert_identical(
+            &via_session,
+            &warm,
+            &format!("{label} session-vs-warm-client"),
+        );
     }
     assert!(client.stats().plan_hits > 0, "client memoized the plan");
 }
@@ -158,6 +165,17 @@ fn run_many_is_byte_identical_to_sequential_per_query() {
         report.scoring
     );
     assert!(report.scoring.mean_batch_size() >= 1.0);
+    // ...by coalescing ticks that really ran (the warm-up ticks always
+    // do), and every outcome carries the same driver-wide tick counters.
+    let first = report.outcomes[0].stats;
+    assert!(first.coalesce_ticks > 0, "{first:?}");
+    for outcome in &report.outcomes {
+        assert_eq!(outcome.stats.coalesce_ticks, first.coalesce_ticks);
+        assert_eq!(
+            outcome.stats.coalesce_ticks_skipped,
+            first.coalesce_ticks_skipped
+        );
+    }
 }
 
 #[test]

@@ -6,11 +6,9 @@
 //! have a cost model.
 
 #![forbid(unsafe_code)]
-// The deprecated one-shot shims are the reference path under test.
-#![allow(deprecated)]
 
 use relm::{
-    search, BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, QueryString,
+    BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, QueryString, Relm,
     ScoringMode, SearchQuery, SearchStrategy,
 };
 
@@ -38,22 +36,19 @@ fn both_modes(
     query: &SearchQuery,
     take: usize,
 ) -> (Vec<MatchResult>, Vec<MatchResult>, relm::ExecutionStats) {
-    let mut batched_iter = search(
-        lm,
-        tok,
-        &query.clone().with_scoring_mode(ScoringMode::Batched),
-    )
-    .expect("batched search");
+    // A fresh client per run: both start cold.
+    let batched_client = Relm::new(lm, tok.clone()).expect("client");
+    let mut batched_iter = batched_client
+        .search(&query.clone().with_scoring_mode(ScoringMode::Batched))
+        .expect("batched search");
     let batched: Vec<MatchResult> = (&mut batched_iter).take(take).collect();
     let stats = batched_iter.stats();
-    let serial: Vec<MatchResult> = search(
-        lm,
-        tok,
-        &query.clone().with_scoring_mode(ScoringMode::Serial),
-    )
-    .expect("serial search")
-    .take(take)
-    .collect();
+    let serial: Vec<MatchResult> = Relm::new(lm, tok.clone())
+        .expect("client")
+        .search(&query.clone().with_scoring_mode(ScoringMode::Serial))
+        .expect("serial search")
+        .take(take)
+        .collect();
     (batched, serial, stats)
 }
 
@@ -121,7 +116,8 @@ fn quickstart_query_reports_batching_and_cache_hits() {
             .with_prefix("my phone number is"),
     )
     .with_policy(DecodingPolicy::top_k(40));
-    let mut results = search(&lm, &tok, &query).expect("search");
+    let client = Relm::new(&lm, tok).expect("client");
+    let mut results = client.search(&query).expect("search");
     let first = (&mut results).take(1).next().expect("a match");
     assert!(first.text.starts_with("my phone number is "));
     let stats = results.stats();
@@ -139,7 +135,8 @@ fn serial_mode_reports_no_batching() {
     let (tok, lm) = fixture();
     let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"))
         .with_scoring_mode(ScoringMode::Serial);
-    let mut results = search(&lm, &tok, &query).expect("search");
+    let client = Relm::new(&lm, tok).expect("client");
+    let mut results = client.search(&query).expect("search");
     let n = (&mut results).take(2).count();
     assert_eq!(n, 2);
     let stats = results.stats();
@@ -160,15 +157,14 @@ fn batched_mode_does_strictly_less_model_work() {
     let (batched, serial, _) = both_modes(&tok, &lm, &query, 6);
     assert_eq!(batched, serial);
 
-    let mut batched_iter = search(&lm, &tok, &query).expect("search");
+    let batched_client = Relm::new(&lm, tok.clone()).expect("client");
+    let mut batched_iter = batched_client.search(&query).expect("search");
     let _ = (&mut batched_iter).take(6).count();
     let b = batched_iter.stats();
-    let mut serial_iter = search(
-        &lm,
-        &tok,
-        &query.clone().with_scoring_mode(ScoringMode::Serial),
-    )
-    .expect("search");
+    let serial_client = Relm::new(&lm, tok).expect("client");
+    let mut serial_iter = serial_client
+        .search(&query.clone().with_scoring_mode(ScoringMode::Serial))
+        .expect("search");
     let _ = (&mut serial_iter).take(6).count();
     let s = serial_iter.stats();
     assert!(
@@ -183,22 +179,13 @@ fn batched_mode_does_strictly_less_model_work() {
 /// per-expansion code must leave untouched: which nodes are expanded,
 /// which contexts are requested, how they split into hits, misses and
 /// batches, and the score bits of what comes out.
-fn pinned_work(query: &SearchQuery, take: usize) -> ([u64; 7], Vec<u64>) {
-    pinned_work_with(query, take, relm::Speculation::new())
-}
-
-fn pinned_work_with(
-    query: &SearchQuery,
-    take: usize,
-    speculation: relm::Speculation,
-) -> ([u64; 7], Vec<u64>) {
+fn pinned_work(query: &SearchQuery, take: usize) -> ([u64; 6], Vec<u64>) {
     let (tok, lm) = fixture();
     // An explicit worker count: `Parallelism::auto()` widens Dijkstra's
     // frontier prefetch with the host's cores, and with it the batch and
     // hit counts.
-    let client = relm::Relm::builder(&lm, tok)
+    let client = Relm::builder(&lm, tok)
         .parallelism(relm::Parallelism::Serial)
-        .speculation(speculation)
         .build()
         .expect("client");
     let mut results = client.search(query).expect("search");
@@ -214,7 +201,6 @@ fn pinned_work_with(
         s.cache_hits,
         s.cache_misses,
         s.batches,
-        s.speculative_scored,
     ];
     (counts, bits)
 }
@@ -224,13 +210,13 @@ fn pinned_query() -> SearchQuery {
 }
 
 // Counts are `[expansions, lm_calls, emitted, cache_hits, cache_misses,
-// batches, speculative_scored]`.
+// batches]`.
 
 #[test]
 fn shortest_path_work_counts_are_pinned() {
     let query = pinned_query().with_policy(DecodingPolicy::top_k(2));
     let (counts, bits) = pinned_work(&query, 10);
-    assert_eq!(counts, [9, 9, 2, 2, 8, 7, 0]);
+    assert_eq!(counts, [9, 9, 2, 2, 8, 7]);
     assert_eq!(bits, [0xbfef6f8be16d64ed, 0xc000d86357c8fd90]);
 }
 
@@ -238,7 +224,7 @@ fn shortest_path_work_counts_are_pinned() {
 fn beam_work_counts_are_pinned() {
     let query = pinned_query().with_strategy(SearchStrategy::Beam { width: 4 });
     let (counts, bits) = pinned_work(&query, 10);
-    assert_eq!(counts, [21, 21, 5, 1, 20, 8, 0]);
+    assert_eq!(counts, [21, 21, 5, 1, 20, 8]);
     assert_eq!(
         bits,
         [
@@ -259,12 +245,6 @@ fn sampling_work_counts_are_pinned() {
     const B: u64 = 0xc000d86357c8fd90;
     const C: u64 = 0xc000fa0f2350d7dd;
     let (counts, bits) = pinned_work(&query, 12);
-    assert_eq!(counts, [48, 96, 12, 110, 17, 12, 15]);
-    assert_eq!(bits, [A, C, A, A, A, A, A, A, B, A, B, C]);
-    // The same walk scoring only what it stands on: three fewer model
-    // evaluations, and two that speculation had folded into a batch
-    // arrive as single-context demand batches.
-    let (counts, bits) = pinned_work_with(&query, 12, relm::Speculation::off());
-    assert_eq!(counts, [48, 96, 12, 98, 14, 14, 0]);
+    assert_eq!(counts, [48, 96, 12, 98, 14, 14]);
     assert_eq!(bits, [A, C, A, A, A, A, A, A, B, A, B, C]);
 }

@@ -1,19 +1,16 @@
 //! Integration and property tests for the persistent `RelmSession`
 //! runtime: warm-session results must be **byte-identical** to
-//! cold-session (stateless `search`) results for all three executors,
+//! cold results (a fresh client per run) for all three executors,
 //! the plan memo and shared scoring cache must report their reuse, and
 //! neither eviction pressure nor a model swap (generation bump) may ever
 //! serve a stale or cross-model distribution.
 
 #![forbid(unsafe_code)]
-// These tests compare the session against the deprecated one-shot shims
-// on purpose: the shims are the byte-identical reference path.
-#![allow(deprecated)]
 
 use proptest::prelude::*;
 use relm::{
-    search, BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, Preprocessor,
-    QueryString, RelmSession, SearchQuery, SearchStrategy, SessionConfig,
+    BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, Preprocessor, QueryString,
+    Relm, RelmSession, SearchQuery, SearchStrategy, SessionConfig,
 };
 
 fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -30,6 +27,11 @@ fn fixture() -> (BpeTokenizer, NGramLm) {
     let tok = BpeTokenizer::train(&corpus, 120);
     let lm = NGramLm::train(&tok, &docs, NGramConfig::xl());
     (tok, lm)
+}
+
+/// The cold reference: a fresh client, nothing memoized.
+fn cold_client<'m>(lm: &'m NGramLm, tok: &BpeTokenizer) -> Relm<&'m NGramLm> {
+    Relm::new(lm, tok.clone()).unwrap()
 }
 
 /// Exact comparison including the f64 score bits: "byte-identical".
@@ -68,7 +70,11 @@ fn warm_session_is_byte_identical_to_cold_for_all_executors() {
         )
         .with_policy(DecodingPolicy::top_k(40))
         .with_strategy(strategy);
-        let cold: Vec<MatchResult> = search(&lm, &tok, &query).unwrap().take(10).collect();
+        let cold: Vec<MatchResult> = cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(10)
+            .collect();
         // First session pass: plans compile, cache fills.
         let first: Vec<MatchResult> = session.search(&query).unwrap().take(10).collect();
         // Second pass: plan memo hit + warm scoring cache.
@@ -99,7 +105,11 @@ fn warm_session_matches_cold_under_preprocessors_and_all_encodings() {
         .with_tokenization(relm::TokenizationStrategy::All)
         .with_preprocessor(Preprocessor::levenshtein(1))
         .with_max_tokens(12);
-    let cold: Vec<MatchResult> = search(&lm, &tok, &query).unwrap().take(15).collect();
+    let cold: Vec<MatchResult> = cold_client(&lm, &tok)
+        .search(&query)
+        .unwrap()
+        .take(15)
+        .collect();
     let _ = session.search(&query).unwrap().take(15).count();
     let warm: Vec<MatchResult> = session.search(&query).unwrap().take(15).collect();
     assert!(!cold.is_empty());
@@ -121,7 +131,11 @@ fn eviction_pressure_never_changes_results() {
             QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
         )
         .with_strategy(strategy);
-        let cold: Vec<MatchResult> = search(&lm, &tok, &query).unwrap().take(10).collect();
+        let cold: Vec<MatchResult> = cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(10)
+            .collect();
         for round in 0..3 {
             let warm: Vec<MatchResult> = session.search(&query).unwrap().take(10).collect();
             assert_identical(&cold, &warm, &format!("{label} round {round}"));
@@ -213,13 +227,11 @@ fn plan_and_execute_split_reuses_one_compilation() {
     let b: Vec<MatchResult> = session.execute(&plan).unwrap().take(3).collect();
     assert!(!a.is_empty());
     assert_identical(&a, &b, "repeated execute of one plan");
-    // The stateless plan/execute pair agrees too.
-    let stateless_plan = relm::plan(&query, &tok, lm.max_sequence_len()).unwrap();
-    let c: Vec<MatchResult> = relm::execute(&lm, &tok, &stateless_plan)
-        .unwrap()
-        .take(3)
-        .collect();
-    assert_identical(&a, &c, "session vs stateless plan/execute");
+    // A cold client's plan/execute pair agrees too.
+    let fresh = cold_client(&lm, &tok);
+    let fresh_plan = fresh.plan(&query).unwrap();
+    let c: Vec<MatchResult> = fresh.execute(&fresh_plan).unwrap().take(3).collect();
+    assert_identical(&a, &c, "session vs cold plan/execute");
     assert_eq!(session.stats().plan_misses, 1);
 }
 
@@ -237,9 +249,6 @@ fn stale_plan_is_rejected_after_tokenizer_swap() {
         err.is_err(),
         "a plan compiled over the old tokenizer's ids must be refused"
     );
-    // Stateless execute enforces the same guard.
-    let err = relm::execute(&lm, session.tokenizer(), &plan);
-    assert!(err.is_err());
 }
 
 #[test]
@@ -272,14 +281,18 @@ fn max_tokens_sweep_shares_one_walk_table_and_stays_identical() {
     let session = RelmSession::new(&lm, tok.clone());
     // Sampling queries over one memoized plan with varying budgets: the
     // walk table is rebuilt only when the budget grows, and results
-    // still match the stateless path exactly.
+    // still match a cold run exactly.
     for budget in [24usize, 8, 16, 24, 12] {
         let query = SearchQuery::new(
             QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
         )
         .with_strategy(SearchStrategy::RandomSampling { seed: 9 })
         .with_max_tokens(budget);
-        let cold: Vec<MatchResult> = search(&lm, &tok, &query).unwrap().take(6).collect();
+        let cold: Vec<MatchResult> = cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(6)
+            .collect();
         let warm: Vec<MatchResult> = session.search(&query).unwrap().take(6).collect();
         assert_identical(&cold, &warm, &format!("budget {budget}"));
     }
@@ -296,7 +309,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random pattern family × every executor: a warm session pass is
-    /// byte-identical to the stateless cold path.
+    /// byte-identical to a cold run.
     #[test]
     fn warm_equals_cold_for_random_queries(
         animal_a in prop_oneof![Just("cat"), Just("dog"), Just("cow")],
@@ -316,7 +329,7 @@ proptest! {
         let query = SearchQuery::new(QueryString::new(pattern).with_prefix("the"))
             .with_policy(DecodingPolicy::top_k(k))
             .with_strategy(strategy);
-        let cold: Vec<MatchResult> = search(&lm, &tok, &query).unwrap().take(8).collect();
+        let cold: Vec<MatchResult> = cold_client(&lm, &tok).search(&query).unwrap().take(8).collect();
         let session = RelmSession::new(&lm, tok.clone());
         let _ = session.search(&query).unwrap().take(8).count(); // fill
         let warm: Vec<MatchResult> = session.search(&query).unwrap().take(8).collect();

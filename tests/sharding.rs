@@ -7,16 +7,14 @@
 //!   reference path — checked both on fixed patterns and under proptest;
 //! * `Parallelism::Serial` and `Parallelism::Sharded(n)` clients return
 //!   **byte-identical** results (f64-bit comparison on scores) for all
-//!   three executors, one query at a time and under `run_many`;
-//! * the `TickQuantum` knob changes only the batching schedule, never a
-//!   result, and its decision is visible in `ExecutionStats`.
+//!   three executors, one query at a time and under `run_many`.
 
 #![forbid(unsafe_code)]
 
 use proptest::prelude::*;
 use relm::{
     BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, Parallelism, QuerySet,
-    QueryString, Regex, Relm, SearchQuery, SearchStrategy, TickQuantum, TokenizationStrategy,
+    QueryString, Regex, Relm, SearchQuery, SearchStrategy, TokenizationStrategy,
 };
 
 fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -144,56 +142,6 @@ fn serial_and_sharded_run_many_are_byte_identical() {
                 .collect();
             assert_bit_identical("run_many_vs_alone", &outcome.matches, &alone);
         }
-    }
-}
-
-#[test]
-fn tick_quantum_changes_schedule_not_results() {
-    let (tok, lm) = fixture();
-    let client = Relm::new(&lm, tok).unwrap();
-    let base: QuerySet = QuerySet::new()
-        .with_query(url_query(), 4)
-        .with_query(
-            url_query().with_strategy(SearchStrategy::Beam { width: 8 }),
-            4,
-        )
-        .with_query(
-            url_query().with_strategy(SearchStrategy::RandomSampling { seed: 5 }),
-            5,
-        );
-    let always = client
-        .run_many(&base.clone().with_tick_quantum(TickQuantum::Always))
-        .unwrap();
-    let never = client
-        .run_many(&base.clone().with_tick_quantum(TickQuantum::Never))
-        .unwrap();
-    let adaptive = client
-        .run_many(&base.clone().with_tick_quantum(TickQuantum::Adaptive))
-        .unwrap();
-    for (x, y) in always.outcomes.iter().zip(&never.outcomes) {
-        assert_bit_identical("always_vs_never", &x.matches, &y.matches);
-    }
-    for (x, y) in always.outcomes.iter().zip(&adaptive.outcomes) {
-        assert_bit_identical("always_vs_adaptive", &x.matches, &y.matches);
-    }
-    // The decision is exposed: Always ticks and never skips; Never does
-    // neither; Adaptive accounts for every opportunity either way.
-    let always_stats = always.outcomes[0].stats;
-    assert!(always_stats.coalesce_ticks > 0, "{always_stats:?}");
-    assert_eq!(always_stats.coalesce_ticks_skipped, 0, "{always_stats:?}");
-    let never_stats = never.outcomes[0].stats;
-    assert_eq!(never_stats.coalesce_ticks, 0, "{never_stats:?}");
-    assert_eq!(never_stats.coalesce_ticks_skipped, 0, "{never_stats:?}");
-    // Every outcome of a set carries the same driver-wide counters.
-    for outcome in &adaptive.outcomes {
-        assert_eq!(
-            outcome.stats.coalesce_ticks,
-            adaptive.outcomes[0].stats.coalesce_ticks
-        );
-        assert_eq!(
-            outcome.stats.coalesce_ticks_skipped,
-            adaptive.outcomes[0].stats.coalesce_ticks_skipped
-        );
     }
 }
 
