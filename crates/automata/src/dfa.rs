@@ -49,8 +49,7 @@ const PARALLEL_WAVE_MIN: usize = 8;
 /// design re-derived the closure for each. Here every wave collects its
 /// distinct raw successors first (in frontier-then-symbol order) and
 /// closes each exactly once — the per-wave closure cache — before the
-/// merge. Speculative lookahead multiplies frontier pressure, so it must
-/// not multiply duplicated closure work.
+/// merge.
 ///
 /// Waves of the BFS frontier are partitioned into contiguous shards
 /// submitted as ordered jobs to the persistent [`WorkerPool`] for `par`

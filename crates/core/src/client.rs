@@ -44,7 +44,7 @@ const COALESCE_LOOKAHEAD: usize = 32;
 /// start skipping: enough to observe the model's real per-tick scoring
 /// cost, and a floor that keeps the cross-query provenance counters
 /// meaningful even when the driver then turns ticking off.
-const TICK_WARMUP: u64 = 3;
+const ADAPTIVE_TICK_WARMUP: u64 = 3;
 
 /// Configures and validates a [`Relm`] client. Obtained from
 /// [`Relm::builder`]; consumed by [`RelmBuilder::build`].
@@ -502,7 +502,8 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
                     self.scoring_nanos += scoring_start.elapsed().as_nanos();
                 }
                 self.ticks_run += 1;
-                if self.ticks_run >= TICK_WARMUP && self.scoring_nanos < self.gather_nanos {
+                if self.ticks_run >= ADAPTIVE_TICK_WARMUP && self.scoring_nanos < self.gather_nanos
+                {
                     // Sticky decision: the model has shown itself cheaper
                     // than the tick machinery, so stop paying for ticks
                     // (exposed via `ExecutionStats::coalesce_ticks_skipped`).

@@ -377,17 +377,15 @@ mod tests {
         (tok, lm)
     }
 
-    /// A client with nothing memoized: every search through it is cold.
-    fn cold<'m>(lm: &'m NGramLm, tok: &BpeTokenizer) -> crate::Relm<&'m NGramLm> {
-        crate::Relm::new(lm, tok.clone()).unwrap()
-    }
-
     #[test]
     fn beam_finds_the_most_likely_match() {
         let (tok, lm) = fixture();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)|(cow)) sat"))
             .with_strategy(SearchStrategy::Beam { width: 8 });
-        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().collect();
+        let results: Vec<_> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .collect();
         assert!(!results.is_empty());
         assert_eq!(results[0].text, "the cat sat");
     }
@@ -396,13 +394,13 @@ mod tests {
     fn wide_beam_matches_dijkstra_top_results() {
         let (tok, lm) = fixture();
         let base = SearchQuery::new(QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))"));
-        let dijkstra: Vec<String> = cold(&lm, &tok)
+        let dijkstra: Vec<String> = crate::cold_client(&lm, &tok)
             .search(&base.clone())
             .unwrap()
             .take(3)
             .map(|m| m.text)
             .collect();
-        let beam: Vec<String> = cold(&lm, &tok)
+        let beam: Vec<String> = crate::cold_client(&lm, &tok)
             .search(&base.with_strategy(SearchStrategy::Beam { width: 64 }))
             .unwrap()
             .take(3)
@@ -417,7 +415,10 @@ mod tests {
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))"))
             .with_strategy(SearchStrategy::Beam { width: 1 });
         let re = relm_regex::Regex::compile("the ((cat)|(dog)|(cow)) ((sat)|(ate))").unwrap();
-        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().collect();
+        let results: Vec<_> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .collect();
         for m in &results {
             assert!(re.is_match(&m.text), "beam emitted non-member {:?}", m.text);
         }
@@ -433,7 +434,10 @@ mod tests {
                 .with_policy(relm_lm::DecodingPolicy::greedy());
         // Greedy policy would prune the unlikely "cow" prefix — beam must
         // bypass decision rules on prefix edges just like Dijkstra.
-        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().collect();
+        let results: Vec<_> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .collect();
         assert!(!results.is_empty());
         assert!(results[0].text.starts_with("the cow"));
     }
@@ -443,7 +447,10 @@ mod tests {
         let (tok, lm) = fixture();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))"))
             .with_strategy(SearchStrategy::Beam { width: 32 });
-        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().collect();
+        let results: Vec<_> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .collect();
         for w in results.windows(2) {
             assert!(w[0].log_prob >= w[1].log_prob);
         }

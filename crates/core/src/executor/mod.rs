@@ -542,8 +542,9 @@ pub(crate) fn passes_runtime_checks(
     true
 }
 
-/// The result stream of [`crate::Relm::search`]: an iterator of [`MatchResult`]s whose
-/// order is defined by the query's traversal strategy.
+/// The result stream of [`crate::Relm::search`]: an iterator of
+/// [`MatchResult`]s whose order is defined by the query's traversal
+/// strategy.
 ///
 /// Shortest-path streams are finite (language exhausted or expansion cap
 /// hit); random-sampling streams end only when the retry budget is

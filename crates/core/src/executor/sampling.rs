@@ -379,11 +379,6 @@ mod tests {
         (tok, lm)
     }
 
-    /// A client with nothing memoized: every search through it is cold.
-    fn cold<'m>(lm: &'m NGramLm, tok: &BpeTokenizer) -> crate::Relm<&'m NGramLm> {
-        crate::Relm::new(lm, tok.clone()).unwrap()
-    }
-
     fn sampling_query(pattern: &str, prefix: Option<&str>, seed: u64) -> SearchQuery {
         let mut qs = QueryString::new(pattern);
         if let Some(p) = prefix {
@@ -404,7 +399,11 @@ mod tests {
             "the ((man)|(woman)) was trained in ((art)|(medicine)|(computer science)|(engineering))",
         )
         .unwrap();
-        let samples: Vec<_> = cold(&lm, &tok).search(&query).unwrap().take(30).collect();
+        let samples: Vec<_> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(30)
+            .collect();
         assert!(!samples.is_empty());
         for s in &samples {
             assert!(re.is_match(&s.text), "out-of-language sample {:?}", s.text);
@@ -415,20 +414,20 @@ mod tests {
     fn sampling_is_seed_deterministic() {
         let (tok, lm) = fixture();
         let q = |seed| sampling_query("the ((man)|(woman)) was", Some("the"), seed);
-        let a: Vec<String> = cold(&lm, &tok)
+        let a: Vec<String> = crate::cold_client(&lm, &tok)
             .search(&q(5))
             .unwrap()
             .take(10)
             .map(|m| m.text)
             .collect();
-        let b: Vec<String> = cold(&lm, &tok)
+        let b: Vec<String> = crate::cold_client(&lm, &tok)
             .search(&q(5))
             .unwrap()
             .take(10)
             .map(|m| m.text)
             .collect();
         assert_eq!(a, b);
-        let c: Vec<String> = cold(&lm, &tok)
+        let c: Vec<String> = crate::cold_client(&lm, &tok)
             .search(&q(6))
             .unwrap()
             .take(10)
@@ -448,7 +447,11 @@ mod tests {
             13,
         );
         let mut counts: HashMap<String, usize> = HashMap::new();
-        for m in cold(&lm, &tok).search(&query).unwrap().take(60) {
+        for m in crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(60)
+        {
             let suffix = m
                 .text
                 .trim_start_matches("the man was trained in ")
@@ -472,7 +475,11 @@ mod tests {
             .with_tokenization(TokenizationStrategy::All);
         let mut counts: HashMap<usize, usize> = HashMap::new();
         let n = 400;
-        for m in cold(&lm, &tok).search(&query).unwrap().take(n) {
+        for m in crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(n)
+        {
             *counts.entry(m.prefix_len).or_default() += 1;
         }
         // Under uniform-string sampling, prefix lengths 1 (a or b: 2
@@ -503,7 +510,11 @@ mod tests {
                 .with_prefix_sampling(mode);
             let mut a = 0usize;
             let mut total = 0usize;
-            for m in cold(&lm, &tok).search(&query).unwrap().take(300) {
+            for m in crate::cold_client(&lm, &tok)
+                .search(&query)
+                .unwrap()
+                .take(300)
+            {
                 if m.text.starts_with('a') {
                     a += 1;
                 }
@@ -529,7 +540,7 @@ mod tests {
         let tok = BpeTokenizer::train(corpus, 5);
         let lm = NGramLm::train(&tok, &docs, NGramConfig::small());
         let query = sampling_query("(b)|(bb)|(bbb)", None, 31);
-        let texts: std::collections::HashSet<String> = cold(&lm, &tok)
+        let texts: std::collections::HashSet<String> = crate::cold_client(&lm, &tok)
             .search(&query)
             .unwrap()
             .take(200)
@@ -546,7 +557,11 @@ mod tests {
         let (tok, lm) = fixture();
         let query =
             sampling_query("zzzzqqqq", None, 1).with_policy(relm_lm::DecodingPolicy::greedy());
-        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().take(5).collect();
+        let results: Vec<_> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(5)
+            .collect();
         assert!(results.len() <= 5); // typically 0; must terminate
     }
 
@@ -554,7 +569,7 @@ mod tests {
     fn stats_count_episodes() {
         let (tok, lm) = fixture();
         let query = sampling_query("the ((man)|(woman))", Some("the"), 77);
-        let client = cold(&lm, &tok);
+        let client = crate::cold_client(&lm, &tok);
         let mut results = client.search(&query).unwrap();
         let n = (&mut results).take(5).count();
         assert_eq!(n, 5);

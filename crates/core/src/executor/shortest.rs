@@ -459,14 +459,13 @@ mod tests {
         (tok, lm)
     }
 
-    /// A client with nothing memoized: every search through it is cold.
-    fn cold<'m>(lm: &'m NGramLm, tok: &BpeTokenizer) -> crate::Relm<&'m NGramLm> {
-        crate::Relm::new(lm, tok.clone()).unwrap()
-    }
-
     fn run(query: SearchQuery, n: usize) -> Vec<MatchResult> {
         let (tok, lm) = fixture();
-        cold(&lm, &tok).search(&query).unwrap().take(n).collect()
+        crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(n)
+            .collect()
     }
 
     #[test]
@@ -529,7 +528,7 @@ mod tests {
     fn match_log_prob_matches_model_score() {
         let (tok, lm) = fixture();
         let query = SearchQuery::new(QueryString::new("the cat sat"));
-        let m = cold(&lm, &tok)
+        let m = crate::cold_client(&lm, &tok)
             .search(&query)
             .unwrap()
             .next()
@@ -565,7 +564,10 @@ mod tests {
     fn expansion_cap_terminates() {
         let query = SearchQuery::new(QueryString::new("[a-z]+")).with_max_expansions(5);
         let (tok, lm) = fixture();
-        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().collect();
+        let results: Vec<_> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .collect();
         let _ = results; // must terminate without exhausting memory
     }
 
@@ -573,7 +575,7 @@ mod tests {
     fn stats_reflect_work() {
         let (tok, lm) = fixture();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog))"));
-        let client = cold(&lm, &tok);
+        let client = crate::cold_client(&lm, &tok);
         let mut results = client.search(&query).unwrap();
         let _ = (&mut results).take(2).count();
         let stats = results.stats();
@@ -599,7 +601,11 @@ mod tests {
         let query =
             SearchQuery::new(QueryString::new("she saw ((it)|(the))").with_prefix("she saw"))
                 .with_eos_termination();
-        let results: Vec<_> = cold(&lm, &tok).search(&query).unwrap().take(2).collect();
+        let results: Vec<_> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(2)
+            .collect();
         assert!(!results.is_empty());
         // "it" terminates documents in training; "the" never does.
         assert_eq!(results[0].text, "she saw it");
@@ -614,7 +620,7 @@ mod tests {
         let stop = relm_regex::Regex::compile("the").unwrap().dfa().clone();
         let query = SearchQuery::new(QueryString::new("the"))
             .with_preprocessor(crate::Preprocessor::filter(stop));
-        let err = cold(&lm, &tok)
+        let err = crate::cold_client(&lm, &tok)
             .search(&query)
             .err()
             .expect("empty language");

@@ -100,5 +100,15 @@ pub(crate) fn test_lexicon(seed: u64, words: usize, len: usize) -> Vec<String> {
     out.dedup();
     out
 }
+
+/// A client with nothing memoized, for the executors' unit tests: every
+/// search through it is cold.
+#[cfg(test)]
+pub(crate) fn cold_client<'m, M: relm_lm::LanguageModel>(
+    lm: &'m M,
+    tok: &relm_bpe::BpeTokenizer,
+) -> Relm<&'m M> {
+    Relm::new(lm, tok.clone()).unwrap()
+}
 pub use results::MatchResult;
 pub use session::{PlanSource, RelmSession, SessionConfig, SessionStats, DEFAULT_PLAN_MEMO_BYTES};

@@ -329,7 +329,11 @@ proptest! {
         let query = SearchQuery::new(QueryString::new(pattern).with_prefix("the"))
             .with_policy(DecodingPolicy::top_k(k))
             .with_strategy(strategy);
-        let cold: Vec<MatchResult> = cold_client(&lm, &tok).search(&query).unwrap().take(8).collect();
+        let cold: Vec<MatchResult> = cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(8)
+            .collect();
         let session = RelmSession::new(&lm, tok.clone());
         let _ = session.search(&query).unwrap().take(8).count(); // fill
         let warm: Vec<MatchResult> = session.search(&query).unwrap().take(8).collect();
