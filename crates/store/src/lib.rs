@@ -33,6 +33,8 @@
 #![forbid(unsafe_code)]
 
 mod artifact;
+#[cfg(test)]
+mod oracle;
 mod store;
 mod wire;
 
