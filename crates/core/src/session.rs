@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use relm_automata::Parallelism;
 use relm_bpe::BpeTokenizer;
 use relm_lm::{LanguageModel, ScoringEngine, SharedCacheStats, SharedScoringCache};
-use relm_store::{ArtifactKey, CacheArtifact, PlanArtifact, PlanStore};
+use relm_store::{ArtifactKey, CacheArtifact, PlanArtifact, PlanStore, StoreError};
 
 use crate::compiler::CompiledAutomaton;
 use crate::executor::{
@@ -482,24 +482,26 @@ impl PlanMemo {
     }
 }
 
-/// Tear a compiled plan apart into its on-disk form. The walk table
-/// and shard index travel only if this process materialized them (they
-/// are execute-time artifacts); a plan saved before its first sampling
-/// execute simply restores without them and rebuilds on demand.
-fn parts_artifact(key: &PlanKey, parts: &PlanParts) -> PlanArtifact {
-    PlanArtifact {
-        key: key.to_artifact(),
-        prefix: parts.prefix.clone(),
-        body: parts.body.automaton.clone(),
-        needs_canonical_check: parts.body.needs_canonical_check,
-        deferred_filters: parts.deferred_filters.clone(),
-        walk_table: parts.walk_table_snapshot().map(|t| (*t).clone()),
-        shard_index: parts.prefix_shards_snapshot().map(|i| (*i).clone()),
-    }
+/// Write a memoized plan to `store` in place: the store's encoder
+/// reads the automata and tables where the memo keeps them, so nothing
+/// is cloned to be saved. The walk table and shard index travel only
+/// if this process materialized them (they are execute-time
+/// artifacts); a plan saved before its first sampling execute simply
+/// restores without them and rebuilds on demand.
+fn save_parts(store: &PlanStore, key: &PlanKey, parts: &PlanParts) -> Result<u64, StoreError> {
+    store.save_plan_parts(
+        &key.to_artifact(),
+        parts.prefix.as_ref(),
+        &parts.body.automaton,
+        parts.body.needs_canonical_check,
+        &parts.deferred_filters,
+        parts.walk_table_snapshot().as_deref(),
+        parts.prefix_shards_snapshot().as_deref(),
+    )
 }
 
 /// Reassemble store-loaded artifacts into an executable plan — the
-/// inverse of [`parts_artifact`]. Restored automata are structurally
+/// inverse of [`save_parts`]. Restored automata are structurally
 /// identical to freshly compiled ones and the walk table is bit-exact,
 /// so execution downstream of a restore is byte-identical to a cold
 /// compile (enforced by `tests/store.rs`).
@@ -725,7 +727,7 @@ impl<M: LanguageModel> RelmSession<M> {
         let Some(store) = self.store.as_ref() else {
             return;
         };
-        if let Ok(bytes) = store.save_plan(&parts_artifact(key, parts)) {
+        if let Ok(bytes) = save_parts(store, key, parts) {
             self.store_bytes_written.fetch_add(bytes, Ordering::Relaxed);
         }
     }
@@ -769,6 +771,12 @@ impl<M: LanguageModel> RelmSession<M> {
     /// replica restoring these plans starts sampling-warm too. Returns
     /// the total bytes written.
     ///
+    /// Each plan is encoded straight from the memo's shared
+    /// `Arc<PlanParts>` — the memo lock is held only to collect those
+    /// handles, and no automaton or table is cloned — into one exactly
+    /// sized buffer per file, by the same encoder
+    /// [`relm_store::PlanArtifact::to_bytes`] uses.
+    ///
     /// # Errors
     ///
     /// [`RelmError::Store`] if no store is configured or a write
@@ -788,7 +796,7 @@ impl<M: LanguageModel> RelmSession<M> {
         };
         let mut total = 0;
         for (key, parts) in snapshot {
-            total += store.save_plan(&parts_artifact(&key, &parts))?;
+            total += save_parts(store, &key, &parts)?;
         }
         self.store_bytes_written.fetch_add(total, Ordering::Relaxed);
         Ok(total)
@@ -797,6 +805,8 @@ impl<M: LanguageModel> RelmSession<M> {
     /// Snapshot the shared scoring cache's live entries into the
     /// configured store, tagged with the cache's current generation and
     /// the session tokenizer's fingerprint. Returns the bytes written.
+    /// The cache's rows are shared with the snapshot, not copied (see
+    /// [`relm_lm::SharedScoringCache::export_entries`]).
     ///
     /// # Errors
     ///
@@ -821,7 +831,8 @@ impl<M: LanguageModel> RelmSession<M> {
     /// snapshot was taken over a different tokenizer, or when its
     /// generation tag differs from the live cache's — a snapshot taken
     /// before a [`Self::swap_model`] or [`Self::swap_tokenizer`] can
-    /// never serve a stale distribution afterwards.
+    /// never serve a stale distribution afterwards. Each imported row
+    /// is the allocation the decoder made for it, seated as is.
     ///
     /// # Errors
     ///

@@ -297,12 +297,13 @@ impl ClockCache {
     /// `(context, distribution)` pairs in ring-slot order — the export
     /// path of the warm-artifact store. Touches neither referenced bits
     /// nor reuse counters: exporting a cache must be unobservable to
-    /// its admission policy.
-    pub(crate) fn live_entries(&self) -> impl Iterator<Item = (&[TokenId], &[f64])> {
+    /// its admission policy. The row is the table's own `Arc`, for the
+    /// caller to share rather than copy.
+    pub(crate) fn live_entries(&self) -> impl Iterator<Item = (&[TokenId], &Arc<[f64]>)> {
         self.slots.iter().filter_map(|slot| {
             slot.as_ref()
                 .filter(|e| e.generation == self.generation)
-                .map(|e| (&e.key[..], &e.value[..]))
+                .map(|e| (&e.key[..], &e.value))
         })
     }
 

@@ -38,10 +38,13 @@ use crate::cache::BatchPlan;
 /// Default byte budget for a session's shared scoring cache (128 MiB).
 pub const DEFAULT_SHARED_CACHE_BYTES: usize = 128 << 20;
 
-/// Owned `(context, distribution)` pairs as exported by
+/// `(context, distribution)` pairs as exported by
 /// [`SharedScoringCache::export_entries`] and re-admitted by
-/// [`SharedScoringCache::import_entries`].
-pub type CacheEntries = Vec<(Vec<TokenId>, Vec<f64>)>;
+/// [`SharedScoringCache::import_entries`]. A distribution is the
+/// `Arc<[f64]>` row the cache itself holds: exporting shares it and
+/// importing seats it, so a snapshot's rows are never copied on their
+/// way to or from the warm-artifact store.
+pub type CacheEntries = Vec<(Vec<TokenId>, Arc<[f64]>)>;
 
 /// Admissions granted unconditionally before the reuse gate engages —
 /// the cache needs a population before "observed reuse" means anything.
@@ -204,12 +207,14 @@ impl SharedScoringCache {
     /// generation tag — the export half of the warm-artifact store's
     /// optional scoring-cache persistence. Exporting counts as neither
     /// lookups nor reuse, so persisting a cache is unobservable to its
-    /// admission policy.
+    /// admission policy. Rows are shared, not copied: the table lock is
+    /// held for one reference-count bump and one short context copy per
+    /// entry, whatever the vocabulary size.
     pub fn export_entries(&self) -> (u64, CacheEntries) {
         let table = self.table.lock();
         let entries = table
             .live_entries()
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .map(|(k, v)| (k.to_vec(), Arc::clone(v)))
             .collect();
         (table.generation(), entries)
     }
@@ -225,7 +230,7 @@ impl SharedScoringCache {
     pub fn import_entries(
         &self,
         generation: u64,
-        entries: impl IntoIterator<Item = (Vec<TokenId>, Vec<f64>)>,
+        entries: impl IntoIterator<Item = (Vec<TokenId>, Arc<[f64]>)>,
     ) -> usize {
         let mut table = self.table.lock();
         if table.generation() != generation {
@@ -233,7 +238,7 @@ impl SharedScoringCache {
         }
         let before = table.insertions();
         for (context, distribution) in entries {
-            table.insert(context, distribution.into());
+            table.insert(context, distribution);
         }
         (table.insertions() - before) as usize
     }
@@ -364,6 +369,20 @@ mod tests {
         assert_eq!(admitted, 2);
         assert_eq!(restored.lookup(&[1]).as_deref(), Some(&[-1.0, -2.0][..]));
         assert_eq!(restored.lookup(&[2, 3]).as_deref(), Some(&[-0.5][..]));
+    }
+
+    #[test]
+    fn export_entries_shares_rows() {
+        let cache = SharedScoringCache::new(1 << 20);
+        cache.insert(vec![1], vec![-1.0, -2.0]);
+        let resident = cache.lookup(&[1]).expect("resident");
+        let (generation, entries) = cache.export_entries();
+        assert!(Arc::ptr_eq(&entries[0].1, &resident), "exported by copy");
+        // And the importing side seats the very row it is handed.
+        let restored = SharedScoringCache::new(1 << 20);
+        assert_eq!(restored.import_entries(generation, entries), 1);
+        let seated = restored.lookup(&[1]).expect("imported");
+        assert!(Arc::ptr_eq(&seated, &resident), "imported by copy");
     }
 
     #[test]

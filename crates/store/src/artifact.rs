@@ -18,10 +18,21 @@
 //! [`WalkTable::from_exact_rows`], shard bounds through
 //! [`ShardIndex::from_bounds`] — so a corrupt payload that survives the
 //! checksum still surfaces a typed error, never a panic.
+//!
+//! There is one encoder and one decoder per artifact. The plan encoder
+//! reads a borrowed [`PlanView`], so an owned [`PlanArtifact`] and a
+//! plan still sitting in a session's memo are written by the same code
+//! and neither is cloned to be saved. Both encoders size their buffer
+//! exactly before writing (`encoded_len`), and the decoders read every
+//! run of fixed-width fields — accepting states, transitions, table
+//! rows, context tokens, score rows — in one length-checked step.
 
-use relm_automata::{Dfa, ShardIndex, StateId, WalkTable};
+use std::sync::Arc;
+
+use relm_automata::{Dfa, ShardIndex, StateId, Symbol, WalkTable};
 use relm_bpe::TokenId;
 
+use crate::store::{CACHE_MAGIC, PLAN_MAGIC};
 use crate::wire::{Reader, Writer};
 use crate::StoreError;
 
@@ -49,10 +60,13 @@ impl ArtifactKey {
         w.opt_str(self.prefix.as_deref());
         w.u8(self.tokenization);
         w.usize(self.preprocessors.len());
-        for &fp in &self.preprocessors {
-            w.u64(fp);
-        }
+        w.u64s(&self.preprocessors);
         w.u64(self.tokenizer);
+    }
+
+    fn encoded_len(&self) -> usize {
+        let prefix = self.prefix.as_ref().map_or(0, |p| 8 + p.len());
+        8 + self.pattern.len() + 1 + prefix + 1 + 8 + 8 * self.preprocessors.len() + 8
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
@@ -60,10 +74,7 @@ impl ArtifactKey {
         let prefix = r.opt_str("key prefix")?;
         let tokenization = r.u8("key tokenization")?;
         let count = r.count(8, "key preprocessors")?;
-        let mut preprocessors = Vec::with_capacity(count);
-        for _ in 0..count {
-            preprocessors.push(r.u64("key preprocessor fingerprint")?);
-        }
+        let preprocessors = r.u64s(count, "key preprocessor fingerprints")?.collect();
         let tokenizer = r.u64("key tokenizer fingerprint")?;
         Ok(ArtifactKey {
             pattern,
@@ -103,147 +114,201 @@ pub struct PlanArtifact {
     pub shard_index: Option<ShardIndex>,
 }
 
+/// The borrowed form of a plan — what the encoder reads. An owned
+/// [`PlanArtifact`] lends one of itself; a session lends one of a plan
+/// in its memo ([`crate::PlanStore::save_plan_parts`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlanView<'a> {
+    pub(crate) key: &'a ArtifactKey,
+    pub(crate) prefix: Option<&'a Dfa>,
+    pub(crate) body: &'a Dfa,
+    pub(crate) needs_canonical_check: bool,
+    pub(crate) deferred_filters: &'a [Dfa],
+    pub(crate) walk_table: Option<&'a WalkTable>,
+    pub(crate) shard_index: Option<&'a ShardIndex>,
+}
+
+fn accepting_states(dfa: &Dfa) -> impl Iterator<Item = StateId> + '_ {
+    (0..dfa.state_count()).filter(|&s| dfa.is_accepting(s))
+}
+
+fn dfa_encoded_len(dfa: &Dfa) -> usize {
+    4 * 8 + 8 * accepting_states(dfa).count() + TRANSITION_BYTES * dfa.transition_count()
+}
+
+/// One transition on the wire: source (u64), symbol (u32), target (u64).
+const TRANSITION_BYTES: usize = 8 + 4 + 8;
+
+fn transition_record(from: StateId, symbol: Symbol, to: StateId) -> [u8; TRANSITION_BYTES] {
+    let mut record = [0u8; TRANSITION_BYTES];
+    record[..8].copy_from_slice(&(from as u64).to_le_bytes());
+    record[8..12].copy_from_slice(&symbol.to_le_bytes());
+    record[12..].copy_from_slice(&(to as u64).to_le_bytes());
+    record
+}
+
+fn read_transition(record: &[u8; TRANSITION_BYTES]) -> (StateId, Symbol, StateId) {
+    let [f0, f1, f2, f3, f4, f5, f6, f7, s0, s1, s2, s3, t0, t1, t2, t3, t4, t5, t6, t7] = *record;
+    (
+        u64::from_le_bytes([f0, f1, f2, f3, f4, f5, f6, f7]) as StateId,
+        u32::from_le_bytes([s0, s1, s2, s3]),
+        u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]) as StateId,
+    )
+}
+
 fn encode_dfa(w: &mut Writer, dfa: &Dfa) {
     w.usize(dfa.state_count());
     w.usize(dfa.start());
-    let accepting: Vec<StateId> = (0..dfa.state_count())
-        .filter(|&s| dfa.is_accepting(s))
-        .collect();
-    w.usize(accepting.len());
-    for s in accepting {
+    w.usize(accepting_states(dfa).count());
+    for s in accepting_states(dfa) {
         w.usize(s);
     }
     w.usize(dfa.transition_count());
     for from in 0..dfa.state_count() {
         for (symbol, to) in dfa.transitions(from) {
-            w.usize(from);
-            w.u32(symbol);
-            w.usize(to);
+            w.bytes(transition_record(from, symbol, to));
         }
     }
 }
 
-fn decode_dfa(r: &mut Reader<'_>, what: &str) -> Result<Dfa, StoreError> {
-    let state_count = r.count(0, &format!("{what} state count"))?;
-    let start = r.u64(&format!("{what} start"))? as StateId;
-    let accepting_count = r.count(8, &format!("{what} accepting count"))?;
-    let mut accepting = Vec::with_capacity(accepting_count);
-    for _ in 0..accepting_count {
-        accepting.push(r.u64(&format!("{what} accepting state"))? as StateId);
-    }
-    let transition_count = r.count(20, &format!("{what} transition count"))?;
-    let mut transitions = Vec::with_capacity(transition_count);
-    for _ in 0..transition_count {
-        let from = r.u64(&format!("{what} transition source"))? as StateId;
-        let symbol = r.u32(&format!("{what} transition symbol"))?;
-        let to = r.u64(&format!("{what} transition target"))? as StateId;
-        transitions.push((from, symbol, to));
-    }
+/// Field names are bare ("transitions"); the caller says *which*
+/// automaton when an error comes back ([`StoreError::within`]).
+fn decode_dfa(r: &mut Reader<'_>) -> Result<Dfa, StoreError> {
+    let state_count = r.count(0, "state count")?;
+    let start = r.u64("start state")? as StateId;
+    let accepting_count = r.count(8, "accepting count")?;
+    let accepting: Vec<StateId> = r
+        .u64s(accepting_count, "accepting states")?
+        .map(|s| s as StateId)
+        .collect();
+    let transition_count = r.count(TRANSITION_BYTES, "transition count")?;
+    let transitions: Vec<(StateId, Symbol, StateId)> = r
+        .records(transition_count, "transitions")?
+        .iter()
+        .map(read_transition)
+        .collect();
     // Degenerate special case: a zero-state automaton cannot satisfy
     // `start < state_count`, and no in-process construction produces
     // one (`Dfa::empty()` has one state), so reject it outright.
     Dfa::try_from_parts(state_count, start, &accepting, &transitions)
-        .ok_or_else(|| StoreError::Corrupt(format!("{what} is not a valid DFA")))
+        .ok_or_else(|| StoreError::Corrupt("is not a valid DFA".into()))
 }
 
-fn encode_opt_dfa(w: &mut Writer, dfa: Option<&Dfa>) {
-    match dfa {
-        Some(dfa) => {
-            w.u8(1);
-            encode_dfa(w, dfa);
+impl PlanView<'_> {
+    /// Exactly the payload bytes [`PlanView::encode`] writes, so the
+    /// file image is allocated once.
+    fn encoded_len(&self) -> usize {
+        let mut len = self.key.encoded_len();
+        len += 1 + self.prefix.map_or(0, dfa_encoded_len);
+        len += dfa_encoded_len(self.body) + 1;
+        len += 8 + self
+            .deferred_filters
+            .iter()
+            .map(dfa_encoded_len)
+            .sum::<usize>();
+        len += 1 + self.walk_table.map_or(0, |table| {
+            let cells: usize = table.exact_rows().iter().map(Vec::len).sum();
+            8 + 8 + 8 * cells
+        });
+        len += 1 + self
+            .shard_index
+            .map_or(0, |index| 8 + 8 * index.bounds().len());
+        len
+    }
+
+    fn encode(&self, w: &mut Writer) {
+        self.key.encode(w);
+        match self.prefix {
+            Some(dfa) => {
+                w.u8(1);
+                encode_dfa(w, dfa);
+            }
+            None => w.u8(0),
         }
-        None => w.u8(0),
-    }
-}
-
-fn decode_opt_dfa(r: &mut Reader<'_>, what: &str) -> Result<Option<Dfa>, StoreError> {
-    match r.u8(&format!("{what} tag"))? {
-        0 => Ok(None),
-        1 => Ok(Some(decode_dfa(r, what)?)),
-        tag => Err(StoreError::Corrupt(format!(
-            "{what} has invalid option tag {tag}"
-        ))),
-    }
-}
-
-impl PlanArtifact {
-    /// Serialize the artifact as a complete framed file image — header
-    /// (magic, version, payload length, checksum) plus payload. These
-    /// are exactly the bytes [`crate::PlanStore::save_plan`] writes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        crate::store::frame(crate::store::PLAN_MAGIC, &self.encode())
-    }
-
-    /// Parse and fully validate a framed file image (the inverse of
-    /// [`PlanArtifact::to_bytes`]). Every corruption mode — bad magic,
-    /// future version, checksum mismatch, truncated or structurally
-    /// invalid payload — is a typed [`StoreError`], never a panic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::decode(crate::store::unframe(bytes, crate::store::PLAN_MAGIC)?)
-    }
-
-    /// Serialize the artifact payload (header and checksum are added by
-    /// the file layer).
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.key.encode(&mut w);
-        encode_opt_dfa(&mut w, self.prefix.as_ref());
-        encode_dfa(&mut w, &self.body);
+        encode_dfa(w, self.body);
         w.u8(u8::from(self.needs_canonical_check));
         w.usize(self.deferred_filters.len());
-        for filter in &self.deferred_filters {
-            encode_dfa(&mut w, filter);
+        for filter in self.deferred_filters {
+            encode_dfa(w, filter);
         }
-        match &self.walk_table {
+        match self.walk_table {
             Some(table) => {
                 w.u8(1);
                 w.usize(table.max_len());
                 let rows = table.exact_rows();
                 w.usize(rows.first().map_or(0, Vec::len));
                 for row in rows {
-                    for &v in row {
-                        w.f64(v);
-                    }
+                    w.f64s(row);
                 }
             }
             None => w.u8(0),
         }
-        match &self.shard_index {
+        match self.shard_index {
             Some(index) => {
                 w.u8(1);
                 w.usize(index.bounds().len());
-                for &b in index.bounds() {
-                    w.usize(b);
-                }
+                w.usizes(index.bounds());
             }
             None => w.u8(0),
         }
-        w.into_bytes()
+    }
+
+    /// The complete framed file image.
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::file(PLAN_MAGIC, self.encoded_len());
+        self.encode(&mut w);
+        w.finish()
+    }
+}
+
+impl PlanArtifact {
+    fn view(&self) -> PlanView<'_> {
+        PlanView {
+            key: &self.key,
+            prefix: self.prefix.as_ref(),
+            body: &self.body,
+            needs_canonical_check: self.needs_canonical_check,
+            deferred_filters: &self.deferred_filters,
+            walk_table: self.walk_table.as_ref(),
+            shard_index: self.shard_index.as_ref(),
+        }
+    }
+
+    /// Serialize the artifact as a complete framed file image — header
+    /// (magic, version, payload length, checksum) plus payload. These
+    /// are exactly the bytes [`crate::PlanStore::save_plan`] writes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.view().to_bytes()
+    }
+
+    /// Parse and fully validate a framed file image (the inverse of
+    /// [`PlanArtifact::to_bytes`]). Every corruption mode — bad magic,
+    /// a version other than this build's, checksum mismatch, truncated
+    /// or structurally invalid payload — is a typed [`StoreError`],
+    /// never a panic.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
+        Self::decode(Reader::file(bytes, PLAN_MAGIC)?)
     }
 
     /// Decode and structurally validate an artifact payload.
-    pub(crate) fn decode(payload: &[u8]) -> Result<Self, StoreError> {
-        let mut r = Reader::new(payload);
+    pub(crate) fn decode(mut r: Reader<'_>) -> Result<Self, StoreError> {
         let key = ArtifactKey::decode(&mut r)?;
-        let prefix = decode_opt_dfa(&mut r, "prefix automaton")?;
-        let body = decode_dfa(&mut r, "body automaton")?;
-        let needs_canonical_check = match r.u8("canonical-check flag")? {
-            0 => false,
-            1 => true,
-            tag => {
-                return Err(StoreError::Corrupt(format!(
-                    "canonical-check flag has invalid value {tag}"
-                )))
-            }
+        let prefix = match r.flag("prefix automaton tag")? {
+            true => Some(decode_dfa(&mut r).map_err(|e| e.within("prefix automaton"))?),
+            false => None,
         };
+        let body = decode_dfa(&mut r).map_err(|e| e.within("body automaton"))?;
+        let needs_canonical_check = r.flag("canonical-check flag")?;
         let filter_count = r.count(1, "deferred filter count")?;
         let mut deferred_filters = Vec::with_capacity(filter_count);
         for i in 0..filter_count {
-            deferred_filters.push(decode_dfa(&mut r, &format!("deferred filter {i}"))?);
+            let filter =
+                decode_dfa(&mut r).map_err(|e| e.within(format_args!("deferred filter {i}")))?;
+            deferred_filters.push(filter);
         }
-        let walk_table = match r.u8("walk-table tag")? {
-            0 => None,
-            1 => {
+        let walk_table = match r.flag("walk-table tag")? {
+            false => None,
+            true => {
                 let max_len = r.count(0, "walk-table max length")?;
                 let states = r.count(0, "walk-table state count")?;
                 let rows = max_len
@@ -260,11 +325,7 @@ impl PlanArtifact {
                 }
                 let mut exact = Vec::with_capacity(rows);
                 for _ in 0..rows {
-                    let mut row = Vec::with_capacity(states);
-                    for _ in 0..states {
-                        row.push(r.f64("walk-table cell")?);
-                    }
-                    exact.push(row);
+                    exact.push(r.f64s(states, "walk-table row")?.collect());
                 }
                 // Sampling walks run over the *prefix* automaton, so
                 // the serialized row width must match its state count.
@@ -281,20 +342,15 @@ impl PlanArtifact {
                     StoreError::Corrupt("walk table rows are structurally invalid".into())
                 })?)
             }
-            tag => {
-                return Err(StoreError::Corrupt(format!(
-                    "walk-table tag has invalid value {tag}"
-                )))
-            }
         };
-        let shard_index = match r.u8("shard-index tag")? {
-            0 => None,
-            1 => {
+        let shard_index = match r.flag("shard-index tag")? {
+            false => None,
+            true => {
                 let bound_count = r.count(8, "shard-index bound count")?;
-                let mut bounds = Vec::with_capacity(bound_count);
-                for _ in 0..bound_count {
-                    bounds.push(r.u64("shard-index bound")? as StateId);
-                }
+                let bounds = r
+                    .u64s(bound_count, "shard-index bounds")?
+                    .map(|b| b as StateId)
+                    .collect();
                 let prefix = prefix.as_ref().ok_or_else(|| {
                     StoreError::Corrupt("shard index present without a prefix automaton".into())
                 })?;
@@ -302,13 +358,8 @@ impl PlanArtifact {
                     StoreError::Corrupt("shard bounds do not partition the prefix automaton".into())
                 })?)
             }
-            tag => {
-                return Err(StoreError::Corrupt(format!(
-                    "shard-index tag has invalid value {tag}"
-                )))
-            }
         };
-        if !r.is_empty() {
+        if r.remaining() != 0 {
             return Err(StoreError::Corrupt(format!(
                 "{} trailing bytes after the artifact payload",
                 r.remaining()
@@ -346,6 +397,12 @@ impl PlanArtifact {
 }
 
 /// A snapshot of a shared scoring cache's live entries.
+///
+/// A score row is an `Arc<[f64]>` on both sides of the store: the
+/// exporting cache hands out the rows it holds (a reference count each,
+/// no copy), the encoder reads them in place, and the decoder collects
+/// each row straight into the `Arc` the importing cache will seat — so
+/// the snapshot's megabytes are written once and read once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheArtifact {
     /// The cache generation the entries were exported under. A restore
@@ -355,61 +412,56 @@ pub struct CacheArtifact {
     pub generation: u64,
     /// The tokenizer fingerprint the contexts were encoded with.
     pub tokenizer: u64,
-    /// `(context, next-token log-distribution)` pairs.
-    pub entries: Vec<(Vec<TokenId>, Vec<f64>)>,
+    /// `(context, next-token log-distribution)` pairs, the rows shared
+    /// with whichever cache they came from or go to.
+    pub entries: Vec<(Vec<TokenId>, Arc<[f64]>)>,
 }
 
 impl CacheArtifact {
     /// Serialize as a complete framed file image (see
     /// [`PlanArtifact::to_bytes`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        crate::store::frame(crate::store::CACHE_MAGIC, &self.encode())
-    }
-
-    /// Parse and fully validate a framed file image (the inverse of
-    /// [`CacheArtifact::to_bytes`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::decode(crate::store::unframe(bytes, crate::store::CACHE_MAGIC)?)
-    }
-
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::file(CACHE_MAGIC, self.encoded_len());
         w.u64(self.generation);
         w.u64(self.tokenizer);
         w.usize(self.entries.len());
         for (context, distribution) in &self.entries {
             w.usize(context.len());
-            for &token in context {
-                w.u32(token);
-            }
+            w.u32s(context);
             w.usize(distribution.len());
-            for &v in distribution {
-                w.f64(v);
-            }
+            w.f64s(distribution);
         }
-        w.into_bytes()
+        w.finish()
     }
 
-    pub(crate) fn decode(payload: &[u8]) -> Result<Self, StoreError> {
-        let mut r = Reader::new(payload);
+    /// Exactly the payload bytes [`CacheArtifact::to_bytes`] writes.
+    fn encoded_len(&self) -> usize {
+        let rows = self.entries.iter();
+        3 * 8
+            + rows
+                .map(|(context, row)| 8 + 4 * context.len() + 8 + 8 * row.len())
+                .sum::<usize>()
+    }
+
+    /// Parse and fully validate a framed file image (the inverse of
+    /// [`CacheArtifact::to_bytes`]).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
+        Self::decode(Reader::file(bytes, CACHE_MAGIC)?)
+    }
+
+    pub(crate) fn decode(mut r: Reader<'_>) -> Result<Self, StoreError> {
         let generation = r.u64("cache generation")?;
         let tokenizer = r.u64("cache tokenizer fingerprint")?;
         let entry_count = r.count(16, "cache entry count")?;
         let mut entries = Vec::with_capacity(entry_count);
         for _ in 0..entry_count {
             let context_len = r.count(4, "cache context length")?;
-            let mut context = Vec::with_capacity(context_len);
-            for _ in 0..context_len {
-                context.push(r.u32("cache context token")?);
-            }
-            let dist_len = r.count(8, "cache distribution length")?;
-            let mut distribution = Vec::with_capacity(dist_len);
-            for _ in 0..dist_len {
-                distribution.push(r.f64("cache distribution value")?);
-            }
-            entries.push((context, distribution));
+            let context = r.u32s(context_len, "cache context tokens")?.collect();
+            let row_len = r.count(8, "cache distribution length")?;
+            let row = r.f64s(row_len, "cache distribution")?.collect();
+            entries.push((context, row));
         }
-        if !r.is_empty() {
+        if r.remaining() != 0 {
             return Err(StoreError::Corrupt(format!(
                 "{} trailing bytes after the cache payload",
                 r.remaining()
@@ -420,5 +472,79 @@ impl CacheArtifact {
             tokenizer,
             entries,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::READS;
+
+    fn reads_of<T>(decode: impl FnOnce() -> Result<T, StoreError>) -> (T, usize) {
+        let before = READS.with(std::cell::Cell::get);
+        let value = decode().expect("a file this test wrote decodes");
+        (value, READS.with(std::cell::Cell::get) - before)
+    }
+
+    /// A full automaton over `symbols` symbols: every edge present.
+    fn dense_dfa(states: usize, symbols: u32) -> Dfa {
+        let transitions: Vec<(StateId, Symbol, StateId)> = (0..states)
+            .flat_map(|s| (0..symbols).map(move |a| (s, a, (s + a as usize) % states)))
+            .collect();
+        Dfa::from_parts(states, 0, &[states - 1], &transitions)
+    }
+
+    /// The decoder's work is counted in length-checked reads: one per
+    /// scalar and one per *run*, so a plan costs a few reads per
+    /// automaton and per table row however many transitions and cells
+    /// those hold, and a snapshot four per score row however wide the
+    /// vocabulary. A field-at-a-time reader — the shape that also paid a
+    /// `format!` per field for its label — fails this by two orders of
+    /// magnitude. (Labels cannot regress quietly: the readers take
+    /// `&'static str`, which a formatted `String` is not. A counting
+    /// global allocator would say the same in allocations, but
+    /// implementing `GlobalAlloc` takes `unsafe`, which this workspace
+    /// forbids in every file.)
+    #[test]
+    fn decoding_costs_one_read_per_run_not_per_field() {
+        let prefix = dense_dfa(40, 30);
+        let plan = PlanArtifact {
+            key: ArtifactKey {
+                pattern: "dense".into(),
+                prefix: Some("p".into()),
+                tokenization: 1,
+                preprocessors: vec![1, 2, 3],
+                tokenizer: 9,
+            },
+            walk_table: Some(WalkTable::new(&prefix, 7)),
+            shard_index: Some(ShardIndex::build(&prefix, 4)),
+            prefix: Some(prefix),
+            body: dense_dfa(25, 40),
+            needs_canonical_check: false,
+            deferred_filters: vec![dense_dfa(3, 5), dense_dfa(2, 2)],
+        };
+        let transitions = 40 * 30 + 25 * 40 + 3 * 5 + 2 * 2;
+        let (automata, table_rows) = (4, 8);
+        let bytes = plan.to_bytes();
+        let (decoded, reads) = reads_of(|| PlanArtifact::from_bytes(&bytes));
+        assert_eq!(decoded.body.transition_count(), 25 * 40);
+        assert!(transitions >= 1_000);
+        assert!(
+            reads <= 32 + 6 * automata + table_rows,
+            "{reads} reads for {automata} automata and {table_rows} table rows"
+        );
+
+        let rows = 64;
+        let cache = CacheArtifact {
+            generation: 1,
+            tokenizer: 9,
+            entries: (0..rows)
+                .map(|i| (vec![i as TokenId; 5], vec![-(i as f64); 700].into()))
+                .collect(),
+        };
+        let bytes = cache.to_bytes();
+        let (decoded, reads) = reads_of(|| CacheArtifact::from_bytes(&bytes));
+        assert_eq!(decoded, cache);
+        assert_eq!(reads, 4 + 3 + 4 * rows, "header, preamble, four per row");
     }
 }

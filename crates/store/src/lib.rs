@@ -18,16 +18,31 @@
 //!
 //! ```text
 //! magic (8 bytes) | version (u32 LE) | payload length (u64 LE)
-//! | FNV-1a checksum of payload (u64 LE) | payload
+//! | checksum of payload (u64 LE) | payload
 //! ```
 //!
 //! and every multi-byte integer in the payload is `to_le_bytes`;
 //! `f64`s travel as IEEE-754 bit patterns (`to_bits`/`from_bits`), so
 //! a plan loaded from disk is bit-for-bit the plan that was saved.
+//! The checksum (format version 2) reads the payload eight bytes at a
+//! time into four interleaved lanes; any damage confined to one aligned
+//! word is certain to change it. A file stamped with any version other
+//! than [`FORMAT_VERSION`] is [`StoreError::UnsupportedVersion`] — to
+//! a session a plain miss, recompiled and overwritten. FNV-1a survives
+//! only in plan file *names*.
 //! Reads are length-checked into preallocated buffers whose sizes are
 //! validated against the bytes actually present, so corrupt files —
-//! truncated, bit-flipped, wrong-magic, future-version — surface a
+//! truncated, bit-flipped, wrong-magic, other-version — surface a
 //! typed [`StoreError`], never a panic or a runaway allocation.
+//!
+//! # Cost
+//!
+//! Saving and loading cost about what moving the bytes costs: one
+//! buffer per file, sized exactly, checksummed where it lies; runs of
+//! fixed-width fields read and written in one step each; no allocation
+//! on the decoder's success path beyond the structures it returns; and
+//! score rows shared by reference count with the cache on either side
+//! ([`CacheArtifact`]). DESIGN.md, "Store cost", has the numbers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -52,8 +67,9 @@ pub enum StoreError {
     Io(String),
     /// The file does not start with a relm-store magic.
     WrongMagic,
-    /// The file was written by a newer format version than this build
-    /// understands.
+    /// The file is stamped with a format version other than this
+    /// build's [`FORMAT_VERSION`] — older or newer, its layout or its
+    /// checksum is not the one this build knows.
     UnsupportedVersion(u32),
     /// The payload bytes do not match the recorded checksum.
     ChecksumMismatch {
@@ -76,9 +92,10 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(msg) => write!(f, "store I/O error: {msg}"),
             StoreError::WrongMagic => write!(f, "not a relm-store file (bad magic)"),
-            StoreError::UnsupportedVersion(v) => {
-                write!(f, "store format version {v} is newer than this build")
-            }
+            StoreError::UnsupportedVersion(v) => write!(
+                f,
+                "store format version {v} is not this build's ({FORMAT_VERSION})"
+            ),
             StoreError::ChecksumMismatch { expected, actual } => write!(
                 f,
                 "payload checksum mismatch (expected {expected:016x}, got {actual:016x})"
@@ -95,6 +112,19 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+impl StoreError {
+    /// Say which part of the artifact a structural error came from.
+    /// Decoders name fields with static strings and never format on the
+    /// success path; the context is composed here, once an error
+    /// exists.
+    pub(crate) fn within(self, context: impl std::fmt::Display) -> StoreError {
+        match self {
+            StoreError::Corrupt(msg) => StoreError::Corrupt(format!("{context}: {msg}")),
+            other => other,
+        }
+    }
+}
 
 impl From<std::io::Error> for StoreError {
     fn from(err: std::io::Error) -> Self {

@@ -11,67 +11,32 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::artifact::{ArtifactKey, CacheArtifact, PlanArtifact};
-use crate::wire::{fnv1a, le_bytes};
+use relm_automata::{Dfa, ShardIndex, WalkTable};
+
+use crate::artifact::{ArtifactKey, CacheArtifact, PlanArtifact, PlanView};
+use crate::wire::fnv1a;
 use crate::StoreError;
 
-/// Current store format version. Readers reject files stamped with a
-/// *newer* version ([`StoreError::UnsupportedVersion`]): an old binary
-/// must fail closed on an artifact whose layout it cannot know.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current store format version. Readers reject files stamped with
+/// *any other* version ([`StoreError::UnsupportedVersion`]): a binary
+/// must fail closed on an artifact whose layout or checksum it cannot
+/// know, and sessions turn that into a miss — the plan is recompiled
+/// and the file overwritten in this build's format.
+///
+/// Version 2 kept version 1's payload layout and replaced its FNV-1a
+/// payload checksum with the word-wise one in `wire.rs`.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of a plan artifact file.
 pub(crate) const PLAN_MAGIC: [u8; 8] = *b"RELMPLAN";
 /// Magic prefix of a scoring-cache snapshot file.
 pub(crate) const CACHE_MAGIC: [u8; 8] = *b"RELMCACH";
-/// Header size: magic + version + payload length + checksum.
-const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
 
 /// A directory of warm artifacts. Cheap to clone around — it holds
 /// only the root path; every operation re-touches the filesystem.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanStore {
     root: PathBuf,
-}
-
-pub(crate) fn frame(magic: [u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_BYTES + payload.len());
-    bytes.extend_from_slice(&magic);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes
-}
-
-pub(crate) fn unframe(bytes: &[u8], magic: [u8; 8]) -> Result<&[u8], StoreError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(StoreError::Corrupt(format!(
-            "file holds {} bytes, the header alone needs {HEADER_BYTES}",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != magic {
-        return Err(StoreError::WrongMagic);
-    }
-    let version = u32::from_le_bytes(le_bytes(&bytes[8..12], "header version")?);
-    if version > FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let payload_len = u64::from_le_bytes(le_bytes(&bytes[12..20], "header payload length")?);
-    let payload = &bytes[HEADER_BYTES..];
-    if payload_len != payload.len() as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "header says {payload_len} payload bytes, file holds {}",
-            payload.len()
-        )));
-    }
-    let expected = u64::from_le_bytes(le_bytes(&bytes[20..28], "header checksum")?);
-    let actual = fnv1a(payload);
-    if expected != actual {
-        return Err(StoreError::ChecksumMismatch { expected, actual });
-    }
-    Ok(payload)
 }
 
 /// Write `bytes` to `path` via a temporary sibling and an atomic
@@ -121,9 +86,9 @@ impl PlanStore {
 
     /// Load the plan for `key`, fully validated. `Ok(None)` means the
     /// store simply has no artifact for this key; every corruption mode
-    /// — truncation, bit flips, wrong magic, future version, a decoded
-    /// key that differs from the requested one — is a typed error the
-    /// caller treats as "compile instead".
+    /// — truncation, bit flips, wrong magic, another format version, a
+    /// decoded key that differs from the requested one — is a typed
+    /// error the caller treats as "compile instead".
     pub fn load_plan(&self, key: &ArtifactKey) -> Result<Option<PlanArtifact>, StoreError> {
         let path = self.plan_path(key);
         let bytes = match fs::read(&path) {
@@ -131,7 +96,7 @@ impl PlanStore {
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(err) => return Err(err.into()),
         };
-        let artifact = PlanArtifact::decode(unframe(&bytes, PLAN_MAGIC)?)?;
+        let artifact = PlanArtifact::from_bytes(&bytes)?;
         if artifact.key != *key {
             return Err(StoreError::KeyMismatch);
         }
@@ -141,9 +106,39 @@ impl PlanStore {
     /// Persist a plan artifact, overwriting any previous artifact for
     /// the same key. Returns the number of bytes written to disk.
     pub fn save_plan(&self, artifact: &PlanArtifact) -> Result<u64, StoreError> {
-        let bytes = frame(PLAN_MAGIC, &artifact.encode());
-        write_atomically(&self.plan_path(&artifact.key), &bytes)?;
-        Ok(bytes.len() as u64)
+        self.write_plan(&artifact.key, &artifact.to_bytes())
+    }
+
+    /// [`PlanStore::save_plan`] for a plan its owner keeps: the same
+    /// encoder reads the parts where they are, so a session persisting
+    /// its memo clones no automaton to do it. The arguments are
+    /// [`PlanArtifact`]'s fields, borrowed.
+    #[allow(clippy::too_many_arguments)]
+    pub fn save_plan_parts(
+        &self,
+        key: &ArtifactKey,
+        prefix: Option<&Dfa>,
+        body: &Dfa,
+        needs_canonical_check: bool,
+        deferred_filters: &[Dfa],
+        walk_table: Option<&WalkTable>,
+        shard_index: Option<&ShardIndex>,
+    ) -> Result<u64, StoreError> {
+        let view = PlanView {
+            key,
+            prefix,
+            body,
+            needs_canonical_check,
+            deferred_filters,
+            walk_table,
+            shard_index,
+        };
+        self.write_plan(key, &view.to_bytes())
+    }
+
+    fn write_plan(&self, key: &ArtifactKey, image: &[u8]) -> Result<u64, StoreError> {
+        write_atomically(&self.plan_path(key), image)?;
+        Ok(image.len() as u64)
     }
 
     /// Load the scoring-cache snapshot, if one exists.
@@ -153,12 +148,12 @@ impl PlanStore {
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(err) => return Err(err.into()),
         };
-        Ok(Some(CacheArtifact::decode(unframe(&bytes, CACHE_MAGIC)?)?))
+        Ok(Some(CacheArtifact::from_bytes(&bytes)?))
     }
 
     /// Persist a scoring-cache snapshot. Returns bytes written.
     pub fn save_cache(&self, artifact: &CacheArtifact) -> Result<u64, StoreError> {
-        let bytes = frame(CACHE_MAGIC, &artifact.encode());
+        let bytes = artifact.to_bytes();
         write_atomically(&self.cache_path(), &bytes)?;
         Ok(bytes.len() as u64)
     }
@@ -182,15 +177,16 @@ impl PlanStore {
     /// the `relm_store` CLI's `ls` and `verify` over
     /// [`PlanStore::plan_files`]).
     pub fn read_plan_file(path: &Path) -> Result<PlanArtifact, StoreError> {
-        let bytes = fs::read(path)?;
-        PlanArtifact::decode(unframe(&bytes, PLAN_MAGIC)?)
+        PlanArtifact::from_bytes(&fs::read(path)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relm_automata::{str_symbols, Nfa, ShardIndex, WalkTable};
+    use crate::wire::{checksum, HEADER_BYTES};
+    use proptest::prelude::*;
+    use relm_automata::{str_symbols, Nfa};
 
     fn small_artifact() -> PlanArtifact {
         let body = Nfa::literal(str_symbols("the cat"))
@@ -275,8 +271,8 @@ mod tests {
             generation: 3,
             tokenizer: 42,
             entries: vec![
-                (vec![1, 2, 3], vec![-0.5, f64::NEG_INFINITY, -2.25]),
-                (vec![], vec![-0.0]),
+                (vec![1, 2, 3], vec![-0.5, f64::NEG_INFINITY, -2.25].into()),
+                (vec![], vec![-0.0].into()),
             ],
         };
         store.save_cache(&artifact).expect("save");
@@ -323,6 +319,81 @@ mod tests {
             StoreError::UnsupportedVersion(FORMAT_VERSION + 1)
         );
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn any_other_version_fails_typed_and_is_overwritten() {
+        let store = temp_store("other-version");
+        let artifact = small_artifact();
+        store.save_plan(&artifact).expect("save");
+        let path = store.plan_path(&artifact.key);
+        let good = fs::read(&path).unwrap();
+        // Version 1 differs from 2 in bit 0 and bit 1 of byte 8: the
+        // old `>` check let both an old file and a flipped bit through.
+        for version in [0, 1, 3, u32::MAX] {
+            let mut bytes = good.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            assert_eq!(
+                store.load_plan(&artifact.key).unwrap_err(),
+                StoreError::UnsupportedVersion(version)
+            );
+            assert_eq!(
+                PlanStore::read_plan_file(&path).unwrap_err(),
+                StoreError::UnsupportedVersion(version)
+            );
+        }
+        store.save_plan(&artifact).expect("overwrite");
+        assert_eq!(fs::read(&path).unwrap(), good);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn borrowed_parts_write_the_bytes_the_owned_artifact_writes() {
+        let store = temp_store("parts");
+        let artifact = small_artifact();
+        let owned = store.save_plan(&artifact).expect("save");
+        let path = store.plan_path(&artifact.key);
+        let image = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        let borrowed = store
+            .save_plan_parts(
+                &artifact.key,
+                artifact.prefix.as_ref(),
+                &artifact.body,
+                artifact.needs_canonical_check,
+                &artifact.deferred_filters,
+                artifact.walk_table.as_ref(),
+                artifact.shard_index.as_ref(),
+            )
+            .expect("save parts");
+        assert_eq!(borrowed, owned);
+        assert_eq!(fs::read(&path).unwrap(), image);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Even with a *recomputed* checksum over a mutated payload —
+        // the adversarial case the checksum cannot catch — decoding
+        // must return a typed error or a structurally valid artifact,
+        // never panic. This drives the structural validators (DFA
+        // bounds, walk rows, shard bounds, option tags, count guards).
+        #[test]
+        fn resealed_payload_mutations_never_panic(pos in 0usize..4096, value in 0u8..=255) {
+            let mut image = small_artifact().to_bytes();
+            let pos = HEADER_BYTES + pos % (image.len() - HEADER_BYTES);
+            image[pos] = value;
+            let sum = checksum(&image[HEADER_BYTES..]);
+            image[20..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+            match PlanArtifact::from_bytes(&image) {
+                // The mutation happened to decode — the artifact must
+                // still be internally consistent enough to use.
+                Ok(artifact) => prop_assert!(artifact.body.state_count() > 0),
+                Err(err) => prop_assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}"),
+            }
+        }
     }
 
     #[test]
