@@ -117,7 +117,7 @@ pub struct PlanArtifact {
 /// The borrowed form of a plan — what the encoder reads. An owned
 /// [`PlanArtifact`] lends one of itself; a session lends one of a plan
 /// in its memo ([`crate::PlanStore::save_plan_parts`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct PlanView<'a> {
     pub(crate) key: &'a ArtifactKey,
     pub(crate) prefix: Option<&'a Dfa>,

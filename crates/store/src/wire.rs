@@ -264,34 +264,33 @@ impl<'a> Reader<'a> {
         self.buf.len()
     }
 
+    fn truncated(&self, what: &'static str, need: usize) -> StoreError {
+        StoreError::Corrupt(format!(
+            "truncated: {what} needs {need} bytes, {} remain",
+            self.remaining()
+        ))
+    }
+
     fn take(&mut self, len: usize, what: &'static str) -> Result<&'a [u8], StoreError> {
         #[cfg(test)]
         READS.with(|reads| reads.set(reads.get() + 1));
-        match self.buf.split_at_checked(len) {
-            Some((head, rest)) => {
-                self.buf = rest;
-                Ok(head)
-            }
-            None => Err(StoreError::Corrupt(format!(
-                "truncated: {what} needs {len} bytes, {} remain",
-                self.remaining()
-            ))),
-        }
+        let (head, rest) = self
+            .buf
+            .split_at_checked(len)
+            .ok_or_else(|| self.truncated(what, len))?;
+        self.buf = rest;
+        Ok(head)
     }
 
     fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], StoreError> {
         #[cfg(test)]
         READS.with(|reads| reads.set(reads.get() + 1));
-        match self.buf.split_first_chunk::<N>() {
-            Some((head, rest)) => {
-                self.buf = rest;
-                Ok(*head)
-            }
-            None => Err(StoreError::Corrupt(format!(
-                "truncated: {what} needs {N} bytes, {} remain",
-                self.remaining()
-            ))),
-        }
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated(what, N))?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, StoreError> {
