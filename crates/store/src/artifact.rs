@@ -32,8 +32,7 @@ use std::sync::Arc;
 use relm_automata::{Dfa, ShardIndex, StateId, Symbol, WalkTable};
 use relm_bpe::TokenId;
 
-use crate::store::{CACHE_MAGIC, PLAN_MAGIC};
-use crate::wire::{Reader, Writer};
+use crate::wire::{Reader, Writer, CACHE_MAGIC, PLAN_MAGIC};
 use crate::StoreError;
 
 /// The store's key for a compiled plan — field for field the session
@@ -87,7 +86,7 @@ impl ArtifactKey {
 
     /// The bytes hashed into the artifact's file name.
     pub(crate) fn encoded(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::bare(self.encoded_len());
         self.encode(&mut w);
         w.into_bytes()
     }

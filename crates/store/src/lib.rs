@@ -54,7 +54,8 @@ mod store;
 mod wire;
 
 pub use artifact::{ArtifactKey, CacheArtifact, PlanArtifact};
-pub use store::{PlanStore, FORMAT_VERSION};
+pub use store::PlanStore;
+pub use wire::FORMAT_VERSION;
 
 /// A typed store failure. Corruption in any form fails closed: callers
 /// (the session integration) treat every variant as "no usable

@@ -16,8 +16,7 @@ use relm_automata::{Dfa, ShardIndex, StateId, Symbol, WalkTable};
 use relm_bpe::TokenId;
 
 use crate::artifact::{ArtifactKey, CacheArtifact, PlanArtifact};
-use crate::store::{CACHE_MAGIC, PLAN_MAGIC};
-use crate::wire::{Reader as LiveReader, HEADER_BYTES};
+use crate::wire::{Reader as LiveReader, CACHE_MAGIC, HEADER_BYTES, PLAN_MAGIC};
 use crate::StoreError;
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -1,4 +1,5 @@
-//! The on-disk store: a directory of framed, checksummed artifacts.
+//! The on-disk store: a directory of framed, checksummed artifacts (the
+//! frame itself — magic, version, length, checksum — is `wire.rs`).
 //!
 //! One file per plan, named `plan-<fnv1a(key)>.relm`; the full key is
 //! stored *inside* the file and re-verified on load, so a file-name
@@ -16,21 +17,6 @@ use relm_automata::{Dfa, ShardIndex, WalkTable};
 use crate::artifact::{ArtifactKey, CacheArtifact, PlanArtifact, PlanView};
 use crate::wire::fnv1a;
 use crate::StoreError;
-
-/// Current store format version. Readers reject files stamped with
-/// *any other* version ([`StoreError::UnsupportedVersion`]): a binary
-/// must fail closed on an artifact whose layout or checksum it cannot
-/// know, and sessions turn that into a miss — the plan is recompiled
-/// and the file overwritten in this build's format.
-///
-/// Version 2 kept version 1's payload layout and replaced its FNV-1a
-/// payload checksum with the word-wise one in `wire.rs`.
-pub const FORMAT_VERSION: u32 = 2;
-
-/// Magic prefix of a plan artifact file.
-pub(crate) const PLAN_MAGIC: [u8; 8] = *b"RELMPLAN";
-/// Magic prefix of a scoring-cache snapshot file.
-pub(crate) const CACHE_MAGIC: [u8; 8] = *b"RELMCACH";
 
 /// A directory of warm artifacts. Cheap to clone around — it holds
 /// only the root path; every operation re-touches the filesystem.
@@ -184,7 +170,7 @@ impl PlanStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{checksum, HEADER_BYTES};
+    use crate::wire::{checksum, FORMAT_VERSION, HEADER_BYTES};
     use proptest::prelude::*;
     use relm_automata::{str_symbols, Nfa};
 

@@ -18,8 +18,22 @@
 //! for a file reserves the header up front and is sized exactly, so the
 //! finished payload is checksummed where it lies and never copied.
 
-use crate::store::FORMAT_VERSION;
 use crate::StoreError;
+
+/// Current store format version. Readers reject files stamped with
+/// *any other* version ([`StoreError::UnsupportedVersion`]): a binary
+/// must fail closed on an artifact whose layout or checksum it cannot
+/// know, and sessions turn that into a miss — the plan is recompiled
+/// and the file overwritten in this build's format.
+///
+/// Version 2 kept version 1's payload layout and replaced its FNV-1a
+/// payload checksum with a word-wise, four-lane one.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Magic prefix of a plan artifact file.
+pub(crate) const PLAN_MAGIC: [u8; 8] = *b"RELMPLAN";
+/// Magic prefix of a scoring-cache snapshot file.
+pub(crate) const CACHE_MAGIC: [u8; 8] = *b"RELMCACH";
 
 /// Header size: magic + version + payload length + checksum.
 pub(crate) const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
@@ -103,10 +117,12 @@ pub(crate) struct Writer {
 }
 
 impl Writer {
-    /// A bare encoder (no header), for the key bytes hashed into a file
-    /// name.
-    pub(crate) fn new() -> Self {
-        Writer { buf: Vec::new() }
+    /// A bare encoder (no header) sized for `bytes`, for the key bytes
+    /// hashed into a file name.
+    pub(crate) fn bare(bytes: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// An encoder for a complete file: the header is laid down now —
@@ -208,6 +224,12 @@ thread_local! {
     pub(crate) static READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
+#[inline]
+fn note_read() {
+    #[cfg(test)]
+    READS.with(|reads| reads.set(reads.get() + 1));
+}
+
 /// Length-checked little-endian decoder over a borrowed byte slice.
 /// Every read is bounds-checked against the remaining bytes; running
 /// out is a [`StoreError::Corrupt`], never a panic. Fields are named by
@@ -272,8 +294,7 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, len: usize, what: &'static str) -> Result<&'a [u8], StoreError> {
-        #[cfg(test)]
-        READS.with(|reads| reads.set(reads.get() + 1));
+        note_read();
         let (head, rest) = self
             .buf
             .split_at_checked(len)
@@ -283,8 +304,7 @@ impl<'a> Reader<'a> {
     }
 
     fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], StoreError> {
-        #[cfg(test)]
-        READS.with(|reads| reads.set(reads.get() + 1));
+        note_read();
         let (head, rest) = self
             .buf
             .split_first_chunk::<N>()
@@ -400,8 +420,8 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn round_trips_scalars_strings_and_runs() {
-        let mut w = Writer::new();
+    fn round_trips_scalars_and_strings() {
+        let mut w = Writer::bare(0);
         w.u8(7);
         w.u64(u64::MAX - 1);
         w.bytes([1, 2, 3]);
@@ -443,7 +463,7 @@ mod tests {
 
     #[test]
     fn absurd_count_is_rejected_before_allocation() {
-        let mut w = Writer::new();
+        let mut w = Writer::bare(0);
         w.u64(u64::MAX / 2);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);

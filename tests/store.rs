@@ -290,6 +290,70 @@ fn bin_verify_catches_corruption_and_sessions_fall_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store another build wrote — every file stamped with a format
+/// version that is not this build's — is a store of plain misses:
+/// `verify` names each file, a session over it answers bit for bit what
+/// a storeless cold client answers, preloads nothing, and leaves behind
+/// files this build reads again.
+#[test]
+fn other_version_store_is_all_misses_and_answers_like_a_cold_compile() {
+    let dir = temp_dir("other-version");
+    let _ = std::fs::remove_dir_all(&dir);
+    let patterns = ["the ((cat)|(dog)) sat", "the cow ate"];
+    let mut args = vec!["compile", dir.to_str().unwrap()];
+    args.extend(patterns);
+    assert!(relm_store(&args).status.success());
+
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), patterns.len());
+    for path in &files {
+        let mut bytes = std::fs::read(path).unwrap();
+        assert_eq!(bytes[8..12], relm::FORMAT_VERSION.to_le_bytes());
+        bytes[8] = 1;
+        std::fs::write(path, bytes).unwrap();
+    }
+    let verify = relm_store(&["verify", dir.to_str().unwrap()]);
+    assert!(!verify.status.success(), "version-1 files must not verify");
+    let report = String::from_utf8_lossy(&verify.stdout).into_owned();
+    for path in &files {
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert!(
+            report.contains(&format!("FAIL  {name}  store format version 1")),
+            "{report}"
+        );
+    }
+
+    let (tok, lm) = fixture();
+    let cold = Relm::builder(lm, tok).build().unwrap();
+    let (tok, lm) = fixture();
+    let over = Relm::builder(lm, tok)
+        .config(SessionConfig::new().with_plan_store(&dir))
+        .build()
+        .unwrap();
+    assert_eq!(
+        over.preload_plans().unwrap(),
+        0,
+        "nothing readable to preload"
+    );
+    for pattern in patterns {
+        let query = SearchQuery::new(QueryString::new(pattern));
+        let cold_bits = bits(&cold.search(&query).unwrap().take(2).collect::<Vec<_>>());
+        let over_bits = bits(&over.search(&query).unwrap().take(2).collect::<Vec<_>>());
+        assert!(!cold_bits.is_empty());
+        assert_eq!(over_bits, cold_bits, "{pattern}");
+    }
+    let stats = over.stats();
+    assert_eq!(stats.store_hits, 0);
+    assert_eq!(stats.store_misses, patterns.len() as u64);
+    // Each miss recompiled and overwrote its file in this build's format.
+    let verify = relm_store(&["verify", dir.to_str().unwrap()]);
+    assert!(verify.status.success(), "the rewritten store verifies");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// N racing threads compiling the same fresh query behind one shared
 /// session (the sharded server's exact shape: N shard threads, one
 /// plan store) must elect exactly one writer — one artifact, one
