@@ -1,0 +1,183 @@
+//! A brute-force reference for the three executors on tiny finite
+//! languages, built from public API only and sharing no code with the
+//! executors or the token compiler.
+//!
+//! Given the texts of a finite language (and the literal prefix every
+//! text starts with, if the query has one), the reference enumerates
+//! every token sequence the executors may emit, keeps the ones the
+//! decoding policy permits, and scores each with the bare model one
+//! context at a time:
+//!
+//! * **encodings** — the prefix and the body are tokenized separately,
+//!   as the executors' prefix and body machines are compiled separately:
+//!   canonical tokenization is [`BpeTokenizer::encode`] of each part;
+//!   all encodings are every way to spell each part as a sequence of
+//!   vocabulary words;
+//! * **policy** — body tokens must be permitted by
+//!   [`DecodingPolicy::permits`] in their context; prefix tokens skip
+//!   the policy (conditioning context is in the language by definition)
+//!   and need only a finite log-probability;
+//! * **score** — the executors' recurrence: `cost -= lp` for every token
+//!   from the EOS root, reported as `-cost`, so a score is comparable
+//!   with an emitted `log_prob` bit for bit.
+//!
+//! Used by `tests/oracle.rs` and `tests/scoring_engine.rs`.
+
+#![allow(dead_code)]
+
+use std::collections::BTreeSet;
+
+use relm::{
+    BpeTokenizer, DecodingPolicy, LanguageModel, MatchResult, TokenId, TokenizationStrategy,
+};
+
+/// One admissible match: its token sequence and the bits of its
+/// log-probability.
+pub type Scored = (Vec<TokenId>, u64);
+
+/// Every match an executor may emit for the language `texts` — each of
+/// which starts with `prefix` when one is given — under `tokenization`
+/// and `policy`, scored with `model`.
+pub fn reference<M: LanguageModel>(
+    model: &M,
+    tokenizer: &BpeTokenizer,
+    texts: &[String],
+    prefix: Option<&str>,
+    tokenization: TokenizationStrategy,
+    policy: DecodingPolicy,
+) -> BTreeSet<Scored> {
+    let prefix = prefix.unwrap_or("");
+    let heads = encodings(tokenizer, prefix, tokenization);
+    let mut out = BTreeSet::new();
+    for text in texts {
+        let body = text
+            .strip_prefix(prefix)
+            .expect("every text starts with the prefix");
+        let tails = encodings(tokenizer, body, tokenization);
+        for head in &heads {
+            for tail in &tails {
+                let tokens: Vec<TokenId> = head.iter().chain(tail).copied().collect();
+                if let Some(log_prob) = score(model, &tokens, head.len(), policy) {
+                    out.insert((tokens, log_prob.to_bits()));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The token sequences spelling `text` under `tokenization`.
+fn encodings(
+    tokenizer: &BpeTokenizer,
+    text: &str,
+    tokenization: TokenizationStrategy,
+) -> Vec<Vec<TokenId>> {
+    match tokenization {
+        TokenizationStrategy::Canonical => vec![tokenizer.encode(text)],
+        TokenizationStrategy::All => segmentations(tokenizer, text.as_bytes()),
+    }
+}
+
+/// Every way to write `bytes` as a sequence of vocabulary words (EOS
+/// excluded), by a right-to-left table: `tails[i]` holds the
+/// segmentations of `bytes[i..]`.
+fn segmentations(tokenizer: &BpeTokenizer, bytes: &[u8]) -> Vec<Vec<TokenId>> {
+    let mut tails: Vec<Vec<Vec<TokenId>>> = vec![Vec::new(); bytes.len() + 1];
+    tails[bytes.len()].push(Vec::new());
+    for start in (0..bytes.len()).rev() {
+        let mut here = Vec::new();
+        for (id, word) in tokenizer.iter_vocab() {
+            if word.is_empty() || !bytes[start..].starts_with(word) {
+                continue;
+            }
+            for rest in &tails[start + word.len()] {
+                let mut seq = Vec::with_capacity(rest.len() + 1);
+                seq.push(id);
+                seq.extend_from_slice(rest);
+                here.push(seq);
+            }
+        }
+        tails[start] = here;
+    }
+    tails.swap_remove(0)
+}
+
+/// The log-probability of `tokens` (the first `prefix_len` of them the
+/// prefix), or `None` when a body token is outside the policy or a
+/// prefix token is impossible.
+fn score<M: LanguageModel>(
+    model: &M,
+    tokens: &[TokenId],
+    prefix_len: usize,
+    policy: DecodingPolicy,
+) -> Option<f64> {
+    let mut context = vec![model.eos()];
+    let mut cost = 0.0f64;
+    for (i, &token) in tokens.iter().enumerate() {
+        let row = model.next_log_probs(&context);
+        let lp = row[token as usize];
+        let kept = if i < prefix_len {
+            lp.is_finite()
+        } else {
+            policy.permits(&row, token)
+        };
+        if !kept {
+            return None;
+        }
+        cost -= lp;
+        context.push(token);
+    }
+    Some(-cost)
+}
+
+fn scored(m: &MatchResult) -> Scored {
+    (m.tokens.clone(), m.log_prob.to_bits())
+}
+
+/// `results` are exactly `reference` — every admissible match once, with
+/// identical score bits — emitted in non-increasing `log_prob`. Ties may
+/// come out in any order: the set comparison does not see it.
+pub fn check_exact(
+    label: &str,
+    results: &[MatchResult],
+    reference: &BTreeSet<Scored>,
+) -> Result<(), String> {
+    if let Some(pair) = results
+        .windows(2)
+        .find(|pair| pair[0].log_prob < pair[1].log_prob)
+    {
+        return Err(format!(
+            "{label}: {:?} ({}) emitted before the more probable {:?} ({})",
+            pair[0].text, pair[0].log_prob, pair[1].text, pair[1].log_prob
+        ));
+    }
+    let mut emitted: Vec<Scored> = results.iter().map(scored).collect();
+    emitted.sort();
+    let expected: Vec<Scored> = reference.iter().cloned().collect();
+    if emitted != expected {
+        return Err(format!(
+            "{label}: emitted {} matches, the reference has {}\n  emitted:   {emitted:?}\n  \
+             reference: {expected:?}",
+            emitted.len(),
+            expected.len()
+        ));
+    }
+    Ok(())
+}
+
+/// Every match in `results` is in `reference`, score bits included.
+pub fn check_members(
+    label: &str,
+    results: &[MatchResult],
+    reference: &BTreeSet<Scored>,
+) -> Result<(), String> {
+    match results.iter().find(|m| !reference.contains(&scored(m))) {
+        Some(m) => Err(format!(
+            "{label}: {:?} {:?} ({:#x}) is not an admissible match; reference: {reference:?}",
+            m.text,
+            m.tokens,
+            m.log_prob.to_bits()
+        )),
+        None => Ok(()),
+    }
+}
