@@ -37,12 +37,11 @@ use crate::scan::SourceFile;
 /// Receiver-field-name -> lock-class table. This *is* the repo's lock
 /// inventory; a new lock must be added here (or it reports as its own
 /// `other:<name>` class, which still participates in cycle checks).
-const CLASS_OF_RECEIVER: [(&str, &str); 9] = [
+const CLASS_OF_RECEIVER: [(&str, &str); 8] = [
     ("plans", "memo"),                // RelmSession plan memo
     ("walk_table", "plan_parts"),     // lazily-built per-plan walk table
     ("prefix_shards", "shard_index"), // per-plan shard index, built *under* the walk-table lock
-    ("table", "cache"),               // SharedScoringCache / private engine cache
-    ("cache", "cache"),               // CachedLm clock cache
+    ("table", "cache"),               // SharedScoringCache, the one scoring memo
     ("queue", "pool"),                // WorkerPool job queue
     ("registry", "pool"),             // process-wide pool registry
     ("pools", "pool"),                // its guard

@@ -8,9 +8,9 @@
 //! composite states whose successor sets are expensive to compute but
 //! independent of each other. [`explore_waves`] is that shape factored
 //! out with a shard-parallel work queue: each BFS wave (the frontier)
-//! is partitioned into contiguous shards handed to a crossbeam worker
-//! pool, and the per-shard successor lists are merged back serially in
-//! frontier order. Because the serial algorithms assign state ids in
+//! is partitioned into contiguous shards handed to the persistent
+//! [`WorkerPool`], and the per-shard successor lists are merged back
+//! serially in frontier order. Because the serial algorithms assign state ids in
 //! FIFO discovery order — which is exactly level order with within-level
 //! discovery order — the deterministic merge reproduces the serial
 //! state numbering and transition order bit for bit: sharded and serial

@@ -1,15 +1,14 @@
 //! A persistent, chunk-ordered worker pool: the one thread team behind
 //! every parallel construction in the workspace.
 //!
-//! Before this module, each parallel site — the subset-construction
-//! waves, the shortcut-edge vocabulary scan, walk-table row fills, the
-//! scoring fan-outs in `relm-lm` — paid a fresh `crossbeam::scope`
-//! spawn per batch: tens of microseconds of thread creation amortized
-//! over work that is often only a few microseconds long. The
-//! [`WorkerPool`] replaces every one of those sites with long-lived
-//! threads parked on a condvar; submitting a batch is a queue push and
-//! a wake, and [`WorkerPool::spawn_count`] proves the spawn count stays
-//! flat across batches.
+//! Every parallel site — the subset-construction waves, the
+//! shortcut-edge vocabulary scan, walk-table row fills, beam-level
+//! expansion, the batched scoring in `relm-lm` — runs on long-lived
+//! threads parked on a condvar, not on threads spawned per batch (tens
+//! of microseconds of thread creation amortized over work that is often
+//! only a few microseconds long). Submitting a batch is a queue push
+//! and a wake, and [`WorkerPool::spawn_count`] proves the spawn count
+//! stays flat across batches.
 //!
 //! # Determinism
 //!
@@ -18,8 +17,7 @@
 //! finished in: each job's result is tagged with its index and merged
 //! into a positional slot. A caller that splits its work into
 //! contiguous chunks and concatenates the returned chunk results
-//! therefore observes exactly the serial order — the same argument the
-//! scoped-spawn sites used, now enforced in one place.
+//! therefore observes exactly the serial order, enforced in one place.
 //!
 //! # No deadlocks under nesting
 //!

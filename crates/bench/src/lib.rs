@@ -83,10 +83,10 @@ pub struct Workbench {
     pub world: SyntheticWorld,
     /// BPE tokenizer trained on the corpus.
     pub tokenizer: BpeTokenizer,
-    /// GPT-2-XL-like model (5-gram, sharp). Bare: the executors'
-    /// `ScoringEngine` provides caching, so pre-wrapping in `CachedLm`
-    /// would stack two memo tables per query (cross-query cache
-    /// persistence is a ROADMAP item).
+    /// GPT-2-XL-like model (5-gram, sharp). Bare: the executors score
+    /// through the client's `ScoringEngine`, whose shared cache is the
+    /// one memo, and a baseline that calls the model directly pays for
+    /// every forward pass.
     pub xl: NGramLm,
     /// GPT-2-like small model (trigram, smoother). Bare, as above.
     pub small: NGramLm,

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use relm_automata::Parallelism;
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::{LanguageModel, ScoringEngine, ScoringMode, ScoringStats, SharedScoringCache};
+use relm_lm::{LanguageModel, ScoringEngine, ScoringStats, SharedScoringCache};
 
 use crate::executor::{CompiledSearch, ExecutionStats, SearchResults, StepOutcome};
 use crate::query::{QueryId, QuerySet, SearchQuery};
@@ -181,9 +181,6 @@ struct DriverSlot<'a, M: LanguageModel> {
     results: SearchResults<'a, M>,
     matches: Vec<MatchResult>,
     limit: usize,
-    /// Serial-contract query: stepped in the rotation but never feeding
-    /// or reading the shared coalescing batches.
-    serial: bool,
     done: bool,
     /// Absolute wall-clock instant after which the query is expired
     /// rather than stepped (`None` = no deadline).
@@ -248,8 +245,8 @@ struct DriverSlot<'a, M: LanguageModel> {
 /// ```
 pub struct QueryDriver<'a, M: LanguageModel> {
     session: &'a RelmSession<M>,
-    /// The one engine every batched execution admitted to this driver
-    /// scores through. `Arc`, not a borrow: the executions live inside
+    /// The one engine every execution admitted to this driver scores
+    /// through. `Arc`, not a borrow: the executions live inside
     /// the driver too, and safe Rust cannot hold both a field and a
     /// borrow of a sibling field.
     engine: Arc<ScoringEngine<&'a M>>,
@@ -273,7 +270,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
             engine: Arc::new(
                 ScoringEngine::with_shared_cache(
                     session.model(),
-                    ScoringMode::Batched,
                     Arc::clone(session.scoring_cache()),
                 )
                 .with_parallelism(session.config().parallelism),
@@ -352,13 +348,7 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         max_results: usize,
         deadline: Option<Instant>,
     ) -> Result<QueryId, RelmError> {
-        let serial = plan.scoring_mode() == ScoringMode::Serial;
-        let results = if serial {
-            // Serial contract: a private engine, no coalescing.
-            self.session.execute(plan)?
-        } else {
-            self.session.execute_pooled(&self.engine, plan)?
-        };
+        let results = self.session.execute_pooled(&self.engine, plan)?;
         let id = QueryId(self.next_id);
         self.next_id += 1;
         self.admitted += 1;
@@ -367,7 +357,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
             results,
             matches: Vec::new(),
             limit: max_results,
-            serial,
             done: max_results == 0,
             deadline,
             expired: false,
@@ -416,15 +405,14 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         (self.ticks_run, self.ticks_skipped)
     }
 
-    /// The shared engine's scoring counters (pooled across every batched
-    /// query this driver ran).
+    /// The shared engine's scoring counters (pooled across every query
+    /// this driver ran).
     pub fn scoring(&self) -> ScoringStats {
         self.engine.stats()
     }
 
     /// One driver rotation: a coalescing tick over every live frontier
-    /// (when two or more batched queries are in flight and ticking still
-    /// pays), then one bounded step of every live query. Returns the
+    /// (when two or more queries are in flight and ticking still pays), then one bounded step of every live query. Returns the
     /// completion notifications for queries that finished during this
     /// rotation — the callback boundary a serving loop routes back to
     /// its connections.
@@ -463,15 +451,10 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         }
 
         // Phase 1: the coalescing tick. Only worth an engine call while
-        // two or more batched executions are in flight — a lone query
-        // already batches internally, and serial queries never
-        // participate.
-        let batched_live = self
-            .slots
-            .iter()
-            .filter(|slot| !slot.done && !slot.serial)
-            .count();
-        if batched_live >= 2 {
+        // two or more executions are in flight — a lone query already
+        // batches internally.
+        let live = self.slots.iter().filter(|slot| !slot.done).count();
+        if live >= 2 {
             if self.ticks_unprofitable {
                 self.ticks_skipped += 1;
             } else {
@@ -480,7 +463,7 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
                 let mut seen: std::collections::HashSet<Vec<TokenId>> =
                     std::collections::HashSet::new();
                 let mut sources = 0usize;
-                for slot in self.slots.iter_mut().filter(|s| !s.done && !s.serial) {
+                for slot in self.slots.iter_mut().filter(|s| !s.done) {
                     let frontier = slot.results.frontier_contexts(COALESCE_LOOKAHEAD);
                     if !frontier.is_empty() {
                         // A query whose frontier duplicates another's is
@@ -707,9 +690,7 @@ impl<M: LanguageModel> Relm<M> {
     /// Scoring is deterministic and pure, so the interleaving cannot
     /// change any traversal decision: each query's matches come back in
     /// exactly the order (and with bit-identical scores) a sequential
-    /// run would produce. Queries with [`ScoringMode::Serial`] keep
-    /// their one-call-per-context contract: they are stepped in the
-    /// same rotation but neither feed nor read the shared batches.
+    /// run would produce.
     ///
     /// There is one tick rule (see [`QueryDriver::tick`]): the driver
     /// measures each tick's assembly overhead against the model work it
@@ -1037,23 +1018,5 @@ mod tests {
         assert_eq!(completions.len(), 1, "cancelled query never completes");
         assert_eq!(completions[0].id, fast);
         assert_eq!(driver.counts(), (2, 1, 1));
-    }
-
-    #[test]
-    fn serial_queries_keep_their_contract_inside_a_set() {
-        let (tok, lm) = fixture();
-        let client = Relm::new(lm, tok).unwrap();
-        let serial = SearchQuery::new(QueryString::new("the cat sat"))
-            .with_scoring_mode(ScoringMode::Serial);
-        let batched = SearchQuery::new(QueryString::new("the dog sat"));
-        let report = client
-            .run_many(
-                &QuerySet::new()
-                    .with_query(serial.clone(), 1)
-                    .with_query(batched, 1),
-            )
-            .unwrap();
-        let alone: Vec<_> = client.search(&serial).unwrap().take(1).collect();
-        assert_eq!(report.outcomes[0].matches, alone);
     }
 }

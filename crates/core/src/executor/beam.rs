@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use relm_automata::WorkerPool;
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::{LanguageModel, ScoringMode};
+use relm_lm::LanguageModel;
 
 use crate::executor::{
     passes_runtime_checks, CompiledQuery, EngineHandle, ExecutionStats, StepOutcome,
@@ -134,7 +134,6 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
             // Out of level budget: the next step finalizes without
             // scoring, so the current beam's contexts are dead.
             || self.level >= self.compiled.max_tokens
-            || self.compiled.scoring == ScoringMode::Serial
             || !self.engine.admits_new_entries()
         {
             return Vec::new();

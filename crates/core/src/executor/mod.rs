@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 
 use relm_automata::{Dfa, Parallelism, ShardIndex, ShardedDfa, WalkTable};
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::{DecodingPolicy, LanguageModel, ScoringEngine, ScoringMode};
+use relm_lm::{DecodingPolicy, LanguageModel, ScoringEngine};
 use relm_regex::Regex;
 
 use crate::compiler::{
@@ -302,7 +302,6 @@ pub(crate) struct CompiledQuery {
     pub prefix_sampling: PrefixSampling,
     pub require_eos: bool,
     pub distinct_texts: bool,
-    pub scoring: ScoringMode,
     /// Worker budget for the executors' frontier work (shard-wide
     /// scoring lookahead, beam-level expansion fan-out, sharded walk
     /// tables). Never part of the plan key: results are byte-identical
@@ -431,7 +430,6 @@ pub(crate) fn assemble_compiled(
         prefix_sampling: query.prefix_sampling,
         require_eos: query.require_eos,
         distinct_texts: query.distinct_texts,
-        scoring: query.scoring,
         parallelism: par,
     })
 }
@@ -499,12 +497,6 @@ impl CompiledSearch {
     /// The traversal strategy this plan executes.
     pub fn strategy(&self) -> SearchStrategy {
         self.strategy
-    }
-
-    /// How executions of this plan service model calls (batched through
-    /// the shared engine, or the serial reference contract).
-    pub fn scoring_mode(&self) -> ScoringMode {
-        self.compiled.scoring
     }
 
     /// States in the body (suffix) token automaton.
@@ -600,8 +592,7 @@ impl<'a, M: LanguageModel> SearchResults<'a, M> {
     /// to score — its scoring frontier. A coalescing driver gathers the
     /// frontiers of every in-flight execution into one shared engine
     /// tick. Scoring is pure, so pre-scoring these contexts can never
-    /// change what the traversal does; serial-mode executions return
-    /// nothing (their contract is one uncached model call per request).
+    /// change what the traversal does.
     ///
     /// For sampling executions this may draw the next episode block
     /// (advancing the RNG) — but only at the same point in the stream

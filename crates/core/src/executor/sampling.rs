@@ -17,8 +17,8 @@
 //! initial body contexts are batch-scored through the
 //! [`relm_lm::ScoringEngine`] before the walks start, so every episode begins
 //! cache-warm and shared prefixes across episodes are never re-scored.
-//! The RNG stream does not depend on the scoring mode, so serial and
-//! batched runs sample byte-identical episodes.
+//! The RNG stream does not depend on what is cached or batched, so
+//! every schedule samples byte-identical episodes.
 
 use std::collections::VecDeque;
 
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use relm_automata::{WalkChoice, WalkTable};
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::{LanguageModel, ScoringMode};
+use relm_lm::LanguageModel;
 
 use crate::executor::{
     passes_runtime_checks, CompiledQuery, EngineHandle, ExecutionStats, StepOutcome,
@@ -161,7 +161,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             }
         }
         if warm
-            && self.compiled.scoring == ScoringMode::Batched
             && self.pending.len() > 1
             // If the engine has stopped admitting cache entries the warm
             // block's scores would be discarded — skip the warm-up.
@@ -191,7 +190,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
     /// internal warm scoring: the driver's coalesced tick covers it.
     pub(crate) fn frontier_contexts(&mut self, limit: usize) -> Vec<Vec<TokenId>> {
         if limit == 0
-            || self.compiled.scoring == ScoringMode::Serial
             || self.attempts_since_result >= self.max_attempts
             || !self.engine.admits_new_entries()
         {

@@ -25,7 +25,7 @@ use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::{LanguageModel, ScoringMode};
+use relm_lm::LanguageModel;
 
 use crate::executor::{
     passes_runtime_checks, CompiledQuery, EngineHandle, ExecutionStats, StepOutcome,
@@ -37,8 +37,8 @@ use crate::results::MatchResult;
 /// pops next — so nearly every prefetched context is consumed. Under a
 /// parallel setting the cap scales with the worker count
 /// ([`ShortestPathIter::frontier_cap`]): one `step()` then scores a
-/// whole frontier shard in a single engine batch, which the model's
-/// crossbeam fan-out spreads across cores. Scoring is pure, so the
+/// whole frontier shard in a single engine batch, which the engine
+/// spreads across the persistent worker pool. Scoring is pure, so the
 /// wider lookahead can never change which node is expanded or emitted —
 /// serial and sharded runs stay byte-identical.
 const MAX_FRONTIER_BATCH: usize = 8;
@@ -209,7 +209,6 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
     pub(crate) fn frontier_contexts(&self, limit: usize) -> Vec<Vec<TokenId>> {
         let limit = limit.min(self.frontier_cap());
         if limit == 0
-            || self.compiled.scoring == ScoringMode::Serial
             || self.stats.expansions >= self.max_expansions as u64
             || !self.engine.admits_new_entries()
         {
@@ -239,15 +238,14 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
     }
 
     /// Score `ctx`, batching in the contexts of the cheapest other
-    /// frontier nodes on a cache miss (batched mode only). Dijkstra pops
-    /// in cost order, so the lowest-cost heap nodes are precisely the
-    /// next expansions — their contexts are prefetched into the same
-    /// model call. Prefetching is free of side effects on the traversal:
-    /// scoring is deterministic and pure, so results are byte-identical
-    /// to the serial path.
+    /// frontier nodes on a cache miss. Dijkstra pops in cost order, so
+    /// the lowest-cost heap nodes are precisely the next expansions —
+    /// their contexts are prefetched into the same model call.
+    /// Prefetching is free of side effects on the traversal: scoring is
+    /// deterministic and pure, so results are byte-identical to scoring
+    /// one context at a time.
     fn score_frontier(&mut self, ctx: Vec<TokenId>) -> Arc<[f64]> {
-        if self.compiled.scoring == ScoringMode::Serial
-            || self.engine.is_cached(&ctx)
+        if self.engine.is_cached(&ctx)
             // Once the engine stops admitting cache entries, prefetched
             // scores would be discarded and recomputed — stop paying
             // for them.

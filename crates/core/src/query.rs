@@ -1,6 +1,6 @@
 //! The ReLM query API (§3.4, Figures 4 and 11 of the paper).
 
-use relm_lm::{DecodingPolicy, ScoringMode};
+use relm_lm::DecodingPolicy;
 
 use crate::preprocess::Preprocessor;
 
@@ -126,12 +126,6 @@ pub struct SearchQuery {
     /// count token sequences instead (the §4.3 unprompted-volume
     /// measurement).
     pub distinct_texts: bool,
-    /// How the executor services model calls: batched through the
-    /// [`relm_lm::ScoringEngine`] (default) or one serial uncached call
-    /// per context (the reference path results are tested against).
-    /// Traversal decisions never depend on the mode, so both produce
-    /// byte-identical results in identical order.
-    pub scoring: ScoringMode,
 }
 
 impl SearchQuery {
@@ -150,7 +144,6 @@ impl SearchQuery {
             max_sample_attempts: 64,
             require_eos: false,
             distinct_texts: true,
-            scoring: ScoringMode::default(),
         }
     }
 
@@ -214,13 +207,6 @@ impl SearchQuery {
     #[must_use]
     pub fn with_distinct_texts(mut self, distinct: bool) -> Self {
         self.distinct_texts = distinct;
-        self
-    }
-
-    /// Set the scoring mode (batched vs. serial reference).
-    #[must_use]
-    pub fn with_scoring_mode(mut self, scoring: ScoringMode) -> Self {
-        self.scoring = scoring;
         self
     }
 

@@ -624,12 +624,8 @@ impl<M: LanguageModel> RelmSession<M> {
     /// perplexity sweeps) that should still pool its memo with the
     /// session's queries. The engine implements [`LanguageModel`].
     pub fn engine(&self) -> ScoringEngine<&M> {
-        ScoringEngine::with_shared_cache(
-            &self.model,
-            relm_lm::ScoringMode::Batched,
-            Arc::clone(&self.scoring_cache),
-        )
-        .with_parallelism(self.config.parallelism)
+        ScoringEngine::with_shared_cache(&self.model, Arc::clone(&self.scoring_cache))
+            .with_parallelism(self.config.parallelism)
     }
 
     /// Compile `query` into an executable plan, serving the automata
@@ -874,12 +870,8 @@ impl<M: LanguageModel> RelmSession<M> {
     pub fn execute(&self, plan: &CompiledSearch) -> Result<SearchResults<'_, M>, RelmError> {
         plan.check_compatible(self.tokenizer_fingerprint, self.model.max_sequence_len())?;
         let engine = EngineHandle::Owned(Box::new(
-            ScoringEngine::with_shared_cache(
-                &self.model,
-                plan.compiled.scoring,
-                Arc::clone(&self.scoring_cache),
-            )
-            .with_parallelism(self.config.parallelism),
+            ScoringEngine::with_shared_cache(&self.model, Arc::clone(&self.scoring_cache))
+                .with_parallelism(self.config.parallelism),
         ));
         Ok(
             execute_with_engine(engine, &self.tokenizer, plan).with_plan_counters(

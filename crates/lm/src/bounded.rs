@@ -1,14 +1,13 @@
 //! A byte-budgeted, generation-tagged memo table with clock eviction.
 //!
-//! [`ClockCache`] is the single eviction policy behind every scoring
-//! memo in the workspace: the per-query table inside
-//! [`crate::ScoringEngine`], the legacy [`crate::CachedLm`] wrapper, and
-//! the cross-query [`crate::SharedScoringCache`]. It replaces the
-//! unbounded `HashMap` those layers used to hold — under a long audit
-//! (thousands of queries against one model) an unbounded memo is a slow
-//! memory leak; here every insertion is charged an estimated byte cost
-//! and the total is kept under a budget by second-chance (clock)
-//! eviction.
+//! [`ClockCache`] is the table inside [`crate::SharedScoringCache`],
+//! the one scoring memo in the workspace (every
+//! [`crate::ScoringEngine`] scores through one, shared by a session or
+//! its own), and with it the one eviction policy and the one admission
+//! signal. Under a long audit (thousands of queries against one model)
+//! an unbounded memo is a slow memory leak; here every insertion is
+//! charged an estimated byte cost and the total is kept under a budget
+//! by second-chance (clock) eviction.
 //!
 //! **Clock eviction**: entries live in slots arranged in a ring; each
 //! lookup sets the entry's referenced bit; when space is needed a hand
@@ -54,9 +53,8 @@ struct Entry {
     hits: u64,
 }
 
-/// The bounded memo table. Not internally synchronized — owners wrap it
-/// in a `Mutex` ([`crate::SharedScoringCache`]) or keep it private to
-/// one search.
+/// The bounded memo table. Not internally synchronized — its owner,
+/// [`crate::SharedScoringCache`], wraps it in a `Mutex`.
 #[derive(Debug)]
 pub(crate) struct ClockCache {
     /// `context -> slot index` (keys shared with the entries).

@@ -18,25 +18,23 @@
 //!   ask them through the O(1) membership view [`Allowed`],
 //! * [`sample_sequence`] / ancestral sampling used by the paper's
 //!   baselines,
-//! * [`CachedLm`] — a bounded memoizing wrapper (graph traversals
-//!   revisit contexts),
-//! * [`SharedScoringCache`] — the cross-query flavor of that memo: one
-//!   byte-budgeted, generation-tagged table pooled by every query of a
-//!   `RelmSession`,
+//! * [`ScoringEngine`] — the batched, deduplicating, memoizing front end
+//!   every executor scores through (graph traversals revisit contexts),
+//! * [`SharedScoringCache`] — its memo, the one in the workspace: a
+//!   byte-budgeted, generation-tagged table with reuse-gated admission,
+//!   pooled by every query of a `RelmSession`,
 //! * [`AcceleratorSim`] — a batched-inference latency model standing in
 //!   for the paper's GTX-3080, so throughput figures have a time axis,
 //! * [`score_batch`] / [`pool::pooled_scores`] — batched scoring on the
 //!   persistent [`pool::WorkerPool`], the CPU analogue of batched GPU
-//!   inference ([`fan_out_scores`] is the spawn-backed reference path),
-//! * [`ForwardKernel`] — the portable vectorized n-gram finish kernel
-//!   and its scalar reference, byte-identical by construction.
+//!   inference; the n-gram forward pass finishes each row with a
+//!   portable lane-chunked kernel.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod accel;
 mod bounded;
-mod cache;
 mod decoding;
 mod engine;
 mod eval;
@@ -49,18 +47,16 @@ mod shared;
 mod simd;
 
 pub use accel::AcceleratorSim;
-pub use cache::{CachedLm, DEFAULT_CACHED_LM_BYTES};
 pub use decoding::{Allowed, DecodingPolicy};
-pub use engine::{ScoringEngine, ScoringMode, ScoringStats, DEFAULT_ENGINE_CACHE_BYTES};
+pub use engine::{ScoringEngine, ScoringStats, DEFAULT_ENGINE_CACHE_BYTES};
 pub use eval::{perplexity, top_k_accuracy};
 pub use neural::{NeuralLm, NeuralLmConfig};
 pub use ngram::{NGramConfig, NGramLm};
 pub use pool::pooled_scores;
 pub use relm_automata::Parallelism;
 pub use relm_bpe::TokenId;
-pub use sampler::{fan_out_scores, sample_sequence, score_batch, sequence_log_prob};
+pub use sampler::{sample_sequence, score_batch, sequence_log_prob};
 pub use shared::{SharedCacheStats, SharedScoringCache, DEFAULT_SHARED_CACHE_BYTES};
-pub use simd::ForwardKernel;
 
 /// An autoregressive language model over a token vocabulary.
 ///

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use relm_bpe::{BpeTokenizer, TokenId};
 
-use crate::simd::{finish_log_probs, ForwardKernel};
+use crate::simd::finish_log_probs;
 use crate::LanguageModel;
 
 /// Configuration for [`NGramLm`].
@@ -107,9 +107,6 @@ pub struct NGramLm {
     /// (`orders[0]` is the unigram table with the empty context).
     /// Shared so clones (pool handles) cost two pointer copies.
     orders: Arc<Vec<OrderCounts>>,
-    /// Which finish kernel [`LanguageModel::next_log_probs`] runs; both
-    /// produce byte-identical output (see [`crate::simd`]).
-    kernel: ForwardKernel,
 }
 
 impl NGramLm {
@@ -147,27 +144,12 @@ impl NGramLm {
             vocab_size: tokenizer.vocab_size(),
             eos,
             orders: Arc::new(orders),
-            kernel: ForwardKernel::default(),
         }
     }
 
     /// The training configuration.
     pub fn config(&self) -> &NGramConfig {
         &self.config
-    }
-
-    /// Select the forward-pass finish kernel (builder style). Both
-    /// kernels are byte-identical; [`ForwardKernel::Scalar`] exists for
-    /// reference tests and benchmark baselines.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: ForwardKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The forward-pass finish kernel in use.
-    pub fn kernel(&self) -> ForwardKernel {
-        self.kernel
     }
 
     /// Natural-log probability of `next` given `context` without
@@ -204,22 +186,11 @@ impl NGramLm {
         // Any remaining mass (unseen contexts at all orders) goes uniform.
         p + remaining.max(0.0) / v
     }
-}
 
-impl LanguageModel for NGramLm {
-    fn vocab_size(&self) -> usize {
-        self.vocab_size
-    }
-
-    fn eos(&self) -> TokenId {
-        self.eos
-    }
-
-    fn max_sequence_len(&self) -> usize {
-        self.config.max_sequence_len
-    }
-
-    fn next_log_probs(&self, context: &[TokenId]) -> Vec<f64> {
+    /// The forward pass up to its finish: the interpolated mass every
+    /// order puts on each token (exactly `0.0` where none does) and the
+    /// uniform floor every slot receives on top of it.
+    fn accumulate(&self, context: &[TokenId]) -> (Vec<f64>, f64) {
         let v = self.vocab_size as f64;
         let mut probs = vec![0.0f64; self.vocab_size];
         let mut uniform_mass = self.config.uniform_floor;
@@ -246,8 +217,26 @@ impl LanguageModel for NGramLm {
             }
         }
         uniform_mass += remaining.max(0.0);
-        let floor = uniform_mass / v;
-        finish_log_probs(&mut probs, floor, self.kernel);
+        (probs, uniform_mass / v)
+    }
+}
+
+impl LanguageModel for NGramLm {
+    fn vocab_size(&self) -> usize {
+        self.vocab_size
+    }
+
+    fn eos(&self) -> TokenId {
+        self.eos
+    }
+
+    fn max_sequence_len(&self) -> usize {
+        self.config.max_sequence_len
+    }
+
+    fn next_log_probs(&self, context: &[TokenId]) -> Vec<f64> {
+        let (mut probs, floor) = self.accumulate(context);
+        finish_log_probs(&mut probs, floor);
         probs
     }
 
@@ -269,6 +258,7 @@ impl LanguageModel for NGramLm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn corpus_lm(order_cfg: NGramConfig) -> (BpeTokenizer, NGramLm) {
         let corpus = "the cat sat on the mat. the dog sat on the log. \
@@ -369,18 +359,48 @@ mod tests {
         let _ = NGramLm::train(&tok, &["a"], cfg);
     }
 
+    /// The model's row against the same forward pass finished by the
+    /// per-slot reference loop, bit for bit.
+    fn assert_row_matches_scalar_finish(lm: &NGramLm, ctx: &[TokenId]) {
+        let (mut reference, floor) = lm.accumulate(ctx);
+        crate::simd::finish_log_probs_scalar(&mut reference, floor);
+        let row = lm.next_log_probs(ctx);
+        assert_eq!(row.len(), reference.len());
+        for (i, (a, b)) in row.iter().zip(&reference).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx:?} slot {i}");
+        }
+    }
+
     #[test]
     fn scalar_and_vectorized_kernels_are_bit_identical() {
         let (tok, lm) = corpus_lm(NGramConfig::xl());
-        assert_eq!(lm.kernel(), ForwardKernel::Vectorized);
-        let scalar = lm.clone().with_kernel(ForwardKernel::Scalar);
         for ctx_text in ["the cat", "the", "", "zzz unseen", "the dog ran"] {
-            let ctx = tok.encode(ctx_text);
-            let vectorized = lm.next_log_probs(&ctx);
-            let reference = scalar.next_log_probs(&ctx);
-            for (i, (a, b)) in vectorized.iter().zip(&reference).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{ctx_text:?} slot {i}");
-            }
+            assert_row_matches_scalar_finish(&lm, &tok.encode(ctx_text));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whole rows of both presets, for runs of training text and for
+        /// random token strings, finish bit for bit as the per-slot
+        /// reference does.
+        #[test]
+        fn proptest_rows_match_the_scalar_finish(
+            picks in proptest::collection::vec(0usize..1_000, 0..7),
+            from_training in 0usize..2,
+            xl in 0usize..2,
+        ) {
+            let (tok, lm) = corpus_lm(if xl == 1 { NGramConfig::xl() } else { NGramConfig::small() });
+            let ctx: Vec<TokenId> = if from_training == 1 {
+                // A run of training text, so the high orders match.
+                let seen = tok.encode("the cat sat on the mat. the dog ran to the log");
+                let start = picks.first().map_or(0, |&pick| pick % seen.len());
+                seen[start..].iter().copied().take(picks.len()).collect()
+            } else {
+                picks.iter().map(|&pick| (pick % lm.vocab_size()) as TokenId).collect()
+            };
+            assert_row_matches_scalar_finish(&lm, &ctx);
         }
     }
 

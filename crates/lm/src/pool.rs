@@ -1,28 +1,27 @@
 //! Persistent-pool batched scoring.
 //!
-//! Every parallel scoring batch used to pay a thread-spawn tax:
-//! [`crate::fan_out_scores`] called `crossbeam::scope` (and consulted
-//! `available_parallelism()`, ignoring the configured
-//! [`Parallelism`]) on **every** batch. This module routes batches to
-//! the workspace-wide [`WorkerPool`] instead — long-lived workers parked
-//! on a condvar, one pool per resolved worker count, shared with the
-//! automata compile waves — so steady-state scoring spawns zero threads
-//! per batch ([`WorkerPool::spawn_count`] stays flat).
+//! [`pooled_scores`] routes a batch to the workspace-wide
+//! [`WorkerPool`] — long-lived workers parked on a condvar, one pool per
+//! resolved worker count, shared with the automata compile waves — so
+//! steady-state scoring spawns zero threads per batch
+//! ([`WorkerPool::spawn_count`] stays flat), and the worker count is the
+//! configured [`Parallelism`], never `available_parallelism()`.
 //!
-//! Determinism: [`pooled_scores`] splits the batch into the same
-//! contiguous chunks as the spawn-backed fan-out and
+//! Determinism: the batch is split into contiguous chunks and
 //! [`WorkerPool::run`] merges chunk results in submission order, so the
-//! output is **bit-identical** to both [`crate::fan_out_scores`] and a
-//! serial `next_log_probs` map (`tests/pool.rs` proves it on
-//! `f64::to_bits`).
+//! output is **bit-identical** to a serial `next_log_probs` map (this
+//! module's tests and `tests/pool.rs` prove it on `f64::to_bits`).
 
 use std::sync::Arc;
 
 use relm_automata::Parallelism;
 pub use relm_automata::WorkerPool;
 
-use crate::sampler::FAN_OUT_MIN_CHUNK;
 use crate::{LanguageModel, TokenId};
+
+/// Keep every worker busy with at least this many contexts: dispatching
+/// a worker for a tiny slice costs more than the forward passes it runs.
+const FAN_OUT_MIN_CHUNK: usize = 4;
 
 /// Score a batch through the persistent [`WorkerPool`] for `par`.
 ///
@@ -67,7 +66,7 @@ pub fn pooled_scores<M: LanguageModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fan_out_scores, NGramConfig, NGramLm};
+    use crate::{NGramConfig, NGramLm};
     use relm_bpe::BpeTokenizer;
 
     fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -82,19 +81,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_scores_match_spawned_and_serial_bit_for_bit() {
+    fn pooled_scores_match_serial_bit_for_bit() {
         let (tok, lm) = fixture();
         let contexts: Vec<Vec<TokenId>> = (0..24)
             .map(|i| tok.encode(["the", "the cat", "the dog sat", ""][i % 4]))
             .collect();
         let refs: Vec<&[TokenId]> = contexts.iter().map(Vec::as_slice).collect();
         let pooled = pooled_scores(&lm, &refs, Parallelism::sharded(4)).expect("pool applies");
-        let spawned = fan_out_scores(&lm, &refs, 4);
         let serial: Vec<Vec<f64>> = refs.iter().map(|c| lm.next_log_probs(c)).collect();
-        for ((p, s), ser) in pooled.iter().zip(&spawned).zip(&serial) {
-            for ((a, b), c) in p.iter().zip(s).zip(ser) {
+        assert_eq!(pooled.len(), serial.len());
+        for (p, s) in pooled.iter().zip(&serial) {
+            for (a, b) in p.iter().zip(s) {
                 assert_eq!(a.to_bits(), b.to_bits());
-                assert_eq!(a.to_bits(), c.to_bits());
             }
         }
     }

@@ -4,8 +4,7 @@
 //! `run_generation.py`-style loop that samples token-by-token under a
 //! decoding policy until EOS or a stop length (§4.1's random-sampling
 //! comparison). [`score_batch`] is the CPU analogue of batched GPU
-//! inference; [`fan_out_scores`] is the spawn-backed reference the
-//! persistent worker pool is measured against.
+//! inference.
 
 use rand::Rng;
 
@@ -95,54 +94,6 @@ pub fn sequence_log_prob<M: LanguageModel>(
 pub fn score_batch<M: LanguageModel>(model: &M, contexts: &[Vec<TokenId>]) -> Vec<Vec<f64>> {
     let refs: Vec<&[TokenId]> = contexts.iter().map(Vec::as_slice).collect();
     model.next_log_probs_batch(&refs)
-}
-
-/// Keep every worker busy with at least this many contexts: dispatching
-/// a worker for a tiny slice costs more than the forward passes it runs.
-pub(crate) const FAN_OUT_MIN_CHUNK: usize = 4;
-
-/// Spawn-backed parallel batched scoring: contexts are split into
-/// per-worker chunks, each scored on a freshly spawned scoped thread, so
-/// results keep input order.
-///
-/// `workers` is the **resolved** worker budget — callers route it
-/// through their configured [`relm_automata::Parallelism`]
-/// (`par.threads()`), never through `available_parallelism()` directly,
-/// so a `Parallelism::Serial` session really is serial. `workers <= 1`
-/// scores inline.
-///
-/// This is the reference path the persistent-pool scoring
-/// ([`crate::pool::pooled_scores`]) is benchmarked and tested
-/// bit-identical against; production batch overrides go through the
-/// pool, which spawns no threads per batch.
-pub fn fan_out_scores<M: LanguageModel + ?Sized>(
-    model: &M,
-    contexts: &[&[TokenId]],
-    workers: usize,
-) -> Vec<Vec<f64>> {
-    if contexts.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.min(contexts.len().div_ceil(FAN_OUT_MIN_CHUNK));
-    if workers <= 1 {
-        return contexts
-            .iter()
-            .map(|ctx| model.next_log_probs(ctx))
-            .collect();
-    }
-    let mut results: Vec<Vec<f64>> = vec![Vec::new(); contexts.len()];
-    let chunk = contexts.len().div_ceil(workers);
-    crossbeam::scope(|scope| {
-        for (slot, ctxs) in results.chunks_mut(chunk).zip(contexts.chunks(chunk)) {
-            scope.spawn(move |_| {
-                for (out, ctx) in slot.iter_mut().zip(ctxs) {
-                    *out = model.next_log_probs(ctx);
-                }
-            });
-        }
-    })
-    .expect("scoring thread panicked"); // lint: allow(panic, "propagates a scoring worker's own panic; nothing to salvage")
-    results
 }
 
 #[cfg(test)]

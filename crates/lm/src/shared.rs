@@ -7,7 +7,9 @@
 //! conditioning template, the EOS root). A per-query memo dies with its
 //! `SearchResults`; [`SharedScoringCache`] survives it, so the second
 //! query of an audit starts warm. It is the KV-cache analogue of the
-//! paper's batched-inference layer, extended across queries.
+//! paper's batched-inference layer, extended across queries, and the
+//! only scoring memo in the workspace: an engine built outside a
+//! session ([`crate::ScoringEngine::new`]) gets one of its own.
 //!
 //! Safety properties:
 //!
@@ -33,7 +35,6 @@ use parking_lot::Mutex;
 use relm_bpe::TokenId;
 
 use crate::bounded::ClockCache;
-use crate::cache::BatchPlan;
 
 /// Default byte budget for a session's shared scoring cache (128 MiB).
 pub const DEFAULT_SHARED_CACHE_BYTES: usize = 128 << 20;
@@ -245,7 +246,7 @@ impl SharedScoringCache {
 
     /// Whether the reuse-gated admission policy is currently admitting.
     ///
-    /// The first [`SHARED_ADMISSION_WARMUP`] insertions are admitted
+    /// The first 128 insertions (`SHARED_ADMISSION_WARMUP`) are admitted
     /// unconditionally. Past that, the gate stays open while the table's
     /// lifetime reuse (`reuse_hits`, one per lookup served) clears the
     /// floor `reuse_hits * 32 >= insertions` — at least one admitted
@@ -275,6 +276,72 @@ impl SharedScoringCache {
             admitting: admission_rule(table.insertions(), table.reuse_hits()),
             mean_reuse_depth: table.mean_reuse_depth(),
         }
+    }
+}
+
+/// The hit/miss partition of one scoring batch, made by
+/// [`SharedScoringCache::partition_batch`] for
+/// [`crate::ScoringEngine::score_batch`]. Hits are resolved up front;
+/// duplicate misses collapse onto one evaluation slot.
+pub(crate) struct BatchPlan<'a> {
+    slots: Vec<Slot>,
+    /// Deduplicated contexts that need a model evaluation.
+    pub misses: Vec<&'a [TokenId]>,
+}
+
+/// One input slot of a [`BatchPlan`].
+enum Slot {
+    /// Served from the cache: the shared row.
+    Hit(Arc<[f64]>),
+    /// Needs the model: the context's index into `misses`.
+    Miss(usize),
+}
+
+impl<'a> BatchPlan<'a> {
+    /// Number of input slots resolved from the cache (table hits, not
+    /// counting duplicate-miss collapses).
+    pub fn hit_count(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|slot| matches!(slot, Slot::Hit(_)))
+            .count()
+    }
+
+    /// Partition `contexts` using `lookup` to resolve hits. `lookup` is
+    /// `FnMut` so the caller can close over a single lock guard instead
+    /// of re-acquiring a mutex per context.
+    fn partition(
+        contexts: &[&'a [TokenId]],
+        mut lookup: impl FnMut(&[TokenId]) -> Option<Arc<[f64]>>,
+    ) -> Self {
+        let mut miss_index: std::collections::HashMap<&[TokenId], usize> =
+            std::collections::HashMap::new();
+        let mut misses: Vec<&[TokenId]> = Vec::new();
+        let slots = contexts
+            .iter()
+            .map(|&ctx| match lookup(ctx) {
+                Some(row) => Slot::Hit(row),
+                None => Slot::Miss(*miss_index.entry(ctx).or_insert_with(|| {
+                    misses.push(ctx);
+                    misses.len() - 1
+                })),
+            })
+            .collect();
+        BatchPlan { slots, misses }
+    }
+
+    /// Resolve the plan with the evaluated miss rows (one per entry of
+    /// `misses`, in order): every slot that missed shares its context's
+    /// one row.
+    pub fn fill(self, computed: &[Arc<[f64]>]) -> Vec<Arc<[f64]>> {
+        debug_assert_eq!(computed.len(), self.misses.len());
+        self.slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Hit(row) => row,
+                Slot::Miss(index) => Arc::clone(&computed[index]),
+            })
+            .collect()
     }
 }
 
@@ -412,18 +479,17 @@ mod tests {
     #[test]
     fn shared_across_threads() {
         let cache = SharedScoringCache::new(1 << 20);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4u32 {
                 let cache = &cache;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..50u32 {
                         cache.insert(vec![t, i], vec![f64::from(i)]);
                         let _ = cache.lookup(&[t, i]);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(cache.len(), 200);
     }
 }

@@ -8,7 +8,7 @@
 //! accumulated mass is exactly `0.0` — yet the scalar finish pays a full
 //! `ln` per slot.
 //!
-//! [`finish_log_probs`] rewrites that finish as a chunked, fixed-width
+//! [`finish_log_probs`] runs that finish as a chunked, fixed-width
 //! kernel over [`LANE_WIDTH`]-slot lanes, with no `unsafe`:
 //!
 //! * the `any_touched` reduction over a lane is a stride-8 compare the
@@ -27,77 +27,63 @@
 //! `0.0 + floor == floor` exactly (for every `floor`, including `0.0`),
 //! hence `(0.0 + floor).ln()` and the precomputed `floor.ln()` are the
 //! same bit pattern, and touched slots evaluate the identical expression
-//! `(*p + floor).ln()` in both kernels. The vectorized finish is
-//! therefore byte-identical to the scalar reference — tested slot by
-//! slot on `f64::to_bits` in this module and end-to-end in `tests/pool.rs`.
+//! `(*p + floor).ln()` as the per-slot loop `p ← ln(p + floor)`. The
+//! kernel is therefore byte-identical to that loop, which survives as a
+//! test-only reference: this module's tests compare the two slot by
+//! slot on `f64::to_bits` over fixed and random rows, and `ngram.rs`'s
+//! over whole model rows.
 
 /// Fixed lane width of the vectorized finish pass: eight `f64`s, one
 /// AVX-512 register or two AVX2 registers, and small enough that mixed
 /// lanes stay rare on sparse rows.
 pub const LANE_WIDTH: usize = 8;
 
-/// Which forward-pass finish kernel an [`crate::NGramLm`] uses.
-///
-/// The two kernels produce byte-identical `f64` output (see the module
-/// docs for the proof); `Scalar` is the reference path kept for tests
-/// and benchmark baselines, `Vectorized` is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ForwardKernel {
-    /// One `(*p + floor).ln()` per vocabulary slot — the PR 1 loop,
-    /// kept as the reference the vectorized kernel is proven against.
-    Scalar,
-    /// Lane-chunked finish: skip `ln` for untouched slots, splat
-    /// all-zero lanes (the default).
-    #[default]
-    Vectorized,
-}
-
 /// Finish an accumulated probability row in place: `p ← ln(p + floor)`
-/// for every slot, using the selected kernel. Both kernels are
-/// byte-identical; see the module docs.
-pub(crate) fn finish_log_probs(probs: &mut [f64], floor: f64, kernel: ForwardKernel) {
-    match kernel {
-        ForwardKernel::Scalar => {
-            for p in probs.iter_mut() {
-                *p = (*p + floor).ln();
-            }
+/// for every slot, lane by lane (see the module docs).
+pub(crate) fn finish_log_probs(probs: &mut [f64], floor: f64) {
+    let ln_floor = floor.ln();
+    let mut lanes = probs.chunks_exact_mut(LANE_WIDTH);
+    for lane in lanes.by_ref() {
+        // Stride-8 reduction: a fixed-width compare the autovectorizer
+        // turns into one SIMD test per lane.
+        let mut any_touched = false;
+        for p in lane.iter() {
+            any_touched |= *p != 0.0;
         }
-        ForwardKernel::Vectorized => {
-            let ln_floor = floor.ln();
-            let mut lanes = probs.chunks_exact_mut(LANE_WIDTH);
-            for lane in lanes.by_ref() {
-                // Stride-8 reduction: a fixed-width compare the
-                // autovectorizer turns into one SIMD test per lane.
-                let mut any_touched = false;
-                for p in lane.iter() {
-                    any_touched |= *p != 0.0;
-                }
-                if any_touched {
-                    for p in lane.iter_mut() {
-                        *p = if *p == 0.0 {
-                            ln_floor
-                        } else {
-                            (*p + floor).ln()
-                        };
-                    }
-                } else {
-                    lane.fill(ln_floor);
-                }
-            }
-            for p in lanes.into_remainder() {
+        if any_touched {
+            for p in lane.iter_mut() {
                 *p = if *p == 0.0 {
                     ln_floor
                 } else {
                     (*p + floor).ln()
                 };
             }
+        } else {
+            lane.fill(ln_floor);
         }
+    }
+    for p in lanes.into_remainder() {
+        *p = if *p == 0.0 {
+            ln_floor
+        } else {
+            (*p + floor).ln()
+        };
+    }
+}
+
+/// The per-slot finish [`finish_log_probs`] is proven against: one
+/// `(*p + floor).ln()` per vocabulary slot.
+#[cfg(test)]
+pub(crate) fn finish_log_probs_scalar(probs: &mut [f64], floor: f64) {
+    for p in probs.iter_mut() {
+        *p = (*p + floor).ln();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn assert_bit_identical(scalar: &[f64], vectorized: &[f64]) {
         assert_eq!(scalar.len(), vectorized.len());
@@ -109,8 +95,8 @@ mod tests {
     fn check(row: &[f64], floor: f64) {
         let mut scalar = row.to_vec();
         let mut vectorized = row.to_vec();
-        finish_log_probs(&mut scalar, floor, ForwardKernel::Scalar);
-        finish_log_probs(&mut vectorized, floor, ForwardKernel::Vectorized);
+        finish_log_probs_scalar(&mut scalar, floor);
+        finish_log_probs(&mut vectorized, floor);
         assert_bit_identical(&scalar, &vectorized);
     }
 
@@ -142,8 +128,8 @@ mod tests {
         row[5] = 0.25;
         let mut scalar = row.clone();
         let mut vectorized = row;
-        finish_log_probs(&mut scalar, 0.0, ForwardKernel::Scalar);
-        finish_log_probs(&mut vectorized, 0.0, ForwardKernel::Vectorized);
+        finish_log_probs_scalar(&mut scalar, 0.0);
+        finish_log_probs(&mut vectorized, 0.0);
         assert!(scalar[0].is_infinite() && scalar[0] < 0.0);
         assert_bit_identical(&scalar, &vectorized);
     }
@@ -151,5 +137,34 @@ mod tests {
     #[test]
     fn kernels_agree_on_short_rows_below_one_lane() {
         check(&[0.0, 0.5, 0.0], 0.125);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random rows — sparse to dense, any length including short of
+        /// one lane, floors down to exactly zero — finish bit for bit as
+        /// the per-slot loop does.
+        #[test]
+        fn proptest_finish_matches_the_scalar_reference(
+            slots in proptest::collection::vec((0usize..4, 0.0f64..1.0), 0..70),
+            density in 0usize..5,
+            floor_choice in 0usize..3,
+        ) {
+            // A slot is touched when its draw falls under the density, so
+            // density 0 leaves the row all zero and 4 touches every slot.
+            let row: Vec<f64> = slots
+                .iter()
+                .map(|&(draw, p)| if draw < density { p.max(f64::MIN_POSITIVE) } else { 0.0 })
+                .collect();
+            let floor = [0.0, 1e-4, 0.01 / (row.len() as f64 + 1.0)][floor_choice];
+            let mut scalar = row.clone();
+            let mut vectorized = row;
+            finish_log_probs_scalar(&mut scalar, floor);
+            finish_log_probs(&mut vectorized, floor);
+            for (s, v) in scalar.iter().zip(&vectorized) {
+                prop_assert_eq!(s.to_bits(), v.to_bits());
+            }
+        }
     }
 }

@@ -57,10 +57,9 @@ pub use relm_core::{
     SearchResults, SearchStrategy, SessionConfig, SessionStats, TokenizationStrategy,
 };
 pub use relm_lm::{
-    fan_out_scores, perplexity, pooled_scores, sample_sequence, score_batch, sequence_log_prob,
-    top_k_accuracy, AcceleratorSim, CachedLm, DecodingPolicy, ForwardKernel, LanguageModel,
-    NGramConfig, NGramLm, NeuralLm, NeuralLmConfig, ScoringEngine, ScoringMode, ScoringStats,
-    SharedCacheStats, SharedScoringCache,
+    perplexity, pooled_scores, sample_sequence, score_batch, sequence_log_prob, top_k_accuracy,
+    AcceleratorSim, DecodingPolicy, LanguageModel, NGramConfig, NGramLm, NeuralLm, NeuralLmConfig,
+    ScoringEngine, ScoringStats, SharedCacheStats, SharedScoringCache,
 };
 pub use relm_regex::{disjunction_of, escape, Regex};
 pub use relm_store::{

@@ -129,7 +129,6 @@ fn facade_reexport_list_matches_snapshot() {
         "SessionStats",
         "TokenizationStrategy",
         // relm-lm
-        "fan_out_scores",
         "perplexity",
         "pooled_scores",
         "sample_sequence",
@@ -137,16 +136,13 @@ fn facade_reexport_list_matches_snapshot() {
         "sequence_log_prob",
         "top_k_accuracy",
         "AcceleratorSim",
-        "CachedLm",
         "DecodingPolicy",
-        "ForwardKernel",
         "LanguageModel",
         "NGramConfig",
         "NGramLm",
         "NeuralLm",
         "NeuralLmConfig",
         "ScoringEngine",
-        "ScoringMode",
         "ScoringStats",
         "SharedCacheStats",
         "SharedScoringCache",

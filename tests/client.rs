@@ -238,20 +238,3 @@ fn run_many_is_byte_identical_across_model_swaps() {
     assert_eq!(after.outcomes[0].matches[0].text, "the dog sat");
     assert_eq!(before.outcomes[0].matches[0].text, "the cat sat");
 }
-
-#[test]
-fn run_many_with_serial_queries_matches_sequential() {
-    use relm::ScoringMode;
-    let (tok, lm) = fixture();
-    let mut set = mixed_set();
-    set.push(
-        SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"))
-            .with_scoring_mode(ScoringMode::Serial),
-        2,
-    );
-    let expected = run_sequentially(&Relm::new(&lm, tok.clone()).unwrap(), &set);
-    let report = Relm::new(&lm, tok).unwrap().run_many(&set).unwrap();
-    for (i, (outcome, exp)) in report.outcomes.iter().zip(&expected).enumerate() {
-        assert_identical(&outcome.matches, exp, &format!("query {i}"));
-    }
-}

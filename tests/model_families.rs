@@ -80,11 +80,18 @@ fn all_three_traversals_work_on_the_neural_model() {
 
 #[test]
 fn cached_wrapper_composes_with_neural_model() {
+    // The session's scoring cache memoizes any model family.
     let (tok, docs) = corpus();
-    let neural = relm::CachedLm::new(NeuralLm::train(&tok, &docs, NeuralLmConfig::default()));
-    let results = run_query(&neural, &tok, SearchStrategy::ShortestPath);
+    let neural = NeuralLm::train(&tok, &docs, NeuralLmConfig::default());
+    let client = Relm::new(&neural, tok).unwrap();
+    let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"))
+        .with_policy(DecodingPolicy::top_k(1000));
+    let results: Vec<_> = client.search(&query).unwrap().take(4).collect();
     assert!(!results.is_empty());
-    assert!(neural.cache_len() > 0, "search should populate the cache");
+    assert!(
+        client.session().stats().scoring.entries > 0,
+        "search should populate the cache"
+    );
 }
 
 #[test]

@@ -2,11 +2,8 @@
 //! invisible in every output, and visible only in the thread ledger.
 //!
 //! * pool-backed scoring ([`pooled_scores`]) is **byte-identical** (f64
-//!   bits) to the spawn-backed reference ([`fan_out_scores`]) and to the
-//!   serial loop — fixed fixtures and proptest over random batch sizes
-//!   and thread counts;
-//! * the vectorized n-gram forward kernel matches the scalar reference
-//!   bit for bit, at the model level and through whole searches;
+//!   bits) to the serial loop — fixed fixtures and proptest over random
+//!   batch sizes and thread counts;
 //! * serial and pool-backed clients return byte-identical results for
 //!   all three executors, solo, under `run_many`, and over the TCP
 //!   serving path;
@@ -22,9 +19,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use relm::serve::{spawn, QueryRequest, RelmServer, Request, Response, ServeClient, ServerConfig};
 use relm::{
-    fan_out_scores, pooled_scores, BpeTokenizer, DecodingPolicy, ForwardKernel, LanguageModel,
-    MatchResult, NGramConfig, NGramLm, Parallelism, QuerySet, QueryString, Relm, SearchQuery,
-    SearchStrategy, TokenId, TokenizationStrategy, WorkerPool,
+    pooled_scores, BpeTokenizer, DecodingPolicy, LanguageModel, MatchResult, NGramConfig, NGramLm,
+    Parallelism, QuerySet, QueryString, Relm, SearchQuery, SearchStrategy, TokenId,
+    TokenizationStrategy, WorkerPool,
 };
 
 fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -92,59 +89,15 @@ fn assert_bit_identical(label: &str, a: &[MatchResult], b: &[MatchResult]) {
 }
 
 #[test]
-fn pooled_scores_match_spawned_and_serial() {
+fn pooled_scores_match_serial() {
     let (tok, lm) = fixture();
     let ctxs = contexts(&tok, 64);
     let refs: Vec<&[TokenId]> = ctxs.iter().map(Vec::as_slice).collect();
     let serial: Vec<Vec<f64>> = refs.iter().map(|c| lm.next_log_probs(c)).collect();
     for workers in [2usize, 3, 4, 7] {
-        let spawned = fan_out_scores(&lm, &refs, workers);
-        assert_rows_bit_identical(&format!("spawned w={workers}"), &serial, &spawned);
         let pooled = pooled_scores(&lm, &refs, Parallelism::sharded(workers))
             .expect("batch large enough to pool");
         assert_rows_bit_identical(&format!("pooled w={workers}"), &serial, &pooled);
-    }
-}
-
-#[test]
-fn vectorized_kernel_matches_scalar_through_whole_searches() {
-    let (tok, lm) = fixture();
-    assert_eq!(lm.kernel(), ForwardKernel::Vectorized);
-    let scalar_lm = lm.clone().with_kernel(ForwardKernel::Scalar);
-    // Model level: every distribution bit-identical across kernels.
-    let ctxs = contexts(&tok, 48);
-    let refs: Vec<&[TokenId]> = ctxs.iter().map(Vec::as_slice).collect();
-    assert_rows_bit_identical(
-        "kernel",
-        &refs
-            .iter()
-            .map(|c| scalar_lm.next_log_probs(c))
-            .collect::<Vec<_>>(),
-        &refs
-            .iter()
-            .map(|c| lm.next_log_probs(c))
-            .collect::<Vec<_>>(),
-    );
-    // Executor level: whole searches agree for all three strategies.
-    let vec_client = Relm::new(&lm, tok.clone()).unwrap();
-    let scalar_client = Relm::new(&scalar_lm, tok.clone()).unwrap();
-    for (label, query, take) in [
-        ("dijkstra", url_query(), 5),
-        (
-            "beam16",
-            url_query().with_strategy(SearchStrategy::Beam { width: 16 }),
-            5,
-        ),
-        (
-            "sampling",
-            url_query().with_strategy(SearchStrategy::RandomSampling { seed: 7 }),
-            8,
-        ),
-    ] {
-        let a: Vec<MatchResult> = scalar_client.search(&query).unwrap().take(take).collect();
-        let b: Vec<MatchResult> = vec_client.search(&query).unwrap().take(take).collect();
-        assert!(!a.is_empty(), "{label}: no matches");
-        assert_bit_identical(label, &a, &b);
     }
 }
 
@@ -314,8 +267,8 @@ fn dropping_a_pool_drains_queued_jobs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random batch sizes and worker counts: pooled, spawned, and serial
-    /// scoring agree bit for bit (when the batch is big enough to pool).
+    /// Random batch sizes and worker counts: pooled and serial scoring
+    /// agree bit for bit (when the batch is big enough to pool).
     #[test]
     fn proptest_pooled_scoring_is_bit_identical(
         batch in 1usize..80,
@@ -325,8 +278,6 @@ proptest! {
         let ctxs = contexts(&tok, batch);
         let refs: Vec<&[TokenId]> = ctxs.iter().map(Vec::as_slice).collect();
         let serial: Vec<Vec<f64>> = refs.iter().map(|c| lm.next_log_probs(c)).collect();
-        let spawned = fan_out_scores(&lm, &refs, workers);
-        prop_assert_eq!(serial.len(), spawned.len());
         if let Some(pooled) = pooled_scores(&lm, &refs, Parallelism::sharded(workers)) {
             prop_assert_eq!(serial.len(), pooled.len());
             for (x, y) in serial.iter().zip(&pooled) {
@@ -335,25 +286,6 @@ proptest! {
                 }
             }
         }
-        for (x, y) in serial.iter().zip(&spawned) {
-            for (p, q) in x.iter().zip(y) {
-                prop_assert_eq!(p.to_bits(), q.to_bits());
-            }
-        }
     }
 
-    /// Random batches agree across kernels, bit for bit.
-    #[test]
-    fn proptest_kernels_agree(batch in 1usize..40) {
-        let (tok, lm) = fixture();
-        let scalar_lm = lm.clone().with_kernel(ForwardKernel::Scalar);
-        for ctx in contexts(&tok, batch) {
-            let a = scalar_lm.next_log_probs(&ctx);
-            let b = lm.next_log_probs(&ctx);
-            prop_assert_eq!(a.len(), b.len());
-            for (p, q) in a.iter().zip(&b) {
-                prop_assert_eq!(p.to_bits(), q.to_bits());
-            }
-        }
-    }
 }

@@ -1,16 +1,22 @@
 //! Integration tests for the batched scoring path: every executor must
-//! produce **byte-identical results in identical order** whether it
-//! scores through the batched, cache-aware `ScoringEngine` or through
-//! the serial reference path (one uncached model call per context), and
-//! the engine's counters must surface in `ExecutionStats` so benchmarks
-//! have a cost model.
+//! produce **byte-identical results** to a serial reference — the
+//! brute-force enumeration of `oracle/reference.rs`, which scores each
+//! admissible match with the bare model one context at a time — while
+//! scoring through the batched, cache-aware `ScoringEngine`, and the
+//! engine's counters must surface in `ExecutionStats` so benchmarks have
+//! a cost model.
 
 #![forbid(unsafe_code)]
 
+#[path = "oracle/reference.rs"]
+mod reference;
+
 use relm::{
     BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, QueryString, Relm,
-    ScoringMode, SearchQuery, SearchStrategy,
+    SearchQuery, SearchStrategy, TokenizationStrategy,
 };
+
+use reference::{check_exact, check_members, reference};
 
 fn fixture() -> (BpeTokenizer, NGramLm) {
     let docs = [
@@ -28,40 +34,51 @@ fn fixture() -> (BpeTokenizer, NGramLm) {
     (tok, lm)
 }
 
-/// Run `query` in both scoring modes and return (batched, serial)
-/// results plus the batched run's stats.
-fn both_modes(
+/// The six texts of `pinned_query()`'s language.
+fn pinned_texts() -> Vec<String> {
+    let mut texts = Vec::new();
+    for animal in ["cat", "dog", "cow"] {
+        for verb in ["sat", "ate"] {
+            texts.push(format!("the {animal} {verb}"));
+        }
+    }
+    texts
+}
+
+/// Run `query` cold and return its first `take` results, the batched
+/// run's stats, and the reference set for the query's policy.
+fn run_against_reference(
     tok: &BpeTokenizer,
     lm: &NGramLm,
     query: &SearchQuery,
     take: usize,
-) -> (Vec<MatchResult>, Vec<MatchResult>, relm::ExecutionStats) {
-    // A fresh client per run: both start cold.
-    let batched_client = Relm::new(lm, tok.clone()).expect("client");
-    let mut batched_iter = batched_client
-        .search(&query.clone().with_scoring_mode(ScoringMode::Batched))
-        .expect("batched search");
-    let batched: Vec<MatchResult> = (&mut batched_iter).take(take).collect();
-    let stats = batched_iter.stats();
-    let serial: Vec<MatchResult> = Relm::new(lm, tok.clone())
-        .expect("client")
-        .search(&query.clone().with_scoring_mode(ScoringMode::Serial))
-        .expect("serial search")
-        .take(take)
-        .collect();
-    (batched, serial, stats)
+) -> (
+    Vec<MatchResult>,
+    relm::ExecutionStats,
+    std::collections::BTreeSet<reference::Scored>,
+) {
+    let client = Relm::new(lm, tok.clone()).expect("client");
+    let mut iter = client.search(query).expect("search");
+    let results: Vec<MatchResult> = (&mut iter).take(take).collect();
+    let stats = iter.stats();
+    let expected = reference(
+        lm,
+        tok,
+        &pinned_texts(),
+        Some("the"),
+        TokenizationStrategy::Canonical,
+        query.policy,
+    );
+    (results, stats, expected)
 }
 
 #[test]
 fn shortest_path_batched_is_byte_identical_to_serial() {
     let (tok, lm) = fixture();
-    let query = SearchQuery::new(
-        QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
-    )
-    .with_policy(DecodingPolicy::top_k(40));
-    let (batched, serial, stats) = both_modes(&tok, &lm, &query, 10);
+    let query = pinned_query().with_policy(DecodingPolicy::top_k(40));
+    let (batched, stats, expected) = run_against_reference(&tok, &lm, &query, 10);
     assert!(!batched.is_empty());
-    assert_eq!(batched, serial, "results must match exactly, in order");
+    check_exact("dijkstra", &batched, &expected).unwrap();
     assert!(
         stats.batches > 0,
         "frontier batching must engage: {stats:?}"
@@ -72,13 +89,10 @@ fn shortest_path_batched_is_byte_identical_to_serial() {
 #[test]
 fn beam_batched_is_byte_identical_to_serial() {
     let (tok, lm) = fixture();
-    let query = SearchQuery::new(
-        QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
-    )
-    .with_strategy(SearchStrategy::Beam { width: 16 });
-    let (batched, serial, stats) = both_modes(&tok, &lm, &query, 10);
+    let query = pinned_query().with_strategy(SearchStrategy::Beam { width: 16 });
+    let (batched, stats, expected) = run_against_reference(&tok, &lm, &query, 10);
     assert!(!batched.is_empty());
-    assert_eq!(batched, serial);
+    check_exact("beam 16", &batched, &expected).unwrap();
     assert!(stats.batches > 0, "{stats:?}");
     assert!(
         stats.batched_contexts >= stats.batches,
@@ -89,16 +103,10 @@ fn beam_batched_is_byte_identical_to_serial() {
 #[test]
 fn sampling_batched_is_byte_identical_to_serial() {
     let (tok, lm) = fixture();
-    let query = SearchQuery::new(
-        QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
-    )
-    .with_strategy(SearchStrategy::RandomSampling { seed: 41 });
-    let (batched, serial, stats) = both_modes(&tok, &lm, &query, 25);
-    assert!(!batched.is_empty());
-    assert_eq!(
-        batched, serial,
-        "the RNG stream must not depend on the scoring mode"
-    );
+    let query = pinned_query().with_strategy(SearchStrategy::RandomSampling { seed: 41 });
+    let (batched, stats, expected) = run_against_reference(&tok, &lm, &query, 25);
+    assert_eq!(batched.len(), 25);
+    check_members("sampling 41", &batched, &expected).unwrap();
     assert!(stats.batches > 0, "{stats:?}");
     assert!(
         stats.cache_hits > 0,
@@ -131,47 +139,20 @@ fn quickstart_query_reports_batching_and_cache_hits() {
 }
 
 #[test]
-fn serial_mode_reports_no_batching() {
-    let (tok, lm) = fixture();
-    let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"))
-        .with_scoring_mode(ScoringMode::Serial);
-    let client = Relm::new(&lm, tok).expect("client");
-    let mut results = client.search(&query).expect("search");
-    let n = (&mut results).take(2).count();
-    assert_eq!(n, 2);
-    let stats = results.stats();
-    assert_eq!(stats.batches, 0, "{stats:?}");
-    assert_eq!(stats.cache_hits, 0, "{stats:?}");
-    assert!(stats.cache_misses > 0, "serial work is still counted");
-}
-
-#[test]
 fn batched_mode_does_strictly_less_model_work() {
-    // The systems claim: caching + dedup means the batched path
-    // evaluates fewer distinct contexts than the serial path's raw call
-    // count, on a traversal that revisits prefixes.
+    // The systems claim: caching + dedup means the engine evaluates
+    // fewer distinct contexts than the traversal requests, on a
+    // traversal that revisits prefixes.
     let (tok, lm) = fixture();
-    let query = SearchQuery::new(
-        QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
-    );
-    let (batched, serial, _) = both_modes(&tok, &lm, &query, 6);
-    assert_eq!(batched, serial);
-
-    let batched_client = Relm::new(&lm, tok.clone()).expect("client");
-    let mut batched_iter = batched_client.search(&query).expect("search");
-    let _ = (&mut batched_iter).take(6).count();
-    let b = batched_iter.stats();
-    let serial_client = Relm::new(&lm, tok).expect("client");
-    let mut serial_iter = serial_client
-        .search(&query.clone().with_scoring_mode(ScoringMode::Serial))
-        .expect("search");
-    let _ = (&mut serial_iter).take(6).count();
-    let s = serial_iter.stats();
+    let client = Relm::new(&lm, tok).expect("client");
+    let mut results = client.search(&pinned_query()).expect("search");
+    let _ = (&mut results).take(6).count();
+    let stats = results.stats();
     assert!(
-        b.cache_misses < s.cache_misses,
-        "batched misses {} should undercut serial evaluations {}",
-        b.cache_misses,
-        s.cache_misses
+        stats.cache_misses < stats.lm_calls,
+        "model evaluations {} should undercut scoring requests {}",
+        stats.cache_misses,
+        stats.lm_calls
     );
 }
 
