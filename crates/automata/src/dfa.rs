@@ -10,12 +10,12 @@
 //! out with a shard-parallel work queue: each BFS wave (the frontier)
 //! is partitioned into contiguous shards handed to the persistent
 //! [`WorkerPool`], and the per-shard successor lists are merged back
-//! serially in frontier order. Because the serial algorithms assign state ids in
-//! FIFO discovery order — which is exactly level order with within-level
-//! discovery order — the deterministic merge reproduces the serial
-//! state numbering and transition order bit for bit: sharded and serial
-//! builds are structurally identical (`assert_eq!` on the [`Dfa`]),
-//! which the property tests enforce.
+//! serially in frontier order. Because the serial algorithms assign
+//! state ids in FIFO discovery order — which is exactly level order with
+//! within-level discovery order — the deterministic merge reproduces the
+//! serial state numbering and transition order bit for bit: sharded and
+//! serial builds are structurally identical (`assert_eq!` on the
+//! [`Dfa`]), which the property tests enforce.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::Hash;

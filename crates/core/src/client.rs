@@ -412,10 +412,11 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
     }
 
     /// One driver rotation: a coalescing tick over every live frontier
-    /// (when two or more queries are in flight and ticking still pays), then one bounded step of every live query. Returns the
-    /// completion notifications for queries that finished during this
-    /// rotation — the callback boundary a serving loop routes back to
-    /// its connections.
+    /// (when two or more queries are in flight and ticking still pays),
+    /// then one bounded step of every live query. Returns the completion
+    /// notifications for queries that finished during this rotation —
+    /// the callback boundary a serving loop routes back to its
+    /// connections.
     ///
     /// A tick front-loads model work the executors would do anyway, so
     /// it pays off exactly when a model call is expensive relative to
