@@ -11,7 +11,7 @@
 //! deadlock. On top of cycle-freedom, the blessed hierarchy
 //!
 //! ```text
-//! memo -> plan_parts -> shard_index -> cache -> counters -> pool
+//! memo -> plan_parts -> cache -> counters -> pool
 //! ```
 //!
 //! is enforced as a partial order: an edge from a ranked class to a
@@ -37,28 +37,20 @@ use crate::scan::SourceFile;
 /// Receiver-field-name -> lock-class table. This *is* the repo's lock
 /// inventory; a new lock must be added here (or it reports as its own
 /// `other:<name>` class, which still participates in cycle checks).
-const CLASS_OF_RECEIVER: [(&str, &str); 8] = [
-    ("plans", "memo"),                // RelmSession plan memo
-    ("walk_table", "plan_parts"),     // lazily-built per-plan walk table
-    ("prefix_shards", "shard_index"), // per-plan shard index, built *under* the walk-table lock
-    ("table", "cache"),               // SharedScoringCache, the one scoring memo
-    ("queue", "pool"),                // WorkerPool job queue
-    ("registry", "pool"),             // process-wide pool registry
-    ("pools", "pool"),                // its guard
-    ("inbox", "inbox"),               // serve acceptor -> shard handoff
+const CLASS_OF_RECEIVER: [(&str, &str); 7] = [
+    ("plans", "memo"),            // RelmSession plan memo
+    ("walk_table", "plan_parts"), // lazily-built per-plan walk table
+    ("table", "cache"),           // SharedScoringCache, the one scoring memo
+    ("queue", "pool"),            // WorkerPool job queue
+    ("registry", "pool"),         // process-wide pool registry
+    ("pools", "pool"),            // its guard
+    ("inbox", "inbox"),           // serve acceptor -> shard handoff
 ];
 
 /// The blessed acquisition hierarchy, outermost first. `counters` has
 /// no lock today (SharedCounters is atomics-only) but holds its rank
 /// so adding one cannot silently invert the documented order.
-const HIERARCHY: [&str; 6] = [
-    "memo",
-    "plan_parts",
-    "shard_index",
-    "cache",
-    "counters",
-    "pool",
-];
+const HIERARCHY: [&str; 5] = ["memo", "plan_parts", "cache", "counters", "pool"];
 
 fn class_of(receiver: &str) -> String {
     for (name, class) in CLASS_OF_RECEIVER {

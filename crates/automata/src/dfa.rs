@@ -22,8 +22,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::nfa::Nfa;
-use crate::pool::WorkerPool;
-use crate::shard::Parallelism;
+use crate::pool::{Parallelism, WorkerPool};
 use crate::{StateId, Symbol};
 
 /// Frontier waves smaller than this are expanded on the calling thread

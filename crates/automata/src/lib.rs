@@ -13,11 +13,11 @@
 //!   rather than *edges* uniformly,
 //! * [`levenshtein_within`] — Levenshtein automata (§3.4) describing all
 //!   strings within a bounded edit distance of a regular language,
-//! * [`Parallelism`] / [`ShardIndex`] / [`ShardedDfa`] — state-range
-//!   sharding: subset construction, products, and walk-table builds can
-//!   partition their work queues across a worker pool with a
-//!   deterministic merge, so parallel builds are structurally identical
-//!   to serial ones,
+//! * [`Parallelism`] / [`WorkerPool`] — parallel builds: subset
+//!   construction, products, and walk-table rows split their work into
+//!   contiguous state ranges on a persistent worker pool and merge in
+//!   range order, so parallel builds are structurally identical to
+//!   serial ones,
 //! * [`Fst`] — a small weighted finite-state-transducer layer used by the
 //!   preprocessor pipeline.
 //!
@@ -50,7 +50,6 @@ mod levenshtein;
 mod nfa;
 mod ops;
 pub mod pool;
-mod shard;
 mod walks;
 
 pub use dfa::Dfa;
@@ -59,8 +58,7 @@ pub use fst::{Fst, FstArc};
 pub use levenshtein::levenshtein_within;
 pub use nfa::Nfa;
 pub use ops::{concat, prefix_closure, reverse};
-pub use pool::WorkerPool;
-pub use shard::{Parallelism, ShardIndex, ShardedDfa};
+pub use pool::{Parallelism, WorkerPool};
 pub use walks::{ChoiceDistribution, WalkChoice, WalkTable};
 
 /// Identifier of an automaton state (an index into the state table).

@@ -1,5 +1,6 @@
 //! A persistent, chunk-ordered worker pool: the one thread team behind
-//! every parallel construction in the workspace.
+//! every parallel construction in the workspace, and [`Parallelism`],
+//! the knob saying how many workers it may use.
 //!
 //! Every parallel site — the subset-construction waves, the
 //! shortcut-edge vocabulary scan, walk-table row fills, beam-level
@@ -30,12 +31,68 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-use crate::Parallelism;
+/// How many worker threads parallel automaton construction and
+/// traversal may use.
+///
+/// The default ([`Parallelism::auto`]) matches the host's available
+/// cores. [`Parallelism::Serial`] is the single-threaded reference path.
+/// Parallel builds split their work into contiguous state ranges and
+/// merge the results in range order, so both settings produce
+/// structurally identical automata and bit-identical scores — `Serial`
+/// exists for baselines, reproducibility audits, and hosts where the
+/// pool's dispatch outweighs the work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Parallelism {
+    /// Single-threaded reference path (no worker pool is ever spawned).
+    Serial,
+    /// Shard work across up to this many worker threads.
+    Sharded(NonZeroUsize),
+}
+
+impl Parallelism {
+    /// One worker per available core (falls back to [`Self::Serial`]
+    /// when the host reports a single core or no parallelism at all).
+    pub fn auto() -> Self {
+        match std::thread::available_parallelism() {
+            Ok(n) if n.get() > 1 => Parallelism::Sharded(n),
+            _ => Parallelism::Serial,
+        }
+    }
+
+    /// Shard across `threads` workers; `0` and `1` mean [`Self::Serial`].
+    pub fn sharded(threads: usize) -> Self {
+        match NonZeroUsize::new(threads) {
+            Some(n) if n.get() > 1 => Parallelism::Sharded(n),
+            _ => Parallelism::Serial,
+        }
+    }
+
+    /// The worker count this setting resolves to (`1` for serial).
+    pub fn threads(self) -> usize {
+        match self {
+            Parallelism::Serial => 1,
+            Parallelism::Sharded(n) => n.get(),
+        }
+    }
+
+    /// Whether more than one worker may run.
+    pub fn is_parallel(self) -> bool {
+        self.threads() > 1
+    }
+}
+
+impl Default for Parallelism {
+    /// [`Parallelism::auto`]: one worker per available core.
+    fn default() -> Self {
+        Parallelism::auto()
+    }
+}
 
 /// A queued unit of work. Jobs are `'static`: callers clone (or `Arc`)
 /// the environment a chunk needs instead of borrowing it, which is what
@@ -256,6 +313,17 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn parallelism_resolves_thread_counts() {
+        assert_eq!(Parallelism::Serial.threads(), 1);
+        assert!(!Parallelism::Serial.is_parallel());
+        assert_eq!(Parallelism::sharded(0), Parallelism::Serial);
+        assert_eq!(Parallelism::sharded(1), Parallelism::Serial);
+        assert_eq!(Parallelism::sharded(4).threads(), 4);
+        assert!(Parallelism::sharded(4).is_parallel());
+        assert!(Parallelism::auto().threads() >= 1);
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {

@@ -13,8 +13,9 @@
 //! that "LLMs have finite state" — counting is performed up to a maximum
 //! walk length (the model's max sequence length).
 
-use crate::pool::WorkerPool;
-use crate::shard::{Parallelism, ShardIndex, ShardedDfa};
+use std::sync::Arc;
+
+use crate::pool::{Parallelism, WorkerPool};
 use crate::{Dfa, StateId, Symbol};
 
 /// Precomputed accepting-walk counts for a [`Dfa`], up to a maximum length.
@@ -55,85 +56,61 @@ impl WalkTable {
     /// Automata smaller than this build their tables on the calling
     /// thread even under [`Parallelism::Sharded`] — below it, the
     /// worker pool costs more than the row fills it parallelizes.
-    /// Exported so callers that manage their own [`ShardIndex`] cache
-    /// (a session plan memo) gate on the same threshold.
-    pub const PARALLEL_MIN_STATES: usize = 64;
+    const PARALLEL_MIN_STATES: usize = 64;
 
-    /// Build the table with the row fills sharded across `par` workers.
+    /// Build the table with the row fills split across `par` workers.
     ///
     /// Each length-`len` row assigns `cur[s] = Σ prev[target]` over
     /// state `s`'s out-edges — states never touch each other's slots, so
-    /// the row partitions cleanly along state ranges. Every slot is
-    /// summed in the same transition order as the serial build, so the
-    /// resulting `f64` tables are **bit-identical** for every
-    /// [`Parallelism`] setting. Small automata (and
-    /// `Parallelism::Serial`) take the serial path.
+    /// the states split into contiguous near-equal ranges, one pool job
+    /// per range per row. The previous row goes out behind one shared
+    /// `Arc`, so a range reads any slot of it for free, and
+    /// [`WorkerPool::run`] returns the chunks in range order for an
+    /// in-order stitch. Every slot is summed in the same transition
+    /// order as the serial build, so the resulting `f64` tables are
+    /// **bit-identical** for every [`Parallelism`] setting and every
+    /// split. Small automata (and `Parallelism::Serial`) take the serial
+    /// path.
     pub fn new_with(dfa: &Dfa, max_len: usize, par: Parallelism) -> Self {
-        if !par.is_parallel() || dfa.state_count() < Self::PARALLEL_MIN_STATES {
+        let n = dfa.state_count();
+        if !par.is_parallel() || n < Self::PARALLEL_MIN_STATES || max_len == 0 {
             return Self::new(dfa, max_len);
         }
-        let index = ShardIndex::build(dfa, par.threads());
-        Self::new_sharded(&ShardedDfa::new(dfa, &index), max_len)
-    }
-
-    /// Build the table over a pre-sharded view (the state-range
-    /// partition a session's plan memo caches), one pool job per shard
-    /// per row. Bit-identical to [`WalkTable::new`] on the same
-    /// automaton.
-    ///
-    /// Rows run on the persistent [`WorkerPool`] for the shard count:
-    /// each row submits one short job per shard (the previous row goes
-    /// out behind an `Arc`), and [`WorkerPool::run`] returns the slot
-    /// chunks in shard order for an in-order stitch. No threads are
-    /// spawned per build — the pool's workers are long-lived and shared
-    /// with every other sharded build at the same width.
-    pub fn new_sharded(sharded: &ShardedDfa<'_>, max_len: usize) -> Self {
-        use std::sync::Arc;
-
-        let dfa = sharded.dfa();
-        let n = dfa.state_count();
         let mut exact_by_len: Vec<Vec<f64>> = Vec::with_capacity(max_len + 1);
         let base: Vec<f64> = (0..n)
             .map(|s| if dfa.is_accepting(s) { 1.0 } else { 0.0 })
             .collect();
         exact_by_len.push(base);
-        if max_len > 0 {
-            let shard_count = sharded.shard_count();
-            // One clone of the automaton per build so the row jobs own
-            // their transition graph ('static pool jobs can't borrow).
-            let dfa = Arc::new(dfa.clone());
-            let ranges: Vec<std::ops::Range<StateId>> =
-                (0..shard_count).map(|shard| sharded.range(shard)).collect();
-            let pool = WorkerPool::for_parallelism(Parallelism::sharded(shard_count));
-            for len in 1..=max_len {
-                let prev = Arc::new(exact_by_len[len - 1].clone());
-                let jobs: Vec<_> = ranges
-                    .iter()
-                    .map(|range| {
-                        let range = range.clone();
-                        let dfa = Arc::clone(&dfa);
-                        let prev = Arc::clone(&prev);
-                        move || {
-                            // Each slot sums its transitions in the same
-                            // order as the serial loop: bit-identical rows.
-                            range
-                                .map(|s| {
-                                    let mut acc = 0.0;
-                                    for (_, t) in dfa.transitions(s) {
-                                        acc += prev[t];
-                                    }
-                                    acc
-                                })
-                                .collect::<Vec<f64>>()
-                        }
-                    })
-                    .collect();
-                let mut cur = vec![0.0f64; n];
-                for (chunk, range) in pool.run(jobs).into_iter().zip(&ranges) {
-                    cur[range.clone()].copy_from_slice(&chunk);
-                }
-                exact_by_len.push(cur);
-            }
+        let chunk = n.div_ceil(par.threads());
+        // One clone of the automaton per build so the row jobs own their
+        // transition graph ('static pool jobs can't borrow).
+        let dfa = Arc::new(dfa.clone());
+        let pool = WorkerPool::for_parallelism(par);
+        for len in 1..=max_len {
+            let prev = Arc::new(exact_by_len[len - 1].clone());
+            let jobs: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|lo| {
+                    let range = lo..(lo + chunk).min(n);
+                    let dfa = Arc::clone(&dfa);
+                    let prev = Arc::clone(&prev);
+                    move || {
+                        // Each slot sums its transitions in the same
+                        // order as the serial loop: bit-identical rows.
+                        range
+                            .map(|s| {
+                                let mut acc = 0.0;
+                                for (_, t) in dfa.transitions(s) {
+                                    acc += prev[t];
+                                }
+                                acc
+                            })
+                            .collect::<Vec<f64>>()
+                    }
+                })
+                .collect();
+            // The ranges tile `0..n` in order, and so do their chunks.
+            exact_by_len.push(pool.run(jobs).concat());
         }
         Self::from_exact_rows_trusted(exact_by_len, max_len)
     }
@@ -504,7 +481,7 @@ mod tests {
 
     #[test]
     fn sharded_table_is_bit_identical_to_serial() {
-        use crate::{Parallelism, ShardIndex, ShardedDfa};
+        use crate::Parallelism;
         // A chain automaton wide enough to clear the parallel threshold.
         let symbols: Vec<Symbol> = (0..120u32).map(|i| u32::from(b'a') + (i % 26)).collect();
         let dfa = Nfa::literal(symbols.clone())
@@ -512,10 +489,11 @@ mod tests {
             .determinize();
         assert!(dfa.state_count() >= WalkTable::PARALLEL_MIN_STATES);
         let serial = WalkTable::new(&dfa, 24);
-        let auto = WalkTable::new_with(&dfa, 24, Parallelism::sharded(4));
-        let index = ShardIndex::build(&dfa, 3);
-        let explicit = WalkTable::new_sharded(&ShardedDfa::new(&dfa, &index), 24);
-        for table in [&auto, &explicit] {
+        // No worker count here divides the state count, so every split
+        // ends in a short range.
+        for threads in [3, 4, 7] {
+            assert_ne!(dfa.state_count() % threads, 0);
+            let table = WalkTable::new_with(&dfa, 24, Parallelism::sharded(threads));
             assert_eq!(table.max_len(), serial.max_len());
             for budget in 0..=24 {
                 for state in 0..dfa.state_count() {

@@ -117,11 +117,10 @@ pub fn compile_full_with(char_dfa: &Dfa, tokenizer: &BpeTokenizer, par: Parallel
         .filter(|(_, word)| word.len() > 1)
         .collect();
     if par.is_parallel() && n.saturating_mul(vocab.len()) >= PARALLEL_COMPILE_MIN_WORK {
-        // Contiguous state ranges, one per pool job. The scan only needs
-        // the ranges — a full `ShardIndex` (with its cross-edge pass)
-        // would be wasted work on this hot path. Pool jobs are `'static`,
-        // so the automaton and vocabulary are owned once behind `Arc`s
-        // and cloned per shard.
+        // Contiguous near-equal state ranges, one per pool job (the
+        // split a parallel walk-table build uses too). Pool jobs are
+        // `'static`, so the automaton and vocabulary are owned once
+        // behind `Arc`s and cloned per shard.
         let shards = par.threads().clamp(1, n);
         let chunk = n.div_ceil(shards);
         let dfa = Arc::new(char_dfa.clone());

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use relm_automata::{Dfa, Parallelism, ShardIndex, ShardedDfa, WalkTable};
+use relm_automata::{Dfa, Parallelism, WalkTable};
 use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{DecodingPolicy, LanguageModel, ScoringEngine};
 use relm_regex::Regex;
@@ -181,34 +181,25 @@ pub(crate) struct PlanParts {
     /// table, not one per budget. Warm sampling queries of a memoized
     /// plan reuse it instead of rebuilding per execute.
     walk_table: Mutex<Option<Arc<WalkTable>>>,
-    /// Lazily built state-range shard index over the prefix machine,
-    /// memoized alongside the walk table it parallelizes: a sharded
-    /// walk-table build partitions its row fills along these ranges.
-    /// `None` until a parallel execute first needs it; rebuilt only if
-    /// a later execute asks for a different worker count.
-    prefix_shards: Mutex<Option<Arc<ShardIndex>>>,
 }
 
 impl PlanParts {
     /// Reassemble a plan from store-loaded artifacts — the inverse of
-    /// tearing one apart for serialization. The walk table and shard
-    /// index arrive already built (if the saving process had
-    /// materialized them); a restored table for budget `L` keeps
-    /// serving any later query with budget `≤ L`, exactly as if this
-    /// process had built it.
+    /// tearing one apart for serialization. The walk table arrives
+    /// already built (if the saving process had materialized it); a
+    /// restored table for budget `L` keeps serving any later query with
+    /// budget `≤ L`, exactly as if this process had built it.
     pub(crate) fn from_restored(
         prefix: Option<Dfa>,
         body: CompiledAutomaton,
         deferred_filters: Vec<Dfa>,
         walk_table: Option<Arc<WalkTable>>,
-        prefix_shards: Option<Arc<ShardIndex>>,
     ) -> Self {
         PlanParts {
             prefix,
             body,
             deferred_filters,
             walk_table: Mutex::new(walk_table),
-            prefix_shards: Mutex::new(prefix_shards),
         }
     }
 
@@ -217,19 +208,13 @@ impl PlanParts {
         self.walk_table.lock().clone()
     }
 
-    /// Snapshot of the memoized prefix shard index (for serialization).
-    pub(crate) fn prefix_shards_snapshot(&self) -> Option<Arc<ShardIndex>> {
-        self.prefix_shards.lock().clone()
-    }
-
     /// Estimated resident heap bytes of the compiled automata (prefix,
-    /// body, and deferred-filter machines) **plus** the execute-time
-    /// artifacts memoized inside the plan: the walk table and the
-    /// prefix shard index. At plan-compile time both are still `None`
-    /// (they are execute-time artifacts sized by `max_tokens` and the
-    /// worker count), so the session's byte-budgeted plan memo charges
-    /// them by re-costing the entry on later memo hits. Used to charge
-    /// a URL-scale plan its real footprint.
+    /// body, and deferred-filter machines) **plus** the walk table
+    /// memoized inside the plan. At plan-compile time the table is still
+    /// `None` (it is an execute-time artifact sized by `max_tokens`), so
+    /// the session's byte-budgeted plan memo charges it by re-costing
+    /// the entry on later memo hits. Used to charge a URL-scale plan its
+    /// real footprint.
     pub(crate) fn estimated_bytes(&self) -> usize {
         let prefix = self.prefix.as_ref().map_or(0, Dfa::estimated_bytes);
         let filters: usize = self.deferred_filters.iter().map(Dfa::estimated_bytes).sum();
@@ -238,34 +223,13 @@ impl PlanParts {
             .lock()
             .as_ref()
             .map_or(0, |t| t.estimated_bytes());
-        let shard_index = self
-            .prefix_shards
-            .lock()
-            .as_ref()
-            .map_or(0, |i| i.estimated_bytes());
-        prefix + self.body.automaton.estimated_bytes() + filters + walk_table + shard_index
-    }
-
-    /// The memoized shard index over the prefix machine for `threads`
-    /// workers, building it on first use (or rebuilding if a later
-    /// execute asks for a different worker count).
-    fn prefix_shard_index(&self, prefix: &Dfa, threads: usize) -> Arc<ShardIndex> {
-        let want = threads.clamp(1, prefix.state_count().max(1));
-        let mut cached = self.prefix_shards.lock();
-        match cached.as_ref() {
-            Some(index) if index.shard_count() == want => Arc::clone(index),
-            _ => {
-                let built = Arc::new(ShardIndex::build(prefix, threads));
-                *cached = Some(Arc::clone(&built));
-                built
-            }
-        }
+        prefix + self.body.automaton.estimated_bytes() + filters + walk_table
     }
 
     /// The walk-count table for the prefix machine covering at least
     /// `max_tokens`, building (or upgrading to the larger budget) and
-    /// memoizing it on first use. Parallel settings shard the row fills
-    /// along the memoized prefix [`ShardIndex`]; serial and sharded
+    /// memoizing it on first use. Parallel settings split the row fills
+    /// across the pool ([`WalkTable::new_with`]); serial and parallel
     /// builds are bit-identical, so the memo never needs to know which
     /// setting built the cached table. `None` when the plan has no
     /// prefix.
@@ -275,17 +239,7 @@ impl PlanParts {
         match table.as_ref() {
             Some(existing) if existing.max_len() >= max_tokens => Some(Arc::clone(existing)),
             _ => {
-                let built = if par.is_parallel()
-                    && prefix.state_count() >= WalkTable::PARALLEL_MIN_STATES
-                {
-                    let index = self.prefix_shard_index(prefix, par.threads());
-                    Arc::new(WalkTable::new_sharded(
-                        &ShardedDfa::new(prefix, &index),
-                        max_tokens,
-                    ))
-                } else {
-                    Arc::new(WalkTable::new(prefix, max_tokens))
-                };
+                let built = Arc::new(WalkTable::new_with(prefix, max_tokens, par));
                 *table = Some(Arc::clone(&built));
                 Some(built)
             }
@@ -405,7 +359,6 @@ pub(crate) fn compile_parts(
         },
         deferred_filters,
         walk_table: Mutex::new(None),
-        prefix_shards: Mutex::new(None),
     })
 }
 
@@ -666,12 +619,12 @@ mod tests {
     use super::*;
     use crate::query::QueryString;
 
-    /// A query whose prefix token automaton is wide enough
-    /// (≥ [`WalkTable::PARALLEL_MIN_STATES`]) for the sharded walk-table
-    /// path to really build and memoize a prefix [`ShardIndex`].
+    /// A query whose prefix token automaton is wide enough (≥ 64
+    /// states, the walk table's threshold) for a parallel walk-table
+    /// build to really run its rows on the pool.
     fn wide_prefix_parts() -> PlanParts {
         // Pseudo-random words: minimization cannot collapse the prefix
-        // trie below the sharding threshold.
+        // trie below the threshold.
         let words = crate::test_lexicon(0x2545f4914f6cdd1d, 40, 8);
         let corpus = words.join(" ");
         let tokenizer = BpeTokenizer::train(&corpus, 40);
@@ -688,28 +641,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_walk_table_memoizes_and_charges_the_shard_index() {
+    fn parallel_walk_table_is_memoized_and_charged_to_the_plan() {
         let parts = wide_prefix_parts();
         let prefix_states = parts.prefix.as_ref().unwrap().state_count();
         assert!(
-            prefix_states >= WalkTable::PARALLEL_MIN_STATES,
+            prefix_states >= 64,
             "fixture too small: {prefix_states} states"
         );
         let before = parts.estimated_bytes();
         let table = parts.walk_table(16, Parallelism::sharded(4)).unwrap();
         let after = parts.estimated_bytes();
-        let index = parts
-            .prefix_shards
-            .lock()
-            .as_ref()
-            .map(Arc::clone)
-            .expect("shard index memoized by the parallel build");
-        assert_eq!(index.shard_count(), 4);
         assert!(
-            after >= before + table.estimated_bytes() + index.estimated_bytes(),
-            "estimated_bytes must charge table + shard index: {before} -> {after}"
+            after >= before + table.estimated_bytes(),
+            "estimated_bytes must charge the walk table: {before} -> {after}"
         );
-        // The sharded table is bit-identical to a serial build.
+        let again = parts.walk_table(12, Parallelism::sharded(4)).unwrap();
+        assert!(
+            Arc::ptr_eq(&table, &again),
+            "a smaller budget reuses the table"
+        );
+        // The parallel table is bit-identical to a serial build.
         let serial_parts = wide_prefix_parts();
         let serial_table = serial_parts.walk_table(16, Parallelism::Serial).unwrap();
         let prefix = parts.prefix.as_ref().unwrap();
@@ -721,21 +672,5 @@ mod tests {
                 );
             }
         }
-        assert!(
-            serial_parts.prefix_shards.lock().is_none(),
-            "serial builds must not pay for an index"
-        );
-    }
-
-    #[test]
-    fn shard_index_is_rebuilt_only_on_worker_count_change() {
-        let parts = wide_prefix_parts();
-        let prefix = parts.prefix.as_ref().unwrap().clone();
-        let first = parts.prefix_shard_index(&prefix, 4);
-        let again = parts.prefix_shard_index(&prefix, 4);
-        assert!(Arc::ptr_eq(&first, &again), "same worker count: reuse");
-        let other = parts.prefix_shard_index(&prefix, 2);
-        assert_eq!(other.shard_count(), 2);
-        assert!(!Arc::ptr_eq(&first, &other));
     }
 }

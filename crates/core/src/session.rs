@@ -484,10 +484,10 @@ impl PlanMemo {
 
 /// Write a memoized plan to `store` in place: the store's encoder
 /// reads the automata and tables where the memo keeps them, so nothing
-/// is cloned to be saved. The walk table and shard index travel only
-/// if this process materialized them (they are execute-time
-/// artifacts); a plan saved before its first sampling execute simply
-/// restores without them and rebuilds on demand.
+/// is cloned to be saved. The walk table travels only if this process
+/// materialized it (it is an execute-time artifact); a plan saved
+/// before its first sampling execute simply restores without it and
+/// rebuilds on demand.
 fn save_parts(store: &PlanStore, key: &PlanKey, parts: &PlanParts) -> Result<u64, StoreError> {
     store.save_plan_parts(
         &key.to_artifact(),
@@ -496,7 +496,6 @@ fn save_parts(store: &PlanStore, key: &PlanKey, parts: &PlanParts) -> Result<u64
         parts.body.needs_canonical_check,
         &parts.deferred_filters,
         parts.walk_table_snapshot().as_deref(),
-        parts.prefix_shards_snapshot().as_deref(),
     )
 }
 
@@ -514,7 +513,6 @@ fn restore_parts(artifact: PlanArtifact) -> PlanParts {
         },
         artifact.deferred_filters,
         artifact.walk_table.map(Arc::new),
-        artifact.shard_index.map(Arc::new),
     )
 }
 
@@ -762,9 +760,9 @@ impl<M: LanguageModel> RelmSession<M> {
     }
 
     /// Re-persist every memoized plan to the configured store,
-    /// **including** the execute-time artifacts (walk table, shard
-    /// index) materialized since the compile-time write-back — so a
-    /// replica restoring these plans starts sampling-warm too. Returns
+    /// **including** the execute-time walk tables materialized since
+    /// the compile-time write-back — so a replica restoring these plans
+    /// starts sampling-warm too. Returns
     /// the total bytes written.
     ///
     /// Each plan is encoded straight from the memo's shared

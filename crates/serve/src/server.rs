@@ -433,8 +433,8 @@ impl<M: LanguageModel> RelmServer<M> {
         report.shards = shard_reports;
         if self.config.flush_store {
             // Plans were written back at compile time, but a re-persist
-            // captures the walk tables and shard indexes materialized
-            // since; the cache snapshot makes the next boot score-warm.
+            // captures the walk tables materialized since; the cache
+            // snapshot makes the next boot score-warm.
             report.store_flush_bytes = self.client.persist_plans().unwrap_or(0)
                 + self.client.save_scoring_cache().unwrap_or(0);
         }

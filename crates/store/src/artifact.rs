@@ -3,11 +3,12 @@
 //! A **plan artifact** is everything a session's plan memo holds for
 //! one compiled query: the optional prefix automaton, the body token
 //! automaton (shortcut edges are its transitions) with its
-//! canonical-check flag, the deferred filter automata, and — when they
-//! were built before the snapshot — the walk table and the prefix
-//! shard partition. It is keyed by exactly the in-memory memo key:
-//! pattern, prefix, tokenization strategy, preprocessor fingerprints,
-//! and tokenizer fingerprint.
+//! canonical-check flag, the deferred filter automata, and — when it
+//! was built before the snapshot — the walk table. It is keyed by
+//! exactly the in-memory memo key: pattern, prefix, tokenization
+//! strategy, preprocessor fingerprints, and tokenizer fingerprint.
+//! Nothing in it depends on the worker count of the process that
+//! wrote it.
 //!
 //! A **cache artifact** is a snapshot of a `SharedScoringCache`'s live
 //! entries, tagged with the generation and tokenizer fingerprint they
@@ -15,9 +16,8 @@
 //!
 //! Decoding validates structure end to end — a decoded automaton goes
 //! through [`Dfa::try_from_parts`], walk rows through
-//! [`WalkTable::from_exact_rows`], shard bounds through
-//! [`ShardIndex::from_bounds`] — so a corrupt payload that survives the
-//! checksum still surfaces a typed error, never a panic.
+//! [`WalkTable::from_exact_rows`] — so a corrupt payload that survives
+//! the checksum still surfaces a typed error, never a panic.
 //!
 //! There is one encoder and one decoder per artifact. The plan encoder
 //! reads a borrowed [`PlanView`], so an owned [`PlanArtifact`] and a
@@ -29,7 +29,7 @@
 
 use std::sync::Arc;
 
-use relm_automata::{Dfa, ShardIndex, StateId, Symbol, WalkTable};
+use relm_automata::{Dfa, StateId, Symbol, WalkTable};
 use relm_bpe::TokenId;
 
 use crate::wire::{Reader, Writer, CACHE_MAGIC, PLAN_MAGIC};
@@ -107,10 +107,6 @@ pub struct PlanArtifact {
     pub deferred_filters: Vec<Dfa>,
     /// The sampling walk table, when one had been built.
     pub walk_table: Option<WalkTable>,
-    /// The prefix automaton's shard partition, when one had been built.
-    /// Restored against the stored prefix automaton, so it is only
-    /// present when `prefix` is.
-    pub shard_index: Option<ShardIndex>,
 }
 
 /// The borrowed form of a plan — what the encoder reads. An owned
@@ -124,7 +120,6 @@ pub(crate) struct PlanView<'a> {
     pub(crate) needs_canonical_check: bool,
     pub(crate) deferred_filters: &'a [Dfa],
     pub(crate) walk_table: Option<&'a WalkTable>,
-    pub(crate) shard_index: Option<&'a ShardIndex>,
 }
 
 fn accepting_states(dfa: &Dfa) -> impl Iterator<Item = StateId> + '_ {
@@ -209,9 +204,6 @@ impl PlanView<'_> {
             let cells: usize = table.exact_rows().iter().map(Vec::len).sum();
             8 + 8 + 8 * cells
         });
-        len += 1 + self
-            .shard_index
-            .map_or(0, |index| 8 + 8 * index.bounds().len());
         len
     }
 
@@ -242,14 +234,6 @@ impl PlanView<'_> {
             }
             None => w.u8(0),
         }
-        match self.shard_index {
-            Some(index) => {
-                w.u8(1);
-                w.usize(index.bounds().len());
-                w.usizes(index.bounds());
-            }
-            None => w.u8(0),
-        }
     }
 
     /// The complete framed file image.
@@ -269,7 +253,6 @@ impl PlanArtifact {
             needs_canonical_check: self.needs_canonical_check,
             deferred_filters: &self.deferred_filters,
             walk_table: self.walk_table.as_ref(),
-            shard_index: self.shard_index.as_ref(),
         }
     }
 
@@ -342,22 +325,6 @@ impl PlanArtifact {
                 })?)
             }
         };
-        let shard_index = match r.flag("shard-index tag")? {
-            false => None,
-            true => {
-                let bound_count = r.count(8, "shard-index bound count")?;
-                let bounds = r
-                    .u64s(bound_count, "shard-index bounds")?
-                    .map(|b| b as StateId)
-                    .collect();
-                let prefix = prefix.as_ref().ok_or_else(|| {
-                    StoreError::Corrupt("shard index present without a prefix automaton".into())
-                })?;
-                Some(ShardIndex::from_bounds(prefix, bounds).ok_or_else(|| {
-                    StoreError::Corrupt("shard bounds do not partition the prefix automaton".into())
-                })?)
-            }
-        };
         if r.remaining() != 0 {
             return Err(StoreError::Corrupt(format!(
                 "{} trailing bytes after the artifact payload",
@@ -371,7 +338,6 @@ impl PlanArtifact {
             needs_canonical_check,
             deferred_filters,
             walk_table,
-            shard_index,
         })
     }
 
@@ -387,9 +353,6 @@ impl PlanArtifact {
         }
         if let Some(table) = &self.walk_table {
             bytes += table.estimated_bytes();
-        }
-        if let Some(index) = &self.shard_index {
-            bytes += index.estimated_bytes();
         }
         bytes
     }
@@ -516,7 +479,6 @@ mod tests {
                 tokenizer: 9,
             },
             walk_table: Some(WalkTable::new(&prefix, 7)),
-            shard_index: Some(ShardIndex::build(&prefix, 4)),
             prefix: Some(prefix),
             body: dense_dfa(25, 40),
             needs_canonical_check: false,

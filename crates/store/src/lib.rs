@@ -7,9 +7,11 @@
 //! replica, CI run, and bench re-pays the cold compile path. This crate
 //! makes warmth a durable artifact: a [`PlanStore`] directory holds one
 //! file per compiled plan — prefix and body automata, deferred filters,
-//! walk table, shard partition — keyed by exactly the in-memory memo
-//! key ([`ArtifactKey`]), plus an optional snapshot of the shared
-//! scoring cache ([`CacheArtifact`]) tagged with its generation.
+//! walk table — keyed by exactly the in-memory memo key
+//! ([`ArtifactKey`]), plus an optional snapshot of the shared scoring
+//! cache ([`CacheArtifact`]) tagged with its generation. A plan file
+//! holds nothing that depends on the writer's worker count, so hosts
+//! with different core counts write the same bytes for the same plan.
 //!
 //! # Format
 //!
@@ -24,12 +26,14 @@
 //! and every multi-byte integer in the payload is `to_le_bytes`;
 //! `f64`s travel as IEEE-754 bit patterns (`to_bits`/`from_bits`), so
 //! a plan loaded from disk is bit-for-bit the plan that was saved.
-//! The checksum (format version 2) reads the payload eight bytes at a
-//! time into four interleaved lanes; any damage confined to one aligned
-//! word is certain to change it. A file stamped with any version other
-//! than [`FORMAT_VERSION`] is [`StoreError::UnsupportedVersion`] — to
-//! a session a plain miss, recompiled and overwritten. FNV-1a survives
-//! only in plan file *names*.
+//! The checksum (since format version 2) reads the payload eight bytes
+//! at a time into four interleaved lanes; any damage confined to one
+//! aligned word is certain to change it. Format version 3 is version
+//! 2's layout without the plan's trailing shard-bounds field. A file
+//! stamped with any version other than [`FORMAT_VERSION`] is
+//! [`StoreError::UnsupportedVersion`] — to a session a plain miss,
+//! recompiled and overwritten (version 2 files included). FNV-1a
+//! survives only in plan file *names*.
 //! Reads are length-checked into preallocated buffers whose sizes are
 //! validated against the bytes actually present, so corrupt files —
 //! truncated, bit-flipped, wrong-magic, other-version — surface a
@@ -80,7 +84,7 @@ pub enum StoreError {
         actual: u64,
     },
     /// The payload is structurally invalid (truncated fields,
-    /// out-of-range state ids, non-partitioning shard bounds, ...).
+    /// out-of-range state ids, ragged walk-table rows, ...).
     Corrupt(String),
     /// The artifact decodes cleanly but answers a different key than
     /// the one it was looked up under (file-name hash collision or a

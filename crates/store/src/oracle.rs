@@ -5,14 +5,16 @@
 //! shipped up to format version 1, field by field and byte by byte:
 //! one bounds-checked read per scalar, one `format!` label per field,
 //! FNV-1a over the payload. It is slow and it is the definition of the
-//! payload layout, which did not change with version 2 — so the
-//! property tests below hold the live codec to it: the payload bytes
-//! must be equal, and what either decoder makes of them must be equal
-//! field for field, every `f64` compared by `to_bits`.
+//! payload layout, which did not change with version 2 and lost only
+//! its last field, the prefix's shard bounds, with version 3 (dropped
+//! here too) — so the property tests below hold the live codec to it:
+//! the payload bytes must be equal, and what either decoder makes of
+//! them must be equal field for field, every `f64` compared by
+//! `to_bits`.
 
 use proptest::prelude::*;
 
-use relm_automata::{Dfa, ShardIndex, StateId, Symbol, WalkTable};
+use relm_automata::{Dfa, StateId, Symbol, WalkTable};
 use relm_bpe::TokenId;
 
 use crate::artifact::{ArtifactKey, CacheArtifact, PlanArtifact};
@@ -252,16 +254,6 @@ pub(crate) fn encode_plan(plan: &PlanArtifact) -> Vec<u8> {
         }
         None => w.u8(0),
     }
-    match &plan.shard_index {
-        Some(index) => {
-            w.u8(1);
-            w.usize(index.bounds().len());
-            for &b in index.bounds() {
-                w.usize(b);
-            }
-        }
-        None => w.u8(0),
-    }
     w.buf
 }
 
@@ -323,24 +315,6 @@ pub(crate) fn decode_plan(payload: &[u8]) -> Result<PlanArtifact, StoreError> {
         }
         tag => return Err(corrupt(format!("walk-table tag {tag}"))),
     };
-    let shard_index = match r.u8("shard-index tag")? {
-        0 => None,
-        1 => {
-            let bound_count = r.count(8, "shard-index bound count")?;
-            let mut bounds = Vec::with_capacity(bound_count);
-            for _ in 0..bound_count {
-                bounds.push(r.u64("shard-index bound")? as StateId);
-            }
-            let prefix = prefix
-                .as_ref()
-                .ok_or_else(|| corrupt("shard index without a prefix automaton".into()))?;
-            Some(
-                ShardIndex::from_bounds(prefix, bounds)
-                    .ok_or_else(|| corrupt("shard bounds do not partition the prefix".into()))?,
-            )
-        }
-        tag => return Err(corrupt(format!("shard-index tag {tag}"))),
-    };
     if r.remaining() != 0 {
         return Err(corrupt(format!("{} trailing bytes", r.remaining())));
     }
@@ -351,7 +325,6 @@ pub(crate) fn decode_plan(payload: &[u8]) -> Result<PlanArtifact, StoreError> {
         needs_canonical_check,
         deferred_filters,
         walk_table,
-        shard_index,
     })
 }
 
@@ -474,8 +447,8 @@ fn draws() -> impl Strategy<Value = Draws> {
     (0u64..u64::MAX).prop_map(Draws)
 }
 
-/// Plans with and without a prefix, a walk table (built, or of
-/// arbitrary cells) and a shard index, and with 0–3 deferred filters.
+/// Plans with and without a prefix and a walk table (built, or of
+/// arbitrary cells), and with 0–3 deferred filters.
 pub(crate) fn plan_artifact() -> impl Strategy<Value = PlanArtifact> {
     draws().prop_map(|mut d| {
         let key = ArtifactKey {
@@ -498,10 +471,6 @@ pub(crate) fn plan_artifact() -> impl Strategy<Value = PlanArtifact> {
                     .unwrap_or_else(|| WalkTable::new(prefix, max_len))
             }
         });
-        let shard_index = prefix
-            .as_ref()
-            .filter(|_| d.flag())
-            .map(|prefix| ShardIndex::build(prefix, 1 + d.below(4)));
         PlanArtifact {
             key,
             prefix,
@@ -509,7 +478,6 @@ pub(crate) fn plan_artifact() -> impl Strategy<Value = PlanArtifact> {
             needs_canonical_check: d.flag(),
             deferred_filters: (0..d.below(4)).map(|_| d.partial_dfa()).collect(),
             walk_table,
-            shard_index,
         }
     })
 }
@@ -540,7 +508,6 @@ pub(crate) fn same_plan(a: &PlanArtifact, b: &PlanArtifact) -> Result<(), String
     prop_assert_eq!(&a.body, &b.body);
     prop_assert_eq!(a.needs_canonical_check, b.needs_canonical_check);
     prop_assert_eq!(&a.deferred_filters, &b.deferred_filters);
-    prop_assert_eq!(&a.shard_index, &b.shard_index);
     let table = |p: &PlanArtifact| {
         p.walk_table.as_ref().map(|t| {
             let rows: Vec<Vec<u64>> = t.exact_rows().iter().map(|row| bits(row)).collect();

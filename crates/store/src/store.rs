@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use relm_automata::{Dfa, ShardIndex, WalkTable};
+use relm_automata::{Dfa, WalkTable};
 
 use crate::artifact::{ArtifactKey, CacheArtifact, PlanArtifact, PlanView};
 use crate::wire::fnv1a;
@@ -99,7 +99,6 @@ impl PlanStore {
     /// encoder reads the parts where they are, so a session persisting
     /// its memo clones no automaton to do it. The arguments are
     /// [`PlanArtifact`]'s fields, borrowed.
-    #[allow(clippy::too_many_arguments)]
     pub fn save_plan_parts(
         &self,
         key: &ArtifactKey,
@@ -108,7 +107,6 @@ impl PlanStore {
         needs_canonical_check: bool,
         deferred_filters: &[Dfa],
         walk_table: Option<&WalkTable>,
-        shard_index: Option<&ShardIndex>,
     ) -> Result<u64, StoreError> {
         let view = PlanView {
             key,
@@ -117,7 +115,6 @@ impl PlanStore {
             needs_canonical_check,
             deferred_filters,
             walk_table,
-            shard_index,
         };
         self.write_plan(key, &view.to_bytes())
     }
@@ -182,7 +179,6 @@ mod tests {
         let prefix = Nfa::literal(str_symbols("the ")).determinize();
         // Walks run over the prefix automaton, and decode enforces it.
         let walk_table = WalkTable::new(&prefix, 12);
-        let shard_index = ShardIndex::build(&prefix, 2);
         PlanArtifact {
             key: ArtifactKey {
                 pattern: "the ((cat)|(dog))".into(),
@@ -196,7 +192,6 @@ mod tests {
             needs_canonical_check: true,
             deferred_filters: vec![Nfa::literal(str_symbols("x")).determinize()],
             walk_table: Some(walk_table),
-            shard_index: Some(shard_index),
         }
     }
 
@@ -222,7 +217,6 @@ mod tests {
         assert_eq!(loaded.body, artifact.body);
         assert_eq!(loaded.needs_canonical_check, artifact.needs_canonical_check);
         assert_eq!(loaded.deferred_filters, artifact.deferred_filters);
-        assert_eq!(loaded.shard_index, artifact.shard_index);
         let (orig, back) = (
             artifact.walk_table.as_ref().unwrap(),
             loaded.walk_table.as_ref().unwrap(),
@@ -314,9 +308,9 @@ mod tests {
         store.save_plan(&artifact).expect("save");
         let path = store.plan_path(&artifact.key);
         let good = fs::read(&path).unwrap();
-        // Version 1 differs from 2 in bit 0 and bit 1 of byte 8: the
-        // old `>` check let both an old file and a flipped bit through.
-        for version in [0, 1, 3, u32::MAX] {
+        // Versions 2 and 1 are 3 with bit 0 or bit 1 of byte 8 flipped,
+        // and older layouts too: the old `>` check let both through.
+        for version in [0, 1, 2, 4, u32::MAX] {
             let mut bytes = good.clone();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &bytes).unwrap();
@@ -350,7 +344,6 @@ mod tests {
                 artifact.needs_canonical_check,
                 &artifact.deferred_filters,
                 artifact.walk_table.as_ref(),
-                artifact.shard_index.as_ref(),
             )
             .expect("save parts");
         assert_eq!(borrowed, owned);
@@ -365,7 +358,7 @@ mod tests {
         // the adversarial case the checksum cannot catch — decoding
         // must return a typed error or a structurally valid artifact,
         // never panic. This drives the structural validators (DFA
-        // bounds, walk rows, shard bounds, option tags, count guards).
+        // bounds, walk rows, option tags, count guards).
         #[test]
         fn resealed_payload_mutations_never_panic(pos in 0usize..4096, value in 0u8..=255) {
             let mut image = small_artifact().to_bytes();

@@ -27,8 +27,10 @@ use crate::StoreError;
 /// and the file overwritten in this build's format.
 ///
 /// Version 2 kept version 1's payload layout and replaced its FNV-1a
-/// payload checksum with a word-wise, four-lane one.
-pub const FORMAT_VERSION: u32 = 2;
+/// payload checksum with a word-wise, four-lane one. Version 3 kept
+/// that checksum and dropped the plan payload's last field, a tagged
+/// list of the prefix automaton's shard bounds.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic prefix of a plan artifact file.
 pub(crate) const PLAN_MAGIC: [u8; 8] = *b"RELMPLAN";
@@ -69,9 +71,9 @@ fn absorb(state: u64, word: u64) -> u64 {
     (state ^ word).wrapping_mul(MIX).rotate_left(29)
 }
 
-/// The payload checksum of format version 2. Not cryptographic — it
-/// guards against truncation, bit rot and torn writes, the failure
-/// modes of a local artifact cache.
+/// The payload checksum of format versions 2 and 3. Not cryptographic
+/// — it guards against truncation, bit rot and torn writes, the
+/// failure modes of a local artifact cache.
 ///
 /// The payload is read as little-endian 8-byte words. Word `i` of each
 /// 32-byte block is absorbed into lane `i`; the words of the last,
@@ -183,11 +185,6 @@ impl Writer {
     /// A run of `u64`s (fingerprints).
     pub(crate) fn u64s(&mut self, values: &[u64]) {
         self.records(values.iter().map(|v| v.to_le_bytes()));
-    }
-
-    /// A run of `usize`s as `u64`s (state ids, shard bounds).
-    pub(crate) fn usizes(&mut self, values: &[usize]) {
-        self.records(values.iter().map(|&v| (v as u64).to_le_bytes()));
     }
 
     /// A run of `u32`s (token ids).
@@ -368,7 +365,7 @@ impl<'a> Reader<'a> {
         Ok(records)
     }
 
-    /// A run of `count` `u64`s (state ids, bounds, fingerprints).
+    /// A run of `count` `u64`s (state ids, fingerprints).
     pub(crate) fn u64s(
         &mut self,
         count: usize,
@@ -429,7 +426,8 @@ mod tests {
         w.opt_str(None);
         w.opt_str(Some("x"));
         w.u64s(&[1, u64::MAX]);
-        w.usizes(&[5, 6]);
+        w.usize(5);
+        w.usize(6);
         w.u32s(&[0xdead_beef, 0]);
         w.f64s(&[-0.0, f64::NEG_INFINITY]);
         let bytes = w.into_bytes();
@@ -493,8 +491,8 @@ mod tests {
         );
     }
 
-    /// The algorithm is part of format version 2: these sums are what
-    /// every version-2 file on disk was sealed with. (The expected
+    /// The algorithm is part of format versions 2 and 3: these sums are
+    /// what every such file on disk was sealed with. (The expected
     /// values come from a separate implementation written from the
     /// rustdoc of `checksum`, not from running it.)
     #[test]

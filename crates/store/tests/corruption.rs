@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use relm_automata::{str_symbols, Nfa, ShardIndex, WalkTable};
+use relm_automata::{str_symbols, Nfa, WalkTable};
 use relm_store::{ArtifactKey, CacheArtifact, PlanArtifact, StoreError};
 
 fn valid_plan_bytes() -> Vec<u8> {
@@ -21,7 +21,6 @@ fn valid_plan_bytes() -> Vec<u8> {
         .minimize();
     let prefix = Nfa::literal(str_symbols("the ")).determinize();
     let walk_table = WalkTable::new(&prefix, 16);
-    let shard_index = ShardIndex::build(&prefix, 2);
     PlanArtifact {
         key: ArtifactKey {
             pattern: "the ((cat)|(dog)) sat".into(),
@@ -35,7 +34,6 @@ fn valid_plan_bytes() -> Vec<u8> {
         needs_canonical_check: false,
         deferred_filters: vec![Nfa::literal(str_symbols("sat")).determinize()],
         walk_table: Some(walk_table),
-        shard_index: Some(shard_index),
     }
     .to_bytes()
 }
@@ -75,8 +73,8 @@ fn every_flipped_bit_fails_closed(good: &[u8], decode: impl Fn(&[u8]) -> Result<
 }
 
 // A single flipped bit anywhere in the file must fail closed — every
-// one of them, the version field's low bit (2 -> 3, and before this
-// format 1 -> 0, which `>` let through) included.
+// one of them, the version field's low bit (3 -> 2, an older layout a
+// `>` check would let through) included.
 #[test]
 fn flipped_bit_in_plan_fails_closed() {
     every_flipped_bit_fails_closed(&valid_plan_bytes(), |bytes| {

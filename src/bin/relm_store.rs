@@ -14,9 +14,10 @@
 //!   the plans into `DIR`. With no patterns, the CI smoke set is
 //!   compiled. `--prefix P` attaches a conditioning prefix to every
 //!   pattern; `--take N` additionally *executes* each query for `N`
-//!   matches so the execute-time artifacts (walk tables, shard indexes)
-//!   materialize, then re-persists the plans with them and snapshots
-//!   the scoring cache.
+//!   matches so the execute-time walk tables materialize, then
+//!   re-persists the plans with them and snapshots the scoring cache.
+//!   The files do not depend on the host's core count: a plan compiled
+//!   here is byte for byte the plan any other host writes.
 //! * `ls` lists the artifacts in `DIR` with their keys and sizes.
 //! * `verify` decodes every artifact (checksum, structure, key) and
 //!   exits nonzero if any fails.

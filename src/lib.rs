@@ -45,8 +45,8 @@
 
 pub use relm_automata::{
     ascii_alphabet, byte_alphabet, concat, dfa_to_dot, levenshtein_within, nfa_to_dot,
-    prefix_closure, reverse, str_symbols, symbols_to_string, Dfa, Fst, Nfa, Parallelism,
-    ShardIndex, ShardedDfa, StateId, Symbol, WalkChoice, WalkTable, WorkerPool,
+    prefix_closure, reverse, str_symbols, symbols_to_string, Dfa, Fst, Nfa, Parallelism, StateId,
+    Symbol, WalkChoice, WalkTable, WorkerPool,
 };
 pub use relm_bpe::{pretokenize, BpeTokenizer, TokenId};
 pub use relm_core::{

@@ -83,8 +83,6 @@ fn facade_reexport_list_matches_snapshot() {
         "Fst",
         "Nfa",
         "Parallelism",
-        "ShardIndex",
-        "ShardedDfa",
         "StateId",
         "Symbol",
         "WalkChoice",

@@ -146,12 +146,12 @@ fn serial_and_sharded_run_many_are_byte_identical() {
 }
 
 #[test]
-fn plan_memo_eviction_still_triggers_with_shard_accounting() {
-    // Regression for the shard-aware byte accounting: executing a plan
-    // under a parallel setting materializes execute-time artifacts (the
-    // walk table and the prefix shard index) *after* the memo insert;
-    // the re-cost on the next memo hit must charge them and still
-    // enforce the configured budget with evictions.
+fn plan_memo_eviction_still_triggers_with_walk_table_accounting() {
+    // Regression for the plan memo's byte accounting: executing a
+    // sampling plan under a parallel setting materializes the walk
+    // table *after* the memo insert; the re-cost on the next memo hit
+    // must charge it and still enforce the configured budget with
+    // evictions.
     let (tok, lm) = fixture();
     let probe = Relm::builder(&lm, tok.clone())
         .parallelism(Parallelism::sharded(4))

@@ -12,8 +12,8 @@ use std::process::Command;
 
 use relm::serve::{spawn, QueryRequest, RelmServer, ServerConfig};
 use relm::{
-    BpeTokenizer, NGramConfig, NGramLm, Parallelism, QuerySet, QueryString, Relm, SearchQuery,
-    SearchStrategy, SessionConfig,
+    explain, BpeTokenizer, NGramConfig, NGramLm, Parallelism, QuerySet, QueryString, Relm,
+    SearchQuery, SearchStrategy, SessionConfig, TokenizationStrategy,
 };
 
 /// The deterministic demonstration corpus the `relm_store` and
@@ -352,6 +352,63 @@ fn other_version_store_is_all_misses_and_answers_like_a_cold_compile() {
     let verify = relm_store(&["verify", dir.to_str().unwrap()]);
     assert!(verify.status.success(), "the rewritten store verifies");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A plan file is a function of the plan, not of the host that wrote
+/// it: the same sampling search persisted by a serial client and by a
+/// four-worker client writes the same bytes, even when the prefix is
+/// wide enough for the four-worker client to fill its walk table on
+/// the pool.
+#[test]
+fn plan_files_do_not_depend_on_the_worker_count() {
+    // Under all-encodings lowering the prefix token automaton keeps
+    // every state of the character automaton: one per byte of a
+    // literal, so this prefix clears the pooled walk-table threshold.
+    let prefix = DOCS.join(" ");
+    let query = SearchQuery::new(
+        QueryString::new(format!("{prefix} the ((cat)|(dog))")).with_prefix(prefix.as_str()),
+    )
+    .with_tokenization(TokenizationStrategy::All)
+    .with_strategy(SearchStrategy::RandomSampling { seed: 3 })
+    .with_max_tokens(128);
+    let (tok, _) = fixture();
+    let shape = explain(&query, &tok, 128).unwrap();
+    let prefix_states = shape.prefix_machine.expect("query has a prefix").states;
+    assert!(prefix_states >= 64, "prefix too small: {prefix_states}");
+
+    let files_written_under = |par: Parallelism, tag: &str| -> Vec<(String, Vec<u8>)> {
+        let dir = temp_dir(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        let (tok, lm) = fixture();
+        let client = Relm::builder(lm, tok)
+            .config(
+                SessionConfig::new()
+                    .with_parallelism(par)
+                    .with_plan_store(&dir),
+            )
+            .build()
+            .unwrap();
+        let _ = client.search(&query).unwrap().take(1).count();
+        assert!(client.persist_plans().unwrap() > 0);
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_str().unwrap().to_string();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    };
+    let serial = files_written_under(Parallelism::Serial, "workers-serial");
+    let sharded = files_written_under(Parallelism::sharded(4), "workers-sharded");
+    assert_eq!(serial.len(), 1, "one plan file");
+    assert!(
+        serial == sharded,
+        "plan files differ between a serial and a four-worker writer"
+    );
 }
 
 /// N racing threads compiling the same fresh query behind one shared
