@@ -3,7 +3,10 @@
 //! execution — under concurrent clients, for queries admitted while
 //! others are mid-flight, and regardless of coalescing schedule — and a
 //! client that disconnects cancels its in-flight queries instead of
-//! pinning server work.
+//! pinning server work. A client that never reads its answers stalls
+//! nobody else on its shard, stopping the server stays bounded with
+//! clients still connected, and a client that half-closes its write
+//! side still receives what it asked for.
 //!
 //! Every expected answer is produced by running
 //! [`QueryRequest::to_search_query`]'s output through a solo client over
@@ -13,8 +16,12 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use relm::serve::protocol::{decode_frame, encode_frame, MAX_FRAME_BYTES};
 use relm::serve::{
     spawn, QueryRequest, RelmServer, Request, Response, ServeClient, ServerConfig, StrategySpec,
 };
@@ -310,4 +317,116 @@ fn facade_driver_mid_flight_admission_is_deterministic() {
     };
     assert_eq!(bits(early_id), expected_early);
     assert_eq!(bits(late_id), expected_late);
+}
+
+/// `n` stats requests back to back, framed for the wire.
+fn pipelined_stats(n: usize) -> Vec<u8> {
+    let payload = Request::Stats.encode();
+    let mut wire = Vec::with_capacity(n * (4 + payload.len()));
+    for _ in 0..n {
+        encode_frame(&payload, &mut wire);
+    }
+    wire
+}
+
+/// Connect a client that pipelines 50,000 stats requests and never
+/// reads an answer: several MB of responses, more than loopback socket
+/// buffers hold, so the server can only keep them queued. Returns once
+/// every request left the client (bounded, so a server that stops
+/// reading fails the test instead of hanging it).
+fn connect_slow_reader(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut sender = stream.try_clone().unwrap();
+    let (sent, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = sent.send(sender.write_all(&pipelined_stats(50_000)).is_ok());
+    });
+    assert_eq!(
+        done.recv_timeout(Duration::from_secs(5)),
+        Ok(true),
+        "the server must keep reading a client that does not read"
+    );
+    stream
+}
+
+#[test]
+fn slow_reader_does_not_stall_its_shard() {
+    let solo = solo_client();
+    let handle = start_server();
+    let addr = handle.addr();
+
+    let slow = connect_slow_reader(addr);
+    // Let the one shard work into the backlog: a shard that ever
+    // blocks on the slow reader's full socket is wedged by now.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let request = QueryRequest::new(1, "the ((cat)|(dog)) sat", 2);
+    let mut polite = ServeClient::connect(addr).unwrap();
+    polite.send(&Request::Query(request.clone())).unwrap();
+    let (answered, answer) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = answered.send(polite.recv().map(|r| served_bits(&r)));
+    });
+    let served = answer
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a client sharing a shard with a slow reader must still be answered")
+        .unwrap();
+    assert_eq!(served, solo_bits(&solo, &request));
+
+    // Stopping with the slow reader still connected, its answers still
+    // queued, is bounded too.
+    let start = Instant::now();
+    let report = handle.stop().unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "stop took {:?} with a slow reader connected",
+        start.elapsed()
+    );
+    assert_eq!(report.completed, 1);
+    drop(slow);
+}
+
+#[test]
+fn stop_is_bounded_with_an_idle_client_connected() {
+    let handle = start_server();
+    let idle = ServeClient::connect(handle.addr()).unwrap();
+    // Make sure the connection was adopted before stopping.
+    std::thread::sleep(Duration::from_millis(50));
+    let start = Instant::now();
+    let report = handle.stop().unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "stop took {:?} with an idle client connected",
+        start.elapsed()
+    );
+    assert_eq!(report.accepted, 1);
+    drop(idle);
+}
+
+#[test]
+fn half_closed_client_still_receives_its_answer() {
+    let handle = start_server();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.write_all(&pipelined_stats(1)).unwrap();
+    // Done sending: the server sees EOF right behind the request.
+    stream.shutdown(Shutdown::Write).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let frame = loop {
+        if let Some(frame) = decode_frame(&mut buf, MAX_FRAME_BYTES).unwrap() {
+            break frame;
+        }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the server closed before answering");
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let Response::Stats(stats) = Response::decode(&frame).unwrap() else {
+        panic!("expected stats");
+    };
+    assert_eq!(stats.accepted, 1);
+    handle.stop().unwrap();
 }
