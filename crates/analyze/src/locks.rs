@@ -37,14 +37,13 @@ use crate::scan::SourceFile;
 /// Receiver-field-name -> lock-class table. This *is* the repo's lock
 /// inventory; a new lock must be added here (or it reports as its own
 /// `other:<name>` class, which still participates in cycle checks).
-const CLASS_OF_RECEIVER: [(&str, &str); 7] = [
+const CLASS_OF_RECEIVER: [(&str, &str); 6] = [
     ("plans", "memo"),            // RelmSession plan memo
     ("walk_table", "plan_parts"), // lazily-built per-plan walk table
     ("table", "cache"),           // SharedScoringCache, the one scoring memo
     ("queue", "pool"),            // WorkerPool job queue
     ("registry", "pool"),         // process-wide pool registry
     ("pools", "pool"),            // its guard
-    ("inbox", "inbox"),           // serve acceptor -> shard handoff
 ];
 
 /// The blessed acquisition hierarchy, outermost first. `counters` has
@@ -57,9 +56,6 @@ fn class_of(receiver: &str) -> String {
         if receiver == name {
             return class.to_string();
         }
-    }
-    if receiver == "inboxes" {
-        return "inbox".to_string();
     }
     format!("other:{receiver}")
 }
@@ -497,7 +493,7 @@ fn is_keyword(name: &str) -> bool {
 
 /// The base identifier of the receiver chain ending at the `.` before
 /// `method_ci`: `self.plans.lock()` -> `plans`;
-/// `inboxes[shard].lock()` -> `inboxes`.
+/// `pools[i].lock()` -> `pools`.
 fn receiver_base(file: &SourceFile, code: &[usize], method_ci: usize) -> String {
     // Step back over the dot.
     let mut ci = method_ci.saturating_sub(1); // the '.'
@@ -761,8 +757,8 @@ mod tests {
     #[test]
     fn if_let_guard_holds_for_its_block() {
         let (r, _) = analyze_src(
-            "fn f(&self) { if let Ok(g) = inboxes[i].lock() { self.plans.lock().x(); } }",
+            "fn f(&self) { if let Ok(g) = plans[i].lock() { self.table.lock().x(); } }",
         );
-        assert!(r.edges.iter().any(|e| e.from == "inbox" && e.to == "memo"));
+        assert!(r.edges.iter().any(|e| e.from == "memo" && e.to == "cache"));
     }
 }

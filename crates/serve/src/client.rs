@@ -1,7 +1,5 @@
 //! A small blocking client for the serving protocol — the reference
-//! peer for tests, benches, and the `relm_client` bin. (Server-side
-//! everything is non-blocking; a *client* has nothing better to do than
-//! wait for its answer.)
+//! peer for tests, benches, and the `relm_client` bin.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

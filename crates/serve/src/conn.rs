@@ -1,22 +1,14 @@
-//! Per-connection state machine: buffered non-blocking reads and
+//! The load generator's client pump: buffered non-blocking reads and
 //! writes over one TCP stream, surfacing complete protocol frames.
 //!
-//! A connection is always in one of three observable states:
-//!
-//! 1. **open** — bytes flow both ways; [`Connection::pump_read`]
-//!    accretes the read buffer and pops complete frames,
-//!    [`Connection::pump_write`] drains the write queue;
-//! 2. **draining** — the read side is done (`read_closed`: EOF, read
-//!    error, or protocol violation) but queued response frames still
-//!    flush. Per the protocol contract, a peer that closes its read
-//!    side **abandons its in-flight queries** (the server cancels them
-//!    — a vanished auditor must not pin server work) while responses
-//!    already queued are still delivered if the write side survives;
-//! 3. **defunct** — the write side failed too (or the drain finished);
-//!    the server sweeps the connection.
-//!
-//! All IO is non-blocking: `WouldBlock` just ends the pump, and the
-//! event loop returns on its next pass.
+//! `relm_loadgen` drives every scripted client from one thread, so no
+//! socket may block it: [`Connection::pump_write`] flushes what the
+//! socket takes of the queued request frames, [`Connection::pump_read`]
+//! accretes the read buffer and pops complete response frames, and
+//! `WouldBlock` just ends a pump until the generator's next pass. The
+//! read side closes on EOF, a read error, or an oversized frame (the
+//! stream cannot resynchronize after one); the write side dies on a
+//! write error.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -35,22 +27,18 @@ pub(crate) struct Connection {
     write_buf: Vec<u8>,
     /// Bytes of `write_buf` already flushed to the socket.
     written: usize,
-    /// Set on EOF, read error, or protocol violation: no further
-    /// requests will arrive. The server cancels the connection's
-    /// in-flight queries but keeps draining queued responses.
-    pub(crate) read_closed: bool,
+    /// Set on EOF, read error, or an oversized frame: no further
+    /// frames will arrive.
+    read_closed: bool,
     /// Set on a fatal write error: queued bytes can never flush.
-    pub(crate) write_dead: bool,
-    /// Queries this connection has in flight — the gauge the
-    /// per-connection admission quota is enforced against.
-    pub(crate) inflight: usize,
+    write_dead: bool,
 }
 
 impl Connection {
-    /// Adopt an accepted stream, switching it to non-blocking mode.
+    /// Adopt a connected stream, switching it to non-blocking mode.
     pub(crate) fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
-        // Responses are single small frames; Nagle only adds latency.
+        // Requests are single small frames; Nagle only adds latency.
         let _ = stream.set_nodelay(true);
         Ok(Connection {
             stream,
@@ -59,14 +47,7 @@ impl Connection {
             written: 0,
             read_closed: false,
             write_dead: false,
-            inflight: 0,
         })
-    }
-
-    /// Whether the server can sweep this connection: the write side is
-    /// dead, or the read side finished and every queued byte flushed.
-    pub(crate) fn defunct(&self) -> bool {
-        self.write_dead || (self.read_closed && !self.wants_write())
     }
 
     /// Drain readable bytes and return every complete frame. Marks the
@@ -74,6 +55,9 @@ impl Connection {
     /// (the stream cannot resynchronize after one); frames already
     /// buffered are still returned alongside.
     pub(crate) fn pump_read(&mut self, max_frame_bytes: usize) -> Vec<Vec<u8>> {
+        if self.read_closed {
+            return Vec::new();
+        }
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
@@ -119,7 +103,7 @@ impl Connection {
     /// IO error.
     pub(crate) fn pump_write(&mut self) -> bool {
         let mut progressed = false;
-        while self.written < self.write_buf.len() {
+        while !self.write_dead && self.written < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.written..]) {
                 Ok(0) => {
                     self.write_dead = true;
@@ -186,7 +170,7 @@ mod tests {
             }
         };
         assert_eq!(frames, vec![b"pong".to_vec()]);
-        assert!(!server.defunct() && !client.defunct());
+        assert!(!server.read_closed && !client.read_closed);
     }
 
     #[test]
@@ -202,39 +186,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert!(server.read_closed);
-        assert!(server.defunct(), "nothing queued: sweepable immediately");
-    }
-
-    #[test]
-    fn half_closed_connection_still_drains_queued_responses() {
-        let (mut server, mut client_stream) = socket_pair();
-        // A response is queued, then the peer half-closes its write
-        // side (server-side EOF) while still reading.
-        server.queue_frame(b"late answer");
-        client_stream.shutdown(std::net::Shutdown::Write).unwrap();
-        for _ in 0..100 {
-            let _ = server.pump_read(1 << 20);
-            if server.read_closed {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(server.read_closed);
-        assert!(
-            !server.defunct(),
-            "queued bytes keep a half-closed connection draining"
-        );
-        while server.wants_write() {
-            assert!(server.pump_write() || !server.write_dead);
-        }
-        // The peer still receives the frame after its half-close (the
-        // frame is 4 length bytes + the 11-byte payload; read exactly
-        // that, since the server keeps its socket open).
-        let mut wire = vec![0u8; 4 + b"late answer".len()];
-        client_stream.read_exact(&mut wire).unwrap();
-        let frame = decode_frame(&mut wire, 1 << 20).unwrap().unwrap();
-        assert_eq!(frame, b"late answer");
-        assert!(server.defunct(), "drained + read-closed: sweepable now");
     }
 
     #[test]

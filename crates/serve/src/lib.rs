@@ -17,22 +17,21 @@
 //!   contract is **byte-identical results**: a served query answers with
 //!   precisely the matches (f64 bits included) a solo `Relm::search`
 //!   produces, no matter what else is in flight or when it was admitted.
-//! * [`Reactor`] / [`PollReactor`] — the waiting strategy of the event
-//!   loop (readiness-by-retry here; the trait is the slot where an
-//!   epoll implementation would go). Each shard owns one.
 //! * [`RelmServer`] — the sharded server: an acceptor assigns each
 //!   connection to one of [`ServerConfig::shards`] shard threads
-//!   (connection affinity), and each shard runs its own event loop —
-//!   adopt → read + admit → one driver tick → write — over its own
-//!   [`relm_core::QueryDriver`]. Within a shard, concurrency comes
-//!   from the *driver*: every connection's queries interleave through
-//!   the same stepwise executor protocol
-//!   (`step()`/`frontier_contexts()`) that `run_many` uses, which is
-//!   exactly the poll interface a reactor needs. Across shards, the
-//!   plan memo, scoring cache, plan store, and worker pool stay
-//!   shared, so warmth is global. Backpressure is enforced at admit
-//!   time (per-connection quota + global in-flight cap) with typed
-//!   busy frames.
+//!   (connection affinity) and gives it a reader and a writer thread.
+//!   The reader blocks in `read` and sends complete request frames to
+//!   its shard's inbox; the writer blocks on its own queue of response
+//!   frames. Each shard owns a [`relm_core::QueryDriver`]: it blocks on
+//!   its inbox while the driver is idle and otherwise alternates
+//!   draining the inbox (admitting queries) with one driver tick, so
+//!   nothing waits on a timer. Within a shard, concurrency comes from
+//!   the *driver*: every connection's queries interleave through the
+//!   same stepwise executor protocol (`step()`/`frontier_contexts()`)
+//!   that `run_many` uses. Across shards, the plan memo, scoring cache,
+//!   plan store, and worker pool stay shared, so warmth is global.
+//!   Backpressure is enforced at admit time (per-connection quota +
+//!   global in-flight cap) with typed busy frames.
 //! * [`ServeClient`] — a small blocking client (tests, benches, the
 //!   `relm_client` bin).
 //! * [`loadgen`] — an open-loop load harness (`relm_loadgen` bin):
@@ -78,7 +77,6 @@ mod client;
 mod conn;
 pub mod loadgen;
 pub mod protocol;
-mod reactor;
 mod server;
 
 pub use client::ServeClient;
@@ -87,5 +85,4 @@ pub use protocol::{
     ProtocolError, QueryRequest, Request, Response, StrategySpec, WireMatch, WireServerStats,
     MAX_FRAME_BYTES,
 };
-pub use reactor::{PollReactor, Reactor};
 pub use server::{spawn, RelmServer, ServerConfig, ServerHandle, ServerReport, ShardReport};

@@ -1,29 +1,29 @@
-//! [`RelmServer`]: the sharded serving event loop.
+//! [`RelmServer`]: the sharded serving loop.
 //!
-//! One **acceptor** plus N **shards**. The acceptor owns the listener
-//! and assigns each accepted connection to a shard (connection
-//! affinity: a connection's whole pipelined query stream lives on one
-//! shard for its lifetime). Each shard runs the four-phase event loop
-//! on its own thread:
+//! One **acceptor**, N **shards**, and a **reader** and a **writer** per
+//! connection; every thread blocks until it has work, so nothing waits
+//! on a timer. The acceptor blocks in `accept` and assigns each
+//! connection to one shard for its lifetime (connection affinity). The
+//! reader blocks in `read` and sends each complete frame to the shard's
+//! inbox; the writer blocks on its own channel of response frames.
 //!
-//! 1. **adopt** — take the connections the acceptor routed here;
-//! 2. **read** — pump every connection, decode complete frames, and
-//!    **admit** each query request into the shard's [`QueryDriver`]
-//!    (mid-flight admission: newcomers join the rotation between
-//!    ticks). Admission is where backpressure bites: a connection over
-//!    its in-flight quota, or a server at its global in-flight cap,
-//!    gets a typed [`Response::Busy`] frame instead of unbounded queue
-//!    growth;
-//! 3. **drive** — one [`QueryDriver::tick`]: a coalescing tick over the
-//!    union of the shard's live scoring frontiers, one bounded step of
-//!    every query, and the completion notifications for queries that
-//!    finished — which become response frames on their submitters'
-//!    write queues (deadline-expired queries become
-//!    [`Response::DeadlineExceeded`] frames);
-//! 4. **write** — flush write queues; sweep closed connections,
-//!    cancelling their in-flight queries.
+//! A shard is the only thread that touches its [`QueryDriver`]. Idle, it
+//! blocks on its inbox; with queries live it drains the inbox between
+//! [`QueryDriver::tick`]s, so deadlines need no timer. Draining admits
+//! queries mid-flight — where backpressure bites: a connection over its
+//! quota, or a server at its global cap, gets a typed [`Response::Busy`]
+//! — and cancels the in-flight queries of a connection whose reader
+//! ended. A tick coalesces the live frontiers into shared batches, steps
+//! every query once, and sends completions to their writers
+//! ([`Response::DeadlineExceeded`] for expired ones). Shards never write
+//! to a socket, so a client that stops reading stalls nobody else.
 //!
-//! When a pass does none of that, the shard's [`Reactor`] parks it.
+//! To stop, [`ServerHandle::stop`] (or the shard that reaches
+//! [`ServerConfig::max_requests`]) sets the stop flag and wakes the
+//! acceptor with one connection to its own address; the acceptor stops
+//! every shard, and a stopped shard drops its writers' channels. Each
+//! writer flushes (giving up on a socket that takes nothing for 250 ms)
+//! and shuts its socket down, which ends the blocked reader.
 //!
 //! Shards parallelize *driving*; warmth stays global. Every shard's
 //! driver executes through the same [`Relm`] client, so the plan memo,
@@ -39,19 +39,28 @@
 //! the same query produces (`tests/serve.rs`, `tests/serve_sharded.rs`).
 
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use relm_core::{PlanSource, QueryId, Relm};
+use relm_core::{PlanSource, QueryDriver, QueryId, Relm};
 use relm_lm::LanguageModel;
 
-use crate::conn::Connection;
 use crate::protocol::{
-    error_response, Request, Response, WireMatch, WireServerStats, MAX_FRAME_BYTES,
+    decode_frame, encode_frame, error_response, Request, Response, WireMatch, WireServerStats,
+    MAX_FRAME_BYTES,
 };
-use crate::reactor::{PollReactor, Reactor};
+
+/// How long a stopping server's writer waits on a socket that accepts
+/// nothing before it gives up the rest of its queue.
+const DRAIN_BOUND: Duration = Duration::from_millis(250);
+
+/// Bytes a reader asks the socket for per `read` (frames reassemble
+/// across reads, so this bounds only syscall granularity).
+const READ_CHUNK: usize = 4096;
 
 /// Tuning knobs for a [`RelmServer`].
 #[derive(Debug, Clone, Copy)]
@@ -59,8 +68,6 @@ use crate::reactor::{PollReactor, Reactor};
 pub struct ServerConfig {
     /// Hard cap on one frame's payload bytes.
     pub max_frame_bytes: usize,
-    /// How long the reactor parks on an idle pass.
-    pub park: Duration,
     /// Exit the serve loop after this many completed queries (`None` =
     /// serve until the shutdown flag flips). Scripted smoke tests and
     /// benches use it for deterministic shutdown.
@@ -76,8 +83,8 @@ pub struct ServerConfig {
     /// (Compiled plans need no flush: they are written back at compile
     /// time.) Best-effort, never fatal.
     pub flush_store: bool,
-    /// Driver shards: independent event loops, each with its own
-    /// reactor, connection table, and [`QueryDriver`]. Connections get
+    /// Driver shards: independent threads, each with its own
+    /// connection table and [`QueryDriver`]. Connections get
     /// shard affinity at accept time. Clamped to at least 1.
     pub shards: usize,
     /// Global cap on queries in flight across all shards; admissions
@@ -90,12 +97,11 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// The default knobs (1 MiB frames, 500µs park, one shard, 1024 in
-    /// flight globally / 64 per connection).
+    /// The default knobs (1 MiB frames, one shard, 1024 in flight
+    /// globally / 64 per connection).
     pub fn new() -> Self {
         ServerConfig {
             max_frame_bytes: MAX_FRAME_BYTES,
-            park: Duration::from_micros(500),
             max_requests: None,
             preload_store: false,
             flush_store: false,
@@ -109,13 +115,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_max_frame_bytes(mut self, bytes: usize) -> Self {
         self.max_frame_bytes = bytes;
-        self
-    }
-
-    /// Set the idle-pass park interval.
-    #[must_use]
-    pub fn with_park(mut self, park: Duration) -> Self {
-        self.park = park;
         self
     }
 
@@ -192,8 +191,6 @@ pub struct ShardReport {
     /// Plans this shard's admissions restored from the warm-artifact
     /// store (memo misses answered by disk instead of compilation).
     pub store_hits: u64,
-    /// Idle passes parked by this shard's reactor.
-    pub parks: u64,
     /// Mean contexts per model batch in this shard's engine.
     pub mean_batch_fill: f64,
     /// This shard's model batches that mixed two or more queries'
@@ -232,7 +229,9 @@ pub struct ServerReport {
     pub busy_rejections: u64,
     /// Plan-store hits attributed to admissions (across shards).
     pub store_hits: u64,
-    /// Idle passes parked (acceptor + every shard reactor).
+    /// Always 0 since the serve loop stopped parking on a timer; the
+    /// frozen benchmark still reads it, and the next bench PR drops it
+    /// with its `server.parks` row.
     pub parks: u64,
     /// Mean contexts per model batch, weighted across shard engines.
     pub mean_batch_fill: f64,
@@ -257,8 +256,8 @@ pub struct ServerReport {
 }
 
 /// Counters every shard (and the acceptor) shares. Relaxed ordering
-/// throughout: these are monotone gauges and tallies, never used to
-/// publish data between threads.
+/// throughout: these are monotone gauges, tallies and a stop flag,
+/// never used to publish data between threads (the inboxes do that).
 #[derive(Default)]
 struct SharedCounters {
     accepted: AtomicU64,
@@ -269,8 +268,9 @@ struct SharedCounters {
     busy_rejections: AtomicU64,
     /// Queries in flight across all shards — the global-cap gauge.
     in_flight: AtomicUsize,
-    /// The acceptor's stop signal to the shards (shutdown flag flipped,
-    /// request cap reached, or a fatal listener error).
+    /// Set once the server is stopping: by the acceptor (shutdown flag
+    /// flipped, or a fatal listener error) or by the shard whose
+    /// completion reaches the request cap.
     stop: AtomicBool,
 }
 
@@ -285,7 +285,7 @@ fn try_reserve(gauge: &AtomicUsize, cap: usize) -> bool {
 }
 
 /// A ReLM serving front end over one [`Relm`] client. See the module
-/// docs for the loop structure.
+/// docs for the thread structure.
 #[derive(Debug)]
 pub struct RelmServer<M> {
     client: Relm<M>,
@@ -317,21 +317,26 @@ impl<M: LanguageModel> RelmServer<M> {
     }
 
     /// Run the server on `listener` until `shutdown` flips (or
-    /// `max_requests` is reached): the calling thread becomes the
-    /// acceptor, and [`ServerConfig::shards`] shard loops run on scoped
-    /// threads. Blocks the calling thread; spawn it (or use [`spawn`])
-    /// to serve in the background.
+    /// `max_requests` is reached): the calling thread runs shard 0, and
+    /// the acceptor, the other [`ServerConfig::shards`] and every
+    /// connection's reader and writer run on scoped threads. Blocks the
+    /// calling thread; spawn it (or use [`spawn`]) to serve in the
+    /// background.
+    ///
+    /// The acceptor blocks in `accept` and reads `shutdown` once per
+    /// accepted connection, so a flip takes effect at the next connect;
+    /// [`ServerHandle::stop`] flips the flag and connects once itself.
     ///
     /// # Errors
     ///
-    /// Listener setup failures (`set_nonblocking`) and fatal `accept`
-    /// errors. Per-connection IO errors close that connection only.
+    /// Listener errors (`local_addr`, a fatal `accept`). Per-connection
+    /// IO errors close that connection only.
     pub fn serve(
         &self,
         listener: TcpListener,
         shutdown: &AtomicBool,
     ) -> std::io::Result<ServerReport> {
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let mut report = ServerReport::default();
         // Warm boot once, before any shard runs: best-effort — a
         // replica with a missing or corrupt store must still come up
@@ -342,66 +347,92 @@ impl<M: LanguageModel> RelmServer<M> {
         }
 
         let shard_count = self.config.shards.max(1);
+        let max_frame_bytes = self.config.max_frame_bytes;
         let shared = SharedCounters::default();
-        // One mailbox per shard: the acceptor pushes `(token, stream)`,
-        // the shard loop adopts. A Mutex'd Vec, not a channel — both
-        // sides are non-blocking and the critical section is a push or
-        // a take.
-        let inboxes: Vec<Mutex<Vec<(u64, TcpStream)>>> =
-            (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-
-        let mut acceptor_parks = 0u64;
         let shard_reports = std::thread::scope(|scope| -> std::io::Result<Vec<ShardReport>> {
             let shared = &shared;
-            let handles: Vec<_> = (0..shard_count)
-                .map(|shard| {
-                    let inbox = &inboxes[shard];
-                    scope.spawn(move || self.shard_loop(shard, shard_count, inbox, shared))
-                })
+            let run_shard = move |shard: usize, events: Receiver<Event>| {
+                let report = ShardReport {
+                    shard,
+                    ..ShardReport::default()
+                };
+                Shard {
+                    server: self,
+                    shared,
+                    shard_count,
+                    addr,
+                    driver: self.client.driver(),
+                    peers: HashMap::new(),
+                    routes: HashMap::new(),
+                    report,
+                }
+                .run(&events)
+            };
+            let (inboxes, mut events): (Vec<Sender<Event>>, Vec<Receiver<Event>>) =
+                (0..shard_count).map(|_| mpsc::channel()).unzip();
+            let first = events.remove(0);
+            let others: Vec<_> = (1..)
+                .zip(events)
+                .map(|(shard, events)| scope.spawn(move || run_shard(shard, events)))
                 .collect();
 
-            // The acceptor loop. Its only jobs: accept, assign a shard
-            // (round-robin over the connection token — deterministic
-            // affinity), and watch the exit conditions.
-            let accept_result: std::io::Result<()> = 'accept: loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    break Ok(());
-                }
-                if let Some(cap) = self.config.max_requests {
-                    if shared.completed.load(Ordering::Relaxed) >= cap {
+            // The acceptor: accept, assign a shard (round-robin over the
+            // connection token — deterministic affinity), start the
+            // connection's reader and writer; on stop, stop every shard.
+            let acceptor = scope.spawn(move || -> std::io::Result<()> {
+                let accept_result = loop {
+                    let stream = match listener.accept() {
+                        Ok((stream, _)) => stream,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                        Err(e) => break Err(e),
+                    };
+                    // The stop wake-up, or a client that raced it.
+                    if shutdown.load(Ordering::Relaxed) || shared.stop.load(Ordering::Relaxed) {
                         break Ok(());
                     }
-                }
-                let mut progressed = false;
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let token = shared.accepted.fetch_add(1, Ordering::Relaxed);
-                            let shard = (token % shard_count as u64) as usize;
-                            if let Ok(mut inbox) = inboxes[shard].lock() {
-                                inbox.push((token, stream));
-                            }
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => break 'accept Err(e),
+                    let token = shared.accepted.fetch_add(1, Ordering::Relaxed);
+                    let inbox = &inboxes[(token % shard_count as u64) as usize];
+                    // Responses are single small frames; Nagle only adds latency.
+                    let _ = stream.set_nodelay(true);
+                    let Ok(reader) = stream.try_clone() else {
+                        continue;
+                    };
+                    let (out, frames) = mpsc::channel();
+                    let writer = std::thread::Builder::new()
+                        .spawn_scoped(scope, move || write_frames(stream, &frames, &shared.stop));
+                    if writer.is_err() || inbox.send(Event::Open { token, out }).is_err() {
+                        continue;
                     }
+                    let events = inbox.clone();
+                    let reader = std::thread::Builder::new().spawn_scoped(scope, move || {
+                        read_frames(reader, token, &events, max_frame_bytes);
+                    });
+                    if reader.is_err() {
+                        let _ = inbox.send(Event::Closed { token });
+                    }
+                };
+                shared.stop.store(true, Ordering::Relaxed);
+                for inbox in &inboxes {
+                    let _ = inbox.send(Event::Stop);
                 }
-                if !progressed {
-                    std::thread::sleep(self.config.park);
-                    acceptor_parks += 1;
-                }
-            };
+                accept_result
+            });
 
-            shared.stop.store(true, Ordering::Relaxed);
-            let mut reports = Vec::with_capacity(shard_count);
-            for handle in handles {
+            // Shard 0 runs here, on the thread that allocates first and
+            // exits last: glibc hands a new thread the most recently
+            // released malloc arena, so a server started after this one
+            // reuses the memory its busiest thread left free instead of
+            // growing a second arena beside it.
+            let mut reports = vec![run_shard(0, first)];
+            for handle in others {
                 let report = handle
                     .join()
                     .map_err(|_| std::io::Error::other("shard thread panicked"))?;
                 reports.push(report);
             }
+            let accept_result = acceptor
+                .join()
+                .map_err(|_| std::io::Error::other("acceptor thread panicked"))?;
             accept_result.map(|()| reports)
         })?;
 
@@ -411,12 +442,10 @@ impl<M: LanguageModel> RelmServer<M> {
         report.cancelled = shared.cancelled.load(Ordering::Relaxed);
         report.expired = shared.expired.load(Ordering::Relaxed);
         report.busy_rejections = shared.busy_rejections.load(Ordering::Relaxed);
-        report.parks = acceptor_parks;
         let (mut batches, mut contexts) = (0u64, 0u64);
         for shard in &shard_reports {
             report.rejected += shard.rejected;
             report.store_hits += shard.store_hits;
-            report.parks += shard.parks;
             report.cross_query_batches += shard.cross_query_batches;
             report.ticks_run += shard.ticks_run;
             report.ticks_skipped += shard.ticks_skipped;
@@ -440,274 +469,325 @@ impl<M: LanguageModel> RelmServer<M> {
         }
         Ok(report)
     }
+}
 
-    /// One shard: the four-phase event loop over the connections the
-    /// acceptor assigned here, with its own reactor and driver. Runs
-    /// until the shared stop flag flips, then drains queued responses.
-    fn shard_loop(
-        &self,
-        shard: usize,
-        shard_count: usize,
-        inbox: &Mutex<Vec<(u64, TcpStream)>>,
-        shared: &SharedCounters,
-    ) -> ShardReport {
-        let mut reactor = PollReactor::new();
-        let mut driver = self.client.driver();
-        let mut conns: HashMap<u64, Connection> = HashMap::new();
-        // In-flight query -> (connection token, request id to echo).
-        let mut routes: HashMap<QueryId, (u64, u64)> = HashMap::new();
-        let mut report = ShardReport {
-            shard,
-            ..ShardReport::default()
-        };
+/// What reaches a shard's inbox.
+enum Event {
+    /// The acceptor assigned a connection here; `out` feeds its writer.
+    Open { token: u64, out: Sender<Vec<u8>> },
+    /// One complete request frame from a connection's reader.
+    Frame { token: u64, frame: Vec<u8> },
+    /// A connection's reader ended: EOF, a read error, or an oversized
+    /// frame (the stream cannot resynchronize after one).
+    Closed { token: u64 },
+    /// The server is stopping.
+    Stop,
+}
 
-        loop {
-            if shared.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let mut progressed = false;
+/// One connection, as its shard sees it.
+struct Peer {
+    /// Response payloads for the connection's writer.
+    out: Sender<Vec<u8>>,
+    /// Queries in flight — the gauge the per-connection quota is
+    /// enforced against.
+    inflight: usize,
+}
 
-            // Phase 1: adopt newly assigned connections.
-            let adopted: Vec<(u64, TcpStream)> = match inbox.lock() {
-                Ok(mut inbox) => std::mem::take(&mut *inbox),
-                Err(_) => Vec::new(),
-            };
-            for (token, stream) in adopted {
-                if let Ok(conn) = Connection::new(stream) {
-                    conns.insert(token, conn);
-                    report.connections += 1;
-                    progressed = true;
-                }
-            }
+/// One shard: its driver and the connections assigned to it. Only the
+/// shard's own thread touches it.
+struct Shard<'a, M: LanguageModel> {
+    server: &'a RelmServer<M>,
+    shared: &'a SharedCounters,
+    shard_count: usize,
+    /// The listener's address, to wake the acceptor at the request cap.
+    addr: SocketAddr,
+    driver: QueryDriver<'a, M>,
+    peers: HashMap<u64, Peer>,
+    /// In-flight query -> (connection token, request id to echo).
+    routes: HashMap<QueryId, (u64, u64)>,
+    report: ShardReport,
+}
 
-            // Phase 2: read + admit (quotas first — rejecting is
-            // cheaper than planning).
-            for (&token, conn) in conns.iter_mut() {
-                if conn.read_closed {
-                    continue;
-                }
-                for frame in conn.pump_read(self.config.max_frame_bytes) {
-                    progressed = true;
-                    match Request::decode(&frame) {
-                        Ok(Request::Stats) => {
-                            let scoring = driver.scoring();
-                            conn.queue_frame(
-                                &Response::Stats(WireServerStats {
-                                    accepted: shared.accepted.load(Ordering::Relaxed),
-                                    admitted: shared.admitted.load(Ordering::Relaxed),
-                                    completed: shared.completed.load(Ordering::Relaxed),
-                                    cancelled: shared.cancelled.load(Ordering::Relaxed),
-                                    expired: shared.expired.load(Ordering::Relaxed),
-                                    busy_rejections: shared.busy_rejections.load(Ordering::Relaxed),
-                                    in_flight: shared.in_flight.load(Ordering::Relaxed) as u64,
-                                    mean_batch_fill: scoring.mean_batch_size(),
-                                    cross_query_batches: scoring.cross_query_batches,
-                                    shard: shard as u64,
-                                    shards: shard_count as u64,
-                                })
-                                .encode(),
-                            );
-                        }
-                        Ok(Request::Query(request)) => {
-                            if conn.inflight >= self.config.max_inflight_per_conn {
-                                report.busy_rejections += 1;
-                                shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                                conn.queue_frame(
-                                    &Response::Busy {
-                                        id: request.id,
-                                        message: format!(
-                                            "connection quota: {} queries already in flight",
-                                            conn.inflight
-                                        ),
-                                    }
-                                    .encode(),
-                                );
-                                continue;
-                            }
-                            if !try_reserve(&shared.in_flight, self.config.max_inflight) {
-                                report.busy_rejections += 1;
-                                shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                                conn.queue_frame(
-                                    &Response::Busy {
-                                        id: request.id,
-                                        message: format!(
-                                            "server at capacity: {} queries in flight",
-                                            self.config.max_inflight
-                                        ),
-                                    }
-                                    .encode(),
-                                );
-                                continue;
-                            }
-                            let deadline = request
-                                .deadline_ms
-                                .map(|ms| Instant::now() + Duration::from_millis(ms));
-                            let query = request.to_search_query();
-                            let admitted = self.client.session().plan_traced(&query).and_then(
-                                |(plan, source)| {
-                                    if source == PlanSource::Store {
-                                        report.store_hits += 1;
-                                    }
-                                    driver.admit_plan_with_deadline(
-                                        &plan,
-                                        request.max_results,
-                                        deadline,
-                                    )
-                                },
-                            );
-                            match admitted {
-                                Ok(id) => {
-                                    routes.insert(id, (token, request.id));
-                                    conn.inflight += 1;
-                                    report.admitted += 1;
-                                    shared.admitted.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(error) => {
-                                    // Release the reserved global slot.
-                                    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                                    report.rejected += 1;
-                                    conn.queue_frame(&error_response(request.id, &error).encode());
-                                }
-                            }
-                        }
-                        Err(error) => {
-                            report.rejected += 1;
-                            conn.queue_frame(
-                                &Response::Error {
-                                    id: 0,
-                                    message: error.to_string(),
-                                }
-                                .encode(),
-                            );
+impl<M: LanguageModel> Shard<'_, M> {
+    /// Serve inbox events until the server stops. Dropping the shard
+    /// afterwards closes every writer's channel, so queued frames flush.
+    fn run(mut self, events: &Receiver<Event>) -> ShardReport {
+        'serve: while !self.shared.stop.load(Ordering::Relaxed) {
+            // Block only while nothing is in flight: a shard with live
+            // queries must keep ticking (which is also how it notices
+            // deadlines).
+            if self.driver.is_idle() {
+                match events.recv() {
+                    Ok(event) => {
+                        if !self.handle(event) {
+                            break;
                         }
                     }
+                    Err(_) => break,
                 }
             }
-
-            // Phase 3: drive. One rotation: coalescing tick over every
-            // live frontier, one bounded step per query, completions out.
-            if !driver.is_idle() {
-                progressed = true;
-                for completion in driver.tick() {
-                    let Some((token, request_id)) = routes.remove(&completion.id) else {
-                        continue;
-                    };
-                    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    if completion.expired {
-                        report.expired += 1;
-                        shared.expired.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        report.completed += 1;
-                        shared.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(conn) = conns.get_mut(&token) {
-                        conn.inflight = conn.inflight.saturating_sub(1);
-                        if conn.write_dead {
-                            continue;
-                        }
-                        if completion.expired {
-                            conn.queue_frame(
-                                &Response::DeadlineExceeded { id: request_id }.encode(),
-                            );
-                            continue;
-                        }
-                        let matches = completion
-                            .outcome
-                            .matches
-                            .iter()
-                            .map(|m| WireMatch {
-                                text: m.text.clone(),
-                                score_bits: m.log_prob.to_bits(),
-                                canonical: m.canonical,
-                                num_tokens: m.tokens.len(),
-                            })
-                            .collect();
-                        conn.queue_frame(
-                            &Response::Matches {
-                                id: request_id,
-                                matches,
-                            }
-                            .encode(),
-                        );
-                    }
+            // A busy shard can keep its own readers off the CPU: give
+            // them a turn before each tick, so what already arrived is
+            // admitted now and shares this tick's batch.
+            std::thread::yield_now();
+            while let Ok(event) = events.try_recv() {
+                if !self.handle(event) || self.shared.stop.load(Ordering::Relaxed) {
+                    break 'serve;
                 }
             }
-
-            // Phase 4: write; cancel the in-flight queries of
-            // connections whose read side closed (the protocol
-            // contract: a peer that stops reading requests-in abandons
-            // its outstanding queries, so one disappearing auditor
-            // cannot pin server work forever — responses already queued
-            // still drain); sweep connections once defunct.
-            for conn in conns.values_mut() {
-                if !conn.write_dead && conn.wants_write() {
-                    progressed |= conn.pump_write();
-                }
-            }
-            for (&token, conn) in conns.iter() {
-                if !conn.read_closed {
-                    continue;
-                }
-                // `routes.remove` makes this idempotent across passes.
-                let orphaned: Vec<QueryId> = routes
-                    .iter()
-                    .filter(|(_, &(t, _))| t == token)
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in orphaned {
-                    routes.remove(&id);
-                    if driver.cancel(id) {
-                        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                        report.cancelled += 1;
-                        shared.cancelled.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                }
-            }
-            let before = conns.len();
-            conns.retain(|_, conn| !conn.defunct());
-            progressed |= conns.len() < before;
-
-            if !progressed {
-                reactor.park(self.config.park);
+            if !self.driver.is_idle() {
+                self.tick();
             }
         }
 
-        // Final drain: the loop can exit (shutdown flag, request cap)
-        // with response frames still queued — a pipelined client that
-        // was slow to read would otherwise lose answers the server
-        // counted as completed. Bounded: flush until every queue is
-        // empty or dead, or the deadline passes.
-        let drain_deadline = Instant::now() + Duration::from_millis(250);
-        while conns
-            .values()
-            .any(|conn| !conn.write_dead && conn.wants_write())
-        {
-            let mut progressed = false;
-            for conn in conns.values_mut() {
-                if !conn.write_dead && conn.wants_write() {
-                    progressed |= conn.pump_write();
-                }
-            }
-            if Instant::now() >= drain_deadline {
-                break;
-            }
-            if !progressed {
-                reactor.park(self.config.park);
-            }
-        }
-
-        let scoring = driver.scoring();
-        report.mean_batch_fill = scoring.mean_batch_size();
-        report.cross_query_batches = scoring.cross_query_batches;
-        report.batches = scoring.batches;
-        report.batched_contexts = scoring.batched_contexts;
-        let (ticks_run, ticks_skipped) = driver.tick_counts();
-        report.ticks_run = ticks_run;
-        report.ticks_skipped = ticks_skipped;
-        report.parks = reactor.parks();
-        report
+        let scoring = self.driver.scoring();
+        self.report.mean_batch_fill = scoring.mean_batch_size();
+        self.report.cross_query_batches = scoring.cross_query_batches;
+        self.report.batches = scoring.batches;
+        self.report.batched_contexts = scoring.batched_contexts;
+        let (ticks_run, ticks_skipped) = self.driver.tick_counts();
+        self.report.ticks_run = ticks_run;
+        self.report.ticks_skipped = ticks_skipped;
+        self.report
     }
+
+    /// Apply one inbox event; `false` once the server is stopping.
+    fn handle(&mut self, event: Event) -> bool {
+        match event {
+            Event::Open { token, out } => {
+                self.peers.insert(token, Peer { out, inflight: 0 });
+                self.report.connections += 1;
+            }
+            Event::Frame { token, frame } => self.request(token, &frame),
+            Event::Closed { token } => self.close(token),
+            Event::Stop => return false,
+        }
+        true
+    }
+
+    /// Queue `response` on connection `token`'s writer. A writer that
+    /// already exited (its socket failed) drops it.
+    fn answer(&self, token: u64, response: &Response) {
+        if let Some(peer) = self.peers.get(&token) {
+            let _ = peer.out.send(response.encode());
+        }
+    }
+
+    fn busy(&mut self, token: u64, id: u64, message: String) {
+        self.report.busy_rejections += 1;
+        self.shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
+        self.answer(token, &Response::Busy { id, message });
+    }
+
+    /// Answer or admit one request frame (quotas first — rejecting is
+    /// cheaper than planning).
+    fn request(&mut self, token: u64, frame: &[u8]) {
+        let config = &self.server.config;
+        let request = match Request::decode(frame) {
+            Ok(Request::Query(request)) => request,
+            Ok(Request::Stats) => {
+                let scoring = self.driver.scoring();
+                let shared = self.shared;
+                let stats = Response::Stats(WireServerStats {
+                    accepted: shared.accepted.load(Ordering::Relaxed),
+                    admitted: shared.admitted.load(Ordering::Relaxed),
+                    completed: shared.completed.load(Ordering::Relaxed),
+                    cancelled: shared.cancelled.load(Ordering::Relaxed),
+                    expired: shared.expired.load(Ordering::Relaxed),
+                    busy_rejections: shared.busy_rejections.load(Ordering::Relaxed),
+                    in_flight: shared.in_flight.load(Ordering::Relaxed) as u64,
+                    mean_batch_fill: scoring.mean_batch_size(),
+                    cross_query_batches: scoring.cross_query_batches,
+                    shard: self.report.shard as u64,
+                    shards: self.shard_count as u64,
+                });
+                self.answer(token, &stats);
+                return;
+            }
+            Err(error) => {
+                self.report.rejected += 1;
+                let message = error.to_string();
+                self.answer(token, &Response::Error { id: 0, message });
+                return;
+            }
+        };
+        let inflight = self.peers.get(&token).map_or(0, |peer| peer.inflight);
+        if inflight >= config.max_inflight_per_conn {
+            let message = format!("connection quota: {inflight} queries already in flight");
+            return self.busy(token, request.id, message);
+        }
+        if !try_reserve(&self.shared.in_flight, config.max_inflight) {
+            let message = format!(
+                "server at capacity: {} queries in flight",
+                config.max_inflight
+            );
+            return self.busy(token, request.id, message);
+        }
+        let deadline = request
+            .deadline_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        let query = request.to_search_query();
+        let admitted =
+            self.server
+                .client
+                .session()
+                .plan_traced(&query)
+                .and_then(|(plan, source)| {
+                    if source == PlanSource::Store {
+                        self.report.store_hits += 1;
+                    }
+                    self.driver
+                        .admit_plan_with_deadline(&plan, request.max_results, deadline)
+                });
+        match admitted {
+            Ok(id) => {
+                self.routes.insert(id, (token, request.id));
+                if let Some(peer) = self.peers.get_mut(&token) {
+                    peer.inflight += 1;
+                }
+                self.report.admitted += 1;
+                self.shared.admitted.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(error) => {
+                // Release the reserved global slot.
+                self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+                self.report.rejected += 1;
+                self.answer(token, &error_response(request.id, &error));
+            }
+        }
+    }
+
+    /// One driver tick; completions go to their submitters' writers.
+    fn tick(&mut self) {
+        for completion in self.driver.tick() {
+            let Some((token, request_id)) = self.routes.remove(&completion.id) else {
+                continue;
+            };
+            self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+            let response = if completion.expired {
+                self.report.expired += 1;
+                self.shared.expired.fetch_add(1, Ordering::Relaxed);
+                Response::DeadlineExceeded { id: request_id }
+            } else {
+                self.report.completed += 1;
+                let completed = self.shared.completed.fetch_add(1, Ordering::Relaxed) + 1;
+                if self
+                    .server
+                    .config
+                    .max_requests
+                    .is_some_and(|cap| completed >= cap)
+                    && !self.shared.stop.swap(true, Ordering::Relaxed)
+                {
+                    wake(self.addr);
+                }
+                let matches = completion
+                    .outcome
+                    .matches
+                    .into_iter()
+                    .map(|m| WireMatch {
+                        num_tokens: m.tokens.len(),
+                        text: m.text,
+                        score_bits: m.log_prob.to_bits(),
+                        canonical: m.canonical,
+                    })
+                    .collect();
+                Response::Matches {
+                    id: request_id,
+                    matches,
+                }
+            };
+            if let Some(peer) = self.peers.get_mut(&token) {
+                peer.inflight = peer.inflight.saturating_sub(1);
+            }
+            self.answer(token, &response);
+        }
+    }
+
+    /// Connection `token` sends no more requests. Per the protocol
+    /// contract it abandons its in-flight queries (a vanished auditor
+    /// must not pin server work); answers already queued still flush,
+    /// because dropping the channel only ends the writer once it drained.
+    fn close(&mut self, token: u64) {
+        self.peers.remove(&token);
+        let orphaned: Vec<QueryId> = self
+            .routes
+            .iter()
+            .filter(|(_, &(t, _))| t == token)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in orphaned {
+            self.routes.remove(&id);
+            if self.driver.cancel(id) {
+                self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+                self.report.cancelled += 1;
+                self.shared.cancelled.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// A connection's reader: block in `read`, send each complete frame to
+/// the shard, and tell it when the read side ends.
+fn read_frames(mut stream: TcpStream, token: u64, events: &Sender<Event>, max_frame_bytes: usize) {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; READ_CHUNK];
+    'read: loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+        loop {
+            match decode_frame(&mut buf, max_frame_bytes) {
+                Ok(Some(frame)) => {
+                    if events.send(Event::Frame { token, frame }).is_err() {
+                        // The shard is gone: the server is stopping.
+                        return;
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => break 'read,
+            }
+        }
+    }
+    let _ = events.send(Event::Closed { token });
+}
+
+/// A connection's writer: frame and write every payload the shard sends
+/// until the shard drops the channel or the socket fails, then shut the
+/// socket down, which ends the reader too (on a failed socket that is
+/// how the shard learns to cancel the connection's queries).
+///
+/// A write waits at most [`DRAIN_BOUND`] for a full socket to take
+/// bytes; while the server runs it simply waits again, so a slow reader
+/// costs a wake-up per bound, and once it stops it gives up.
+fn write_frames(mut stream: TcpStream, payloads: &Receiver<Vec<u8>>, stop: &AtomicBool) {
+    let _ = stream.set_write_timeout(Some(DRAIN_BOUND));
+    let mut wire = Vec::new();
+    'payloads: for payload in payloads {
+        wire.clear();
+        encode_frame(&payload, &mut wire);
+        let mut rest = &wire[..];
+        while !rest.is_empty() {
+            match stream.write(rest) {
+                Ok(0) => break 'payloads,
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && !stop.load(Ordering::Relaxed) => {}
+                Err(_) => break 'payloads,
+            }
+        }
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Wake an acceptor blocked in `accept` on `addr` with one connection;
+/// it reads the stop flags on every accepted stream.
+fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect(addr);
 }
 
 /// A running background server: its address plus the handle to stop it.
@@ -724,7 +804,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Flip the shutdown flag and join the serve thread.
+    /// Flip the shutdown flag, wake the acceptor, and join the serve
+    /// thread.
     ///
     /// # Errors
     ///
@@ -732,6 +813,7 @@ impl ServerHandle {
     /// one if the serve thread itself panicked.
     pub fn stop(self) -> std::io::Result<ServerReport> {
         self.shutdown.store(true, Ordering::Relaxed);
+        wake(self.addr);
         self.join
             .join()
             .map_err(|_| std::io::Error::other("serve thread panicked"))?
