@@ -347,7 +347,6 @@ impl<M: LanguageModel> RelmServer<M> {
         }
 
         let shard_count = self.config.shards.max(1);
-        let max_frame_bytes = self.config.max_frame_bytes;
         let shared = SharedCounters::default();
         let shard_reports = std::thread::scope(|scope| -> std::io::Result<Vec<ShardReport>> {
             let shared = &shared;
@@ -405,7 +404,7 @@ impl<M: LanguageModel> RelmServer<M> {
                     }
                     let events = inbox.clone();
                     let reader = std::thread::Builder::new().spawn_scoped(scope, move || {
-                        read_frames(reader, token, &events, max_frame_bytes);
+                        read_frames(reader, token, &events, self.config.max_frame_bytes);
                     });
                     if reader.is_err() {
                         let _ = inbox.send(Event::Closed { token });
