@@ -482,6 +482,9 @@ impl PlanMemo {
     }
 }
 
+#[cfg(test)]
+mod oracle;
+
 /// Write a memoized plan to `store` in place: the store's encoder
 /// reads the automata and tables where the memo keeps them, so nothing
 /// is cloned to be saved. The walk table travels only if this process
@@ -992,6 +995,7 @@ mod tests {
     use super::*;
     use crate::query::QueryString;
     use crate::Preprocessor;
+    use proptest::prelude::*;
     use relm_lm::{NGramConfig, NGramLm};
 
     fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -1421,5 +1425,134 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.plan_hits, 0, "old plans unreachable after re-key");
         assert_eq!(stats.plan_misses, 2);
+    }
+
+    /// The live memo's resident keys in slot order.
+    fn live_resident(memo: &PlanMemo) -> Vec<PlanKey> {
+        memo.slots.iter().flatten().map(|e| e.key.clone()).collect()
+    }
+
+    /// The live memo's `(len, bytes, evictions, recoveries)`.
+    fn live_gauges(memo: &PlanMemo) -> (usize, usize, u64, u64) {
+        (memo.len(), memo.bytes, memo.evictions, memo.recoveries)
+    }
+
+    /// Empty the live memo's slot for `key` and leave the mapping behind.
+    fn live_inject(memo: &mut PlanMemo, key: &PlanKey) -> bool {
+        let Some(&slot) = memo.map.get(key) else {
+            return false;
+        };
+        let Some(entry) = memo.slots[slot].take() else {
+            return false;
+        };
+        memo.bytes -= entry.cost;
+        true
+    }
+
+    /// One step of the plan-memo differential. Key `i` always offers
+    /// plan `i % 4` of [`memo_plans`].
+    #[derive(Debug, Clone)]
+    enum MemoOp {
+        Insert(usize),
+        Get(usize),
+        /// Materialize (or grow) the plan's walk table for a token
+        /// budget, then get it: the hit re-costs the entry.
+        Recost(usize, usize),
+        InjectDangling(usize),
+    }
+
+    fn memo_op() -> impl Strategy<Value = MemoOp> {
+        prop_oneof![
+            (0usize..8).prop_map(MemoOp::Insert),
+            (0usize..8).prop_map(MemoOp::Insert),
+            (0usize..8).prop_map(MemoOp::Get),
+            (0usize..8, prop_oneof![Just(4usize), Just(8), Just(16)])
+                .prop_map(|(i, tokens)| MemoOp::Recost(i, tokens)),
+            (0usize..8).prop_map(MemoOp::InjectDangling),
+        ]
+    }
+
+    /// Keys of different lengths, so entries differ in cost by key too.
+    fn memo_key(i: usize) -> PlanKey {
+        PlanKey {
+            pattern: format!("plan {i} {}", "x".repeat(i * 40)),
+            prefix: None,
+            tokenization: TokenizationStrategy::Canonical,
+            preprocessors: Vec::new(),
+            tokenizer: 0,
+        }
+    }
+
+    /// Four fresh plans; the two prefixed ones grow when a walk table
+    /// is materialized inside them.
+    fn memo_plans(tok: &BpeTokenizer) -> Vec<Arc<PlanParts>> {
+        [
+            ("the cat", None),
+            ("the ((cat)|(dog)) sat", Some("the")),
+            ("the cow ate", None),
+            ("the ((cat)|(cow)) ((sat)|(ate))", Some("the ((cat)|(cow))")),
+        ]
+        .into_iter()
+        .map(|(pattern, prefix)| {
+            let mut query = QueryString::new(pattern);
+            if let Some(prefix) = prefix {
+                query = query.with_prefix(prefix);
+            }
+            let query = SearchQuery::new(query);
+            Arc::new(compile_parts(&query, tok, Parallelism::Serial).unwrap())
+        })
+        .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 256 }))]
+
+        /// The live plan memo and a copy of the table it used to be
+        /// ([`oracle::PlanMemo`]) under one random sequence of inserts,
+        /// gets, re-costs and injected dangling slots: after every
+        /// operation they must give the same answer (the same plan, or
+        /// the same `PlanInsert`) and hold the same plans in the same
+        /// slot order (so the hand chose the same victims, in the same
+        /// order), with equal len, bytes, evictions and recoveries.
+        #[test]
+        fn proptest_ring_matches_the_old_plan_memo(
+            capacity in 1usize..6,
+            scale in 2usize..12,
+            ops in proptest::collection::vec(memo_op(), 1..64),
+        ) {
+            let (tok, _) = fixture();
+            let plans = memo_plans(&tok);
+            let plan = |i: usize| Arc::clone(&plans[i % plans.len()]);
+            // From half a typical plan to almost three.
+            let max_bytes = PlanMemo::cost_of(&memo_key(0), &plans[1]) * scale / 4;
+            let mut live = PlanMemo::new(capacity, max_bytes);
+            let mut old = oracle::PlanMemo::new(capacity, max_bytes);
+            let served = |parts: Option<Arc<PlanParts>>| parts.map(|p| Arc::as_ptr(&p));
+            for op in ops {
+                match op {
+                    MemoOp::Insert(i) => prop_assert_eq!(
+                        live.insert(memo_key(i), plan(i)),
+                        old.insert(memo_key(i), plan(i))
+                    ),
+                    MemoOp::Get(i) => prop_assert_eq!(
+                        served(live.get(&memo_key(i))),
+                        served(old.get(&memo_key(i)))
+                    ),
+                    MemoOp::Recost(i, tokens) => {
+                        let _ = plan(i).walk_table(tokens, Parallelism::Serial);
+                        prop_assert_eq!(
+                            served(live.get(&memo_key(i))),
+                            served(old.get(&memo_key(i)))
+                        );
+                    }
+                    MemoOp::InjectDangling(i) => prop_assert_eq!(
+                        live_inject(&mut live, &memo_key(i)),
+                        old.inject_dangling(&memo_key(i))
+                    ),
+                }
+                prop_assert_eq!(live_resident(&live), old.resident());
+                prop_assert_eq!(live_gauges(&live), old.gauges());
+            }
+        }
     }
 }

@@ -328,6 +328,22 @@ impl ClockCache {
         }
         false
     }
+
+    /// Test hook: empty the slot `context` maps to and leave the mapping
+    /// behind, the partial state [`Self::lookup`] heals. Returns whether
+    /// there was an entry to break.
+    #[cfg(test)]
+    pub(crate) fn inject_dangling(&mut self, context: &[TokenId]) -> bool {
+        let Some(&slot) = self.map.get(context) else {
+            return false;
+        };
+        let Some(entry) = self.slots[slot].take() else {
+            return false;
+        };
+        self.bytes -= entry.cost;
+        self.live -= 1;
+        true
+    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,9 @@ use relm_bpe::TokenId;
 
 use crate::bounded::ClockCache;
 
+#[cfg(test)]
+mod oracle;
+
 /// Default byte budget for a session's shared scoring cache (128 MiB).
 pub const DEFAULT_SHARED_CACHE_BYTES: usize = 128 << 20;
 
@@ -354,6 +357,7 @@ impl Default for SharedScoringCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn hits_and_misses_are_counted() {
@@ -491,5 +495,128 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 200);
+    }
+
+    /// One step of the differential below. Keys index [`context`].
+    #[derive(Debug, Clone)]
+    enum TableOp {
+        Insert(u32, usize),
+        Lookup(u32),
+        BumpGeneration,
+        /// Entries, and whether the snapshot is of another generation.
+        Import(Vec<(u32, usize)>, bool),
+        InjectDangling(u32),
+    }
+
+    /// Contexts of one to three tokens, so entries differ in cost.
+    fn context(key: u32) -> Vec<TokenId> {
+        vec![key; 1 + key as usize % 3]
+    }
+
+    fn row(key: u32, len: usize) -> Arc<[f64]> {
+        (0..len).map(|i| -f64::from(key) - i as f64).collect()
+    }
+
+    fn table_op() -> impl Strategy<Value = TableOp> {
+        let insert = || (0u32..10, 1usize..24).prop_map(|(k, n)| TableOp::Insert(k, n));
+        let lookup = || (0u32..10).prop_map(TableOp::Lookup);
+        prop_oneof![
+            insert(),
+            insert(),
+            lookup(),
+            lookup(),
+            lookup(),
+            Just(TableOp::BumpGeneration),
+            (
+                proptest::collection::vec((0u32..10, 1usize..24), 0..4),
+                0u32..4
+            )
+                .prop_map(|(entries, other)| TableOp::Import(entries, other == 0)),
+            (0u32..10).prop_map(TableOp::InjectDangling),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 256 } else { 4096 }))]
+
+        /// The live cache and a copy of the table it used to be
+        /// ([`oracle::ClockCache`]) under one random sequence of
+        /// inserts, lookups, generation bumps, imports and injected
+        /// dangling slots: after every operation they must give the
+        /// same answer and hold the same entries in the same slot order
+        /// (so the clock hand chose the same victims, in the same
+        /// order), with equal bytes, evictions, recoveries, entries,
+        /// insertions, generation and reuse.
+        #[test]
+        fn proptest_ring_matches_the_old_scoring_table(
+            budget in 300usize..2_000,
+            ops in proptest::collection::vec(table_op(), 1..80),
+        ) {
+            let live = SharedScoringCache::new(budget);
+            let mut old = oracle::ClockCache::new(budget);
+            // Keys whose slot was emptied and not yet contacted again.
+            let mut dangling: Vec<Vec<TokenId>> = Vec::new();
+            for op in ops {
+                // A write over a dangling key comes after a lookup that
+                // heals it: the order in which the engine contacts a
+                // context (partition the batch, then insert its misses).
+                let written: Vec<u32> = match &op {
+                    TableOp::Insert(k, _) => vec![*k],
+                    TableOp::Import(entries, _) => entries.iter().map(|&(k, _)| k).collect(),
+                    _ => Vec::new(),
+                };
+                for k in written {
+                    if dangling.contains(&context(k)) {
+                        prop_assert_eq!(live.lookup(&context(k)), old.lookup(&context(k)));
+                        dangling.retain(|c| *c != context(k));
+                    }
+                }
+                match op {
+                    TableOp::Insert(k, n) => {
+                        live.insert(context(k), row(k, n));
+                        old.insert(context(k), row(k, n));
+                    }
+                    TableOp::Lookup(k) => {
+                        prop_assert_eq!(live.lookup(&context(k)), old.lookup(&context(k)));
+                        dangling.retain(|c| *c != context(k));
+                    }
+                    TableOp::BumpGeneration => {
+                        live.bump_generation();
+                        old.bump_generation();
+                        dangling.clear();
+                    }
+                    TableOp::Import(entries, other) => {
+                        let generation = old.generation() + u64::from(other);
+                        let entries: Vec<_> =
+                            entries.iter().map(|&(k, n)| (context(k), row(k, n))).collect();
+                        prop_assert_eq!(
+                            live.import_entries(generation, entries.clone()),
+                            old.import(generation, entries)
+                        );
+                    }
+                    TableOp::InjectDangling(k) => {
+                        let broke = live.table.lock().inject_dangling(&context(k));
+                        prop_assert_eq!(broke, old.inject_dangling(&context(k)));
+                        if broke {
+                            dangling.push(context(k));
+                        }
+                    }
+                }
+                let resident: Vec<Vec<TokenId>> =
+                    live.export_entries().1.into_iter().map(|(k, _)| k).collect();
+                let old_resident: Vec<Vec<TokenId>> =
+                    old.live_entries().map(|(k, _)| k.to_vec()).collect();
+                prop_assert_eq!(resident, old_resident);
+                let stats = live.stats();
+                prop_assert_eq!(
+                    (stats.bytes, stats.evictions, stats.recoveries, stats.entries),
+                    (old.bytes(), old.evictions(), old.recoveries(), old.len())
+                );
+                prop_assert_eq!(
+                    (stats.insertions, stats.generation, stats.mean_reuse_depth.to_bits()),
+                    (old.insertions(), old.generation(), old.mean_reuse_depth().to_bits())
+                );
+            }
+        }
     }
 }
