@@ -22,10 +22,9 @@
 //! distribution memoized by an earlier query cannot change any
 //! traversal decision — warm results are byte-identical to cold ones
 //! (enforced by `tests/session.rs`). Swapping the model or tokenizer
-//! bumps the cache generation and re-keys the plan memo, so stale
-//! entries can never be served.
+//! bumps the cache generation (and a tokenizer swap empties the plan
+//! memo), so stale entries can never be served.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,7 +33,7 @@ use parking_lot::Mutex;
 
 use relm_automata::Parallelism;
 use relm_bpe::BpeTokenizer;
-use relm_lm::{LanguageModel, ScoringEngine, SharedCacheStats, SharedScoringCache};
+use relm_lm::{Clock, LanguageModel, ScoringEngine, SharedCacheStats, SharedScoringCache};
 use relm_store::{ArtifactKey, CacheArtifact, PlanArtifact, PlanStore, StoreError};
 
 use crate::compiler::CompiledAutomaton;
@@ -165,7 +164,8 @@ pub struct SessionStats {
     pub plan_misses: u64,
     /// Compiled plans currently memoized.
     pub plan_entries: usize,
-    /// Plans evicted from the memo under count or byte pressure.
+    /// Plans evicted from the memo under count or byte pressure, or
+    /// dropped by [`RelmSession::swap_tokenizer`].
     pub plan_evictions: u64,
     /// Estimated resident bytes of the memoized plans (a gauge).
     pub plan_bytes: usize,
@@ -281,25 +281,6 @@ impl PlanKey {
     }
 }
 
-/// One memoized plan: the compiled parts plus its clock metadata. The
-/// key is duplicated in the index map (keys are small — strings and a
-/// few scalars — next to the automata they index).
-#[derive(Debug)]
-struct PlanEntry {
-    key: PlanKey,
-    parts: Arc<PlanParts>,
-    referenced: bool,
-    cost: usize,
-}
-
-/// The bounded plan memo: count-capped **and byte-budgeted**, with the
-/// same second-chance (clock) eviction as the scoring cache's
-/// [`relm_lm::SharedScoringCache`] — each hit sets an entry's
-/// referenced bit; under pressure a hand sweeps the slot ring, clearing
-/// bits and evicting the first unreferenced plan. Every plan is charged
-/// its estimated automata footprint
-/// ([`PlanParts::estimated_bytes`]), so one URL-scale automaton cannot
-/// quietly dominate session memory the way a count-only cap allowed.
 /// What [`PlanMemo::insert`] did with the offered plan — the signal
 /// [`RelmSession::plan_traced`] uses to elect exactly one store
 /// write-back per fresh compile when shards race on the same key.
@@ -327,96 +308,53 @@ pub enum PlanSource {
     Compiled,
 }
 
+/// The bounded plan memo: count-capped **and byte-budgeted**, over the
+/// same [`Clock`] ring as the scoring cache's
+/// [`relm_lm::SharedScoringCache`] — each hit sets a plan's referenced
+/// bit; under pressure the ring's hand evicts the first unreferenced
+/// plan, and a mapping left dangling by a panicked thread heals on
+/// contact (one recompilation, counted in
+/// [`SessionStats::plan_recoveries`]). Every plan is charged its
+/// estimated automata footprint ([`PlanParts::estimated_bytes`]) plus
+/// both copies of its key, so one URL-scale automaton cannot quietly
+/// dominate session memory the way a count-only cap allowed.
 #[derive(Debug)]
 struct PlanMemo {
+    ring: Clock<PlanKey, Arc<PlanParts>>,
     capacity: usize,
     max_bytes: usize,
-    bytes: usize,
-    /// `key -> slot index` into the clock ring.
-    map: HashMap<PlanKey, usize>,
-    /// The clock ring; `None` slots are free.
-    slots: Vec<Option<PlanEntry>>,
-    free: Vec<usize>,
-    hand: usize,
-    evictions: u64,
-    /// Map/ring inconsistencies healed on contact instead of panicking
-    /// (partial state left by a thread that panicked mid-update, surfaced
-    /// when the memo's poisoned lock is recovered; see [`PlanMemo::get`]).
-    recoveries: u64,
 }
 
 impl PlanMemo {
     fn new(capacity: usize, max_bytes: usize) -> Self {
         PlanMemo {
+            ring: Clock::default(),
             capacity: capacity.max(1),
             max_bytes,
-            bytes: 0,
-            map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            hand: 0,
-            evictions: 0,
-            recoveries: 0,
         }
     }
 
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
     /// Estimated resident bytes of one entry: fixed overhead, both
-    /// copies of the key (entry + index map), and the plan payload.
+    /// copies of the key (slot + index map), and the plan payload.
     fn cost_of(key: &PlanKey, parts: &PlanParts) -> usize {
         PLAN_ENTRY_OVERHEAD_BYTES + 2 * key.estimated_bytes() + parts.estimated_bytes()
     }
 
     fn get(&mut self, key: &PlanKey) -> Option<Arc<PlanParts>> {
-        let slot = *self.map.get(key)?;
-        // A mapping that points at an empty slot is partial state left by
-        // a thread that panicked mid-update (surfaced when the memo's
-        // poisoned lock is recovered). Heal it and report a miss — one
-        // recompilation — instead of panicking, which behind the shared
-        // lock would kill every later query of a long-lived server.
-        let (parts, old_cost) = match self.slots.get_mut(slot).and_then(Option::as_mut) {
-            Some(entry) => {
-                entry.referenced = true;
-                (Arc::clone(&entry.parts), entry.cost)
-            }
-            None => {
-                self.map.remove(key);
-                // Return the orphaned slot to the free list (when it was
-                // a real ring slot) so repeated recoveries cannot grow
-                // the ring without bound.
-                if slot < self.slots.len() && !self.free.contains(&slot) {
-                    self.free.push(slot);
-                }
-                self.recoveries += 1;
-                return None;
-            }
-        };
+        let parts = Arc::clone(self.ring.get(key)?);
         // Re-cost on every hit: execute-time artifacts (the memoized
         // walk table) materialize *after* insert, so the byte gauge
         // would otherwise under-report and a table-heavy plan could
         // dominate memory uncharged. The budget is re-enforced here;
         // the fetched entry's referenced bit gives it a second chance,
         // and the returned `Arc` stays valid even if it is evicted.
-        let new_cost = Self::cost_of(key, &parts);
-        if new_cost != old_cost {
-            if let Some(entry) = self.slots[slot].as_mut() {
-                entry.cost = new_cost;
-                self.bytes = self.bytes - old_cost + new_cost;
-                while self.bytes > self.max_bytes {
-                    if !self.evict_one() {
-                        break;
-                    }
-                }
-            }
-        }
+        self.ring.set_cost(key, Self::cost_of(key, &parts));
+        while self.ring.bytes() > self.max_bytes && self.ring.evict_one().is_some() {}
         Some(parts)
     }
 
     fn insert(&mut self, key: PlanKey, parts: Arc<PlanParts>) -> PlanInsert {
-        if self.map.contains_key(&key) {
+        if self.ring.contains_key(&key) {
             return PlanInsert::Duplicate; // first writer wins
         }
         let cost = Self::cost_of(&key, &parts);
@@ -424,61 +362,13 @@ impl PlanMemo {
             // An oversized plan is compiled but never memoized.
             return PlanInsert::NotMemoizable;
         }
-        while self.map.len() >= self.capacity || self.bytes + cost > self.max_bytes {
-            if !self.evict_one() {
+        while self.ring.len() >= self.capacity || self.ring.bytes() + cost > self.max_bytes {
+            if self.ring.evict_one().is_none() {
                 return PlanInsert::NotMemoizable;
             }
         }
-        let entry = PlanEntry {
-            key: key.clone(),
-            parts,
-            referenced: false,
-            cost,
-        };
-        let slot = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx] = Some(entry);
-                idx
-            }
-            None => {
-                self.slots.push(Some(entry));
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, slot);
-        self.bytes += cost;
+        self.ring.insert(key, parts, cost);
         PlanInsert::Inserted
-    }
-
-    fn remove_slot(&mut self, slot: usize) {
-        if let Some(entry) = self.slots[slot].take() {
-            self.map.remove(&entry.key);
-            self.bytes -= entry.cost;
-            self.free.push(slot);
-            self.evictions += 1;
-        }
-    }
-
-    /// One clock sweep step: evict the first unreferenced plan, clearing
-    /// referenced bits along the way. Two revolutions suffice (the first
-    /// clears every bit).
-    fn evict_one(&mut self) -> bool {
-        if self.slots.is_empty() || self.map.is_empty() {
-            return false;
-        }
-        for _ in 0..self.slots.len() * 2 {
-            let slot = self.hand;
-            self.hand = (self.hand + 1) % self.slots.len();
-            let Some(entry) = self.slots[slot].as_mut() else {
-                continue;
-            };
-            if !entry.referenced {
-                self.remove_slot(slot);
-                return true;
-            }
-            entry.referenced = false;
-        }
-        false
     }
 }
 
@@ -780,17 +670,13 @@ impl<M: LanguageModel> RelmSession<M> {
     /// fails.
     pub fn persist_plans(&self) -> Result<u64, RelmError> {
         let store = self.require_store()?;
-        let snapshot: Vec<(PlanKey, Arc<PlanParts>)> = {
-            let plans = self.plans.lock();
-            plans
-                .map
-                .iter()
-                .filter_map(|(key, &slot)| {
-                    let entry = plans.slots.get(slot)?.as_ref()?;
-                    Some((key.clone(), Arc::clone(&entry.parts)))
-                })
-                .collect()
-        };
+        let snapshot: Vec<(PlanKey, Arc<PlanParts>)> = self
+            .plans
+            .lock()
+            .ring
+            .iter()
+            .map(|(key, parts)| (key.clone(), Arc::clone(parts)))
+            .collect();
         let mut total = 0;
         for (key, parts) in snapshot {
             total += save_parts(store, &key, &parts)?;
@@ -946,9 +832,10 @@ impl<M: LanguageModel> RelmSession<M> {
         Ok(old)
     }
 
-    /// Swap the tokenizer, re-keying the plan memo (old plans become
-    /// unreachable under the new fingerprint) and bumping the scoring
-    /// cache's generation (token ids change meaning).
+    /// Swap the tokenizer, dropping every memoized plan (they speak the
+    /// old token ids; [`SessionStats::plan_evictions`] counts them) and
+    /// bumping the scoring cache's generation (token ids change
+    /// meaning).
     ///
     /// # Errors
     ///
@@ -963,8 +850,9 @@ impl<M: LanguageModel> RelmSession<M> {
             ));
         }
         self.tokenizer_fingerprint = tokenizer.fingerprint();
-        *self.plans.lock() =
-            PlanMemo::new(self.config.plan_memo_capacity, self.config.plan_memo_bytes);
+        // Every plan speaks the old token ids: drop them all, counted as
+        // evictions, keeping the memo's lifetime counters.
+        self.plans.lock().ring.clear();
         self.scoring_cache.bump_generation();
         Ok(std::mem::replace(&mut self.tokenizer, tokenizer))
     }
@@ -973,7 +861,13 @@ impl<M: LanguageModel> RelmSession<M> {
     pub fn stats(&self) -> SessionStats {
         let (plan_entries, plan_evictions, plan_bytes, plan_recoveries) = {
             let plans = self.plans.lock();
-            (plans.len(), plans.evictions, plans.bytes, plans.recoveries)
+            let ring = &plans.ring;
+            (
+                ring.len(),
+                ring.evictions(),
+                ring.bytes(),
+                ring.recoveries(),
+            )
         };
         SessionStats {
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
@@ -1206,14 +1100,11 @@ mod tests {
         // once the memo's poisoned lock is recovered: the index maps the
         // key to a slot that no longer holds an entry.
         {
-            let mut plans = session.plans.lock();
             let key = PlanKey::of(&query, session.tokenizer_fingerprint);
-            let slot = *plans.map.get(&key).unwrap();
-            let entry = plans.slots[slot].take().unwrap();
-            plans.bytes -= entry.cost;
-            // Deliberately NOT pushed onto the free list: a mid-panic
-            // thread would not have gotten that far either. The heal
-            // path must reclaim the slot itself.
+            // The slot is deliberately NOT pushed onto the free list: a
+            // mid-panic thread would not have gotten that far either. The
+            // heal path must reclaim the slot itself.
+            assert!(session.plans.lock().ring.inject_dangling(&key));
         }
         // Regression: this plan() used to `expect("mapped slot is
         // live")` — a panic that, behind the session's plan-memo mutex,
@@ -1229,7 +1120,11 @@ mod tests {
         // reclaimed slot rather than growing the ring.
         session.plan(&query).unwrap();
         assert_eq!(session.stats().plan_hits, 1);
-        assert_eq!(session.plans.lock().slots.len(), 1, "slot was reclaimed");
+        assert_eq!(
+            session.plans.lock().ring.slot_count(),
+            1,
+            "slot was reclaimed"
+        );
     }
 
     #[test]
@@ -1429,24 +1324,23 @@ mod tests {
 
     /// The live memo's resident keys in slot order.
     fn live_resident(memo: &PlanMemo) -> Vec<PlanKey> {
-        memo.slots.iter().flatten().map(|e| e.key.clone()).collect()
+        memo.ring.iter().map(|(key, _)| key.clone()).collect()
     }
 
     /// The live memo's `(len, bytes, evictions, recoveries)`.
     fn live_gauges(memo: &PlanMemo) -> (usize, usize, u64, u64) {
-        (memo.len(), memo.bytes, memo.evictions, memo.recoveries)
+        let ring = &memo.ring;
+        (
+            ring.len(),
+            ring.bytes(),
+            ring.evictions(),
+            ring.recoveries(),
+        )
     }
 
     /// Empty the live memo's slot for `key` and leave the mapping behind.
     fn live_inject(memo: &mut PlanMemo, key: &PlanKey) -> bool {
-        let Some(&slot) = memo.map.get(key) else {
-            return false;
-        };
-        let Some(entry) = memo.slots[slot].take() else {
-            return false;
-        };
-        memo.bytes -= entry.cost;
-        true
+        memo.ring.inject_dangling(key)
     }
 
     /// One step of the plan-memo differential. Key `i` always offers
@@ -1505,7 +1399,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 256 }))]
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 128 } else { 2048 }))]
 
         /// The live plan memo and a copy of the table it used to be
         /// ([`oracle::PlanMemo`]) under one random sequence of inserts,

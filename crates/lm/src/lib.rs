@@ -23,6 +23,8 @@
 //! * [`SharedScoringCache`] — its memo, the one in the workspace: a
 //!   byte-budgeted, generation-tagged table with reuse-gated admission,
 //!   pooled by every query of a `RelmSession`,
+//! * [`Clock`] — the second-chance ring under that memo and under a
+//!   session's plan memo: one bounded table, two owners,
 //! * [`AcceleratorSim`] — a batched-inference latency model standing in
 //!   for the paper's GTX-3080, so throughput figures have a time axis,
 //! * [`score_batch`] / [`pool::pooled_scores`] — batched scoring on the
@@ -47,6 +49,7 @@ mod shared;
 mod simd;
 
 pub use accel::AcceleratorSim;
+pub use bounded::Clock;
 pub use decoding::{Allowed, DecodingPolicy};
 pub use engine::{ScoringEngine, ScoringStats, DEFAULT_ENGINE_CACHE_BYTES};
 pub use eval::{perplexity, top_k_accuracy};

@@ -13,12 +13,15 @@
 //!
 //! Safety properties:
 //!
-//! * **bounded** — backed by the byte-budgeted [`ClockCache`]; long
-//!   audits cannot leak memory through the memo table;
+//! * **bounded** — its rows live in a byte-budgeted [`Clock`] ring (the
+//!   ring a session's plan memo uses too); long audits cannot leak
+//!   memory through the memo table;
 //! * **generation-tagged** — swapping the model (or tokenizer) behind a
-//!   session bumps the generation, so a stale distribution can never be
-//!   served across the swap, and drops the outgoing rows so they stop
-//!   occupying the budget;
+//!   session bumps the generation and drops the outgoing rows in the
+//!   same lock hold, so they stop occupying the budget; every row keeps
+//!   the tag it was computed under, and a lookup serves only the
+//!   current one, so a stale distribution can never be served across
+//!   the swap;
 //! * **thread-safe** — a `Mutex` around the table plus atomic counters;
 //!   engines on different threads may share one cache;
 //! * **reuse-gated admission** — after a warm-up window the cache keeps
@@ -34,13 +37,17 @@ use parking_lot::Mutex;
 
 use relm_bpe::TokenId;
 
-use crate::bounded::ClockCache;
+use crate::bounded::Clock;
 
 #[cfg(test)]
 mod oracle;
 
 /// Default byte budget for a session's shared scoring cache (128 MiB).
 pub const DEFAULT_SHARED_CACHE_BYTES: usize = 128 << 20;
+
+/// Estimated fixed overhead per entry (hash-table slot, `Vec` headers,
+/// clock metadata), charged on top of the key/value payload bytes.
+const ENTRY_OVERHEAD_BYTES: usize = 112;
 
 /// `(context, distribution)` pairs as exported by
 /// [`SharedScoringCache::export_entries`] and re-admitted by
@@ -116,16 +123,102 @@ impl SharedCacheStats {
 /// shared across the queries of one session. See the module docs.
 #[derive(Debug)]
 pub struct SharedScoringCache {
-    table: Mutex<ClockCache>,
+    table: Mutex<Table>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// A memoized row and the generation that computed it. Readers share
+/// the row: a hit hands out a clone of the `Arc`, never of the floats,
+/// so a row a reader still holds outlives its eviction — the byte
+/// budget bounds the table, not the process.
+#[derive(Debug)]
+struct Row {
+    value: Arc<[f64]>,
+    generation: u64,
+}
+
+/// The cache behind its lock: the clock ring and the policy around it —
+/// the byte budget, the generation, and the lifetime counters the
+/// admission rule reads. Each context is stored once, as an `Arc` the
+/// ring's index shares with its slot.
+#[derive(Debug)]
+struct Table {
+    ring: Clock<Arc<[TokenId]>, Row>,
+    max_bytes: usize,
+    /// Current generation; a row of any other is never served.
+    generation: u64,
+    /// Entries admitted over the cache's lifetime.
+    insertions: u64,
+    /// Lookups served over the cache's lifetime, by entries evicted
+    /// since included: with `insertions`, the admission rule's signal.
+    reuse_hits: u64,
+}
+
+impl Table {
+    /// Estimated bytes an entry with this key/value costs.
+    fn cost_of(key: &[TokenId], value: &[f64]) -> usize {
+        std::mem::size_of_val(key) + std::mem::size_of_val(value) + ENTRY_OVERHEAD_BYTES
+    }
+
+    /// Whether `context` holds a row of the current generation. Touches
+    /// no referenced bit.
+    fn contains(&self, context: &[TokenId]) -> bool {
+        self.ring
+            .peek(context)
+            .is_some_and(|row| row.generation == self.generation)
+    }
+
+    /// The row for `context`, setting its referenced bit. A row of
+    /// another generation (none survives a bump outside a fault) is
+    /// removed on contact and reported as a miss.
+    fn lookup(&mut self, context: &[TokenId]) -> Option<Arc<[f64]>> {
+        let row = self.ring.get(context)?;
+        if row.generation != self.generation {
+            self.ring.remove(context);
+            return None;
+        }
+        let value = Arc::clone(&row.value);
+        self.reuse_hits += 1;
+        Some(value)
+    }
+
+    /// Admit `context -> value` unless a current row is there already
+    /// (first writer wins), making room under the byte budget. An entry
+    /// larger than the whole budget is not admitted.
+    fn insert(&mut self, context: Vec<TokenId>, value: Arc<[f64]>) {
+        if self.contains(&context) {
+            return;
+        }
+        let cost = Self::cost_of(&context, &value);
+        if cost > self.max_bytes {
+            return;
+        }
+        while self.ring.bytes() + cost > self.max_bytes {
+            if self.ring.evict_one().is_none() {
+                return;
+            }
+        }
+        let row = Row {
+            value,
+            generation: self.generation,
+        };
+        self.ring.insert(context.into(), row, cost);
+        self.insertions += 1;
+    }
 }
 
 impl SharedScoringCache {
     /// An empty cache with the given byte budget.
     pub fn new(max_bytes: usize) -> Self {
         SharedScoringCache {
-            table: Mutex::new(ClockCache::new(max_bytes)),
+            table: Mutex::new(Table {
+                ring: Clock::default(),
+                max_bytes,
+                generation: 0,
+                insertions: 0,
+                reuse_hits: 0,
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -189,17 +282,14 @@ impl SharedScoringCache {
     /// budget is free for the incoming model at once. A row a reader
     /// still holds lives until that reader lets go of it.
     pub fn bump_generation(&self) {
-        self.table.lock().bump_generation();
-    }
-
-    /// Drop all entries (budget and counters kept).
-    pub fn clear(&self) {
-        self.table.lock().clear();
+        let mut table = self.table.lock();
+        table.generation += 1;
+        table.ring.clear();
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.table.lock().len()
+        self.table.lock().ring.len()
     }
 
     /// Whether the cache holds no live entries.
@@ -217,10 +307,12 @@ impl SharedScoringCache {
     pub fn export_entries(&self) -> (u64, CacheEntries) {
         let table = self.table.lock();
         let entries = table
-            .live_entries()
-            .map(|(k, v)| (k.to_vec(), Arc::clone(v)))
+            .ring
+            .iter()
+            .filter(|(_, row)| row.generation == table.generation)
+            .map(|(context, row)| (context.to_vec(), Arc::clone(&row.value)))
             .collect();
-        (table.generation(), entries)
+        (table.generation, entries)
     }
 
     /// Re-admit entries captured by [`Self::export_entries`], gated on
@@ -237,14 +329,14 @@ impl SharedScoringCache {
         entries: impl IntoIterator<Item = (Vec<TokenId>, Arc<[f64]>)>,
     ) -> usize {
         let mut table = self.table.lock();
-        if table.generation() != generation {
+        if table.generation != generation {
             return 0;
         }
-        let before = table.insertions();
+        let before = table.insertions;
         for (context, distribution) in entries {
             table.insert(context, distribution);
         }
-        (table.insertions() - before) as usize
+        (table.insertions - before) as usize
     }
 
     /// Whether the reuse-gated admission policy is currently admitting.
@@ -258,7 +350,7 @@ impl SharedScoringCache {
     /// population reopen it.
     pub fn admission_open(&self) -> bool {
         let table = self.table.lock();
-        admission_rule(table.insertions(), table.reuse_hits())
+        admission_rule(table.insertions, table.reuse_hits)
     }
 
     /// Snapshot of the counters and gauges.
@@ -267,17 +359,21 @@ impl SharedScoringCache {
         SharedCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            insertions: table.insertions(),
-            evictions: table.evictions(),
-            recoveries: table.recoveries(),
-            entries: table.len(),
-            bytes: table.bytes(),
-            max_bytes: table.max_bytes(),
-            generation: table.generation(),
+            insertions: table.insertions,
+            evictions: table.ring.evictions(),
+            recoveries: table.ring.recoveries(),
+            entries: table.ring.len(),
+            bytes: table.ring.bytes(),
+            max_bytes: table.max_bytes,
+            generation: table.generation,
             // Computed inline: the table lock is already held, and
             // parking_lot mutexes are not reentrant.
-            admitting: admission_rule(table.insertions(), table.reuse_hits()),
-            mean_reuse_depth: table.mean_reuse_depth(),
+            admitting: admission_rule(table.insertions, table.reuse_hits),
+            mean_reuse_depth: if table.insertions == 0 {
+                0.0
+            } else {
+                table.reuse_hits as f64 / table.insertions as f64
+            },
         }
     }
 }
@@ -497,6 +593,64 @@ mod tests {
         assert_eq!(cache.len(), 200);
     }
 
+    fn dist(n: usize, seed: f64) -> Arc<[f64]> {
+        (0..n).map(|i| seed - i as f64).collect()
+    }
+
+    #[test]
+    fn generation_bump_invalidates_everything() {
+        let c = SharedScoringCache::new(1 << 20);
+        c.insert(vec![1], dist(4, 0.0));
+        c.insert(vec![2], dist(4, 1.0));
+        assert_eq!(c.len(), 2);
+        c.bump_generation();
+        assert_eq!(c.len(), 0, "stale entries are not live");
+        assert_eq!(c.lookup(&[1]), None, "stale entry must miss");
+        // Re-insert under the new generation serves the new value.
+        c.insert(vec![1], dist(4, 7.0));
+        assert_eq!(c.lookup(&[1]), Some(dist(4, 7.0)));
+    }
+
+    #[test]
+    fn generation_bump_returns_the_outgoing_rows_to_the_budget() {
+        let c = SharedScoringCache::new(1 << 20);
+        for i in 0..6u32 {
+            c.insert(vec![i], dist(8, f64::from(i)));
+        }
+        let held = c.lookup(&[0]).expect("resident");
+        c.bump_generation();
+        // Regression: the bump only moved a tag, so the old rows stayed
+        // resident and charged until the hand evicted them one insert at
+        // a time.
+        let stats = c.stats();
+        assert_eq!(stats.bytes, 0);
+        assert_eq!(stats.entries, 0);
+        assert_eq!(stats.evictions, 6, "collected rows count as evictions");
+        assert_eq!(held[..], dist(8, 0.0)[..], "a reader's row outlives it");
+        c.insert(vec![0], dist(8, 9.0));
+        assert_eq!(c.lookup(&[0]), Some(dist(8, 9.0)));
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.stats().bytes, Table::cost_of(&[0], &dist(8, 9.0)));
+    }
+
+    #[test]
+    fn stale_entries_are_reclaimed_by_the_sweep() {
+        let c = SharedScoringCache::new(Table::cost_of(&[0], &dist(8, 0.0)) * 4);
+        for i in 0..4u32 {
+            c.insert(vec![i], dist(8, f64::from(i)));
+        }
+        c.bump_generation();
+        // A budget the outgoing generation had filled admits a full
+        // budget of new entries.
+        for i in 10..14u32 {
+            c.insert(vec![i], dist(8, f64::from(i)));
+        }
+        assert_eq!(c.len(), 4);
+        for i in 10..14u32 {
+            assert!(c.lookup(&[i]).is_some(), "entry {i} admitted post-bump");
+        }
+    }
+
     /// One step of the differential below. Keys index [`context`].
     #[derive(Debug, Clone)]
     enum TableOp {
@@ -595,7 +749,7 @@ mod tests {
                         );
                     }
                     TableOp::InjectDangling(k) => {
-                        let broke = live.table.lock().inject_dangling(&context(k));
+                        let broke = live.table.lock().ring.inject_dangling(&context(k)[..]);
                         prop_assert_eq!(broke, old.inject_dangling(&context(k)));
                         if broke {
                             dangling.push(context(k));
@@ -608,9 +762,12 @@ mod tests {
                     old.live_entries().map(|(k, _)| k.to_vec()).collect();
                 prop_assert_eq!(resident, old_resident);
                 let stats = live.stats();
+                // The copy's injection also took the broken entry off its
+                // live count; the ring counts mapped keys, so it includes
+                // a dangling mapping until contact heals it.
                 prop_assert_eq!(
                     (stats.bytes, stats.evictions, stats.recoveries, stats.entries),
-                    (old.bytes(), old.evictions(), old.recoveries(), old.len())
+                    (old.bytes(), old.evictions(), old.recoveries(), old.len() + dangling.len())
                 );
                 prop_assert_eq!(
                     (stats.insertions, stats.generation, stats.mean_reuse_depth.to_bits()),

@@ -252,6 +252,33 @@ fn stale_plan_is_rejected_after_tokenizer_swap() {
 }
 
 #[test]
+fn tokenizer_swap_counts_the_dropped_plans_as_evictions() {
+    // Regression: the swap replaced the plan memo with a fresh one, so
+    // plan_evictions (and plan_recoveries) fell back to 0 and the plans
+    // it dropped were never counted.
+    let (tok, lm) = fixture();
+    let retrained = BpeTokenizer::train("the cat sat on the mat. the dog sat.", 40);
+    let config = SessionConfig::new().with_plan_memo_capacity(2);
+    let mut session = RelmSession::with_config(&lm, tok, config);
+    for pattern in ["the cat", "the dog", "the cow"] {
+        session
+            .plan(&SearchQuery::new(QueryString::new(pattern)))
+            .unwrap();
+    }
+    let before = session.stats();
+    assert_eq!((before.plan_entries, before.plan_evictions), (2, 1));
+    session.swap_tokenizer(retrained).unwrap();
+    let after = session.stats();
+    assert_eq!((after.plan_entries, after.plan_bytes), (0, 0));
+    assert!(after.plan_evictions >= before.plan_evictions, "{after:?}");
+    assert_eq!(
+        after.plan_evictions,
+        before.plan_evictions + before.plan_entries as u64,
+        "each dropped plan counts as an eviction"
+    );
+}
+
+#[test]
 fn vocab_mismatch_swaps_are_refused() {
     let (tok, lm) = fixture();
     let mut session = RelmSession::new(&lm, tok.clone());
