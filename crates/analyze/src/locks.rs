@@ -38,7 +38,7 @@ use crate::scan::SourceFile;
 /// inventory; a new lock must be added here (or it reports as its own
 /// `other:<name>` class, which still participates in cycle checks).
 const CLASS_OF_RECEIVER: [(&str, &str); 6] = [
-    ("plans", "memo"),            // RelmSession plan memo
+    ("plans", "memo"),            // Relm plan memo
     ("walk_table", "plan_parts"), // lazily-built per-plan walk table
     ("table", "cache"),           // SharedScoringCache, the one scoring memo
     ("queue", "pool"),            // WorkerPool job queue

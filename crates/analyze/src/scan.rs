@@ -5,7 +5,8 @@
 use crate::lexer::{lex, Tok};
 
 /// What kind of compilation target a file belongs to. Families apply
-/// per kind (see [`FileKind::checked_for`] and the DESIGN.md catalog).
+/// per kind (see [`FileKind::checked_for_invariants`],
+/// [`FileKind::checked_for_unsafe`] and the DESIGN.md catalog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// Library code under a crate's `src/` (including the facade).

@@ -41,9 +41,9 @@ pub fn metric(name: &str, value: f64, unit: &str) {
     println!("  {name}: {value:.3} {unit}");
 }
 
-/// Print a session's reuse counters — every figure binary runs its
-/// query battery through one `RelmSession`, and this records how much
-/// compilation and scoring the session layer saved.
+/// Print a client's reuse counters — every figure binary runs its
+/// query battery through one `Relm` client, and this records how much
+/// compilation and scoring its plan memo and scoring cache saved.
 pub fn session_stats(label: &str, stats: &relm_core::SessionStats) {
     println!("\n[session reuse: {label}]");
     println!(

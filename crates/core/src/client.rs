@@ -1,12 +1,12 @@
-//! The `Relm` client — the blessed public entry point of ReLM-rs.
+//! Building a [`Relm`] client and running many queries through it.
 //!
 //! The paper frames ReLM as a *system* users hand queries to (the
 //! `SimpleSearchQuery` front end of Figure 11): callers describe what
 //! they want validated and the system owns the machinery. [`Relm`] is
 //! that handle for this workspace — it owns the model, the tokenizer,
-//! the session runtime (compiled-plan memo + shared scoring cache), and
-//! the scoring engine, so a caller builds one client and runs whole
-//! audit batteries through it:
+//! the compiled-plan memo and the shared scoring cache, so a caller
+//! builds one client ([`RelmBuilder`]) and runs whole audit batteries
+//! through it:
 //!
 //! * [`Relm::search`] / [`Relm::plan`] / [`Relm::execute`] — the
 //!   single-query paths, plan-memoized and score-pooled across calls;
@@ -23,14 +23,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use relm_automata::Parallelism;
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::{LanguageModel, ScoringEngine, ScoringStats, SharedScoringCache};
+use relm_lm::{LanguageModel, ScoringEngine, ScoringStats};
 
 use crate::executor::{CompiledSearch, ExecutionStats, SearchResults, StepOutcome};
 use crate::query::{QueryId, QuerySet, SearchQuery};
 use crate::results::MatchResult;
-use crate::session::{RelmSession, SessionConfig, SessionStats};
+use crate::session::{Relm, SessionConfig};
 use crate::RelmError;
 
 /// Uncached frontier contexts gathered per in-flight query per
@@ -57,36 +56,11 @@ pub struct RelmBuilder<M> {
 }
 
 impl<M: LanguageModel> RelmBuilder<M> {
-    /// Replace the whole runtime configuration.
+    /// Replace the whole runtime configuration (budgets, parallelism,
+    /// plan store) — the builder's one setter; build the value with
+    /// [`SessionConfig`]'s `with_*` methods.
     pub fn config(mut self, config: SessionConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Set the shared scoring cache's byte budget.
-    pub fn scoring_cache_bytes(mut self, bytes: usize) -> Self {
-        self.config = self.config.with_scoring_cache_bytes(bytes);
-        self
-    }
-
-    /// Set the plan memo's entry-count cap.
-    pub fn plan_memo_capacity(mut self, capacity: usize) -> Self {
-        self.config = self.config.with_plan_memo_capacity(capacity);
-        self
-    }
-
-    /// Set the plan memo's byte budget.
-    pub fn plan_memo_bytes(mut self, bytes: usize) -> Self {
-        self.config = self.config.with_plan_memo_bytes(bytes);
-        self
-    }
-
-    /// Set the worker budget for sharded plan compilation and the
-    /// executors' frontier work (default: one worker per available
-    /// core). [`Parallelism::Serial`] is the single-threaded reference
-    /// path; results are byte-identical for every setting.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config = self.config.with_parallelism(parallelism);
         self
     }
 
@@ -97,17 +71,16 @@ impl<M: LanguageModel> RelmBuilder<M> {
     /// [`RelmError::InvalidQuery`] if the model's vocabulary is smaller
     /// than the tokenizer's — compiled automata would emit token ids
     /// the model has no distribution entry for (the same invariant
-    /// [`RelmSession::swap_model`] enforces, checked once up front
-    /// instead of failing obscurely mid-search).
+    /// [`Relm::swap_model`] enforces, checked once up front instead of
+    /// failing obscurely mid-search). Every client is built here
+    /// ([`Relm::new`] is shorthand), so every client passes the check.
     pub fn build(self) -> Result<Relm<M>, RelmError> {
         if self.model.vocab_size() < self.tokenizer.vocab_size() {
             return Err(RelmError::InvalidQuery(
                 "model vocabulary is smaller than the tokenizer's".into(),
             ));
         }
-        Ok(Relm {
-            session: RelmSession::with_config(self.model, self.tokenizer, self.config),
-        })
+        Ok(Relm::assemble(self.model, self.tokenizer, self.config))
     }
 }
 
@@ -244,7 +217,7 @@ struct DriverSlot<'a, M: LanguageModel> {
 /// # Ok::<(), relm_core::RelmError>(())
 /// ```
 pub struct QueryDriver<'a, M: LanguageModel> {
-    session: &'a RelmSession<M>,
+    client: &'a Relm<M>,
     /// The one engine every execution admitted to this driver scores
     /// through. `Arc`, not a borrow: the executions live inside
     /// the driver too, and safe Rust cannot hold both a field and a
@@ -264,16 +237,10 @@ pub struct QueryDriver<'a, M: LanguageModel> {
 }
 
 impl<'a, M: LanguageModel> QueryDriver<'a, M> {
-    fn new(session: &'a RelmSession<M>) -> Self {
+    fn new(client: &'a Relm<M>) -> Self {
         QueryDriver {
-            session,
-            engine: Arc::new(
-                ScoringEngine::with_shared_cache(
-                    session.model(),
-                    Arc::clone(session.scoring_cache()),
-                )
-                .with_parallelism(session.config().parallelism),
-            ),
+            client,
+            engine: Arc::new(client.engine()),
             slots: Vec::new(),
             next_id: 0,
             ticks_run: 0,
@@ -297,7 +264,7 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
     /// The same planning errors as [`Relm::plan`]; nothing is admitted
     /// on error.
     pub fn admit(&mut self, query: &SearchQuery, max_results: usize) -> Result<QueryId, RelmError> {
-        let plan = self.session.plan(query)?;
+        let plan = self.client.plan(query)?;
         self.admit_plan(&plan, max_results)
     }
 
@@ -318,7 +285,7 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         max_results: usize,
         deadline: Instant,
     ) -> Result<QueryId, RelmError> {
-        let plan = self.session.plan(query)?;
+        let plan = self.client.plan(query)?;
         self.admit_plan_with_deadline(&plan, max_results, Some(deadline))
     }
 
@@ -348,7 +315,7 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         max_results: usize,
         deadline: Option<Instant>,
     ) -> Result<QueryId, RelmError> {
-        let results = self.session.execute_pooled(&self.engine, plan)?;
+        let results = self.client.execute_on(Arc::clone(&self.engine), plan)?;
         let id = QueryId(self.next_id);
         self.next_id += 1;
         self.admitted += 1;
@@ -548,48 +515,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
     }
 }
 
-/// The ReLM client: one handle owning model, tokenizer, session
-/// runtime, and scoring engine — the single blessed entry point of the
-/// public API.
-///
-/// `M` is any [`LanguageModel`], including `&M` for a model owned
-/// elsewhere. Construction validates that the model and tokenizer fit
-/// together; every later call can then assume it.
-///
-/// # Example
-///
-/// ```
-/// use relm_bpe::BpeTokenizer;
-/// use relm_core::{QuerySet, QueryString, Relm, SearchQuery};
-/// use relm_lm::{NGramConfig, NGramLm};
-///
-/// let corpus = "the cat sat on the mat. the dog sat on the log.";
-/// let tokenizer = BpeTokenizer::train(corpus, 60);
-/// let model = NGramLm::train(
-///     &tokenizer,
-///     &["the cat sat on the mat", "the dog sat on the log"],
-///     NGramConfig::xl(),
-/// );
-/// let client = Relm::builder(model, tokenizer).build()?;
-///
-/// // Single query: plan-memoized, score-pooled.
-/// let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
-/// let texts: Vec<String> = client.search(&query)?.take(2).map(|m| m.text).collect();
-/// assert_eq!(texts.len(), 2);
-///
-/// // A whole set: scoring coalesces across the queries.
-/// let set = QuerySet::new()
-///     .with_query(SearchQuery::new(QueryString::new("the cat sat")), 1)
-///     .with_query(SearchQuery::new(QueryString::new("the dog sat")), 1);
-/// let report = client.run_many(&set)?;
-/// assert_eq!(report.outcomes.len(), 2);
-/// # Ok::<(), relm_core::RelmError>(())
-/// ```
-#[derive(Debug)]
-pub struct Relm<M> {
-    session: RelmSession<M>,
-}
-
 impl<M: LanguageModel> Relm<M> {
     /// Start building a client over `model` and `tokenizer`.
     pub fn builder(model: M, tokenizer: BpeTokenizer) -> RelmBuilder<M> {
@@ -608,67 +533,6 @@ impl<M: LanguageModel> Relm<M> {
     /// The same validation as [`RelmBuilder::build`].
     pub fn new(model: M, tokenizer: BpeTokenizer) -> Result<Self, RelmError> {
         Relm::builder(model, tokenizer).build()
-    }
-
-    /// The client's model.
-    pub fn model(&self) -> &M {
-        self.session.model()
-    }
-
-    /// The client's tokenizer.
-    pub fn tokenizer(&self) -> &BpeTokenizer {
-        self.session.tokenizer()
-    }
-
-    /// The underlying session runtime (plan memo + shared scoring
-    /// cache) — the escape hatch for callers composing lower-level
-    /// pieces.
-    pub fn session(&self) -> &RelmSession<M> {
-        &self.session
-    }
-
-    /// The shared scoring cache (e.g. to inspect or pre-warm it).
-    pub fn scoring_cache(&self) -> &Arc<SharedScoringCache> {
-        self.session.scoring_cache()
-    }
-
-    /// A scoring engine over the client's model wired to its shared
-    /// cache — for scoring work outside `search` (ancestral sampling,
-    /// perplexity sweeps) that should pool its memo with the client's
-    /// queries.
-    pub fn engine(&self) -> ScoringEngine<&M> {
-        self.session.engine()
-    }
-
-    /// Compile `query` into an executable plan, served from the plan
-    /// memo when an equivalent query was compiled before.
-    ///
-    /// # Errors
-    ///
-    /// Invalid patterns, empty languages, inconsistent parameters.
-    pub fn plan(&self, query: &SearchQuery) -> Result<CompiledSearch, RelmError> {
-        self.session.plan(query)
-    }
-
-    /// Execute a compiled plan, scoring through the shared cache.
-    ///
-    /// # Errors
-    ///
-    /// [`RelmError::InvalidQuery`] on a plan/runtime mismatch (plan
-    /// compiled for a different tokenizer, or a token budget exceeding
-    /// the model's context).
-    pub fn execute(&self, plan: &CompiledSearch) -> Result<SearchResults<'_, M>, RelmError> {
-        self.session.execute(plan)
-    }
-
-    /// Plan and execute one query — the client's primary single-query
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`Self::plan`] and [`Self::execute`].
-    pub fn search(&self, query: &SearchQuery) -> Result<SearchResults<'_, M>, RelmError> {
-        self.session.search(query)
     }
 
     /// Execute a batch of heterogeneous queries through **one shared
@@ -710,10 +574,10 @@ impl<M: LanguageModel> Relm<M> {
         let plans: Vec<CompiledSearch> = set
             .specs()
             .iter()
-            .map(|spec| self.session.plan(&spec.query))
+            .map(|spec| self.plan(&spec.query))
             .collect::<Result<_, _>>()?;
 
-        let mut driver = QueryDriver::new(&self.session);
+        let mut driver = QueryDriver::new(self);
         let mut ids = Vec::with_capacity(plans.len());
         for (spec, plan) in set.specs().iter().zip(&plans) {
             ids.push(driver.admit_plan(plan, spec.max_results)?);
@@ -756,87 +620,7 @@ impl<M: LanguageModel> Relm<M> {
     /// [`QueryDriver::tick`] — all through the same coalescing engine,
     /// with per-query results byte-identical to solo execution.
     pub fn driver(&self) -> QueryDriver<'_, M> {
-        QueryDriver::new(&self.session)
-    }
-
-    /// Aggregated reuse counters (plan memo + shared scoring cache).
-    pub fn stats(&self) -> SessionStats {
-        self.session.stats()
-    }
-
-    /// Restore every compatible plan artifact from the configured
-    /// warm-artifact store into the plan memo. See
-    /// [`RelmSession::preload_plans`].
-    ///
-    /// # Errors
-    ///
-    /// [`RelmError::Store`] if no store is configured or it cannot be
-    /// listed.
-    pub fn preload_plans(&self) -> Result<usize, RelmError> {
-        self.session.preload_plans()
-    }
-
-    /// Re-persist every memoized plan (with its materialized
-    /// execute-time artifacts) to the configured store. See
-    /// [`RelmSession::persist_plans`].
-    ///
-    /// # Errors
-    ///
-    /// [`RelmError::Store`] if no store is configured or a write
-    /// fails.
-    pub fn persist_plans(&self) -> Result<u64, RelmError> {
-        self.session.persist_plans()
-    }
-
-    /// Snapshot the shared scoring cache into the configured store.
-    /// See [`RelmSession::save_scoring_cache`].
-    ///
-    /// # Errors
-    ///
-    /// [`RelmError::Store`] if no store is configured or the write
-    /// fails.
-    pub fn save_scoring_cache(&self) -> Result<u64, RelmError> {
-        self.session.save_scoring_cache()
-    }
-
-    /// Restore a scoring-cache snapshot from the configured store. See
-    /// [`RelmSession::load_scoring_cache`].
-    ///
-    /// # Errors
-    ///
-    /// [`RelmError::Store`] if no store is configured or the snapshot
-    /// is unreadable.
-    pub fn load_scoring_cache(&self) -> Result<usize, RelmError> {
-        self.session.load_scoring_cache()
-    }
-
-    /// The budgets this client was built with.
-    pub fn config(&self) -> SessionConfig {
-        self.session.config()
-    }
-
-    /// Swap the model behind the client; compiled plans survive, the
-    /// scoring cache's generation is bumped. See
-    /// [`RelmSession::swap_model`].
-    ///
-    /// # Errors
-    ///
-    /// [`RelmError::InvalidQuery`] if the new model's vocabulary is
-    /// smaller than the tokenizer's (client left unchanged).
-    pub fn swap_model(&mut self, model: M) -> Result<M, RelmError> {
-        self.session.swap_model(model)
-    }
-
-    /// Swap the tokenizer behind the client; the plan memo re-keys and
-    /// the scoring cache's generation is bumped. See
-    /// [`RelmSession::swap_tokenizer`].
-    ///
-    /// # Errors
-    ///
-    /// [`RelmError::InvalidQuery`] if the new tokenizer's vocabulary
-    /// exceeds the model's (client left unchanged).
-    pub fn swap_tokenizer(&mut self, tokenizer: BpeTokenizer) -> Result<BpeTokenizer, RelmError> {
-        self.session.swap_tokenizer(tokenizer)
+        QueryDriver::new(self)
     }
 }
 
@@ -865,13 +649,21 @@ mod tests {
         let (tok, lm) = fixture();
         assert!(Relm::new(lm, tok).is_ok());
 
-        let big_tok = BpeTokenizer::train("a b c d e f g h i j k l m n o p", 400);
-        let (tok, lm) = fixture();
-        assert!(big_tok.vocab_size() > lm.vocab_size() || big_tok.vocab_size() <= tok.vocab_size());
-        if big_tok.vocab_size() > lm.vocab_size() {
-            let err = Relm::new(lm, big_tok).unwrap_err();
-            assert_eq!(err.kind(), crate::RelmErrorKind::InvalidQuery);
-        }
+        // More merges than the model was trained against: a larger
+        // vocabulary, so compiled automata would emit token ids the
+        // model has no distribution entry for. (An explicit merge table:
+        // training on a small corpus runs out of repeated pairs.)
+        let merges: Vec<(TokenId, TokenId)> = (0..200u32).map(|i| (i % 256, i / 256)).collect();
+        let big_tok = BpeTokenizer::from_merges(&merges);
+        let (_, lm) = fixture();
+        assert!(big_tok.vocab_size() > lm.vocab_size());
+        let err = Relm::new(&lm, big_tok.clone()).unwrap_err();
+        assert_eq!(err.kind(), crate::RelmErrorKind::InvalidQuery);
+        let err = Relm::builder(&lm, big_tok)
+            .config(SessionConfig::new())
+            .build()
+            .unwrap_err();
+        assert_eq!(err.kind(), crate::RelmErrorKind::InvalidQuery);
     }
 
     #[test]

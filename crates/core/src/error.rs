@@ -27,7 +27,7 @@ pub enum RelmError {
     /// A plan-store operation failed (message carries the underlying
     /// [`relm_store::StoreError`]). Only *explicit* store operations
     /// (preload, cache snapshot/restore) surface this; the implicit
-    /// store consult inside [`crate::RelmSession::plan`] treats every
+    /// store consult inside [`crate::Relm::plan`] treats every
     /// store failure as "no usable artifact" and falls back to
     /// compilation.
     Store(String),

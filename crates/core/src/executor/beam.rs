@@ -20,11 +20,9 @@ use std::sync::Arc;
 
 use relm_automata::WorkerPool;
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::LanguageModel;
+use relm_lm::{LanguageModel, ScoringEngine};
 
-use crate::executor::{
-    passes_runtime_checks, CompiledQuery, EngineHandle, ExecutionStats, StepOutcome,
-};
+use crate::executor::{passes_runtime_checks, CompiledQuery, ExecutionStats, StepOutcome};
 use crate::results::MatchResult;
 
 /// Minimum `paths × vocabulary size` before a beam level's expansion
@@ -50,7 +48,7 @@ struct BeamPath {
 /// beam level per [`BeamIter::step`] — the unit an interleaving driver
 /// pumps), then streams finished paths in descending probability.
 pub(crate) struct BeamIter<'a, M: LanguageModel> {
-    engine: EngineHandle<'a, M>,
+    engine: Arc<ScoringEngine<&'a M>>,
     tokenizer: &'a BpeTokenizer,
     compiled: CompiledQuery,
     width: usize,
@@ -68,7 +66,7 @@ pub(crate) struct BeamIter<'a, M: LanguageModel> {
 
 impl<'a, M: LanguageModel> BeamIter<'a, M> {
     pub(crate) fn new(
-        engine: EngineHandle<'a, M>,
+        engine: Arc<ScoringEngine<&'a M>>,
         tokenizer: &'a BpeTokenizer,
         compiled: CompiledQuery,
         width: usize,

@@ -16,8 +16,8 @@
 //! The pipeline is split in two: planning compiles a query into a
 //! [`CompiledSearch`] (regex → NFA → DFA → token automaton — the
 //! expensive part) and execution runs a compiled plan against a model.
-//! [`crate::RelmSession`] owns both halves: it memoizes the plans and
-//! pools the scoring cache across queries.
+//! [`crate::Relm`] owns both halves: it memoizes the plans and pools
+//! the scoring cache across queries.
 
 mod beam;
 mod sampling;
@@ -42,38 +42,6 @@ use crate::RelmError;
 pub(crate) use beam::BeamIter;
 pub(crate) use sampling::SamplingIter;
 pub(crate) use shortest::ShortestPathIter;
-
-/// The scoring back end of one executing search: either an engine this
-/// execution owns outright (the classic per-query path), or a handle on
-/// an engine **shared with other in-flight executions** — the boundary
-/// that lets [`crate::QueryDriver`] (and [`crate::Relm::run_many`] on
-/// top of it) pump several [`CompiledSearch`] executions through one
-/// engine tick so their scoring requests coalesce into shared batches.
-/// The shared arm is an `Arc`, not a borrow, because the driver owns
-/// both the engine and the executions: queries join and leave while the
-/// driver lives, so their engine handle must not borrow from it.
-///
-/// `Deref`s to the engine, so executor code is identical either way.
-#[derive(Debug)]
-pub(crate) enum EngineHandle<'a, M: LanguageModel> {
-    /// An engine private to this execution (boxed: the engine is ~240
-    /// bytes of counters and cache handle, the pooled arm one pointer).
-    Owned(Box<ScoringEngine<&'a M>>),
-    /// An engine owned by a multi-query driver and shared across every
-    /// execution admitted to it (its counters pool across them).
-    Pooled(Arc<ScoringEngine<&'a M>>),
-}
-
-impl<'a, M: LanguageModel> std::ops::Deref for EngineHandle<'a, M> {
-    type Target = ScoringEngine<&'a M>;
-
-    fn deref(&self) -> &Self::Target {
-        match self {
-            EngineHandle::Owned(engine) => engine,
-            EngineHandle::Pooled(engine) => engine,
-        }
-    }
-}
 
 /// What one bounded unit of executor work produced. The unit is the
 /// natural quantum of each traversal — one Dijkstra pop, one beam level
@@ -108,8 +76,9 @@ pub struct ExecutionStats {
     /// Results rejected by deferred filters.
     pub rejected_filtered: u64,
     /// Scoring requests served from the [`relm_lm::ScoringEngine`] memo
-    /// table (or deduplicated within a batch) without model work. In a
-    /// session, hits from earlier queries' work count here too.
+    /// table (or deduplicated within a batch) without model work. Hits
+    /// on the client's shared cache from earlier queries' work count
+    /// here too.
     pub cache_hits: u64,
     /// Distinct contexts that required a model evaluation.
     pub cache_misses: u64,
@@ -118,20 +87,21 @@ pub struct ExecutionStats {
     /// Total contexts evaluated across those invocations
     /// (`batched_contexts / batches` is the mean batch fill).
     pub batched_contexts: u64,
-    /// Scoring-cache entries discarded by the eviction policy (for a
-    /// session's shared cache: the cache's lifetime total).
+    /// Scoring-cache entries discarded by the eviction policy (for the
+    /// client's shared cache: the cache's lifetime total).
     pub cache_evictions: u64,
     /// Estimated resident bytes of the scoring cache (a gauge).
     pub cache_bytes: u64,
-    /// Session plan-memo hits observed when this search was planned
-    /// (cumulative session counter).
+    /// Client plan-memo hits observed when this search was executed
+    /// (cumulative client counter).
     pub plan_cache_hits: u64,
-    /// Session plan-memo misses observed when this search was planned
-    /// (cumulative session counter).
+    /// Client plan-memo misses observed when this search was executed
+    /// (cumulative client counter).
     pub plan_cache_misses: u64,
-    /// Coalescing ticks the `run_many` driver ran while this query's
-    /// set executed (a driver-wide counter, stamped identically on
-    /// every query of the set; zero outside `run_many`).
+    /// Coalescing ticks the multi-query driver ran while this query
+    /// executed (a driver-wide counter, stamped on every query a
+    /// [`crate::QueryDriver`] completes — `run_many` and served
+    /// queries alike; zero for solo `search`/`execute`).
     pub coalesce_ticks: u64,
     /// Coalescing ticks the driver *skipped* because it measured the
     /// model's per-call cost below the tick's own overhead (also
@@ -164,7 +134,7 @@ impl ExecutionStats {
 /// and runtime-check languages. Everything here depends only on
 /// `(pattern, prefix, tokenization, preprocessors, tokenizer)` — never
 /// on the model or per-run execution flags — which is exactly what makes
-/// it shareable across queries via [`crate::RelmSession`]'s plan memo.
+/// it shareable across queries via [`crate::Relm`]'s plan memo.
 #[derive(Debug)]
 pub(crate) struct PlanParts {
     /// Compiled prefix machine, if the query has a conditioning prefix.
@@ -177,7 +147,7 @@ pub(crate) struct PlanParts {
     /// (`max_tokens` is an execution flag, not part of the plan key, so
     /// the table is built at execute time). Only the largest-budget
     /// table is kept — a table built for budget `L` answers any query
-    /// with budget `≤ L` — so a session sweeping `max_tokens` holds one
+    /// with budget `≤ L` — so a client sweeping `max_tokens` holds one
     /// table, not one per budget. Warm sampling queries of a memoized
     /// plan reuse it instead of rebuilding per execute.
     walk_table: Mutex<Option<Arc<WalkTable>>>,
@@ -212,7 +182,7 @@ impl PlanParts {
     /// body, and deferred-filter machines) **plus** the walk table
     /// memoized inside the plan. At plan-compile time the table is still
     /// `None` (it is an execute-time artifact sized by `max_tokens`), so
-    /// the session's byte-budgeted plan memo charges it by re-costing
+    /// the client's byte-budgeted plan memo charges it by re-costing
     /// the entry on later memo hits. Used to charge a URL-scale plan its
     /// real footprint.
     pub(crate) fn estimated_bytes(&self) -> usize {
@@ -276,7 +246,7 @@ pub(crate) struct CompiledQuery {
 /// canonical encode) across a worker pool; every shard merge is
 /// deterministic, so the compiled automata are structurally identical
 /// for every setting — which is what keeps parallelism out of the
-/// session's plan-memo key.
+/// client's plan-memo key.
 pub(crate) fn compile_parts(
     query: &SearchQuery,
     tokenizer: &BpeTokenizer,
@@ -392,8 +362,8 @@ pub(crate) fn assemble_compiled(
 ///
 /// Compilation (regex → NFA → DFA → token automaton) dominates the
 /// wall-clock of small searches, so separating it from execution lets
-/// callers run one plan many times — and lets [`crate::RelmSession`]
-/// memoize plans across structurally identical queries. The automata
+/// callers run one plan many times — and lets [`crate::Relm`] memoize
+/// plans across structurally identical queries. The automata
 /// inside are behind an [`Arc`]; cloning a plan is cheap.
 #[derive(Debug, Clone)]
 pub struct CompiledSearch {
@@ -496,8 +466,8 @@ pub(crate) fn passes_runtime_checks(
 /// exhausted — callers use [`Iterator::take`].
 pub struct SearchResults<'a, M: LanguageModel> {
     inner: Inner<'a, M>,
-    /// Session plan-memo counters stamped at plan time; folded into
-    /// [`Self::stats`].
+    /// The client's plan-memo counters, stamped when execution started;
+    /// folded into [`Self::stats`].
     plan_hits: u64,
     plan_misses: u64,
 }
@@ -520,14 +490,6 @@ impl<'a, M: LanguageModel> SearchResults<'a, M> {
         stats.plan_cache_hits = self.plan_hits;
         stats.plan_cache_misses = self.plan_misses;
         stats
-    }
-
-    /// Stamp the session's plan-memo counters onto this stream (shown in
-    /// [`ExecutionStats`]).
-    pub(crate) fn with_plan_counters(mut self, hits: u64, misses: u64) -> Self {
-        self.plan_hits = hits;
-        self.plan_misses = misses;
-        self
     }
 
     /// Advance one bounded unit of work. [`Iterator::next`] is a loop
@@ -579,14 +541,16 @@ impl<'a, M: LanguageModel> Iterator for SearchResults<'a, M> {
     }
 }
 
-/// Run a compiled plan through the given scoring engine — the common
-/// back end of [`crate::RelmSession::execute`] and the multi-query
-/// driver of [`crate::Relm::run_many`] (which passes an
-/// [`EngineHandle::Pooled`] so several executions pump one engine).
+/// Run a compiled plan through the given scoring engine, stamping the
+/// client's plan-memo counters on the stream — the back end of
+/// [`crate::Relm::execute`] and of the multi-query driver, which hands
+/// several executions one engine so their scoring batches coalesce.
 pub(crate) fn execute_with_engine<'a, M: LanguageModel>(
-    engine: EngineHandle<'a, M>,
+    engine: Arc<ScoringEngine<&'a M>>,
     tokenizer: &'a BpeTokenizer,
     plan: &CompiledSearch,
+    plan_hits: u64,
+    plan_misses: u64,
 ) -> SearchResults<'a, M> {
     let compiled = plan.compiled.clone();
     let inner = match plan.strategy {
@@ -609,8 +573,8 @@ pub(crate) fn execute_with_engine<'a, M: LanguageModel>(
     };
     SearchResults {
         inner,
-        plan_hits: 0,
-        plan_misses: 0,
+        plan_hits,
+        plan_misses,
     }
 }
 

@@ -29,11 +29,9 @@ use std::sync::Arc;
 
 use relm_automata::{WalkChoice, WalkTable};
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::LanguageModel;
+use relm_lm::{LanguageModel, ScoringEngine};
 
-use crate::executor::{
-    passes_runtime_checks, CompiledQuery, EngineHandle, ExecutionStats, StepOutcome,
-};
+use crate::executor::{passes_runtime_checks, CompiledQuery, ExecutionStats, StepOutcome};
 use crate::query::PrefixSampling;
 use crate::results::MatchResult;
 
@@ -42,7 +40,7 @@ const EPISODE_BATCH: usize = 8;
 
 /// The random-sampling result iterator. See the module docs.
 pub(crate) struct SamplingIter<'a, M: LanguageModel> {
-    engine: EngineHandle<'a, M>,
+    engine: Arc<ScoringEngine<&'a M>>,
     tokenizer: &'a BpeTokenizer,
     compiled: CompiledQuery,
     rng: SmallRng,
@@ -60,7 +58,7 @@ pub(crate) struct SamplingIter<'a, M: LanguageModel> {
 
 impl<'a, M: LanguageModel> SamplingIter<'a, M> {
     pub(crate) fn new(
-        engine: EngineHandle<'a, M>,
+        engine: Arc<ScoringEngine<&'a M>>,
         tokenizer: &'a BpeTokenizer,
         compiled: CompiledQuery,
         seed: u64,

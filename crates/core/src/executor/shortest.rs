@@ -25,11 +25,9 @@ use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
 use relm_bpe::{BpeTokenizer, TokenId};
-use relm_lm::LanguageModel;
+use relm_lm::{LanguageModel, ScoringEngine};
 
-use crate::executor::{
-    passes_runtime_checks, CompiledQuery, EngineHandle, ExecutionStats, StepOutcome,
-};
+use crate::executor::{passes_runtime_checks, CompiledQuery, ExecutionStats, StepOutcome};
 use crate::results::MatchResult;
 
 /// Cap on contexts prefetched per model call **per worker**.
@@ -116,7 +114,7 @@ impl Ord for Node {
 
 /// The shortest-path result iterator. See the module docs.
 pub(crate) struct ShortestPathIter<'a, M: LanguageModel> {
-    engine: EngineHandle<'a, M>,
+    engine: Arc<ScoringEngine<&'a M>>,
     tokenizer: &'a BpeTokenizer,
     compiled: CompiledQuery,
     heap: BinaryHeap<Reverse<Node>>,
@@ -128,7 +126,7 @@ pub(crate) struct ShortestPathIter<'a, M: LanguageModel> {
 
 impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
     pub(crate) fn new(
-        engine: EngineHandle<'a, M>,
+        engine: Arc<ScoringEngine<&'a M>>,
         tokenizer: &'a BpeTokenizer,
         compiled: CompiledQuery,
         max_expansions: usize,

@@ -64,7 +64,7 @@ mod query;
 mod results;
 mod session;
 
-pub use client::{QueryCompletion, QueryDriver, QueryOutcome, QuerySetReport, Relm, RelmBuilder};
+pub use client::{QueryCompletion, QueryDriver, QueryOutcome, QuerySetReport, RelmBuilder};
 pub use error::{RelmError, RelmErrorKind};
 pub use executor::{CompiledSearch, ExecutionStats, SearchResults};
 pub use explain::{explain, MachineShape, QueryPlan};
@@ -74,8 +74,8 @@ pub use query::{
     TokenizationStrategy,
 };
 // The sharding knob lives in relm-automata (compilation is where the
-// shards run) but is configured through `SessionConfig`/`RelmBuilder`,
-// so it is re-exported as part of this crate's public surface.
+// shards run) but is configured through `SessionConfig`, so it is
+// re-exported as part of this crate's public surface.
 pub use relm_automata::Parallelism;
 
 /// Deterministic pseudo-random word fixtures shared by tests that need
@@ -111,4 +111,4 @@ pub(crate) fn cold_client<'m, M: relm_lm::LanguageModel>(
     Relm::new(lm, tok.clone()).unwrap()
 }
 pub use results::MatchResult;
-pub use session::{PlanSource, RelmSession, SessionConfig, SessionStats, DEFAULT_PLAN_MEMO_BYTES};
+pub use session::{PlanSource, Relm, SessionConfig, SessionStats, DEFAULT_PLAN_MEMO_BYTES};

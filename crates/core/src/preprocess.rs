@@ -71,7 +71,7 @@ impl Preprocessor {
     }
 
     /// Append this preprocessor's full configuration to `out` — part of
-    /// the plan-memo key of [`crate::RelmSession`]. The encoding is
+    /// the plan-memo key of [`crate::Relm`]. The encoding is
     /// *exact* (not a hash): two preprocessors encode identically iff
     /// they transform automata identically (Levenshtein: distance +
     /// alphabet; filter: the exact DFA structure + deferral flag), so a

@@ -1,5 +1,5 @@
-//! The persistent ReLM runtime: cross-query plan memoization and a
-//! shared, bounded scoring cache.
+//! The [`Relm`] client and the state it keeps across queries:
+//! cross-query plan memoization and a shared, bounded scoring cache.
 //!
 //! ReLM audits are batteries, not one-shots: a memorization sweep runs
 //! the same URL pattern against hundreds of prefixes, a bias panel runs
@@ -7,7 +7,7 @@
 //! a query per shard match. A runtime with no state would recompile the
 //! query (regex → NFA → DFA → token automaton — the measured wall-clock
 //! majority on small searches) and throw away the scoring memo after
-//! every call. [`RelmSession`] keeps both:
+//! every call. A [`Relm`] client keeps both:
 //!
 //! * a **compiled-plan memo** keyed by `(pattern, prefix, tokenization
 //!   strategy, preprocessors, tokenizer fingerprint)` — repeated or
@@ -15,7 +15,7 @@
 //! * a **size-bounded shared scoring cache**
 //!   ([`relm_lm::SharedScoringCache`]: byte-budgeted, clock-evicted,
 //!   generation-tagged) consulted by the [`relm_lm::ScoringEngine`] of
-//!   every query the session executes — the KV-cache analogue of §3.3's
+//!   every query the client executes — the KV-cache analogue of §3.3's
 //!   batched inference, extended *across* queries.
 //!
 //! Correctness: scoring is deterministic and pure, so serving a
@@ -38,13 +38,12 @@ use relm_store::{ArtifactKey, CacheArtifact, PlanArtifact, PlanStore, StoreError
 
 use crate::compiler::CompiledAutomaton;
 use crate::executor::{
-    assemble_compiled, compile_parts, execute_with_engine, CompiledSearch, EngineHandle, PlanParts,
-    SearchResults,
+    assemble_compiled, compile_parts, execute_with_engine, CompiledSearch, PlanParts, SearchResults,
 };
 use crate::query::{SearchQuery, TokenizationStrategy};
 use crate::RelmError;
 
-/// Default byte budget for a session's plan memo (64 MiB).
+/// Default byte budget for a client's plan memo (64 MiB).
 pub const DEFAULT_PLAN_MEMO_BYTES: usize = 64 << 20;
 
 /// Estimated fixed overhead per memoized plan (hash-map slot, `Vec`
@@ -52,10 +51,10 @@ pub const DEFAULT_PLAN_MEMO_BYTES: usize = 64 << 20;
 /// automata payload.
 const PLAN_ENTRY_OVERHEAD_BYTES: usize = 256;
 
-/// Tuning knobs for a [`RelmSession`] (and therefore a [`crate::Relm`]
-/// client). Build with the `with_*` methods — the struct is
-/// `#[non_exhaustive]`, so new knobs can be added without a breaking
-/// release:
+/// Tuning knobs for a [`Relm`] client, handed to
+/// [`crate::RelmBuilder::config`]. Build with the `with_*` methods —
+/// the struct is `#[non_exhaustive]`, so new knobs can be added without
+/// a breaking release:
 ///
 /// ```
 /// use relm_core::SessionConfig;
@@ -87,7 +86,7 @@ pub struct SessionConfig {
     /// part of the plan-memo key.
     pub parallelism: Parallelism,
     /// Directory of an on-disk warm-artifact store
-    /// ([`relm_store::PlanStore`]). When set, the session consults the
+    /// ([`relm_store::PlanStore`]). When set, the client consults the
     /// store on every plan-memo miss before compiling (a disk hit skips
     /// compilation entirely — a plan loaded from disk executes
     /// bit-for-bit identically to a fresh compile) and writes every
@@ -154,7 +153,7 @@ impl Default for SessionConfig {
     }
 }
 
-/// Aggregated reuse counters for a session.
+/// Aggregated reuse counters for a client ([`Relm::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
 pub struct SessionStats {
@@ -165,7 +164,7 @@ pub struct SessionStats {
     /// Compiled plans currently memoized.
     pub plan_entries: usize,
     /// Plans evicted from the memo under count or byte pressure, or
-    /// dropped by [`RelmSession::swap_tokenizer`].
+    /// dropped by [`Relm::swap_tokenizer`].
     pub plan_evictions: u64,
     /// Estimated resident bytes of the memoized plans (a gauge).
     pub plan_bytes: usize,
@@ -177,7 +176,7 @@ pub struct SessionStats {
     /// [`SharedCacheStats::recoveries`] under [`Self::scoring`].)
     pub plan_recoveries: u64,
     /// Plans restored from the on-disk warm-artifact store instead of
-    /// compiled — at boot preload ([`RelmSession::preload_plans`]) or
+    /// compiled — at boot preload ([`Relm::preload_plans`]) or
     /// on a plan-memo miss. Zero when no store is configured.
     pub store_hits: u64,
     /// Plan-memo misses that consulted the configured store and found
@@ -186,7 +185,7 @@ pub struct SessionStats {
     pub store_misses: u64,
     /// Bytes written to the configured store (plan artifacts on
     /// compile write-back, cache snapshots on
-    /// [`RelmSession::save_scoring_cache`]).
+    /// [`Relm::save_scoring_cache`]).
     pub store_bytes_written: u64,
     /// Shared scoring-cache counters (hits/misses span queries).
     pub scoring: SharedCacheStats,
@@ -205,7 +204,7 @@ impl SessionStats {
 
 /// The compilation-relevant identity of a query. Execution flags
 /// (policy, strategy, seeds, caps) are deliberately absent: they are
-/// attached per-run and do not affect the automata. The session's
+/// attached per-run and do not affect the automata. The client's
 /// [`Parallelism`] is absent too: sharded compilation merges
 /// deterministically, so serial and sharded builds of the same query
 /// produce structurally identical automata and may share a memo entry. The pattern, prefix,
@@ -213,7 +212,7 @@ impl SessionStats {
 /// preprocessor list as its full structural encoding, not a hash), so a
 /// memo hit can never serve automata compiled from a different query;
 /// the tokenizer enters as its fingerprint, which is safe because
-/// [`RelmSession::swap_tokenizer`] clears the memo — keys from two
+/// [`Relm::swap_tokenizer`] clears the memo — keys from two
 /// different tokenizers never coexist.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
@@ -282,7 +281,7 @@ impl PlanKey {
 }
 
 /// What [`PlanMemo::insert`] did with the offered plan — the signal
-/// [`RelmSession::plan_traced`] uses to elect exactly one store
+/// [`Relm::plan_traced`] uses to elect exactly one store
 /// write-back per fresh compile when shards race on the same key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PlanInsert {
@@ -297,7 +296,7 @@ enum PlanInsert {
     NotMemoizable,
 }
 
-/// Where [`RelmSession::plan_traced`] found the plan it returned.
+/// Where [`Relm::plan_traced`] found the plan it returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
     /// Served from the in-memory plan memo.
@@ -317,7 +316,7 @@ pub enum PlanSource {
 /// [`SessionStats::plan_recoveries`]). Every plan is charged its
 /// estimated automata footprint ([`PlanParts::estimated_bytes`]) plus
 /// both copies of its key, so one URL-scale automaton cannot quietly
-/// dominate session memory the way a count-only cap allowed.
+/// dominate client memory the way a count-only cap allowed.
 #[derive(Debug)]
 struct PlanMemo {
     ring: Clock<PlanKey, Arc<PlanParts>>,
@@ -409,18 +408,21 @@ fn restore_parts(artifact: PlanArtifact) -> PlanParts {
     )
 }
 
-/// A persistent ReLM runtime bound to one model and tokenizer. See the
-/// module docs.
+/// The ReLM client: one handle owning the model, the tokenizer, the
+/// compiled-plan memo, the shared scoring cache and the optional plan
+/// store — the single entry point of the public API. See the module
+/// docs for what it keeps warm across queries.
 ///
-/// `M` is any [`LanguageModel`] (including `&M`, so a session can borrow
-/// a model owned elsewhere). A session makes *repeated* queries start
-/// warm.
+/// `M` is any [`LanguageModel`], including `&M` for a model owned
+/// elsewhere. A client is built only by [`Relm::new`] or
+/// [`crate::RelmBuilder::build`], which validate that the model and
+/// tokenizer fit together; every later call can then assume it.
 ///
 /// # Example
 ///
 /// ```
 /// use relm_bpe::BpeTokenizer;
-/// use relm_core::{QueryString, RelmSession, SearchQuery};
+/// use relm_core::{QuerySet, QueryString, Relm, SearchQuery};
 /// use relm_lm::{NGramConfig, NGramLm};
 ///
 /// let corpus = "the cat sat on the mat. the dog sat on the log.";
@@ -430,16 +432,25 @@ fn restore_parts(artifact: PlanArtifact) -> PlanParts {
 ///     &["the cat sat on the mat", "the dog sat on the log"],
 ///     NGramConfig::xl(),
 /// );
-/// let session = RelmSession::new(model, tokenizer);
+/// let client = Relm::builder(model, tokenizer).build()?;
+///
+/// // Single query: plan-memoized, score-pooled.
 /// let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
-/// let cold: Vec<_> = session.search(&query)?.take(2).collect();
-/// let warm: Vec<_> = session.search(&query)?.take(2).collect(); // no recompile
+/// let cold: Vec<_> = client.search(&query)?.take(2).collect();
+/// let warm: Vec<_> = client.search(&query)?.take(2).collect(); // no recompile
 /// assert_eq!(cold, warm);
-/// assert_eq!(session.stats().plan_hits, 1);
+/// assert_eq!(client.stats().plan_hits, 1);
+///
+/// // A whole set: scoring coalesces across the queries.
+/// let set = QuerySet::new()
+///     .with_query(SearchQuery::new(QueryString::new("the cat sat")), 1)
+///     .with_query(SearchQuery::new(QueryString::new("the dog sat")), 1);
+/// let report = client.run_many(&set)?;
+/// assert_eq!(report.outcomes.len(), 2);
 /// # Ok::<(), relm_core::RelmError>(())
 /// ```
 #[derive(Debug)]
-pub struct RelmSession<M> {
+pub struct Relm<M> {
     model: M,
     tokenizer: BpeTokenizer,
     tokenizer_fingerprint: u64,
@@ -451,27 +462,23 @@ pub struct RelmSession<M> {
     /// The on-disk warm-artifact store, when
     /// [`SessionConfig::plan_store`] is set and the directory could be
     /// opened (an unopenable store degrades to the storeless path —
-    /// the session must keep answering queries).
+    /// the client must keep answering queries).
     store: Option<PlanStore>,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
     store_bytes_written: AtomicU64,
 }
 
-impl<M: LanguageModel> RelmSession<M> {
-    /// A session over `model` and `tokenizer` with default budgets.
-    pub fn new(model: M, tokenizer: BpeTokenizer) -> Self {
-        Self::with_config(model, tokenizer, SessionConfig::default())
-    }
-
-    /// A session with explicit cache/memo budgets.
-    pub fn with_config(model: M, tokenizer: BpeTokenizer, config: SessionConfig) -> Self {
+impl<M: LanguageModel> Relm<M> {
+    /// Wire up a client whose model/tokenizer pairing
+    /// [`crate::RelmBuilder::build`] has already checked.
+    pub(crate) fn assemble(model: M, tokenizer: BpeTokenizer, config: SessionConfig) -> Self {
         let tokenizer_fingerprint = tokenizer.fingerprint();
         let store = config
             .plan_store
             .as_deref()
             .and_then(|path| PlanStore::open(path).ok());
-        RelmSession {
+        Relm {
             model,
             tokenizer,
             tokenizer_fingerprint,
@@ -490,17 +497,17 @@ impl<M: LanguageModel> RelmSession<M> {
         }
     }
 
-    /// The budgets this session was built with.
+    /// The budgets this client was built with.
     pub fn config(&self) -> SessionConfig {
         self.config.clone()
     }
 
-    /// The session's model.
+    /// The client's model.
     pub fn model(&self) -> &M {
         &self.model
     }
 
-    /// The session's tokenizer.
+    /// The client's tokenizer.
     pub fn tokenizer(&self) -> &BpeTokenizer {
         &self.tokenizer
     }
@@ -510,10 +517,12 @@ impl<M: LanguageModel> RelmSession<M> {
         &self.scoring_cache
     }
 
-    /// A scoring engine over the session's model wired to the shared
-    /// cache — for scoring work outside `search` (ancestral sampling,
-    /// perplexity sweeps) that should still pool its memo with the
-    /// session's queries. The engine implements [`LanguageModel`].
+    /// A scoring engine over the client's model wired to its shared
+    /// cache at the configured parallelism — the engine every
+    /// execution scores through, and the one to use for scoring work
+    /// outside `search` (ancestral sampling, perplexity sweeps) that
+    /// should pool its memo with the client's queries. The engine
+    /// implements [`LanguageModel`].
     pub fn engine(&self) -> ScoringEngine<&M> {
         ScoringEngine::with_shared_cache(&self.model, Arc::clone(&self.scoring_cache))
             .with_parallelism(self.config.parallelism)
@@ -530,13 +539,13 @@ impl<M: LanguageModel> RelmSession<M> {
         self.plan_traced(query).map(|(plan, _)| plan)
     }
 
-    /// [`RelmSession::plan`], additionally reporting *where* the plan
-    /// came from ([`PlanSource`]) — the per-shard attribution a sharded
-    /// server needs that the session-global hit counters cannot give.
+    /// [`Relm::plan`], additionally reporting *where* the plan came
+    /// from ([`PlanSource`]) — the per-shard attribution a sharded
+    /// server needs that the client-global hit counters cannot give.
     ///
     /// # Errors
     ///
-    /// The same errors as [`RelmSession::plan`].
+    /// The same errors as [`Relm::plan`].
     pub fn plan_traced(
         &self,
         query: &SearchQuery,
@@ -687,7 +696,7 @@ impl<M: LanguageModel> RelmSession<M> {
 
     /// Snapshot the shared scoring cache's live entries into the
     /// configured store, tagged with the cache's current generation and
-    /// the session tokenizer's fingerprint. Returns the bytes written.
+    /// the client tokenizer's fingerprint. Returns the bytes written.
     /// The cache's rows are shared with the snapshot, not copied (see
     /// [`relm_lm::SharedScoringCache::export_entries`]).
     ///
@@ -743,7 +752,7 @@ impl<M: LanguageModel> RelmSession<M> {
         })
     }
 
-    /// Execute a compiled plan against the session's model, scoring
+    /// Execute a compiled plan against the client's model, scoring
     /// through the shared cache.
     ///
     /// # Errors
@@ -755,49 +764,35 @@ impl<M: LanguageModel> RelmSession<M> {
     /// sequence length (a plan held across [`Self::swap_model`] to a
     /// smaller-context model).
     pub fn execute(&self, plan: &CompiledSearch) -> Result<SearchResults<'_, M>, RelmError> {
-        plan.check_compatible(self.tokenizer_fingerprint, self.model.max_sequence_len())?;
-        let engine = EngineHandle::Owned(Box::new(
-            ScoringEngine::with_shared_cache(&self.model, Arc::clone(&self.scoring_cache))
-                .with_parallelism(self.config.parallelism),
-        ));
-        Ok(
-            execute_with_engine(engine, &self.tokenizer, plan).with_plan_counters(
-                self.plan_hits.load(Ordering::Relaxed),
-                self.plan_misses.load(Ordering::Relaxed),
-            ),
-        )
+        self.execute_on(Arc::new(self.engine()), plan)
     }
 
-    /// Execute a compiled plan through an engine pooled by a caller —
-    /// the back end of [`crate::QueryDriver`] (and therefore of
-    /// [`crate::Relm::run_many`] and the serving layer), which builds
-    /// **one** engine over this session's shared cache and pumps every
-    /// execution admitted to it through that engine so their scoring
-    /// batches coalesce. The engine handle is an `Arc` because admitted
-    /// executions outlive no one — queries join and leave while the
-    /// driver (which also owns the engine) stays live.
+    /// Execute a compiled plan through `engine` — the one execution
+    /// path. [`Self::execute`] hands it a fresh engine of its own;
+    /// [`crate::QueryDriver`] (and therefore [`Relm::run_many`] and the
+    /// serving layer) hands every execution admitted to it a clone of
+    /// **one** engine, so their scoring batches coalesce.
     ///
     /// # Errors
     ///
     /// The same compatibility errors as [`Self::execute`].
-    pub(crate) fn execute_pooled<'a>(
+    pub(crate) fn execute_on<'a>(
         &'a self,
-        engine: &Arc<ScoringEngine<&'a M>>,
+        engine: Arc<ScoringEngine<&'a M>>,
         plan: &CompiledSearch,
     ) -> Result<SearchResults<'a, M>, RelmError> {
         plan.check_compatible(self.tokenizer_fingerprint, self.model.max_sequence_len())?;
         Ok(execute_with_engine(
-            EngineHandle::Pooled(Arc::clone(engine)),
+            engine,
             &self.tokenizer,
             plan,
-        )
-        .with_plan_counters(
             self.plan_hits.load(Ordering::Relaxed),
             self.plan_misses.load(Ordering::Relaxed),
         ))
     }
 
-    /// Plan and execute in one call.
+    /// Plan and execute one query — the client's primary single-query
+    /// path.
     ///
     /// # Errors
     ///
@@ -807,24 +802,24 @@ impl<M: LanguageModel> RelmSession<M> {
         self.execute(&plan)
     }
 
-    /// Swap the model behind the session, bumping the scoring cache's
+    /// Swap the model behind the client, bumping the scoring cache's
     /// generation so no distribution computed by the old model can ever
     /// be served. Compiled plans survive (they depend only on the
     /// tokenizer), so the new model starts compile-warm but score-cold.
     ///
-    /// Requires `&mut self`: no search borrowed from this session can be
+    /// Requires `&mut self`: no search borrowed from this client can be
     /// live across a swap.
     ///
     /// # Errors
     ///
     /// [`RelmError::InvalidQuery`] if the new model's vocabulary is
-    /// smaller than the session tokenizer's — the automata would index
-    /// past the model's distributions. The session is left unchanged
+    /// smaller than the client's tokenizer's — the automata would index
+    /// past the model's distributions. The client is left unchanged
     /// (the offered model is dropped).
     pub fn swap_model(&mut self, model: M) -> Result<M, RelmError> {
         if model.vocab_size() < self.tokenizer.vocab_size() {
             return Err(RelmError::InvalidQuery(
-                "model vocabulary is smaller than the session tokenizer's".into(),
+                "model vocabulary is smaller than the client tokenizer's".into(),
             ));
         }
         let old = std::mem::replace(&mut self.model, model);
@@ -840,13 +835,13 @@ impl<M: LanguageModel> RelmSession<M> {
     /// # Errors
     ///
     /// [`RelmError::InvalidQuery`] if the new tokenizer's vocabulary is
-    /// larger than the session model's — compiled automata would emit
-    /// token ids the model has no distribution entry for. The session is
+    /// larger than the client's model's — compiled automata would emit
+    /// token ids the model has no distribution entry for. The client is
     /// left unchanged (the offered tokenizer is dropped).
     pub fn swap_tokenizer(&mut self, tokenizer: BpeTokenizer) -> Result<BpeTokenizer, RelmError> {
         if tokenizer.vocab_size() > self.model.vocab_size() {
             return Err(RelmError::InvalidQuery(
-                "tokenizer vocabulary exceeds the session model's".into(),
+                "tokenizer vocabulary exceeds the client model's".into(),
             ));
         }
         self.tokenizer_fingerprint = tokenizer.fingerprint();
@@ -857,7 +852,8 @@ impl<M: LanguageModel> RelmSession<M> {
         Ok(std::mem::replace(&mut self.tokenizer, tokenizer))
     }
 
-    /// Snapshot of the session's reuse counters.
+    /// Aggregated reuse counters (plan memo, plan store and shared
+    /// scoring cache).
     pub fn stats(&self) -> SessionStats {
         let (plan_entries, plan_evictions, plan_bytes, plan_recoveries) = {
             let plans = self.plans.lock();
@@ -907,7 +903,7 @@ mod tests {
     #[test]
     fn repeated_queries_hit_the_plan_memo() {
         let (tok, lm) = fixture();
-        let session = RelmSession::new(lm, tok);
+        let session = Relm::new(lm, tok).unwrap();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         let first: Vec<_> = session.search(&query).unwrap().take(2).collect();
         let second: Vec<_> = session.search(&query).unwrap().take(2).collect();
@@ -922,7 +918,7 @@ mod tests {
     #[test]
     fn execution_flags_do_not_fragment_the_memo() {
         let (tok, lm) = fixture();
-        let session = RelmSession::new(lm, tok);
+        let session = Relm::new(lm, tok).unwrap();
         let base = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         let _ = session.search(&base).unwrap().take(1).count();
         // Different policy / caps / strategy, same automata.
@@ -938,7 +934,7 @@ mod tests {
     #[test]
     fn different_patterns_or_preprocessors_miss() {
         let (tok, lm) = fixture();
-        let session = RelmSession::new(lm, tok);
+        let session = Relm::new(lm, tok).unwrap();
         let a = SearchQuery::new(QueryString::new("the cat"));
         let b = SearchQuery::new(QueryString::new("the dog"));
         let c = SearchQuery::new(QueryString::new("the cat"))
@@ -954,7 +950,7 @@ mod tests {
     #[test]
     fn scoring_cache_warms_across_queries() {
         let (tok, lm) = fixture();
-        let session = RelmSession::new(lm, tok);
+        let session = Relm::new(lm, tok).unwrap();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         let _ = session.search(&query).unwrap().take(2).count();
         let cold_scoring = session.stats().scoring;
@@ -973,14 +969,13 @@ mod tests {
     #[test]
     fn plan_memo_capacity_is_enforced() {
         let (tok, lm) = fixture();
-        let session = RelmSession::with_config(
-            lm,
-            tok,
-            SessionConfig {
+        let session = Relm::builder(lm, tok)
+            .config(SessionConfig {
                 plan_memo_capacity: 2,
                 ..SessionConfig::default()
-            },
-        );
+            })
+            .build()
+            .unwrap();
         for pattern in ["the cat", "the dog", "the ((cat)|(dog))"] {
             let _ = session
                 .search(&SearchQuery::new(QueryString::new(pattern)))
@@ -1002,7 +997,7 @@ mod tests {
     #[test]
     fn plan_memo_byte_budget_is_enforced() {
         let (tok, lm) = fixture();
-        let probe = RelmSession::new(lm, tok);
+        let probe = Relm::new(lm, tok).unwrap();
         let q = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         probe.plan(&q).unwrap();
         let one_plan = probe.stats().plan_bytes;
@@ -1011,8 +1006,10 @@ mod tests {
         // A budget of ~1.5 plans: compiling three patterns must evict.
         let (tok, lm) = fixture();
         let budget = one_plan + one_plan / 2;
-        let session =
-            RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_memo_bytes(budget));
+        let session = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_memo_bytes(budget))
+            .build()
+            .unwrap();
         for pattern in [
             "the ((cat)|(dog)) sat",
             "the ((dog)|(cat)) ate",
@@ -1035,7 +1032,7 @@ mod tests {
     #[test]
     fn memo_hits_recharge_execute_time_walk_tables() {
         let (tok, lm) = fixture();
-        let session = RelmSession::new(lm, tok);
+        let session = Relm::new(lm, tok).unwrap();
         // A prefixed sampling query: executing it builds (and memoizes)
         // the prefix machine's walk table inside the plan.
         let query = SearchQuery::new(
@@ -1056,8 +1053,10 @@ mod tests {
     #[test]
     fn oversized_plan_is_compiled_but_not_memoized() {
         let (tok, lm) = fixture();
-        let session =
-            RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_memo_bytes(64));
+        let session = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_memo_bytes(64))
+            .build()
+            .unwrap();
         let q = SearchQuery::new(QueryString::new("the cat"));
         session.plan(&q).unwrap();
         let stats = session.stats();
@@ -1070,8 +1069,10 @@ mod tests {
     #[test]
     fn clock_eviction_gives_hit_plans_a_second_chance() {
         let (tok, lm) = fixture();
-        let session =
-            RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_memo_capacity(2));
+        let session = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_memo_capacity(2))
+            .build()
+            .unwrap();
         let hot = SearchQuery::new(QueryString::new("the cat"));
         session.plan(&hot).unwrap();
         session
@@ -1093,7 +1094,7 @@ mod tests {
     #[test]
     fn dangling_plan_memo_entry_is_healed_not_a_panic() {
         let (tok, lm) = fixture();
-        let session = RelmSession::new(lm, tok);
+        let session = Relm::new(lm, tok).unwrap();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         session.plan(&query).unwrap();
         // Simulate the partial state a mid-update panic leaves behind
@@ -1130,7 +1131,7 @@ mod tests {
     #[test]
     fn compile_errors_are_not_memoized() {
         let (tok, lm) = fixture();
-        let session = RelmSession::new(lm, tok);
+        let session = Relm::new(lm, tok).unwrap();
         let bad = SearchQuery::new(QueryString::new("a("));
         assert!(session.plan(&bad).is_err());
         assert!(session.plan(&bad).is_err());
@@ -1147,7 +1148,7 @@ mod tests {
             &["the dog sat on the log", "the dog sat on the log"],
             NGramConfig::xl(),
         );
-        let mut session = RelmSession::new(lm, tok.clone());
+        let mut session = Relm::new(lm, tok.clone()).unwrap();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         let before: Vec<_> = session.search(&query).unwrap().take(2).collect();
         let gen_before = session.stats().scoring.generation;
@@ -1175,7 +1176,10 @@ mod tests {
         .with_strategy(crate::SearchStrategy::RandomSampling { seed: 3 });
 
         let (tok, lm) = fixture();
-        let cold = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let cold = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         let cold_matches: Vec<_> = cold.search(&query).unwrap().take(2).collect();
         let cold_stats = cold.stats();
         assert_eq!(cold_stats.store_hits, 0);
@@ -1185,7 +1189,10 @@ mod tests {
         // A brand-new session (fresh memo) over the same store must
         // serve the plan from disk and produce bit-identical matches.
         let (tok, lm) = fixture();
-        let warm = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let warm = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         let warm_matches: Vec<_> = warm.search(&query).unwrap().take(2).collect();
         let warm_stats = warm.stats();
         assert_eq!(warm_stats.store_hits, 1, "{warm_stats:?}");
@@ -1203,7 +1210,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         let (tok, lm) = fixture();
-        let writer = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let writer = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         writer.plan(&query).unwrap();
         // Corrupt every artifact in place (flip a payload byte).
         let mut corrupted = 0;
@@ -1217,7 +1227,10 @@ mod tests {
         }
         assert!(corrupted > 0);
         let (tok, lm) = fixture();
-        let reader = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let reader = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         let matches: Vec<_> = reader.search(&query).unwrap().take(2).collect();
         assert_eq!(matches.len(), 2, "corruption must not kill the query");
         let stats = reader.stats();
@@ -1227,7 +1240,10 @@ mod tests {
         // The recompile overwrote the corrupt file: preloading a third
         // session now restores it cleanly.
         let (tok, lm) = fixture();
-        let third = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let third = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         assert_eq!(third.preload_plans().unwrap(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1238,18 +1254,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         let (tok, lm) = fixture();
-        let writer = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let writer = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         writer.plan(&query).unwrap();
 
         // Same store, different tokenizer: nothing compatible to load.
         let other_tok = BpeTokenizer::train("the cat sat on the mat. the dog sat.", 40);
         let (_, lm) = fixture();
-        let foreign =
-            RelmSession::with_config(lm, other_tok, SessionConfig::new().with_plan_store(&dir));
+        let foreign = Relm::builder(lm, other_tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         assert_eq!(foreign.preload_plans().unwrap(), 0);
 
         let (tok, lm) = fixture();
-        let warm = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let warm = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         assert_eq!(warm.preload_plans().unwrap(), 1);
         assert_eq!(warm.stats().store_hits, 1);
         // The preloaded plan serves from the memo without recompiling.
@@ -1266,14 +1290,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         let (tok, lm) = fixture();
-        let writer = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let writer = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         let _ = writer.search(&query).unwrap().take(2).count();
         assert!(writer.save_scoring_cache().unwrap() > 0);
 
         // A fresh session imports the snapshot (same generation 0) and
         // serves the repeated query without any model misses.
         let (tok, lm) = fixture();
-        let warm = RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let warm = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         assert!(warm.load_scoring_cache().unwrap() > 0);
         let mut results = warm.search(&query).unwrap();
         let _ = (&mut results).take(2).count();
@@ -1282,8 +1312,10 @@ mod tests {
         // After a model swap the generation moves on: the same snapshot
         // must refuse to import.
         let (tok, lm) = fixture();
-        let mut swapped =
-            RelmSession::with_config(lm, tok, SessionConfig::new().with_plan_store(&dir));
+        let mut swapped = Relm::builder(lm, tok)
+            .config(SessionConfig::new().with_plan_store(&dir))
+            .build()
+            .unwrap();
         let replacement = NGramLm::train(
             swapped.tokenizer(),
             &["the dog sat on the log", "the dog sat on the log"],
@@ -1297,7 +1329,7 @@ mod tests {
     #[test]
     fn store_operations_without_a_store_surface_typed_errors() {
         let (tok, lm) = fixture();
-        let session = RelmSession::new(lm, tok);
+        let session = Relm::new(lm, tok).unwrap();
         for err in [
             session.preload_plans().unwrap_err(),
             session.save_scoring_cache().unwrap_err(),
@@ -1312,7 +1344,7 @@ mod tests {
         let (tok, lm) = fixture();
         let retrained = BpeTokenizer::train("the cat sat on the mat. the dog sat.", 40);
         assert_ne!(tok.fingerprint(), retrained.fingerprint());
-        let mut session = RelmSession::new(lm, tok);
+        let mut session = Relm::new(lm, tok).unwrap();
         let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
         let _ = session.search(&query).unwrap().take(1).count();
         session.swap_tokenizer(retrained).unwrap();

@@ -22,9 +22,9 @@
 //!   every executor scores through (graph traversals revisit contexts),
 //! * [`SharedScoringCache`] — its memo, the one in the workspace: a
 //!   byte-budgeted, generation-tagged table with reuse-gated admission,
-//!   pooled by every query of a `RelmSession`,
+//!   pooled by every query of a `Relm` client,
 //! * [`Clock`] — the second-chance ring under that memo and under a
-//!   session's plan memo: one bounded table, two owners,
+//!   client's plan memo: one bounded table, two owners,
 //! * [`AcceleratorSim`] — a batched-inference latency model standing in
 //!   for the paper's GTX-3080, so throughput figures have a time axis,
 //! * [`score_batch`] / [`pool::pooled_scores`] — batched scoring on the

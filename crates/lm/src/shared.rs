@@ -1,5 +1,5 @@
 //! The cross-query scoring cache: one bounded memo table shared by every
-//! search a `RelmSession` runs against the same model.
+//! search a `Relm` client runs against the same model.
 //!
 //! ReLM audits are not one-shot — memorization sweeps, bias panels, and
 //! toxicity batteries issue *many* related queries against one model,

@@ -626,18 +626,17 @@ impl<M: LanguageModel> Shard<'_, M> {
             .deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let query = request.to_search_query();
-        let admitted =
-            self.server
-                .client
-                .session()
-                .plan_traced(&query)
-                .and_then(|(plan, source)| {
-                    if source == PlanSource::Store {
-                        self.report.store_hits += 1;
-                    }
-                    self.driver
-                        .admit_plan_with_deadline(&plan, request.max_results, deadline)
-                });
+        let admitted = self
+            .server
+            .client
+            .plan_traced(&query)
+            .and_then(|(plan, source)| {
+                if source == PlanSource::Store {
+                    self.report.store_hits += 1;
+                }
+                self.driver
+                    .admit_plan_with_deadline(&plan, request.max_results, deadline)
+            });
         match admitted {
             Ok(id) => {
                 self.routes.insert(id, (token, request.id));

@@ -13,7 +13,7 @@ pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, size }
 }
 
-/// Output of [`vec`].
+/// Output of [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -7,7 +7,7 @@
 //! strategies, regex-literal string strategies (char classes, escapes,
 //! `{m,n}` repetition, `\PC`), [`collection::vec`], the
 //! [`proptest!`] / [`prop_oneof!`] / [`prop_assert!`] /
-//! [`prop_assert_eq!`] macros and [`ProptestConfig::with_cases`].
+//! [`prop_assert_eq!`] macros and [`ProptestConfig::with_cases`](test_runner::ProptestConfig::with_cases).
 //!
 //! Differences from real proptest: no shrinking (failing cases report
 //! their seed instead) and case generation is seeded from the test name,

@@ -51,7 +51,7 @@ impl Error for InvalidTableError {}
 ///
 /// # Errors
 ///
-/// Returns [`InvalidTableError`] when the table has fewer than 2 rows or
+/// Returns an `InvalidTableError` when the table has fewer than 2 rows or
 /// columns, ragged rows, or a zero row/column marginal (expected counts
 /// would be zero).
 ///

@@ -2,7 +2,7 @@
 //! ReLM plans and scoring-cache snapshots: compile once, serve
 //! everywhere.
 //!
-//! All warmth a `RelmSession` accumulates (the compiled-plan memo, the
+//! All warmth a `Relm` client accumulates (the compiled-plan memo, the
 //! shared scoring cache) dies with its process, so every server
 //! replica, CI run, and bench re-pays the cold compile path. This crate
 //! makes warmth a durable artifact: a [`PlanStore`] directory holds one

@@ -81,8 +81,8 @@ impl BpeTokenizer {
         }
     }
 
-    /// Train `num_merges` BPE merges on `corpus` (see [`crate::train`]'s
-    /// module docs for the algorithm) and return the tokenizer.
+    /// Train `num_merges` BPE merges on `corpus` (the `train` module's docs
+    /// describe the algorithm) and return the tokenizer.
     pub fn train(corpus: &str, num_merges: usize) -> Self {
         crate::train::train(corpus, num_merges)
     }

@@ -53,8 +53,8 @@ pub use relm_core::{
     compiler, explain, CompiledSearch, ExecutionStats, FilterPreprocessor, LevenshteinPreprocessor,
     MachineShape, MatchResult, PlanSource, PrefixSampling, Preprocessor, QueryCompletion,
     QueryDriver, QueryId, QueryOutcome, QueryPlan, QuerySet, QuerySetReport, QuerySpec,
-    QueryString, Relm, RelmBuilder, RelmError, RelmErrorKind, RelmSession, SearchQuery,
-    SearchResults, SearchStrategy, SessionConfig, SessionStats, TokenizationStrategy,
+    QueryString, Relm, RelmBuilder, RelmError, RelmErrorKind, SearchQuery, SearchResults,
+    SearchStrategy, SessionConfig, SessionStats, TokenizationStrategy,
 };
 pub use relm_lm::{
     perplexity, pooled_scores, sample_sequence, score_batch, sequence_log_prob, top_k_accuracy,

@@ -119,7 +119,6 @@ fn facade_reexport_list_matches_snapshot() {
         "QueryString",
         "RelmError",
         "RelmErrorKind",
-        "RelmSession",
         "SearchQuery",
         "SearchResults",
         "SearchStrategy",

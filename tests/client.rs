@@ -1,21 +1,17 @@
-//! Integration tests for the `Relm` client — the redesigned public
-//! entry point. Two invariants are enforced **bit-for-bit** (including
-//! the f64 score bits):
-//!
-//! 1. `Relm::search` produces results byte-identical to
-//!    `RelmSession::search`, cold and warm, for all three executor
-//!    types;
-//! 2. `Relm::run_many` produces, per query, results byte-identical to
-//!    running the same queries sequentially — even under scoring-cache
-//!    eviction pressure and across model swaps — while its shared
-//!    engine records cross-query coalesced batches that sequential
-//!    execution can never produce.
+//! Integration tests for the `Relm` client's multi-query path.
+//! `Relm::run_many` must produce, per query, results byte-identical
+//! (including the f64 score bits) to running the same queries
+//! sequentially — even under scoring-cache eviction pressure and across
+//! model swaps — while its shared engine records cross-query coalesced
+//! batches that sequential execution can never produce. (Warm-vs-cold
+//! identity of `Relm::search` for all three executors is
+//! `tests/session.rs`'s.)
 
 #![forbid(unsafe_code)]
 
 use relm::{
     BpeTokenizer, DecodingPolicy, LanguageModel, MatchResult, NGramConfig, NGramLm, QuerySet,
-    QueryString, Relm, RelmSession, SearchQuery, SearchStrategy, SessionConfig,
+    QueryString, Relm, SearchQuery, SearchStrategy, SessionConfig,
 };
 
 fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -50,14 +46,6 @@ fn assert_identical(a: &[MatchResult], b: &[MatchResult], label: &str) {
             y.log_prob
         );
     }
-}
-
-fn strategies() -> [(&'static str, SearchStrategy); 3] {
-    [
-        ("dijkstra", SearchStrategy::ShortestPath),
-        ("beam", SearchStrategy::Beam { width: 16 }),
-        ("sampling", SearchStrategy::RandomSampling { seed: 41 }),
-    ]
 }
 
 fn mixed_set() -> QuerySet {
@@ -109,39 +97,6 @@ fn run_sequentially<M: relm::LanguageModel>(
                 .collect()
         })
         .collect()
-}
-
-#[test]
-fn client_search_is_byte_identical_to_session() {
-    let (tok, lm) = fixture();
-    let client = Relm::new(&lm, tok.clone()).unwrap();
-    let session = RelmSession::new(&lm, tok.clone());
-    for (label, strategy) in strategies() {
-        let query = SearchQuery::new(
-            QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
-        )
-        .with_policy(DecodingPolicy::top_k(40))
-        .with_strategy(strategy);
-        let via_session: Vec<MatchResult> = session.search(&query).unwrap().take(10).collect();
-        let via_client: Vec<MatchResult> = client.search(&query).unwrap().take(10).collect();
-        // And a warm client pass (plan memo + scoring cache now hot).
-        let warm: Vec<MatchResult> = client.search(&query).unwrap().take(10).collect();
-        assert!(
-            !via_session.is_empty(),
-            "{label}: fixture must produce matches"
-        );
-        assert_identical(
-            &via_session,
-            &via_client,
-            &format!("{label} session-vs-client"),
-        );
-        assert_identical(
-            &via_session,
-            &warm,
-            &format!("{label} session-vs-warm-client"),
-        );
-    }
-    assert!(client.stats().plan_hits > 0, "client memoized the plan");
 }
 
 #[test]

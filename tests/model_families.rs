@@ -89,7 +89,7 @@ fn cached_wrapper_composes_with_neural_model() {
     let results: Vec<_> = client.search(&query).unwrap().take(4).collect();
     assert!(!results.is_empty());
     assert!(
-        client.session().stats().scoring.entries > 0,
+        client.stats().scoring.entries > 0,
         "search should populate the cache"
     );
 }

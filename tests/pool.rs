@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use relm::serve::{spawn, QueryRequest, RelmServer, Request, Response, ServeClient, ServerConfig};
 use relm::{
     pooled_scores, BpeTokenizer, DecodingPolicy, LanguageModel, MatchResult, NGramConfig, NGramLm,
-    Parallelism, QuerySet, QueryString, Relm, SearchQuery, SearchStrategy, TokenId,
+    Parallelism, QuerySet, QueryString, Relm, SearchQuery, SearchStrategy, SessionConfig, TokenId,
     TokenizationStrategy, WorkerPool,
 };
 
@@ -105,11 +105,11 @@ fn pooled_scores_match_serial() {
 fn serial_and_pooled_clients_are_byte_identical_for_all_executors() {
     let (tok, lm) = fixture();
     let serial = Relm::builder(&lm, tok.clone())
-        .parallelism(Parallelism::Serial)
+        .config(SessionConfig::new().with_parallelism(Parallelism::Serial))
         .build()
         .unwrap();
     let pooled = Relm::builder(&lm, tok.clone())
-        .parallelism(Parallelism::sharded(4))
+        .config(SessionConfig::new().with_parallelism(Parallelism::sharded(4)))
         .build()
         .unwrap();
     for (label, query, take) in [
@@ -158,12 +158,12 @@ fn serial_and_pooled_clients_are_byte_identical_for_all_executors() {
 fn served_path_on_a_pooled_client_is_byte_identical_to_solo_serial() {
     let (tok, lm) = fixture();
     let solo = Relm::builder(&lm, tok.clone())
-        .parallelism(Parallelism::Serial)
+        .config(SessionConfig::new().with_parallelism(Parallelism::Serial))
         .build()
         .unwrap();
     let (tok2, lm2) = fixture();
     let pooled = Relm::builder(lm2, tok2)
-        .parallelism(Parallelism::sharded(4))
+        .config(SessionConfig::new().with_parallelism(Parallelism::sharded(4)))
         .build()
         .unwrap();
     let handle = spawn(
@@ -230,7 +230,7 @@ fn steady_state_batches_spawn_no_threads() {
     }
     // Whole searches route through the same registry pool.
     let client = Relm::builder(&lm, tok.clone())
-        .parallelism(par)
+        .config(SessionConfig::new().with_parallelism(par))
         .build()
         .unwrap();
     for seed in 0..4 {

@@ -166,7 +166,7 @@ fn pinned_work(query: &SearchQuery, take: usize) -> ([u64; 6], Vec<u64>) {
     // frontier prefetch with the host's cores, and with it the batch and
     // hit counts.
     let client = Relm::builder(&lm, tok)
-        .parallelism(relm::Parallelism::Serial)
+        .config(relm::SessionConfig::new().with_parallelism(relm::Parallelism::Serial))
         .build()
         .expect("client");
     let mut results = client.search(query).expect("search");

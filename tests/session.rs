@@ -1,5 +1,5 @@
-//! Integration and property tests for the persistent `RelmSession`
-//! runtime: warm-session results must be **byte-identical** to
+//! Integration and property tests for the state a `Relm` client keeps
+//! across queries: warm-client results must be **byte-identical** to
 //! cold results (a fresh client per run) for all three executors,
 //! the plan memo and shared scoring cache must report their reuse, and
 //! neither eviction pressure nor a model swap (generation bump) may ever
@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use relm::{
     BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, Preprocessor, QueryString,
-    Relm, RelmSession, SearchQuery, SearchStrategy, SessionConfig,
+    Relm, SearchQuery, SearchStrategy, SessionConfig,
 };
 
 fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -63,7 +63,7 @@ fn strategies() -> [(&'static str, SearchStrategy); 3] {
 #[test]
 fn warm_session_is_byte_identical_to_cold_for_all_executors() {
     let (tok, lm) = fixture();
-    let session = RelmSession::new(&lm, tok.clone());
+    let session = Relm::new(&lm, tok.clone()).unwrap();
     for (label, strategy) in strategies() {
         let query = SearchQuery::new(
             QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
@@ -100,7 +100,7 @@ fn warm_session_is_byte_identical_to_cold_for_all_executors() {
 #[test]
 fn warm_session_matches_cold_under_preprocessors_and_all_encodings() {
     let (tok, lm) = fixture();
-    let session = RelmSession::new(&lm, tok.clone());
+    let session = Relm::new(&lm, tok.clone()).unwrap();
     let query = SearchQuery::new(QueryString::new("the cat"))
         .with_tokenization(relm::TokenizationStrategy::All)
         .with_preprocessor(Preprocessor::levenshtein(1))
@@ -125,7 +125,10 @@ fn eviction_pressure_never_changes_results() {
     let tiny = SessionConfig::new()
         .with_scoring_cache_bytes((lm.vocab_size() * 8 + 256) * 4)
         .with_plan_memo_capacity(2);
-    let session = RelmSession::with_config(&lm, tok.clone(), tiny);
+    let session = Relm::builder(&lm, tok.clone())
+        .config(tiny)
+        .build()
+        .unwrap();
     for (label, strategy) in strategies() {
         let query = SearchQuery::new(
             QueryString::new("the ((cat)|(dog)|(cow)) ((sat)|(ate))").with_prefix("the"),
@@ -161,7 +164,7 @@ fn model_swap_never_serves_cross_model_distributions() {
     let dog_lm = NGramLm::train(&tok, &dog_docs, NGramConfig::xl());
     let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat").with_prefix("the"));
 
-    let mut session = RelmSession::new(&cat_lm, tok.clone());
+    let mut session = Relm::new(&cat_lm, tok.clone()).unwrap();
     let warm_cat: Vec<MatchResult> = session.search(&query).unwrap().take(2).collect();
     // Warm the cache thoroughly, then swap models.
     let _ = session.search(&query).unwrap().take(2).count();
@@ -170,7 +173,7 @@ fn model_swap_never_serves_cross_model_distributions() {
 
     let after_swap: Vec<MatchResult> = session.search(&query).unwrap().take(2).collect();
     // Ground truth: a fresh session over the dog model.
-    let fresh = RelmSession::new(&dog_lm, tok.clone());
+    let fresh = Relm::new(&dog_lm, tok.clone()).unwrap();
     let expected: Vec<MatchResult> = fresh.search(&query).unwrap().take(2).collect();
     assert_identical(&expected, &after_swap, "post-swap vs fresh dog session");
     assert_eq!(after_swap[0].text, "the dog sat");
@@ -193,7 +196,7 @@ fn swapped_out_models_do_not_squat_the_scoring_cache_budget() {
     )
     .with_strategy(SearchStrategy::RandomSampling { seed: 9 });
 
-    let mut session = RelmSession::new(&cat_lm, tok.clone());
+    let mut session = Relm::new(&cat_lm, tok.clone()).unwrap();
     let mut first_round = 0;
     for round in 0..20 {
         let model = if round % 2 == 0 { &dog_lm } else { &cat_lm };
@@ -215,7 +218,7 @@ fn swapped_out_models_do_not_squat_the_scoring_cache_budget() {
 #[test]
 fn plan_and_execute_split_reuses_one_compilation() {
     let (tok, lm) = fixture();
-    let session = RelmSession::new(&lm, tok.clone());
+    let session = Relm::new(&lm, tok.clone()).unwrap();
     let query = SearchQuery::new(
         QueryString::new("my phone number is ([0-9]{3}) ([0-9]{3}) ([0-9]{4})")
             .with_prefix("my phone number is"),
@@ -239,7 +242,7 @@ fn plan_and_execute_split_reuses_one_compilation() {
 fn stale_plan_is_rejected_after_tokenizer_swap() {
     let (tok, lm) = fixture();
     let retrained = BpeTokenizer::train("completely different corpus text here", 40);
-    let mut session = RelmSession::new(&lm, tok.clone());
+    let mut session = Relm::new(&lm, tok.clone()).unwrap();
     let query = SearchQuery::new(QueryString::new("the cat"));
     let plan = session.plan(&query).unwrap();
     assert!(session.execute(&plan).is_ok(), "plan valid before the swap");
@@ -259,7 +262,7 @@ fn tokenizer_swap_counts_the_dropped_plans_as_evictions() {
     let (tok, lm) = fixture();
     let retrained = BpeTokenizer::train("the cat sat on the mat. the dog sat.", 40);
     let config = SessionConfig::new().with_plan_memo_capacity(2);
-    let mut session = RelmSession::with_config(&lm, tok, config);
+    let mut session = Relm::builder(&lm, tok).config(config).build().unwrap();
     for pattern in ["the cat", "the dog", "the cow"] {
         session
             .plan(&SearchQuery::new(QueryString::new(pattern)))
@@ -281,7 +284,7 @@ fn tokenizer_swap_counts_the_dropped_plans_as_evictions() {
 #[test]
 fn vocab_mismatch_swaps_are_refused() {
     let (tok, lm) = fixture();
-    let mut session = RelmSession::new(&lm, tok.clone());
+    let mut session = Relm::new(&lm, tok.clone()).unwrap();
     // A tokenizer with more merges than the model was trained against
     // has a larger vocabulary: compiled automata would emit token ids
     // the model has no distribution entry for. (Built from an explicit
@@ -298,14 +301,14 @@ fn vocab_mismatch_swaps_are_refused() {
     let tiny_tok = BpeTokenizer::train("ab", 2);
     let tiny_lm = NGramLm::train(&tiny_tok, &["ab"], NGramConfig::xl());
     assert!(tiny_lm.vocab_size() < tok.vocab_size());
-    let mut borrowed = RelmSession::new(&lm, tok.clone());
+    let mut borrowed = Relm::new(&lm, tok.clone()).unwrap();
     assert!(borrowed.swap_model(&tiny_lm).is_err());
 }
 
 #[test]
 fn max_tokens_sweep_shares_one_walk_table_and_stays_identical() {
     let (tok, lm) = fixture();
-    let session = RelmSession::new(&lm, tok.clone());
+    let session = Relm::new(&lm, tok.clone()).unwrap();
     // Sampling queries over one memoized plan with varying budgets: the
     // walk table is rebuilt only when the budget grows, and results
     // still match a cold run exactly.
@@ -361,7 +364,7 @@ proptest! {
             .unwrap()
             .take(8)
             .collect();
-        let session = RelmSession::new(&lm, tok.clone());
+        let session = Relm::new(&lm, tok.clone()).unwrap();
         let _ = session.search(&query).unwrap().take(8).count(); // fill
         let warm: Vec<MatchResult> = session.search(&query).unwrap().take(8).collect();
         prop_assert_eq!(cold.len(), warm.len());

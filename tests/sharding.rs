@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use relm::{
     BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, Parallelism, QuerySet,
-    QueryString, Regex, Relm, SearchQuery, SearchStrategy, TokenizationStrategy,
+    QueryString, Regex, Relm, SearchQuery, SearchStrategy, SessionConfig, TokenizationStrategy,
 };
 
 fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -62,11 +62,11 @@ fn assert_bit_identical(label: &str, a: &[MatchResult], b: &[MatchResult]) {
 fn serial_and_sharded_executors_are_byte_identical() {
     let (tok, lm) = fixture();
     let serial = Relm::builder(&lm, tok.clone())
-        .parallelism(Parallelism::Serial)
+        .config(SessionConfig::new().with_parallelism(Parallelism::Serial))
         .build()
         .unwrap();
     let sharded = Relm::builder(&lm, tok.clone())
-        .parallelism(Parallelism::sharded(4))
+        .config(SessionConfig::new().with_parallelism(Parallelism::sharded(4)))
         .build()
         .unwrap();
     let workloads: Vec<(&str, SearchQuery, usize)> = vec![
@@ -119,11 +119,11 @@ fn serial_and_sharded_run_many_are_byte_identical() {
             6,
         );
     let serial = Relm::builder(&lm, tok.clone())
-        .parallelism(Parallelism::Serial)
+        .config(SessionConfig::new().with_parallelism(Parallelism::Serial))
         .build()
         .unwrap();
     let sharded = Relm::builder(&lm, tok.clone())
-        .parallelism(Parallelism::sharded(3))
+        .config(SessionConfig::new().with_parallelism(Parallelism::sharded(3)))
         .build()
         .unwrap();
     let a = serial.run_many(&set).unwrap();
@@ -154,7 +154,7 @@ fn plan_memo_eviction_still_triggers_with_walk_table_accounting() {
     // evictions.
     let (tok, lm) = fixture();
     let probe = Relm::builder(&lm, tok.clone())
-        .parallelism(Parallelism::sharded(4))
+        .config(SessionConfig::new().with_parallelism(Parallelism::sharded(4)))
         .build()
         .unwrap();
     let sampling = url_query().with_strategy(SearchStrategy::RandomSampling { seed: 3 });
@@ -173,8 +173,11 @@ fn plan_memo_eviction_still_triggers_with_walk_table_accounting() {
     let budget = recharged + recharged / 2;
     let (tok, lm) = fixture();
     let client = Relm::builder(&lm, tok)
-        .parallelism(Parallelism::sharded(4))
-        .plan_memo_bytes(budget)
+        .config(
+            SessionConfig::new()
+                .with_parallelism(Parallelism::sharded(4))
+                .with_plan_memo_bytes(budget),
+        )
         .build()
         .unwrap();
     for pattern in [
@@ -281,11 +284,11 @@ proptest! {
             .clone()
             .with_strategy(SearchStrategy::RandomSampling { seed });
         let serial = Relm::builder(&lm, tok.clone())
-            .parallelism(Parallelism::Serial)
+            .config(SessionConfig::new().with_parallelism(Parallelism::Serial))
             .build()
             .unwrap();
         let sharded = Relm::builder(&lm, tok.clone())
-            .parallelism(Parallelism::sharded(threads))
+            .config(SessionConfig::new().with_parallelism(Parallelism::sharded(threads)))
             .build()
             .unwrap();
         for q in [&query, &sampling] {

@@ -428,7 +428,7 @@ fn concurrent_fresh_compiles_write_back_exactly_once() {
     std::thread::scope(|scope| {
         for _ in 0..8 {
             scope.spawn(|| {
-                shared.session().plan(&query).unwrap();
+                shared.plan(&query).unwrap();
             });
         }
     });
@@ -457,7 +457,7 @@ fn concurrent_fresh_compiles_write_back_exactly_once() {
         .config(SessionConfig::new().with_plan_store(&solo_dir))
         .build()
         .unwrap();
-    solo.session().plan(&query).unwrap();
+    solo.plan(&query).unwrap();
     assert_eq!(
         shared.stats().store_bytes_written,
         solo.stats().store_bytes_written,
