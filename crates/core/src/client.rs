@@ -29,7 +29,43 @@ use relm_lm::{LanguageModel, ScoringEngine, ScoringStats};
 use crate::executor::{CompiledSearch, ExecutionStats, SearchResults, StepOutcome};
 use crate::query::{QueryId, QuerySet, SearchQuery};
 use crate::results::MatchResult;
-use crate::session::{Relm, SessionConfig};
+use crate::session::SessionConfig;
+
+/// The ReLM client. Its fields and its single-query paths live in
+/// `session.rs`; this module adds how a client is built
+/// ([`Relm::builder`], [`Relm::new`]) and how many queries run through
+/// it at once ([`Relm::run_many`], [`Relm::driver`]).
+///
+/// # Example
+///
+/// ```
+/// use relm_bpe::BpeTokenizer;
+/// use relm_core::{QuerySet, QueryString, Relm, SearchQuery};
+/// use relm_lm::{NGramConfig, NGramLm};
+///
+/// let corpus = "the cat sat on the mat. the dog sat on the log.";
+/// let tokenizer = BpeTokenizer::train(corpus, 60);
+/// let model = NGramLm::train(
+///     &tokenizer,
+///     &["the cat sat on the mat", "the dog sat on the log"],
+///     NGramConfig::xl(),
+/// );
+/// let client = Relm::builder(model, tokenizer).build()?;
+///
+/// // Single query: plan-memoized, score-pooled.
+/// let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
+/// let texts: Vec<String> = client.search(&query)?.take(2).map(|m| m.text).collect();
+/// assert_eq!(texts.len(), 2);
+///
+/// // A whole set: scoring coalesces across the queries.
+/// let set = QuerySet::new()
+///     .with_query(SearchQuery::new(QueryString::new("the cat sat")), 1)
+///     .with_query(SearchQuery::new(QueryString::new("the dog sat")), 1);
+/// let report = client.run_many(&set)?;
+/// assert_eq!(report.outcomes.len(), 2);
+/// # Ok::<(), relm_core::RelmError>(())
+/// ```
+pub use crate::session::Relm;
 use crate::RelmError;
 
 /// Uncached frontier contexts gathered per in-flight query per

@@ -64,7 +64,7 @@ mod query;
 mod results;
 mod session;
 
-pub use client::{QueryCompletion, QueryDriver, QueryOutcome, QuerySetReport, RelmBuilder};
+pub use client::{QueryCompletion, QueryDriver, QueryOutcome, QuerySetReport, Relm, RelmBuilder};
 pub use error::{RelmError, RelmErrorKind};
 pub use executor::{CompiledSearch, ExecutionStats, SearchResults};
 pub use explain::{explain, MachineShape, QueryPlan};
@@ -111,4 +111,4 @@ pub(crate) fn cold_client<'m, M: relm_lm::LanguageModel>(
     Relm::new(lm, tok.clone()).unwrap()
 }
 pub use results::MatchResult;
-pub use session::{PlanSource, Relm, SessionConfig, SessionStats, DEFAULT_PLAN_MEMO_BYTES};
+pub use session::{PlanSource, SessionConfig, SessionStats, DEFAULT_PLAN_MEMO_BYTES};

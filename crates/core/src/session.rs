@@ -422,7 +422,7 @@ fn restore_parts(artifact: PlanArtifact) -> PlanParts {
 ///
 /// ```
 /// use relm_bpe::BpeTokenizer;
-/// use relm_core::{QuerySet, QueryString, Relm, SearchQuery};
+/// use relm_core::{QueryString, Relm, SearchQuery};
 /// use relm_lm::{NGramConfig, NGramLm};
 ///
 /// let corpus = "the cat sat on the mat. the dog sat on the log.";
@@ -432,21 +432,12 @@ fn restore_parts(artifact: PlanArtifact) -> PlanParts {
 ///     &["the cat sat on the mat", "the dog sat on the log"],
 ///     NGramConfig::xl(),
 /// );
-/// let client = Relm::builder(model, tokenizer).build()?;
-///
-/// // Single query: plan-memoized, score-pooled.
+/// let client = Relm::new(model, tokenizer)?;
 /// let query = SearchQuery::new(QueryString::new("the ((cat)|(dog)) sat"));
 /// let cold: Vec<_> = client.search(&query)?.take(2).collect();
 /// let warm: Vec<_> = client.search(&query)?.take(2).collect(); // no recompile
 /// assert_eq!(cold, warm);
 /// assert_eq!(client.stats().plan_hits, 1);
-///
-/// // A whole set: scoring coalesces across the queries.
-/// let set = QuerySet::new()
-///     .with_query(SearchQuery::new(QueryString::new("the cat sat")), 1)
-///     .with_query(SearchQuery::new(QueryString::new("the dog sat")), 1);
-/// let report = client.run_many(&set)?;
-/// assert_eq!(report.outcomes.len(), 2);
 /// # Ok::<(), relm_core::RelmError>(())
 /// ```
 #[derive(Debug)]
