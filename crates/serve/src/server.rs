@@ -23,7 +23,8 @@
 //! acceptor with one connection to its own address; the acceptor stops
 //! every shard, and a stopped shard drops its writers' channels. Each
 //! writer flushes (giving up on a socket that takes nothing for 250 ms)
-//! and shuts its socket down, which ends the blocked reader.
+//! and shuts its socket down, which ends the blocked reader; the
+//! acceptor joins both before the server's own thread exits.
 //!
 //! Shards parallelize *driving*; warmth stays global. Every shard's
 //! driver executes through the same [`Relm`] client, so the plan memo,
@@ -44,6 +45,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use relm_core::{PlanSource, QueryDriver, QueryId, Relm};
@@ -377,14 +379,31 @@ impl<M: LanguageModel> RelmServer<M> {
 
             // The acceptor: accept, assign a shard (round-robin over the
             // connection token — deterministic affinity), start the
-            // connection's reader and writer; on stop, stop every shard.
+            // connection's reader and writer; on stop, stop every shard,
+            // then join every connection thread. Joined, not left to the
+            // scope: the scope waits only for a thread's closure, and a
+            // thread still exiting when this server's own thread does
+            // would race it for the head of glibc's free-arena list.
             let acceptor = scope.spawn(move || -> std::io::Result<()> {
+                let mut connections = Vec::new();
+                let mut panicked = false;
+                let mut join_finished = |connections: &mut Vec<ScopedJoinHandle<'_, ()>>,
+                                         all: bool| {
+                    let (done, running) = std::mem::take(connections)
+                        .into_iter()
+                        .partition(|thread| all || thread.is_finished());
+                    *connections = running;
+                    for thread in done {
+                        panicked |= thread.join().is_err();
+                    }
+                };
                 let accept_result = loop {
                     let stream = match listener.accept() {
                         Ok((stream, _)) => stream,
                         Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                         Err(e) => break Err(e),
                     };
+                    join_finished(&mut connections, false);
                     // The stop wake-up, or a client that raced it.
                     if shutdown.load(Ordering::Relaxed) || shared.stop.load(Ordering::Relaxed) {
                         break Ok(());
@@ -397,31 +416,43 @@ impl<M: LanguageModel> RelmServer<M> {
                         continue;
                     };
                     let (out, frames) = mpsc::channel();
-                    let writer = std::thread::Builder::new()
-                        .spawn_scoped(scope, move || write_frames(stream, &frames, &shared.stop));
-                    if writer.is_err() || inbox.send(Event::Open { token, out }).is_err() {
+                    let Ok(writer) = std::thread::Builder::new()
+                        .spawn_scoped(scope, move || write_frames(stream, &frames, &shared.stop))
+                    else {
+                        continue;
+                    };
+                    connections.push(writer);
+                    if inbox.send(Event::Open { token, out }).is_err() {
                         continue;
                     }
                     let events = inbox.clone();
                     let reader = std::thread::Builder::new().spawn_scoped(scope, move || {
                         read_frames(reader, token, &events, self.config.max_frame_bytes);
                     });
-                    if reader.is_err() {
-                        let _ = inbox.send(Event::Closed { token });
+                    match reader {
+                        Ok(reader) => connections.push(reader),
+                        Err(_) => {
+                            let _ = inbox.send(Event::Closed { token });
+                        }
                     }
                 };
                 shared.stop.store(true, Ordering::Relaxed);
                 for inbox in &inboxes {
                     let _ = inbox.send(Event::Stop);
                 }
+                join_finished(&mut connections, true);
+                if panicked {
+                    return Err(std::io::Error::other("connection thread panicked"));
+                }
                 accept_result
             });
 
             // Shard 0 runs here, on the thread that allocates first and
-            // exits last: glibc hands a new thread the most recently
-            // released malloc arena, so a server started after this one
-            // reuses the memory its busiest thread left free instead of
-            // growing a second arena beside it.
+            // exits last (it joins the acceptor, which joined every
+            // connection thread): glibc hands a new thread the most
+            // recently released malloc arena, so a server started after
+            // this one reuses the memory its busiest thread left free
+            // instead of growing a second arena beside it.
             let mut reports = vec![run_shard(0, first)];
             for handle in others {
                 let report = handle
