@@ -5,7 +5,9 @@
 #![forbid(unsafe_code)]
 
 use proptest::prelude::*;
-use relm_automata::{ascii_alphabet, reverse, Dfa, Fst, Nfa, StateId, Symbol, WalkTable};
+use relm_automata::{
+    ascii_alphabet, reverse, Dfa, Fst, Nfa, StateId, Symbol, WalkChoice, WalkTable,
+};
 
 /// A recursive strategy over small NFAs with a 3-symbol alphabet.
 fn small_nfa() -> impl Strategy<Value = Nfa> {
@@ -427,6 +429,102 @@ proptest! {
         keys in permutation_keys(),
     ) {
         check_minimize(&dfa, &keys)?;
+    }
+}
+
+/// The longest walk budget the prefix-draw oracle tables cover.
+const DRAW_MAX_BUDGET: usize = 8;
+
+/// A test-only copy of the prefix-draw rule as the sampler used it
+/// before `WalkTable::draw`: collect the choices of positive weight
+/// (edges in transition order, then stop) and normalize each by their
+/// sum. `None` when no accepting walk remains.
+fn reference_distribution(
+    table: &WalkTable,
+    dfa: &Dfa,
+    state: StateId,
+    budget: usize,
+) -> Option<(Vec<WalkChoice>, Vec<f64>)> {
+    let mut choices = Vec::new();
+    let mut weights = Vec::new();
+    if budget > 0 {
+        for (symbol, target) in dfa.transitions(state) {
+            let w = table.edge_weight(target, budget);
+            if w > 0.0 {
+                choices.push(WalkChoice::Step { symbol, target });
+                weights.push(w);
+            }
+        }
+    }
+    let stop = table.stop_weight(dfa, state);
+    if stop > 0.0 {
+        choices.push(WalkChoice::Stop);
+        weights.push(stop);
+    }
+    let total: f64 = weights.iter().sum();
+    if total <= 0.0 {
+        return None;
+    }
+    for w in &mut weights {
+        *w /= total;
+    }
+    Some((choices, weights))
+}
+
+/// The copy's draw: the first choice whose running sum exceeds `u`,
+/// else the last.
+fn reference_sample(choices: &[WalkChoice], weights: &[f64], u: f64) -> WalkChoice {
+    let mut acc = 0.0;
+    for (c, w) in choices.iter().zip(weights) {
+        acc += w;
+        if u < acc {
+            return *c;
+        }
+    }
+    *choices.last().expect("a distribution has a choice")
+}
+
+/// The draws worth checking at one state: zero, every running-sum
+/// boundary of the copy and the float just below it, and the top of
+/// `[0, 1)`.
+fn boundary_draws(weights: &[f64]) -> Vec<f64> {
+    let mut draws = vec![0.0, 1.0 - f64::EPSILON, 1.0f64.next_down()];
+    let mut acc = 0.0;
+    for w in weights {
+        acc += w;
+        draws.push(acc);
+        draws.push(acc.next_down());
+    }
+    draws
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The sampler's prefix draw against the test-only copy of the
+    /// two-vector rule, at every state and budget of a random partial
+    /// DFA and at every boundary where the pick changes: the same
+    /// choice, including the fall-back past a sum that rounds below 1.
+    #[test]
+    fn draw_matches_the_two_vector_rule(dfa in partial_dfa()) {
+        let table = WalkTable::new(&dfa, DRAW_MAX_BUDGET);
+        for state in 0..dfa.state_count() {
+            for budget in 0..=DRAW_MAX_BUDGET {
+                let reference = reference_distribution(&table, &dfa, state, budget);
+                let draws = reference
+                    .as_ref()
+                    .map_or_else(|| vec![0.0, 0.5], |(_, weights)| boundary_draws(weights));
+                for u in draws {
+                    let expected = reference
+                        .as_ref()
+                        .map(|(choices, weights)| reference_sample(choices, weights, u));
+                    let got = table
+                        .choice_distribution(&dfa, state, budget)
+                        .map(|d| d.sample(u));
+                    prop_assert_eq!(got, expected, "state {}, budget {}, u {}", state, budget, u);
+                }
+            }
+        }
     }
 }
 

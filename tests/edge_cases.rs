@@ -193,3 +193,42 @@ fn levenshtein_of_empty_pattern_is_inserts_only() {
     assert!(results.iter().any(|m| m.text.is_empty()));
     assert!(results.iter().all(|m| m.text.len() <= 1));
 }
+
+#[test]
+fn every_executor_reaches_the_model_sequence_cap() {
+    // A context is EOS plus the tokens so far, so under a 4-token window
+    // a path of three tokens is the longest any executor can score its
+    // way to: "abcd" is out of reach, "abc" is not.
+    let tok = BpeTokenizer::train("abcd. abc. ab. a", 0);
+    let config = NGramConfig {
+        max_sequence_len: 4,
+        ..NGramConfig::xl()
+    };
+    let lm = NGramLm::train(&tok, &["abcd", "abc", "ab", "a"], config);
+    let client = Relm::new(lm, tok).unwrap();
+    let base = SearchQuery::new(QueryString::new("(a)|(ab)|(abc)|(abcd)"));
+    let texts = |query: SearchQuery, take: usize| -> std::collections::BTreeSet<String> {
+        client
+            .search(&query)
+            .unwrap()
+            .take(take)
+            .map(|m| m.text)
+            .collect()
+    };
+    let expected: std::collections::BTreeSet<String> = ["a", "ab", "abc"].map(String::from).into();
+    assert_eq!(texts(base.clone(), 10), expected, "dijkstra");
+    assert_eq!(
+        texts(
+            base.clone()
+                .with_strategy(SearchStrategy::RandomSampling { seed: 7 }),
+            200
+        ),
+        expected,
+        "sampling"
+    );
+    assert_eq!(
+        texts(base.with_strategy(SearchStrategy::Beam { width: 64 }), 10),
+        expected,
+        "beam"
+    );
+}

@@ -229,3 +229,25 @@ fn sampling_work_counts_are_pinned() {
     assert_eq!(counts, [48, 96, 12, 98, 14, 14]);
     assert_eq!(bits, [A, C, A, A, A, A, A, A, B, A, B, C]);
 }
+
+#[test]
+fn beam_checks_only_the_matches_pulled() {
+    let (tok, lm) = fixture();
+    let client = Relm::new(&lm, tok).expect("client");
+    let query = pinned_query().with_strategy(SearchStrategy::Beam { width: 16 });
+    let pull = |take: usize| -> (Vec<(String, u64)>, relm::ExecutionStats) {
+        let mut results = client.search(&query).expect("search");
+        let got = (&mut results)
+            .take(take)
+            .map(|m| (m.text, m.log_prob.to_bits()))
+            .collect();
+        (got, results.stats())
+    };
+    let (_, one) = pull(1);
+    assert_eq!(one.emitted, 1, "one pull, one checked match: {one:?}");
+    let (all, _) = pull(usize::MAX);
+    assert_eq!(all.len(), pinned_texts().len());
+    for n in 0..=all.len() {
+        assert_eq!(pull(n).0, all[..n], "take({n}) is a prefix of the drain");
+    }
+}
