@@ -59,7 +59,7 @@ pub use levenshtein::levenshtein_within;
 pub use nfa::Nfa;
 pub use ops::{concat, prefix_closure, reverse};
 pub use pool::{Parallelism, WorkerPool};
-pub use walks::{ChoiceDistribution, WalkChoice, WalkTable};
+pub use walks::{WalkChoice, WalkTable};
 
 /// Identifier of an automaton state (an index into the state table).
 pub type StateId = usize;

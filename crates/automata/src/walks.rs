@@ -280,12 +280,57 @@ impl WalkTable {
         total
     }
 
+    /// Draw the move at `state` with `budget` symbols remaining, given a
+    /// uniform `u ∈ [0, 1)`: each choice — the outgoing edges in
+    /// transition order, then stopping if `state` accepts — weighted by
+    /// the accepting walks through it. Returns `None` when no accepting
+    /// walk remains (all weights zero).
+    ///
+    /// Allocation-free: one pass sums the weights, a second adds up each
+    /// weight divided by that total and takes the first choice whose
+    /// running sum exceeds `u` (the last choice if rounding leaves every
+    /// sum at or below `u`).
+    pub fn draw(&self, dfa: &Dfa, state: StateId, budget: usize, u: f64) -> Option<WalkChoice> {
+        let stop = self.stop_weight(dfa, state);
+        let choices = || {
+            (budget > 0)
+                .then(|| dfa.transitions(state))
+                .into_iter()
+                .flatten()
+                .map(|(symbol, target)| {
+                    (
+                        WalkChoice::Step { symbol, target },
+                        self.edge_weight(target, budget),
+                    )
+                })
+                .chain(std::iter::once((WalkChoice::Stop, stop)))
+                .filter(|&(_, w)| w > 0.0)
+        };
+        let total: f64 = choices().map(|(_, w)| w).sum();
+        if total <= 0.0 {
+            return None;
+        }
+        let mut acc = 0.0;
+        let mut last = None;
+        for (choice, w) in choices() {
+            acc += w / total;
+            if u < acc {
+                return Some(choice);
+            }
+            last = Some(choice);
+        }
+        last
+    }
+
     /// Normalized probabilities over the choices available at `state`
     /// with `budget` remaining symbols: one entry per outgoing edge in
     /// transition order, plus (if accepting) a final entry for stopping.
+    /// The two-vector form [`WalkTable::draw`] replaced, kept to check
+    /// the table's weights.
     ///
     /// Returns `None` when no accepting walk remains (all weights zero).
-    pub fn choice_distribution(
+    #[cfg(test)]
+    fn choice_distribution(
         &self,
         dfa: &Dfa,
         state: StateId,
@@ -337,33 +382,23 @@ pub enum WalkChoice {
 }
 
 /// A normalized distribution over the [`WalkChoice`]s available at a state.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct ChoiceDistribution {
+struct ChoiceDistribution {
     choices: Vec<WalkChoice>,
     weights: Vec<f64>,
 }
 
+#[cfg(test)]
 impl ChoiceDistribution {
     /// The available choices.
-    pub fn choices(&self) -> &[WalkChoice] {
+    fn choices(&self) -> &[WalkChoice] {
         &self.choices
     }
 
     /// The normalized probabilities, parallel to [`Self::choices`].
-    pub fn weights(&self) -> &[f64] {
+    fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// Sample a choice given a uniform draw `u ∈ [0, 1)`.
-    pub fn sample(&self, u: f64) -> WalkChoice {
-        let mut acc = 0.0;
-        for (c, w) in self.choices.iter().zip(&self.weights) {
-            acc += w;
-            if u < acc {
-                return *c;
-            }
-        }
-        *self.choices.last().expect("non-empty distribution") // lint: allow(panic, "constructor returns None instead of an empty distribution")
     }
 }
 
@@ -457,6 +492,7 @@ mod tests {
         let dfa = Dfa::empty();
         let table = WalkTable::new(&dfa, 4);
         assert!(table.choice_distribution(&dfa, dfa.start(), 4).is_none());
+        assert_eq!(table.draw(&dfa, dfa.start(), 4, 0.0), None);
     }
 
     #[test]
@@ -465,6 +501,10 @@ mod tests {
         let table = WalkTable::new(&dfa, 4);
         let dist = table.choice_distribution(&dfa, dfa.start(), 0).unwrap();
         assert_eq!(dist.choices(), &[WalkChoice::Stop]);
+        assert_eq!(
+            table.draw(&dfa, dfa.start(), 0, 0.5),
+            Some(WalkChoice::Stop)
+        );
     }
 
     #[test]
@@ -473,10 +513,10 @@ mod tests {
         let table = WalkTable::new(&dfa, 3);
         let dist = table.choice_distribution(&dfa, dfa.start(), 3).unwrap();
         // u = 0.0 lands in the first choice; u just under 1.0 in the last.
-        let first = dist.sample(0.0);
-        let last = dist.sample(0.999_999);
-        assert_eq!(first, dist.choices()[0]);
-        assert_eq!(last, *dist.choices().last().unwrap());
+        let first = table.draw(&dfa, dfa.start(), 3, 0.0);
+        let last = table.draw(&dfa, dfa.start(), 3, 0.999_999);
+        assert_eq!(first, Some(dist.choices()[0]));
+        assert_eq!(last, dist.choices().last().copied());
     }
 
     #[test]

@@ -499,7 +499,7 @@ fn boundary_draws(weights: &[f64]) -> Vec<f64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 128 } else { 1024 }))]
 
     /// The sampler's prefix draw against the test-only copy of the
     /// two-vector rule, at every state and budget of a random partial
@@ -518,9 +518,7 @@ proptest! {
                     let expected = reference
                         .as_ref()
                         .map(|(choices, weights)| reference_sample(choices, weights, u));
-                    let got = table
-                        .choice_distribution(&dfa, state, budget)
-                        .map(|d| d.sample(u));
+                    let got = table.draw(&dfa, state, budget, u);
                     prop_assert_eq!(got, expected, "state {}, budget {}, u {}", state, budget, u);
                 }
             }

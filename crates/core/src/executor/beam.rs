@@ -14,6 +14,13 @@
 //! is lost forever, so low-probability matches may be missed and
 //! emission order is only approximately by probability. The executor
 //! bench quantifies the trade-off.
+//!
+//! The work is paid per survivor and per pull. A level's successors
+//! carry their parent's index and the token taken, not a copy of the
+//! parent's tokens; only the `width` that survive the cut are built as
+//! paths. The finished paths are sorted once, and each is decoded,
+//! deduplicated and checked only when a caller pulls it, so `take(n)`
+//! checks the paths it walks past, not every path the search finished.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -44,6 +51,28 @@ struct BeamPath {
     log_prob: f64,
 }
 
+/// What expanding a scored path reads of it: everything but its tokens.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// The path's index in the current beam.
+    index: usize,
+    machine_is_body: bool,
+    state: usize,
+    log_prob: f64,
+}
+
+/// One successor of a scored path before the width cut: its parent's
+/// index in the current beam and the token taken, with no tokens of its
+/// own. Only the survivors of the cut are materialized as [`BeamPath`]s.
+#[derive(Debug, Clone, Copy)]
+struct Successor {
+    parent: usize,
+    machine_is_body: bool,
+    state: usize,
+    token: TokenId,
+    log_prob: f64,
+}
+
 /// The beam-search result iterator: level-synchronous stepping (one
 /// beam level per [`BeamIter::step`] — the unit an interleaving driver
 /// pumps), then streams finished paths in descending probability.
@@ -59,9 +88,12 @@ pub(crate) struct BeamIter<'a, M: LanguageModel> {
     seen_tokens: HashSet<Vec<TokenId>>,
     /// Levels advanced so far (the search runs `max_tokens` levels).
     level: usize,
-    /// Sorted, checked matches awaiting emission; `Some` once the level
-    /// loop has finished.
-    emit: Option<std::vec::IntoIter<MatchResult>>,
+    /// The completed paths in descending probability, awaiting their
+    /// checks and emission; `Some` once the level loop has finished.
+    emit: Option<std::vec::IntoIter<BeamPath>>,
+    /// Texts of the paths pulled from `emit` so far (the
+    /// `distinct_texts` dedup).
+    emitted_texts: HashSet<String>,
 }
 
 impl<'a, M: LanguageModel> BeamIter<'a, M> {
@@ -99,6 +131,7 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
             seen_tokens: HashSet::new(),
             level: 0,
             emit: None,
+            emitted_texts: HashSet::new(),
         }
     }
 
@@ -107,17 +140,18 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
     }
 
     /// One unit of beam work: advance one level while the search runs,
-    /// then emit one finished path per step.
+    /// then check one finished path per step — a match if it passes,
+    /// `Working` if it does not.
     pub(crate) fn step(&mut self) -> StepOutcome {
-        match &mut self.emit {
-            None => {
-                self.advance_level();
-                StepOutcome::Working
-            }
-            Some(iter) => match iter.next() {
-                Some(m) => StepOutcome::Match(m),
-                None => StepOutcome::Done,
-            },
+        let Some(emit) = &mut self.emit else {
+            self.advance_level();
+            return StepOutcome::Working;
+        };
+        match emit.next() {
+            Some(p) => self
+                .try_emit(p)
+                .map_or(StepOutcome::Working, StepOutcome::Match),
+            None => StepOutcome::Done,
         }
     }
 
@@ -141,7 +175,7 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
             if out.len() >= limit {
                 break;
             }
-            if p.tokens.len() + 2 >= self.engine.max_sequence_len() {
+            if p.tokens.len() + 1 >= self.engine.max_sequence_len() {
                 continue;
             }
             let mut ctx = Vec::with_capacity(p.tokens.len() + 1);
@@ -197,14 +231,15 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
         // engine: shared prefixes across steps (and across bridged
         // paths) come out of the memo table. Paths at the sequence
         // cap can never extend, so their contexts are not scored.
-        let expandable: Vec<&BeamPath> = self
+        let expandable: Vec<(usize, &BeamPath)> = self
             .beam
             .iter()
-            .filter(|p| p.tokens.len() + 2 < self.engine.max_sequence_len())
+            .enumerate()
+            .filter(|(_, p)| p.tokens.len() + 1 < self.engine.max_sequence_len())
             .collect();
         let contexts: Vec<Vec<TokenId>> = expandable
             .iter()
-            .map(|p| {
+            .map(|(_, p)| {
                 let mut c = Vec::with_capacity(p.tokens.len() + 1);
                 c.push(self.engine.eos());
                 c.extend_from_slice(&p.tokens);
@@ -224,48 +259,57 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
         // pure (policy filtering over the vocabulary plus automaton edge
         // walks, no shared writes), shards are contiguous chunks of the
         // level, and the merge concatenates them in submission order —
-        // so the candidate list, and therefore the stable sort and
+        // so the successor list, and therefore the stable sort and
         // truncation below, are byte-identical to the serial loop.
-        let work: Vec<(&BeamPath, &Arc<[f64]>)> =
-            expandable.iter().copied().zip(scores.iter()).collect();
+        let work: Vec<(Head, &Arc<[f64]>)> = expandable
+            .iter()
+            .zip(scores.iter())
+            .map(|(&(index, p), lp)| {
+                let head = Head {
+                    index,
+                    machine_is_body: p.machine_is_body,
+                    state: p.state,
+                    log_prob: p.log_prob,
+                };
+                (head, lp)
+            })
+            .collect();
         let threads = self.compiled.parallelism.threads();
         let vocab = scores.first().map_or(0, |row| row.len());
         let level_work = work.len().saturating_mul(vocab);
         let pool = WorkerPool::for_parallelism(self.compiled.parallelism);
-        let mut next: Vec<BeamPath> =
+        let mut next: Vec<Successor> =
             if pool.workers() > 0 && threads > 1 && level_work >= BEAM_SHARD_MIN_WORK {
-                // Pool jobs are `'static`: each shard owns clones of its
-                // paths, shares their score rows, and holds an `Arc` of
+                // Pool jobs are `'static`: each shard owns its paths'
+                // heads, shares their score rows, and holds an `Arc` of
                 // the compiled query (cheap — the automata inside are
                 // already `Arc`-shared).
                 let chunk = work.len().div_ceil(threads);
-                let shards: Vec<Vec<(BeamPath, Arc<[f64]>)>> = work
+                let compiled = Arc::new(self.compiled.clone());
+                let jobs: Vec<_> = work
                     .chunks(chunk)
                     .map(|shard| {
-                        shard
+                        let shard: Vec<(Head, Arc<[f64]>)> = shard
                             .iter()
-                            .map(|&(p, lp)| (p.clone(), Arc::clone(lp)))
-                            .collect()
-                    })
-                    .collect();
-                let compiled = Arc::new(self.compiled.clone());
-                let jobs: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| {
+                            .map(|&(head, lp)| (head, Arc::clone(lp)))
+                            .collect();
                         let compiled = Arc::clone(&compiled);
                         move || {
-                            shard
-                                .iter()
-                                .flat_map(|(p, lp)| expand_path(&compiled, p, lp))
-                                .collect::<Vec<_>>()
+                            let mut out = Vec::new();
+                            for (head, lp) in &shard {
+                                expand_path(&compiled, *head, lp, &mut out);
+                            }
+                            out
                         }
                     })
                     .collect();
                 pool.run(jobs).into_iter().flatten().collect()
             } else {
-                work.iter()
-                    .flat_map(|&(p, lp)| expand_path(&self.compiled, p, lp))
-                    .collect()
+                let mut out = Vec::new();
+                for &(head, lp) in &work {
+                    expand_path(&self.compiled, head, lp, &mut out);
+                }
+                out
             };
         if next.is_empty() {
             self.finalize();
@@ -273,85 +317,95 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
         }
         next.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
         next.truncate(self.width);
-        self.beam = next;
+        // Only the survivors of the cut get tokens of their own.
+        let parents = std::mem::take(&mut self.beam);
+        self.beam = next
+            .into_iter()
+            .map(|s| {
+                let parent = &parents[s.parent];
+                let mut tokens = Vec::with_capacity(parent.tokens.len() + 1);
+                tokens.extend_from_slice(&parent.tokens);
+                tokens.push(s.token);
+                BeamPath {
+                    machine_is_body: s.machine_is_body,
+                    state: s.state,
+                    prefix_len: if s.machine_is_body {
+                        parent.prefix_len
+                    } else {
+                        tokens.len()
+                    },
+                    tokens,
+                    log_prob: s.log_prob,
+                }
+            })
+            .collect();
     }
 
-    /// Sort the completed paths, run the runtime checks, and queue the
-    /// survivors for emission in descending probability.
+    /// Sort the completed paths in descending probability and queue them
+    /// for emission. Their dedup and runtime checks wait until a caller
+    /// pulls them ([`Self::try_emit`]), so a `take(n)` checks the
+    /// paths it walks past, not every path the search finished.
     fn finalize(&mut self) {
         self.beam.clear();
         let mut completed = std::mem::take(&mut self.completed);
         completed.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
-        let mut out = Vec::new();
-        let mut emitted_texts = HashSet::new();
-        for p in completed {
-            let text = self.tokenizer.decode(&p.tokens);
-            if !emitted_texts.insert(text.clone()) && self.compiled.distinct_texts {
-                continue;
-            }
-            if !passes_runtime_checks(
-                &self.compiled,
-                self.tokenizer,
-                &p.tokens,
-                p.prefix_len,
-                &mut self.stats,
-            ) {
-                continue;
-            }
-            let canonical = self.tokenizer.encode(&text) == p.tokens;
-            self.stats.emitted += 1;
-            out.push(MatchResult {
-                tokens: p.tokens,
-                prefix_len: p.prefix_len,
-                text,
-                log_prob: p.log_prob,
-                canonical,
-            });
+        self.emit = Some(completed.into_iter());
+    }
+
+    /// Emit a pulled path as a match if it passes the text dedup and the
+    /// runtime checks.
+    fn try_emit(&mut self, p: BeamPath) -> Option<MatchResult> {
+        let text = self.tokenizer.decode(&p.tokens);
+        if !self.emitted_texts.insert(text.clone()) && self.compiled.distinct_texts {
+            return None;
         }
-        self.emit = Some(out.into_iter());
+        if !passes_runtime_checks(
+            &self.compiled,
+            self.tokenizer,
+            &p.tokens,
+            p.prefix_len,
+            &mut self.stats,
+        ) {
+            return None;
+        }
+        let canonical = self.tokenizer.encode(&text) == p.tokens;
+        self.stats.emitted += 1;
+        Some(MatchResult {
+            tokens: p.tokens,
+            prefix_len: p.prefix_len,
+            text,
+            log_prob: p.log_prob,
+            canonical,
+        })
     }
 }
 
-/// Expand one scored path into its automaton-legal successors. Pure;
+/// Append one scored path's automaton-legal successors to `out`. Pure;
 /// shared by the serial level loop and the pooled shards.
-fn expand_path(compiled: &CompiledQuery, p: &BeamPath, log_probs: &[f64]) -> Vec<BeamPath> {
-    let body = &compiled.parts.body.automaton;
-    let mut out = Vec::new();
+fn expand_path(compiled: &CompiledQuery, p: Head, log_probs: &[f64], out: &mut Vec<Successor>) {
+    let successor = |token, state, lp: f64| Successor {
+        parent: p.index,
+        machine_is_body: p.machine_is_body,
+        state,
+        token,
+        log_prob: p.log_prob + lp,
+    };
     if p.machine_is_body {
         let allowed = compiled.policy.filter(log_probs);
-        for (sym, target) in body.transitions(p.state) {
+        for (sym, target) in compiled.parts.body.automaton.transitions(p.state) {
             if let Some(lp) = allowed.get(sym) {
-                let mut tokens = p.tokens.clone();
-                tokens.push(sym);
-                out.push(BeamPath {
-                    machine_is_body: true,
-                    state: target,
-                    tokens,
-                    prefix_len: p.prefix_len,
-                    log_prob: p.log_prob + lp,
-                });
+                out.push(successor(sym, target, lp));
             }
         }
     } else {
         let prefix = compiled.parts.prefix.as_ref().expect("prefix machine"); // lint: allow(panic, "paths sit on the prefix machine only when the plan has one")
         for (sym, target) in prefix.transitions(p.state) {
             let lp = log_probs[sym as usize];
-            if !lp.is_finite() {
-                continue;
+            if lp.is_finite() {
+                out.push(successor(sym, target, lp));
             }
-            let mut tokens = p.tokens.clone();
-            tokens.push(sym);
-            let prefix_len = tokens.len();
-            out.push(BeamPath {
-                machine_is_body: false,
-                state: target,
-                tokens,
-                prefix_len,
-                log_prob: p.log_prob + lp,
-            });
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -63,17 +63,22 @@ pub(crate) enum StepOutcome {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExecutionStats {
-    /// Dijkstra node expansions (shortest path) or sampling steps.
+    /// Dijkstra node expansions (shortest path), paths scored per level
+    /// (beam search) or sampling steps.
     pub expansions: u64,
     /// Scoring requests issued by the traversal (before caching).
     pub lm_calls: u64,
-    /// Matches emitted.
+    /// Matches emitted. Counted as matches are pulled: a search stopped
+    /// by `take(n)` counts at most `n`, whatever else it found.
     pub emitted: u64,
     /// Sampling episodes that dead-ended and were retried.
     pub dead_ends: u64,
-    /// Results rejected by the runtime canonicity check.
+    /// Results rejected by the runtime canonicity check, counted as
+    /// results are pulled (a result past the caller's last pull is
+    /// never checked).
     pub rejected_noncanonical: u64,
-    /// Results rejected by deferred filters.
+    /// Results rejected by deferred filters, counted as results are
+    /// pulled.
     pub rejected_filtered: u64,
     /// Scoring requests served from the [`relm_lm::ScoringEngine`] memo
     /// table (or deduplicated within a batch) without model work. Hits

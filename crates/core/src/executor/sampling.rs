@@ -102,9 +102,12 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
         loop {
             let budget = self.compiled.max_tokens.checked_sub(tokens.len())?;
             let choice = match self.compiled.prefix_sampling {
+                // The draw is taken before the walk knows it can move.
+                // That costs no emission: every pick keeps an accepting
+                // walk within the budget, so only the first step can
+                // dead-end, and then it does on every attempt.
                 PrefixSampling::Normalized => {
-                    let dist = table.choice_distribution(prefix, state, budget)?;
-                    dist.sample(self.rng.gen::<f64>())
+                    table.draw(prefix, state, budget, self.rng.gen::<f64>())?
                 }
                 PrefixSampling::UniformEdges => {
                     // The naive scheme: all outgoing edges (plus stop, if
