@@ -4,6 +4,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
 use proptest::prelude::*;
 use relm_automata::{
     ascii_alphabet, reverse, Dfa, Fst, Nfa, StateId, Symbol, WalkChoice, WalkTable,
@@ -526,6 +528,214 @@ proptest! {
     }
 }
 
+/// Random NFAs with shared targets: `n` states whose labelled edges are
+/// drawn at random (several per state, duplicates and same-symbol forks
+/// allowed, so two members of a state set often reach one target on one
+/// symbol), joined with a [`small_nfa`] by a combinator that adds
+/// ε-edges. The Thompson shapes of `small_nfa` alone never share a
+/// target between states.
+fn tangled_nfa() -> impl Strategy<Value = Nfa> {
+    let raw = proptest::collection::vec(0usize..1 << 16, 64..65).prop_map(|draws| {
+        let mut draws = draws.into_iter();
+        let mut draw = |bound: usize| draws.next().expect("64 draws are enough") % bound;
+        let n = 1 + draw(8);
+        let mut nfa = Nfa::empty();
+        for _ in 1..n {
+            nfa.add_state();
+        }
+        for s in 0..n {
+            nfa.set_accepting(s, draw(3) == 0);
+            for _ in 0..draw(5) {
+                nfa.add_transition(s, draw(3) as Symbol, draw(n));
+            }
+        }
+        nfa
+    });
+    (raw, small_nfa(), 0usize..3).prop_map(|(raw, other, how)| match how {
+        0 => raw.union(other),
+        1 => raw.concat(other).star(),
+        _ => other.concat(raw),
+    })
+}
+
+/// The ε-closure of `set` by breadth-first search over
+/// [`Nfa::epsilon_transitions`].
+fn reference_closure(nfa: &Nfa, set: BTreeSet<StateId>) -> BTreeSet<StateId> {
+    let mut closure = set.clone();
+    let mut queue: VecDeque<StateId> = set.into_iter().collect();
+    while let Some(s) = queue.pop_front() {
+        for t in nfa.epsilon_transitions(s) {
+            if closure.insert(t) {
+                queue.push_back(t);
+            }
+        }
+    }
+    closure
+}
+
+/// A test-only subset construction that shares no code with the
+/// library's: `BTreeSet` state sets numbered in FIFO discovery order
+/// from the start set (id 0), each set's moves grouped by symbol in a
+/// `BTreeMap` and followed in ascending symbol order, `close` finishing
+/// every target set, and the result rebuilt with [`Dfa::from_parts`].
+fn reference_subsets(
+    start: BTreeSet<StateId>,
+    moves: impl Fn(StateId) -> Vec<(Symbol, StateId)>,
+    close: impl Fn(BTreeSet<StateId>) -> BTreeSet<StateId>,
+    accepting: impl Fn(StateId) -> bool,
+) -> Dfa {
+    let mut sets = vec![start.clone()];
+    let mut ids = BTreeMap::from([(start, 0)]);
+    let mut queue = VecDeque::from([0]);
+    let mut transitions = Vec::new();
+    while let Some(id) = queue.pop_front() {
+        let mut grouped: BTreeMap<Symbol, BTreeSet<StateId>> = BTreeMap::new();
+        for &s in &sets[id] {
+            for (symbol, t) in moves(s) {
+                grouped.entry(symbol).or_default().insert(t);
+            }
+        }
+        for (symbol, targets) in grouped {
+            let target = close(targets);
+            let next = match ids.get(&target) {
+                Some(&next) => next,
+                None => {
+                    let next = sets.len();
+                    ids.insert(target.clone(), next);
+                    sets.push(target);
+                    queue.push_back(next);
+                    next
+                }
+            };
+            transitions.push((id, symbol, next));
+        }
+    }
+    let accepting: Vec<StateId> = (0..sets.len())
+        .filter(|&id| sets[id].iter().any(|&s| accepting(s)))
+        .collect();
+    Dfa::from_parts(sets.len(), 0, &accepting, &transitions)
+}
+
+/// [`Nfa::determinize`] by the reference construction.
+fn reference_determinize(nfa: &Nfa) -> Dfa {
+    reference_subsets(
+        reference_closure(nfa, BTreeSet::from([nfa.start()])),
+        |s| nfa.transitions(s).collect(),
+        |set| reference_closure(nfa, set),
+        |s| nfa.is_accepting(s),
+    )
+}
+
+/// [`Dfa::left_quotient`] by the reference construction: the states of
+/// `full` that some string of `prefix` leads to (a breadth-first sweep
+/// of the product), then the subsets reachable from them, trimmed.
+fn reference_left_quotient(full: &Dfa, prefix: &Dfa) -> Dfa {
+    let mut starts = BTreeSet::new();
+    let mut seen = BTreeSet::from([(full.start(), prefix.start())]);
+    let mut queue = VecDeque::from([(full.start(), prefix.start())]);
+    while let Some((sf, sp)) = queue.pop_front() {
+        if prefix.is_accepting(sp) {
+            starts.insert(sf);
+        }
+        for (symbol, tf) in full.transitions(sf) {
+            if let Some(tp) = prefix.step(sp, symbol) {
+                if seen.insert((tf, tp)) {
+                    queue.push_back((tf, tp));
+                }
+            }
+        }
+    }
+    if starts.is_empty() {
+        return Dfa::empty();
+    }
+    reference_subsets(
+        starts,
+        |s| full.transitions(s).collect(),
+        |set| set,
+        |s| full.is_accepting(s),
+    )
+    .trim()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 128 } else { 1024 }))]
+
+    /// Subset construction against the reference, state for state and
+    /// edge for edge: the same numbering, the same acceptance, the same
+    /// edges.
+    #[test]
+    fn subset_determinize_matches_reference(nfa in small_nfa(), tangled in tangled_nfa()) {
+        prop_assert_eq!(nfa.determinize(), reference_determinize(&nfa));
+        prop_assert_eq!(tangled.determinize(), reference_determinize(&tangled));
+    }
+
+    /// The quotient's subset construction against the reference, on
+    /// determinized combinator trees and on random partial DFAs (whose
+    /// quotients start from wide state sets with unreachable and dead
+    /// members).
+    #[test]
+    fn subset_quotient_matches_reference(
+        a in small_nfa(),
+        b in small_nfa(),
+        c in partial_dfa(),
+        d in partial_dfa(),
+    ) {
+        let (da, db) = (a.determinize(), b.determinize());
+        prop_assert_eq!(da.left_quotient(&db), reference_left_quotient(&da, &db));
+        prop_assert_eq!(c.left_quotient(&d), reference_left_quotient(&c, &d));
+        prop_assert_eq!(c.left_quotient(&db), reference_left_quotient(&c, &db));
+    }
+}
+
+/// The bias template of the paper's cold queries, "The man was trained
+/// in (p₁|…|pₙ).", over the given professions, before its edit
+/// expansion.
+fn bias_template(gender: &str, professions: &[&str]) -> Nfa {
+    let lit = |text: &str| Nfa::literal(relm_automata::str_symbols(text));
+    let choice = professions.iter().map(|p| lit(p)).reduce(Nfa::union);
+    lit(&format!("The {gender} was trained in "))
+        .concat(choice.expect("at least one profession"))
+        .concat(lit("."))
+}
+
+/// The ten professions of the paper's bias queries (§4.2).
+const PROFESSIONS: [&str; 10] = [
+    "art",
+    "business",
+    "computer science",
+    "engineering",
+    "humanities",
+    "information systems",
+    "math",
+    "medicine",
+    "science",
+    "social sciences",
+];
+
+/// The heavy shape of a cold compile against the reference: the
+/// Levenshtein-1 expansion of both genders' ten-profession
+/// [`bias_template`]s over the 95 printable-ASCII symbols (1,339 states
+/// once determinized), and its quotient by one expanded prefix, as a
+/// prefixed query compiles it.
+#[test]
+fn subset_levenshtein_template_matches_reference() {
+    let alphabet = ascii_alphabet();
+    let both = bias_template("man", &PROFESSIONS).union(bias_template("woman", &PROFESSIONS));
+    let nfa = relm_automata::levenshtein_within(&both, 1, &alphabet);
+    let dfa = nfa.determinize();
+    assert!(dfa.state_count() > 1000, "{} states", dfa.state_count());
+    assert_eq!(dfa, reference_determinize(&nfa));
+    let prefix = Nfa::literal(relm_automata::str_symbols("The man was trained in "));
+    let prefix = relm_automata::levenshtein_within(&prefix, 1, &alphabet)
+        .determinize()
+        .minimize();
+    let full = dfa.minimize();
+    assert_eq!(
+        full.left_quotient(&prefix),
+        reference_left_quotient(&full, &prefix)
+    );
+}
+
 #[test]
 fn levenshtein_expansion_is_monotone_in_distance() {
     let word = Nfa::literal(relm_automata::str_symbols("query"));
@@ -545,16 +755,16 @@ fn levenshtein_expansion_is_monotone_in_distance() {
 
 /// The heavy shape of a cold compile, in tier-1: the Levenshtein-1
 /// expansion (what `Preprocessor::levenshtein(1)` builds) of a
-/// bias-style template over the 95 printable-ASCII symbols, about a
-/// thousand states wide before minimization.
+/// three-profession [`bias_template`] over the 95 printable-ASCII
+/// symbols.
 #[test]
 fn minimize_levenshtein_template_matches_naive_reference() {
-    let lit = |text: &str| Nfa::literal(relm_automata::str_symbols(text));
-    // The man was trained in ((art)|(science)|(medicine)).
-    let template = lit("The man was trained in ")
-        .concat(lit("art").union(lit("science")).union(lit("medicine")))
-        .concat(lit("."));
-    let dfa = relm_automata::levenshtein_within(&template, 1, &ascii_alphabet()).determinize();
+    let dfa = relm_automata::levenshtein_within(
+        &bias_template("man", &["art", "science", "medicine"]),
+        1,
+        &ascii_alphabet(),
+    )
+    .determinize();
     assert_eq!(dfa.alphabet().len(), 95);
     let min = dfa.minimize();
     assert_eq!(min.state_count(), naive_class_count(&dfa));

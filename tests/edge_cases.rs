@@ -5,9 +5,10 @@
 
 #![forbid(unsafe_code)]
 
+use relm::compiler::{compile_canonical, CanonicalLimits};
 use relm::{
     explain, BpeTokenizer, DecodingPolicy, NGramConfig, NGramLm, Preprocessor, QueryString, Regex,
-    Relm, RelmError, SearchQuery, SearchStrategy, TokenizationStrategy,
+    Relm, RelmError, SearchQuery, SearchStrategy, TokenId, TokenizationStrategy,
 };
 
 fn tiny() -> Relm<NGramLm> {
@@ -231,4 +232,85 @@ fn every_executor_reaches_the_model_sequence_cap() {
         expected,
         "beam"
     );
+}
+
+/// A client whose model is trained on nothing: every byte is equally
+/// likely, so samples often hold bytes that are not UTF-8.
+fn untrained() -> Relm<NGramLm> {
+    let tok = BpeTokenizer::train("", 0);
+    let lm = NGramLm::train(&tok, &[], NGramConfig::small());
+    Relm::new(lm, tok).expect("untrained fixture builds")
+}
+
+/// The bytes `tokens` spell, without any UTF-8 decoding.
+fn spelled(tokenizer: &BpeTokenizer, tokens: &[TokenId]) -> Vec<u8> {
+    tokens
+        .iter()
+        .flat_map(|&t| tokenizer.token_bytes(t).iter().copied())
+        .collect()
+}
+
+#[test]
+fn canonical_compile_keeps_every_byte_of_the_language() {
+    // `.` matches every byte but `\n`, so half of the 255 strings of
+    // `a.` are not UTF-8: each is still one canonical token path.
+    let client = tiny();
+    let tok = client.tokenizer();
+    let char_dfa = Regex::compile("a.").unwrap().dfa().clone();
+    let compiled = compile_canonical(&char_dfa, tok, CanonicalLimits::default());
+    assert!(!compiled.needs_canonical_check);
+    let paths = compiled.automaton.enumerate(8, 1024);
+    assert_eq!(paths.len(), 255);
+    for path in &paths {
+        let bytes = spelled(tok, path);
+        assert!(
+            char_dfa.contains(bytes.iter().map(|&b| u32::from(b))),
+            "{bytes:?} is outside the language"
+        );
+    }
+}
+
+#[test]
+fn a_lone_high_byte_is_its_own_canonical_encoding() {
+    let client = tiny();
+    let tok = client.tokenizer();
+    assert!(tok.is_canonical(&[TokenId::from(b'a'), 0x80]));
+    assert!(tok.is_canonical(&[0xff]));
+    assert!(tok.is_canonical(&tok.encode("hello world")));
+}
+
+#[test]
+fn runtime_canonicity_check_reads_the_bytes() {
+    // An infinite language falls back to the full automaton and the
+    // runtime canonicity check, which must pass byte strings that are
+    // not UTF-8.
+    let client = untrained();
+    let query = SearchQuery::new(QueryString::new("a.+"))
+        .with_strategy(SearchStrategy::RandomSampling { seed: 5 })
+        .with_max_tokens(3)
+        .with_distinct_texts(false);
+    let results: Vec<_> = client.search(&query).unwrap().take(20).collect();
+    assert_eq!(results.len(), 20);
+    let tok = client.tokenizer();
+    assert!(results
+        .iter()
+        .any(|m| std::str::from_utf8(&spelled(tok, &m.tokens)).is_err()));
+    for m in &results {
+        assert!(m.canonical, "{:?}", m.tokens);
+        assert!(tok.is_canonical(&m.tokens), "{:?}", m.tokens);
+    }
+}
+
+#[test]
+fn deferred_filters_test_the_body_bytes() {
+    // The filter's language is the query's: every sample is rejected,
+    // whichever byte follows the `a`.
+    let client = untrained();
+    let filter = Regex::compile("a.").unwrap().dfa().clone();
+    let query = SearchQuery::new(QueryString::new("a."))
+        .with_strategy(SearchStrategy::RandomSampling { seed: 3 })
+        .with_tokenization(TokenizationStrategy::All)
+        .with_preprocessor(Preprocessor::deferred_filter(filter));
+    let results: Vec<_> = client.search(&query).unwrap().take(3).collect();
+    assert!(results.is_empty(), "{:?}", results[0].tokens);
 }
