@@ -1,161 +1,111 @@
 //! Deterministic finite automata: subset construction, Hopcroft
 //! minimization, boolean language operations, and enumeration.
 //!
-//! The graph explorations that dominate compile time — subset
-//! construction ([`Nfa::determinize`]), the quotient determinization
-//! behind [`Dfa::left_quotient`], and the product builder behind the
-//! boolean operations — all share one shape: a BFS over a space of
-//! composite states whose successor sets are expensive to compute but
-//! independent of each other. [`explore_waves`] is that shape factored
-//! out with a shard-parallel work queue: each BFS wave (the frontier)
-//! is partitioned into contiguous shards handed to the persistent
-//! [`WorkerPool`], and the per-shard successor lists are merged back
-//! serially in frontier order. Because the serial algorithms assign
-//! state ids in FIFO discovery order — which is exactly level order with
-//! within-level discovery order — the deterministic merge reproduces the
-//! serial state numbering and transition order bit for bit: sharded and
-//! serial builds are structurally identical (`assert_eq!` on the
-//! [`Dfa`]), which the property tests enforce.
+//! Subset construction ([`Nfa::determinize`]) and the quotient
+//! determinization behind [`Dfa::left_quotient`] are one loop,
+//! [`subsets`], run on the calling thread over interned state sets:
+//! every state set is a sorted slice, looked up by a borrowed slice and
+//! numbered in discovery order.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::hash::Hash;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use crate::nfa::Nfa;
-use crate::pool::{Parallelism, WorkerPool};
+use crate::pool::Parallelism;
 use crate::{StateId, Symbol};
 
-/// Frontier waves smaller than this are expanded on the calling thread
-/// even under [`Parallelism::Sharded`]: dispatching pool jobs costs more
-/// than computing a handful of successor sets.
-const PARALLEL_WAVE_MIN: usize = 8;
+/// The state sets of a subset construction, numbered in the order they
+/// are interned. Each set is stored twice: as the key of the map that
+/// numbers the sets, and in one flat member array the expansion reads.
+struct StateSets {
+    ids: HashMap<Box<[StateId]>, StateId>,
+    /// Set `id` is `members[bounds[id]..bounds[id + 1]]`.
+    members: Vec<StateId>,
+    bounds: Vec<usize>,
+}
 
-/// Deterministic shard-parallel BFS over a composite state space, with
-/// a per-wave successor-dedup closure cache.
-///
-/// The expensive part of each BFS wave splits in two:
-///
-/// * `succ` maps a composite state to its **raw** `(symbol, successor)`
-///   moves in strictly increasing symbol order — cheap bookkeeping
-///   (collecting direct targets per symbol);
-/// * `close` finishes a raw successor `R` into the canonical composite
-///   state and its acceptance `(K, bool)` — the expensive step (the
-///   ε-closure of subset construction, the accepting scan of a quotient
-///   determinization).
-///
-/// Within one wave, converging edges routinely produce the *same* raw
-/// successor from many `(state, symbol)` pairs; the old single-closure
-/// design re-derived the closure for each. Here every wave collects its
-/// distinct raw successors first (in frontier-then-symbol order) and
-/// closes each exactly once — the per-wave closure cache — before the
-/// merge.
-///
-/// Waves of the BFS frontier are partitioned into contiguous shards
-/// submitted as ordered jobs to the persistent [`WorkerPool`] for `par`
-/// (no threads are spawned per wave); [`WorkerPool::run`] returns shard
-/// results in submission order, and the merge walks shards in order and
-/// assigns new state ids exactly as the serial FIFO construction would,
-/// so the resulting automaton is structurally identical to a serial
-/// build. Closing distinct successors per wave preserves that: `close`
-/// is pure, so one shared result is indistinguishable from per-edge
-/// recomputation.
-fn explore_waves<K, R, S, C>(
-    start: K,
-    start_accepting: bool,
-    par: Parallelism,
-    succ: S,
-    close: C,
-) -> Vec<DfaState>
-where
-    K: Clone + Eq + Hash + Send + Sync + 'static,
-    R: Clone + Eq + Hash + Send + Sync + 'static,
-    S: Fn(&K) -> Vec<(Symbol, R)> + Send + Sync + 'static,
-    C: Fn(&R) -> (K, bool) + Send + Sync + 'static,
-{
-    let threads = par.threads();
-    let pool = WorkerPool::for_parallelism(par);
-    let succ = Arc::new(succ);
-    let close = Arc::new(close);
-    let mut ids: HashMap<K, StateId> = HashMap::new();
-    let mut states = vec![DfaState {
-        transitions: Vec::new(),
-        accepting: start_accepting,
-    }];
-    ids.insert(start.clone(), 0);
-    let mut frontier: Vec<K> = vec![start];
-    while !frontier.is_empty() {
-        // Expand the wave into raw moves: sharded across the pool when
-        // it is wide enough to pay for the job dispatch, inline
-        // otherwise. Either way the result vector is in frontier order.
-        let expansions: Vec<Vec<(Symbol, R)>> =
-            if pool.workers() > 0 && threads > 1 && frontier.len() >= PARALLEL_WAVE_MIN {
-                let chunk = frontier.len().div_ceil(threads);
-                let jobs: Vec<_> = frontier
-                    .chunks(chunk)
-                    .map(|shard| {
-                        let shard: Vec<K> = shard.to_vec();
-                        let succ = Arc::clone(&succ);
-                        move || shard.iter().map(|k| (succ)(k)).collect::<Vec<_>>()
-                    })
-                    .collect();
-                pool.run(jobs).into_iter().flatten().collect()
-            } else {
-                frontier.iter().map(|k| (succ)(k)).collect()
-            };
-        // The wave's closure cache: distinct raw successors in
-        // first-appearance (frontier, then symbol) order, each closed
-        // exactly once — sharded when the distinct set is wide enough.
-        let mut raw_index: HashMap<R, usize> = HashMap::new();
-        let mut distinct: Vec<R> = Vec::new();
-        for moves in &expansions {
-            for (_, raw) in moves {
-                if !raw_index.contains_key(raw) {
-                    raw_index.insert(raw.clone(), distinct.len());
-                    distinct.push(raw.clone());
-                }
-            }
+impl StateSets {
+    fn new() -> Self {
+        StateSets {
+            ids: HashMap::new(),
+            members: Vec::new(),
+            bounds: vec![0],
         }
-        let closed: Vec<(K, bool)> =
-            if pool.workers() > 0 && threads > 1 && distinct.len() >= PARALLEL_WAVE_MIN {
-                let chunk = distinct.len().div_ceil(threads);
-                let jobs: Vec<_> = distinct
-                    .chunks(chunk)
-                    .map(|shard| {
-                        let shard: Vec<R> = shard.to_vec();
-                        let close = Arc::clone(&close);
-                        move || shard.iter().map(|r| (close)(r)).collect::<Vec<_>>()
-                    })
-                    .collect();
-                pool.run(jobs).into_iter().flatten().collect()
-            } else {
-                distinct.iter().map(|r| (close)(r)).collect()
-            };
-        // Deterministic merge: frontier order, then symbol order — the
-        // serial FIFO discovery order.
-        let mut next: Vec<K> = Vec::new();
-        for (idx, moves) in expansions.into_iter().enumerate() {
-            let id = ids[&frontier[idx]];
-            for (sym, raw) in moves {
-                let (target, accepting) = &closed[raw_index[&raw]];
-                let target_id = match ids.get(target) {
-                    Some(&t) => t,
-                    None => {
-                        let t = states.len();
-                        states.push(DfaState {
-                            transitions: Vec::new(),
-                            accepting: *accepting,
-                        });
-                        ids.insert(target.clone(), t);
-                        next.push(target.clone());
-                        t
-                    }
-                };
-                states[id].transitions.push((sym, target_id));
-            }
-        }
-        frontier = next;
     }
-    states
+
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    fn members(&self, id: StateId) -> &[StateId] {
+        &self.members[self.bounds[id]..self.bounds[id + 1]]
+    }
+
+    /// The id of `set`, and whether it was interned just now. A set
+    /// seen before costs a lookup and no allocation.
+    fn intern(&mut self, set: &[StateId]) -> (StateId, bool) {
+        if let Some(&id) = self.ids.get(set) {
+            return (id, false);
+        }
+        let id = self.len();
+        self.ids.insert(set.into(), id);
+        self.members.extend_from_slice(set);
+        self.bounds.push(self.members.len());
+        (id, true)
+    }
+}
+
+/// Subset construction from the sorted, deduplicated state set `start`,
+/// over states whose labelled edges `edges` returns and whose
+/// acceptance `accepting` reports. `close` finishes every state set
+/// (the start set and each move's targets, handed over sorted and
+/// deduplicated) into the set that names a DFA state, and leaves it
+/// sorted and deduplicated: the ε-closure for a determinization,
+/// nothing for a quotient.
+///
+/// DFA states are numbered in discovery order: state 0 is the start
+/// set, and a state's moves are followed in ascending symbol order.
+/// States are therefore expanded in the order of their ids, and the
+/// work queue is just `0..states.len()`.
+fn subsets<'a>(
+    mut start: Vec<StateId>,
+    edges: impl Fn(StateId) -> &'a [(Symbol, StateId)],
+    accepting: impl Fn(StateId) -> bool,
+    mut close: impl FnMut(&mut Vec<StateId>),
+) -> Dfa {
+    let mut sets = StateSets::new();
+    let mut states: Vec<DfaState> = Vec::new();
+    let new_state = |set: &[StateId]| DfaState {
+        transitions: Vec::new(),
+        accepting: set.iter().any(|&s| accepting(s)),
+    };
+    close(&mut start);
+    sets.intern(&start);
+    states.push(new_state(&start));
+    let mut moves: Vec<(Symbol, StateId)> = Vec::new();
+    let mut targets: Vec<StateId> = Vec::new();
+    let mut id = 0;
+    while id < states.len() {
+        moves.clear();
+        for &s in sets.members(id) {
+            moves.extend_from_slice(edges(s));
+        }
+        moves.sort_unstable();
+        moves.dedup();
+        let mut transitions = Vec::new();
+        for group in moves.chunk_by(|x, y| x.0 == y.0) {
+            targets.clear();
+            targets.extend(group.iter().map(|&(_, t)| t));
+            close(&mut targets);
+            let (target, new) = sets.intern(&targets);
+            if new {
+                states.push(new_state(&targets));
+            }
+            transitions.push((group[0].0, target));
+        }
+        states[id].transitions = transitions;
+        id += 1;
+    }
+    Dfa { states, start: 0 }
 }
 
 /// A partition of the states `0..n` for [`Dfa::minimize`]: every block
@@ -299,89 +249,38 @@ impl Dfa {
         }
     }
 
-    /// Subset construction from an NFA with a sharded work queue: BFS
-    /// waves are partitioned across `par` workers and merged
-    /// deterministically, so the result is structurally identical to
-    /// the serial [`Dfa::from_nfa`] (which remains the reference path
-    /// and handles `Parallelism::Serial`).
-    pub(crate) fn from_nfa_with(nfa: &Nfa, par: Parallelism) -> Self {
-        if !par.is_parallel() {
-            return Self::from_nfa(nfa);
-        }
-        let start_set = nfa.epsilon_closure(&BTreeSet::from([nfa.start()]));
-        let start_accepting = start_set.iter().any(|&s| nfa.is_accepting(s));
-        // One clone of the NFA per parallel build, shared by the raw
-        // successor and closure callbacks so both own their environment
-        // and can ride on pool workers. Raw successors are the direct
-        // target sets per symbol; the expensive ε-closure runs once per
-        // distinct target set per wave in `explore_waves`.
-        let nfa = Arc::new(nfa.clone());
-        let succ = {
-            let nfa = Arc::clone(&nfa);
-            move |set: &BTreeSet<StateId>| {
-                let mut moves: BTreeMap<Symbol, BTreeSet<StateId>> = BTreeMap::new();
-                for &s in set {
-                    for (sym, t) in nfa.transitions(s) {
-                        moves.entry(sym).or_default().insert(t);
+    /// Subset construction from an NFA: ε-closures by a walk from the
+    /// set's members, marking what it reaches with a stamp array reused
+    /// across closures, then a sort.
+    pub(crate) fn from_nfa(nfa: &Nfa) -> Self {
+        let mut stamp = vec![0usize; nfa.states.len()];
+        let mut epoch = 0;
+        let close = |set: &mut Vec<StateId>| {
+            epoch += 1;
+            for &s in set.iter() {
+                stamp[s] = epoch;
+            }
+            let before = set.len();
+            let mut next = 0;
+            while next < set.len() {
+                for &t in &nfa.states[set[next]].epsilon {
+                    if stamp[t] != epoch {
+                        stamp[t] = epoch;
+                        set.push(t);
                     }
                 }
-                moves.into_iter().collect()
+                next += 1;
+            }
+            if set.len() > before {
+                set.sort_unstable();
             }
         };
-        let close = move |targets: &BTreeSet<StateId>| {
-            let closure = nfa.epsilon_closure(targets);
-            let accepting = closure.iter().any(|&s| nfa.is_accepting(s));
-            (closure, accepting)
-        };
-        Dfa {
-            states: explore_waves(start_set, start_accepting, par, succ, close),
-            start: 0,
-        }
-    }
-
-    /// Subset construction from an NFA.
-    pub(crate) fn from_nfa(nfa: &Nfa) -> Self {
-        let start_set = nfa.epsilon_closure(&BTreeSet::from([nfa.start()]));
-        let mut ids: HashMap<BTreeSet<StateId>, StateId> = HashMap::new();
-        let mut dfa = Dfa {
-            states: Vec::new(),
-            start: 0,
-        };
-        let mut queue = VecDeque::new();
-
-        let accepting = start_set.iter().any(|&s| nfa.is_accepting(s));
-        dfa.states.push(DfaState {
-            transitions: Vec::new(),
-            accepting,
-        });
-        ids.insert(start_set.clone(), 0);
-        queue.push_back(start_set);
-
-        while let Some(set) = queue.pop_front() {
-            let id = ids[&set];
-            // Group moves by symbol.
-            let mut moves: BTreeMap<Symbol, BTreeSet<StateId>> = BTreeMap::new();
-            for &s in &set {
-                for (sym, t) in nfa.transitions(s) {
-                    moves.entry(sym).or_default().insert(t);
-                }
-            }
-            for (sym, targets) in moves {
-                let closure = nfa.epsilon_closure(&targets);
-                let next_id = *ids.entry(closure.clone()).or_insert_with(|| {
-                    let accepting = closure.iter().any(|&s| nfa.is_accepting(s));
-                    dfa.states.push(DfaState {
-                        transitions: Vec::new(),
-                        accepting,
-                    });
-                    queue.push_back(closure.clone());
-                    dfa.states.len() - 1
-                });
-                dfa.states[id].transitions.push((sym, next_id));
-            }
-        }
-        // Transitions were inserted in BTreeMap (sorted) order already.
-        dfa
+        subsets(
+            vec![nfa.start],
+            |s| &nfa.states[s].transitions,
+            |s| nfa.states[s].accepting,
+            close,
+        )
     }
 
     /// Number of states.
@@ -710,58 +609,6 @@ impl Dfa {
         completed
     }
 
-    /// Product construction with a sharded work queue: product-state
-    /// waves are partitioned across `par` workers and merged
-    /// deterministically, producing the same automaton as the serial
-    /// [`Dfa::product`] (the reference path, also taken for
-    /// `Parallelism::Serial`).
-    fn product_with<F: Fn(bool, bool) -> bool + Send + Sync + 'static>(
-        &self,
-        other: &Dfa,
-        accept: F,
-        par: Parallelism,
-    ) -> Dfa {
-        if !par.is_parallel() {
-            return self.product(other, accept);
-        }
-        let mut alphabet: BTreeSet<Symbol> = self.alphabet().into_iter().collect();
-        alphabet.extend(other.alphabet());
-        let alphabet: Vec<Symbol> = alphabet.into_iter().collect();
-        let a = self.complete(&alphabet);
-        let b = other.complete(&alphabet);
-        let start = (a.start, b.start);
-        let start_accepting = accept(a.is_accepting(start.0), b.is_accepting(start.1));
-        // The completed operands and alphabet are owned locals, shared
-        // between the raw-move and closing callbacks so pool jobs can
-        // hold them without borrows. Raw successors are the product
-        // pairs; the per-wave dedup collapses converging pairs so the
-        // acceptance check runs once per distinct pair per wave.
-        let a = Arc::new(a);
-        let b = Arc::new(b);
-        let succ = {
-            let a = Arc::clone(&a);
-            let b = Arc::clone(&b);
-            move |&(sa, sb): &(StateId, StateId)| {
-                alphabet
-                    .iter()
-                    .map(|&sym| {
-                        let ta = a.step(sa, sym).expect("completed DFA"); // lint: allow(panic, "operand completed over the shared alphabet just above; step is total")
-                        let tb = b.step(sb, sym).expect("completed DFA"); // lint: allow(panic, "operand completed over the shared alphabet just above; step is total")
-                        (sym, (ta, tb))
-                    })
-                    .collect()
-            }
-        };
-        let close = move |&(ta, tb): &(StateId, StateId)| {
-            ((ta, tb), accept(a.is_accepting(ta), b.is_accepting(tb)))
-        };
-        Dfa {
-            states: explore_waves(start, start_accepting, par, succ, close),
-            start: 0,
-        }
-        .trim()
-    }
-
     /// Product construction over the union of both alphabets;
     /// `accept(a, b)` decides acceptance of a product state.
     fn product<F: Fn(bool, bool) -> bool>(&self, other: &Dfa, accept: F) -> Dfa {
@@ -809,37 +656,16 @@ impl Dfa {
         self.product(other, |a, b| a && b)
     }
 
-    /// [`Dfa::intersect`] with a sharded product work queue; the result
-    /// is structurally identical for every [`Parallelism`] setting.
-    #[must_use]
-    pub fn intersect_with(&self, other: &Dfa, par: Parallelism) -> Dfa {
-        self.product_with(other, |a, b| a && b, par)
-    }
-
     /// Language union.
     #[must_use]
     pub fn union(&self, other: &Dfa) -> Dfa {
         self.product(other, |a, b| a || b)
     }
 
-    /// [`Dfa::union`] with a sharded product work queue; the result is
-    /// structurally identical for every [`Parallelism`] setting.
-    #[must_use]
-    pub fn union_with(&self, other: &Dfa, par: Parallelism) -> Dfa {
-        self.product_with(other, |a, b| a || b, par)
-    }
-
     /// Language difference `self \ other`.
     #[must_use]
     pub fn difference(&self, other: &Dfa) -> Dfa {
         self.product(other, |a, b| a && !b)
-    }
-
-    /// [`Dfa::difference`] with a sharded product work queue; the result
-    /// is structurally identical for every [`Parallelism`] setting.
-    #[must_use]
-    pub fn difference_with(&self, other: &Dfa, par: Parallelism) -> Dfa {
-        self.product_with(other, |a, b| a && !b, par)
     }
 
     /// Language equivalence: do both automata accept exactly the same set
@@ -857,17 +683,6 @@ impl Dfa {
     /// suffix machine is the quotient.
     #[must_use]
     pub fn left_quotient(&self, prefix: &Dfa) -> Dfa {
-        self.left_quotient_with(prefix, Parallelism::Serial)
-    }
-
-    /// [`Dfa::left_quotient`] with a sharded quotient-determinization
-    /// work queue; the result is structurally identical for every
-    /// [`Parallelism`] setting. (The product-state sweep that finds the
-    /// quotient start set is a cheap reachability pass and stays
-    /// serial; the subset construction over the start set is where
-    /// URL-scale quotients spend their time.)
-    #[must_use]
-    pub fn left_quotient_with(&self, prefix: &Dfa, par: Parallelism) -> Dfa {
         // Explore the product of (self, prefix); every self-state paired
         // with an accepting prefix state is a valid suffix start.
         let mut starts: BTreeSet<StateId> = BTreeSet::new();
@@ -889,83 +704,22 @@ impl Dfa {
         if starts.is_empty() {
             return Dfa::empty();
         }
-        // NFA with ε from a fresh start into each quotient start, then
-        // determinize. Reuse the From<&Dfa> machinery via a direct subset
-        // construction seeded with `starts`.
-        self.determinize_from_with(&starts, par)
-    }
-
-    /// [`Dfa::determinize_from`] with a sharded work queue (see
-    /// [`explore_waves`]); structurally identical output.
-    fn determinize_from_with(&self, starts: &BTreeSet<StateId>, par: Parallelism) -> Dfa {
-        if !par.is_parallel() {
-            return self.determinize_from(starts);
-        }
-        let start_accepting = starts.iter().any(|&s| self.states[s].accepting);
-        // One clone of the transition graph per parallel build, shared
-        // by the raw-move and closing callbacks (pool jobs are 'static).
-        // Raw successors are the union target sets; the per-wave dedup
-        // runs the accepting scan once per distinct set per wave.
-        let dfa = Arc::new(self.clone());
-        let succ = {
-            let dfa = Arc::clone(&dfa);
-            move |set: &BTreeSet<StateId>| {
-                let mut moves: BTreeMap<Symbol, BTreeSet<StateId>> = BTreeMap::new();
-                for &s in set {
-                    for &(a, t) in &dfa.states[s].transitions {
-                        moves.entry(a).or_default().insert(t);
-                    }
-                }
-                moves.into_iter().collect()
-            }
-        };
-        let close = move |targets: &BTreeSet<StateId>| {
-            let accepting = targets.iter().any(|&s| dfa.states[s].accepting);
-            (targets.clone(), accepting)
-        };
-        Dfa {
-            states: explore_waves(starts.clone(), start_accepting, par, succ, close),
-            start: 0,
-        }
+        // The suffix machine: subsets of this automaton's states from
+        // the start set, with no ε-moves to close over.
+        subsets(
+            starts.into_iter().collect(),
+            |s| &self.states[s].transitions,
+            |s| self.states[s].accepting,
+            |_| {},
+        )
         .trim()
     }
 
-    /// Subset construction over this DFA's transition graph starting from
-    /// an arbitrary state set (used by [`Dfa::left_quotient`]).
-    fn determinize_from(&self, starts: &BTreeSet<StateId>) -> Dfa {
-        let mut ids: HashMap<BTreeSet<StateId>, StateId> = HashMap::new();
-        let mut out = Dfa {
-            states: Vec::new(),
-            start: 0,
-        };
-        let accepting_set = |set: &BTreeSet<StateId>| set.iter().any(|&s| self.states[s].accepting);
-        ids.insert(starts.clone(), 0);
-        out.states.push(DfaState {
-            transitions: Vec::new(),
-            accepting: accepting_set(starts),
-        });
-        let mut queue = VecDeque::from([starts.clone()]);
-        while let Some(set) = queue.pop_front() {
-            let id = ids[&set];
-            let mut moves: BTreeMap<Symbol, BTreeSet<StateId>> = BTreeMap::new();
-            for &s in &set {
-                for &(a, t) in &self.states[s].transitions {
-                    moves.entry(a).or_default().insert(t);
-                }
-            }
-            for (a, targets) in moves {
-                let tid = *ids.entry(targets.clone()).or_insert_with(|| {
-                    out.states.push(DfaState {
-                        transitions: Vec::new(),
-                        accepting: accepting_set(&targets),
-                    });
-                    queue.push_back(targets.clone());
-                    out.states.len() - 1
-                });
-                out.states[id].transitions.push((a, tid));
-            }
-        }
-        out.trim()
+    /// [`Dfa::left_quotient`]: compile runs on the calling thread, and
+    /// `par` is ignored.
+    #[must_use]
+    pub fn left_quotient_with(&self, prefix: &Dfa, _par: Parallelism) -> Dfa {
+        self.left_quotient(prefix)
     }
 
     /// Enumerate accepted strings in shortlex (length, then symbol) order,
@@ -1200,35 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn explore_waves_closes_each_distinct_successor_once_per_wave() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Synthetic converging graph: from 0, symbols 1 and 2 reach the
-        // same raw successor 10 while symbol 3 reaches 11; from both 10
-        // and 11 a single symbol converges on 99.
-        let closes = Arc::new(AtomicUsize::new(0));
-        let succ = |k: &u32| -> Vec<(Symbol, u32)> {
-            match *k {
-                0 => vec![(1, 10), (2, 10), (3, 11)],
-                10 => vec![(1, 99)],
-                11 => vec![(1, 99)],
-                _ => Vec::new(),
-            }
-        };
-        let close = {
-            let closes = Arc::clone(&closes);
-            move |r: &u32| {
-                closes.fetch_add(1, Ordering::Relaxed);
-                (*r, false)
-            }
-        };
-        let states = explore_waves(0u32, false, Parallelism::sharded(2), succ, close);
-        // Wave 1 raw successors are {10, 10, 11} → 2 closes; wave 2 has
-        // {99, 99} → 1 more. Per-edge closing would have done 5.
-        assert_eq!(closes.load(Ordering::Relaxed), 3);
-        assert_eq!(states.len(), 4);
-    }
-
-    #[test]
     fn minimize_merges_equivalent_states() {
         // (a|b)(a|b) has a 3-state minimal DFA (+ nothing else).
         let ab = || Nfa::symbol_class([u32::from(b'a'), u32::from(b'b')]);
@@ -1401,50 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_determinize_is_structurally_identical() {
-        use crate::Parallelism;
-        // Wide alternation: the subset-construction waves exceed the
-        // parallel threshold, so the worker pool really runs.
-        let words: Vec<Nfa> = (0..40)
-            .map(|i| {
-                Nfa::literal(s(&format!(
-                    "word{i}tail{}",
-                    "x".repeat(1 + (i % 5) as usize)
-                )))
-            })
-            .collect();
-        let nfa = words.into_iter().reduce(Nfa::union).unwrap();
-        let serial = nfa.determinize();
-        for threads in [2usize, 3, 8] {
-            let sharded = nfa.determinize_with(Parallelism::sharded(threads));
-            assert_eq!(serial, sharded, "threads={threads}");
-        }
-        // Serial parallelism setting routes to the reference path.
-        assert_eq!(serial, nfa.determinize_with(Parallelism::Serial));
-    }
-
-    #[test]
-    fn sharded_products_are_structurally_identical() {
-        use crate::Parallelism;
-        let many = |stems: &[&str]| -> Dfa {
-            stems
-                .iter()
-                .map(|w| Nfa::literal(s(w)))
-                .reduce(Nfa::union)
-                .unwrap()
-                .determinize()
-        };
-        let a = many(&[
-            "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa",
-        ]);
-        let b = many(&["beta", "delta", "zeta", "theta", "kappa", "lambda", "mu"]);
-        let par = Parallelism::sharded(4);
-        assert_eq!(a.intersect(&b), a.intersect_with(&b, par));
-        assert_eq!(a.union(&b), a.union_with(&b, par));
-        assert_eq!(a.difference(&b), a.difference_with(&b, par));
-    }
-
-    #[test]
     fn run_returns_final_state() {
         let d = dfa(Nfa::literal(s("hi")));
         let end = d.run(s("hi")).unwrap();
@@ -1511,20 +1192,5 @@ mod quotient_tests {
         let q = full.left_quotient(&full);
         assert!(q.contains(str_symbols("")));
         assert!(!q.contains(str_symbols("abc")));
-    }
-
-    #[test]
-    fn sharded_quotient_is_structurally_identical() {
-        use crate::Parallelism;
-        let full = dfa(
-            "the cat sat|the cat ran|the dog sat|the dog ran|the cow ate|\
-             the cow sat|a cat sat|a dog ran|a cow ate|an owl flew",
-        );
-        let prefix = dfa("the |a |an ");
-        let serial = full.left_quotient(&prefix);
-        for threads in [2usize, 4] {
-            let sharded = full.left_quotient_with(&prefix, Parallelism::sharded(threads));
-            assert_eq!(serial, sharded, "threads={threads}");
-        }
     }
 }

@@ -288,13 +288,10 @@ impl Nfa {
         Dfa::from_nfa(self)
     }
 
-    /// [`Nfa::determinize`] with a sharded work queue: BFS waves of the
-    /// subset construction are partitioned across the workers of `par`
-    /// and merged deterministically, so the result is **structurally
-    /// identical** (state numbering, transition order) to the serial
-    /// build for every [`crate::Parallelism`] setting.
-    pub fn determinize_with(&self, par: crate::Parallelism) -> Dfa {
-        Dfa::from_nfa_with(self, par)
+    /// [`Nfa::determinize`]: compile runs on the calling thread, and
+    /// `par` is ignored.
+    pub fn determinize_with(&self, _par: crate::Parallelism) -> Dfa {
+        self.determinize()
     }
 
     /// Add a labelled transition. Primarily used by graph-rewriting passes

@@ -2,9 +2,8 @@
 //! every parallel construction in the workspace, and [`Parallelism`],
 //! the knob saying how many workers it may use.
 //!
-//! Every parallel site — the subset-construction waves, the
-//! shortcut-edge vocabulary scan, walk-table row fills, beam-level
-//! expansion, the batched scoring in `relm-lm` — runs on long-lived
+//! Every parallel site — walk-table row fills, beam-level expansion,
+//! the batched scoring in `relm-lm` — runs on long-lived
 //! threads parked on a condvar, not on threads spawned per batch (tens
 //! of microseconds of thread creation amortized over work that is often
 //! only a few microseconds long). Submitting a batch is a queue push
@@ -24,8 +23,8 @@
 //!
 //! The submitting thread does not park while its batch runs: it *helps
 //! drain the queue*. If a pooled job itself calls [`WorkerPool::run`]
-//! (nested parallelism — e.g. a sharded compile whose shards score
-//! through a pooled engine), the inner batch's jobs are executed by the
+//! (nested parallelism — e.g. a pooled batch whose jobs score through
+//! a pooled engine), the inner batch's jobs are executed by the
 //! nested caller and any free workers; no thread ever waits on work
 //! that only itself could run.
 
@@ -37,16 +36,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-/// How many worker threads parallel automaton construction and
-/// traversal may use.
+/// How many worker threads walk tables, search frontiers and batched
+/// scoring may use. (Compile runs on the calling thread whatever the
+/// setting.)
 ///
 /// The default ([`Parallelism::auto`]) matches the host's available
 /// cores. [`Parallelism::Serial`] is the single-threaded reference path.
-/// Parallel builds split their work into contiguous state ranges and
-/// merge the results in range order, so both settings produce
-/// structurally identical automata and bit-identical scores — `Serial`
-/// exists for baselines, reproducibility audits, and hosts where the
-/// pool's dispatch outweighs the work.
+/// Parallel work is split into contiguous ranges and merged in range
+/// order, so both settings produce bit-identical walk tables and
+/// scores — `Serial` exists for baselines, reproducibility audits, and
+/// hosts where the pool's dispatch outweighs the work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Single-threaded reference path (no worker pool is ever spawned).

@@ -360,30 +360,11 @@ proptest! {
         }
     }
 
-    /// Sharded subset construction is structurally identical to the
-    /// serial reference path on arbitrary combinator trees and worker
-    /// counts — the determinism contract of the sharded work queue.
+    /// Sharded walk tables match serial ones bit for bit.
     #[test]
-    fn sharded_determinize_is_structurally_identical(
-        nfa in small_nfa(),
-        threads in 2usize..6,
-    ) {
-        let serial = nfa.determinize();
-        let sharded = nfa.determinize_with(relm_automata::Parallelism::sharded(threads));
-        prop_assert_eq!(serial, sharded);
-    }
-
-    /// Sharded products and quotients match their serial counterparts
-    /// structurally, and sharded walk tables match bit for bit.
-    #[test]
-    fn sharded_ops_match_serial(a in small_nfa(), b in small_nfa(), threads in 2usize..5) {
+    fn sharded_ops_match_serial(a in small_nfa(), threads in 2usize..5) {
         let par = relm_automata::Parallelism::sharded(threads);
         let da = a.determinize();
-        let db = b.determinize();
-        prop_assert_eq!(da.intersect(&db), da.intersect_with(&db, par));
-        prop_assert_eq!(da.union(&db), da.union_with(&db, par));
-        prop_assert_eq!(da.difference(&db), da.difference_with(&db, par));
-        prop_assert_eq!(da.left_quotient(&db), da.left_quotient_with(&db, par));
         let serial_table = WalkTable::new(&da, 6);
         let sharded_table = WalkTable::new_with(&da, 6, par);
         for budget in 0..=6 {

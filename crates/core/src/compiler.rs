@@ -26,23 +26,9 @@
 //! is deterministic too and is returned as a [`Dfa`] over token ids.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use relm_automata::{Dfa, Parallelism, Symbol, WorkerPool};
+use relm_automata::{Dfa, Parallelism, Symbol};
 use relm_bpe::{BpeTokenizer, TokenId};
-
-/// Minimum `states × multi-byte vocabulary entries` before the
-/// shortcut-edge scan fans out to a worker pool. The scan costs a few
-/// nanoseconds per (state, word) pair, a thread spawn tens of
-/// microseconds: below roughly this much work the pool cannot pay for
-/// itself, so small compiles stay on the calling thread even under
-/// [`Parallelism::Sharded`] (and remain structurally identical — the
-/// gate picks who computes, never what).
-const PARALLEL_COMPILE_MIN_WORK: usize = 1 << 16;
-
-/// Enumerated string sets smaller than this are tokenizer-encoded on
-/// the calling thread (same trade-off as above).
-const PARALLEL_ENCODE_MIN_STRINGS: usize = 64;
 
 /// Limits for the enumeration-based canonical construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,22 +67,6 @@ pub struct CompiledAutomaton {
 /// a DFA over token ids whose accepting paths decode exactly to the
 /// strings of `char_dfa`'s language, with every tokenization represented.
 pub fn compile_full(char_dfa: &Dfa, tokenizer: &BpeTokenizer) -> Dfa {
-    compile_full_with(char_dfa, tokenizer, Parallelism::Serial)
-}
-
-/// [`compile_full`] with the vocabulary-matching loop sharded by state
-/// range across `par` workers.
-///
-/// The shortcut-edge scan visits every `(state, vocabulary word)` pair
-/// independently — `O(V · k · m_max)` work with no shared writes — so
-/// the *character* automaton's state space is partitioned into
-/// contiguous near-equal ranges, one per worker, and each worker
-/// matches the whole multi-byte vocabulary against its range. Per-shard
-/// edge lists are concatenated in shard order, and [`Dfa::from_parts`]
-/// sorts each state's transitions by symbol, so the result is
-/// **structurally identical** to the serial build for every
-/// [`Parallelism`] setting.
-pub fn compile_full_with(char_dfa: &Dfa, tokenizer: &BpeTokenizer, par: Parallelism) -> Dfa {
     let n = char_dfa.state_count();
     let mut transitions: Vec<(usize, Symbol, usize)> = Vec::new();
     let accepting: Vec<usize> = (0..n).filter(|&s| char_dfa.is_accepting(s)).collect();
@@ -116,62 +86,23 @@ pub fn compile_full_with(char_dfa: &Dfa, tokenizer: &BpeTokenizer, par: Parallel
         .iter_vocab()
         .filter(|(_, word)| word.len() > 1)
         .collect();
-    if par.is_parallel() && n.saturating_mul(vocab.len()) >= PARALLEL_COMPILE_MIN_WORK {
-        // Contiguous near-equal state ranges, one per pool job (the
-        // split a parallel walk-table build uses too). Pool jobs are
-        // `'static`, so the automaton and vocabulary are owned once
-        // behind `Arc`s and cloned per shard.
-        let shards = par.threads().clamp(1, n);
-        let chunk = n.div_ceil(shards);
-        let dfa = Arc::new(char_dfa.clone());
-        let owned_vocab: Arc<Vec<(TokenId, Vec<u8>)>> =
-            Arc::new(vocab.iter().map(|&(t, w)| (t, w.to_vec())).collect());
-        let pool = WorkerPool::for_parallelism(par);
-        let jobs: Vec<_> = (0..shards)
-            .map(|s| {
-                let range = (s * chunk)..((s + 1) * chunk).min(n);
-                let dfa = Arc::clone(&dfa);
-                let vocab = Arc::clone(&owned_vocab);
-                move || match_words(&dfa, &vocab, range)
-            })
-            .collect();
-        for edges in pool.run(jobs) {
-            transitions.extend(edges);
+    for start in 0..n {
+        for &(token, word) in &vocab {
+            let end = word
+                .iter()
+                .try_fold(start, |s, &b| char_dfa.step(s, Symbol::from(b)));
+            if let Some(end) = end {
+                transitions.push((start, token, end));
+            }
         }
-    } else {
-        transitions.extend(match_words(char_dfa, &vocab, 0..n));
     }
     Dfa::from_parts(n, char_dfa.start(), &accepting, &transitions)
 }
 
-/// DFS-match every multi-byte vocabulary word from every state in
-/// `range`, returning the shortcut edges found. Pure; both the serial
-/// arm (borrowed words) and the pooled shards (owned words) call it.
-fn match_words<W: AsRef<[u8]>>(
-    char_dfa: &Dfa,
-    vocab: &[(TokenId, W)],
-    range: std::ops::Range<usize>,
-) -> Vec<(usize, Symbol, usize)> {
-    let mut out = Vec::new();
-    for start in range {
-        for (token, word) in vocab {
-            let mut state = start;
-            let mut ok = true;
-            for &b in word.as_ref() {
-                match char_dfa.step(state, Symbol::from(b)) {
-                    Some(next) => state = next,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                out.push((start, *token, state));
-            }
-        }
-    }
-    out
+/// [`compile_full`]: compile runs on the calling thread, and `par` is
+/// ignored.
+pub fn compile_full_with(char_dfa: &Dfa, tokenizer: &BpeTokenizer, _par: Parallelism) -> Dfa {
+    compile_full(char_dfa, tokenizer)
 }
 
 /// Compile the canonical-encoding automaton.
@@ -185,21 +116,6 @@ pub fn compile_canonical(
     tokenizer: &BpeTokenizer,
     limits: CanonicalLimits,
 ) -> CompiledAutomaton {
-    compile_canonical_with(char_dfa, tokenizer, limits, Parallelism::Serial)
-}
-
-/// [`compile_canonical`] with its work sharded across `par` workers:
-/// the enumerated strings are tokenizer-encoded in parallel chunks
-/// (encoding is pure; chunk results are concatenated in order, so the
-/// trie is built over the same sequence list), and the oversized/
-/// infinite fallback delegates to [`compile_full_with`]. Structurally
-/// identical output for every [`Parallelism`] setting.
-pub fn compile_canonical_with(
-    char_dfa: &Dfa,
-    tokenizer: &BpeTokenizer,
-    limits: CanonicalLimits,
-    par: Parallelism,
-) -> CompiledAutomaton {
     // Exact pre-checks (both run in `O(max_len · E)`): the language must
     // be finite, no longer than the enumeration depth, and small enough
     // to enumerate. Only then is enumeration guaranteed cheap and exact.
@@ -211,51 +127,36 @@ pub fn compile_canonical_with(
                     && char_dfa.count_strings(limits.max_len) <= limits.max_strings as u128
             });
     if enumerable {
-        let strings = char_dfa.enumerate(limits.max_len, limits.max_strings + 1);
-        let encoded: Vec<Vec<TokenId>> = if par.is_parallel()
-            && strings.len() >= PARALLEL_ENCODE_MIN_STRINGS
-        {
-            // Pool jobs are `'static`: each chunk owns its strings
-            // (moved out of the enumeration) and a cheap tokenizer
-            // clone. Chunk results concatenate in submission order,
-            // so the trie sees the same sequence list as serial.
-            let chunk = strings.len().div_ceil(par.threads());
-            let pool = WorkerPool::for_parallelism(par);
-            let chunks: Vec<Vec<Vec<Symbol>>> = strings.chunks(chunk).map(<[_]>::to_vec).collect();
-            let tokenizer = Arc::new(tokenizer.clone());
-            let jobs: Vec<_> = chunks
-                .into_iter()
-                .map(|c| {
-                    let tokenizer = Arc::clone(&tokenizer);
-                    move || encode_strings(&tokenizer, &c)
-                })
-                .collect();
-            pool.run(jobs).into_iter().flatten().collect()
-        } else {
-            encode_strings(tokenizer, &strings)
-        };
+        // The language's strings are byte strings: each is encoded as
+        // it is, UTF-8 or not.
+        let encoded: Vec<Vec<TokenId>> = char_dfa
+            .enumerate(limits.max_len, limits.max_strings + 1)
+            .iter()
+            .map(|symbols| {
+                let bytes: Vec<u8> = symbols.iter().map(|&s| s as u8).collect();
+                tokenizer.encode_bytes(&bytes)
+            })
+            .collect();
         return CompiledAutomaton {
             automaton: trie_dfa(&encoded),
             needs_canonical_check: false,
         };
     }
     CompiledAutomaton {
-        automaton: compile_full_with(char_dfa, tokenizer, par),
+        automaton: compile_full(char_dfa, tokenizer),
         needs_canonical_check: true,
     }
 }
 
-/// Tokenizer-encode a chunk of enumerated byte strings. Pure; shared by
-/// the serial arm and the pooled chunk jobs.
-fn encode_strings(tokenizer: &BpeTokenizer, chunk: &[Vec<Symbol>]) -> Vec<Vec<TokenId>> {
-    chunk
-        .iter()
-        .map(|symbols| {
-            let text: Vec<u8> = symbols.iter().map(|&s| s as u8).collect();
-            let text = String::from_utf8_lossy(&text).into_owned();
-            tokenizer.encode(&text)
-        })
-        .collect()
+/// [`compile_canonical`]: compile runs on the calling thread, and `par`
+/// is ignored.
+pub fn compile_canonical_with(
+    char_dfa: &Dfa,
+    tokenizer: &BpeTokenizer,
+    limits: CanonicalLimits,
+    _par: Parallelism,
+) -> CompiledAutomaton {
+    compile_canonical(char_dfa, tokenizer, limits)
 }
 
 /// Build the trie-shaped DFA accepting exactly the given token sequences.
@@ -429,60 +330,6 @@ mod tests {
         let empty = x.intersect(&y);
         let full = compile_full(&empty, &tok);
         assert!(full.is_empty_language());
-    }
-
-    #[test]
-    fn sharded_compile_is_structurally_identical() {
-        // Large enough to clear [`super::PARALLEL_COMPILE_MIN_WORK`].
-        let words = crate::test_lexicon(0x9e3779b97f4a7c15, 140, 8);
-        let corpus = words.join(" ");
-        let tok = BpeTokenizer::train(&corpus, 200);
-        let pattern = words
-            .iter()
-            .map(|w| format!("({w})"))
-            .collect::<Vec<_>>()
-            .join("|");
-        let dfa = char_dfa(&pattern);
-        let multibyte = tok.iter_vocab().filter(|(_, w)| w.len() > 1).count();
-        assert!(
-            dfa.state_count() * multibyte >= super::PARALLEL_COMPILE_MIN_WORK,
-            "fixture below the work gate: {} states x {multibyte} words",
-            dfa.state_count()
-        );
-        let serial = compile_full(&dfa, &tok);
-        for threads in [2usize, 3, 8] {
-            let sharded = compile_full_with(&dfa, &tok, Parallelism::sharded(threads));
-            assert_eq!(serial, sharded, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_canonical_is_structurally_identical() {
-        let corpus = "the cat sat on the mat and the dog sat on the log again and again";
-        let tok = BpeTokenizer::train(corpus, 60);
-        // A finite language with enough strings to clear the parallel
-        // encode threshold (26 * 26 = 676 strings).
-        let dfa = char_dfa("[a-z][a-z]");
-        let limits = CanonicalLimits {
-            max_len: 8,
-            max_strings: 1000,
-        };
-        let serial = compile_canonical(&dfa, &tok, limits);
-        assert!(!serial.needs_canonical_check);
-        let sharded = compile_canonical_with(&dfa, &tok, limits, Parallelism::sharded(4));
-        assert_eq!(serial.automaton, sharded.automaton);
-        assert_eq!(serial.needs_canonical_check, sharded.needs_canonical_check);
-        // The fallback path shards through compile_full_with.
-        let infinite = char_dfa("(ab)+");
-        let serial_fb = compile_canonical(&infinite, &tok, CanonicalLimits::default());
-        let sharded_fb = compile_canonical_with(
-            &infinite,
-            &tok,
-            CanonicalLimits::default(),
-            Parallelism::sharded(4),
-        );
-        assert!(serial_fb.needs_canonical_check);
-        assert_eq!(serial_fb.automaton, sharded_fb.automaton);
     }
 
     #[test]

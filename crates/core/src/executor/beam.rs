@@ -368,7 +368,7 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
         ) {
             return None;
         }
-        let canonical = self.tokenizer.encode(&text) == p.tokens;
+        let canonical = self.tokenizer.is_canonical(&p.tokens);
         self.stats.emitted += 1;
         Some(MatchResult {
             tokens: p.tokens,

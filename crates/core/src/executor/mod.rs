@@ -32,9 +32,7 @@ use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{DecodingPolicy, LanguageModel, ScoringEngine};
 use relm_regex::Regex;
 
-use crate::compiler::{
-    compile_canonical_with, compile_full_with, CanonicalLimits, CompiledAutomaton,
-};
+use crate::compiler::{compile_canonical, compile_full, CanonicalLimits, CompiledAutomaton};
 use crate::query::{PrefixSampling, SearchQuery, SearchStrategy, TokenizationStrategy};
 use crate::results::MatchResult;
 use crate::RelmError;
@@ -246,16 +244,14 @@ pub(crate) struct CompiledQuery {
 /// as in the paper's Figures 4 and 11; the suffix machine is derived as
 /// the left quotient `prefix⁻¹ · L(pattern)`.
 ///
-/// `par` shards the compile-time work queues (subset construction,
-/// quotient determinization, the shortcut-edge vocabulary scan, the
-/// canonical encode) across a worker pool; every shard merge is
-/// deterministic, so the compiled automata are structurally identical
-/// for every setting — which is what keeps parallelism out of the
-/// client's plan-memo key.
+/// Compile runs on the calling thread: a median query compiles in about
+/// a millisecond, less than a worker pool's dispatch and the copies it
+/// needs give back. The [`Parallelism`] a plan is executed under never
+/// reaches this stage, which is what keeps it out of the client's
+/// plan-memo key.
 pub(crate) fn compile_parts(
     query: &SearchQuery,
     tokenizer: &BpeTokenizer,
-    par: Parallelism,
 ) -> Result<PlanParts, RelmError> {
     // Parse patterns into Natural Language Automata.
     let full_regex = Regex::compile(&query.query_string.pattern)?;
@@ -280,7 +276,7 @@ pub(crate) fn compile_parts(
         }
     }
 
-    let full_dfa = full_nfa.determinize_with(par).minimize();
+    let full_dfa = full_nfa.determinize().minimize();
     if full_dfa.is_empty_language() {
         return Err(RelmError::EmptyLanguage);
     }
@@ -288,11 +284,11 @@ pub(crate) fn compile_parts(
     let (body_dfa, prefix_nfa) = match prefix_nfa {
         None => (full_dfa, None),
         Some(p) => {
-            let prefix_dfa = p.determinize_with(par).minimize();
+            let prefix_dfa = p.determinize().minimize();
             if prefix_dfa.is_empty_language() {
                 return Err(RelmError::EmptyPrefixLanguage);
             }
-            let quotient = full_dfa.left_quotient_with(&prefix_dfa, par).minimize();
+            let quotient = full_dfa.left_quotient(&prefix_dfa).minimize();
             if quotient.is_empty_language() {
                 return Err(RelmError::InvalidQuery(
                     "prefix is not a prefix of the query language".into(),
@@ -303,11 +299,11 @@ pub(crate) fn compile_parts(
     };
     let body = match query.tokenization {
         TokenizationStrategy::All => CompiledAutomaton {
-            automaton: compile_full_with(&body_dfa, tokenizer, par),
+            automaton: compile_full(&body_dfa, tokenizer),
             needs_canonical_check: false,
         },
         TokenizationStrategy::Canonical => {
-            compile_canonical_with(&body_dfa, tokenizer, CanonicalLimits::default(), par)
+            compile_canonical(&body_dfa, tokenizer, CanonicalLimits::default())
         }
     };
 
@@ -315,10 +311,9 @@ pub(crate) fn compile_parts(
         None => None,
         Some(dfa) => {
             let compiled = match query.tokenization {
-                TokenizationStrategy::All => compile_full_with(&dfa, tokenizer, par),
+                TokenizationStrategy::All => compile_full(&dfa, tokenizer),
                 TokenizationStrategy::Canonical => {
-                    compile_canonical_with(&dfa, tokenizer, CanonicalLimits::default(), par)
-                        .automaton
+                    compile_canonical(&dfa, tokenizer, CanonicalLimits::default()).automaton
                 }
             };
             Some(compiled)
@@ -435,7 +430,8 @@ impl CompiledSearch {
 
 /// Post-hoc acceptance checks shared by both traversals: runtime
 /// canonicity (when the canonical automaton fell back to the full
-/// construction) and deferred filters (tested on the *body* text).
+/// construction) and deferred filters, both on the bytes of the *body*
+/// tokens.
 pub(crate) fn passes_runtime_checks(
     compiled: &CompiledQuery,
     tokenizer: &BpeTokenizer,
@@ -443,20 +439,20 @@ pub(crate) fn passes_runtime_checks(
     prefix_len: usize,
     stats: &mut ExecutionStats,
 ) -> bool {
-    if compiled.parts.body.needs_canonical_check {
-        let body_text = tokenizer.decode(&tokens[prefix_len..]);
-        if tokenizer.encode(&body_text) != tokens[prefix_len..] {
-            stats.rejected_noncanonical += 1;
-            return false;
-        }
+    let parts = &compiled.parts;
+    if !parts.body.needs_canonical_check && parts.deferred_filters.is_empty() {
+        return true;
     }
-    if !compiled.parts.deferred_filters.is_empty() {
-        let body_text = tokenizer.decode(&tokens[prefix_len..]);
-        for filter in &compiled.parts.deferred_filters {
-            if filter.contains(body_text.bytes().map(u32::from)) {
-                stats.rejected_filtered += 1;
-                return false;
-            }
+    let body = &tokens[prefix_len..];
+    let bytes = tokenizer.decode_bytes(body);
+    if parts.body.needs_canonical_check && tokenizer.encode_bytes(&bytes) != body {
+        stats.rejected_noncanonical += 1;
+        return false;
+    }
+    for filter in &parts.deferred_filters {
+        if filter.contains(bytes.iter().map(|&b| u32::from(b))) {
+            stats.rejected_filtered += 1;
+            return false;
         }
     }
     true
@@ -606,7 +602,7 @@ mod tests {
             QueryString::new(format!("(({prefix})) end")).with_prefix(format!("({prefix})")),
         )
         .with_tokenization(crate::query::TokenizationStrategy::All);
-        compile_parts(&query, &tokenizer, Parallelism::Serial).unwrap()
+        compile_parts(&query, &tokenizer).unwrap()
     }
 
     #[test]

@@ -341,7 +341,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             log_prob += self.engine.score(&ctx[..i])[ctx[i] as usize];
         }
         self.stats.lm_calls += tokens.len() as u64;
-        let canonical = self.tokenizer.encode(&text) == tokens;
+        let canonical = self.tokenizer.is_canonical(&tokens);
         self.stats.emitted += 1;
         self.attempts_since_result = 0;
         StepOutcome::Match(MatchResult {

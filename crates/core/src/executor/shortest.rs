@@ -420,7 +420,7 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
                 ) {
                     return None;
                 }
-                let canonical = self.tokenizer.encode(&text) == node.tokens;
+                let canonical = self.tokenizer.is_canonical(&node.tokens);
                 self.stats.emitted += 1;
                 return Some(MatchResult {
                     tokens: node.tokens,

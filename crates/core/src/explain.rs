@@ -81,9 +81,13 @@ pub fn explain(
     tokenizer: &BpeTokenizer,
     max_sequence_len: usize,
 ) -> Result<QueryPlan, RelmError> {
-    let par = relm_automata::Parallelism::auto();
-    let parts = std::sync::Arc::new(compile_parts(query, tokenizer, par)?);
-    let compiled = assemble_compiled(query, parts, max_sequence_len, par)?;
+    let parts = std::sync::Arc::new(compile_parts(query, tokenizer)?);
+    let compiled = assemble_compiled(
+        query,
+        parts,
+        max_sequence_len,
+        relm_automata::Parallelism::auto(),
+    )?;
     Ok(QueryPlan {
         prefix_machine: compiled.parts.prefix.as_ref().map(|p| MachineShape {
             states: p.state_count(),

@@ -76,14 +76,14 @@ pub struct SessionConfig {
     /// dominate memory unnoticed. Plans larger than the whole budget
     /// are compiled but never memoized.
     pub plan_memo_bytes: usize,
-    /// Worker budget for sharded plan compilation (subset construction,
-    /// quotient determinization, the shortcut-edge vocabulary scan) and
-    /// the executors' frontier work. Defaults to one worker per
-    /// available core; [`Parallelism::Serial`] is the single-threaded
-    /// reference path. Results are **byte-identical** for every
-    /// setting — sharded builds merge deterministically — so this knob
-    /// trades wall-clock only, never answers, and is deliberately not
-    /// part of the plan-memo key.
+    /// Worker budget for the executors' frontier work: the Dijkstra
+    /// prefetch, beam-level expansion, walk tables and pooled scoring.
+    /// Plan compilation runs on the calling thread whatever the
+    /// setting. Defaults to one worker per available core;
+    /// [`Parallelism::Serial`] is the single-threaded reference path.
+    /// Results are **byte-identical** for every setting — sharded work
+    /// merges deterministically — so this knob trades wall-clock only,
+    /// never answers, and is deliberately not part of the plan-memo key.
     pub parallelism: Parallelism,
     /// Directory of an on-disk warm-artifact store
     /// ([`relm_store::PlanStore`]). When set, the client consults the
@@ -131,7 +131,7 @@ impl SessionConfig {
         self
     }
 
-    /// Set the worker budget for sharded compilation and frontier work.
+    /// Set the worker budget for frontier work and pooled scoring.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -205,9 +205,8 @@ impl SessionStats {
 /// The compilation-relevant identity of a query. Execution flags
 /// (policy, strategy, seeds, caps) are deliberately absent: they are
 /// attached per-run and do not affect the automata. The client's
-/// [`Parallelism`] is absent too: sharded compilation merges
-/// deterministically, so serial and sharded builds of the same query
-/// produce structurally identical automata and may share a memo entry. The pattern, prefix,
+/// [`Parallelism`] is absent too: compilation never reads it, so every
+/// client builds the same automata for a query. The pattern, prefix,
 /// and preprocessor configuration are stored **exactly** (the
 /// preprocessor list as its full structural encoding, not a hash), so a
 /// memo hit can never serve automata compiled from a different query;
@@ -556,11 +555,7 @@ impl<M: LanguageModel> Relm<M> {
                         (restored, PlanSource::Store)
                     }
                     None => {
-                        let parts = Arc::new(compile_parts(
-                            query,
-                            &self.tokenizer,
-                            self.config.parallelism,
-                        )?);
+                        let parts = Arc::new(compile_parts(query, &self.tokenizer)?);
                         // Memoize *before* persisting: when N shards
                         // race on the same fresh key, only the insert
                         // winner (or an unmemoizable compile nothing
@@ -1416,7 +1411,7 @@ mod tests {
                 query = query.with_prefix(prefix);
             }
             let query = SearchQuery::new(query);
-            Arc::new(compile_parts(&query, tok, Parallelism::Serial).unwrap())
+            Arc::new(compile_parts(&query, tok).unwrap())
         })
         .collect()
     }

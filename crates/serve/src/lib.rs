@@ -3,7 +3,7 @@
 //! The paper frames LM validation as a *query workload*: many patterns,
 //! many prefixes, repeated audits. Everything below the socket already
 //! exists in this workspace — session warmth, coalesced cross-query
-//! scoring, sharded compilation. This crate adds the socket: a
+//! scoring, sharded frontiers. This crate adds the socket: a
 //! hand-rolled, dependency-free serving layer that accepts concurrent
 //! TCP connections, admits each request into **one** shared
 //! [`relm_core::QueryDriver`], and pumps every live query through the

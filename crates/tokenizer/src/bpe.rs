@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::pretokenize::pretokenize;
+use crate::pretokenize::pretokenize_bytes;
 
 /// Identifier of a vocabulary token. Ids `0..=255` are the byte base
 /// vocabulary; merged tokens follow; the end-of-sequence marker is last.
@@ -155,9 +155,17 @@ impl BpeTokenizer {
     /// Canonical encoding: pre-tokenize, then greedily apply the highest-
     /// priority merge until none applies — exactly GPT-2's encoder.
     pub fn encode(&self, text: &str) -> Vec<TokenId> {
+        self.encode_bytes(text.as_bytes())
+    }
+
+    /// [`encode`](Self::encode) over bytes that need not be UTF-8: the
+    /// languages the compiler lowers are byte languages (`.` matches
+    /// bytes 128–255 one at a time), and each of their strings has one
+    /// canonical encoding.
+    pub fn encode_bytes(&self, bytes: &[u8]) -> Vec<TokenId> {
         let mut out = Vec::new();
-        for piece in pretokenize(text) {
-            self.encode_piece(piece.as_bytes(), &mut out);
+        for piece in pretokenize_bytes(bytes) {
+            self.encode_piece(piece, &mut out);
         }
         out
     }
@@ -196,6 +204,15 @@ impl BpeTokenizer {
     /// Decode a token sequence back into a string (lossy on invalid
     /// UTF-8). EOS tokens terminate decoding.
     pub fn decode(&self, tokens: &[TokenId]) -> String {
+        match String::from_utf8(self.decode_bytes(tokens)) {
+            Ok(text) => text,
+            Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+        }
+    }
+
+    /// The bytes a token sequence spells, exactly. EOS tokens terminate
+    /// decoding.
+    pub fn decode_bytes(&self, tokens: &[TokenId]) -> Vec<u8> {
         let mut bytes = Vec::new();
         for &t in tokens {
             if t == self.eos {
@@ -203,14 +220,15 @@ impl BpeTokenizer {
             }
             bytes.extend_from_slice(&self.vocab[t as usize]);
         }
-        String::from_utf8_lossy(&bytes).into_owned()
+        bytes
     }
 
-    /// Whether `tokens` is the canonical encoding of the string it decodes
-    /// to (§3.2: canonical encodings are "stable under repeated encodings
-    /// and decodings").
+    /// Whether `tokens` is the canonical encoding of the bytes it spells
+    /// (§3.2: canonical encodings are "stable under repeated encodings
+    /// and decodings"). Compared byte for byte: a token sequence whose
+    /// bytes are not UTF-8 can be canonical too.
     pub fn is_canonical(&self, tokens: &[TokenId]) -> bool {
-        self.encode(&self.decode(tokens)) == tokens
+        self.encode_bytes(&self.decode_bytes(tokens)) == tokens
     }
 
     /// Enumerate every tokenization of `text`, up to `limit` results.
@@ -346,6 +364,25 @@ mod tests {
         assert!(tok.is_canonical(&canonical));
         let spelled: Vec<TokenId> = "The".bytes().map(TokenId::from).collect();
         assert!(!tok.is_canonical(&spelled));
+    }
+
+    #[test]
+    fn bytes_round_trip_whether_or_not_they_are_utf8() {
+        let tok = BpeTokenizer::train("the cat sat on the mat", 30);
+        for bytes in [
+            &b"the cat"[..],
+            b"a\x80",
+            b"\xff\xfe the",
+            "caf\u{e9}".as_bytes(),
+        ] {
+            let ids = tok.encode_bytes(bytes);
+            assert_eq!(tok.decode_bytes(&ids), bytes);
+            assert!(tok.is_canonical(&ids), "{bytes:?}");
+        }
+        assert_eq!(tok.encode("the cat"), tok.encode_bytes(b"the cat"));
+        let lone = [TokenId::from(b'a'), 0x80];
+        assert_eq!(tok.decode(&lone), "a\u{fffd}");
+        assert_eq!(tok.decode_bytes(&lone), b"a\x80");
     }
 
     #[test]

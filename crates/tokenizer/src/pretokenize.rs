@@ -6,6 +6,8 @@
 //! runs. We implement the same contract with a hand-rolled scanner (this
 //! workspace's own regex engine matches whole strings, not substrings).
 
+use std::ops::Range;
+
 /// Split `text` into pre-tokens. Concatenating the pre-tokens yields the
 /// original string exactly.
 ///
@@ -28,10 +30,24 @@
 /// assert_eq!(parts.concat(), "The cat, 42!");
 /// ```
 pub fn pretokenize(text: &str) -> Vec<&str> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
+    pieces(text.as_bytes()).map(|piece| &text[piece]).collect()
+}
+
+/// [`pretokenize`] over bytes that need not be UTF-8. Every byte from
+/// 128 up counts as punctuation, so a boundary has an ASCII byte on at
+/// least one side and never splits a UTF-8 character: the pieces of a
+/// string's bytes are the bytes of its pieces.
+pub(crate) fn pretokenize_bytes(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    pieces(bytes).map(move |piece| &bytes[piece])
+}
+
+/// The byte ranges of the pre-tokens of `bytes`, in order.
+fn pieces(bytes: &[u8]) -> impl Iterator<Item = Range<usize>> + '_ {
     let mut i = 0;
-    while i < bytes.len() {
+    std::iter::from_fn(move || {
+        if i == bytes.len() {
+            return None;
+        }
         let start = i;
         // Optionally absorb exactly one space if it precedes a
         // non-whitespace byte.
@@ -67,10 +83,9 @@ pub fn pretokenize(text: &str) -> Vec<&str> {
             }
         }
         debug_assert!(j > start, "scanner must make progress");
-        out.push(&text[start..j]);
         i = j;
-    }
-    out
+        Some(start..j)
+    })
 }
 
 #[cfg(test)]
