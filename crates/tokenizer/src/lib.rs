@@ -16,7 +16,9 @@
 //! * [`BpeTokenizer::train`] — learn a merge table from a corpus (our
 //!   substitute for shipping GPT-2's proprietary vocabulary file),
 //! * [`BpeTokenizer::encode`] / [`BpeTokenizer::decode`] — canonical
-//!   round-trip,
+//!   round-trip, and [`BpeTokenizer::encode_bytes`] /
+//!   [`BpeTokenizer::decode_bytes`] for the byte strings of a byte
+//!   language that are not UTF-8,
 //! * [`BpeTokenizer::all_encodings`] — enumerate every token sequence
 //!   that decodes to a given string,
 //! * [`BpeTokenizer::is_canonical`] — the §3.2 stability check,
