@@ -1126,6 +1126,27 @@ mod tests {
     }
 
     #[test]
+    fn sharded_determinize_is_structurally_identical() {
+        use crate::Parallelism;
+        // Wide alternation: many subset states per BFS level.
+        let words: Vec<Nfa> = (0..40)
+            .map(|i| {
+                Nfa::literal(s(&format!(
+                    "word{i}tail{}",
+                    "x".repeat(1 + (i % 5) as usize)
+                )))
+            })
+            .collect();
+        let nfa = words.into_iter().reduce(Nfa::union).unwrap();
+        let serial = nfa.determinize();
+        for threads in [2usize, 3, 8] {
+            let sharded = nfa.determinize_with(Parallelism::sharded(threads));
+            assert_eq!(serial, sharded, "threads={threads}");
+        }
+        assert_eq!(serial, nfa.determinize_with(Parallelism::Serial));
+    }
+
+    #[test]
     fn run_returns_final_state() {
         let d = dfa(Nfa::literal(s("hi")));
         let end = d.run(s("hi")).unwrap();

@@ -360,6 +360,18 @@ proptest! {
         }
     }
 
+    /// Subset construction gives the same automaton, state for state,
+    /// whatever `Parallelism` it is asked for.
+    #[test]
+    fn sharded_determinize_is_structurally_identical(
+        nfa in small_nfa(),
+        threads in 2usize..6,
+    ) {
+        let serial = nfa.determinize();
+        let sharded = nfa.determinize_with(relm_automata::Parallelism::sharded(threads));
+        prop_assert_eq!(serial, sharded);
+    }
+
     /// Sharded walk tables match serial ones bit for bit.
     #[test]
     fn sharded_ops_match_serial(a in small_nfa(), threads in 2usize..5) {
