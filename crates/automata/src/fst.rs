@@ -3,9 +3,10 @@
 //! Transducers map one language to another; the paper uses them to model
 //! both the tokenizer (strings → token sequences) and query preprocessors
 //! (synonym substitution, character normalization). [`Fst`] here supports
-//! the operations the preprocessor pipeline needs: building rewrite rules
-//! and taking the *image* of a regular language under the transducer
-//! ([`Fst::apply`], a one-sided composition).
+//! building rewrite rules and taking the *image* of a regular language
+//! under the transducer ([`Fst::apply`], a one-sided composition). No
+//! query preprocessor uses it: the Levenshtein and filter preprocessors
+//! rewrite automata directly.
 //!
 //! Specialized constructions that would be inefficient as generic
 //! compositions (Levenshtein automata, the BPE shortcut compiler) are

@@ -13,13 +13,14 @@
 //!   rather than *edges* uniformly,
 //! * [`levenshtein_within`] — Levenshtein automata (§3.4) describing all
 //!   strings within a bounded edit distance of a regular language,
-//! * [`Parallelism`] / [`WorkerPool`] — parallel builds: subset
-//!   construction, products, and walk-table rows split their work into
-//!   contiguous state ranges on a persistent worker pool and merge in
-//!   range order, so parallel builds are structurally identical to
-//!   serial ones,
-//! * [`Fst`] — a small weighted finite-state-transducer layer used by the
-//!   preprocessor pipeline.
+//! * [`Parallelism`] / [`WorkerPool`] — the workspace's worker pool. In
+//!   this crate only walk-table rows split their work, into contiguous
+//!   state ranges merged in range order, so a parallel table is
+//!   bit-identical to a serial one; subset construction and products run
+//!   on the calling thread,
+//! * [`Fst`] — a small finite-state-transducer layer with one-sided
+//!   composition. The query preprocessors do not use it: they
+//!   rewrite automata directly.
 //!
 //! Symbols are plain `u32`s: byte values `0..=255` for character-level
 //! automata and token identifiers for LLM (token-level) automata. The same

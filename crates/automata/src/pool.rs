@@ -2,8 +2,8 @@
 //! every parallel construction in the workspace, and [`Parallelism`],
 //! the knob saying how many workers it may use.
 //!
-//! Every parallel site — walk-table row fills, beam-level expansion,
-//! the batched scoring in `relm-lm` — runs on long-lived
+//! Every parallel site — walk-table row fills and the batched scoring
+//! in `relm-lm` — runs on long-lived
 //! threads parked on a condvar, not on threads spawned per batch (tens
 //! of microseconds of thread creation amortized over work that is often
 //! only a few microseconds long). Submitting a batch is a queue push
@@ -164,10 +164,10 @@ impl WorkerPool {
 
     /// The process-wide pool for a [`Parallelism`] setting, created on
     /// first use and **reused for every later batch** — the handle the
-    /// compile waves, walk-table fills, and scoring fan-outs all
-    /// resolve, so the serve loop's steady state spawns zero threads
-    /// per batch. [`Parallelism::Serial`] maps to the shared inline
-    /// (zero-worker) pool.
+    /// walk-table fills and scoring fan-outs resolve, so the serve
+    /// loop's steady state spawns zero threads per batch.
+    /// [`Parallelism::Serial`] maps to the shared inline (zero-worker)
+    /// pool.
     pub fn for_parallelism(par: Parallelism) -> Arc<WorkerPool> {
         let workers = if par.is_parallel() { par.threads() } else { 0 };
         static REGISTRY: OnceLock<Mutex<HashMap<usize, Arc<WorkerPool>>>> = OnceLock::new();

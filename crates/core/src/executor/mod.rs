@@ -1,17 +1,35 @@
 //! The ReLM Executor (§3.3): traversals of the LLM automaton against the
 //! model.
 //!
-//! Two traversals are provided, as in the paper:
+//! Three traversals are provided — Dijkstra ([`shortest`]), beam search
+//! ([`beam`]) and random sampling ([`sampling`]) — and all three apply
+//! one expansion rule, written once in [`Kernel`]:
 //!
-//! * **Shortest path** ([`shortest`]) — Dijkstra over `−log p` with
-//!   transitive top-k pruning; yields matches in non-increasing
-//!   probability order. Prefix edges bypass the decoding rules but are
-//!   *prioritized* by their original costs (the paper's startup-latency
-//!   heuristic).
-//! * **Random sampling** ([`sampling`]) — prefixes are drawn uniformly
-//!   over prefix strings via walk-count edge weighting (Appendix C);
-//!   suffixes are drawn from the model restricted to the automaton, with
-//!   EOS disambiguating stop-vs-continue at accepting states.
+//! * **Cap.** A path of `n` tokens may extend iff `n < max_tokens` and
+//!   `n + 1 < max_sequence_len`.
+//! * **Start and bridge.** A path starts on the prefix machine if the
+//!   plan has one, otherwise on the body. A prefix-accepting path
+//!   bridges to the body's start at no cost, its `prefix_len` set to its
+//!   length.
+//! * **Successors.** Prefix edges take any token with a finite raw
+//!   log-prob, at that cost: conditioning context is in the language by
+//!   definition, so the decoding rules do not apply. Body edges take the
+//!   tokens the decoding policy keeps, at the policy's value.
+//! * **Completion.** A body-accepting path completes at no cost, at any
+//!   length — unless the query requires EOS. Then it completes only if
+//!   it may extend and the policy keeps EOS, at EOS's cost.
+//! * **Emission.** A completed path is emitted if it passes the runtime
+//!   checks (canonicity, when the canonical automaton fell back to the
+//!   full construction, and the deferred filters); Dijkstra and beam
+//!   also drop repeated token sequences and, under `distinct_texts`,
+//!   repeated texts.
+//!
+//! Each traversal keeps only its order: Dijkstra pops the cheapest path
+//! (matches come out in non-increasing probability), beam search sorts
+//! and cuts each level to its width, and the sampler draws — prefixes
+//! uniformly over prefix strings by walk counts (Appendix C), then body
+//! steps from the model restricted to the automaton, with EOS weighing
+//! stop against continue at accepting states.
 //!
 //! The pipeline is split in two: planning compiles a query into a
 //! [`CompiledSearch`] (regex → NFA → DFA → token automaton — the
@@ -23,6 +41,7 @@ mod beam;
 mod sampling;
 mod shortest;
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -118,19 +137,6 @@ pub struct ExecutionStats {
     /// Always 0, for the same reason; dropped by the next bench PR with
     /// its `engine.speculation_hit_share` row.
     pub speculation_hits: u64,
-}
-
-impl ExecutionStats {
-    /// Fold the scoring engine's counters into this snapshot.
-    pub(crate) fn merge_scoring(mut self, scoring: relm_lm::ScoringStats) -> Self {
-        self.cache_hits = scoring.cache_hits;
-        self.cache_misses = scoring.cache_misses;
-        self.batches = scoring.batches;
-        self.batched_contexts = scoring.batched_contexts;
-        self.cache_evictions = scoring.cache_evictions;
-        self.cache_bytes = scoring.cache_bytes;
-        self
-    }
 }
 
 /// The memoizable product of query compilation: the token-space automata
@@ -229,10 +235,10 @@ pub(crate) struct CompiledQuery {
     pub prefix_sampling: PrefixSampling,
     pub require_eos: bool,
     pub distinct_texts: bool,
-    /// Worker budget for the executors' frontier work (shard-wide
-    /// scoring lookahead, beam-level expansion fan-out, sharded walk
-    /// tables). Never part of the plan key: results are byte-identical
-    /// for every setting.
+    /// Worker budget for the executors' frontier work (Dijkstra's
+    /// scoring lookahead, pooled scoring, sharded walk tables). Never
+    /// part of the plan key: results are byte-identical for every
+    /// setting.
     pub parallelism: Parallelism,
 }
 
@@ -428,34 +434,247 @@ impl CompiledSearch {
     }
 }
 
-/// Post-hoc acceptance checks shared by both traversals: runtime
-/// canonicity (when the canonical automaton fell back to the full
-/// construction) and deferred filters, both on the bytes of the *body*
-/// tokens.
-pub(crate) fn passes_runtime_checks(
-    compiled: &CompiledQuery,
-    tokenizer: &BpeTokenizer,
-    tokens: &[TokenId],
-    prefix_len: usize,
-    stats: &mut ExecutionStats,
-) -> bool {
-    let parts = &compiled.parts;
-    if !parts.body.needs_canonical_check && parts.deferred_filters.is_empty() {
-        return true;
-    }
-    let body = &tokens[prefix_len..];
-    let bytes = tokenizer.decode_bytes(body);
-    if parts.body.needs_canonical_check && tokenizer.encode_bytes(&bytes) != body {
-        stats.rejected_noncanonical += 1;
-        return false;
-    }
-    for filter in &parts.deferred_filters {
-        if filter.contains(bytes.iter().map(|&b| u32::from(b))) {
-            stats.rejected_filtered += 1;
-            return false;
+/// The machine a path is on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Machine {
+    Prefix,
+    Body,
+}
+
+/// Where a path stands: a machine and one of its states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct At {
+    pub machine: Machine,
+    pub state: usize,
+}
+
+/// What expanding a scored path yields ([`Kernel::expand`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Next {
+    /// The path is body-accepting and the policy keeps EOS, at `lp`.
+    /// Under `require_eos` stopping here is how the path completes, at
+    /// that cost (`completes`). Otherwise the path already completed at
+    /// no cost ([`Kernel::completes`]), and `lp` only weighs the
+    /// sampler's stop.
+    Stop { lp: f64, completes: bool },
+    /// The path extended by `token`, now at `to`, for `lp`.
+    Edge { token: TokenId, to: At, lp: f64 },
+}
+
+/// The dedup in front of Dijkstra's and beam's emission: each token
+/// sequence once, and under `distinct_texts` each text once.
+#[derive(Default)]
+struct Seen {
+    tokens: HashSet<Vec<TokenId>>,
+    texts: HashSet<String>,
+}
+
+/// The expansion rule of the module docs, written once, with the
+/// counters every traversal keeps. A traversal owns one and adds only
+/// its order.
+pub(crate) struct Kernel<'a, M: LanguageModel> {
+    pub engine: Arc<ScoringEngine<&'a M>>,
+    tokenizer: &'a BpeTokenizer,
+    pub compiled: CompiledQuery,
+    pub stats: ExecutionStats,
+    /// `None` for the sampler, which emits every draw.
+    seen: Option<Seen>,
+}
+
+impl<'a, M: LanguageModel> Kernel<'a, M> {
+    /// A kernel for one execution; `dedup` turns on [`Seen`].
+    pub(crate) fn new(
+        engine: Arc<ScoringEngine<&'a M>>,
+        tokenizer: &'a BpeTokenizer,
+        compiled: CompiledQuery,
+        dedup: bool,
+    ) -> Self {
+        Kernel {
+            engine,
+            tokenizer,
+            compiled,
+            stats: ExecutionStats::default(),
+            seen: dedup.then(Seen::default),
         }
     }
-    true
+
+    fn dfa(&self, machine: Machine) -> &Dfa {
+        match machine {
+            Machine::Body => &self.compiled.parts.body.automaton,
+            Machine::Prefix => self.compiled.parts.prefix.as_ref().expect("prefix machine"), // lint: allow(panic, "paths sit on the prefix machine only when the plan has one")
+        }
+    }
+
+    /// Where every path starts.
+    pub(crate) fn start(&self) -> At {
+        match &self.compiled.parts.prefix {
+            Some(prefix) => At {
+                machine: Machine::Prefix,
+                state: prefix.start(),
+            },
+            None => self.body_start(),
+        }
+    }
+
+    pub(crate) fn body_start(&self) -> At {
+        At {
+            machine: Machine::Body,
+            state: self.compiled.parts.body.automaton.start(),
+        }
+    }
+
+    /// The cap: whether a path of `n` tokens may extend.
+    pub(crate) fn may_extend(&self, n: usize) -> bool {
+        n < self.compiled.max_tokens && n + 1 < self.engine.max_sequence_len()
+    }
+
+    /// The body start, if a path at `at` bridges there (at no cost).
+    pub(crate) fn bridge(&self, at: At) -> Option<At> {
+        (at.machine == Machine::Prefix && self.dfa(Machine::Prefix).is_accepting(at.state))
+            .then(|| self.body_start())
+    }
+
+    /// Whether a path at `at` completes at no cost.
+    pub(crate) fn completes(&self, at: At) -> bool {
+        at.machine == Machine::Body
+            && !self.compiled.require_eos
+            && self.dfa(Machine::Body).is_accepting(at.state)
+    }
+
+    /// Hand `visit` what a path at `at` may do next, given `row`, the
+    /// model's scores after it: first its [`Next::Stop`], then its
+    /// successors in transition order. The caller checks
+    /// [`Self::may_extend`] first.
+    pub(crate) fn expand(&self, at: At, row: &[f64], mut visit: impl FnMut(Next)) {
+        let dfa = self.dfa(at.machine);
+        let allowed = (at.machine == Machine::Body).then(|| self.compiled.policy.filter(row));
+        if let Some(allowed) = &allowed {
+            if dfa.is_accepting(at.state) {
+                if let Some(lp) = allowed.get(self.engine.eos()) {
+                    let completes = self.compiled.require_eos;
+                    visit(Next::Stop { lp, completes });
+                }
+            }
+        }
+        for (token, state) in dfa.transitions(at.state) {
+            let lp = match &allowed {
+                Some(allowed) => allowed.get(token),
+                None => Some(row[token as usize]).filter(|lp| lp.is_finite()),
+            };
+            if let Some(lp) = lp {
+                let to = At {
+                    machine: at.machine,
+                    state,
+                };
+                visit(Next::Edge { token, to, lp });
+            }
+        }
+    }
+
+    /// The model context of a path: EOS-rooted, matching training.
+    pub(crate) fn context(&self, tokens: &[TokenId]) -> Vec<TokenId> {
+        let mut ctx = Vec::with_capacity(tokens.len() + 1);
+        ctx.push(self.engine.eos());
+        ctx.extend_from_slice(tokens);
+        ctx
+    }
+
+    /// Score one path's context: one counted model request.
+    pub(crate) fn score(&mut self, tokens: &[TokenId]) -> Arc<[f64]> {
+        self.stats.lm_calls += 1;
+        self.engine.score(&self.context(tokens))
+    }
+
+    /// Whether a scoring frontier of `limit` contexts is worth
+    /// gathering: once the engine stops admitting cache entries,
+    /// pre-scored contexts would be discarded and scored again.
+    pub(crate) fn frontier_open(&self, limit: usize) -> bool {
+        limit > 0 && self.engine.admits_new_entries()
+    }
+
+    /// Add to `out` the contexts of `paths` that the engine has not
+    /// cached and `out` does not hold yet, until `out` holds `limit`.
+    pub(crate) fn add_uncached<'t>(
+        &self,
+        out: &mut Vec<Vec<TokenId>>,
+        paths: impl IntoIterator<Item = &'t [TokenId]>,
+        limit: usize,
+    ) {
+        for tokens in paths {
+            if out.len() >= limit {
+                break;
+            }
+            let ctx = self.context(tokens);
+            if !self.engine.is_cached(&ctx) && !out.contains(&ctx) {
+                out.push(ctx);
+            }
+        }
+    }
+
+    /// Emit a completed path as a match, or `None` if the dedup or a
+    /// runtime check drops it. A `log_prob` of `None` scores the tokens
+    /// here (the sampler draws its path without summing it), after the
+    /// checks, so a rejected draw costs no model requests.
+    pub(crate) fn emit(
+        &mut self,
+        tokens: Vec<TokenId>,
+        prefix_len: usize,
+        log_prob: Option<f64>,
+    ) -> Option<MatchResult> {
+        if let Some(seen) = &mut self.seen {
+            if !seen.tokens.insert(tokens.clone()) {
+                return None;
+            }
+        }
+        let text = self.tokenizer.decode(&tokens);
+        if let Some(seen) = &mut self.seen {
+            if !seen.texts.insert(text.clone()) && self.compiled.distinct_texts {
+                return None; // duplicate string via another encoding
+            }
+        }
+        // The runtime checks read the bytes of the body tokens.
+        let parts = &self.compiled.parts;
+        if parts.body.needs_canonical_check || !parts.deferred_filters.is_empty() {
+            let body = &tokens[prefix_len..];
+            let bytes = self.tokenizer.decode_bytes(body);
+            if parts.body.needs_canonical_check && self.tokenizer.encode_bytes(&bytes) != body {
+                self.stats.rejected_noncanonical += 1;
+                return None;
+            }
+            let symbols = || bytes.iter().map(|&b| u32::from(b));
+            if parts.deferred_filters.iter().any(|f| f.contains(symbols())) {
+                self.stats.rejected_filtered += 1;
+                return None;
+            }
+        }
+        let log_prob = log_prob.unwrap_or_else(|| self.sequence_log_prob(&tokens));
+        let canonical = self.tokenizer.is_canonical(&tokens);
+        self.stats.emitted += 1;
+        Some(MatchResult {
+            tokens,
+            prefix_len,
+            text,
+            log_prob,
+            canonical,
+        })
+    }
+
+    /// The log-probability of `tokens` from the EOS root, plus EOS's
+    /// under `require_eos`: one engine request per term, summed left to
+    /// right over the shared rows (the additions, and so the bits, of
+    /// `relm_lm::sequence_log_prob`).
+    fn sequence_log_prob(&mut self, tokens: &[TokenId]) -> f64 {
+        let mut ctx = self.context(tokens);
+        if self.compiled.require_eos {
+            ctx.push(self.engine.eos());
+        }
+        let mut log_prob = 0.0;
+        for i in 1..ctx.len() {
+            log_prob += self.engine.score(&ctx[..i])[ctx[i] as usize];
+        }
+        self.stats.lm_calls += ctx.len() as u64 - 1;
+        log_prob
+    }
 }
 
 /// The result stream of [`crate::Relm::search`]: an iterator of
@@ -483,14 +702,23 @@ impl<'a, M: LanguageModel> SearchResults<'a, M> {
     /// Execution counters (snapshot; advances as the iterator is
     /// consumed).
     pub fn stats(&self) -> ExecutionStats {
-        let mut stats = match &self.inner {
-            Inner::Shortest(it) => it.stats(),
-            Inner::Sampling(it) => it.stats(),
-            Inner::Beam(it) => it.stats(),
+        let kernel = match &self.inner {
+            Inner::Shortest(it) => &it.kernel,
+            Inner::Sampling(it) => &it.kernel,
+            Inner::Beam(it) => &it.kernel,
         };
-        stats.plan_cache_hits = self.plan_hits;
-        stats.plan_cache_misses = self.plan_misses;
-        stats
+        let scoring = kernel.engine.stats();
+        ExecutionStats {
+            cache_hits: scoring.cache_hits,
+            cache_misses: scoring.cache_misses,
+            batches: scoring.batches,
+            batched_contexts: scoring.batched_contexts,
+            cache_evictions: scoring.cache_evictions,
+            cache_bytes: scoring.cache_bytes,
+            plan_cache_hits: self.plan_hits,
+            plan_cache_misses: self.plan_misses,
+            ..kernel.stats
+        }
     }
 
     /// Advance one bounded unit of work. [`Iterator::next`] is a loop

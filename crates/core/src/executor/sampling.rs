@@ -3,10 +3,10 @@
 //! Each emitted sample is one *episode*: first the prefix automaton is
 //! walked with edges weighted by accepting-walk counts — uniform over
 //! prefix strings, the normalization Figure 9 shows is essential — then
-//! the body automaton is walked with the model, restricting every step
-//! to (automaton edges ∩ policy-allowed tokens). At accepting states the
-//! model's EOS probability decides between stopping and continuing
-//! (disambiguating `b` vs `bb` vs `bbb`, §3.3).
+//! the body automaton is walked with the model, drawing each step from
+//! what [`Kernel::expand`] keeps. At accepting states the policy's view
+//! of EOS weighs stopping against continuing (disambiguating `b` vs
+//! `bb` vs `bbb`, §3.3), on the same scale as the edges.
 //!
 //! Episodes that dead-end (every continuation pruned) are retried up to
 //! the query's attempt budget; the iterator ends when the budget is
@@ -31,21 +31,17 @@ use relm_automata::{WalkChoice, WalkTable};
 use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{LanguageModel, ScoringEngine};
 
-use crate::executor::{passes_runtime_checks, CompiledQuery, ExecutionStats, StepOutcome};
+use crate::executor::{At, CompiledQuery, Kernel, Next, StepOutcome};
 use crate::query::PrefixSampling;
-use crate::results::MatchResult;
 
 /// Number of episode prefixes drawn (and batch-scored) per block.
 const EPISODE_BATCH: usize = 8;
 
 /// The random-sampling result iterator. See the module docs.
 pub(crate) struct SamplingIter<'a, M: LanguageModel> {
-    engine: Arc<ScoringEngine<&'a M>>,
-    tokenizer: &'a BpeTokenizer,
-    compiled: CompiledQuery,
+    pub(super) kernel: Kernel<'a, M>,
     rng: SmallRng,
     walk_table: Option<Arc<WalkTable>>,
-    stats: ExecutionStats,
     max_attempts: usize,
     /// Episodes attempted since the last emission (dead-end prefix
     /// draws included); the search is exhausted when this reaches
@@ -68,20 +64,13 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             .parts
             .walk_table(compiled.max_tokens, compiled.parallelism);
         SamplingIter {
-            engine,
-            tokenizer,
-            compiled,
+            kernel: Kernel::new(engine, tokenizer, compiled, false),
             rng: SmallRng::seed_from_u64(seed),
             walk_table,
-            stats: ExecutionStats::default(),
             max_attempts,
             attempts_since_result: 0,
             pending: VecDeque::new(),
         }
-    }
-
-    pub(crate) fn stats(&self) -> ExecutionStats {
-        self.stats.merge_scoring(self.engine.stats())
     }
 
     /// Grant a fresh attempt budget — `Iterator::next`'s contract
@@ -92,7 +81,8 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
 
     /// Sample a prefix token sequence, or `None` on a dead end.
     fn sample_prefix(&mut self) -> Option<Vec<TokenId>> {
-        let prefix = self.compiled.parts.prefix.as_ref()?;
+        let compiled = &self.kernel.compiled;
+        let prefix = compiled.parts.prefix.as_ref()?;
         let table = self
             .walk_table
             .as_ref()
@@ -100,8 +90,8 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
         let mut state = prefix.start();
         let mut tokens = Vec::new();
         loop {
-            let budget = self.compiled.max_tokens.checked_sub(tokens.len())?;
-            let choice = match self.compiled.prefix_sampling {
+            let budget = compiled.max_tokens.checked_sub(tokens.len())?;
+            let choice = match compiled.prefix_sampling {
                 // The draw is taken before the walk knows it can move.
                 // That costs no emission: every pick keeps an accepting
                 // walk within the budget, so only the first step can
@@ -156,31 +146,24 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             match self.sample_prefix() {
                 Some(tokens) => self.pending.push_back(tokens),
                 None => {
-                    self.stats.dead_ends += 1;
+                    self.kernel.stats.dead_ends += 1;
                     self.attempts_since_result += 1;
                 }
             }
         }
-        if warm
-            && self.pending.len() > 1
-            // If the engine has stopped admitting cache entries the warm
-            // block's scores would be discarded — skip the warm-up.
-            && self.engine.admits_new_entries()
-        {
+        if warm && self.pending.len() > 1 && self.kernel.engine.admits_new_entries() {
             // Warm the cache for the block's first body steps. Scoring is
-            // pure, so this cannot change what the walks sample.
+            // pure, so this cannot change what the walks sample. The
+            // whole block is asked for, cached contexts too: their hits
+            // mark the cache's clock, feed its admission control and
+            // count in `cache_hits`.
             let contexts: Vec<Vec<TokenId>> = self
                 .pending
                 .iter()
-                .map(|prefix| {
-                    let mut ctx = Vec::with_capacity(prefix.len() + 1);
-                    ctx.push(self.engine.eos());
-                    ctx.extend_from_slice(prefix);
-                    ctx
-                })
+                .map(|p| self.kernel.context(p))
                 .collect();
             let refs: Vec<&[TokenId]> = contexts.iter().map(Vec::as_slice).collect();
-            let _ = self.engine.score_batch(&refs);
+            let _ = self.kernel.engine.score_batch(&refs);
         }
     }
 
@@ -190,29 +173,17 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
     /// point where sequential execution would refill), skipping the
     /// internal warm scoring: the driver's coalesced tick covers it.
     pub(crate) fn frontier_contexts(&mut self, limit: usize) -> Vec<Vec<TokenId>> {
-        if limit == 0
-            || self.attempts_since_result >= self.max_attempts
-            || !self.engine.admits_new_entries()
-        {
-            return Vec::new();
+        let mut out = Vec::new();
+        if self.attempts_since_result >= self.max_attempts || !self.kernel.frontier_open(limit) {
+            return out;
         }
-        let mut out: Vec<Vec<TokenId>> = Vec::new();
-        if self.compiled.parts.prefix.is_none() {
+        if self.kernel.compiled.parts.prefix.is_none() {
             // Every episode starts its body walk at the EOS root.
-            let ctx = vec![self.engine.eos()];
-            if !self.engine.is_cached(&ctx) {
-                out.push(ctx);
-            }
+            self.kernel.add_uncached(&mut out, [&[][..]], limit);
         } else {
             self.fill_pending(false);
-            for prefix in self.pending.iter().take(limit) {
-                let mut ctx = Vec::with_capacity(prefix.len() + 1);
-                ctx.push(self.engine.eos());
-                ctx.extend_from_slice(prefix);
-                if !self.engine.is_cached(&ctx) && !out.contains(&ctx) {
-                    out.push(ctx);
-                }
-            }
+            let prefixes = self.pending.iter().map(Vec::as_slice);
+            self.kernel.add_uncached(&mut out, prefixes, limit);
         }
         out
     }
@@ -220,39 +191,23 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
     /// Extend `tokens` through the body automaton with the model.
     /// Returns `false` on a dead end.
     fn sample_body(&mut self, tokens: &mut Vec<TokenId>) -> bool {
-        let parts = Arc::clone(&self.compiled.parts);
-        let body = &parts.body.automaton;
-        let mut state = body.start();
+        let mut at = self.kernel.body_start();
         loop {
-            self.stats.expansions += 1;
-            let at_capacity = tokens.len() >= self.compiled.max_tokens
-                || tokens.len() + 1 >= self.engine.max_sequence_len();
-            if at_capacity {
+            self.kernel.stats.expansions += 1;
+            if !self.kernel.may_extend(tokens.len()) {
                 // EOS-required queries cannot confirm termination at the
                 // token cap; everything else accepts where it stands.
-                return body.is_accepting(state) && !self.compiled.require_eos;
+                return self.kernel.completes(at);
             }
-            let mut ctx = Vec::with_capacity(tokens.len() + 1);
-            ctx.push(self.engine.eos());
-            ctx.extend_from_slice(&*tokens);
-            let log_probs = self.engine.score(&ctx);
-            self.stats.lm_calls += 1;
-            let allowed = self.compiled.policy.filter(&log_probs);
-
-            // Options: automaton edges the policy permits, plus EOS-stop
-            // at accepting states.
-            let mut choices: Vec<(Option<(TokenId, usize)>, f64)> = Vec::new();
-            for (sym, target) in body.transitions(state) {
-                if let Some(lp) = allowed.get(sym) {
-                    choices.push((Some((sym, target)), lp.exp()));
-                }
-            }
-            if body.is_accepting(state) {
-                let eos_lp = log_probs[self.engine.eos() as usize];
-                if eos_lp.is_finite() {
-                    choices.push((None, eos_lp.exp()));
-                }
-            }
+            let row = self.kernel.score(tokens);
+            // Options: the successors the kernel keeps, then the stop.
+            let mut choices: Vec<(Option<(TokenId, At)>, f64)> = Vec::new();
+            let mut stop = None;
+            self.kernel.expand(at, &row, |next| match next {
+                Next::Stop { lp, .. } => stop = Some(lp.exp()),
+                Next::Edge { token, to, lp } => choices.push((Some((token, to)), lp.exp())),
+            });
+            choices.extend(stop.map(|weight| (None, weight)));
             let total: f64 = choices.iter().map(|&(_, w)| w).sum();
             if choices.is_empty() || total <= 0.0 {
                 return false;
@@ -268,16 +223,14 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             }
             match choices[picked].0 {
                 None => return true, // EOS: stop at this accepting state
-                Some((sym, target)) => {
-                    tokens.push(sym);
-                    state = target;
+                Some((token, to)) => {
+                    tokens.push(token);
+                    at = to;
                 }
             }
         }
     }
-}
 
-impl<'a, M: LanguageModel> SamplingIter<'a, M> {
     /// One sampling episode: draw (or take the pending) prefix, walk the
     /// body with the model, and emit if the walk completes and passes
     /// the runtime checks. Returns [`StepOutcome::Done`] once the
@@ -287,7 +240,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             return StepOutcome::Done;
         }
         // --- Prefix phase (episode-batched; see fill_pending) ---
-        let prefix_tokens = if self.compiled.parts.prefix.is_some() {
+        let prefix_tokens = if self.kernel.compiled.parts.prefix.is_some() {
             self.fill_pending(true);
             match self.pending.pop_front() {
                 Some(t) => t,
@@ -310,47 +263,22 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
         // --- Body phase ---
         let mut tokens = prefix_tokens;
         if !self.sample_body(&mut tokens) {
-            self.stats.dead_ends += 1;
+            self.kernel.stats.dead_ends += 1;
             return StepOutcome::Working;
         }
-
-        if !passes_runtime_checks(
-            &self.compiled,
-            self.tokenizer,
-            &tokens,
-            prefix_len,
-            &mut self.stats,
-        ) {
-            return StepOutcome::Working;
+        // The emitted score is summed here over the engine's rows: the
+        // body walk scored the contexts from the end of the prefix on,
+        // so those are hits. The prefix walk reads walk counts only, so
+        // the template's contexts are scored here for the first time,
+        // and looked up here again on every later emission — about half
+        // of this executor's `lm_calls`.
+        match self.kernel.emit(tokens, prefix_len, None) {
+            Some(m) => {
+                self.attempts_since_result = 0;
+                StepOutcome::Match(m)
+            }
+            None => StepOutcome::Working,
         }
-
-        let text = self.tokenizer.decode(&tokens);
-        let mut ctx = Vec::with_capacity(tokens.len() + 1);
-        ctx.push(self.engine.eos());
-        ctx.extend_from_slice(&tokens);
-        // Score the emitted match: one engine request per token, summed
-        // left to right over the shared rows (the additions, and so the
-        // bits, of `relm_lm::sequence_log_prob`). The body walk scored
-        // the contexts from the end of the prefix on, so those are hits.
-        // The prefix walk reads walk counts only and never calls the
-        // model, so the template's contexts are scored here for the
-        // first time, and looked up here again on every later emission
-        // — about half of this executor's `lm_calls`.
-        let mut log_prob = 0.0;
-        for i in 1..ctx.len() {
-            log_prob += self.engine.score(&ctx[..i])[ctx[i] as usize];
-        }
-        self.stats.lm_calls += tokens.len() as u64;
-        let canonical = self.tokenizer.is_canonical(&tokens);
-        self.stats.emitted += 1;
-        self.attempts_since_result = 0;
-        StepOutcome::Match(MatchResult {
-            tokens,
-            prefix_len,
-            text,
-            log_prob,
-            canonical,
-        })
     }
 }
 
@@ -547,6 +475,27 @@ mod tests {
             .collect();
         assert!(texts.contains("b"), "{texts:?}");
         assert!(texts.contains("bb") || texts.contains("bbb"), "{texts:?}");
+    }
+
+    #[test]
+    fn greedy_never_stops_where_its_top_token_continues() {
+        // After "x" the model's top token is the space of "x y" (three
+        // documents in four end there with "y"), so greedy decoding cuts
+        // EOS at the accepting state "x": the stop weight is the
+        // policy's view of EOS, as every edge's weight is.
+        let docs = ["x y", "x y", "x y", "x"];
+        let tok = BpeTokenizer::train(&docs.join(". "), 0);
+        let lm = NGramLm::train(&tok, &docs, NGramConfig::xl());
+        let query =
+            sampling_query("x( y)?", None, 5).with_policy(relm_lm::DecodingPolicy::greedy());
+        let texts: Vec<String> = crate::cold_client(&lm, &tok)
+            .search(&query)
+            .unwrap()
+            .take(40)
+            .map(|m| m.text)
+            .collect();
+        assert_eq!(texts.len(), 40);
+        assert!(texts.iter().all(|t| t == "x y"), "{texts:?}");
     }
 
     #[test]

@@ -4,13 +4,11 @@
 //! the prefix/body automata. Costs are cumulative `−log p` under the
 //! model, so the heap pops candidates in non-increasing probability
 //! order (Dijkstra's invariant — edge costs are non-negative because
-//! probabilities are ≤ 1).
-//!
-//! Decoding rules prune transitively: a token outside the policy's
-//! allowed set at step `i` removes every string extending that prefix.
-//! Prefix-machine edges skip the policy (conditioning context is in the
-//! language by definition) but still pay their model cost, implementing
-//! the paper's startup-latency heuristic.
+//! probabilities are ≤ 1). A popped path expands by the rule of
+//! [`Kernel`]; decoding rules prune transitively, since a token the
+//! policy cuts at step `i` removes every string extending that prefix.
+//! Prefix edges skip the policy but still pay their model cost, the
+//! paper's startup-latency heuristic.
 //!
 //! Scoring is **frontier-batched**: when the popped node's context
 //! misses the [`ScoringEngine`] memo table, the contexts of other
@@ -21,14 +19,13 @@
 //! inference pattern.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{LanguageModel, ScoringEngine};
 
-use crate::executor::{passes_runtime_checks, CompiledQuery, ExecutionStats, StepOutcome};
-use crate::results::MatchResult;
+use crate::executor::{At, CompiledQuery, Kernel, Next, StepOutcome};
 
 /// Cap on contexts prefetched per model call **per worker**.
 /// The prefetch picks the *cheapest* frontier nodes — the ones Dijkstra
@@ -59,45 +56,20 @@ const FRONTIER_TICK_SCAN_LIMIT: usize = 64;
 /// scoring it feeds parallelizes.
 const FRONTIER_THREADS_CAP: usize = 8;
 
-/// Total-ordered wrapper for heap costs (`−log p`, non-negative).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Cost(f64);
-
-impl Eq for Cost {}
-
-impl PartialOrd for Cost {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Cost {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Machine {
-    Prefix,
-    Body,
-    /// Terminal stage for EOS-required queries: the path has already
-    /// paid the EOS step's cost and only awaits emission in heap order.
-    Done,
-}
-
 #[derive(Debug, Clone)]
 struct Node {
-    cost: Cost,
-    machine: Machine,
-    state: usize,
+    /// `−log p` so far, non-negative; nodes order by `total_cmp` on it.
+    cost: f64,
+    /// `None` once the path has paid the EOS step of an EOS-required
+    /// query: it only awaits emission in heap order.
+    at: Option<At>,
     tokens: Vec<TokenId>,
     prefix_len: usize,
 }
 
 impl PartialEq for Node {
     fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for Node {}
@@ -108,20 +80,15 @@ impl PartialOrd for Node {
 }
 impl Ord for Node {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.cost.cmp(&other.cost)
+        self.cost.total_cmp(&other.cost)
     }
 }
 
 /// The shortest-path result iterator. See the module docs.
 pub(crate) struct ShortestPathIter<'a, M: LanguageModel> {
-    engine: Arc<ScoringEngine<&'a M>>,
-    tokenizer: &'a BpeTokenizer,
-    compiled: CompiledQuery,
+    pub(super) kernel: Kernel<'a, M>,
     heap: BinaryHeap<Reverse<Node>>,
-    stats: ExecutionStats,
     max_expansions: usize,
-    emitted_texts: HashSet<String>,
-    emitted_tokens: HashSet<Vec<TokenId>>,
 }
 
 impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
@@ -131,53 +98,19 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
         compiled: CompiledQuery,
         max_expansions: usize,
     ) -> Self {
+        let kernel = Kernel::new(engine, tokenizer, compiled, true);
         let mut heap = BinaryHeap::new();
-        match &compiled.parts.prefix {
-            Some(prefix) => heap.push(Reverse(Node {
-                cost: Cost(0.0),
-                machine: Machine::Prefix,
-                state: prefix.start(),
-                tokens: Vec::new(),
-                prefix_len: 0,
-            })),
-            None => heap.push(Reverse(Node {
-                cost: Cost(0.0),
-                machine: Machine::Body,
-                state: compiled.parts.body.automaton.start(),
-                tokens: Vec::new(),
-                prefix_len: 0,
-            })),
-        }
+        heap.push(Reverse(Node {
+            cost: 0.0,
+            at: Some(kernel.start()),
+            tokens: Vec::new(),
+            prefix_len: 0,
+        }));
         ShortestPathIter {
-            engine,
-            tokenizer,
-            compiled,
+            kernel,
             heap,
-            stats: ExecutionStats::default(),
             max_expansions,
-            emitted_texts: HashSet::new(),
-            emitted_tokens: HashSet::new(),
         }
-    }
-
-    pub(crate) fn stats(&self) -> ExecutionStats {
-        self.stats.merge_scoring(self.engine.stats())
-    }
-
-    /// Model context for a path: EOS-rooted, matching training.
-    fn context(&self, tokens: &[TokenId]) -> Vec<TokenId> {
-        let mut ctx = Vec::with_capacity(tokens.len() + 1);
-        ctx.push(self.engine.eos());
-        ctx.extend_from_slice(tokens);
-        ctx
-    }
-
-    /// Whether a node still has room to grow (mirrors [`Self::expand`]'s
-    /// early return) — the prefetch filter.
-    fn expandable(&self, node: &Node) -> bool {
-        node.machine != Machine::Done
-            && node.tokens.len() < self.compiled.max_tokens
-            && node.tokens.len() + 1 < self.engine.max_sequence_len()
     }
 
     /// The frontier-shard width: how many of the cheapest frontier
@@ -188,7 +121,8 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
     /// decays past the first few dozen nodes, so a many-core host must
     /// not inflate per-miss overhead linearly in its core count.
     fn frontier_threads(&self) -> usize {
-        self.compiled
+        self.kernel
+            .compiled
             .parallelism
             .threads()
             .min(FRONTIER_THREADS_CAP)
@@ -198,164 +132,60 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
         MAX_FRONTIER_BATCH * self.frontier_threads()
     }
 
-    /// The contexts of the cheapest expandable frontier nodes — the ones
-    /// Dijkstra pops (and therefore scores) next. Read-only: the heap is
-    /// scanned, never mutated. Uncached contexts only, up to `limit`,
-    /// self-capped at [`MAX_FRONTIER_BATCH`]: beyond the cheapest few,
-    /// lookahead accuracy decays, and the internal prefetch uses the
-    /// same bound.
+    /// The tokens of the cheapest expandable nodes among the first
+    /// `scan` heap entries, at most `keep` of them, cheapest first — the
+    /// paths Dijkstra pops (and therefore scores) next. The scan is
+    /// capped: on huge heaps the candidates found early in the backing
+    /// vector, the nodes nearest the heap top, are good enough.
+    fn cheapest(&self, scan: usize, keep: usize) -> Vec<&[TokenId]> {
+        let mut best: Vec<&Node> = Vec::new();
+        for Reverse(node) in self.heap.iter().take(scan) {
+            if node.at.is_none() || !self.kernel.may_extend(node.tokens.len()) {
+                continue;
+            }
+            let pos = best.partition_point(|n| n <= &node);
+            if pos < keep {
+                best.insert(pos, node);
+                best.truncate(keep);
+            }
+        }
+        best.into_iter().map(|n| n.tokens.as_slice()).collect()
+    }
+
+    /// The uncached contexts of the cheapest expandable frontier nodes,
+    /// up to `limit`, self-capped at the prefetch's own bound: beyond
+    /// the cheapest few, lookahead accuracy decays. Read-only: the heap
+    /// is scanned, never mutated.
     pub(crate) fn frontier_contexts(&self, limit: usize) -> Vec<Vec<TokenId>> {
         let limit = limit.min(self.frontier_cap());
-        if limit == 0
-            || self.stats.expansions >= self.max_expansions as u64
-            || !self.engine.admits_new_entries()
+        let mut out = Vec::new();
+        if self.kernel.frontier_open(limit)
+            && self.kernel.stats.expansions < self.max_expansions as u64
         {
-            return Vec::new();
-        }
-        let mut best: Vec<&Node> = Vec::new();
-        for rev in self.heap.iter().take(FRONTIER_TICK_SCAN_LIMIT) {
-            let node = &rev.0;
-            if !self.expandable(node) {
-                continue;
-            }
-            let pos = best.partition_point(|n| n.cost <= node.cost);
-            if pos >= limit {
-                continue;
-            }
-            best.insert(pos, node);
-            best.truncate(limit);
-        }
-        let mut out: Vec<Vec<TokenId>> = Vec::new();
-        for node in best {
-            let ctx = self.context(&node.tokens);
-            if !self.engine.is_cached(&ctx) && !out.contains(&ctx) {
-                out.push(ctx);
-            }
+            let paths = self.cheapest(FRONTIER_TICK_SCAN_LIMIT, limit);
+            self.kernel.add_uncached(&mut out, paths, limit);
         }
         out
     }
 
     /// Score `ctx`, batching in the contexts of the cheapest other
     /// frontier nodes on a cache miss. Dijkstra pops in cost order, so
-    /// the lowest-cost heap nodes are precisely the next expansions —
-    /// their contexts are prefetched into the same model call.
-    /// Prefetching is free of side effects on the traversal: scoring is
-    /// deterministic and pure, so results are byte-identical to scoring
-    /// one context at a time.
+    /// the lowest-cost heap nodes are precisely the next expansions.
+    /// Scoring is deterministic and pure, so results are byte-identical
+    /// to scoring one context at a time.
     fn score_frontier(&mut self, ctx: Vec<TokenId>) -> Arc<[f64]> {
-        if self.engine.is_cached(&ctx)
-            // Once the engine stops admitting cache entries, prefetched
-            // scores would be discarded and recomputed — stop paying
-            // for them.
-            || !self.engine.admits_new_entries()
-        {
-            return self.engine.score(&ctx);
+        let engine = &self.kernel.engine;
+        if engine.is_cached(&ctx) || !engine.admits_new_entries() {
+            return engine.score(&ctx);
         }
-        // Select the cheapest expandable frontier nodes (kept sorted;
-        // O(scan × batch), both small constants). The scan is capped:
-        // on huge heaps the candidates found early in the backing
-        // vector — the nodes nearest the heap top — are good enough,
-        // and a full walk per miss would dominate the traversal. The
-        // shard width (and, proportionally, the scan depth feeding it)
-        // scales with the worker count.
         let cap = self.frontier_cap();
-        let scan = FRONTIER_SCAN_LIMIT * self.frontier_threads();
-        let mut best: Vec<&Node> = Vec::new();
-        for rev in self.heap.iter().take(scan) {
-            let node = &rev.0;
-            if !self.expandable(node) {
-                continue;
-            }
-            let pos = best.partition_point(|n| n.cost <= node.cost);
-            if pos >= cap - 1 {
-                continue;
-            }
-            best.insert(pos, node);
-            best.truncate(cap - 1);
-        }
-        let mut batch: Vec<Vec<TokenId>> = vec![ctx];
-        for node in best {
-            let candidate = self.context(&node.tokens);
-            if self.engine.is_cached(&candidate) || batch.contains(&candidate) {
-                continue;
-            }
-            batch.push(candidate);
-        }
+        let paths = self.cheapest(FRONTIER_SCAN_LIMIT * self.frontier_threads(), cap - 1);
+        let mut batch = vec![ctx];
+        self.kernel.add_uncached(&mut batch, paths, cap);
         let refs: Vec<&[TokenId]> = batch.iter().map(Vec::as_slice).collect();
-        let mut scores = self.engine.score_batch(&refs);
-        scores.swap_remove(0)
+        engine.score_batch(&refs).swap_remove(0)
     }
 
-    fn expand(&mut self, node: &Node) {
-        if node.tokens.len() >= self.compiled.max_tokens
-            || node.tokens.len() + 1 >= self.engine.max_sequence_len()
-        {
-            return;
-        }
-        let ctx = self.context(&node.tokens);
-        let log_probs = self.score_frontier(ctx);
-        self.stats.lm_calls += 1;
-
-        match node.machine {
-            Machine::Prefix => {
-                let prefix = self.compiled.parts.prefix.as_ref().expect("prefix machine"); // lint: allow(panic, "Prefix nodes exist only when the plan has a prefix machine")
-                                                                                           // No decoding rules on prefix edges; original costs kept.
-                for (sym, target) in prefix.transitions(node.state) {
-                    let lp = log_probs[sym as usize];
-                    if !lp.is_finite() {
-                        continue;
-                    }
-                    let mut tokens = node.tokens.clone();
-                    tokens.push(sym);
-                    let prefix_len = tokens.len();
-                    self.heap.push(Reverse(Node {
-                        cost: Cost(node.cost.0 - lp),
-                        machine: Machine::Prefix,
-                        state: target,
-                        tokens,
-                        prefix_len,
-                    }));
-                }
-            }
-            Machine::Done => unreachable!("Done nodes are never expanded"), // lint: allow(panic, "Done nodes are popped as results, never pushed for expansion")
-            Machine::Body => {
-                let allowed = self.compiled.policy.filter(&log_probs);
-                // EOS-required queries: leaving an accepting state toward
-                // emission costs the EOS step, and EOS must survive the
-                // decoding rules like any other body token.
-                if self.compiled.require_eos
-                    && self.compiled.parts.body.automaton.is_accepting(node.state)
-                {
-                    if let Some(eos_lp) = allowed.get(self.engine.eos()) {
-                        self.heap.push(Reverse(Node {
-                            cost: Cost(node.cost.0 - eos_lp),
-                            machine: Machine::Done,
-                            state: node.state,
-                            tokens: node.tokens.clone(),
-                            prefix_len: node.prefix_len,
-                        }));
-                    }
-                }
-                for (sym, target) in self.compiled.parts.body.automaton.transitions(node.state) {
-                    let Some(lp) = allowed.get(sym) else {
-                        continue; // transitive top-k elimination
-                    };
-                    let mut tokens = node.tokens.clone();
-                    tokens.push(sym);
-                    self.heap.push(Reverse(Node {
-                        cost: Cost(node.cost.0 - lp),
-                        machine: Machine::Body,
-                        state: target,
-                        tokens,
-                        prefix_len: node.prefix_len,
-                    }));
-                }
-            }
-        }
-    }
-}
-
-impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
     /// One unit of Dijkstra work: pop the cheapest node, expand it, and
     /// emit if it completes a match. `SearchResults::next` loops this;
     /// the `run_many` driver calls it between coalescing ticks.
@@ -363,75 +193,56 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
         let Some(Reverse(node)) = self.heap.pop() else {
             return StepOutcome::Done;
         };
-        if self.stats.expansions >= self.max_expansions as u64 {
+        if self.kernel.stats.expansions >= self.max_expansions as u64 {
             return StepOutcome::Done;
         }
-        self.stats.expansions += 1;
-
-        // Prefix machine: accepting states bridge into the body.
-        if node.machine == Machine::Prefix {
-            let prefix = self.compiled.parts.prefix.as_ref().expect("prefix machine"); // lint: allow(panic, "Prefix nodes exist only when the plan has a prefix machine")
-            if prefix.is_accepting(node.state) {
-                self.heap.push(Reverse(Node {
-                    cost: node.cost,
-                    machine: Machine::Body,
-                    state: self.compiled.parts.body.automaton.start(),
-                    tokens: node.tokens.clone(),
-                    prefix_len: node.tokens.len(),
+        self.kernel.stats.expansions += 1;
+        let Some(at) = node.at else {
+            return self.emit(node);
+        };
+        if let Some(body) = self.kernel.bridge(at) {
+            self.heap.push(Reverse(Node {
+                cost: node.cost,
+                at: Some(body),
+                tokens: node.tokens.clone(),
+                prefix_len: node.tokens.len(),
+            }));
+        }
+        if self.kernel.may_extend(node.tokens.len()) {
+            let row = self.score_frontier(self.kernel.context(&node.tokens));
+            self.kernel.stats.lm_calls += 1;
+            let heap = &mut self.heap;
+            self.kernel.expand(at, &row, |next| {
+                let (at, tokens, lp) = match next {
+                    Next::Stop {
+                        completes: false, ..
+                    } => return,
+                    Next::Stop { lp, .. } => (None, node.tokens.clone(), lp),
+                    Next::Edge { token, to, lp } => {
+                        let mut tokens = node.tokens.clone();
+                        tokens.push(token);
+                        (Some(to), tokens, lp)
+                    }
+                };
+                heap.push(Reverse(Node {
+                    cost: node.cost - lp,
+                    at,
+                    tokens,
+                    prefix_len: node.prefix_len,
                 }));
-            }
-            self.expand(&node);
-            return StepOutcome::Working;
+            });
         }
-
-        // Done machine: EOS already paid; emit in heap order.
-        if node.machine == Machine::Done {
-            return match self.try_emit(node) {
-                Some(m) => StepOutcome::Match(m),
-                None => StepOutcome::Working,
-            };
-        }
-
-        // Body machine: emit on accepting states (unless EOS
-        // termination is required), keep expanding.
-        let accepting = self.compiled.parts.body.automaton.is_accepting(node.state);
-        self.expand(&node);
-        if accepting && !self.compiled.require_eos {
-            if let Some(m) = self.try_emit(node) {
-                return StepOutcome::Match(m);
-            }
+        if self.kernel.completes(at) {
+            return self.emit(node);
         }
         StepOutcome::Working
     }
-    /// Emit `node` as a match if it passes dedup and runtime checks.
-    fn try_emit(&mut self, node: Node) -> Option<MatchResult> {
-        {
-            if self.emitted_tokens.insert(node.tokens.clone()) {
-                let text = self.tokenizer.decode(&node.tokens);
-                if !self.emitted_texts.insert(text.clone()) && self.compiled.distinct_texts {
-                    return None; // duplicate string via another encoding
-                }
-                if !passes_runtime_checks(
-                    &self.compiled,
-                    self.tokenizer,
-                    &node.tokens,
-                    node.prefix_len,
-                    &mut self.stats,
-                ) {
-                    return None;
-                }
-                let canonical = self.tokenizer.is_canonical(&node.tokens);
-                self.stats.emitted += 1;
-                return Some(MatchResult {
-                    tokens: node.tokens,
-                    prefix_len: node.prefix_len,
-                    text,
-                    log_prob: -node.cost.0,
-                    canonical,
-                });
-            }
-        }
-        None
+
+    fn emit(&mut self, node: Node) -> StepOutcome {
+        let log_prob = -node.cost;
+        self.kernel
+            .emit(node.tokens, node.prefix_len, Some(log_prob))
+            .map_or(StepOutcome::Working, StepOutcome::Match)
     }
 }
 
@@ -439,6 +250,7 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
 mod tests {
     use super::*;
     use crate::query::{QueryString, SearchQuery, TokenizationStrategy};
+    use crate::results::MatchResult;
     use relm_lm::{DecodingPolicy, NGramConfig, NGramLm};
 
     fn fixture() -> (BpeTokenizer, NGramLm) {

@@ -77,7 +77,7 @@ pub struct SessionConfig {
     /// are compiled but never memoized.
     pub plan_memo_bytes: usize,
     /// Worker budget for the executors' frontier work: the Dijkstra
-    /// prefetch, beam-level expansion, walk tables and pooled scoring.
+    /// prefetch, walk tables and pooled scoring.
     /// Plan compilation runs on the calling thread whatever the
     /// setting. Defaults to one worker per available core;
     /// [`Parallelism::Serial`] is the single-threaded reference path.

@@ -2,7 +2,7 @@
 //!
 //! [`pooled_scores`] routes a batch to the workspace-wide
 //! [`WorkerPool`] — long-lived workers parked on a condvar, one pool per
-//! resolved worker count, shared with the automata compile waves — so
+//! resolved worker count, shared with the automata walk-table fills — so
 //! steady-state scoring spawns zero threads per batch
 //! ([`WorkerPool::spawn_count`] stays flat), and the worker count is the
 //! configured [`Parallelism`], never `available_parallelism()`.

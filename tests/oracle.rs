@@ -6,9 +6,11 @@
 //!
 //! Worlds are small enough to enumerate: a word pool, the query
 //! `disjunction_of(escape(word))` over it (optionally behind a literal
-//! prefix), both tokenization strategies and a spread of decoding
-//! policies. The release build runs the property test at a higher case
-//! count than the debug build of the tier-1 suite.
+//! prefix), both tokenization strategies, a spread of decoding policies,
+//! with and without `require_eos`, token budgets down to the shortest
+//! match, and a deferred filter over one text. The release build runs
+//! the property test at a higher case count than the debug build of the
+//! tier-1 suite.
 
 #![forbid(unsafe_code)]
 
@@ -20,10 +22,10 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use relm::{
     disjunction_of, escape, BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm,
-    QueryString, Relm, SearchQuery, SearchStrategy, TokenizationStrategy,
+    Preprocessor, QueryString, Regex, Relm, SearchQuery, SearchStrategy, TokenizationStrategy,
 };
 
-use reference::{check_exact, check_members, reference, Scored};
+use reference::{check_exact, check_members, reference, reference_with, Rules, Scored};
 
 /// A query over `texts` (every one starting with `prefix`, if given),
 /// with its reference set and the beam width that keeps every partial
@@ -46,28 +48,52 @@ impl<'w> Case<'w> {
         tokenization: TokenizationStrategy,
         policy: DecodingPolicy,
     ) -> Self {
+        let rules = Rules::new(tokenization, policy);
+        Case::with_rules(lm, tok, pattern, texts, prefix, rules)
+    }
+
+    fn with_rules(
+        lm: &'w NGramLm,
+        tok: &'w BpeTokenizer,
+        pattern: &str,
+        texts: &[String],
+        prefix: Option<&str>,
+        rules: Rules,
+    ) -> Self {
         let mut query_string = QueryString::new(pattern);
         if let Some(prefix) = prefix {
             query_string = query_string.with_prefix(escape(prefix));
         }
         // Count token sequences, not texts, under every encoding.
-        let query = SearchQuery::new(query_string)
-            .with_tokenization(tokenization)
-            .with_policy(policy)
-            .with_distinct_texts(tokenization == TokenizationStrategy::Canonical);
+        let mut query = SearchQuery::new(query_string)
+            .with_tokenization(rules.tokenization)
+            .with_policy(rules.policy)
+            .with_distinct_texts(rules.tokenization == TokenizationStrategy::Canonical);
+        if rules.require_eos {
+            query = query.with_eos_termination();
+        }
+        if let Some(max_tokens) = rules.max_tokens {
+            query = query.with_max_tokens(max_tokens);
+        }
+        if let Some(text) = &rules.dropped {
+            // Deferred filters read the body's bytes.
+            let body = text.strip_prefix(prefix.unwrap_or("")).expect("prefixed");
+            let language = Regex::compile(&escape(body)).expect("filter").dfa().clone();
+            query = query.with_preprocessor(Preprocessor::deferred_filter(language));
+        }
         let unfiltered = reference(
             lm,
             tok,
             texts,
             prefix,
-            tokenization,
+            rules.tokenization,
             DecodingPolicy::unfiltered(),
         );
         Case {
             lm,
             tok,
             query,
-            reference: reference(lm, tok, texts, prefix, tokenization, policy),
+            reference: reference_with(lm, tok, texts, prefix, &rules),
             // A level holds at most one partial path per sequence of the
             // unfiltered language, twice over while a path bridges from
             // the prefix machine into the body.
@@ -223,6 +249,61 @@ fn canonical_matches_are_among_all_encodings() {
     assert!(canonical.reference.len() < all.reference.len());
 }
 
+/// The five cat/dog/cow documents, and a tokenizer trained on them with
+/// 120 merges.
+fn cat_world() -> (BpeTokenizer, NGramLm) {
+    let docs = [
+        "the cat sat on the mat",
+        "the cat sat on the mat",
+        "the cat sat on the mat",
+        "the dog sat on the log",
+        "the cow ate the grass",
+    ];
+    let tok = BpeTokenizer::train(&docs.join(". "), 120);
+    let lm = NGramLm::train(&tok, &docs, NGramConfig::xl());
+    (tok, lm)
+}
+
+/// `the ((cat)|(dog)) sat` in [`cat_world`] under `rules`.
+fn cat_case<'w>(lm: &'w NGramLm, tok: &'w BpeTokenizer, rules: Rules) -> Case<'w> {
+    let texts = vec!["the cat sat".to_string(), "the dog sat".to_string()];
+    Case::with_rules(lm, tok, "the ((cat)|(dog)) sat", &texts, None, rules)
+}
+
+#[test]
+fn every_executor_keeps_matches_exactly_max_tokens_long() {
+    let (tok, lm) = cat_world();
+    let mut rules = Rules::new(
+        TokenizationStrategy::Canonical,
+        DecodingPolicy::unfiltered(),
+    );
+    rules.max_tokens = Some(tok.encode("the cat sat").len());
+    let case = cat_case(&lm, &tok, rules);
+    assert_eq!(case.reference.len(), 1, "only the cat fits the budget");
+    case.check_shortest().unwrap();
+    case.check_beam().unwrap();
+    let sampled = case.run(SearchStrategy::RandomSampling { seed: 3 }, 12);
+    assert_eq!(sampled.len(), 12);
+    check_members("sampling 3", &sampled, &case.reference).unwrap();
+}
+
+#[test]
+fn every_executor_pays_the_required_eos_step() {
+    let (tok, lm) = cat_world();
+    let mut rules = Rules::new(
+        TokenizationStrategy::Canonical,
+        DecodingPolicy::unfiltered(),
+    );
+    rules.require_eos = true;
+    let case = cat_case(&lm, &tok, rules);
+    assert_eq!(case.reference.len(), 2);
+    case.check_shortest().unwrap();
+    case.check_beam().unwrap();
+    let sampled = case.run(SearchStrategy::RandomSampling { seed: 3 }, 12);
+    assert_eq!(sampled.len(), 12);
+    check_members("sampling 3", &sampled, &case.reference).unwrap();
+}
+
 /// The decoding policies the property test draws from: unfiltered, three
 /// top-k cutoffs and a nucleus.
 fn policy(choice: usize) -> DecodingPolicy {
@@ -259,14 +340,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 1024 }))]
 
     /// Random word sets, with and without a prefix, under both
-    /// tokenizations and every policy: all three executors agree with
-    /// the brute-force reference.
+    /// tokenizations, every policy, with and without `require_eos`, a
+    /// token budget from the shortest match's length up (or none), and
+    /// a deferred filter over one text (or none): all three executors
+    /// agree with the brute-force reference.
     #[test]
     fn proptest_executors_match_the_oracle(
         words in proptest::collection::vec("[a-c.]{1,4}", 1..7),
         prefixed in 0usize..2,
         all_encodings in 0usize..2,
         policy_choice in 0usize..5,
+        require_eos in 0usize..2,
+        budget in 0usize..5,
+        dropped in 0usize..8,
         seed in 0u64..1_000,
     ) {
         let prefix = (prefixed == 1).then_some("so");
@@ -276,14 +362,32 @@ proptest! {
         } else {
             TokenizationStrategy::Canonical
         };
-        let case = Case::new(
+        let mut rules = Rules::new(tokenization, policy(policy_choice));
+        rules.require_eos = require_eos == 1;
+        // Budgets 0..=3 step from the shortest match's length to one
+        // past the longest; 4 leaves the budget unset.
+        let lengths: Vec<usize> = reference(
+            &lm,
+            &tok,
+            &texts,
+            prefix,
+            tokenization,
+            DecodingPolicy::unfiltered(),
+        )
+        .iter()
+        .map(|(tokens, _)| tokens.len())
+        .collect();
+        let shortest = lengths.iter().copied().min().expect("a match");
+        let longest = lengths.iter().copied().max().expect("a match");
+        rules.max_tokens = (budget < 4).then(|| shortest + (longest + 1 - shortest) * budget / 3);
+        rules.dropped = texts.get(dropped).cloned();
+        let case = Case::with_rules(
             &lm,
             &tok,
             &disjunction_of(&texts),
             &texts,
             prefix,
-            tokenization,
-            policy(policy_choice),
+            rules,
         );
         case.check_all(seed)?;
     }

@@ -19,7 +19,14 @@
 //!   and need only a finite log-probability;
 //! * **score** — the executors' recurrence: `cost -= lp` for every token
 //!   from the EOS root, reported as `-cost`, so a score is comparable
-//!   with an emitted `log_prob` bit for bit.
+//!   with an emitted `log_prob` bit for bit;
+//! * **cap** — a path of `n` tokens may extend iff `n < max_tokens` and
+//!   `n + 1 < max_sequence_len`, so a match has at most `max_tokens`
+//!   tokens;
+//! * **EOS** — under `require_eos` a match must be able to extend, the
+//!   row after its last token must keep EOS under the policy, and the
+//!   score pays EOS's log-probability too;
+//! * **deferred filter** — a text the filter names is dropped.
 //!
 //! Used by `tests/oracle.rs` and `tests/scoring_engine.rs`.
 
@@ -35,6 +42,32 @@ use relm::{
 /// log-probability.
 pub type Scored = (Vec<TokenId>, u64);
 
+/// The query flags the reference enumerates under.
+#[derive(Debug, Clone)]
+pub struct Rules {
+    pub tokenization: TokenizationStrategy,
+    pub policy: DecodingPolicy,
+    /// Matches end in EOS.
+    pub require_eos: bool,
+    /// The token budget, prefix tokens included (`None`: the model's
+    /// sequence length alone bounds a match).
+    pub max_tokens: Option<usize>,
+    /// A text a deferred filter drops.
+    pub dropped: Option<String>,
+}
+
+impl Rules {
+    pub fn new(tokenization: TokenizationStrategy, policy: DecodingPolicy) -> Self {
+        Rules {
+            tokenization,
+            policy,
+            require_eos: false,
+            max_tokens: None,
+            dropped: None,
+        }
+    }
+}
+
 /// Every match an executor may emit for the language `texts` — each of
 /// which starts with `prefix` when one is given — under `tokenization`
 /// and `policy`, scored with `model`.
@@ -46,18 +79,38 @@ pub fn reference<M: LanguageModel>(
     tokenization: TokenizationStrategy,
     policy: DecodingPolicy,
 ) -> BTreeSet<Scored> {
+    reference_with(
+        model,
+        tokenizer,
+        texts,
+        prefix,
+        &Rules::new(tokenization, policy),
+    )
+}
+
+/// [`reference`] under every flag of `rules`.
+pub fn reference_with<M: LanguageModel>(
+    model: &M,
+    tokenizer: &BpeTokenizer,
+    texts: &[String],
+    prefix: Option<&str>,
+    rules: &Rules,
+) -> BTreeSet<Scored> {
     let prefix = prefix.unwrap_or("");
-    let heads = encodings(tokenizer, prefix, tokenization);
+    let heads = encodings(tokenizer, prefix, rules.tokenization);
     let mut out = BTreeSet::new();
     for text in texts {
+        if rules.dropped.as_ref() == Some(text) {
+            continue;
+        }
         let body = text
             .strip_prefix(prefix)
             .expect("every text starts with the prefix");
-        let tails = encodings(tokenizer, body, tokenization);
+        let tails = encodings(tokenizer, body, rules.tokenization);
         for head in &heads {
             for tail in &tails {
                 let tokens: Vec<TokenId> = head.iter().chain(tail).copied().collect();
-                if let Some(log_prob) = score(model, &tokens, head.len(), policy) {
+                if let Some(log_prob) = score(model, &tokens, head.len(), rules) {
                     out.insert((tokens, log_prob.to_bits()));
                 }
             }
@@ -103,14 +156,21 @@ fn segmentations(tokenizer: &BpeTokenizer, bytes: &[u8]) -> Vec<Vec<TokenId>> {
 }
 
 /// The log-probability of `tokens` (the first `prefix_len` of them the
-/// prefix), or `None` when a body token is outside the policy or a
-/// prefix token is impossible.
+/// prefix), or `None` when a body token is outside the policy, a prefix
+/// token is impossible, the sequence is over the cap, or a required EOS
+/// cannot follow it.
 fn score<M: LanguageModel>(
     model: &M,
     tokens: &[TokenId],
     prefix_len: usize,
-    policy: DecodingPolicy,
+    rules: &Rules,
 ) -> Option<f64> {
+    let max_tokens = rules.max_tokens.unwrap_or(usize::MAX);
+    let may_extend = |n: usize| n < max_tokens && n + 1 < model.max_sequence_len();
+    let n = tokens.len();
+    if (n > 0 && !may_extend(n - 1)) || (rules.require_eos && !may_extend(n)) {
+        return None;
+    }
     let mut context = vec![model.eos()];
     let mut cost = 0.0f64;
     for (i, &token) in tokens.iter().enumerate() {
@@ -119,13 +179,20 @@ fn score<M: LanguageModel>(
         let kept = if i < prefix_len {
             lp.is_finite()
         } else {
-            policy.permits(&row, token)
+            rules.policy.permits(&row, token)
         };
         if !kept {
             return None;
         }
         cost -= lp;
         context.push(token);
+    }
+    if rules.require_eos {
+        let row = model.next_log_probs(&context);
+        if !rules.policy.permits(&row, model.eos()) {
+            return None;
+        }
+        cost -= row[model.eos() as usize];
     }
     Some(-cost)
 }

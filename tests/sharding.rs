@@ -79,9 +79,9 @@ fn serial_and_sharded_executors_are_byte_identical() {
             5,
         ),
         (
-            // Wide enough (64 paths x ~376-token vocabulary) to clear
-            // the beam executor's level-work spawn gate, so the sharded
-            // client really fans the expansion across workers.
+            // Wide levels (up to 64 paths) batch-score enough contexts
+            // for the sharded client to pool the scoring across workers;
+            // the expansion itself runs on the calling thread.
             "beam64_full_encodings",
             url_query()
                 .with_tokenization(TokenizationStrategy::All)
