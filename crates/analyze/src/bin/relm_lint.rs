@@ -6,14 +6,16 @@
 //!
 //! Walks every `.rs` file under the workspace root (auto-located by
 //! walking up to the `[workspace]` manifest), runs the four analysis
-//! families plus the unsafe and annotation-hygiene checks, applies
+//! families plus the dead-public-surface, unsafe and
+//! annotation-hygiene checks, applies
 //! the committed `lint.baseline`, prints surviving findings, the
 //! deduped lock-order graph, and a stable `LINT_JSON` summary line.
 //!
 //! Exit codes: `0` clean, `1` findings (or a stale baseline), `2`
 //! usage or I/O error. `--update-baseline` rewrites the baseline to
-//! accept every current *baselinable* finding (panic and unsafe
-//! findings are never accepted — fix or annotate those in source) and
+//! accept every current *baselinable* finding (panic, unsafe and
+//! dead_pub findings are never accepted — fix or annotate those in
+//! source) and
 //! exits `0`; CI runs it on a clean tree and fails on any diff, so the
 //! baseline can never drift silently.
 

@@ -13,7 +13,8 @@ use std::fmt;
 /// The analysis families. `Panic`, `Nondet`/`FloatFmt`, `LockOrder`
 /// and `Wire` are the four invariant families from DESIGN.md;
 /// `UnsafeCode` enforces the workspace-wide `forbid(unsafe_code)`
-/// rule and `UnusedAllow` keeps annotations honest.
+/// rule, `DeadPub` reports public items nothing outside their own
+/// file names, and `UnusedAllow` keeps annotations honest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Family {
     Panic,
@@ -22,6 +23,7 @@ pub enum Family {
     LockOrder,
     Wire,
     UnsafeCode,
+    DeadPub,
     UnusedAllow,
 }
 
@@ -34,6 +36,7 @@ impl Family {
             Family::LockOrder => "lock_order",
             Family::Wire => "wire",
             Family::UnsafeCode => "unsafe_code",
+            Family::DeadPub => "dead_pub",
             Family::UnusedAllow => "unused_allow",
         }
     }

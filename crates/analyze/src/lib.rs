@@ -8,10 +8,12 @@
 //! edits without a version bump. This crate turns those DESIGN.md
 //! prose invariants into a machine-checked analysis pass: a hand-rolled
 //! Rust token scanner ([`lexer`]) feeds four analysis families
-//! ([`sites`], [`locks`], [`wire`]), findings are typed and
+//! ([`sites`], [`locks`], [`wire`]) and a reachability check on the
+//! public surface ([`reach`]), findings are typed and
 //! `file:line`-addressed ([`findings`]), suppression is explicit
 //! (`// lint: allow(family, "why the invariant holds")` in source, or
-//! the committed `lint.baseline` for accepted non-panic findings), and
+//! the committed `lint.baseline` for accepted findings of the
+//! baselinable families), and
 //! the `relm_lint` binary gates CI on zero new findings.
 //!
 //! The crate is dependency-free and — like everything it lints —
@@ -22,6 +24,7 @@
 pub mod findings;
 pub mod lexer;
 pub mod locks;
+pub mod reach;
 pub mod scan;
 pub mod sites;
 pub mod wire;
@@ -30,4 +33,4 @@ pub mod workspace;
 pub use findings::{Baseline, Family, Finding};
 pub use lexer::{lex, Tok, TokKind};
 pub use scan::{FileKind, SourceFile};
-pub use workspace::{run, run_on_disk, Report};
+pub use workspace::{run, Report};

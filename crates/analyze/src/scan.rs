@@ -43,7 +43,7 @@ impl FileKind {
 }
 
 /// Classify a workspace-relative path (forward slashes).
-pub fn classify(rel_path: &str) -> FileKind {
+fn classify(rel_path: &str) -> FileKind {
     let parts: Vec<&str> = rel_path.split('/').collect();
     if parts.contains(&"shims") {
         FileKind::Shim
@@ -62,7 +62,7 @@ pub fn classify(rel_path: &str) -> FileKind {
 
 /// The crate a workspace-relative path belongs to (`relm` for the
 /// facade's `src/`, `relm-<dir>` for `crates/<dir>/…`).
-pub fn crate_of(rel_path: &str) -> String {
+fn crate_of(rel_path: &str) -> String {
     let mut parts = rel_path.split('/');
     match parts.next() {
         Some("crates") => match parts.next() {
@@ -94,11 +94,11 @@ pub fn is_crate_root(rel_path: &str) -> bool {
 /// annotation that suppresses nothing is itself reported
 /// (`unused_allow`), so stale annotations cannot linger.
 #[derive(Debug, Clone)]
-pub struct Allow {
-    pub line: u32,
-    pub family: String,
-    pub reason: String,
-    pub used: bool,
+pub(crate) struct Allow {
+    pub(crate) line: u32,
+    pub(crate) family: String,
+    reason: String,
+    pub(crate) used: bool,
 }
 
 /// A lexed, classified, masked file, ready for the analyses.
@@ -111,7 +111,7 @@ pub struct SourceFile {
     /// `in_test[i]` — token `i` sits inside a `#[cfg(test)]` or
     /// `#[test]` item and is invisible to the invariant families.
     pub in_test: Vec<bool>,
-    pub allows: Vec<Allow>,
+    pub(crate) allows: Vec<Allow>,
     pub lines: u32,
 }
 
@@ -122,9 +122,14 @@ impl SourceFile {
         SourceFile::with_kind(path, source, kind, &crate_name)
     }
 
-    /// Used directly by the fixture tests, which want library-kind
-    /// analysis of sources living under `tests/fixtures/`.
-    pub fn with_kind(path: &str, source: &str, kind: FileKind, crate_name: &str) -> SourceFile {
+    /// A file of a given kind and crate whatever its path (the unit
+    /// tests analyze snippets as library code).
+    pub(crate) fn with_kind(
+        path: &str,
+        source: &str,
+        kind: FileKind,
+        crate_name: &str,
+    ) -> SourceFile {
         let toks = lex(source);
         let in_test = test_mask(&toks);
         let allows = parse_allows(&toks, &in_test);
@@ -303,7 +308,10 @@ fn parse_allows(toks: &[Tok], in_test: &[bool]) -> Vec<Allow> {
         // Only the annotatable families, and only with a quoted
         // justification — prose that merely *mentions* the syntax
         // (docs, error messages) must not parse as an annotation.
-        if !matches!(family.as_str(), "panic" | "nondet" | "float_fmt") {
+        if !matches!(
+            family.as_str(),
+            "panic" | "nondet" | "float_fmt" | "dead_pub"
+        ) {
             continue;
         }
         let Some(reason) = rest

@@ -59,10 +59,9 @@ pub struct SiteCounts {
     pub nondet_sites: u64,
     pub nondet_allowed: u64,
     pub float_fmt_sites: u64,
-    pub float_fmt_allowed: u64,
-    pub unsafe_findings: u64,
 }
 
+/// Report a site unless an allow covers it; true when one did.
 fn emit(
     file: &mut SourceFile,
     family: Family,
@@ -70,11 +69,9 @@ fn emit(
     token: &str,
     message: String,
     findings: &mut Vec<Finding>,
-    allowed: &mut u64,
-) {
+) -> bool {
     if file.take_allow(family.name(), line).is_some() {
-        *allowed += 1;
-        return;
+        return true;
     }
     findings.push(Finding {
         family,
@@ -84,6 +81,7 @@ fn emit(
         ordinal: 0,
         message,
     });
+    false
 }
 
 fn panic_site(
@@ -105,27 +103,29 @@ fn panic_site(
             .is_some_and(|j| file.toks[j].punct() == Some('.'));
         if prev_dot && next == Some(Some('(')) {
             counts.panic_sites += 1;
-            emit(
+            if emit(
                 file,
                 Family::Panic,
                 line,
                 &name,
                 format!("`.{name}()` on a non-test path — return a typed error or justify with `lint: allow(panic, …)`"),
                 findings,
-                &mut counts.panic_allowed,
-            );
+            ) {
+                counts.panic_allowed += 1;
+            }
         }
     } else if PANIC_MACROS.contains(&name.as_str()) && next == Some(Some('!')) {
         counts.panic_sites += 1;
-        emit(
+        if emit(
             file,
             Family::Panic,
             line,
             &name,
             format!("`{name}!` on a non-test path — return a typed error or justify with `lint: allow(panic, …)`"),
             findings,
-            &mut counts.panic_allowed,
-        );
+        ) {
+            counts.panic_allowed += 1;
+        }
     }
 }
 
@@ -187,7 +187,7 @@ fn nondet_site(
         return;
     };
     counts.nondet_sites += 1;
-    emit(
+    if emit(
         file,
         Family::Nondet,
         line,
@@ -197,8 +197,9 @@ fn nondet_site(
             file.crate_name
         ),
         findings,
-        &mut counts.nondet_allowed,
-    );
+    ) {
+        counts.nondet_allowed += 1;
+    }
 }
 
 /// Flag format-macro calls that push a score-named value through a
@@ -288,7 +289,6 @@ fn float_fmt_site(
         "score_fmt",
         "score formatted with a lossy placeholder — encode as IEEE-754 bits (`{:016x}` of `to_bits()`) at wire/report boundaries".to_string(),
         findings,
-        &mut counts.float_fmt_allowed,
     );
 }
 
@@ -330,17 +330,11 @@ fn lossy_placeholders(fmt: &str) -> Vec<String> {
 /// open with `#![forbid(unsafe_code)]`, and no scanned file may
 /// contain the `unsafe` keyword at all (shims included — the whole
 /// point of a shim is that it is boring).
-pub fn check_unsafe(
-    file: &mut SourceFile,
-    is_root: bool,
-    findings: &mut Vec<Finding>,
-    counts: &mut SiteCounts,
-) {
+pub fn check_unsafe(file: &mut SourceFile, is_root: bool, findings: &mut Vec<Finding>) {
     if !file.kind.checked_for_unsafe() {
         return;
     }
     if is_root && !file.has_forbid_unsafe() {
-        counts.unsafe_findings += 1;
         findings.push(Finding {
             family: Family::UnsafeCode,
             path: file.path.clone(),
@@ -356,7 +350,6 @@ pub fn check_unsafe(
         .map(|i| file.toks[i].line)
         .collect();
     for line in hits {
-        counts.unsafe_findings += 1;
         findings.push(Finding {
             family: Family::UnsafeCode,
             path: file.path.clone(),
@@ -475,13 +468,12 @@ mod tests {
         let mut file =
             SourceFile::with_kind("crates/x/src/lib.rs", "fn f() {}", FileKind::Lib, "x");
         let mut findings = Vec::new();
-        let mut counts = SiteCounts::default();
-        check_unsafe(&mut file, true, &mut findings, &mut counts);
+        check_unsafe(&mut file, true, &mut findings);
         assert_eq!(findings.len(), 1, "missing forbid");
         let src = "#![forbid(unsafe_code)]\nfn f() { unsafe { } }";
         let mut file = SourceFile::with_kind("crates/x/src/lib.rs", src, FileKind::Lib, "x");
         let mut findings = Vec::new();
-        check_unsafe(&mut file, true, &mut findings, &mut counts);
+        check_unsafe(&mut file, true, &mut findings);
         assert_eq!(findings.len(), 1, "unsafe keyword");
     }
 }

@@ -140,7 +140,7 @@ pub fn check(
 /// `enum Name {…}`: code tokens joined by single spaces, comments and
 /// test regions excluded, so formatting and docs never shift the
 /// fingerprint while any field/variant/type edit does.
-pub fn fingerprint_type(file: &SourceFile, name: &str) -> Option<u64> {
+fn fingerprint_type(file: &SourceFile, name: &str) -> Option<u64> {
     let code: Vec<usize> = file.code_indices().collect();
     for (ci, &i) in code.iter().enumerate() {
         let t = &file.toks[i];

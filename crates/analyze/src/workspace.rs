@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 
 use crate::findings::{assign_ordinals, Baseline, Family, Finding};
 use crate::locks::{self, LockReport};
+use crate::reach::{self, SurfaceCounts};
 use crate::scan::{is_crate_root, SourceFile};
 use crate::sites::{self, SiteCounts};
 use crate::wire::{self, Fingerprints};
@@ -25,12 +26,13 @@ pub struct Report {
     /// `--update-baseline` records.
     pub unfiltered: Vec<Finding>,
     pub counts: SiteCounts,
+    surface: SurfaceCounts,
     pub locks: LockReport,
     pub wire: Fingerprints,
     pub files_scanned: u64,
     pub lines_scanned: u64,
     pub allows: u64,
-    pub baseline_entries: u64,
+    baseline_entries: u64,
     pub baseline_hits: u64,
 }
 
@@ -43,8 +45,8 @@ impl Report {
             "LINT_JSON {{\"files\": {}, \"lines\": {}, \"panic_sites\": {}, \"panic_allowed\": {}, \
              \"nondet_sites\": {}, \"nondet_allowed\": {}, \"float_fmt_sites\": {}, \
              \"lock_sites\": {}, \"lock_classes\": {}, \"lock_edges\": {}, \"lock_cycle\": {}, \
-             \"ambiguous_calls\": {}, \"wire_types\": {}, \"functions\": {}, \"allows\": {}, \
-             \"baseline\": {}, \"findings\": {}}}",
+             \"ambiguous_calls\": {}, \"wire_types\": {}, \"functions\": {}, \"pub_items\": {}, \
+             \"knobs\": {}, \"allows\": {}, \"baseline\": {}, \"findings\": {}}}",
             self.files_scanned,
             self.lines_scanned,
             c.panic_sites,
@@ -67,6 +69,8 @@ impl Report {
             self.locks.ambiguous_calls,
             self.wire.len(),
             self.locks.functions,
+            self.surface.pub_items,
+            self.surface.knobs,
             self.allows,
             self.baseline_entries,
             self.findings.len(),
@@ -122,7 +126,7 @@ pub fn find_root(start: &Path) -> io::Result<PathBuf> {
 
 /// Every `.rs` file under `root`, workspace-relative with forward
 /// slashes, sorted for deterministic output.
-pub fn discover(root: &Path) -> io::Result<Vec<String>> {
+fn discover(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -162,11 +166,12 @@ pub fn run(sources: &[(String, String)], baseline: &Baseline) -> Report {
     for file in &mut files {
         sites::check(file, &mut findings, &mut counts);
         let root = is_crate_root(&file.path);
-        sites::check_unsafe(file, root, &mut findings, &mut counts);
+        sites::check_unsafe(file, root, &mut findings);
         allows += file.allows.len() as u64;
     }
     let locks = locks::analyze(&mut files, &mut findings);
     let wire = wire::check(&files, &baseline.wire, &mut findings);
+    let surface = reach::check(&mut files, &mut findings);
     for file in &files {
         sites::unused_allows(file, &mut findings);
     }
@@ -178,9 +183,10 @@ pub fn run(sources: &[(String, String)], baseline: &Baseline) -> Report {
     let unfiltered = findings.clone();
 
     // Baseline suppression: each accepted key covers one finding.
-    // Panic and unsafe findings are never baselinable — they must be
-    // fixed or annotated in source, so the acceptance file cannot
-    // become a dumping ground for the debt this linter burns down.
+    // Panic, unsafe and dead_pub findings are never baselinable —
+    // they must be fixed or annotated in source, so the acceptance
+    // file cannot become a dumping ground for the debt this linter
+    // burns down.
     let mut working = baseline.clone();
     let mut baseline_hits = 0u64;
     let findings: Vec<Finding> = findings
@@ -199,6 +205,7 @@ pub fn run(sources: &[(String, String)], baseline: &Baseline) -> Report {
         findings,
         unfiltered,
         counts,
+        surface,
         locks,
         wire,
         files_scanned: files.len() as u64,
@@ -219,12 +226,6 @@ pub fn load_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(sources)
 }
 
-/// Load sources from disk and run. `baseline_text` is the raw
-/// committed baseline (empty string when absent).
-pub fn run_on_disk(root: &Path, baseline_text: &str) -> io::Result<Report> {
-    Ok(run(&load_sources(root)?, &Baseline::parse(baseline_text)))
-}
-
 /// Stale-acceptance check: baseline keys that matched nothing this
 /// run (fixed findings whose acceptance should be deleted). Returns
 /// the unused keys.
@@ -241,14 +242,16 @@ pub fn stale_baseline(report: &Report, baseline: &Baseline) -> Vec<String> {
         .collect()
 }
 
-/// May this finding be accepted into the baseline as a key? Panic and
-/// unsafe findings may not: they are fixed or annotated in source,
-/// never waved through. Wire findings may not either — their
+/// May this finding be accepted into the baseline as a key? Panic,
+/// unsafe and dead_pub findings may not: they are fixed or annotated
+/// in source, never waved through (a baselined dead item is surface
+/// the public API keeps with no caller to justify it). Wire findings
+/// may not either — their
 /// acceptance mechanism is the baseline's `wire-fingerprint` section
 /// (plus a version bump in source), not a per-finding key.
 pub fn baselinable(finding: &Finding) -> bool {
     !matches!(
         finding.family,
-        Family::Panic | Family::UnsafeCode | Family::Wire
+        Family::Panic | Family::UnsafeCode | Family::Wire | Family::DeadPub
     )
 }

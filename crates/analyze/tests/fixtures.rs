@@ -290,3 +290,113 @@ fn summary_json_is_stable_and_machine_readable() {
         assert!(line.contains(key), "{line} missing {key}");
     }
 }
+
+/// Lint several synthetic files together against an empty baseline.
+fn lint_files(files: &[(&str, &str)]) -> Vec<Finding> {
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|(path, src)| (path.to_string(), src.to_string()))
+        .collect();
+    run(&sources, &Baseline::parse("")).findings
+}
+
+/// The names `dead_pub` reports over `files`.
+fn dead(files: &[(&str, &str)]) -> Vec<String> {
+    let findings = lint_files(files);
+    let dead = findings.iter().filter(|f| f.family == Family::DeadPub);
+    dead.map(|f| f.token.clone()).collect()
+}
+
+const LIB: &str = "crates/core/src/a.rs";
+const ITEMS: &str = "pub fn helper() {}\n\
+                     pub struct Shape { pub width: u32, height: u32 }\n\
+                     fn local() -> u32 { helper(); Shape { width: 1, height: 2 }.height }\n";
+const USER: &str = "fn main() { helper(); let s: Shape = make(); s.width; }";
+
+#[test]
+fn dead_pub_fires_on_unreferenced_fn_type_and_field() {
+    // Uses inside the item's own file do not count.
+    assert_eq!(dead(&[(LIB, ITEMS)]), ["helper", "Shape", "width"]);
+}
+
+#[test]
+fn dead_pub_fires_on_items_only_their_own_crates_tests_use() {
+    let cfg_test = format!("#[cfg(test)]\nmod tests {{ {USER} }}");
+    for (path, src) in [
+        ("crates/core/tests/t.rs", USER),
+        ("crates/core/src/b.rs", cfg_test.as_str()),
+        // Re-exporting is not using, and neither is the facade snapshot.
+        (
+            "crates/core/src/lib.rs",
+            "pub use a::{helper, Shape};\npub use a::width;",
+        ),
+        ("tests/api_surface.rs", USER),
+        // Nor is a vendored shim, which cannot depend on the workspace.
+        ("crates/shims/rand/src/lib.rs", USER),
+    ] {
+        assert_eq!(dead(&[(LIB, ITEMS), (path, src)]).len(), 3, "{path}");
+    }
+}
+
+#[test]
+fn dead_pub_is_silent_when_any_other_user_names_the_item() {
+    let cfg_test = format!("#[cfg(test)]\nmod tests {{ {USER} }}");
+    for (path, src) in [
+        ("crates/serve/src/b.rs", USER),
+        ("crates/serve/src/bin/server.rs", USER),
+        ("examples/demo.rs", USER),
+        ("crates/bench/src/fig.rs", USER),
+        ("benches/e2e/src/harness.rs", USER),
+        ("crates/core/src/b.rs", USER),
+        ("tests/client.rs", USER),
+        // Another crate's test regions are callers too.
+        ("benches/e2e/src/harness.rs", cfg_test.as_str()),
+    ] {
+        assert!(dead(&[(LIB, ITEMS), (path, src)]).is_empty(), "{path}");
+    }
+    // So are doc examples, though not a signature's own item.
+    let doc =
+        "/// ```\n/// helper(); let s: Shape = make(); s.width;\n/// ```\npub fn documented() {}";
+    assert_eq!(
+        dead(&[(LIB, ITEMS), ("crates/serve/src/b.rs", doc)]),
+        ["documented"]
+    );
+}
+
+#[test]
+fn dead_pub_reaches_types_through_live_fn_signatures() {
+    let src = "pub struct Config;\npub fn build(config: Config) {}\npub fn unused(c: Config) {}";
+    let files = [(LIB, src), ("examples/demo.rs", "fn main() { build(x); }")];
+    assert_eq!(dead(&files), ["unused"]);
+}
+
+#[test]
+fn dead_pub_allow_binds_one_finding_and_a_stale_one_is_reported() {
+    let src = "// lint: allow(dead_pub, \"the oracle in tests/o.rs compares against it\")\n\
+               pub fn reference() {}\npub fn other() {}\n";
+    assert_eq!(dead(&[(LIB, src)]), ["other"]);
+    let stale = "// lint: allow(dead_pub, \"no longer needed\")\npub fn used() {}\n";
+    let findings = lint_files(&[(LIB, stale), ("examples/demo.rs", "fn main() { used(); }")]);
+    assert_eq!(count(&findings, Family::DeadPub), 0, "{findings:?}");
+    assert_eq!(count(&findings, Family::UnusedAllow), 1, "{findings:?}");
+}
+
+#[test]
+fn dead_pub_findings_cannot_be_baselined() {
+    let first = report(LIB, "pub fn helper() {}");
+    let forged = Baseline::parse(&format!("{}\n", first.findings[0].key()));
+    let again = run(&[(LIB.into(), "pub fn helper() {}".into())], &forged);
+    assert_eq!(again.findings.len(), 1, "{:?}", again.findings);
+    assert_eq!(again.findings[0].family, Family::DeadPub);
+}
+
+#[test]
+fn summary_counts_pub_items_and_knobs() {
+    // Items: ServeConfig, port, Other, x, start. Knobs: the three fields
+    // of the one `pub` struct named `*Config`, whatever their visibility.
+    let src = "pub struct ServeConfig { pub port: u16, limit: usize, pub(crate) name: String }\n\
+               pub struct Other { pub x: u8 }\npub fn start(config: ServeConfig) {}\n";
+    let line = report(LIB, src).summary_json();
+    assert!(line.contains("\"pub_items\": 5,"), "{line}");
+    assert!(line.contains("\"knobs\": 3,"), "{line}");
+}

@@ -569,7 +569,7 @@ impl Dfa {
     /// Complete the automaton over `alphabet`: every state gets a
     /// transition for every symbol, adding a dead state if needed.
     #[must_use]
-    pub fn complete(&self, alphabet: &[Symbol]) -> Dfa {
+    fn complete(&self, alphabet: &[Symbol]) -> Dfa {
         let mut out = self.clone();
         let dead = out.states.len();
         let mut used_dead = false;
@@ -601,6 +601,7 @@ impl Dfa {
     /// Complement with respect to `alphabet`: accepts exactly the strings
     /// over `alphabet` this automaton rejects.
     #[must_use]
+    // lint: allow(dead_pub, "de_morgan in crates/automata/tests/property.rs checks union and intersect against it")
     pub fn complement(&self, alphabet: &[Symbol]) -> Dfa {
         let mut completed = self.complete(alphabet);
         for st in &mut completed.states {
@@ -821,7 +822,7 @@ impl Dfa {
     }
 
     /// True if the language is finite (the trimmed automaton is acyclic).
-    pub fn is_finite_language(&self) -> bool {
+    fn is_finite_language(&self) -> bool {
         let trimmed = self.trim();
         // DFS cycle detection.
         #[derive(Clone, Copy, PartialEq)]
@@ -1072,8 +1073,7 @@ mod tests {
             .union(Nfa::literal(s("bb")))
             .union(Nfa::literal(s("c"))));
         let all = d.enumerate(10, 100);
-        let strings: Vec<String> = all.iter().map(|v| crate::symbols_to_string(v)).collect();
-        assert_eq!(strings, vec!["a", "c", "bb"]);
+        assert_eq!(all, vec![s("a"), s("c"), s("bb")]);
     }
 
     #[test]

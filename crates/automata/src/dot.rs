@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Dfa, Nfa, Symbol};
+use crate::{Dfa, Symbol};
 
 /// Render a symbol for DOT labels: printable ASCII bytes appear as
 /// characters (space as `␣`, like the paper's `Ġ`), everything else as a
@@ -17,36 +17,6 @@ fn symbol_label(sym: Symbol, render: Option<&dyn Fn(Symbol) -> String>) -> Strin
         Ok(b) if b.is_ascii_graphic() => char::from(b).to_string(),
         _ => sym.to_string(),
     }
-}
-
-/// Serialize an [`Nfa`] as a Graphviz `digraph`.
-///
-/// `render` optionally maps symbols to labels (e.g. token ids to token
-/// strings for LLM automata).
-pub fn nfa_to_dot(nfa: &Nfa, name: &str, render: Option<&dyn Fn(Symbol) -> String>) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph {name} {{");
-    let _ = writeln!(out, "  rankdir=LR;");
-    let _ = writeln!(out, "  node [shape=circle];");
-    let _ = writeln!(out, "  start [shape=point];");
-    let _ = writeln!(out, "  start -> s{};", nfa.start());
-    for s in 0..nfa.state_count() {
-        if nfa.is_accepting(s) {
-            let _ = writeln!(out, "  s{s} [shape=doublecircle];");
-        }
-        for (sym, t) in nfa.transitions(s) {
-            let _ = writeln!(
-                out,
-                "  s{s} -> s{t} [label=\"{}\"];",
-                symbol_label(sym, render)
-            );
-        }
-        for t in nfa.epsilon_transitions(s) {
-            let _ = writeln!(out, "  s{s} -> s{t} [label=\"\u{03b5}\", style=dashed];");
-        }
-    }
-    let _ = writeln!(out, "}}");
-    out
 }
 
 /// Serialize a [`Dfa`] as a Graphviz `digraph`.
@@ -77,6 +47,36 @@ pub fn dfa_to_dot(dfa: &Dfa, name: &str, render: Option<&dyn Fn(Symbol) -> Strin
 mod tests {
     use super::*;
     use crate::{str_symbols, Nfa};
+
+    /// Serialize an [`Nfa`] as a Graphviz `digraph`.
+    ///
+    /// `render` optionally maps symbols to labels (e.g. token ids to token
+    /// strings for LLM automata).
+    fn nfa_to_dot(nfa: &Nfa, name: &str, render: Option<&dyn Fn(Symbol) -> String>) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "digraph {name} {{");
+        let _ = writeln!(out, "  rankdir=LR;");
+        let _ = writeln!(out, "  node [shape=circle];");
+        let _ = writeln!(out, "  start [shape=point];");
+        let _ = writeln!(out, "  start -> s{};", nfa.start());
+        for s in 0..nfa.state_count() {
+            if nfa.is_accepting(s) {
+                let _ = writeln!(out, "  s{s} [shape=doublecircle];");
+            }
+            for (sym, t) in nfa.transitions(s) {
+                let _ = writeln!(
+                    out,
+                    "  s{s} -> s{t} [label=\"{}\"];",
+                    symbol_label(sym, render)
+                );
+            }
+            for t in nfa.epsilon_transitions(s) {
+                let _ = writeln!(out, "  s{s} -> s{t} [label=\"\u{03b5}\", style=dashed];");
+            }
+        }
+        let _ = writeln!(out, "}}");
+        out
+    }
 
     #[test]
     fn nfa_dot_contains_states_and_edges() {

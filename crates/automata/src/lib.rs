@@ -1,4 +1,4 @@
-//! Finite automata, transducers, and graph algorithms for ReLM-rs.
+//! Finite automata and graph algorithms for ReLM-rs.
 //!
 //! This crate is the formal-language substrate of the ReLM reproduction
 //! (Kuchnik et al., MLSys 2023). It provides:
@@ -17,10 +17,7 @@
 //!   this crate only walk-table rows split their work, into contiguous
 //!   state ranges merged in range order, so a parallel table is
 //!   bit-identical to a serial one; subset construction and products run
-//!   on the calling thread,
-//! * [`Fst`] — a small finite-state-transducer layer with one-sided
-//!   composition. The query preprocessors do not use it: they
-//!   rewrite automata directly.
+//!   on the calling thread.
 //!
 //! Symbols are plain `u32`s: byte values `0..=255` for character-level
 //! automata and token identifiers for LLM (token-level) automata. The same
@@ -46,7 +43,6 @@
 
 mod dfa;
 mod dot;
-mod fst;
 mod levenshtein;
 mod nfa;
 mod ops;
@@ -54,11 +50,10 @@ pub mod pool;
 mod walks;
 
 pub use dfa::Dfa;
-pub use dot::{dfa_to_dot, nfa_to_dot};
-pub use fst::{Fst, FstArc};
+pub use dot::dfa_to_dot;
 pub use levenshtein::levenshtein_within;
 pub use nfa::Nfa;
-pub use ops::{concat, prefix_closure, reverse};
+pub use ops::{concat, reverse};
 pub use pool::{Parallelism, WorkerPool};
 pub use walks::{WalkChoice, WalkTable};
 
@@ -68,11 +63,6 @@ pub type StateId = usize;
 /// A transition label. Byte values (`0..=255`) for character-level automata,
 /// token ids for LLM automata.
 pub type Symbol = u32;
-
-/// The set of byte symbols `0..=255`, the universe for character automata.
-pub fn byte_alphabet() -> Vec<Symbol> {
-    (0u32..=255).collect()
-}
 
 /// The printable-ASCII alphabet (space through `~`), a convenient universe
 /// for tests and for edit-automata over natural-language text.
@@ -84,18 +74,4 @@ pub fn ascii_alphabet() -> Vec<Symbol> {
 /// automata in this crate.
 pub fn str_symbols(s: &str) -> Vec<Symbol> {
     s.bytes().map(u32::from).collect()
-}
-
-/// Convert a byte-symbol sequence back into a `String` (lossy for
-/// non-UTF-8 sequences).
-///
-/// # Panics
-///
-/// Panics if any symbol is not a valid byte (`> 255`).
-pub fn symbols_to_string(symbols: &[Symbol]) -> String {
-    let bytes: Vec<u8> = symbols
-        .iter()
-        .map(|&s| u8::try_from(s).expect("symbol out of byte range")) // lint: allow(panic, "documented: panics on symbols above byte range")
-        .collect();
-    String::from_utf8_lossy(&bytes).into_owned()
 }

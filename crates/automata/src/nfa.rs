@@ -207,15 +207,15 @@ impl Nfa {
     }
 
     /// One or more repetitions (`a+` ≡ `aa*`).
-    #[must_use]
-    pub fn plus(self) -> Nfa {
+    #[cfg(test)]
+    pub(crate) fn plus(self) -> Nfa {
         let rep = self.clone();
         self.concat(rep.star())
     }
 
     /// Zero or one occurrence (`a?`).
     #[must_use]
-    pub fn optional(self) -> Nfa {
+    pub(crate) fn optional(self) -> Nfa {
         self.union(Nfa::epsilon())
     }
 
@@ -248,7 +248,7 @@ impl Nfa {
 
     /// The ε-closure of a set of states: every state reachable through
     /// ε-transitions alone.
-    pub fn epsilon_closure(&self, states: &BTreeSet<StateId>) -> BTreeSet<StateId> {
+    fn epsilon_closure(&self, states: &BTreeSet<StateId>) -> BTreeSet<StateId> {
         let mut closure = states.clone();
         let mut queue: VecDeque<StateId> = states.iter().copied().collect();
         while let Some(s) = queue.pop_front() {

@@ -7,7 +7,7 @@
 //! prefix closure describes every partial output the executor may pass
 //! through — useful for validating traversal states in tests.
 
-use crate::{Dfa, Nfa, StateId, Symbol};
+use crate::{Dfa, Nfa, StateId};
 
 /// The reversal of a language: `reverse(L) = { wᴿ | w ∈ L }`.
 ///
@@ -72,42 +72,6 @@ pub fn concat(first: &Dfa, second: &Dfa) -> Dfa {
         .concat(Nfa::from(second))
         .determinize()
         .minimize()
-}
-
-/// The prefix closure of a language: every string that is a prefix of
-/// some member (including members themselves and ε whenever `L ≠ ∅`).
-///
-/// On a trimmed automaton every state can reach acceptance, so the
-/// closure is simply "mark every state accepting".
-///
-/// # Example
-///
-/// ```
-/// use relm_automata::{prefix_closure, Nfa, str_symbols};
-///
-/// let lang = Nfa::literal(str_symbols("abc")).determinize();
-/// let prefixes = prefix_closure(&lang);
-/// for p in ["", "a", "ab", "abc"] {
-///     assert!(prefixes.contains(str_symbols(p)), "{p:?}");
-/// }
-/// assert!(!prefixes.contains(str_symbols("b")));
-/// ```
-pub fn prefix_closure(dfa: &Dfa) -> Dfa {
-    let trimmed = dfa.trim();
-    if trimmed.is_empty_language() {
-        return Dfa::empty();
-    }
-    let n = trimmed.state_count();
-    let accepting: Vec<StateId> = (0..n).collect();
-    let transitions: Vec<(StateId, Symbol, StateId)> = (0..n)
-        .flat_map(|s| {
-            trimmed
-                .transitions(s)
-                .map(move |(sym, t)| (s, sym, t))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    Dfa::from_parts(n, trimmed.start(), &accepting, &transitions).minimize()
 }
 
 impl Nfa {
@@ -175,39 +139,5 @@ mod tests {
         let eps = Nfa::epsilon().determinize();
         assert!(concat(&lang, &eps).equivalent(&lang));
         assert!(concat(&eps, &lang).equivalent(&lang));
-    }
-
-    #[test]
-    fn prefix_closure_contains_all_prefixes() {
-        let lang = lit("hello").union(&lit("help"));
-        let closure = prefix_closure(&lang);
-        for p in ["", "h", "he", "hel", "hell", "help", "hello"] {
-            assert!(closure.contains(str_symbols(p)), "{p:?}");
-        }
-        assert!(!closure.contains(str_symbols("x")));
-        assert!(!closure.contains(str_symbols("helq")));
-    }
-
-    #[test]
-    fn prefix_closure_is_idempotent() {
-        let lang = lit("abc").union(&lit("ad"));
-        let once = prefix_closure(&lang);
-        let twice = prefix_closure(&once);
-        assert!(once.equivalent(&twice));
-    }
-
-    #[test]
-    fn prefix_closure_relates_to_left_quotient() {
-        // w is a prefix of L iff w⁻¹L is non-empty; check a few probes.
-        let lang = lit("abcd");
-        let closure = prefix_closure(&lang);
-        for probe in ["", "a", "ab", "abc", "abcd", "b", "abce"] {
-            let quotient = lang.left_quotient(&lit(probe));
-            assert_eq!(
-                closure.contains(str_symbols(probe)),
-                !quotient.is_empty_language(),
-                "{probe:?}"
-            );
-        }
     }
 }

@@ -220,21 +220,6 @@ impl WalkTable {
         self.cumulative[budget][state]
     }
 
-    /// Number of accepting walks of length *exactly* `len` from `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len > max_len` or `state` is out of bounds.
-    pub fn count_exact_len(&self, state: StateId, len: usize) -> f64 {
-        self.exact_by_len[len][state]
-    }
-
-    /// Total number of strings of length `≤ budget` in the language
-    /// (accepting walks from the start state).
-    pub fn language_size(&self, dfa: &Dfa, budget: usize) -> f64 {
-        self.count(dfa.start(), budget)
-    }
-
     /// The sampling weight of taking `edge_target` from `state` with
     /// `budget` symbols remaining: the count of accepting walks through
     /// that edge, i.e. `count(target, budget - 1)`.
@@ -251,6 +236,7 @@ impl WalkTable {
     }
 
     /// Weight of terminating the walk at `state` (1 if accepting, else 0).
+    // lint: allow(dead_pub, "the draw oracle's reference rule in crates/automata/tests/property.rs (draw_matches_the_two_vector_rule) weighs stops with it")
     pub fn stop_weight(&self, dfa: &Dfa, state: StateId) -> f64 {
         if dfa.is_accepting(state) {
             1.0
@@ -543,8 +529,8 @@ mod tests {
                         "cumulative[{budget}][{state}]"
                     );
                     assert_eq!(
-                        table.count_exact_len(state, budget).to_bits(),
-                        serial.count_exact_len(state, budget).to_bits(),
+                        table.exact_by_len[budget][state].to_bits(),
+                        serial.exact_by_len[budget][state].to_bits(),
                         "exact[{budget}][{state}]"
                     );
                 }

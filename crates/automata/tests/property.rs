@@ -7,9 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
-use relm_automata::{
-    ascii_alphabet, reverse, Dfa, Fst, Nfa, StateId, Symbol, WalkChoice, WalkTable,
-};
+use relm_automata::{ascii_alphabet, reverse, Dfa, Nfa, StateId, Symbol, WalkChoice, WalkTable};
 
 /// A recursive strategy over small NFAs with a 3-symbol alphabet.
 fn small_nfa() -> impl Strategy<Value = Nfa> {
@@ -23,7 +21,7 @@ fn small_nfa() -> impl Strategy<Value = Nfa> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.union(b)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.concat(b)),
             inner.clone().prop_map(Nfa::star),
-            inner.clone().prop_map(Nfa::optional),
+            inner.clone().prop_map(|a| a.union(Nfa::epsilon())),
         ]
     })
 }
@@ -333,17 +331,6 @@ proptest! {
         if exact < 1_000_000 {
             prop_assert_eq!(table.count(dfa.start(), 8) as u128, exact);
         }
-    }
-
-    /// The identity FST maps every language to itself.
-    #[test]
-    fn identity_fst_is_identity(nfa in small_nfa(), s in short_string()) {
-        let fst = Fst::identity(0u32..3);
-        let image = fst.apply(&nfa).determinize();
-        prop_assert_eq!(
-            nfa.contains(s.iter().copied()),
-            image.contains(s.iter().copied())
-        );
     }
 
     /// Enumeration output is sound, deduplicated, and within bounds.

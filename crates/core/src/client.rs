@@ -125,6 +125,7 @@ impl<M: LanguageModel> RelmBuilder<M> {
 /// counters.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
+// lint: allow(dead_pub, "the element type of QuerySetReport::outcomes and of QueryCompletion::outcome, which relm-serve's server, the audit examples and benches/e2e read")
 pub struct QueryOutcome {
     /// The matches, capped at the spec's `max_results`, in exactly the
     /// order a sequential run of the same query would emit them.
@@ -157,11 +158,6 @@ impl QuerySetReport {
     /// runs of the same queries).
     pub fn mean_batch_size(&self) -> f64 {
         self.scoring.mean_batch_size()
-    }
-
-    /// Total matches across all queries.
-    pub fn total_matches(&self) -> usize {
-        self.outcomes.iter().map(|o| o.matches.len()).sum()
     }
 }
 
@@ -269,7 +265,6 @@ pub struct QueryDriver<'a, M: LanguageModel> {
     admitted: u64,
     completed: u64,
     cancelled: u64,
-    expired: u64,
 }
 
 impl<'a, M: LanguageModel> QueryDriver<'a, M> {
@@ -287,7 +282,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
             admitted: 0,
             completed: 0,
             cancelled: 0,
-            expired: 0,
         }
     }
 
@@ -304,34 +298,8 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         self.admit_plan(&plan, max_results)
     }
 
-    /// [`QueryDriver::admit`] with a wall-clock deadline: if the query
-    /// has not completed by `deadline`, the next tick stops it and its
-    /// completion arrives with [`QueryCompletion::expired`] set (the
-    /// matches found in time are still attached). An already-past
-    /// deadline expires the query on the very next tick with whatever
-    /// it produced — nothing, typically.
-    ///
-    /// # Errors
-    ///
-    /// The same planning errors as [`Relm::plan`]; nothing is admitted
-    /// on error.
-    pub fn admit_with_deadline(
-        &mut self,
-        query: &SearchQuery,
-        max_results: usize,
-        deadline: Instant,
-    ) -> Result<QueryId, RelmError> {
-        let plan = self.client.plan(query)?;
-        self.admit_plan_with_deadline(&plan, max_results, Some(deadline))
-    }
-
-    /// Admit an already-compiled plan (serving layers that memoize plans
-    /// per route skip re-planning).
-    ///
-    /// # Errors
-    ///
-    /// The same compatibility errors as [`Relm::execute`].
-    pub fn admit_plan(
+    /// Admit an already-compiled plan.
+    fn admit_plan(
         &mut self,
         plan: &CompiledSearch,
         max_results: usize,
@@ -339,8 +307,13 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         self.admit_plan_with_deadline(plan, max_results, None)
     }
 
-    /// [`QueryDriver::admit_plan`] with an optional wall-clock deadline
-    /// (see [`QueryDriver::admit_with_deadline`] for expiry semantics).
+    /// Admit an already-compiled plan with an optional wall-clock
+    /// deadline: if the query has not completed by `deadline`, the next
+    /// tick stops it and its completion arrives with
+    /// [`QueryCompletion::expired`] set (the matches found in time are
+    /// still attached). An already-past deadline expires the query on
+    /// the very next tick with whatever it produced — nothing,
+    /// typically.
     ///
     /// # Errors
     ///
@@ -391,16 +364,10 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         self.slots.is_empty()
     }
 
-    /// Lifetime counters: `(admitted, completed, cancelled)`.
-    /// Deadline-expired queries are counted by [`QueryDriver::expired_count`],
-    /// not here — an expiry is neither a completion nor a cancel.
+    /// Lifetime counters: `(admitted, completed, cancelled)`. A
+    /// deadline-expired query counts as none of them.
     pub fn counts(&self) -> (u64, u64, u64) {
         (self.admitted, self.completed, self.cancelled)
-    }
-
-    /// Queries whose deadline elapsed before they finished.
-    pub fn expired_count(&self) -> u64 {
-        self.expired
     }
 
     /// Coalescing-tick counters: `(run, skipped)`.
@@ -526,9 +493,7 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         let mut kept = Vec::with_capacity(self.slots.len());
         for slot in self.slots.drain(..) {
             if slot.done {
-                if slot.expired {
-                    self.expired += 1;
-                } else {
+                if !slot.expired {
                     self.completed += 1;
                 }
                 let mut stats = slot.results.stats();
@@ -734,7 +699,8 @@ mod tests {
         assert_eq!(report.outcomes[1].matches.len(), 1);
         assert_eq!(report.outcomes[1].matches[0].text, "the cow ate");
         assert_eq!(report.outcomes[2].matches.len(), 2);
-        assert_eq!(report.total_matches(), 5);
+        let total: usize = report.outcomes.iter().map(|o| o.matches.len()).sum();
+        assert_eq!(total, 5);
     }
 
     #[test]

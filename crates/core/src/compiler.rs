@@ -36,7 +36,7 @@ pub struct CanonicalLimits {
     /// Maximum string length (bytes) to enumerate.
     pub max_len: usize,
     /// Maximum number of strings to enumerate.
-    pub max_strings: usize,
+    max_strings: usize,
 }
 
 impl Default for CanonicalLimits {

@@ -90,13 +90,6 @@ pub struct ExecutionStats {
     pub emitted: u64,
     /// Sampling episodes that dead-ended and were retried.
     pub dead_ends: u64,
-    /// Results rejected by the runtime canonicity check, counted as
-    /// results are pulled (a result past the caller's last pull is
-    /// never checked).
-    pub rejected_noncanonical: u64,
-    /// Results rejected by deferred filters, counted as results are
-    /// pulled.
-    pub rejected_filtered: u64,
     /// Scoring requests served from the [`relm_lm::ScoringEngine`] memo
     /// table (or deduplicated within a batch) without model work. Hits
     /// on the client's shared cache from earlier queries' work count
@@ -117,9 +110,6 @@ pub struct ExecutionStats {
     /// Client plan-memo hits observed when this search was executed
     /// (cumulative client counter).
     pub plan_cache_hits: u64,
-    /// Client plan-memo misses observed when this search was executed
-    /// (cumulative client counter).
-    pub plan_cache_misses: u64,
     /// Coalescing ticks the multi-query driver ran while this query
     /// executed (a driver-wide counter, stamped on every query a
     /// [`crate::QueryDriver`] completes — `run_many` and served
@@ -376,7 +366,6 @@ pub struct CompiledSearch {
     pub(crate) compiled: CompiledQuery,
     pub(crate) strategy: SearchStrategy,
     pub(crate) max_expansions: usize,
-    pub(crate) max_sample_attempts: usize,
     /// Fingerprint of the tokenizer the automata were compiled against;
     /// execution refuses to run the plan with any other tokenizer
     /// (the token ids would mean different bytes).
@@ -395,7 +384,6 @@ impl CompiledSearch {
             compiled,
             strategy: query.strategy,
             max_expansions: query.max_expansions,
-            max_sample_attempts: query.max_sample_attempts,
             tokenizer_fingerprint,
         }
     }
@@ -444,8 +432,8 @@ pub(crate) enum Machine {
 /// Where a path stands: a machine and one of its states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct At {
-    pub machine: Machine,
-    pub state: usize,
+    pub(crate) machine: Machine,
+    pub(crate) state: usize,
 }
 
 /// What expanding a scored path yields ([`Kernel::expand`]).
@@ -638,16 +626,14 @@ impl<'a, M: LanguageModel> Kernel<'a, M> {
             let body = &tokens[prefix_len..];
             let bytes = self.tokenizer.decode_bytes(body);
             if parts.body.needs_canonical_check && self.tokenizer.encode_bytes(&bytes) != body {
-                self.stats.rejected_noncanonical += 1;
                 return None;
             }
             let symbols = || bytes.iter().map(|&b| u32::from(b));
             if parts.deferred_filters.iter().any(|f| f.contains(symbols())) {
-                self.stats.rejected_filtered += 1;
                 return None;
             }
         }
-        let log_prob = log_prob.unwrap_or_else(|| self.sequence_log_prob(&tokens));
+        let log_prob = log_prob.unwrap_or_else(|| self.sequence_log_prob(&tokens, prefix_len));
         let canonical = self.tokenizer.is_canonical(&tokens);
         self.stats.emitted += 1;
         Some(MatchResult {
@@ -660,17 +646,27 @@ impl<'a, M: LanguageModel> Kernel<'a, M> {
     }
 
     /// The log-probability of `tokens` from the EOS root, plus EOS's
-    /// under `require_eos`: one engine request per term, summed left to
-    /// right over the shared rows (the additions, and so the bits, of
+    /// under `require_eos`, on the scale [`Self::expand`] scores paths
+    /// on: prefix terms raw, body and EOS terms through the policy's
+    /// view. One engine request per term, summed left to right over the
+    /// shared rows (at temperature 1 the additions, and so the bits, of
     /// `relm_lm::sequence_log_prob`).
-    fn sequence_log_prob(&mut self, tokens: &[TokenId]) -> f64 {
+    fn sequence_log_prob(&mut self, tokens: &[TokenId], prefix_len: usize) -> f64 {
         let mut ctx = self.context(tokens);
         if self.compiled.require_eos {
             ctx.push(self.engine.eos());
         }
         let mut log_prob = 0.0;
         for i in 1..ctx.len() {
-            log_prob += self.engine.score(&ctx[..i])[ctx[i] as usize];
+            let row = self.engine.score(&ctx[..i]);
+            let token = ctx[i];
+            // ctx[i] is tokens[i - 1]; the body starts at prefix_len.
+            log_prob += if i > prefix_len {
+                let lp = self.compiled.policy.filter(&row).get(token);
+                lp.unwrap_or(f64::NEG_INFINITY)
+            } else {
+                row[token as usize]
+            };
         }
         self.stats.lm_calls += ctx.len() as u64 - 1;
         log_prob
@@ -686,10 +682,9 @@ impl<'a, M: LanguageModel> Kernel<'a, M> {
 /// exhausted — callers use [`Iterator::take`].
 pub struct SearchResults<'a, M: LanguageModel> {
     inner: Inner<'a, M>,
-    /// The client's plan-memo counters, stamped when execution started;
-    /// folded into [`Self::stats`].
+    /// The client's plan-memo hit counter, stamped when execution
+    /// started; folded into [`Self::stats`].
     plan_hits: u64,
-    plan_misses: u64,
 }
 
 enum Inner<'a, M: LanguageModel> {
@@ -716,7 +711,6 @@ impl<'a, M: LanguageModel> SearchResults<'a, M> {
             cache_evictions: scoring.cache_evictions,
             cache_bytes: scoring.cache_bytes,
             plan_cache_hits: self.plan_hits,
-            plan_cache_misses: self.plan_misses,
             ..kernel.stats
         }
     }
@@ -779,7 +773,6 @@ pub(crate) fn execute_with_engine<'a, M: LanguageModel>(
     tokenizer: &'a BpeTokenizer,
     plan: &CompiledSearch,
     plan_hits: u64,
-    plan_misses: u64,
 ) -> SearchResults<'a, M> {
     let compiled = plan.compiled.clone();
     let inner = match plan.strategy {
@@ -789,22 +782,14 @@ pub(crate) fn execute_with_engine<'a, M: LanguageModel>(
             compiled,
             plan.max_expansions,
         )),
-        SearchStrategy::RandomSampling { seed } => Inner::Sampling(SamplingIter::new(
-            engine,
-            tokenizer,
-            compiled,
-            seed,
-            plan.max_sample_attempts,
-        )),
+        SearchStrategy::RandomSampling { seed } => {
+            Inner::Sampling(SamplingIter::new(engine, tokenizer, compiled, seed))
+        }
         SearchStrategy::Beam { width } => {
             Inner::Beam(BeamIter::new(engine, tokenizer, compiled, width))
         }
     };
-    SearchResults {
-        inner,
-        plan_hits,
-        plan_misses,
-    }
+    SearchResults { inner, plan_hits }
 }
 
 #[cfg(test)]

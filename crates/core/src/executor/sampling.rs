@@ -37,15 +37,18 @@ use crate::query::PrefixSampling;
 /// Number of episode prefixes drawn (and batch-scored) per block.
 const EPISODE_BATCH: usize = 8;
 
+/// Sampling episodes one emission may cost before the search counts
+/// as exhausted.
+const MAX_ATTEMPTS: usize = 64;
+
 /// The random-sampling result iterator. See the module docs.
 pub(crate) struct SamplingIter<'a, M: LanguageModel> {
     pub(super) kernel: Kernel<'a, M>,
     rng: SmallRng,
     walk_table: Option<Arc<WalkTable>>,
-    max_attempts: usize,
     /// Episodes attempted since the last emission (dead-end prefix
     /// draws included); the search is exhausted when this reaches
-    /// `max_attempts`. `Iterator::next` grants a fresh budget per call;
+    /// [`MAX_ATTEMPTS`]. `Iterator::next` grants a fresh budget per call;
     /// a driver resets only on emission.
     attempts_since_result: usize,
     /// Pre-drawn episode prefixes awaiting their body walk.
@@ -58,7 +61,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
         tokenizer: &'a BpeTokenizer,
         compiled: CompiledQuery,
         seed: u64,
-        max_attempts: usize,
     ) -> Self {
         let walk_table = compiled
             .parts
@@ -67,14 +69,13 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             kernel: Kernel::new(engine, tokenizer, compiled, false),
             rng: SmallRng::seed_from_u64(seed),
             walk_table,
-            max_attempts,
             attempts_since_result: 0,
             pending: VecDeque::new(),
         }
     }
 
     /// Grant a fresh attempt budget — `Iterator::next`'s contract
-    /// (each call may spend up to `max_attempts` episodes).
+    /// (each call may spend up to [`MAX_ATTEMPTS`] episodes).
     pub(crate) fn reset_attempt_budget(&mut self) {
         self.attempts_since_result = 0;
     }
@@ -142,7 +143,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
         if !self.pending.is_empty() {
             return;
         }
-        while self.pending.len() < EPISODE_BATCH && self.attempts_since_result < self.max_attempts {
+        while self.pending.len() < EPISODE_BATCH && self.attempts_since_result < MAX_ATTEMPTS {
             match self.sample_prefix() {
                 Some(tokens) => self.pending.push_back(tokens),
                 None => {
@@ -174,7 +175,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
     /// internal warm scoring: the driver's coalesced tick covers it.
     pub(crate) fn frontier_contexts(&mut self, limit: usize) -> Vec<Vec<TokenId>> {
         let mut out = Vec::new();
-        if self.attempts_since_result >= self.max_attempts || !self.kernel.frontier_open(limit) {
+        if self.attempts_since_result >= MAX_ATTEMPTS || !self.kernel.frontier_open(limit) {
             return out;
         }
         if self.kernel.compiled.parts.prefix.is_none() {
@@ -236,7 +237,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
     /// the runtime checks. Returns [`StepOutcome::Done`] once the
     /// attempt budget since the last emission is exhausted.
     pub(crate) fn step(&mut self) -> StepOutcome {
-        if self.attempts_since_result >= self.max_attempts {
+        if self.attempts_since_result >= MAX_ATTEMPTS {
             return StepOutcome::Done;
         }
         // --- Prefix phase (episode-batched; see fill_pending) ---
@@ -247,7 +248,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
                 // Every draw in the block dead-ended; the failed draws
                 // already consumed attempts.
                 None => {
-                    return if self.attempts_since_result >= self.max_attempts {
+                    return if self.attempts_since_result >= MAX_ATTEMPTS {
                         StepOutcome::Done
                     } else {
                         StepOutcome::Working

@@ -18,22 +18,23 @@ pub struct QueryPlan {
     /// States/transitions of the prefix machine, if a prefix was given.
     pub prefix_machine: Option<MachineShape>,
     /// States/transitions of the body (suffix) machine.
-    pub body_machine: MachineShape,
+    body_machine: MachineShape,
     /// Whether emitted sequences must pass a runtime canonicity check
     /// (canonical tokenization over a language too large to enumerate).
-    pub runtime_canonical_check: bool,
+    runtime_canonical_check: bool,
     /// Number of deferred (runtime) filters.
     pub deferred_filters: usize,
     /// Hard cap on tokens per match.
     pub max_tokens: usize,
     /// Human-readable traversal description.
-    pub traversal: String,
+    traversal: String,
     /// Tokenization strategy recorded for the report.
     pub tokenization: TokenizationStrategy,
 }
 
 /// Size of one compiled machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint: allow(dead_pub, "the type of QueryPlan::prefix_machine, which tests/edge_cases.rs and tests/store.rs read")
 pub struct MachineShape {
     /// Number of automaton states.
     pub states: usize,

@@ -68,7 +68,7 @@ pub use client::{QueryCompletion, QueryDriver, QueryOutcome, QuerySetReport, Rel
 pub use error::{RelmError, RelmErrorKind};
 pub use executor::{CompiledSearch, ExecutionStats, SearchResults};
 pub use explain::{explain, MachineShape, QueryPlan};
-pub use preprocess::{FilterPreprocessor, LevenshteinPreprocessor, Preprocessor};
+pub use preprocess::Preprocessor;
 pub use query::{
     PrefixSampling, QueryId, QuerySet, QuerySpec, QueryString, SearchQuery, SearchStrategy,
     TokenizationStrategy,
@@ -111,4 +111,4 @@ pub(crate) fn cold_client<'m, M: relm_lm::LanguageModel>(
     Relm::new(lm, tok.clone()).unwrap()
 }
 pub use results::MatchResult;
-pub use session::{PlanSource, SessionConfig, SessionStats, DEFAULT_PLAN_MEMO_BYTES};
+pub use session::{PlanSource, SessionConfig, SessionStats};

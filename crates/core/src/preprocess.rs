@@ -15,49 +15,65 @@ use relm_automata::{ascii_alphabet, levenshtein_within, Dfa, Nfa, Symbol};
 pub enum Preprocessor {
     /// Expand the language to all strings within an edit distance
     /// (chain several for higher distances, §3.4).
-    Levenshtein(LevenshteinPreprocessor),
+    Levenshtein {
+        /// Maximum edit distance.
+        distance: usize,
+        /// Alphabet that insertions/substitutions draw from.
+        alphabet: Vec<Symbol>,
+    },
     /// Remove strings matching a language.
-    Filter(FilterPreprocessor),
+    Filter {
+        /// Strings to remove.
+        language: Dfa,
+        /// Whether removal happens at runtime instead of automaton
+        /// build time.
+        deferred: bool,
+    },
 }
 
 impl Preprocessor {
     /// Edit-distance expansion over printable ASCII.
     pub fn levenshtein(distance: usize) -> Self {
-        Preprocessor::Levenshtein(LevenshteinPreprocessor {
+        Preprocessor::Levenshtein {
             distance,
             alphabet: ascii_alphabet(),
-        })
+        }
     }
 
     /// Automaton-level filter removing `language`.
     pub fn filter(language: Dfa) -> Self {
-        Preprocessor::Filter(FilterPreprocessor {
+        Preprocessor::Filter {
             language,
             deferred: false,
-        })
+        }
     }
 
     /// Runtime filter removing `language` from the result stream instead
     /// of the automaton (for languages whose subtraction would blow up
     /// the graph).
     pub fn deferred_filter(language: Dfa) -> Self {
-        Preprocessor::Filter(FilterPreprocessor {
+        Preprocessor::Filter {
             language,
             deferred: true,
-        })
+        }
     }
 
     /// Apply to the Natural Language Automaton. Deferred filters return
     /// the input unchanged (they act at execution time).
     pub fn apply(&self, nfa: &Nfa) -> Nfa {
         match self {
-            Preprocessor::Levenshtein(lev) => levenshtein_within(nfa, lev.distance, &lev.alphabet),
-            Preprocessor::Filter(f) if !f.deferred => {
+            Preprocessor::Levenshtein { distance, alphabet } => {
+                levenshtein_within(nfa, *distance, alphabet)
+            }
+            Preprocessor::Filter {
+                language,
+                deferred: false,
+            } => {
                 let dfa = nfa.determinize().minimize();
-                let filtered = dfa.difference(&f.language);
+                let filtered = dfa.difference(language);
                 Nfa::from(&filtered)
             }
-            Preprocessor::Filter(_) => nfa.clone(),
+            Preprocessor::Filter { .. } => nfa.clone(),
         }
     }
 
@@ -65,7 +81,10 @@ impl Preprocessor {
     /// one.
     pub fn deferred_language(&self) -> Option<&Dfa> {
         match self {
-            Preprocessor::Filter(f) if f.deferred => Some(&f.language),
+            Preprocessor::Filter {
+                language,
+                deferred: true,
+            } => Some(language),
             _ => None,
         }
     }
@@ -78,16 +97,16 @@ impl Preprocessor {
     /// memo hit can never serve the wrong automaton.
     pub(crate) fn encode_into(&self, out: &mut Vec<u64>) {
         match self {
-            Preprocessor::Levenshtein(lev) => {
+            Preprocessor::Levenshtein { distance, alphabet } => {
                 out.push(1);
-                out.push(lev.distance as u64);
-                out.push(lev.alphabet.len() as u64);
-                out.extend(lev.alphabet.iter().map(|&sym| u64::from(sym)));
+                out.push(*distance as u64);
+                out.push(alphabet.len() as u64);
+                out.extend(alphabet.iter().map(|&sym| u64::from(sym)));
             }
-            Preprocessor::Filter(f) => {
+            Preprocessor::Filter { language, deferred } => {
                 out.push(2);
-                out.push(u64::from(f.deferred));
-                encode_dfa(out, &f.language);
+                out.push(u64::from(*deferred));
+                encode_dfa(out, language);
             }
         }
     }
@@ -112,25 +131,6 @@ pub(crate) fn encode_dfa(out: &mut Vec<u64>, dfa: &Dfa) {
         }
         out[mark] = ((out.len() - mark - 1) / 2) as u64;
     }
-}
-
-/// Parameters of a Levenshtein expansion.
-#[derive(Debug, Clone)]
-pub struct LevenshteinPreprocessor {
-    /// Maximum edit distance.
-    pub distance: usize,
-    /// Alphabet that insertions/substitutions draw from.
-    pub alphabet: Vec<Symbol>,
-}
-
-/// Parameters of a filter.
-#[derive(Debug, Clone)]
-pub struct FilterPreprocessor {
-    /// Strings to remove.
-    pub language: Dfa,
-    /// Whether removal happens at runtime instead of automaton build
-    /// time.
-    pub deferred: bool,
 }
 
 #[cfg(test)]

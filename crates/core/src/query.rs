@@ -114,8 +114,6 @@ pub struct SearchQuery {
     pub preprocessors: Vec<Preprocessor>,
     /// Cap on Dijkstra node expansions (guards runaway searches).
     pub max_expansions: usize,
-    /// Cap on resampling attempts per emitted sample in random mode.
-    pub max_sample_attempts: usize,
     /// Require matches to terminate with the model's EOS token — the
     /// `terminated` strategy of §4.4 (a completion must be a *final*
     /// word, not the start of a longer continuation).
@@ -141,7 +139,6 @@ impl SearchQuery {
             prefix_sampling: PrefixSampling::default(),
             preprocessors: Vec::new(),
             max_expansions: 100_000,
-            max_sample_attempts: 64,
             require_eos: false,
             distinct_texts: true,
         }
@@ -207,13 +204,6 @@ impl SearchQuery {
     #[must_use]
     pub fn with_distinct_texts(mut self, distinct: bool) -> Self {
         self.distinct_texts = distinct;
-        self
-    }
-
-    /// Set the resampling-attempt cap for random-sampling search.
-    #[must_use]
-    pub fn with_max_sample_attempts(mut self, max_sample_attempts: usize) -> Self {
-        self.max_sample_attempts = max_sample_attempts;
         self
     }
 }

@@ -22,7 +22,8 @@ pub struct MatchResult {
 
 impl MatchResult {
     /// The body (non-prefix) portion of the token sequence.
-    pub fn body_tokens(&self) -> &[TokenId] {
+    #[cfg(test)]
+    fn body_tokens(&self) -> &[TokenId] {
         &self.tokens[self.prefix_len..]
     }
 

@@ -44,7 +44,7 @@ use crate::query::{SearchQuery, TokenizationStrategy};
 use crate::RelmError;
 
 /// Default byte budget for a client's plan memo (64 MiB).
-pub const DEFAULT_PLAN_MEMO_BYTES: usize = 64 << 20;
+const DEFAULT_PLAN_MEMO_BYTES: usize = 64 << 20;
 
 /// Estimated fixed overhead per memoized plan (hash-map slot, `Vec`
 /// headers, clock metadata), charged on top of the key strings and the
@@ -62,20 +62,20 @@ const PLAN_ENTRY_OVERHEAD_BYTES: usize = 256;
 /// let config = SessionConfig::new()
 ///     .with_plan_memo_capacity(64)
 ///     .with_plan_memo_bytes(16 << 20);
-/// assert_eq!(config.plan_memo_capacity, 64);
+/// assert_ne!(config, SessionConfig::new());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SessionConfig {
     /// Byte budget of the shared scoring cache.
-    pub scoring_cache_bytes: usize,
+    pub(crate) scoring_cache_bytes: usize,
     /// Maximum number of memoized compiled plans (clock-evicted).
-    pub plan_memo_capacity: usize,
+    pub(crate) plan_memo_capacity: usize,
     /// Byte budget of the plan memo: every memoized plan is charged its
     /// estimated automata footprint, so one URL-scale plan cannot
     /// dominate memory unnoticed. Plans larger than the whole budget
     /// are compiled but never memoized.
-    pub plan_memo_bytes: usize,
+    pub(crate) plan_memo_bytes: usize,
     /// Worker budget for the executors' frontier work: the Dijkstra
     /// prefetch, walk tables and pooled scoring.
     /// Plan compilation runs on the calling thread whatever the
@@ -95,7 +95,7 @@ pub struct SessionConfig {
     /// warmth in-memory. Corrupt or mismatched artifacts are treated as
     /// misses and recompiled — the store can slow a cold start, never
     /// wrong an answer.
-    pub plan_store: Option<PathBuf>,
+    pub(crate) plan_store: Option<PathBuf>,
 }
 
 impl SessionConfig {
@@ -168,13 +168,6 @@ pub struct SessionStats {
     pub plan_evictions: u64,
     /// Estimated resident bytes of the memoized plans (a gauge).
     pub plan_bytes: usize,
-    /// Plan-memo inconsistencies healed on contact instead of panicking —
-    /// partial state left behind when a thread panicked mid-update and
-    /// the memo's poisoned lock was recovered. Each one cost a single
-    /// recompilation; before the recovery path it was a process-killing
-    /// panic in a long-lived server. (The scoring-cache analogue is
-    /// [`SharedCacheStats::recoveries`] under [`Self::scoring`].)
-    pub plan_recoveries: u64,
     /// Plans restored from the on-disk warm-artifact store instead of
     /// compiled — at boot preload ([`Relm::preload_plans`]) or
     /// on a plan-memo miss. Zero when no store is configured.
@@ -311,11 +304,11 @@ pub enum PlanSource {
 /// [`relm_lm::SharedScoringCache`] — each hit sets a plan's referenced
 /// bit; under pressure the ring's hand evicts the first unreferenced
 /// plan, and a mapping left dangling by a panicked thread heals on
-/// contact (one recompilation, counted in
-/// [`SessionStats::plan_recoveries`]). Every plan is charged its
-/// estimated automata footprint ([`PlanParts::estimated_bytes`]) plus
-/// both copies of its key, so one URL-scale automaton cannot quietly
-/// dominate client memory the way a count-only cap allowed.
+/// contact (one recompilation, counted by the ring's `recoveries`).
+/// Every plan is charged its estimated automata footprint
+/// ([`PlanParts::estimated_bytes`]) plus both copies of its key, so one
+/// URL-scale automaton cannot quietly dominate client memory the way a
+/// count-only cap allowed.
 #[derive(Debug)]
 struct PlanMemo {
     ring: Clock<PlanKey, Arc<PlanParts>>,
@@ -450,7 +443,7 @@ pub struct Relm<M> {
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     /// The on-disk warm-artifact store, when
-    /// [`SessionConfig::plan_store`] is set and the directory could be
+    /// [`SessionConfig::with_plan_store`] is set and the directory could be
     /// opened (an unopenable store degrades to the storeless path —
     /// the client must keep answering queries).
     store: Option<PlanStore>,
@@ -502,15 +495,10 @@ impl<M: LanguageModel> Relm<M> {
         &self.tokenizer
     }
 
-    /// The shared scoring cache (e.g. to inspect or pre-warm it).
-    pub fn scoring_cache(&self) -> &Arc<SharedScoringCache> {
-        &self.scoring_cache
-    }
-
     /// A scoring engine over the client's model wired to its shared
     /// cache at the configured parallelism — the engine every
     /// execution scores through, and the one to use for scoring work
-    /// outside `search` (ancestral sampling, perplexity sweeps) that
+    /// outside `search` (ancestral sampling, scoring sweeps) that
     /// should pool its memo with the client's queries. The engine
     /// implements [`LanguageModel`].
     pub fn engine(&self) -> ScoringEngine<&M> {
@@ -773,7 +761,6 @@ impl<M: LanguageModel> Relm<M> {
             &self.tokenizer,
             plan,
             self.plan_hits.load(Ordering::Relaxed),
-            self.plan_misses.load(Ordering::Relaxed),
         ))
     }
 
@@ -841,15 +828,10 @@ impl<M: LanguageModel> Relm<M> {
     /// Aggregated reuse counters (plan memo, plan store and shared
     /// scoring cache).
     pub fn stats(&self) -> SessionStats {
-        let (plan_entries, plan_evictions, plan_bytes, plan_recoveries) = {
+        let (plan_entries, plan_evictions, plan_bytes) = {
             let plans = self.plans.lock();
             let ring = &plans.ring;
-            (
-                ring.len(),
-                ring.evictions(),
-                ring.bytes(),
-                ring.recoveries(),
-            )
+            (ring.len(), ring.evictions(), ring.bytes())
         };
         SessionStats {
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
@@ -857,7 +839,6 @@ impl<M: LanguageModel> Relm<M> {
             plan_entries,
             plan_evictions,
             plan_bytes,
-            plan_recoveries,
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_misses: self.store_misses.load(Ordering::Relaxed),
             store_bytes_written: self.store_bytes_written.load(Ordering::Relaxed),
@@ -1096,12 +1077,12 @@ mod tests {
         // Regression: this plan() used to `expect("mapped slot is
         // live")` — a panic that, behind the session's plan-memo mutex,
         // killed every later query of a long-lived server. Now it heals:
-        // one recompilation, counted in SessionStats.
+        // one recompilation, counted by the memo's ring.
         let replanned = session.plan(&query).unwrap();
         let solo: Vec<_> = session.execute(&replanned).unwrap().take(2).collect();
         assert_eq!(solo.len(), 2);
         let stats = session.stats();
-        assert_eq!(stats.plan_recoveries, 1);
+        assert_eq!(session.plans.lock().ring.recoveries(), 1);
         assert_eq!(stats.plan_misses, 2, "healed lookup recompiles");
         // The healed key memoizes again and serves hits — reusing the
         // reclaimed slot rather than growing the ring.

@@ -40,6 +40,7 @@ const OBJECTS: [&str; 6] = ["menu", "portal", "lantern", "ledger", "compass", "v
 /// How strongly each gender is associated with each profession in the
 /// planted corpus. Probabilities per gender must sum to 1.
 #[derive(Debug, Clone, PartialEq)]
+// lint: allow(dead_pub, "the type of CorpusSpec::bias, which benches/e2e/src/world.rs and crates/bench/src/lib.rs set")
 pub struct BiasSpec {
     /// `P(profession | man)`, indexed like [`PROFESSIONS`].
     pub man: [f64; 10],

@@ -45,8 +45,6 @@ impl PileShard {
 /// One grep hit: where an insult occurred and the text around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InsultMatch {
-    /// Index of the containing document in the shard.
-    pub doc_index: usize,
     /// The full matching sentence.
     pub sentence: String,
     /// Text before the insult — the *prompt* of the prompted experiment.
@@ -72,7 +70,7 @@ pub struct InsultMatch {
 /// ```
 pub fn scan_for_insults(shard: &PileShard, lexicon: &[&str]) -> Vec<InsultMatch> {
     let mut out = Vec::new();
-    for (doc_index, doc) in shard.documents().iter().enumerate() {
+    for doc in shard.documents() {
         for insult in lexicon {
             let mut from = 0;
             while let Some(found) = doc[from..].find(insult) {
@@ -82,7 +80,6 @@ pub fn scan_for_insults(shard: &PileShard, lexicon: &[&str]) -> Vec<InsultMatch>
                 let word_end = end == doc.len() || !doc.as_bytes()[end].is_ascii_alphanumeric();
                 if word_start && word_end {
                     out.push(InsultMatch {
-                        doc_index,
                         sentence: doc.clone(),
                         prefix: doc[..start].to_string(),
                         insult: (*insult).to_string(),

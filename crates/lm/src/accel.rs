@@ -31,13 +31,13 @@
 #[derive(Debug, Clone)]
 pub struct AcceleratorSim {
     /// Fixed cost per `forward` call (host-side launch), seconds.
-    pub launch_overhead: f64,
+    launch_overhead: f64,
     /// Cost per batch pass, seconds.
-    pub batch_overhead: f64,
+    batch_overhead: f64,
     /// Marginal cost per sequence in a pass, seconds.
-    pub per_sequence: f64,
+    per_sequence: f64,
     /// Maximum sequences per pass; larger batches take multiple passes.
-    pub max_batch: usize,
+    max_batch: usize,
     elapsed: f64,
     forwards: u64,
     sequences: u64,
@@ -86,12 +86,14 @@ impl AcceleratorSim {
     }
 
     /// Number of forward calls accounted.
-    pub fn forward_count(&self) -> u64 {
+    #[cfg(test)]
+    fn forward_count(&self) -> u64 {
         self.forwards
     }
 
     /// Total sequences scored.
-    pub fn sequence_count(&self) -> u64 {
+    #[cfg(test)]
+    fn sequence_count(&self) -> u64 {
         self.sequences
     }
 
@@ -106,7 +108,8 @@ impl AcceleratorSim {
     }
 
     /// Reset the clock and counters, keeping the cost constants.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.elapsed = 0.0;
         self.forwards = 0;
         self.sequences = 0;

@@ -97,7 +97,7 @@ pub struct DecodingPolicy {
     /// reaches `p`, if set.
     pub top_p: Option<f64>,
     /// Softmax temperature; applied before the cutoffs. Must be positive.
-    pub temperature: f64,
+    temperature: f64,
 }
 
 impl Default for DecodingPolicy {

@@ -46,7 +46,7 @@ use crate::{LanguageModel, SharedScoringCache};
 
 /// Byte budget of the cache [`ScoringEngine::new`] gives an engine of
 /// its own (64 MiB).
-pub const DEFAULT_ENGINE_CACHE_BYTES: usize = 64 << 20;
+const DEFAULT_ENGINE_CACHE_BYTES: usize = 64 << 20;
 
 /// Counters describing the work a [`ScoringEngine`] has done.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -135,7 +135,7 @@ pub struct ScoringEngine<M> {
 
 impl<M: LanguageModel> ScoringEngine<M> {
     /// An engine over `model` with an empty cache of its own, bounded
-    /// at [`DEFAULT_ENGINE_CACHE_BYTES`].
+    /// at 64 MiB.
     pub fn new(model: M) -> Self {
         Self::with_shared_cache(
             model,
@@ -233,7 +233,8 @@ impl<M: LanguageModel> ScoringEngine<M> {
     }
 
     /// Number of memoized contexts.
-    pub fn cache_len(&self) -> usize {
+    #[cfg(test)]
+    fn cache_len(&self) -> usize {
         self.cache.len()
     }
 

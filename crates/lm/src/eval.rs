@@ -1,9 +1,9 @@
-//! Model evaluation utilities: perplexity and next-token accuracy.
+//! Model evaluation metrics: perplexity and next-token accuracy.
 //!
 //! The paper sizes its models by parameter count; our substrates are
-//! sized by held-out quality instead, and these metrics are how the
-//! benches document that the "XL" configuration really is the stronger
-//! model (DESIGN.md substitution table).
+//! sized by held-out quality instead, and the tests below use these
+//! metrics to check that the "XL" configuration really is the stronger
+//! model (DESIGN.md substitution table). Compiled for tests only.
 
 use relm_bpe::BpeTokenizer;
 
@@ -13,18 +13,6 @@ use crate::LanguageModel;
 /// likelihood per token (EOS transitions included, matching training).
 ///
 /// Returns `f64::NAN` for an empty evaluation set.
-///
-/// # Example
-///
-/// ```
-/// use relm_bpe::BpeTokenizer;
-/// use relm_lm::{perplexity, NGramConfig, NGramLm};
-///
-/// let tok = BpeTokenizer::train("a b a b a b", 4);
-/// let lm = NGramLm::train(&tok, &["a b a b"], NGramConfig::xl());
-/// let ppl = perplexity(&lm, &tok, &["a b a b"]);
-/// assert!(ppl > 1.0 && ppl.is_finite());
-/// ```
 pub fn perplexity<M: LanguageModel>(
     model: &M,
     tokenizer: &BpeTokenizer,

@@ -39,6 +39,7 @@ mod accel;
 mod bounded;
 mod decoding;
 mod engine;
+#[cfg(test)]
 mod eval;
 mod matrix;
 mod neural;
@@ -51,8 +52,7 @@ mod simd;
 pub use accel::AcceleratorSim;
 pub use bounded::Clock;
 pub use decoding::{Allowed, DecodingPolicy};
-pub use engine::{ScoringEngine, ScoringStats, DEFAULT_ENGINE_CACHE_BYTES};
-pub use eval::{perplexity, top_k_accuracy};
+pub use engine::{ScoringEngine, ScoringStats};
 pub use neural::{NeuralLm, NeuralLmConfig};
 pub use ngram::{NGramConfig, NGramLm};
 pub use pool::pooled_scores;

@@ -18,8 +18,8 @@ pub(crate) struct Matrix {
 
 impl Matrix {
     /// Zero matrix.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    #[cfg(test)]
+    fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -33,18 +33,6 @@ impl Matrix {
             .map(|_| rng.gen_range(-scale..scale))
             .collect();
         Matrix { rows, cols, data }
-    }
-
-    /// Number of rows.
-    #[allow(dead_code)]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[allow(dead_code)]
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Borrow row `r`.

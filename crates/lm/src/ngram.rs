@@ -37,8 +37,10 @@ pub struct NGramConfig {
     pub order: usize,
     /// Interpolation weight kept by the highest matching order; the
     /// remainder backs off geometrically. In `(0, 1)`.
+    // lint: allow(dead_pub, "tests/edge_cases.rs builds NGramConfig by struct update, which needs every field public")
     pub backoff: f64,
     /// Probability mass reserved for the uniform floor. In `(0, 1)`.
+    // lint: allow(dead_pub, "tests/edge_cases.rs builds NGramConfig by struct update, which needs every field public")
     pub uniform_floor: f64,
     /// Maximum sequence length the model accepts.
     pub max_sequence_len: usize,
@@ -153,12 +155,14 @@ impl NGramLm {
     }
 
     /// Natural-log probability of `next` given `context` without
-    /// materializing the full distribution (used by hot paths that probe
-    /// single tokens).
-    pub fn log_prob_of(&self, context: &[TokenId], next: TokenId) -> f64 {
+    /// materializing the full distribution: a one-token reference the
+    /// tests hold the full row to.
+    #[cfg(test)]
+    fn log_prob_of(&self, context: &[TokenId], next: TokenId) -> f64 {
         self.prob_of(context, next).ln()
     }
 
+    #[cfg(test)]
     fn prob_of(&self, context: &[TokenId], next: TokenId) -> f64 {
         let v = self.vocab_size as f64;
         let mut p = self.config.uniform_floor / v;

@@ -102,10 +102,10 @@ pub struct SharedCacheStats {
     pub generation: u64,
     /// Whether the reuse-gated admission policy is currently admitting
     /// new entries (see [`SharedScoringCache::admission_open`]).
-    pub admitting: bool,
+    pub(crate) admitting: bool,
     /// Mean observed reuse depth per admitted entry over the cache's
     /// lifetime — lookups served per insertion, evicted entries included.
-    pub mean_reuse_depth: f64,
+    pub(crate) mean_reuse_depth: f64,
 }
 
 impl SharedCacheStats {

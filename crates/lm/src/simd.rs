@@ -36,7 +36,7 @@
 /// Fixed lane width of the vectorized finish pass: eight `f64`s, one
 /// AVX-512 register or two AVX2 registers, and small enough that mixed
 /// lanes stay rare on sparse rows.
-pub const LANE_WIDTH: usize = 8;
+const LANE_WIDTH: usize = 8;
 
 /// Finish an accumulated probability row in place: `p ← ln(p + floor)`
 /// for every slot, lane by lane (see the module docs).

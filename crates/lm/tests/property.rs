@@ -79,11 +79,10 @@ fn assert_view_matches_reference(policy: &DecodingPolicy, row: &[f64]) {
 }
 
 fn policy_of(top_k: Option<usize>, top_p: Option<f64>, temperature: f64) -> DecodingPolicy {
-    DecodingPolicy {
-        top_k,
-        top_p,
-        temperature,
-    }
+    let mut policy = DecodingPolicy::unfiltered().with_temperature(temperature);
+    policy.top_k = top_k;
+    policy.top_p = top_p;
+    policy
 }
 
 #[test]

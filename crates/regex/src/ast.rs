@@ -60,17 +60,6 @@ pub enum Ast {
     Group(Box<Ast>),
 }
 
-impl Ast {
-    /// Number of nodes in the tree (diagnostics and complexity tests).
-    pub fn node_count(&self) -> usize {
-        1 + match self {
-            Ast::Concat(parts) | Ast::Alternation(parts) => parts.iter().map(Ast::node_count).sum(),
-            Ast::Repeat { inner, .. } | Ast::Group(inner) => inner.node_count(),
-            _ => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,18 +74,5 @@ mod tests {
             ClassItem::Range(b'a', b'c').bytes().collect::<Vec<_>>(),
             vec![b'a', b'b', b'c']
         );
-    }
-
-    #[test]
-    fn node_count_counts_recursively() {
-        let ast = Ast::Concat(vec![
-            Ast::Literal(b'a'),
-            Ast::Repeat {
-                inner: Box::new(Ast::Literal(b'b')),
-                min: 0,
-                max: None,
-            },
-        ]);
-        assert_eq!(ast.node_count(), 4);
     }
 }

@@ -30,6 +30,7 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// Wire-format version of the request/response frame schema. Bump this
 /// whenever [`Request`] or [`Response`] changes shape — `relm_lint`
 /// fingerprints both types and fails CI on an unversioned edit.
+// lint: allow(dead_pub, "read from this file by relm_lint's wire-drift gate (crates/analyze/src/wire.rs), which the baseline's version= fields record")
 pub const PROTOCOL_VERSION: u32 = 1;
 
 /// A protocol violation (framing or JSON) — the connection that produced
@@ -178,7 +179,7 @@ impl Json {
     }
 
     /// The value as an `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
@@ -194,12 +195,12 @@ impl Json {
     }
 
     /// The value as a `usize`, if it is a whole number.
-    pub fn as_usize(&self) -> Option<usize> {
+    fn as_usize(&self) -> Option<usize> {
         self.as_u64().map(|n| n as usize)
     }
 
     /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
+    fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

@@ -19,7 +19,7 @@
 //! to a socket, so a client that stops reading stalls nobody else.
 //!
 //! To stop, [`ServerHandle::stop`] (or the shard that reaches
-//! [`ServerConfig::max_requests`]) sets the stop flag and wakes the
+//! [`ServerConfig::with_max_requests`]) sets the stop flag and wakes the
 //! acceptor with one connection to its own address; the acceptor stops
 //! every shard, and a stopped shard drops its writers' channels. Each
 //! writer flushes (giving up on a socket that takes nothing for 250 ms)
@@ -68,34 +68,32 @@ const READ_CHUNK: usize = 4096;
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct ServerConfig {
-    /// Hard cap on one frame's payload bytes.
-    pub max_frame_bytes: usize,
     /// Exit the serve loop after this many completed queries (`None` =
     /// serve until the shutdown flag flips). Scripted smoke tests and
     /// benches use it for deterministic shutdown.
-    pub max_requests: Option<u64>,
+    pub(crate) max_requests: Option<u64>,
     /// Warm-boot from the client's configured plan store before
     /// accepting connections: restore every compatible compiled plan
     /// into the plan memo and import the scoring-cache snapshot (if
     /// its generation and tokenizer still match). A no-op when the
     /// client has no store configured — best-effort, never fatal.
-    pub preload_store: bool,
+    pub(crate) preload_store: bool,
     /// Flush the shared scoring cache to the client's plan store when
     /// the serve loop exits, so the next replica boots score-warm.
     /// (Compiled plans need no flush: they are written back at compile
     /// time.) Best-effort, never fatal.
-    pub flush_store: bool,
+    pub(crate) flush_store: bool,
     /// Driver shards: independent threads, each with its own
     /// connection table and [`QueryDriver`]. Connections get
     /// shard affinity at accept time. Clamped to at least 1.
     pub shards: usize,
     /// Global cap on queries in flight across all shards; admissions
     /// beyond it answer [`Response::Busy`].
-    pub max_inflight: usize,
+    pub(crate) max_inflight: usize,
     /// Per-connection cap on queries in flight; a connection pipelining
     /// past it answers [`Response::Busy`] (its admitted queries are
     /// unaffected).
-    pub max_inflight_per_conn: usize,
+    pub(crate) max_inflight_per_conn: usize,
 }
 
 impl ServerConfig {
@@ -103,7 +101,6 @@ impl ServerConfig {
     /// globally / 64 per connection).
     pub fn new() -> Self {
         ServerConfig {
-            max_frame_bytes: MAX_FRAME_BYTES,
             max_requests: None,
             preload_store: false,
             flush_store: false,
@@ -111,13 +108,6 @@ impl ServerConfig {
             max_inflight: 1024,
             max_inflight_per_conn: 64,
         }
-    }
-
-    /// Set the frame-size cap.
-    #[must_use]
-    pub fn with_max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = bytes;
-        self
     }
 
     /// Exit after `n` completed queries (deterministic smoke shutdown).
@@ -172,6 +162,7 @@ impl Default for ServerConfig {
 /// One shard's slice of the work, inside [`ServerReport::shards`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
+// lint: allow(dead_pub, "the element type of ServerReport::shards, which relm_server's per-shard report lines and tests/serve_sharded.rs read")
 pub struct ShardReport {
     /// This shard's index (0-based).
     pub shard: usize,
@@ -245,13 +236,13 @@ pub struct ServerReport {
     /// See [`ServerReport::ticks_run`].
     pub ticks_skipped: u64,
     /// Compiled plans restored from the warm-artifact store at boot
-    /// ([`ServerConfig::preload_store`]).
+    /// ([`ServerConfig::with_preload_store`]).
     pub plans_preloaded: u64,
     /// Scoring-cache distributions imported from the store's snapshot
-    /// at boot ([`ServerConfig::preload_store`]).
+    /// at boot ([`ServerConfig::with_preload_store`]).
     pub cache_entries_preloaded: u64,
     /// Bytes flushed to the store on shutdown
-    /// ([`ServerConfig::flush_store`]).
+    /// ([`ServerConfig::with_flush_store`]).
     pub store_flush_bytes: u64,
     /// Per-shard sections, indexed by shard id.
     pub shards: Vec<ShardReport>,
@@ -427,7 +418,7 @@ impl<M: LanguageModel> RelmServer<M> {
                     }
                     let events = inbox.clone();
                     let reader = std::thread::Builder::new().spawn_scoped(scope, move || {
-                        read_frames(reader, token, &events, self.config.max_frame_bytes);
+                        read_frames(reader, token, &events);
                     });
                     match reader {
                         Ok(reader) => connections.push(reader),
@@ -757,7 +748,7 @@ impl<M: LanguageModel> Shard<'_, M> {
 
 /// A connection's reader: block in `read`, send each complete frame to
 /// the shard, and tell it when the read side ends.
-fn read_frames(mut stream: TcpStream, token: u64, events: &Sender<Event>, max_frame_bytes: usize) {
+fn read_frames(mut stream: TcpStream, token: u64, events: &Sender<Event>) {
     let mut buf = Vec::new();
     let mut chunk = [0u8; READ_CHUNK];
     'read: loop {
@@ -768,7 +759,7 @@ fn read_frames(mut stream: TcpStream, token: u64, events: &Sender<Event>, max_fr
             Err(_) => break,
         }
         loop {
-            match decode_frame(&mut buf, max_frame_bytes) {
+            match decode_frame(&mut buf, MAX_FRAME_BYTES) {
                 Ok(Some(frame)) => {
                     if events.send(Event::Frame { token, frame }).is_err() {
                         // The shard is gone: the server is stopping.

@@ -10,7 +10,8 @@ pub fn mean(values: &[f64]) -> f64 {
 
 /// Sample standard deviation (n − 1 denominator); 0.0 for fewer than two
 /// values.
-pub fn std_dev(values: &[f64]) -> f64 {
+#[cfg(test)]
+fn std_dev(values: &[f64]) -> f64 {
     if values.len() < 2 {
         return 0.0;
     }

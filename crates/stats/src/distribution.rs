@@ -38,7 +38,8 @@ impl EmpiricalDist {
     }
 
     /// Record `n` observations of `category`.
-    pub fn observe_n(&mut self, category: &str, n: u64) {
+    #[cfg(test)]
+    fn observe_n(&mut self, category: &str, n: u64) {
         if n == 0 {
             return;
         }

@@ -20,7 +20,7 @@ mod describe;
 mod distribution;
 
 pub use chi2::{chi2_independence, Chi2Result};
-pub use describe::{mean, percentile, std_dev};
+pub use describe::{mean, percentile};
 pub use distribution::{Cdf, EmpiricalDist};
 
 /// Natural log of the gamma function, via the Lanczos approximation
@@ -29,7 +29,7 @@ pub use distribution::{Cdf, EmpiricalDist};
 /// # Panics
 ///
 /// Panics if `x <= 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires positive argument, got {x}");
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
@@ -70,7 +70,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `s <= 0` or `x < 0`.
-pub fn ln_gamma_q(s: f64, x: f64) -> f64 {
+fn ln_gamma_q(s: f64, x: f64) -> f64 {
     assert!(s > 0.0, "shape must be positive");
     assert!(x >= 0.0, "x must be non-negative");
     if x == 0.0 {

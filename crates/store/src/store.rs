@@ -60,7 +60,7 @@ impl PlanStore {
     }
 
     /// The file a plan for `key` lives in (whether or not it exists).
-    pub fn plan_path(&self, key: &ArtifactKey) -> PathBuf {
+    fn plan_path(&self, key: &ArtifactKey) -> PathBuf {
         self.root
             .join(format!("plan-{:016x}.relm", fnv1a(&key.encoded())))
     }

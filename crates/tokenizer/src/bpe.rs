@@ -107,17 +107,6 @@ impl BpeTokenizer {
         &self.vocab[token as usize]
     }
 
-    /// The token whose byte content is exactly `bytes`, if any.
-    pub fn token_of_bytes(&self, bytes: &[u8]) -> Option<TokenId> {
-        self.bytes_lookup.get(bytes).copied()
-    }
-
-    /// Length in bytes of the longest (non-EOS) token — the `m_max` of
-    /// the paper's `O(V·k·m_max)` compiler bound.
-    pub fn max_token_len(&self) -> usize {
-        self.max_token_len
-    }
-
     /// A stable 64-bit fingerprint of this tokenizer: FNV-1a over the
     /// merge table, vocabulary size, and EOS id.
     ///
@@ -414,7 +403,7 @@ mod tests {
     fn training_creates_multibyte_tokens() {
         let corpus = "the the the the the cat cat cat";
         let tok = BpeTokenizer::train(corpus, 20);
-        assert!(tok.max_token_len() > 1);
+        assert!(tok.max_token_len > 1);
         let ids = tok.encode("the");
         assert!(ids.len() < 3, "expected merged encoding, got {ids:?}");
     }
@@ -439,9 +428,10 @@ mod tests {
     #[test]
     fn token_of_bytes_lookup() {
         let tok = small();
-        assert_eq!(tok.token_of_bytes(b"The"), Some(258));
-        assert_eq!(tok.token_of_bytes(b"xyz"), None);
-        assert_eq!(tok.token_of_bytes(b"T"), Some(TokenId::from(b'T')));
+        let lookup = |bytes: &[u8]| tok.bytes_lookup.get(bytes).copied();
+        assert_eq!(lookup(b"The"), Some(258));
+        assert_eq!(lookup(b"xyz"), None);
+        assert_eq!(lookup(b"T"), Some(TokenId::from(b'T')));
     }
 
     #[test]

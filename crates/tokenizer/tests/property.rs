@@ -3,6 +3,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use relm_bpe::{pretokenize, BpeTokenizer};
 
@@ -76,14 +78,15 @@ proptest! {
         }
     }
 
-    /// token_of_bytes inverts token_bytes for every vocabulary item.
+    /// No two vocabulary items share bytes (BPE merges are unique), so
+    /// a bytes -> id lookup inverts token_bytes for every item.
     #[test]
     fn vocab_lookup_inverts(_x in 0..1u8) {
         let tok = trained();
+        let mut lookup = HashMap::new();
         for (id, bytes) in tok.iter_vocab() {
-            // Multiple ids cannot share bytes (BPE merges are unique), so
-            // lookup must return exactly `id`.
-            prop_assert_eq!(tok.token_of_bytes(bytes), Some(id));
+            prop_assert_eq!(tok.token_bytes(id), bytes);
+            prop_assert_eq!(lookup.insert(bytes.to_vec(), id), None);
         }
     }
 
@@ -96,4 +99,24 @@ proptest! {
         let large = BpeTokenizer::train(corpus, 120);
         prop_assert!(large.encode(&text).len() <= small.encode(&text).len());
     }
+}
+
+/// The pair rule — a token sequence is canonical iff every token and
+/// every adjacent pair is — does not hold under this pre-tokenizer: a
+/// whitespace byte before a non-whitespace byte joins the next piece,
+/// so a pair can be non-canonical alone and canonical in context. The
+/// smallest counterexamples found, for the pair and for windows of
+/// three tokens (DESIGN.md "Substitutions").
+#[test]
+fn canonicity_is_not_decided_by_token_windows() {
+    // "\t 1" pre-tokenizes as "\t", " 1": [\t, ' ', 1] is canonical,
+    // while "\t " alone is one whitespace run and merges.
+    let tok = BpeTokenizer::from_merges(&[(9, 32)]);
+    assert!(tok.is_canonical(&[9, 32, 49]));
+    assert!(!tok.is_canonical(&[9, 32]));
+    // "a\n b" pre-tokenizes as "a", "\n", " b", but the window "a\n "
+    // ends in the whitespace run "\n ", which merges.
+    let tok = BpeTokenizer::from_merges(&[(10, 32)]);
+    assert!(tok.is_canonical(&[97, 10, 32, 98]));
+    assert!(!tok.is_canonical(&[97, 10, 32]));
 }

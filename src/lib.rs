@@ -44,22 +44,20 @@
 #![forbid(unsafe_code)]
 
 pub use relm_automata::{
-    ascii_alphabet, byte_alphabet, concat, dfa_to_dot, levenshtein_within, nfa_to_dot,
-    prefix_closure, reverse, str_symbols, symbols_to_string, Dfa, Fst, Nfa, Parallelism, StateId,
-    Symbol, WalkChoice, WalkTable, WorkerPool,
+    ascii_alphabet, concat, dfa_to_dot, levenshtein_within, reverse, str_symbols, Dfa, Nfa,
+    Parallelism, StateId, Symbol, WalkChoice, WalkTable, WorkerPool,
 };
 pub use relm_bpe::{pretokenize, BpeTokenizer, TokenId};
 pub use relm_core::{
-    compiler, explain, CompiledSearch, ExecutionStats, FilterPreprocessor, LevenshteinPreprocessor,
-    MachineShape, MatchResult, PlanSource, PrefixSampling, Preprocessor, QueryCompletion,
-    QueryDriver, QueryId, QueryOutcome, QueryPlan, QuerySet, QuerySetReport, QuerySpec,
-    QueryString, Relm, RelmBuilder, RelmError, RelmErrorKind, SearchQuery, SearchResults,
-    SearchStrategy, SessionConfig, SessionStats, TokenizationStrategy,
+    compiler, explain, CompiledSearch, ExecutionStats, MachineShape, MatchResult, PlanSource,
+    PrefixSampling, Preprocessor, QueryCompletion, QueryDriver, QueryId, QueryOutcome, QueryPlan,
+    QuerySet, QuerySetReport, QuerySpec, QueryString, Relm, RelmBuilder, RelmError, RelmErrorKind,
+    SearchQuery, SearchResults, SearchStrategy, SessionConfig, SessionStats, TokenizationStrategy,
 };
 pub use relm_lm::{
-    perplexity, pooled_scores, sample_sequence, score_batch, sequence_log_prob, top_k_accuracy,
-    AcceleratorSim, DecodingPolicy, LanguageModel, NGramConfig, NGramLm, NeuralLm, NeuralLmConfig,
-    ScoringEngine, ScoringStats, SharedCacheStats, SharedScoringCache,
+    pooled_scores, sample_sequence, score_batch, sequence_log_prob, AcceleratorSim, DecodingPolicy,
+    LanguageModel, NGramConfig, NGramLm, NeuralLm, NeuralLmConfig, ScoringEngine, ScoringStats,
+    SharedCacheStats, SharedScoringCache,
 };
 pub use relm_regex::{disjunction_of, escape, Regex};
 pub use relm_store::{

@@ -70,17 +70,12 @@ fn facade_reexport_list_matches_snapshot() {
         "mod stats",
         // relm-automata
         "ascii_alphabet",
-        "byte_alphabet",
         "concat",
         "dfa_to_dot",
         "levenshtein_within",
-        "nfa_to_dot",
-        "prefix_closure",
         "reverse",
         "str_symbols",
-        "symbols_to_string",
         "Dfa",
-        "Fst",
         "Nfa",
         "Parallelism",
         "StateId",
@@ -108,8 +103,6 @@ fn facade_reexport_list_matches_snapshot() {
         "explain",
         "CompiledSearch",
         "ExecutionStats",
-        "FilterPreprocessor",
-        "LevenshteinPreprocessor",
         "MachineShape",
         "MatchResult",
         "PlanSource",
@@ -126,12 +119,10 @@ fn facade_reexport_list_matches_snapshot() {
         "SessionStats",
         "TokenizationStrategy",
         // relm-lm
-        "perplexity",
         "pooled_scores",
         "sample_sequence",
         "score_batch",
         "sequence_log_prob",
-        "top_k_accuracy",
         "AcceleratorSim",
         "DecodingPolicy",
         "LanguageModel",

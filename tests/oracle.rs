@@ -304,6 +304,29 @@ fn every_executor_pays_the_required_eos_step() {
     check_members("sampling 3", &sampled, &case.reference).unwrap();
 }
 
+/// At a temperature other than 1 every executor scores a match on the
+/// policy's scaled rows, as the reference does: Dijkstra and beam sum
+/// the view's values, and the sampler's emitted `log_prob` (scored after
+/// the draw) reads the same view, the required EOS step included.
+#[test]
+fn every_executor_scores_on_the_policys_temperature_scale() {
+    let (tok, lm) = cat_world();
+    for require_eos in [false, true] {
+        let mut rules = Rules::new(
+            TokenizationStrategy::Canonical,
+            DecodingPolicy::unfiltered().with_temperature(0.5),
+        );
+        rules.require_eos = require_eos;
+        let case = cat_case(&lm, &tok, rules);
+        assert_eq!(case.reference.len(), 2, "require_eos {require_eos}");
+        case.check_shortest().unwrap();
+        case.check_beam().unwrap();
+        let sampled = case.run(SearchStrategy::RandomSampling { seed: 3 }, 12);
+        assert_eq!(sampled.len(), 12);
+        check_members("sampling 3", &sampled, &case.reference).unwrap();
+    }
+}
+
 /// The decoding policies the property test draws from: unfiltered, three
 /// top-k cutoffs and a nucleus.
 fn policy(choice: usize) -> DecodingPolicy {

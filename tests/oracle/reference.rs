@@ -175,16 +175,15 @@ fn score<M: LanguageModel>(
     let mut cost = 0.0f64;
     for (i, &token) in tokens.iter().enumerate() {
         let row = model.next_log_probs(&context);
-        let lp = row[token as usize];
-        let kept = if i < prefix_len {
-            lp.is_finite()
+        let lp = if i < prefix_len {
+            Some(row[token as usize]).filter(|lp| lp.is_finite())
         } else {
-            rules.policy.permits(&row, token)
+            rules
+                .policy
+                .permits(&row, token)
+                .then(|| rules.policy.scaled_log_probs(&row)[token as usize])
         };
-        if !kept {
-            return None;
-        }
-        cost -= lp;
+        cost -= lp?;
         context.push(token);
     }
     if rules.require_eos {
@@ -192,7 +191,7 @@ fn score<M: LanguageModel>(
         if !rules.policy.permits(&row, model.eos()) {
             return None;
         }
-        cost -= row[model.eos() as usize];
+        cost -= rules.policy.scaled_log_probs(&row)[model.eos() as usize];
     }
     Some(-cost)
 }
