@@ -140,7 +140,7 @@ fn is_library(file: &SourceFile) -> bool {
 
 /// Files that are modules declared under `#[cfg(test)]` (`mod
 /// oracle;`): test code in its own file, so neither items nor uses.
-fn test_module_files(files: &[SourceFile]) -> BTreeSet<String> {
+pub(crate) fn test_module_files(files: &[SourceFile]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for file in files {
         let code: Vec<usize> = (0..file.toks.len())

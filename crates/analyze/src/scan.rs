@@ -144,6 +144,33 @@ impl SourceFile {
         }
     }
 
+    /// Lines outside `#[cfg(test)]`/`#[test]` regions: every line,
+    /// blank and comment lines included, less the lines from the first
+    /// to the last token of each test region.
+    pub(crate) fn lines_outside_tests(&self) -> u32 {
+        let mut in_tests = 0;
+        // The last line counted as test code so far.
+        let mut covered = 0;
+        let mut i = 0;
+        while i < self.toks.len() {
+            if !self.in_test[i] {
+                i += 1;
+                continue;
+            }
+            let first = self.toks[i].line.max(covered + 1);
+            while i + 1 < self.toks.len() && self.in_test[i + 1] {
+                i += 1;
+            }
+            let last = self.toks[i].line;
+            if last >= first {
+                in_tests += last - first + 1;
+                covered = last;
+            }
+            i += 1;
+        }
+        self.lines.saturating_sub(in_tests)
+    }
+
     /// Iterate code-token indices outside test regions.
     pub fn code_indices(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.toks.len()).filter(|&i| self.toks[i].is_code() && !self.in_test[i])

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use crate::findings::{assign_ordinals, Baseline, Family, Finding};
 use crate::locks::{self, LockReport};
 use crate::reach::{self, SurfaceCounts};
-use crate::scan::{is_crate_root, SourceFile};
+use crate::scan::{is_crate_root, FileKind, SourceFile};
 use crate::sites::{self, SiteCounts};
 use crate::wire::{self, Fingerprints};
 
@@ -31,6 +31,10 @@ pub struct Report {
     pub wire: Fingerprints,
     pub files_scanned: u64,
     pub lines_scanned: u64,
+    /// Lines of library and binary files outside test code: the
+    /// product's size, whatever the tests, fixtures, shims and benches
+    /// around it weigh.
+    lib_lines: u64,
     pub allows: u64,
     baseline_entries: u64,
     pub baseline_hits: u64,
@@ -42,13 +46,15 @@ impl Report {
     pub fn summary_json(&self) -> String {
         let c = &self.counts;
         format!(
-            "LINT_JSON {{\"files\": {}, \"lines\": {}, \"panic_sites\": {}, \"panic_allowed\": {}, \
+            "LINT_JSON {{\"files\": {}, \"lines\": {}, \"lib_lines\": {}, \"panic_sites\": {}, \
+             \"panic_allowed\": {}, \
              \"nondet_sites\": {}, \"nondet_allowed\": {}, \"float_fmt_sites\": {}, \
              \"lock_sites\": {}, \"lock_classes\": {}, \"lock_edges\": {}, \"lock_cycle\": {}, \
              \"ambiguous_calls\": {}, \"wire_types\": {}, \"functions\": {}, \"pub_items\": {}, \
              \"knobs\": {}, \"allows\": {}, \"baseline\": {}, \"findings\": {}}}",
             self.files_scanned,
             self.lines_scanned,
+            self.lib_lines,
             c.panic_sites,
             c.panic_allowed,
             c.nondet_sites,
@@ -65,7 +71,11 @@ impl Report {
                     .collect();
                 pairs.len()
             },
-            if self.locks.cycle.is_some() { "true" } else { "false" },
+            if self.locks.cycle.is_some() {
+                "true"
+            } else {
+                "false"
+            },
             self.locks.ambiguous_calls,
             self.wire.len(),
             self.locks.functions,
@@ -210,10 +220,23 @@ pub fn run(sources: &[(String, String)], baseline: &Baseline) -> Report {
         wire,
         files_scanned: files.len() as u64,
         lines_scanned: files.iter().map(|f| f.lines as u64).sum(),
+        lib_lines: lib_lines(&files),
         allows,
         baseline_entries: baseline.len() as u64,
         baseline_hits,
     }
+}
+
+/// Lines outside test code in `FileKind::Lib` and `FileKind::Bin`
+/// files; a module declared under `#[cfg(test)]` is test code whole.
+fn lib_lines(files: &[SourceFile]) -> u64 {
+    let test_modules = reach::test_module_files(files);
+    files
+        .iter()
+        .filter(|f| matches!(f.kind, FileKind::Lib | FileKind::Bin))
+        .filter(|f| !test_modules.contains(&f.path))
+        .map(|f| u64::from(f.lines_outside_tests()))
+        .sum()
 }
 
 /// Load every workspace source as `(relative path, text)` pairs.

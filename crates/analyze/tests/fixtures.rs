@@ -400,3 +400,47 @@ fn summary_counts_pub_items_and_knobs() {
     assert!(line.contains("\"pub_items\": 5,"), "{line}");
     assert!(line.contains("\"knobs\": 3,"), "{line}");
 }
+
+/// The `"key": N` count of a `LINT_JSON` line.
+fn summary_count(line: &str, key: &str) -> u64 {
+    let tail = &line[line.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4..];
+    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("a count")
+}
+
+#[test]
+fn summary_counts_library_lines_outside_tests() {
+    // Five lines, four of them the test module: one library line.
+    let lib = "pub fn live() {}\n\
+               #[cfg(test)]\n\
+               mod tests {\n    #[test] fn t() {}\n}\n";
+    let bin = "fn main() {}\n\n// done\n";
+    let sources: Vec<(String, String)> = [
+        (LIB, lib),
+        ("crates/core/src/bin/tool.rs", bin),
+        (
+            "crates/core/src/lib.rs",
+            "#[cfg(test)]\nmod oracle;\nmod a;\n",
+        ),
+        (
+            "crates/core/src/oracle.rs",
+            "fn reference() {}\nfn more() {}\n",
+        ),
+        ("crates/core/tests/t.rs", "#[test]\nfn t() {}\n"),
+        ("examples/demo.rs", "fn main() {}\n"),
+        ("benches/e2e/src/main.rs", "fn main() {}\n"),
+        ("crates/shims/rand/src/lib.rs", "pub fn r() {}\n"),
+    ]
+    .iter()
+    .map(|(p, s)| (p.to_string(), s.to_string()))
+    .collect();
+    let line = run(&sources, &Baseline::parse("")).summary_json();
+    // a.rs: 1, the bin: 3, lib.rs: 1 (`mod a;`); oracle.rs is a test
+    // module, and tests, examples, benches and shims are not counted.
+    assert_eq!(summary_count(&line, "lib_lines"), 5, "{line}");
+    assert_eq!(summary_count(&line, "lines"), 18, "{line}");
+    // Two regions on one line count that line once.
+    let one_line = "#[test] fn a() {} fn live() {} #[test] fn b() {}\nfn c() {}\n";
+    let line = report(LIB, one_line).summary_json();
+    assert_eq!(summary_count(&line, "lib_lines"), 1, "{line}");
+}

@@ -321,7 +321,10 @@ impl Dfa {
     /// # Panics
     ///
     /// Panics if `state` is out of bounds.
-    pub fn transitions(&self, state: StateId) -> impl Iterator<Item = (Symbol, StateId)> + '_ {
+    pub fn transitions(
+        &self,
+        state: StateId,
+    ) -> impl ExactSizeIterator<Item = (Symbol, StateId)> + '_ {
         self.states[state].transitions.iter().copied()
     }
 
@@ -393,39 +396,7 @@ impl Dfa {
     #[must_use]
     pub fn trim(&self) -> Dfa {
         let n = self.states.len();
-        // Forward reachability.
-        let mut fwd = vec![false; n];
-        let mut queue = VecDeque::from([self.start]);
-        fwd[self.start] = true;
-        while let Some(s) = queue.pop_front() {
-            for &(_, t) in &self.states[s].transitions {
-                if !fwd[t] {
-                    fwd[t] = true;
-                    queue.push_back(t);
-                }
-            }
-        }
-        // Backward reachability from accepting states.
-        let mut reverse: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for (s, st) in self.states.iter().enumerate() {
-            for &(_, t) in &st.transitions {
-                reverse[t].push(s);
-            }
-        }
-        let mut bwd = vec![false; n];
-        let mut queue: VecDeque<StateId> = (0..n)
-            .filter(|&s| self.states[s].accepting)
-            .inspect(|&s| bwd[s] = true)
-            .collect();
-        while let Some(s) = queue.pop_front() {
-            for &p in &reverse[s] {
-                if !bwd[p] {
-                    bwd[p] = true;
-                    queue.push_back(p);
-                }
-            }
-        }
-        let live: Vec<bool> = (0..n).map(|s| fwd[s] && bwd[s]).collect();
+        let live = self.live_states();
         if !live[self.start] {
             return Dfa::empty();
         }
@@ -454,6 +425,59 @@ impl Dfa {
         }
         out.start = remap[self.start];
         out
+    }
+
+    /// Which states are live: reachable from the start state and able
+    /// to reach an accepting state. Reverse edges are one CSR array.
+    fn live_states(&self) -> Vec<bool> {
+        let n = self.states.len();
+        let mut fwd = vec![false; n];
+        let mut queue = VecDeque::from([self.start]);
+        fwd[self.start] = true;
+        while let Some(s) = queue.pop_front() {
+            for &(_, t) in &self.states[s].transitions {
+                if !fwd[t] {
+                    fwd[t] = true;
+                    queue.push_back(t);
+                }
+            }
+        }
+        // `sources[first[t]..first[t + 1]]` are the states with an edge
+        // into `t`.
+        let mut first = vec![0usize; n + 1];
+        for st in &self.states {
+            for &(_, t) in &st.transitions {
+                first[t + 1] += 1;
+            }
+        }
+        for t in 0..n {
+            first[t + 1] += first[t];
+        }
+        let mut fill = first.clone();
+        let mut sources = vec![0; first[n]];
+        for (s, st) in self.states.iter().enumerate() {
+            for &(_, t) in &st.transitions {
+                sources[fill[t]] = s;
+                fill[t] += 1;
+            }
+        }
+        let mut bwd = vec![false; n];
+        queue.extend((0..n).filter(|&s| self.states[s].accepting));
+        for &s in &queue {
+            bwd[s] = true;
+        }
+        while let Some(s) = queue.pop_front() {
+            for &p in &sources[first[s]..first[s + 1]] {
+                if !bwd[p] {
+                    bwd[p] = true;
+                    queue.push_back(p);
+                }
+            }
+        }
+        for (f, b) in fwd.iter_mut().zip(bwd) {
+            *f &= b;
+        }
+        fwd
     }
 
     /// Hopcroft's minimization algorithm: the canonical minimal DFA for
@@ -733,7 +757,7 @@ impl Dfa {
     /// Work is bounded: exploration stops after
     /// `max_count · (max_len + 1) + 1024` partial prefixes even when fewer
     /// than `max_count` strings have been found (possible for very wide
-    /// languages). Call [`Dfa::count_strings`] first when an exact
+    /// languages). Call [`Dfa::finite_size`] first when an exact
     /// cardinality decision matters.
     pub fn enumerate(&self, max_len: usize, max_count: usize) -> Vec<Vec<Symbol>> {
         let mut results = Vec::new();
@@ -768,97 +792,63 @@ impl Dfa {
         results
     }
 
-    /// Count the strings of length ≤ `max_len` in the language, exactly,
-    /// in `O(max_len · E)` time (saturating at `u128::MAX`) — the cheap
-    /// pre-check that makes enumeration-based constructions safe.
-    pub fn count_strings(&self, max_len: usize) -> u128 {
-        crate::WalkTable::count_exact(self, max_len)
-    }
-
-    /// Length of the longest accepted string, or `None` when the language
-    /// is infinite or empty.
-    pub fn longest_string_len(&self) -> Option<usize> {
-        let trimmed = self.trim();
-        if trimmed.is_empty_language() || !trimmed.is_finite_language() {
-            return None;
+    /// The length of the longest string and the number of strings of
+    /// a finite language, or `None` when the language is infinite. The
+    /// empty language is `Some((0, 0))`. The count saturates at
+    /// `u128::MAX`.
+    ///
+    /// One pass over the live states (see [`Dfa::trim`]): a depth-first
+    /// search from the start state that fails on a cycle and, as each
+    /// state finishes, sums the counts and takes the longest of its
+    /// successors, which have all finished by then. `O(n + m)` for `n`
+    /// states and `m` transitions, with a handful of arrays and no
+    /// allocation per state — the cheap pre-check that makes
+    /// enumeration-based constructions safe.
+    pub fn finite_size(&self) -> Option<(usize, u128)> {
+        const WHITE: u8 = 0;
+        const GREY: u8 = 1;
+        const BLACK: u8 = 2;
+        let live = self.live_states();
+        if !live[self.start] {
+            return Some((0, 0));
         }
-        // Longest path in a DAG via post-order DP; every state of a
-        // trimmed automaton reaches acceptance.
-        let n = trimmed.states.len();
-        let mut memo: Vec<Option<usize>> = vec![None; n];
-        let mut order = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut stack = vec![(trimmed.start, false)];
-        while let Some((s, processed)) = stack.pop() {
-            if processed {
-                order.push(s);
-                continue;
-            }
-            if visited[s] {
-                continue;
-            }
-            visited[s] = true;
-            stack.push((s, true));
-            for &(_, t) in &trimmed.states[s].transitions {
-                if !visited[t] {
-                    stack.push((t, false));
+        let mut mark = vec![WHITE; self.states.len()];
+        let mut size = vec![(0usize, 0u128); self.states.len()];
+        // (state, index of its next edge to follow)
+        let mut stack = vec![(self.start, 0usize)];
+        mark[self.start] = GREY;
+        while let Some(&mut (s, ref mut edge)) = stack.last_mut() {
+            let transitions = &self.states[s].transitions;
+            if let Some(&(_, t)) = transitions.get(*edge) {
+                *edge += 1;
+                if !live[t] {
+                    continue;
                 }
-            }
-        }
-        for &s in &order {
-            let mut best = if trimmed.states[s].accepting {
-                Some(0)
-            } else {
-                None
-            };
-            for &(_, t) in &trimmed.states[s].transitions {
-                if let Some(len) = memo[t] {
-                    best = Some(best.map_or(len + 1, |b: usize| b.max(len + 1)));
-                }
-            }
-            memo[s] = best;
-        }
-        memo[trimmed.start]
-    }
-
-    /// True if the language is finite (the trimmed automaton is acyclic).
-    fn is_finite_language(&self) -> bool {
-        let trimmed = self.trim();
-        // DFS cycle detection.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Grey,
-            Black,
-        }
-        let n = trimmed.states.len();
-        let mut marks = vec![Mark::White; n];
-        // Iterative DFS with explicit stack of (state, next-edge-index).
-        for root in 0..n {
-            if marks[root] != Mark::White {
-                continue;
-            }
-            let mut stack: Vec<(StateId, usize)> = vec![(root, 0)];
-            marks[root] = Mark::Grey;
-            while let Some(&mut (s, ref mut edge)) = stack.last_mut() {
-                if *edge < trimmed.states[s].transitions.len() {
-                    let (_, t) = trimmed.states[s].transitions[*edge];
-                    *edge += 1;
-                    match marks[t] {
-                        Mark::Grey => return false,
-                        Mark::White => {
-                            marks[t] = Mark::Grey;
-                            stack.push((t, 0));
-                        }
-                        Mark::Black => {}
+                match mark[t] {
+                    GREY => return None,
+                    WHITE => {
+                        mark[t] = GREY;
+                        stack.push((t, 0));
                     }
-                } else {
-                    marks[s] = Mark::Black;
-                    stack.pop();
+                    _ => {}
+                }
+                continue;
+            }
+            // Every live successor has finished: post-order.
+            let mut longest = 0;
+            let mut count = u128::from(self.states[s].accepting);
+            for &(_, t) in transitions {
+                if live[t] {
+                    let (l, c) = size[t];
+                    longest = longest.max(l + 1);
+                    count = count.saturating_add(c);
                 }
             }
+            size[s] = (longest, count);
+            mark[s] = BLACK;
+            stack.pop();
         }
-        true
+        Some(size[self.start])
     }
 
     /// Build a DFA directly from parts. Used by graph-rewriting passes
@@ -1088,10 +1078,16 @@ mod tests {
 
     #[test]
     fn finite_vs_infinite_language() {
-        assert!(dfa(Nfa::literal(s("abc"))).is_finite_language());
-        assert!(!dfa(Nfa::literal(s("ab")).star()).is_finite_language());
-        // Cycle in dead states must not count.
-        assert!(Dfa::empty().is_finite_language());
+        assert_eq!(dfa(Nfa::literal(s("abc"))).finite_size(), Some((3, 1)));
+        assert_eq!(dfa(Nfa::literal(s("ab")).star()).finite_size(), None);
+        assert_eq!(Dfa::empty().finite_size(), Some((0, 0)));
+        let words = Nfa::literal(s("a"))
+            .union(Nfa::literal(s("bcd")))
+            .union(Nfa::epsilon());
+        assert_eq!(dfa(words).finite_size(), Some((3, 3)));
+        // A cycle among dead states does not count.
+        let dead_loop = Dfa::from_parts(3, 0, &[1], &[(0, 0, 1), (0, 1, 2), (2, 0, 2)]);
+        assert_eq!(dead_loop.finite_size(), Some((1, 1)));
     }
 
     #[test]

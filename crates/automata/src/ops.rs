@@ -25,6 +25,7 @@ use crate::{Dfa, Nfa, StateId};
 /// assert!(rev.contains(str_symbols("cba")));
 /// assert!(!rev.contains(str_symbols("abc")));
 /// ```
+// lint: allow(dead_pub, "a facade export; check_minimize in crates/automata/tests/property.rs checks minimize against double reversal with it")
 pub fn reverse(dfa: &Dfa) -> Dfa {
     let trimmed = dfa.trim();
     if trimmed.is_empty_language() {

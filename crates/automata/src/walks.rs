@@ -247,6 +247,7 @@ impl WalkTable {
 
     /// Exact `u128` walk count for small automata; saturates at
     /// `u128::MAX`. Used to validate the floating-point table in tests.
+    // lint: allow(dead_pub, "walk_counts_monotone and the finite-size oracle in crates/automata/tests/property.rs count with it")
     pub fn count_exact(dfa: &Dfa, max_len: usize) -> u128 {
         let n = dfa.state_count();
         let mut prev: Vec<u128> = (0..n).map(|s| u128::from(dfa.is_accepting(s))).collect();

@@ -376,18 +376,15 @@ proptest! {
         }
     }
 
-    /// `longest_string_len` agrees with enumeration on finite languages.
+    /// `finite_size` agrees with enumeration on finite languages.
     #[test]
     fn longest_len_agrees_with_enumeration(nfa in small_nfa()) {
         let dfa = nfa.determinize().minimize();
-        if let Some(longest) = dfa.longest_string_len() {
-            if dfa.count_strings(24) < 4096 {
-                let max_seen = dfa
-                    .enumerate(24, 4096)
-                    .iter()
-                    .map(Vec::len)
-                    .max()
-                    .unwrap_or(0);
+        if let Some((longest, count)) = dfa.finite_size() {
+            if count < 4096 {
+                let all = dfa.enumerate(longest, 4096);
+                prop_assert_eq!(all.len() as u128, count);
+                let max_seen = all.iter().map(Vec::len).max().unwrap_or(0);
                 prop_assert_eq!(longest, max_seen);
             }
         }
@@ -516,8 +513,10 @@ proptest! {
 /// target between states.
 fn tangled_nfa() -> impl Strategy<Value = Nfa> {
     let raw = proptest::collection::vec(0usize..1 << 16, 64..65).prop_map(|draws| {
-        let mut draws = draws.into_iter();
-        let mut draw = |bound: usize| draws.next().expect("64 draws are enough") % bound;
+        // Eight states of four edges take 81 draws: past the 64th, the
+        // draws start over rather than run out.
+        let mut draws = draws.into_iter().cycle();
+        let mut draw = |bound: usize| draws.next().expect("the draws repeat") % bound;
         let n = 1 + draw(8);
         let mut nfa = Nfa::empty();
         for _ in 1..n {
@@ -751,4 +750,108 @@ fn minimize_levenshtein_template_matches_naive_reference() {
     assert!(min.state_count() < dfa.state_count());
     assert!(min.equivalent(&dfa));
     assert_eq!(min.minimize(), min);
+}
+
+/// A test-only copy of the enumerability pre-check `Dfa::finite_size`
+/// replaced: the longest string's length by a post-order DP over the
+/// trimmed automaton once a grey/black DFS finds it acyclic, then the
+/// count of strings up to `max_len` by the walk-count DP.
+fn reference_longest_string_len(dfa: &Dfa) -> Option<usize> {
+    let trimmed = dfa.trim();
+    if trimmed.is_empty_language() {
+        return None;
+    }
+    let n = trimmed.state_count();
+    // 0 white, 1 grey, 2 black; `order` is the post-order.
+    let mut marks = vec![0u8; n];
+    let mut order = Vec::with_capacity(n);
+    for root in 0..n {
+        if marks[root] != 0 {
+            continue;
+        }
+        let mut stack: Vec<(StateId, Vec<StateId>)> =
+            vec![(root, trimmed.transitions(root).map(|(_, t)| t).collect())];
+        marks[root] = 1;
+        while let Some((s, pending)) = stack.last_mut() {
+            let s = *s;
+            if let Some(t) = pending.pop() {
+                match marks[t] {
+                    1 => return None,
+                    0 => {
+                        marks[t] = 1;
+                        stack.push((t, trimmed.transitions(t).map(|(_, u)| u).collect()));
+                    }
+                    _ => {}
+                }
+            } else {
+                marks[s] = 2;
+                order.push(s);
+                stack.pop();
+            }
+        }
+    }
+    let mut memo: Vec<Option<usize>> = vec![None; n];
+    for &s in &order {
+        let mut best = trimmed.is_accepting(s).then_some(0);
+        for (_, t) in trimmed.transitions(s) {
+            if let Some(len) = memo[t] {
+                best = Some(best.map_or(len + 1, |b: usize| b.max(len + 1)));
+            }
+        }
+        memo[s] = best;
+    }
+    memo[trimmed.start()]
+}
+
+/// The pre-check `compile_canonical` ran before `Dfa::finite_size`.
+fn reference_enumerable(dfa: &Dfa, max_len: usize, max_strings: u128) -> bool {
+    match reference_longest_string_len(dfa) {
+        Some(longest) => longest <= max_len && WalkTable::count_exact(dfa, max_len) <= max_strings,
+        None => dfa.is_empty_language(),
+    }
+}
+
+/// The pre-check `compile_canonical` runs now.
+fn enumerable(dfa: &Dfa, max_len: usize, max_strings: u128) -> bool {
+    dfa.finite_size()
+        .is_some_and(|(longest, count)| longest <= max_len && count <= max_strings)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 128 } else { 1024 }))]
+
+    /// `finite_size` decides enumerability as the two-pass check did,
+    /// for random limits, on combinator trees, random graphs and random
+    /// partial DFAs (dead cycles, unreachable states), minimized or not;
+    /// and on finite languages its parts are the old longest length
+    /// and the walk-count total.
+    #[test]
+    fn finite_size_matches_the_two_pass_check(
+        nfa in small_nfa(),
+        tangled in tangled_nfa(),
+        partial in partial_dfa(),
+        max_len in 0usize..12,
+        max_strings in 0u64..40,
+    ) {
+        let max_strings = u128::from(max_strings);
+        let d = nfa.determinize();
+        for dfa in [d.minimize(), d, tangled.determinize(), partial] {
+            prop_assert_eq!(
+                enumerable(&dfa, max_len, max_strings),
+                reference_enumerable(&dfa, max_len, max_strings)
+            );
+            let longest = reference_longest_string_len(&dfa);
+            match dfa.finite_size() {
+                Some((0, 0)) => prop_assert!(dfa.is_empty_language()),
+                Some((l, count)) => {
+                    prop_assert_eq!(Some(l), longest);
+                    prop_assert_eq!(count, WalkTable::count_exact(&dfa, l));
+                }
+                None => {
+                    prop_assert_eq!(longest, None);
+                    prop_assert!(!dfa.is_empty_language());
+                }
+            }
+        }
+    }
 }

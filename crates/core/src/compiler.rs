@@ -6,13 +6,16 @@
 //! exist, matching Figure 3 of the paper:
 //!
 //! * [`compile_full`] — the **full set of encodings** (Figure 3a):
-//!   Algorithms 1–2 of Appendix B. For every multi-byte vocabulary item,
-//!   depth-first match its bytes from every automaton state; where the
-//!   walk completes, add a "shortcut" edge labelled with the token. Any
-//!   accepting token path decodes to a string of the source language,
-//!   and *every* tokenization of every string is represented. Runs in
-//!   `O(V · k · m_max)` for `V` states, `k` vocabulary items of maximum
-//!   byte length `m_max`.
+//!   Algorithms 1–2 of Appendix B. From every automaton state, walk the
+//!   tokenizer's vocabulary trie ([`VocabTrie`]) in lockstep with the
+//!   automaton, depth first; wherever a walk reaches a token's node, add
+//!   a "shortcut" edge labelled with the token. Any accepting token path
+//!   decodes to a string of the source language, and *every*
+//!   tokenization of every string is represented. A state costs the
+//!   trie nodes its walks reach (each a join of the node's children
+//!   with the state's edges), not the vocabulary: `O(V · w)` for `V`
+//!   states reaching `w` trie nodes each, against the per-word scan's
+//!   `O(V · k · m_max)` for `k` tokens of up to `m_max` bytes.
 //! * [`compile_canonical`] — **canonical encodings only** (Figure 3b):
 //!   for finite languages, enumerate the strings, encode each with the
 //!   tokenizer, and build the trie-shaped automaton of those encodings
@@ -28,7 +31,7 @@
 use std::collections::HashMap;
 
 use relm_automata::{Dfa, Parallelism, Symbol};
-use relm_bpe::{BpeTokenizer, TokenId};
+use relm_bpe::{BpeTokenizer, TokenId, VocabTrie};
 
 /// Limits for the enumeration-based canonical construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,35 +71,61 @@ pub struct CompiledAutomaton {
 /// strings of `char_dfa`'s language, with every tokenization represented.
 pub fn compile_full(char_dfa: &Dfa, tokenizer: &BpeTokenizer) -> Dfa {
     let n = char_dfa.state_count();
-    let mut transitions: Vec<(usize, Symbol, usize)> = Vec::new();
+    let mut transitions: Vec<(usize, Symbol, usize)> =
+        Vec::with_capacity(char_dfa.transition_count());
     let accepting: Vec<usize> = (0..n).filter(|&s| char_dfa.is_accepting(s)).collect();
-
-    // Single-byte tokens: byte value == token id in our BPE, so the
-    // existing character edges already carry the right labels.
-    for s in 0..n {
-        for (sym, t) in char_dfa.transitions(s) {
-            transitions.push((s, sym, t));
-        }
-    }
-
-    // Multi-byte tokens: DFS-match each vocabulary word from each state
-    // (Algorithm 1, "GetConnectingWalks") and add the shortcut edge
-    // (Algorithm 2). The DFA walk is unique when it exists.
-    let vocab: Vec<(TokenId, &[u8])> = tokenizer
-        .iter_vocab()
-        .filter(|(_, word)| word.len() > 1)
-        .collect();
+    let trie = tokenizer.vocab_trie();
+    let mut stack: Vec<(u32, usize)> = Vec::new();
     for start in 0..n {
-        for &(token, word) in &vocab {
-            let end = word
-                .iter()
-                .try_fold(start, |s, &b| char_dfa.step(s, Symbol::from(b)));
-            if let Some(end) = end {
-                transitions.push((start, token, end));
+        // Single-byte tokens: byte value == token id in our BPE, so the
+        // existing character edges already carry the right labels.
+        for (sym, t) in char_dfa.transitions(start) {
+            transitions.push((start, sym, t));
+        }
+        // Multi-byte tokens (Algorithm 1, "GetConnectingWalks"): walk the
+        // vocabulary trie in lockstep with the DFA from `start`, and add
+        // a shortcut edge (Algorithm 2) for every token a walk spells.
+        // The depth-1 nodes are the byte tokens above.
+        join(char_dfa, trie, VocabTrie::ROOT, start, |child, end| {
+            if !trie.children(child).is_empty() {
+                stack.push((child, end));
             }
+        });
+        while let Some((node, state)) = stack.pop() {
+            join(char_dfa, trie, node, state, |child, end| {
+                for &token in trie.tokens(child) {
+                    transitions.push((start, token, end));
+                }
+                if !trie.children(child).is_empty() {
+                    stack.push((child, end));
+                }
+            });
         }
     }
     Dfa::from_parts(n, char_dfa.start(), &accepting, &transitions)
+}
+
+/// Call `f(child, target)` for every child of `node` whose byte `state`
+/// has an edge on: a join of two sorted lists, driven by the shorter
+/// one and binary-searching the longer (a state of a literal has one
+/// edge, the trie root 256 children).
+fn join(dfa: &Dfa, trie: &VocabTrie, node: u32, state: usize, mut f: impl FnMut(u32, usize)) {
+    let children = trie.children(node);
+    let edges = dfa.transitions(state);
+    if edges.len() < children.len() {
+        for (sym, target) in edges {
+            let Ok(byte) = u8::try_from(sym) else { break };
+            if let Ok(i) = children.binary_search_by_key(&byte, |&(b, _)| b) {
+                f(children[i].1, target);
+            }
+        }
+    } else {
+        for &(byte, child) in children {
+            if let Some(target) = dfa.step(state, Symbol::from(byte)) {
+                f(child, target);
+            }
+        }
+    }
 }
 
 /// [`compile_full`]: compile runs on the calling thread, and `par` is
@@ -116,16 +145,13 @@ pub fn compile_canonical(
     tokenizer: &BpeTokenizer,
     limits: CanonicalLimits,
 ) -> CompiledAutomaton {
-    // Exact pre-checks (both run in `O(max_len · E)`): the language must
-    // be finite, no longer than the enumeration depth, and small enough
-    // to enumerate. Only then is enumeration guaranteed cheap and exact.
-    let enumerable =
-        char_dfa
-            .longest_string_len()
-            .map_or(char_dfa.is_empty_language(), |longest| {
-                longest <= limits.max_len
-                    && char_dfa.count_strings(limits.max_len) <= limits.max_strings as u128
-            });
+    // One exact pre-check in `O(V + E)`: the language must be finite,
+    // no longer than the enumeration depth, and small enough to
+    // enumerate. Only then is enumeration guaranteed cheap and exact.
+    // The empty language passes (its size is `(0, 0)`).
+    let enumerable = char_dfa.finite_size().is_some_and(|(longest, count)| {
+        longest <= limits.max_len && count <= limits.max_strings as u128
+    });
     if enumerable {
         // The language's strings are byte strings: each is encoded as
         // it is, UTF-8 or not.
@@ -347,5 +373,129 @@ mod tests {
     fn trie_dfa_empty_sequence_accepts_epsilon() {
         let d = trie_dfa(&[vec![]]);
         assert!(d.contains(Vec::<Symbol>::new()));
+    }
+
+    /// A test-only copy of the shortcut-edge loop `compile_full`
+    /// replaced: every multi-byte vocabulary word walked from every
+    /// state on its own.
+    fn reference_full(char_dfa: &Dfa, tokenizer: &BpeTokenizer) -> Dfa {
+        let n = char_dfa.state_count();
+        let mut transitions: Vec<(usize, Symbol, usize)> = Vec::new();
+        let accepting: Vec<usize> = (0..n).filter(|&s| char_dfa.is_accepting(s)).collect();
+        for s in 0..n {
+            for (sym, t) in char_dfa.transitions(s) {
+                transitions.push((s, sym, t));
+            }
+        }
+        let vocab: Vec<(TokenId, &[u8])> = tokenizer
+            .iter_vocab()
+            .filter(|(_, word)| word.len() > 1)
+            .collect();
+        for start in 0..n {
+            for &(token, word) in &vocab {
+                let end = word
+                    .iter()
+                    .try_fold(start, |s, &b| char_dfa.step(s, Symbol::from(b)));
+                if let Some(end) = end {
+                    transitions.push((start, token, end));
+                }
+            }
+        }
+        Dfa::from_parts(n, char_dfa.start(), &accepting, &transitions)
+    }
+
+    /// The bytes the oracle's patterns and merge tables are made of:
+    /// letters, a space, and bytes >= 128 (`é` is `c3 a9`).
+    const BYTES: [u8; 8] = [b'a', b'b', b't', b'h', b' ', 0xc3, 0xa9, 0x80];
+
+    /// Patterns over [`BYTES`]: literals, classes, repeats, alternation,
+    /// `.` (all 256 bytes, so a state with more edges than a trie node
+    /// has children) and the literal EOS marker text.
+    fn pattern() -> impl Strategy<Value = String> {
+        let atom = prop_oneof![
+            Just("a".to_string()),
+            Just("th".to_string()),
+            Just("é".to_string()),
+            Just("(a)|(bt)".to_string()),
+            Just("[abt]{1,3}".to_string()),
+            Just("h?".to_string()),
+            Just("(ta)*".to_string()),
+            Just("(é )+".to_string()),
+            Just(".".to_string()),
+            Just(" ".to_string()),
+            Just(relm_regex::escape("<|endoftext|>")),
+        ];
+        proptest::collection::vec(atom, 1..5).prop_map(|parts| parts.concat())
+    }
+
+    /// A random merge table over [`BYTES`] and the tokens it has built,
+    /// so merged tokens cover bytes >= 128 and one byte string may be
+    /// spelled twice.
+    fn random_merges(draws: &[usize]) -> BpeTokenizer {
+        let mut pool: Vec<TokenId> = BYTES.iter().map(|&b| TokenId::from(b)).collect();
+        let mut merges = Vec::new();
+        for pair in draws.chunks_exact(2) {
+            let merge = (pool[pair[0] % pool.len()], pool[pair[1] % pool.len()]);
+            merges.push(merge);
+            pool.push(256 + merges.len() as TokenId - 1);
+        }
+        BpeTokenizer::from_merges(&merges)
+    }
+
+    fn trained() -> BpeTokenizer {
+        BpeTokenizer::train(
+            "the bat hath a tab. th\u{e9} b\u{e9}b\u{e9} <|endoftext|> the hat that bat \
+             <|endoftext|> ta ta ta \u{e9}t\u{e9} ab ab",
+            80,
+        )
+    }
+
+    /// The alphabet of the Levenshtein expansions: [`BYTES`] plus `<`.
+    fn edit_alphabet() -> Vec<Symbol> {
+        BYTES.iter().chain(b"<").map(|&b| Symbol::from(b)).collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 128 } else { 1024 }))]
+
+        /// The lockstep trie walk gives the automaton of the per-word
+        /// loop (`==`: states, acceptance, every edge) on random
+        /// patterns and their Levenshtein-1 expansions, for a trained
+        /// tokenizer and a random merge table; EOS is never an edge,
+        /// even where the language spells its bytes.
+        #[test]
+        fn compile_full_matches_the_per_word_loop(
+            pattern in pattern(),
+            draws in proptest::collection::vec(0usize..1 << 16, 0..80),
+        ) {
+            let regex = relm_regex::Regex::compile(&pattern).unwrap();
+            let exact = regex.dfa().clone();
+            let edits = relm_automata::levenshtein_within(regex.nfa(), 1, &edit_alphabet())
+                .determinize()
+                .minimize();
+            for tok in [trained(), random_merges(&draws)] {
+                for dfa in [&exact, &edits] {
+                    let full = compile_full(dfa, &tok);
+                    prop_assert_eq!(&full, &reference_full(dfa, &tok));
+                    let eos = tok.eos();
+                    for s in 0..full.state_count() {
+                        prop_assert!(full.transitions(s).all(|(sym, _)| sym != eos));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eos_bytes_in_the_language_are_not_an_edge() {
+        let tok = trained();
+        let dfa = char_dfa(&relm_regex::escape("<|endoftext|>"));
+        let full = compile_full(&dfa, &tok);
+        assert_eq!(full, reference_full(&dfa, &tok));
+        assert!(!accepts(&full, &[tok.eos()]));
+        let spelled: Vec<TokenId> = b"<|endoftext|>".iter().map(|&b| TokenId::from(b)).collect();
+        assert!(accepts(&full, &spelled));
     }
 }

@@ -25,12 +25,120 @@ pub struct BpeTokenizer {
     merges: Vec<(TokenId, TokenId, TokenId)>,
     /// `(left, right) -> (rank, result)` for the encoder.
     merge_lookup: HashMap<(TokenId, TokenId), (usize, TokenId)>,
-    /// `bytes -> id` for segmentation enumeration.
-    bytes_lookup: HashMap<Vec<u8>, TokenId>,
+    /// The text tokens by their bytes, for segmentation enumeration and
+    /// the compiler's shortcut edges.
+    trie: VocabTrie,
     /// End-of-sequence token id.
     eos: TokenId,
-    /// Length in bytes of the longest token.
-    max_token_len: usize,
+}
+
+/// A byte trie of a tokenizer's text tokens (EOS excluded), in one
+/// arena: node [`ROOT`](Self::ROOT) spells the empty string, and each
+/// node's children are a contiguous range of one edge array, sorted by
+/// byte.
+///
+/// A node spells the bytes on its path from the root and holds the ids
+/// of the tokens with exactly those bytes, ascending: usually none or
+/// one, but a merge table may spell one byte string twice.
+#[derive(Debug, Clone)]
+pub struct VocabTrie {
+    /// Node `n`'s children are `edges[child_start[n]..child_start[n + 1]]`.
+    child_start: Vec<u32>,
+    /// `(byte, child)` pairs, sorted by byte within each node.
+    edges: Vec<(u8, u32)>,
+    /// Node `n`'s tokens are `tokens[token_start[n]..token_start[n + 1]]`.
+    token_start: Vec<u32>,
+    tokens: Vec<TokenId>,
+}
+
+impl VocabTrie {
+    /// The node that spells the empty string.
+    pub const ROOT: u32 = 0;
+
+    /// Build the trie of `words`. Nodes are numbered breadth first, so
+    /// every node's child range is appended after its parent's.
+    fn new<'a>(words: impl Iterator<Item = (TokenId, &'a [u8])>) -> Self {
+        let mut words: Vec<(&[u8], TokenId)> = words.map(|(id, bytes)| (bytes, id)).collect();
+        words.sort_unstable();
+        // Node `n` spells the common prefix of `words[lo..hi]`, `depth`
+        // bytes long.
+        let mut nodes: Vec<(usize, usize, usize)> = vec![(0, words.len(), 0)];
+        let mut trie = VocabTrie {
+            child_start: Vec::new(),
+            edges: Vec::new(),
+            token_start: Vec::new(),
+            tokens: Vec::new(),
+        };
+        let mut n = 0;
+        while n < nodes.len() {
+            let (lo, hi, depth) = nodes[n];
+            trie.child_start.push(trie.edges.len() as u32);
+            trie.token_start.push(trie.tokens.len() as u32);
+            // The words that end here sort first.
+            let mut i = lo;
+            while i < hi && words[i].0.len() == depth {
+                trie.tokens.push(words[i].1);
+                i += 1;
+            }
+            while i < hi {
+                let byte = words[i].0[depth];
+                let end = i + words[i..hi].partition_point(|w| w.0[depth] == byte);
+                trie.edges.push((byte, nodes.len() as u32));
+                nodes.push((i, end, depth + 1));
+                i = end;
+            }
+            n += 1;
+        }
+        trie.child_start.push(trie.edges.len() as u32);
+        trie.token_start.push(trie.tokens.len() as u32);
+        trie
+    }
+
+    /// The `(byte, child)` edges of `node`, ascending by byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn children(&self, node: u32) -> &[(u8, u32)] {
+        let n = node as usize;
+        &self.edges[self.child_start[n] as usize..self.child_start[n + 1] as usize]
+    }
+
+    /// The ids of the tokens `node` spells, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn tokens(&self, node: u32) -> &[TokenId] {
+        let n = node as usize;
+        &self.tokens[self.token_start[n] as usize..self.token_start[n + 1] as usize]
+    }
+
+    /// The child of `node` along `byte`, if there is one.
+    fn child(&self, node: u32, byte: u8) -> Option<u32> {
+        let children = self.children(node);
+        children
+            .binary_search_by_key(&byte, |&(b, _)| b)
+            .ok()
+            .map(|i| children[i].1)
+    }
+
+    /// `(end, id)` for every token that spells `bytes[pos..end]`, in
+    /// ascending `end`, into `out` (cleared first). Where one byte
+    /// string is spelled by several tokens, the highest id stands for it.
+    fn tokens_at(&self, bytes: &[u8], pos: usize, out: &mut Vec<(usize, TokenId)>) {
+        out.clear();
+        let mut node = Self::ROOT;
+        for (end, &b) in bytes.iter().enumerate().skip(pos) {
+            let Some(next) = self.child(node, b) else {
+                break;
+            };
+            node = next;
+            if let Some(&id) = self.tokens(node).last() {
+                out.push((end + 1, id));
+            }
+        }
+    }
 }
 
 impl BpeTokenizer {
@@ -57,27 +165,21 @@ impl BpeTokenizer {
             table.push((l, r, id));
             lookup.insert((l, r), (rank, id));
         }
+        // EOS is a marker, not text: its bytes never spell a token.
+        let trie = VocabTrie::new(
+            vocab
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (i as TokenId, b.as_slice())),
+        );
         let eos = vocab.len() as TokenId;
         vocab.push(b"<|endoftext|>".to_vec());
-        let max_token_len = vocab
-            .iter()
-            .take(vocab.len() - 1) // EOS is a marker, not text
-            .map(Vec::len)
-            .max()
-            .unwrap_or(1);
-        let bytes_lookup = vocab
-            .iter()
-            .enumerate()
-            .take(vocab.len() - 1)
-            .map(|(i, b)| (b.clone(), i as TokenId))
-            .collect();
         BpeTokenizer {
             vocab,
             merges: table,
             merge_lookup: lookup,
-            bytes_lookup,
+            trie,
             eos,
-            max_token_len,
         }
     }
 
@@ -136,6 +238,11 @@ impl BpeTokenizer {
             .map(|(i, b)| (i as TokenId, b.as_slice()))
     }
 
+    /// The byte trie of the text tokens (EOS excluded).
+    pub fn vocab_trie(&self) -> &VocabTrie {
+        &self.trie
+    }
+
     /// The merge table in priority order, as `(left, right, result)`.
     pub fn merges(&self) -> &[(TokenId, TokenId, TokenId)] {
         &self.merges
@@ -159,35 +266,40 @@ impl BpeTokenizer {
         out
     }
 
+    /// Append the canonical encoding of one pre-token to `out`, merging
+    /// in place in `out`'s tail.
     fn encode_piece(&self, bytes: &[u8], out: &mut Vec<TokenId>) {
-        let mut tokens: Vec<TokenId> = bytes.iter().map(|&b| TokenId::from(b)).collect();
+        let start = out.len();
+        out.extend(bytes.iter().map(|&b| TokenId::from(b)));
         loop {
+            let tokens = &mut out[start..];
             // Find the lowest-rank applicable merge.
-            let mut best: Option<(usize, usize, TokenId)> = None; // (rank, index, result)
-            for i in 0.._tokens_pairs(&tokens) {
-                if let Some(&(rank, result)) = self.merge_lookup.get(&(tokens[i], tokens[i + 1])) {
-                    if best.is_none_or(|(r, _, _)| rank < r) {
-                        best = Some((rank, i, result));
+            let mut best: Option<(usize, TokenId)> = None; // (rank, result)
+            for pair in tokens.windows(2) {
+                if let Some(&(rank, result)) = self.merge_lookup.get(&(pair[0], pair[1])) {
+                    if best.is_none_or(|(r, _)| rank < r) {
+                        best = Some((rank, result));
                     }
                 }
             }
-            let Some((rank, _, result)) = best else { break };
-            // Apply every occurrence of this merge left-to-right.
+            let Some((rank, result)) = best else { break };
+            // Apply every occurrence of this merge left to right,
+            // compacting the tail: the write index never passes the
+            // read index.
             let (l, r, _) = self.merges[rank];
-            let mut merged = Vec::with_capacity(tokens.len());
-            let mut i = 0;
-            while i < tokens.len() {
-                if i + 1 < tokens.len() && tokens[i] == l && tokens[i + 1] == r {
-                    merged.push(result);
-                    i += 2;
+            let (mut read, mut write) = (0, 0);
+            while read < tokens.len() {
+                if read + 1 < tokens.len() && tokens[read] == l && tokens[read + 1] == r {
+                    tokens[write] = result;
+                    read += 2;
                 } else {
-                    merged.push(tokens[i]);
-                    i += 1;
+                    tokens[write] = tokens[read];
+                    read += 1;
                 }
+                write += 1;
             }
-            tokens = merged;
+            out.truncate(start + write);
         }
-        out.extend_from_slice(&tokens);
     }
 
     /// Decode a token sequence back into a string (lossy on invalid
@@ -229,6 +341,7 @@ impl BpeTokenizer {
         let bytes = text.as_bytes();
         let mut results = Vec::new();
         let mut stack: Vec<(usize, Vec<TokenId>)> = vec![(0, Vec::new())];
+        let mut found = Vec::new();
         while let Some((pos, seq)) = stack.pop() {
             if results.len() >= limit {
                 break;
@@ -237,14 +350,12 @@ impl BpeTokenizer {
                 results.push(seq);
                 continue;
             }
-            let end = (pos + self.max_token_len).min(bytes.len());
-            // Longer tokens pushed last so shorter splits explore first.
-            for stop in (pos + 1..=end).rev() {
-                if let Some(&id) = self.bytes_lookup.get(&bytes[pos..stop]) {
-                    let mut next = seq.clone();
-                    next.push(id);
-                    stack.push((stop, next));
-                }
+            self.trie.tokens_at(bytes, pos, &mut found);
+            // Longer tokens pushed first so shorter splits explore first.
+            for &(stop, id) in found.iter().rev() {
+                let mut next = seq.clone();
+                next.push(id);
+                stack.push((stop, next));
             }
         }
         results
@@ -258,23 +369,18 @@ impl BpeTokenizer {
         let n = bytes.len();
         let mut dp = vec![0u128; n + 1];
         dp[0] = 1;
+        let mut found = Vec::new();
         for pos in 0..n {
             if dp[pos] == 0 {
                 continue;
             }
-            let end = (pos + self.max_token_len).min(n);
-            for stop in pos + 1..=end {
-                if self.bytes_lookup.contains_key(&bytes[pos..stop]) {
-                    dp[stop] = dp[stop].saturating_add(dp[pos]);
-                }
+            self.trie.tokens_at(bytes, pos, &mut found);
+            for &(stop, _) in &found {
+                dp[stop] = dp[stop].saturating_add(dp[pos]);
             }
         }
         dp[n]
     }
-}
-
-fn _tokens_pairs(tokens: &[TokenId]) -> usize {
-    tokens.len().saturating_sub(1)
 }
 
 #[cfg(test)]
@@ -399,11 +505,26 @@ mod tests {
         }
     }
 
+    /// The token the trie holds for `bytes`, walked byte by byte; the
+    /// highest id where several tokens spell them.
+    fn lookup(tok: &BpeTokenizer, bytes: &[u8]) -> Option<TokenId> {
+        let trie = tok.vocab_trie();
+        let node = bytes
+            .iter()
+            .try_fold(VocabTrie::ROOT, |node, &b| trie.child(node, b))?;
+        trie.tokens(node).last().copied()
+    }
+
     #[test]
     fn training_creates_multibyte_tokens() {
         let corpus = "the the the the the cat cat cat";
         let tok = BpeTokenizer::train(corpus, 20);
-        assert!(tok.max_token_len > 1);
+        let trie = tok.vocab_trie();
+        let deep = trie
+            .children(VocabTrie::ROOT)
+            .iter()
+            .any(|&(_, child)| !trie.children(child).is_empty());
+        assert!(deep, "no token is longer than one byte");
         let ids = tok.encode("the");
         assert!(ids.len() < 3, "expected merged encoding, got {ids:?}");
     }
@@ -428,10 +549,45 @@ mod tests {
     #[test]
     fn token_of_bytes_lookup() {
         let tok = small();
-        let lookup = |bytes: &[u8]| tok.bytes_lookup.get(bytes).copied();
-        assert_eq!(lookup(b"The"), Some(258));
-        assert_eq!(lookup(b"xyz"), None);
-        assert_eq!(lookup(b"T"), Some(TokenId::from(b'T')));
+        assert_eq!(lookup(&tok, b"The"), Some(258));
+        assert_eq!(lookup(&tok, b"xyz"), None);
+        assert_eq!(lookup(&tok, b"T"), Some(TokenId::from(b'T')));
+        assert_eq!(lookup(&tok, b"Th"), Some(256));
+        assert_eq!(lookup(&tok, b""), None, "the root spells no token");
+    }
+
+    #[test]
+    fn trie_holds_every_text_token_and_not_eos() {
+        let tok = BpeTokenizer::train("the cat sat on the mat <|endoftext|>", 40);
+        for (id, bytes) in tok.iter_vocab() {
+            assert_eq!(lookup(&tok, bytes), Some(id), "{bytes:?}");
+        }
+        assert_eq!(lookup(&tok, tok.token_bytes(tok.eos())), None);
+        // Children are sorted by byte, and the root has all 256.
+        let trie = tok.vocab_trie();
+        let root = trie.children(VocabTrie::ROOT);
+        assert_eq!(root.len(), 256);
+        assert!(root.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn trie_keeps_every_token_of_a_repeated_byte_string() {
+        // a+b=ab(256), ab+c=abc(257), b+c=bc(258), a+bc=abc(259).
+        let (a, b, c) = (
+            TokenId::from(b'a'),
+            TokenId::from(b'b'),
+            TokenId::from(b'c'),
+        );
+        let tok = BpeTokenizer::from_merges(&[(a, b), (256, c), (b, c), (a, 258)]);
+        let trie = tok.vocab_trie();
+        let node = [b'a', b'b', b'c']
+            .iter()
+            .try_fold(VocabTrie::ROOT, |node, &byte| trie.child(node, byte));
+        assert_eq!(node.map(|n| trie.tokens(n)), Some(&[257, 259][..]));
+        assert_eq!(lookup(&tok, b"abc"), Some(259));
+        // a-b-c, ab-c, a-bc, abc: the repeated string counts once.
+        assert_eq!(tok.count_encodings("abc"), 4);
+        assert_eq!(tok.all_encodings("abc", 100).len(), 4);
     }
 
     #[test]
@@ -439,5 +595,96 @@ mod tests {
         let tok = small();
         assert_eq!(tok.iter_vocab().count(), tok.vocab_size() - 1);
         assert!(tok.iter_vocab().all(|(id, _)| id != tok.eos()));
+    }
+
+    /// A test-only copy of the merge loop `encode_piece` replaced: a
+    /// fresh `Vec` for each applied merge.
+    fn reference_encode(tok: &BpeTokenizer, bytes: &[u8]) -> Vec<TokenId> {
+        let lookup: HashMap<(TokenId, TokenId), (usize, TokenId)> = tok
+            .merges()
+            .iter()
+            .enumerate()
+            .map(|(rank, &(l, r, out))| ((l, r), (rank, out)))
+            .collect();
+        let mut out = Vec::new();
+        for piece in pretokenize_bytes(bytes) {
+            let mut tokens: Vec<TokenId> = piece.iter().map(|&b| TokenId::from(b)).collect();
+            loop {
+                let mut best: Option<(usize, usize, TokenId)> = None;
+                for i in 0..tokens.len().saturating_sub(1) {
+                    if let Some(&(rank, result)) = lookup.get(&(tokens[i], tokens[i + 1])) {
+                        if best.is_none_or(|(r, _, _)| rank < r) {
+                            best = Some((rank, i, result));
+                        }
+                    }
+                }
+                let Some((rank, _, result)) = best else { break };
+                let (l, r, _) = tok.merges()[rank];
+                let mut merged = Vec::with_capacity(tokens.len());
+                let mut i = 0;
+                while i < tokens.len() {
+                    if i + 1 < tokens.len() && tokens[i] == l && tokens[i + 1] == r {
+                        merged.push(result);
+                        i += 2;
+                    } else {
+                        merged.push(tokens[i]);
+                        i += 1;
+                    }
+                }
+                tokens = merged;
+            }
+            out.extend_from_slice(&tokens);
+        }
+        out
+    }
+
+    /// A merge table of `draws.len() / 2` merges over the tokens built
+    /// so far: random pairs, so merged tokens over bytes >= 128, merges
+    /// that spell one byte string twice and merges that never apply
+    /// are all common.
+    fn random_merges(draws: &[u32]) -> BpeTokenizer {
+        let mut merges = Vec::new();
+        for pair in draws.chunks_exact(2) {
+            let known = 256 + merges.len() as u32;
+            merges.push((pair[0] % known, pair[1] % known));
+        }
+        BpeTokenizer::from_merges(&merges)
+    }
+
+    /// Bytes over a small alphabet of ASCII letters, a space and bytes
+    /// >= 128 (alone, not UTF-8), so merges apply and pieces split.
+    fn byte_string() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0usize..8, 0..40).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|p| [b'a', b'b', b't', b'h', b' ', 0x80, 0xc3, 0xff][p])
+                .collect()
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 128 } else { 1024 }))]
+
+        /// `encode_bytes` gives the ids of the fresh-`Vec` loop, bit for
+        /// bit, on trained and on random merge tables.
+        #[test]
+        fn encode_oracle_matches_the_fresh_vec_loop(
+            bytes in byte_string(),
+            draws in proptest::collection::vec(0u32..1 << 16, 0..120),
+        ) {
+            let trained = trained_for_oracle();
+            prop_assert_eq!(trained.encode_bytes(&bytes), reference_encode(&trained, &bytes));
+            let random = random_merges(&draws);
+            prop_assert_eq!(random.encode_bytes(&bytes), reference_encode(&random, &bytes));
+        }
+    }
+
+    fn trained_for_oracle() -> BpeTokenizer {
+        BpeTokenizer::train(
+            "the bat hat that baa\u{80} the thath tab \u{ff}\u{c3}bat hath ta ba",
+            60,
+        )
     }
 }

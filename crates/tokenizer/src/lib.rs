@@ -22,7 +22,8 @@
 //! * [`BpeTokenizer::all_encodings`] — enumerate every token sequence
 //!   that decodes to a given string,
 //! * [`BpeTokenizer::is_canonical`] — the §3.2 stability check,
-//! * vocabulary introspection for the shortcut-edge compiler.
+//! * [`VocabTrie`] — the text tokens as one byte trie, which the
+//!   shortcut-edge compiler walks in lockstep with a byte automaton.
 //!
 //! # Example
 //!
@@ -42,7 +43,7 @@ mod bpe;
 mod pretokenize;
 mod train;
 
-pub use bpe::{BpeTokenizer, TokenId};
+pub use bpe::{BpeTokenizer, TokenId, VocabTrie};
 pub use pretokenize::pretokenize;
 
 /// FNV-1a 64-bit offset basis — the initial state for [`fnv_mix`].
