@@ -3,8 +3,11 @@
 //! Every `pub` fn, method, struct, enum, trait, type alias, const,
 //! static and named struct field in a library file (`crates/*/src`,
 //! outside `#[cfg(test)]` regions and test-only modules) is an item.
-//! An item is live when an identifier token with its name appears in
-//! any *other* file, doc-comment examples included, except:
+//! An item is live when any *other* file names it, doc-comment examples
+//! included: its name in a path, a call, a method call, a field access,
+//! a type position or a `use` — not in a `let`, `for`, match-arm,
+//! closure or parameter binding, a read of such a local, or another
+//! item's or field's declaration. Uses do not count in:
 //! - test code of its own crate: its `tests/` directory, its
 //!   `#[cfg(test)]` regions and test-only modules (a test of an item
 //!   is not a caller of it; another crate's tests are);
@@ -18,13 +21,14 @@
 //! A type named in the signature of a live `pub fn` of its own file is
 //! live through that fn. Everything else — other crates, bins,
 //! examples, `crates/bench`, the frozen `benches/e2e` — counts, and any
-//! same-named token anywhere counts, so the rule only ever under-reports:
-//! a finding is an item no file outside its own could be calling.
+//! same-named use counts whatever it resolves to (`v.reverse()` keeps
+//! every `pub fn reverse` alive), so the rule under-reports: a finding
+//! is an item no file outside its own names.
 
 use std::collections::BTreeSet;
 
 use crate::findings::{Family, Finding};
-use crate::lexer::{lex, TokKind};
+use crate::lexer::{lex, Tok, TokKind};
 use crate::scan::{FileKind, SourceFile};
 
 /// The facade snapshot: a list of names, not a caller.
@@ -178,49 +182,259 @@ struct Uses {
     test: BTreeSet<String>,
 }
 
-/// Every name a file uses: identifier tokens outside `pub use` lines,
-/// plus the identifiers of doc-comment code examples.
+/// Every name a file uses: the identifiers [`naming`] counts, outside
+/// `pub use` lines, plus those of doc-comment code examples.
 fn used_names(file: &SourceFile, test_file: bool) -> Uses {
     let mut uses = Uses::default();
+    let code: Vec<usize> = (0..file.toks.len())
+        .filter(|&i| file.toks[i].is_code())
+        .collect();
+    let toks: Vec<&Tok> = code.iter().map(|&i| &file.toks[i]).collect();
+    let names = naming(&toks);
     let mut in_reexport = false;
-    let mut in_fence = false;
-    for (i, tok) in file.toks.iter().enumerate() {
-        let names = if test_file || file.in_test[i] {
-            &mut uses.test
-        } else {
-            &mut uses.code
-        };
-        if !tok.is_code() {
-            let body = tok
-                .text
-                .strip_prefix("///")
-                .or_else(|| tok.text.strip_prefix("//!"));
-            if let Some(body) = body {
-                if body.trim_start().starts_with("```") {
-                    in_fence = !in_fence;
-                } else if in_fence {
-                    names.extend(
-                        lex(body)
-                            .into_iter()
-                            .filter(|t| t.kind == TokKind::Ident)
-                            .map(|t| t.text),
-                    );
-                }
-            }
-            continue;
-        }
-        in_fence = false;
-        let next = file.next_code(i).map(|j| file.toks[j].text.as_str());
-        in_reexport |= tok.text == "pub" && next == Some("use");
+    for (ci, &i) in code.iter().enumerate() {
+        let tok = &file.toks[i];
+        in_reexport |= tok.text == "pub" && toks.get(ci + 1).is_some_and(|t| t.text == "use");
         if in_reexport {
             in_reexport = tok.punct() != Some(';');
             continue;
         }
-        if tok.kind == TokKind::Ident {
-            names.insert(tok.text.clone());
+        if names[ci] {
+            let set = if test_file || file.in_test[i] {
+                &mut uses.test
+            } else {
+                &mut uses.code
+            };
+            set.insert(tok.text.clone());
+        }
+    }
+    // Doc examples: each fence's lines lexed and read as one snippet.
+    let mut fence: Option<(String, bool)> = None;
+    for (i, tok) in file.toks.iter().enumerate() {
+        let body = tok
+            .text
+            .strip_prefix("///")
+            .or_else(|| tok.text.strip_prefix("//!"));
+        let in_test = test_file || file.in_test[i];
+        match (body, fence.take()) {
+            (Some(body), None) if body.trim_start().starts_with("```") => {
+                fence = Some((String::new(), in_test));
+            }
+            (Some(body), Some((snippet, test))) if body.trim_start().starts_with("```") => {
+                let set = if test { &mut uses.test } else { &mut uses.code };
+                let toks = lex(&snippet);
+                let toks: Vec<&Tok> = toks.iter().filter(|t| t.is_code()).collect();
+                let names = naming(&toks);
+                set.extend(
+                    toks.iter()
+                        .zip(names)
+                        .filter(|(_, named)| *named)
+                        .map(|(t, _)| t.text.clone()),
+                );
+            }
+            (Some(body), Some((mut snippet, test))) => {
+                snippet.push_str(body);
+                snippet.push('\n');
+                fence = Some((snippet, test));
+            }
+            _ => {}
         }
     }
     uses
+}
+
+/// Keywords whose next identifier is declared, not used (`*const T`
+/// opens a type instead).
+const DECLARING: [&str; 9] = [
+    "fn", "struct", "enum", "trait", "type", "union", "mod", "static", "const",
+];
+
+/// Which of the code tokens `t` name something: an identifier in a
+/// path, a call, a method call, a field access, a type position or a
+/// `use`. An identifier that declares an item or a field, binds a
+/// pattern (`let`, `for`, a closure or fn parameter, a match arm) or
+/// reads a local its enclosing fn binds is not a use. The scan is
+/// token-structural: a local is any lowercase name bound anywhere in
+/// the same fn, whatever the block.
+fn naming(t: &[&Tok]) -> Vec<bool> {
+    let n = t.len();
+    let text = |k: usize| t.get(k).map_or("", |x| x.text.as_str());
+    let punct = |k: usize| t.get(k).and_then(|x| x.punct());
+    let is = |k: usize, c: char| punct(k) == Some(c);
+    let ident = |k: usize| t.get(k).is_some_and(|x| x.kind == TokKind::Ident);
+    // A path segment's `::` on either side; a field or method's `.`.
+    let after_path = |k: usize| k >= 2 && is(k - 1, ':') && is(k - 2, ':');
+    let before_path = |k: usize| is(k + 1, ':') && is(k + 2, ':');
+    let single_colon = |k: usize| is(k, ':') && !is(k + 1, ':') && !(k > 0 && is(k - 1, ':'));
+    let dot = |k: usize| k > 0 && is(k - 1, '.');
+    let bare =
+        |k: usize| !(dot(k) || after_path(k) || before_path(k) || is(k + 1, '(') || is(k + 1, '!'));
+    let lower = |k: usize| text(k).starts_with(|c: char| c.is_lowercase() || c == '_');
+
+    // Matching brackets.
+    let mut pair = vec![usize::MAX; n];
+    let mut stack: Vec<usize> = Vec::new();
+    for k in 0..n {
+        match punct(k) {
+            Some('(' | '[' | '{') => stack.push(k),
+            Some(c @ (')' | ']' | '}')) => {
+                let open = match c {
+                    ')' => '(',
+                    ']' => '[',
+                    _ => '{',
+                };
+                if stack.last().is_some_and(|&o| is(o, open)) {
+                    let o = stack.pop().unwrap_or(k);
+                    pair[o] = k;
+                    pair[k] = o;
+                }
+            }
+            _ => {}
+        }
+    }
+    // The next position at bracket depth 0: past a whole group.
+    let step = |k: usize| match punct(k) {
+        Some('(' | '[' | '{') if pair[k] != usize::MAX => pair[k] + 1,
+        _ => k + 1,
+    };
+    // The first depth-0 position at or after `k` that `stop` accepts.
+    let skip_to = |mut k: usize, stop: &dyn Fn(usize) -> bool| {
+        while k < n && !stop(k) {
+            k = step(k);
+        }
+        k
+    };
+
+    let mut binds = vec![false; n];
+    // Bind the lowercase bare names of the pattern `lo..hi`; a name
+    // before `:` inside braces is a struct pattern's field, and a
+    // depth-0 `if` starts a match guard.
+    let pattern = |lo: usize, hi: usize, binds: &mut Vec<bool>| {
+        let mut braces = 0i32;
+        for (k, bind) in binds.iter_mut().enumerate().take(hi).skip(lo) {
+            match punct(k) {
+                Some('{') => braces += 1,
+                Some('}') => braces -= 1,
+                _ => {}
+            }
+            if braces == 0 && text(k) == "if" {
+                break;
+            }
+            let field = braces > 0 && single_colon(k + 1);
+            if ident(k) && lower(k) && bare(k) && !is(k + 1, '{') && !field {
+                *bind = true;
+            }
+        }
+    };
+    // Each `pat: Type` of a parameter list `lo..hi`: the pattern binds.
+    let params = |lo: usize, hi: usize, binds: &mut Vec<bool>| {
+        let mut k = lo;
+        while k < hi {
+            let colon = skip_to(k, &|j| j >= hi || is(j, ',') || single_colon(j)).min(hi);
+            pattern(k, colon, binds);
+            k = skip_to(colon, &|j| j >= hi || is(j, ',')) + 1;
+        }
+    };
+    let mut scope_of = vec![0usize; n];
+    let mut fields = vec![false; n];
+    // Declared fields: the depth-1 `name:` of a braced body at `open`.
+    let declare = |open: usize, fields: &mut Vec<bool>| {
+        if is(open, '{') && pair[open] != usize::MAX {
+            let mut k = open + 1;
+            while k < pair[open] {
+                fields[k] = ident(k) && single_colon(k + 1);
+                k = step(k);
+            }
+        }
+    };
+    for k in 0..n {
+        let next_open = |k: usize| skip_to(k, &|j| matches!(punct(j), Some('{' | ';' | '(')));
+        match text(k) {
+            "let" => pattern(
+                k + 1,
+                skip_to(k + 1, &|j| is(j, '=') || is(j, ';') || single_colon(j)),
+                &mut binds,
+            ),
+            "for" => {
+                let end = skip_to(k + 1, &|j| matches!(text(j), "in" | "{" | ";" | "<"));
+                if text(end) == "in" {
+                    pattern(k + 1, end, &mut binds);
+                }
+            }
+            "fn" if ident(k + 1) => {
+                // The parameter list: the first `(` outside the generics.
+                let (mut open, mut angle) = (k + 2, 0i32);
+                while open < n && !(angle == 0 && matches!(punct(open), Some('(' | '{' | ';'))) {
+                    match punct(open) {
+                        Some('<') => angle += 1,
+                        Some('>') if !matches!(punct(open - 1), Some('-' | '=')) => angle -= 1,
+                        _ => {}
+                    }
+                    open = step(open);
+                }
+                if is(open, '(') && pair[open] != usize::MAX {
+                    params(open + 1, pair[open], &mut binds);
+                    let body = skip_to(pair[open] + 1, &|j| is(j, '{') || is(j, ';'));
+                    if is(body, '{') && pair[body] != usize::MAX {
+                        scope_of[k..=pair[body]].fill(k + 1);
+                    }
+                }
+            }
+            "struct" | "union" => declare(next_open(k + 1), &mut fields),
+            "enum" => {
+                let body = next_open(k + 1);
+                if is(body, '{') && pair[body] != usize::MAX {
+                    for v in body + 1..pair[body] {
+                        if ident(v) && is(v + 1, '{') {
+                            declare(v + 1, &mut fields);
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+        // A closure's `|params|` opens where an operand may start.
+        let opens_closure = is(k, '|')
+            && (k == 0
+                || matches!(punct(k - 1), Some('(' | '[' | '{' | ',' | ';' | '=' | ':'))
+                || (is(k - 1, '>') && k >= 2 && is(k - 2, '='))
+                || matches!(text(k - 1), "move" | "return"));
+        if opens_closure {
+            let close = skip_to(k + 1, &|j| is(j, '|'));
+            params(k + 1, close.min(n), &mut binds);
+        }
+        // A match arm's pattern runs back from `=>` to the arm before.
+        if is(k, '=') && is(k + 1, '>') {
+            let mut s = k;
+            while s > 0 {
+                let p = s - 1;
+                let o = pair[p];
+                s = match punct(p) {
+                    Some(')' | ']') if o != usize::MAX => o,
+                    Some('}')
+                        if o != usize::MAX && !(o >= 2 && is(o - 1, '>') && is(o - 2, '=')) =>
+                    {
+                        o
+                    }
+                    Some('>') if p > 0 && is(p - 1, '=') => break,
+                    Some(',' | ';' | '(' | '[' | '{' | '}' | ')' | ']') => break,
+                    _ => p,
+                };
+            }
+            pattern(s, k, &mut binds);
+        }
+    }
+    let mut locals: BTreeSet<(usize, &str)> = BTreeSet::new();
+    for k in (0..n).filter(|&k| binds[k]) {
+        locals.insert((scope_of[k], text(k)));
+    }
+    (0..n)
+        .map(|k| {
+            let declared = k > 0 && DECLARING.contains(&text(k - 1)) && !(k >= 2 && is(k - 2, '*'));
+            let local = bare(k) && lower(k) && locals.contains(&(scope_of[k], text(k)));
+            ident(k) && !declared && !binds[k] && !fields[k] && !local
+        })
+        .collect()
 }
 
 /// The `pub` items of one library file and its knob count.

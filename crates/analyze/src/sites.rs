@@ -1,7 +1,7 @@
 //! Token-pattern analyses: panic-freedom, determinism (clock / env /
-//! OS-RNG), and bit-exactness of formatted scores. Each site either
-//! carries a `lint: allow(family, "…")` annotation, matches a baseline
-//! entry, or becomes a finding.
+//! OS-RNG / host core count), and bit-exactness of formatted scores.
+//! Each site either carries a `lint: allow(family, "…")` annotation,
+//! matches a baseline entry, or becomes a finding.
 
 use crate::findings::{Family, Finding};
 use crate::lexer::TokKind;
@@ -177,12 +177,19 @@ fn nondet_site(
         tok.text.as_str(),
         "OsRng" | "ThreadRng" | "thread_rng" | "from_entropy"
     );
+    // `available_parallelism()` — the host's core count.
+    let cores = tok.text == "available_parallelism"
+        && file
+            .next_code(i)
+            .is_some_and(|j| file.toks[j].punct() == Some('('));
     let (token, what) = if clock {
         (format!("{}::now", tok.text), "wall-clock read")
     } else if env_read {
         ("env::var".to_string(), "environment read")
     } else if os_rng {
         (tok.text.clone(), "OS randomness")
+    } else if cores {
+        (tok.text.clone(), "host core count")
     } else {
         return;
     };
@@ -434,10 +441,12 @@ mod tests {
     #[test]
     fn nondet_clock_env_rng_fire_only_in_result_affecting_crates() {
         let src =
-            "fn f() { let t = Instant::now(); let v = env::var(\"X\"); let r = thread_rng(); }";
+            "fn f() { let t = Instant::now(); let v = env::var(\"X\"); let r = thread_rng(); \
+                   let n = std::thread::available_parallelism(); }";
         let (f, c) = run(src);
-        assert_eq!(f.len(), 3);
-        assert_eq!(c.nondet_sites, 3);
+        assert_eq!(f.len(), 4);
+        assert_eq!(c.nondet_sites, 4);
+        assert_eq!(f[3].token, "available_parallelism");
         let (f, _) = run_in("relm-serve", src);
         assert!(f.is_empty(), "serve may read the clock");
         let (f, _) = run("fn f(d: Option<Instant>) {}");

@@ -27,7 +27,7 @@ pub struct Report {
     pub unfiltered: Vec<Finding>,
     pub counts: SiteCounts,
     surface: SurfaceCounts,
-    pub locks: LockReport,
+    locks: LockReport,
     pub wire: Fingerprints,
     pub files_scanned: u64,
     pub lines_scanned: u64,
@@ -37,7 +37,6 @@ pub struct Report {
     lib_lines: u64,
     pub allows: u64,
     baseline_entries: u64,
-    pub baseline_hits: u64,
 }
 
 impl Report {
@@ -198,17 +197,9 @@ pub fn run(sources: &[(String, String)], baseline: &Baseline) -> Report {
     // file cannot become a dumping ground for the debt this linter
     // burns down.
     let mut working = baseline.clone();
-    let mut baseline_hits = 0u64;
     let findings: Vec<Finding> = findings
         .into_iter()
-        .filter(|f| {
-            if baselinable(f) && working.take(&f.key()) {
-                baseline_hits += 1;
-                false
-            } else {
-                true
-            }
-        })
+        .filter(|f| !(baselinable(f) && working.take(&f.key())))
         .collect();
 
     Report {
@@ -223,7 +214,6 @@ pub fn run(sources: &[(String, String)], baseline: &Baseline) -> Report {
         lib_lines: lib_lines(&files),
         allows,
         baseline_entries: baseline.len() as u64,
-        baseline_hits,
     }
 }
 

@@ -127,6 +127,29 @@ fn nondet_catches_env_and_os_rng() {
 }
 
 #[test]
+fn host_core_count_is_a_nondet_input_allowed_once() {
+    let call = "std::thread::available_parallelism().map_or(1, usize::from)";
+    let once = format!(
+        "fn auto() -> usize {{\n    // lint: allow(nondet, \"read once per process\")\n    {call}\n}}\n"
+    );
+    let again = format!("fn width() -> usize {{ {call} }}\n");
+    let findings = lint_files(&[
+        ("crates/automata/src/pool.rs", &once),
+        ("crates/lm/src/a.rs", &again),
+        // The benchmark reports the host's cores; it computes no result.
+        ("benches/e2e/src/harness.rs", &again),
+    ]);
+    let nondet: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.family == Family::Nondet)
+        .collect();
+    assert_eq!(nondet.len(), 1, "{findings:?}");
+    assert_eq!(nondet[0].path, "crates/lm/src/a.rs");
+    assert_eq!(nondet[0].token, "available_parallelism");
+    assert_eq!(count(&findings, Family::UnusedAllow), 0, "{findings:?}");
+}
+
+#[test]
 fn float_fmt_flags_lossy_score_placeholders_only() {
     let bad = "fn f(score: f64) { println!(\"score={}\", score); }";
     assert_eq!(count(&lint("crates/lm/src/a.rs", bad), Family::FloatFmt), 1);
@@ -170,12 +193,16 @@ fn lock_order_inversion_and_cycles_are_findings() {
     let inverted = "fn f(&self) { let g = self.table.lock(); self.plans.lock().len(); }";
     let r = report("crates/core/src/a.rs", inverted);
     assert!(r.findings.iter().any(|f| f.family == Family::LockOrder));
-    assert!(r.locks.cycle.is_none(), "one inverted edge is not a cycle");
+    let summary = r.summary_json();
+    assert!(
+        summary.contains("\"lock_cycle\": false"),
+        "one inverted edge is not a cycle: {summary}"
+    );
 
     let cyclic = "fn a(&self) { let g = self.plans.lock(); self.table.lock().len(); }\n\
                   fn b(&self) { let g = self.table.lock(); self.plans.lock().len(); }";
     let r = report("crates/core/src/a.rs", cyclic);
-    assert!(r.locks.cycle.is_some());
+    assert!(r.summary_json().contains("\"lock_cycle\": true"));
     assert!(r.findings.iter().any(|f| f.token == "cycle"));
     assert!(
         r.lock_graph_lines().iter().any(|l| l.contains("CYCLE")),
@@ -361,6 +388,46 @@ fn dead_pub_is_silent_when_any_other_user_names_the_item() {
         dead(&[(LIB, ITEMS), ("crates/serve/src/b.rs", doc)]),
         ["documented"]
     );
+}
+
+#[test]
+fn dead_pub_counts_uses_of_a_name_not_bindings_of_it() {
+    let items = "pub fn reverse() {}\npub struct Shape { pub width: u32 }\n";
+    // Each binds, reads or declares a local or field of the same name.
+    for src in [
+        "fn trim() { let mut reverse = Vec::new(); reverse.push(1); }",
+        "fn trim(reverse: &[u8], width: u32) -> usize { reverse.len() }",
+        "struct Other { reverse: u8, width: u32 }",
+        "enum E { A { width: u32 } }",
+        "fn f(x: &[u8]) -> Vec<u8> { x.iter().map(|reverse| reverse + 1).collect() }",
+        "fn f(x: Option<u8>) -> u8 { match x { Some(reverse) => reverse, None => 0 } }",
+        "fn f(x: &[u8]) { for (reverse, width) in x.iter().enumerate() { g(reverse, width); } }",
+        "fn f(x: Option<u8>) { if let Some(reverse) = x { g(reverse); } }",
+        "fn reverse() {}",
+    ] {
+        assert_eq!(
+            dead(&[(LIB, items), ("crates/serve/src/b.rs", src)]),
+            ["reverse", "Shape", "width"],
+            "{src}"
+        );
+    }
+    // A path, a call, a method call, a fn value, a `use`, a field
+    // access, a struct literal and a type position each name it.
+    for (src, live) in [
+        ("fn f() { a::reverse(); }", "reverse"),
+        ("fn f() { reverse(); }", "reverse"),
+        ("fn f(v: &mut Vec<u8>) { v.reverse(); }", "reverse"),
+        ("fn f(x: &[u8]) { x.iter().map(reverse); }", "reverse"),
+        ("use relm_core::reverse;", "reverse"),
+        ("fn f(s: &S) -> u32 { s.width }", "width"),
+        ("fn f() -> S { S { width: 1 } }", "width"),
+        ("fn f(s: &mut Shape) {}", "Shape"),
+        ("fn f() { let s: Shape = make(); }", "Shape"),
+    ] {
+        let dead = dead(&[(LIB, items), ("crates/serve/src/b.rs", src)]);
+        assert!(!dead.iter().any(|d| d == live), "{src}: {dead:?}");
+        assert_eq!(dead.len(), 2, "{src}: {dead:?}");
+    }
 }
 
 #[test]

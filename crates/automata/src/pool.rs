@@ -57,11 +57,20 @@ pub enum Parallelism {
 impl Parallelism {
     /// One worker per available core (falls back to [`Self::Serial`]
     /// when the host reports a single core or no parallelism at all).
+    ///
+    /// The core count is read once per process and cached: on Linux
+    /// `std::thread::available_parallelism` reads the cgroup CPU quota
+    /// on every call, which costs tens of microseconds — more than a
+    /// small scored batch. Every later call returns the first value.
     pub fn auto() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => Parallelism::Sharded(n),
-            _ => Parallelism::Serial,
-        }
+        static AUTO: OnceLock<Parallelism> = OnceLock::new();
+        *AUTO.get_or_init(|| {
+            // lint: allow(nondet, "the host's core count sizes the worker pool and never a result; read once so every engine in the process agrees")
+            match std::thread::available_parallelism() {
+                Ok(n) if n.get() > 1 => Parallelism::Sharded(n),
+                _ => Parallelism::Serial,
+            }
+        })
     }
 
     /// Shard across `threads` workers; `0` and `1` mean [`Self::Serial`].
@@ -322,6 +331,23 @@ mod tests {
         assert_eq!(Parallelism::sharded(4).threads(), 4);
         assert!(Parallelism::sharded(4).is_parallel());
         assert!(Parallelism::auto().threads() >= 1);
+    }
+
+    #[test]
+    fn parallelism_auto_is_one_value_across_threads() {
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Parallelism> = thread::scope(|s| {
+            let calls: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        Parallelism::auto()
+                    })
+                })
+                .collect();
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert!(seen.iter().all(|&p| p == Parallelism::auto()), "{seen:?}");
     }
 
     #[test]

@@ -43,9 +43,9 @@ const OBJECTS: [&str; 6] = ["menu", "portal", "lantern", "ledger", "compass", "v
 // lint: allow(dead_pub, "the type of CorpusSpec::bias, which benches/e2e/src/world.rs and crates/bench/src/lib.rs set")
 pub struct BiasSpec {
     /// `P(profession | man)`, indexed like [`PROFESSIONS`].
-    pub man: [f64; 10],
+    man: [f64; 10],
     /// `P(profession | woman)`, indexed like [`PROFESSIONS`].
-    pub woman: [f64; 10],
+    woman: [f64; 10],
 }
 
 impl Default for BiasSpec {

@@ -11,8 +11,10 @@
 //!    without model work (graph traversals revisit constantly),
 //! 2. **deduplication** — identical contexts inside one batch are
 //!    evaluated once,
-//! 3. **batching** — the surviving misses go to the model through
-//!    [`LanguageModel::next_log_probs_batch`] in a single fan-out call,
+//! 3. **batching** — the surviving misses are scored in one call at
+//!    the engine's configured [`Parallelism`]: inline when it is serial
+//!    or the batch is small, on the persistent worker pool otherwise —
+//!    the engine is the one way into that pool,
 //! 4. **accounting** — hit/miss/batch counters feed
 //!    `ExecutionStats`, giving every benchmark a cost model,
 //! 5. **admission control** — workloads that never revisit a context
@@ -162,11 +164,13 @@ impl<M: LanguageModel> ScoringEngine<M> {
     }
 
     /// Route miss scoring through the given [`Parallelism`] (builder
-    /// style). `Serial` scores misses inline on the calling thread —
-    /// the fix for the old behavior where the model's batch override
-    /// consulted `available_parallelism()` per call and spawned threads
-    /// even for serial sessions. A sharded setting scores misses on the
-    /// persistent worker pool. The default is [`Parallelism::auto`].
+    /// style). `Serial` scores misses inline on the calling thread; a
+    /// sharded setting scores batches large enough to split on the
+    /// persistent worker pool and smaller ones inline. The models do
+    /// not fan out on their own, so this setting is the only thing that
+    /// decides whether scoring enters the pool. The default is
+    /// [`Parallelism::auto`], which reads the host's core count once
+    /// per process.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -179,21 +183,16 @@ impl<M: LanguageModel> ScoringEngine<M> {
     }
 
     /// Evaluate a deduplicated miss set under the configured
-    /// [`Parallelism`]: serial settings map `next_log_probs` inline;
-    /// parallel settings go to the persistent pool, falling back to the
-    /// model's own batch override when the model cannot pool (all paths
-    /// are bit-identical).
+    /// [`Parallelism`]: a parallel setting sends a batch large enough to
+    /// split to the persistent pool; every other batch is the model's
+    /// `next_log_probs_batch`, which the workspace's models leave as a
+    /// serial `next_log_probs` map (all paths are bit-identical).
     fn compute_scores(&self, misses: &[&[TokenId]]) -> Vec<Arc<[f64]>> {
-        let rows = if self.parallelism.is_parallel() {
-            crate::pool::pooled_scores(self.model(), misses, self.parallelism)
-                .unwrap_or_else(|| self.model().next_log_probs_batch(misses))
-        } else {
-            misses
-                .iter()
-                .map(|ctx| self.model().next_log_probs(ctx))
-                .collect()
-        };
-        rows.into_iter().map(Arc::from).collect()
+        crate::pool::pooled_scores(self.model(), misses, self.parallelism)
+            .unwrap_or_else(|| self.model().next_log_probs_batch(misses))
+            .into_iter()
+            .map(Arc::from)
+            .collect()
     }
 
     /// The wrapped model.

@@ -27,10 +27,11 @@
 //!   client's plan memo: one bounded table, two owners,
 //! * [`AcceleratorSim`] — a batched-inference latency model standing in
 //!   for the paper's GTX-3080, so throughput figures have a time axis,
-//! * [`score_batch`] / [`pool::pooled_scores`] — batched scoring on the
-//!   persistent [`pool::WorkerPool`], the CPU analogue of batched GPU
-//!   inference; the n-gram forward pass finishes each row with a
-//!   portable lane-chunked kernel.
+//! * [`score_batch`] — batched scoring on the calling thread, and
+//!   [`pool::pooled_scores`] — the engine's fan-out on the persistent
+//!   [`pool::WorkerPool`], the CPU analogue of batched GPU inference;
+//!   the n-gram forward pass finishes each row with a portable
+//!   lane-chunked kernel.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -88,10 +89,11 @@ pub trait LanguageModel: Send + Sync {
     /// "schedules massive sets of test vectors").
     ///
     /// The default implementation loops over
-    /// [`next_log_probs`](Self::next_log_probs); models whose forward
-    /// pass parallelizes ([`NGramLm`], [`NeuralLm`]) override it with
-    /// the persistent-pool fan-out ([`pool::pooled_scores`]), the CPU
-    /// analogue of filling a GPU batch.
+    /// [`next_log_probs`](Self::next_log_probs) on the calling thread,
+    /// and [`NGramLm`] and [`NeuralLm`] keep it. Fanning a batch out over
+    /// worker threads is the [`ScoringEngine`]'s job, at its configured
+    /// [`Parallelism`] ([`pool::pooled_scores`]); an override here is
+    /// for a forward pass that is itself cheaper batched.
     fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
         contexts
             .iter()

@@ -264,16 +264,6 @@ impl LanguageModel for NeuralLm {
         log_softmax(&logits)
     }
 
-    fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
-        crate::pool::pooled_scores(self, contexts, relm_automata::Parallelism::auto())
-            .unwrap_or_else(|| {
-                contexts
-                    .iter()
-                    .map(|ctx| self.next_log_probs(ctx))
-                    .collect()
-            })
-    }
-
     fn pooled_handle(&self) -> Option<std::sync::Arc<dyn LanguageModel>> {
         // The weight matrices are intentionally small (see the module
         // docs), so an owned snapshot per pooled batch is cheap — and,

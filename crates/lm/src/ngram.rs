@@ -34,6 +34,7 @@ use crate::LanguageModel;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NGramConfig {
     /// Maximum n-gram order (context length + 1). Must be ≥ 1.
+    // lint: allow(dead_pub, "tests/edge_cases.rs builds NGramConfig by struct update, which needs every field public")
     pub order: usize,
     /// Interpolation weight kept by the highest matching order; the
     /// remainder backs off geometrically. In `(0, 1)`.
@@ -242,16 +243,6 @@ impl LanguageModel for NGramLm {
         let (mut probs, floor) = self.accumulate(context);
         finish_log_probs(&mut probs, floor);
         probs
-    }
-
-    fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
-        crate::pool::pooled_scores(self, contexts, relm_automata::Parallelism::auto())
-            .unwrap_or_else(|| {
-                contexts
-                    .iter()
-                    .map(|ctx| self.next_log_probs(ctx))
-                    .collect()
-            })
     }
 
     fn pooled_handle(&self) -> Option<Arc<dyn LanguageModel>> {

@@ -5,7 +5,10 @@
 //! resolved worker count, shared with the automata walk-table fills — so
 //! steady-state scoring spawns zero threads per batch
 //! ([`WorkerPool::spawn_count`] stays flat), and the worker count is the
-//! configured [`Parallelism`], never `available_parallelism()`.
+//! configured [`Parallelism`], never `available_parallelism()`. Its one
+//! caller outside tests is [`crate::ScoringEngine`]'s miss scoring: the
+//! models score on the calling thread, so every entry to the pool goes
+//! through an engine's configured setting.
 //!
 //! Determinism: the batch is split into contiguous chunks and
 //! [`WorkerPool::run`] merges chunk results in submission order, so the
@@ -66,18 +69,84 @@ pub fn pooled_scores<M: LanguageModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NGramConfig, NGramLm};
+    use crate::{NGramConfig, NGramLm, NeuralLm, NeuralLmConfig, ScoringEngine};
     use relm_bpe::BpeTokenizer;
+
+    const DOCS: [&str; 2] = ["the cat sat on the mat.", "the dog sat on the log."];
 
     fn fixture() -> (BpeTokenizer, NGramLm) {
         let corpus = "the cat sat on the mat. the dog sat on the log.";
         let tok = BpeTokenizer::train(corpus, 40);
-        let lm = NGramLm::train(
-            &tok,
-            &["the cat sat on the mat.", "the dog sat on the log."],
-            NGramConfig::xl(),
-        );
+        let lm = NGramLm::train(&tok, &DOCS, NGramConfig::xl());
         (tok, lm)
+    }
+
+    fn neural(tok: &BpeTokenizer) -> NeuralLm {
+        let config = NeuralLmConfig {
+            epochs: 2,
+            ..NeuralLmConfig::default()
+        };
+        NeuralLm::train(tok, &DOCS, config)
+    }
+
+    /// `n` distinct contexts: the prefixes of one encoded sentence.
+    fn prefixes(tok: &BpeTokenizer, n: usize) -> Vec<Vec<TokenId>> {
+        let text = tok.encode(&DOCS.join(" "));
+        (0..n).map(|i| text[..i % text.len()].to_vec()).collect()
+    }
+
+    fn assert_same_bits(label: &str, a: &[Vec<f64>], b: &[Vec<f64>]) {
+        assert_eq!(a.len(), b.len(), "{label}");
+        for (x, y) in a.iter().zip(b) {
+            let x: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            let y: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(x, y, "{label}");
+        }
+    }
+
+    #[test]
+    fn batch_scoring_is_a_serial_map_for_both_models() {
+        let (tok, ngram) = fixture();
+        let neural = neural(&tok);
+        let models: [(&str, &dyn LanguageModel); 2] = [("ngram", &ngram), ("neural", &neural)];
+        let contexts = prefixes(&tok, 2 * FAN_OUT_MIN_CHUNK + 1);
+        for n in 0..=contexts.len() {
+            let refs: Vec<&[TokenId]> = contexts[..n].iter().map(Vec::as_slice).collect();
+            for (name, model) in models {
+                let map: Vec<Vec<f64>> = refs.iter().map(|c| model.next_log_probs(c)).collect();
+                let batch = model.next_log_probs_batch(&refs);
+                assert_same_bits(&format!("{name} n={n}"), &batch, &map);
+            }
+        }
+    }
+
+    #[test]
+    fn small_batches_score_alike_on_sharded_and_serial_engines() {
+        let (tok, ngram) = fixture();
+        let neural = neural(&tok);
+        let models: [(&str, &dyn LanguageModel); 2] = [("ngram", &ngram), ("neural", &neural)];
+        for n in 1..=FAN_OUT_MIN_CHUNK {
+            let contexts = prefixes(&tok, n);
+            let refs: Vec<&[TokenId]> = contexts.iter().map(Vec::as_slice).collect();
+            for (name, model) in models {
+                let rows = |par: Parallelism| {
+                    let engine = ScoringEngine::new(model).with_parallelism(par);
+                    let rows = engine.score_batch(&refs);
+                    assert_eq!(
+                        engine.stats().cache_misses,
+                        n as u64,
+                        "every context a miss"
+                    );
+                    rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>()
+                };
+                let sharded = rows(Parallelism::sharded(2));
+                assert_same_bits(
+                    &format!("{name} n={n}"),
+                    &sharded,
+                    &rows(Parallelism::Serial),
+                );
+            }
+        }
     }
 
     #[test]

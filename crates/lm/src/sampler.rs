@@ -87,10 +87,10 @@ pub fn sequence_log_prob<M: LanguageModel>(
 /// order.
 ///
 /// This is a convenience wrapper over
-/// [`LanguageModel::next_log_probs_batch`], which models override with
-/// the persistent-pool scoring in [`crate::pool::pooled_scores`]; prefer
-/// scoring through a [`crate::ScoringEngine`], which adds deduplication
-/// and memoization on top.
+/// [`LanguageModel::next_log_probs_batch`], which scores on the calling
+/// thread; prefer scoring through a [`crate::ScoringEngine`], which
+/// adds deduplication, memoization and the persistent-pool fan-out of
+/// [`crate::pool::pooled_scores`] on top.
 pub fn score_batch<M: LanguageModel>(model: &M, contexts: &[Vec<TokenId>]) -> Vec<Vec<f64>> {
     let refs: Vec<&[TokenId]> = contexts.iter().map(Vec::as_slice).collect();
     model.next_log_probs_batch(&refs)

@@ -187,7 +187,7 @@ impl Json {
     }
 
     /// The value as a non-negative integer, if it is a whole number.
-    pub fn as_u64(&self) -> Option<u64> {
+    fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9e15 => Some(*n as u64),
             _ => None,

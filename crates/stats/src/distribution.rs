@@ -77,14 +77,6 @@ impl EmpiricalDist {
     pub fn counts_for(&self, categories: &[&str]) -> Vec<f64> {
         categories.iter().map(|c| self.count(c) as f64).collect()
     }
-
-    /// The mode (most frequent category), ties broken lexicographically.
-    pub fn mode(&self) -> Option<&str> {
-        self.counts
-            .iter()
-            .max_by(|(ka, va), (kb, vb)| va.cmp(vb).then(kb.cmp(ka)))
-            .map(|(k, _)| k.as_str())
-    }
 }
 
 /// An empirical CDF over `f64` samples.
@@ -164,7 +156,6 @@ mod tests {
         assert_eq!(d.count("art"), 3);
         assert!((d.probability("art") - 0.75).abs() < 1e-12);
         assert_eq!(d.probability("missing"), 0.0);
-        assert_eq!(d.mode(), Some("art"));
     }
 
     #[test]

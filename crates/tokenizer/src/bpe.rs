@@ -244,7 +244,8 @@ impl BpeTokenizer {
     }
 
     /// The merge table in priority order, as `(left, right, result)`.
-    pub fn merges(&self) -> &[(TokenId, TokenId, TokenId)] {
+    #[cfg(test)]
+    pub(crate) fn merges(&self) -> &[(TokenId, TokenId, TokenId)] {
         &self.merges
     }
 
