@@ -648,9 +648,11 @@ impl<'a, M: LanguageModel> Kernel<'a, M> {
     /// The log-probability of `tokens` from the EOS root, plus EOS's
     /// under `require_eos`, on the scale [`Self::expand`] scores paths
     /// on: prefix terms raw, body and EOS terms through the policy's
-    /// view. One engine request per term, summed left to right over the
-    /// shared rows (at temperature 1 the additions, and so the bits, of
-    /// `relm_lm::sequence_log_prob`).
+    /// view. One engine request per term, summed left to right (at
+    /// temperature 1 the additions, and so the bits, of
+    /// `relm_lm::sequence_log_prob`). A prefix term reads one raw entry,
+    /// so it asks for that entry alone and a miss computes no row; a
+    /// body term needs the row the policy cuts.
     fn sequence_log_prob(&mut self, tokens: &[TokenId], prefix_len: usize) -> f64 {
         let mut ctx = self.context(tokens);
         if self.compiled.require_eos {
@@ -658,14 +660,14 @@ impl<'a, M: LanguageModel> Kernel<'a, M> {
         }
         let mut log_prob = 0.0;
         for i in 1..ctx.len() {
-            let row = self.engine.score(&ctx[..i]);
             let token = ctx[i];
             // ctx[i] is tokens[i - 1]; the body starts at prefix_len.
             log_prob += if i > prefix_len {
+                let row = self.engine.score(&ctx[..i]);
                 let lp = self.compiled.policy.filter(&row).get(token);
                 lp.unwrap_or(f64::NEG_INFINITY)
             } else {
-                row[token as usize]
+                self.engine.score_token(&ctx[..i], token)
             };
         }
         self.stats.lm_calls += ctx.len() as u64 - 1;

@@ -31,6 +31,99 @@ fn rank(a: &(TokenId, f64), b: &(TokenId, f64)) -> Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
+/// Sampling stride of [`top_k_cut`]: every 8th entry.
+const SAMPLE_STRIDE: usize = 8;
+
+/// How many places past `k / SAMPLE_STRIDE` the threshold sits in the
+/// sample, so that the entries at or above it outnumber `k` on all but
+/// skewed rows.
+const SAMPLE_SLACK: usize = 2;
+
+/// An integer image of `f64` under `total_cmp`: `a.total_cmp(&b)` is
+/// `order_key(a).cmp(&order_key(b))`. The finite values map onto one
+/// run, [`FINITE_KEYS`]; infinities and NaNs fall outside it.
+const fn order_key(lp: f64) -> u64 {
+    let bits = lp.to_bits();
+    // All ones for a negative sign (every bit flips), the sign bit alone
+    // otherwise.
+    bits ^ ((((bits as i64) >> 63) as u64) >> 1 | 1 << 63)
+}
+
+/// The keys of the finite values, from `-f64::MAX` to `f64::MAX`.
+const FINITE_KEYS: (u64, u64) = (order_key(-f64::MAX), order_key(f64::MAX));
+
+/// Top-k alone: the last kept entry of `scaled`.
+///
+/// The [`rank`] order becomes one integer, `order_key << 64 | !id`,
+/// larger first, so the k-th entry is a selection over `u128`s, and
+/// only over the entries that can be among the first k: a sample of
+/// every 8th entry puts a threshold a few places below where the k-th
+/// should fall, and the finite entries above the threshold's value,
+/// plus the first k (lowest ids) at it, are the candidates. A
+/// threshold with fewer than k entries at or above it (a skewed
+/// sample) falls back to every finite entry. Exact either way: an
+/// entry below the threshold ranks after k candidates.
+fn top_k_cut(scaled: &[f64], k: usize) -> Cut {
+    // One read of the row for the finite count and the sample: a lane's
+    // count is a fixed-width loop the autovectorizer lifts.
+    let mut finite = 0;
+    let mut sample = Vec::with_capacity(scaled.len() / SAMPLE_STRIDE + 1);
+    let mut read_lane = |lane: &[f64]| {
+        finite += lane.iter().filter(|lp| lp.is_finite()).count();
+        let key = order_key(lane[0]);
+        if (FINITE_KEYS.0..=FINITE_KEYS.1).contains(&key) {
+            sample.push(key);
+        }
+    };
+    let mut lanes = scaled.chunks_exact(SAMPLE_STRIDE);
+    lanes.by_ref().for_each(&mut read_lane);
+    if !lanes.remainder().is_empty() {
+        read_lane(lanes.remainder());
+    }
+    if k >= finite {
+        return Cut::Nowhere;
+    }
+    if k == 0 {
+        return Cut::Everything;
+    }
+    let place = k / SAMPLE_STRIDE + SAMPLE_SLACK;
+    let (threshold, expected) = if place < sample.len() {
+        let threshold = *sample.select_nth_unstable_by(place, |a, b| b.cmp(a)).1;
+        (threshold, (place + 1) * SAMPLE_STRIDE)
+    } else {
+        (FINITE_KEYS.0, finite)
+    };
+    let mut candidates = candidates_from(scaled, threshold, k, 2 * expected);
+    if candidates.len() < k {
+        candidates = candidates_from(scaled, FINITE_KEYS.0, k, finite);
+    }
+    let last = *candidates.select_nth_unstable_by(k - 1, |a, b| b.cmp(a)).1;
+    let token = !(last as u64) as TokenId;
+    Cut::After(token, scaled[token as usize])
+}
+
+/// The finite entries of `scaled` above `threshold` and the first `k` at
+/// it, as `order_key << 64 | !id` keys, in a buffer sized for
+/// `capacity` of them.
+fn candidates_from(scaled: &[f64], threshold: u64, k: usize, capacity: usize) -> Vec<u128> {
+    let mut out = Vec::with_capacity(capacity);
+    let mut at_threshold = 0;
+    for (id, &lp) in scaled.iter().enumerate() {
+        let key = order_key(lp);
+        if key < threshold || key > FINITE_KEYS.1 {
+            continue;
+        }
+        if key == threshold {
+            if at_threshold == k {
+                continue;
+            }
+            at_threshold += 1;
+        }
+        out.push(u128::from(key) << 64 | u128::from(!(id as u64)));
+    }
+    out
+}
+
 /// Where a policy's cutoffs fall in a row's [`rank`] order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Cut {
@@ -175,9 +268,11 @@ impl DecodingPolicy {
     /// of the model's language.
     ///
     /// Costs nothing beyond the temperature pass when no cutoff can bite
-    /// (`top_k` unset or at least the row's length), one O(V) selection
-    /// for top-k, and a sort only for top-p — the nucleus is a running
-    /// sum in rank order, and the sum's bits depend on that order.
+    /// (`top_k` unset or at least the row's length). Top-k alone is one
+    /// read of the row plus a selection among the few entries a sample
+    /// says can make the cut, with no copy of the row. Top-p sorts every
+    /// finite entry — the nucleus is a running sum in rank order, and
+    /// the sum's bits depend on that order.
     pub fn filter<'a>(&self, log_probs: &'a [f64]) -> Allowed<'a> {
         let scaled = self.scaled(log_probs);
         let cut = self.cut(&scaled);
@@ -190,9 +285,9 @@ impl DecodingPolicy {
         // A top-k no shorter than the row cannot bite: skip even the
         // count of finite entries.
         let top_k = self.top_k.filter(|&k| k < scaled.len());
-        if top_k.is_none() && self.top_p.is_none() {
-            return Cut::Nowhere;
-        }
+        let Some(p) = self.top_p else {
+            return top_k.map_or(Cut::Nowhere, |k| top_k_cut(scaled, k));
+        };
         let mut entries: Vec<(TokenId, f64)> = scaled
             .iter()
             .enumerate()
@@ -204,24 +299,18 @@ impl DecodingPolicy {
                 entries.select_nth_unstable_by(k - 1, rank);
             }
             entries.truncate(k);
-        } else if self.top_p.is_none() {
-            return Cut::Nowhere;
         }
-        if let Some(p) = self.top_p {
-            entries.sort_unstable_by(rank);
-            let mut mass = 0.0;
-            let mut keep = 0;
-            for (_, lp) in &entries {
-                keep += 1;
-                mass += lp.exp();
-                if mass >= p {
-                    break;
-                }
+        entries.sort_unstable_by(rank);
+        let mut mass = 0.0;
+        let mut keep = 0;
+        for (_, lp) in &entries {
+            keep += 1;
+            mass += lp.exp();
+            if mass >= p {
+                break;
             }
-            entries.truncate(keep);
         }
-        // After a selection the last kept entry sits at the end whether
-        // or not the rest was sorted.
+        entries.truncate(keep);
         match entries.last() {
             Some(&(token, lp)) => Cut::After(token, lp),
             None => Cut::Everything,

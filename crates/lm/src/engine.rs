@@ -16,7 +16,9 @@
 //!    or the batch is small, on the persistent worker pool otherwise —
 //!    the engine is the one way into that pool,
 //! 4. **accounting** — hit/miss/batch counters feed
-//!    `ExecutionStats`, giving every benchmark a cost model,
+//!    `ExecutionStats`, giving every benchmark a cost model; a
+//!    one-entry request ([`ScoringEngine::score_token`]) that the model
+//!    answers without a row counts as a miss but not as a batch,
 //! 5. **admission control** — workloads that never revisit a context
 //!    (level-synchronous beam search) stop paying for memo writes.
 //!
@@ -246,6 +248,12 @@ impl<M: LanguageModel> ScoringEngine<M> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
+        self.score_miss(context)
+    }
+
+    /// A miss the table has already counted: one model row, one batch,
+    /// memoized while admission is open.
+    fn score_miss(&self, context: &[TokenId]) -> Arc<[f64]> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_contexts.fetch_add(1, Ordering::Relaxed);
@@ -254,6 +262,27 @@ impl<M: LanguageModel> ScoringEngine<M> {
             self.cache.insert(context.to_vec(), Arc::clone(&computed));
         }
         computed
+    }
+
+    /// The one entry `score(context)[token]`, for a caller that reads
+    /// nothing else of the row. A hit reads the memoized row. A miss
+    /// asks the model for the entry alone
+    /// ([`LanguageModel::next_log_prob`]): it counts as one miss and no
+    /// batch, and nothing is memoized, since there is no row to keep.
+    /// A model without that path (`None`) is scored as [`Self::score`]
+    /// scores it, counters and memo included.
+    pub fn score_token(&self, context: &[TokenId], token: TokenId) -> f64 {
+        if let Some(hit) = self.cache.lookup(context) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return hit[token as usize];
+        }
+        match self.model().next_log_prob(context, token) {
+            Some(lp) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                lp
+            }
+            None => self.score_miss(context)[token as usize],
+        }
     }
 
     /// Score a batch of contexts, in input order: hits come from the
@@ -351,6 +380,10 @@ impl<M: LanguageModel> LanguageModel for ScoringEngine<M> {
     // this boundary.
     fn next_log_probs(&self, context: &[TokenId]) -> Vec<f64> {
         self.score(context).to_vec()
+    }
+
+    fn next_log_prob(&self, context: &[TokenId], token: TokenId) -> Option<f64> {
+        Some(self.score_token(context, token))
     }
 
     fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
@@ -626,6 +659,68 @@ mod tests {
         assert_eq!(stats.coalesced_batches, 2);
         assert_eq!(stats.cross_query_batches, 1);
         assert!((stats.mean_batch_size() - 1.5).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `score_token(ctx, t)` is `score(ctx)[t]` bit for bit, on a
+        /// miss (the model's one-entry path: a miss each, no batch, no
+        /// memo entry) and on a hit (the memoized row's entry).
+        #[test]
+        fn proptest_one_entry_score_token_matches_score(
+            picks in proptest::collection::vec(0usize..1_000, 0..8),
+            tokens in proptest::collection::vec(0usize..1_000, 1..8),
+        ) {
+            let (_tok, lm) = fixture();
+            let v = lm.vocab_size();
+            let ctx: Vec<TokenId> = picks.iter().map(|&p| (p % v) as TokenId).collect();
+            let tokens: Vec<TokenId> = tokens.iter().map(|&t| (t % v) as TokenId).collect();
+            let n = tokens.len() as u64;
+            let engine = ScoringEngine::new(&lm);
+            let row = lm.next_log_probs(&ctx);
+            for &t in &tokens {
+                proptest::prop_assert_eq!(engine.score_token(&ctx, t).to_bits(), row[t as usize].to_bits());
+            }
+            let stats = engine.stats();
+            proptest::prop_assert_eq!((stats.cache_hits, stats.cache_misses, stats.batches), (0, n, 0));
+            proptest::prop_assert_eq!(engine.cache_len(), 0);
+            let memoized = engine.score(&ctx);
+            for &t in &tokens {
+                proptest::prop_assert_eq!(engine.score_token(&ctx, t).to_bits(), memoized[t as usize].to_bits());
+            }
+            let stats = engine.stats();
+            proptest::prop_assert_eq!((stats.cache_hits, stats.cache_misses, stats.batches), (n, n + 1, 1));
+        }
+    }
+
+    /// A model without a one-entry path (`NeuralLm`) is scored through
+    /// the row: `score_token` returns its entry and leaves every counter
+    /// and the memo as `score` would.
+    #[test]
+    fn one_entry_neural_engine_takes_the_row_path() {
+        let (tok, _) = fixture();
+        let docs = ["the cat sat on the mat", "the dog sat on the log"];
+        let config = crate::NeuralLmConfig {
+            epochs: 2,
+            embed_dim: 8,
+            hidden_dim: 16,
+            ..crate::NeuralLmConfig::default()
+        };
+        let lm = crate::NeuralLm::train(&tok, &docs, config);
+        let by_token = ScoringEngine::new(&lm);
+        let by_row = ScoringEngine::new(&lm);
+        for (text, t) in [("the", 3), ("the cat", 5), ("the", 7), ("", 0)] {
+            let ctx = tok.encode(text);
+            assert_eq!(lm.next_log_prob(&ctx, t), None);
+            assert_eq!(
+                by_token.score_token(&ctx, t).to_bits(),
+                by_row.score(&ctx)[t as usize].to_bits()
+            );
+            assert_eq!(by_token.stats(), by_row.stats());
+            assert_eq!(by_token.cache_len(), by_row.cache_len());
+        }
+        assert_eq!(by_token.stats().batches, 3, "one row per distinct context");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! **back-off n-gram language model over BPE tokens** ([`NGramLm`]) behind
 //! the [`LanguageModel`] trait. Every ReLM code path — top-k pruning,
 //! shortest-path search, unbiased sampling, canonical-vs-full encodings —
-//! consumes the model only through `next_log_probs`, so the algorithms are
+//! consumes the model only through `next_log_probs` (and its one-entry
+//! shortcut `next_log_prob`, bound to the same bits), so the algorithms are
 //! exercised exactly as with a transformer, while the n-gram reproduces
 //! the *phenomena* the paper measures: memorization of repeated training
 //! sequences, co-occurrence bias, and emission of training-set toxicity.
@@ -70,6 +71,11 @@ pub use shared::{SharedCacheStats, SharedScoringCache, DEFAULT_SHARED_CACHE_BYTE
 /// Log probabilities are natural logs; each returned vector must have
 /// length [`vocab_size`](Self::vocab_size) and logsumexp ≈ 0 (a proper
 /// distribution). Tokens impossible in the context get `f64::NEG_INFINITY`.
+///
+/// A model may also answer for one token without the row
+/// ([`next_log_prob`](Self::next_log_prob)). That answer must be the
+/// row's entry bit for bit, so a caller that reads one entry may take
+/// either path and sum the same `f64`s.
 pub trait LanguageModel: Send + Sync {
     /// Vocabulary size; token ids are `0..vocab_size`.
     fn vocab_size(&self) -> usize;
@@ -83,6 +89,20 @@ pub trait LanguageModel: Send + Sync {
 
     /// Natural-log next-token distribution given `context`.
     fn next_log_probs(&self, context: &[TokenId]) -> Vec<f64>;
+
+    /// The one entry `next_log_probs(context)[token]`, bit for bit, or
+    /// `None` when the model has no path cheaper than the whole row.
+    ///
+    /// For callers that read one entry of a row they will not read
+    /// again (a match's prefix terms): [`NGramLm`] answers in O(order)
+    /// table lookups instead of O(V). `None`, the default, tells the
+    /// caller to compute the row; [`NeuralLm`] keeps it, since its
+    /// softmax needs every logit anyway. `token` must be below
+    /// [`vocab_size`](Self::vocab_size).
+    fn next_log_prob(&self, context: &[TokenId], token: TokenId) -> Option<f64> {
+        let _ = (context, token);
+        None
+    }
 
     /// Natural-log next-token distributions for a *batch* of contexts,
     /// in input order — the paper's batched-inference hot path (§3.3
@@ -129,6 +149,9 @@ impl<M: LanguageModel + ?Sized> LanguageModel for &M {
     fn next_log_probs(&self, context: &[TokenId]) -> Vec<f64> {
         (**self).next_log_probs(context)
     }
+    fn next_log_prob(&self, context: &[TokenId], token: TokenId) -> Option<f64> {
+        (**self).next_log_prob(context, token)
+    }
     fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
         (**self).next_log_probs_batch(contexts)
     }
@@ -149,6 +172,9 @@ impl<M: LanguageModel + ?Sized> LanguageModel for std::sync::Arc<M> {
     }
     fn next_log_probs(&self, context: &[TokenId]) -> Vec<f64> {
         (**self).next_log_probs(context)
+    }
+    fn next_log_prob(&self, context: &[TokenId], token: TokenId) -> Option<f64> {
+        (**self).next_log_prob(context, token)
     }
     fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
         (**self).next_log_probs_batch(contexts)

@@ -196,8 +196,26 @@ impl NGramLm {
     /// order puts on each token (exactly `0.0` where none does) and the
     /// uniform floor every slot receives on top of it.
     fn accumulate(&self, context: &[TokenId]) -> (Vec<f64>, f64) {
-        let v = self.vocab_size as f64;
         let mut probs = vec![0.0f64; self.vocab_size];
+        let floor = self.interpolate(context, |counts, w, total| {
+            for (&t, &c) in &counts.continuations {
+                probs[t as usize] += w * c as f64 / total;
+            }
+        });
+        (probs, floor)
+    }
+
+    /// Walk the matching orders from the longest context down, handing
+    /// `visit` each one's counts, weight and total, and return the
+    /// uniform floor per slot. [`Self::accumulate`] and the one-entry
+    /// [`LanguageModel::next_log_prob`] both add through this walk, so
+    /// a token's sum is the same additions in the same order.
+    fn interpolate(
+        &self,
+        context: &[TokenId],
+        mut visit: impl FnMut(&ContextCounts, f64, f64),
+    ) -> f64 {
+        let v = self.vocab_size as f64;
         let mut uniform_mass = self.config.uniform_floor;
         let mut remaining = 1.0 - self.config.uniform_floor;
         let max_k = (self.config.order - 1).min(context.len());
@@ -210,10 +228,7 @@ impl NGramLm {
                     } else {
                         remaining * self.config.backoff
                     };
-                    let total = counts.total as f64;
-                    for (&t, &c) in &counts.continuations {
-                        probs[t as usize] += w * c as f64 / total;
-                    }
+                    visit(counts, w, counts.total as f64);
                     remaining -= w;
                     if remaining <= 0.0 {
                         break;
@@ -222,7 +237,7 @@ impl NGramLm {
             }
         }
         uniform_mass += remaining.max(0.0);
-        (probs, uniform_mass / v)
+        uniform_mass / v
     }
 }
 
@@ -243,6 +258,24 @@ impl LanguageModel for NGramLm {
         let (mut probs, floor) = self.accumulate(context);
         finish_log_probs(&mut probs, floor);
         probs
+    }
+
+    /// The row's entry for `token` in O(order) lookups: the same
+    /// additions the forward pass makes into that slot, finished by the
+    /// row's rule (`ln(floor)` where nothing was added, else
+    /// `ln(p + floor)`), so the bits are the row's.
+    fn next_log_prob(&self, context: &[TokenId], token: TokenId) -> Option<f64> {
+        let mut p = 0.0f64;
+        let floor = self.interpolate(context, |counts, w, total| {
+            if let Some(&c) = counts.continuations.get(&token) {
+                p += w * c as f64 / total;
+            }
+        });
+        Some(if p == 0.0 {
+            floor.ln()
+        } else {
+            (p + floor).ln()
+        })
     }
 
     fn pooled_handle(&self) -> Option<Arc<dyn LanguageModel>> {
@@ -396,6 +429,62 @@ mod tests {
                 picks.iter().map(|&pick| (pick % lm.vocab_size()) as TokenId).collect()
             };
             assert_row_matches_scalar_finish(&lm, &ctx);
+        }
+
+        /// One-entry scoring against the row, for every token: both
+        /// presets, contexts empty, past the order, from training text
+        /// or of ids no document contains.
+        #[test]
+        fn proptest_one_entry_matches_the_row(
+            picks in proptest::collection::vec(0usize..1_000, 0..9),
+            source in 0usize..3,
+            xl in 0usize..2,
+            uneven in 0usize..2,
+        ) {
+            let cfg = if xl == 1 { NGramConfig::xl() } else { NGramConfig::small() };
+            let (tok, lm) = if uneven == 1 {
+                // Odd context totals: over a power-of-two total,
+                // `w * (c / total)` rounds as `w * c / total` does.
+                let corpus = "the cat sat on the mat. the cat sat. the dog ran. \
+                              the cat ran to the log. the dog sat on the mat";
+                let tok = BpeTokenizer::train(corpus, 60);
+                let docs: Vec<&str> = corpus.split(". ").collect();
+                let lm = NGramLm::train(&tok, &docs, cfg);
+                (tok, lm)
+            } else {
+                corpus_lm(cfg)
+            };
+            let ctx: Vec<TokenId> = match source {
+                0 => {
+                    let seen = tok.encode("the cat sat on the mat. the dog ran to the log");
+                    let start = picks.first().map_or(0, |&pick| pick % seen.len());
+                    seen[start..].iter().copied().take(picks.len()).collect()
+                }
+                1 => picks.iter().map(|&pick| (pick % lm.vocab_size()) as TokenId).collect(),
+                // Control bytes, which the corpus never spells.
+                _ => {
+                    prop_assert_eq!(tok.token_bytes(3), [3]);
+                    picks.iter().map(|&pick| (pick % 4) as TokenId).collect()
+                }
+            };
+            assert_one_entry_matches_the_row(&lm, &ctx);
+        }
+    }
+
+    /// `next_log_prob(ctx, t)` is `next_log_probs(ctx)[t]` bit for bit
+    /// for every token, and within 1e-12 of the independent one-token
+    /// reference [`NGramLm::log_prob_of`].
+    fn assert_one_entry_matches_the_row(lm: &NGramLm, ctx: &[TokenId]) {
+        let row = lm.next_log_probs(ctx);
+        for (t, &entry) in row.iter().enumerate() {
+            let t = t as TokenId;
+            let one = lm.next_log_prob(ctx, t).expect("n-gram answers one entry");
+            assert_eq!(one.to_bits(), entry.to_bits(), "{ctx:?} token {t}");
+            let reference = lm.log_prob_of(ctx, t);
+            assert!(
+                (one - reference).abs() < 1e-12,
+                "{ctx:?} token {t}: {one} vs {reference}"
+            );
         }
     }
 

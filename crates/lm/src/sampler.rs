@@ -68,7 +68,9 @@ pub fn sample_sequence<M: LanguageModel, R: Rng>(
 
 /// Total log probability of `tokens[prefix_len..]` under the model, given
 /// `tokens[..prefix_len]` as an uncosted prefix — the additive cost
-/// function of the paper's shortest-path traversal.
+/// function of the paper's shortest-path traversal. Each term is one
+/// entry, so it is read through [`LanguageModel::next_log_prob`], with
+/// the whole row as the fallback.
 pub fn sequence_log_prob<M: LanguageModel>(
     model: &M,
     tokens: &[TokenId],
@@ -76,8 +78,10 @@ pub fn sequence_log_prob<M: LanguageModel>(
 ) -> f64 {
     let mut total = 0.0;
     for i in prefix_len..tokens.len() {
-        let lp = model.next_log_probs(&tokens[..i]);
-        total += lp[tokens[i] as usize];
+        let (context, token) = (&tokens[..i], tokens[i]);
+        total += model
+            .next_log_prob(context, token)
+            .unwrap_or_else(|| model.next_log_probs(context)[token as usize]);
     }
     total
 }

@@ -56,15 +56,17 @@ fn reference_allowed(policy: &DecodingPolicy, log_probs: &[f64]) -> Vec<(TokenId
 /// the reference's exact sequence.
 fn assert_view_matches_reference(policy: &DecodingPolicy, row: &[f64]) {
     let reference = reference_allowed(policy, row);
+    let mut by_id = vec![None; row.len() + 3];
+    for &(id, lp) in &reference {
+        by_id[id as usize] = Some(lp.to_bits());
+    }
     let view = policy.filter(row);
-    for t in 0..row.len() as TokenId + 3 {
-        let expected = reference.iter().find(|&&(id, _)| id == t).map(|e| e.1);
+    for (t, expected) in by_id.iter().enumerate() {
         assert_eq!(
-            view.get(t).map(f64::to_bits),
-            expected.map(f64::to_bits),
+            view.get(t as TokenId).map(f64::to_bits),
+            *expected,
             "token {t} of {row:?} under {policy:?}"
         );
-        assert_eq!(policy.permits(row, t), expected.is_some());
     }
     let enumerated: Vec<(TokenId, u64)> = policy
         .allowed(row)
@@ -156,6 +158,51 @@ fn view_of_a_gpt2_sized_row_keeps_the_reference_top_40() {
     assert_eq!(policy.allowed(&row), reference);
 }
 
+/// About 70 values: both zeros, a few positive, the rest a ladder of
+/// log-probabilities. `+inf`, `-inf` and NaN follow at 70, 71 and 72.
+fn long_row_value(pick: usize) -> f64 {
+    match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2..=4 => pick as f64 * 0.5,
+        5..=69 => -(pick as f64) / 8.0 - 0.125,
+        70 => f64::INFINITY,
+        71 => f64::NEG_INFINITY,
+        _ => f64::NAN,
+    }
+}
+
+/// Rearrange the finite entries of `row` in place, leaving every
+/// non-finite entry where it is: `order` 1 ascending, 2 descending,
+/// 3 the largest values on the finite slots of every 8th index (a
+/// sample of those slots over-shoots, so its threshold keeps too few),
+/// 4 the smallest there (the threshold keeps nearly everything); 0
+/// leaves the row.
+fn arrange_finite(row: &mut [f64], order: usize) {
+    if order == 0 {
+        return;
+    }
+    let slots: Vec<usize> = (0..row.len()).filter(|&i| row[i].is_finite()).collect();
+    let mut values: Vec<f64> = slots.iter().map(|&i| row[i]).collect();
+    values.sort_by(|a, b| {
+        if order == 1 || order == 4 {
+            a.total_cmp(b)
+        } else {
+            b.total_cmp(a)
+        }
+    });
+    let sampled = slots.iter().filter(|&&i| i % 8 == 0);
+    let rest = slots.iter().filter(|&&i| i % 8 != 0);
+    let targets: Vec<usize> = if order >= 3 {
+        sampled.chain(rest).copied().collect()
+    } else {
+        slots.clone()
+    };
+    for (&slot, value) in targets.iter().zip(values) {
+        row[slot] = value;
+    }
+}
+
 fn logsumexp(v: &[f64]) -> f64 {
     let m = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     m + v.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
@@ -192,6 +239,34 @@ proptest! {
             [0.5, 1.0, 2.0][t],
         );
         assert_view_matches_reference(&policy, &row);
+        let view = policy.filter(&row);
+        for t in 0..row.len() as TokenId + 3 {
+            prop_assert_eq!(policy.permits(&row, t), view.get(t).is_some());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 32 } else { 512 }))]
+
+    /// Top-k alone on rows the size of a vocabulary (500–2,000 entries
+    /// over about 70 values, so the cut falls inside a run of ties, with
+    /// `±inf` and NaN mixed in), in orders that feed the cut's sample
+    /// well, badly and not at all, against the sort-based rule for
+    /// every token id, at k ∈ {0, 1, 2, 40, len − 1, len, len + 1}.
+    #[test]
+    fn view_matches_the_reference_on_long_rows(
+        picks in proptest::collection::vec(0usize..76, 500..2_001),
+        order in 0usize..5,
+        t in 0usize..2,
+    ) {
+        let mut row: Vec<f64> = picks.iter().map(|&i| long_row_value(i.min(72))).collect();
+        arrange_finite(&mut row, order);
+        let len = row.len();
+        for k in [0, 1, 2, 40, len - 1, len, len + 1] {
+            let policy = policy_of(Some(k), None, [1.0, 2.0][t]);
+            assert_view_matches_reference(&policy, &row);
+        }
     }
 }
 
