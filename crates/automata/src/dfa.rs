@@ -741,7 +741,8 @@ impl Dfa {
     }
 
     /// [`Dfa::left_quotient`]: compile runs on the calling thread, and
-    /// `par` is ignored.
+    /// `par` is ignored. Called by the `benches/e2e` harness
+    /// (`audit_cold.rs`).
     #[must_use]
     pub fn left_quotient_with(&self, prefix: &Dfa, _par: Parallelism) -> Dfa {
         self.left_quotient(prefix)
@@ -1136,7 +1137,8 @@ mod tests {
         let nfa = words.into_iter().reduce(Nfa::union).unwrap();
         let serial = nfa.determinize();
         for threads in [2usize, 3, 8] {
-            let sharded = nfa.determinize_with(Parallelism::sharded(threads));
+            let threads = std::num::NonZeroUsize::new(threads).unwrap();
+            let sharded = nfa.determinize_with(Parallelism::Sharded(threads));
             assert_eq!(serial, sharded, "threads={threads}");
         }
         assert_eq!(serial, nfa.determinize_with(Parallelism::Serial));

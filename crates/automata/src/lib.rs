@@ -13,11 +13,11 @@
 //!   rather than *edges* uniformly,
 //! * [`levenshtein_within`] — Levenshtein automata (§3.4) describing all
 //!   strings within a bounded edit distance of a regular language,
-//! * [`Parallelism`] / [`WorkerPool`] — the workspace's worker pool. In
-//!   this crate only walk-table rows split their work, into contiguous
-//!   state ranges merged in range order, so a parallel table is
-//!   bit-identical to a serial one; subset construction and products run
-//!   on the calling thread.
+//! * [`Parallelism`] / [`WorkerPool`] — a persistent worker pool that no
+//!   library call path enters: every construction here, and scoring and
+//!   search above it, runs on the calling thread. The `relm-bench` e2e
+//!   harness still times the pool's dispatch and passes
+//!   [`Parallelism::auto`] to the `*_with` compile forwarders.
 //!
 //! Symbols are plain `u32`s: byte values `0..=255` for character-level
 //! automata and token identifiers for LLM (token-level) automata. The same

@@ -289,7 +289,8 @@ impl Nfa {
     }
 
     /// [`Nfa::determinize`]: compile runs on the calling thread, and
-    /// `par` is ignored.
+    /// `par` is ignored. Called by the `benches/e2e` harness
+    /// (`audit_cold.rs`).
     pub fn determinize_with(&self, _par: crate::Parallelism) -> Dfa {
         self.determinize()
     }

@@ -1,32 +1,29 @@
-//! A persistent, chunk-ordered worker pool: the one thread team behind
-//! every parallel construction in the workspace, and [`Parallelism`],
-//! the knob saying how many workers it may use.
+//! A persistent, chunk-ordered worker pool, and [`Parallelism`], the
+//! worker count it is built for.
 //!
-//! Every parallel site — walk-table row fills and the batched scoring
-//! in `relm-lm` — runs on long-lived
-//! threads parked on a condvar, not on threads spawned per batch (tens
-//! of microseconds of thread creation amortized over work that is often
-//! only a few microseconds long). Submitting a batch is a queue push
-//! and a wake, and [`WorkerPool::spawn_count`] proves the spawn count
-//! stays flat across batches.
+//! No library call path enters this pool: compile, walk tables, search
+//! and scoring all run on the calling thread, because on the two-core
+//! host measured, a pooled n-gram context cost more than a serial one
+//! and no workload ran faster pooled (DESIGN.md "Threads"). The pool
+//! stays for the `benches/e2e` harness, whose `pool.dispatch_us` probe
+//! times [`WorkerPool::run`] on [`WorkerPool::for_parallelism`] at
+//! [`Parallelism::auto`], and whose `audit_cold` passes
+//! [`Parallelism::auto`] to the `*_with` compile forwarders.
 //!
 //! # Determinism
 //!
 //! [`WorkerPool::run`] takes an *ordered* list of jobs and returns
 //! their results **in submission order**, whatever order the workers
 //! finished in: each job's result is tagged with its index and merged
-//! into a positional slot. A caller that splits its work into
-//! contiguous chunks and concatenates the returned chunk results
-//! therefore observes exactly the serial order, enforced in one place.
+//! into a positional slot.
 //!
 //! # No deadlocks under nesting
 //!
 //! The submitting thread does not park while its batch runs: it *helps
-//! drain the queue*. If a pooled job itself calls [`WorkerPool::run`]
-//! (nested parallelism — e.g. a pooled batch whose jobs score through
-//! a pooled engine), the inner batch's jobs are executed by the
-//! nested caller and any free workers; no thread ever waits on work
-//! that only itself could run.
+//! drain the queue*. If a pooled job itself calls [`WorkerPool::run`],
+//! the inner batch's jobs are executed by the nested caller and any
+//! free workers; no thread ever waits on work that only itself could
+//! run.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -36,36 +33,32 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-/// How many worker threads walk tables, search frontiers and batched
-/// scoring may use. (Compile runs on the calling thread whatever the
-/// setting.)
-///
-/// The default ([`Parallelism::auto`]) matches the host's available
-/// cores. [`Parallelism::Serial`] is the single-threaded reference path.
-/// Parallel work is split into contiguous ranges and merged in range
-/// order, so both settings produce bit-identical walk tables and
-/// scores — `Serial` exists for baselines, reproducibility audits, and
-/// hosts where the pool's dispatch outweighs the work.
+/// How many worker threads a [`WorkerPool`] holds. No library call
+/// path reads it: the `benches/e2e` harness passes
+/// [`Parallelism::auto`] to [`WorkerPool::for_parallelism`] and to the
+/// `*_with` compile forwarders, which ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parallelism {
-    /// Single-threaded reference path (no worker pool is ever spawned).
+    /// No workers: the pool runs every job on the calling thread.
     Serial,
-    /// Shard work across up to this many worker threads.
+    /// Up to this many worker threads.
     Sharded(NonZeroUsize),
 }
 
 impl Parallelism {
     /// One worker per available core (falls back to [`Self::Serial`]
     /// when the host reports a single core or no parallelism at all).
+    /// Called by the `benches/e2e` harness (`probes.rs`,
+    /// `audit_cold.rs`).
     ///
     /// The core count is read once per process and cached: on Linux
     /// `std::thread::available_parallelism` reads the cgroup CPU quota
-    /// on every call, which costs tens of microseconds — more than a
-    /// small scored batch. Every later call returns the first value.
+    /// on every call, which costs tens of microseconds. Every later
+    /// call returns the first value.
     pub fn auto() -> Self {
         static AUTO: OnceLock<Parallelism> = OnceLock::new();
         *AUTO.get_or_init(|| {
-            // lint: allow(nondet, "the host's core count sizes the worker pool and never a result; read once so every engine in the process agrees")
+            // lint: allow(nondet, "the host's core count sizes the bench's worker pool and never a result; read once so every call in the process agrees")
             match std::thread::available_parallelism() {
                 Ok(n) if n.get() > 1 => Parallelism::Sharded(n),
                 _ => Parallelism::Serial,
@@ -73,32 +66,13 @@ impl Parallelism {
         })
     }
 
-    /// Shard across `threads` workers; `0` and `1` mean [`Self::Serial`].
-    pub fn sharded(threads: usize) -> Self {
-        match NonZeroUsize::new(threads) {
-            Some(n) if n.get() > 1 => Parallelism::Sharded(n),
-            _ => Parallelism::Serial,
-        }
-    }
-
-    /// The worker count this setting resolves to (`1` for serial).
-    pub fn threads(self) -> usize {
+    /// The worker count this setting builds a pool with (`0` for
+    /// serial: the inline pool).
+    fn pool_width(self) -> usize {
         match self {
-            Parallelism::Serial => 1,
+            Parallelism::Serial => 0,
             Parallelism::Sharded(n) => n.get(),
         }
-    }
-
-    /// Whether more than one worker may run.
-    pub fn is_parallel(self) -> bool {
-        self.threads() > 1
-    }
-}
-
-impl Default for Parallelism {
-    /// [`Parallelism::auto`]: one worker per available core.
-    fn default() -> Self {
-        Parallelism::auto()
     }
 }
 
@@ -131,9 +105,7 @@ impl Shared {
 /// The persistent worker pool. See the module docs.
 ///
 /// Dropping the pool drains every queued job (the shutdown flag is
-/// checked only when the queue is empty), then joins the workers —
-/// fire-and-forget work submitted via [`WorkerPool::submit`] is never
-/// lost.
+/// checked only when the queue is empty), then joins the workers.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -153,8 +125,8 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// A pool with `workers` long-lived threads. `workers == 0` builds
     /// an inline pool: [`WorkerPool::run`] executes every job on the
-    /// calling thread (the serial reference path, same results).
-    pub fn new(workers: usize) -> Self {
+    /// calling thread (same results).
+    fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared::default());
         let spawned = AtomicU64::new(0);
         let mut handles = Vec::with_capacity(workers);
@@ -172,13 +144,12 @@ impl WorkerPool {
     }
 
     /// The process-wide pool for a [`Parallelism`] setting, created on
-    /// first use and **reused for every later batch** — the handle the
-    /// walk-table fills and scoring fan-outs resolve, so the serve
-    /// loop's steady state spawns zero threads per batch.
-    /// [`Parallelism::Serial`] maps to the shared inline (zero-worker)
-    /// pool.
+    /// first use and **reused for every later batch**, so steady-state
+    /// batches spawn no threads. [`Parallelism::Serial`] maps to the
+    /// shared inline (zero-worker) pool. Called by the `benches/e2e`
+    /// harness's `pool.dispatch_us` probe (`probes.rs`).
     pub fn for_parallelism(par: Parallelism) -> Arc<WorkerPool> {
-        let workers = if par.is_parallel() { par.threads() } else { 0 };
+        let workers = par.pool_width();
         static REGISTRY: OnceLock<Mutex<HashMap<usize, Arc<WorkerPool>>>> = OnceLock::new();
         let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
         let mut pools = registry.lock().unwrap_or_else(PoisonError::into_inner);
@@ -189,21 +160,22 @@ impl WorkerPool {
         )
     }
 
-    /// Number of worker threads (0 for an inline pool).
+    /// Number of worker threads (0 for an inline pool). Called by the
+    /// `benches/e2e` harness's `pool.dispatch_us` probe (`probes.rs`).
     pub fn workers(&self) -> usize {
         self.workers
     }
 
     /// Total threads this pool has ever spawned. Flat after
-    /// construction — the counter benches and tests use to prove
-    /// steady-state batches spawn nothing.
-    pub fn spawn_count(&self) -> u64 {
+    /// construction — the counter the tests use to prove steady-state
+    /// batches spawn nothing.
+    fn spawn_count(&self) -> u64 {
         self.spawned.load(Ordering::Relaxed)
     }
 
     /// Run an ordered batch of jobs, returning their results **in
-    /// submission order** (the deterministic merge every sharded
-    /// construction relies on).
+    /// submission order**. Called by the `benches/e2e` harness's
+    /// `pool.dispatch_us` probe (`probes.rs`).
     ///
     /// Single-job batches and inline pools run on the calling thread.
     /// Otherwise the jobs are queued for the workers and the caller
@@ -259,23 +231,6 @@ impl WorkerPool {
             .map(|slot| slot.expect("pool worker dropped a job result")) // lint: allow(panic, "the loop above received exactly one result per job index")
             .collect()
     }
-
-    /// Queue one fire-and-forget job. Runs inline on a zero-worker
-    /// pool. Guaranteed to execute even if the pool is dropped right
-    /// after — shutdown drains the queue before the workers exit.
-    pub fn submit<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        if self.workers == 0 {
-            job();
-            return;
-        }
-        self.shared.lock_queue().push_back(Box::new(move || {
-            let _ = catch_unwind(AssertUnwindSafe(job));
-        }));
-        self.shared.work_ready.notify_one();
-    }
 }
 
 impl Drop for WorkerPool {
@@ -291,8 +246,7 @@ impl Drop for WorkerPool {
 /// The worker body: pop-then-run until shutdown. Queued jobs take
 /// priority over the shutdown flag, so dropping the pool drains the
 /// queue instead of abandoning it; a panicking job is contained by its
-/// wrapper ([`WorkerPool::run`]) or caught here ([`WorkerPool::submit`]),
-/// so one bad job never kills the pool.
+/// wrapper ([`WorkerPool::run`]), so one bad job never kills the pool.
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
@@ -320,17 +274,16 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+
+    fn sharded(workers: usize) -> Parallelism {
+        Parallelism::Sharded(NonZeroUsize::new(workers).unwrap())
+    }
 
     #[test]
     fn parallelism_resolves_thread_counts() {
-        assert_eq!(Parallelism::Serial.threads(), 1);
-        assert!(!Parallelism::Serial.is_parallel());
-        assert_eq!(Parallelism::sharded(0), Parallelism::Serial);
-        assert_eq!(Parallelism::sharded(1), Parallelism::Serial);
-        assert_eq!(Parallelism::sharded(4).threads(), 4);
-        assert!(Parallelism::sharded(4).is_parallel());
-        assert!(Parallelism::auto().threads() >= 1);
+        assert_eq!(Parallelism::Serial.pool_width(), 0);
+        assert_eq!(sharded(4).pool_width(), 4);
+        assert!(Parallelism::auto().pool_width() != 1);
     }
 
     #[test]
@@ -391,7 +344,7 @@ mod tests {
 
     #[test]
     fn nested_run_does_not_deadlock() {
-        let pool = WorkerPool::for_parallelism(Parallelism::sharded(2));
+        let pool = WorkerPool::for_parallelism(sharded(2));
         let outer: Vec<_> = (0..4usize)
             .map(|i| {
                 let pool = Arc::clone(&pool);
@@ -403,20 +356,6 @@ mod tests {
             .collect();
         let sums = pool.run(outer);
         assert_eq!(sums, vec![6, 46, 86, 126]);
-    }
-
-    #[test]
-    fn drop_drains_submitted_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let pool = WorkerPool::new(2);
-        for _ in 0..100 {
-            let counter = Arc::clone(&counter);
-            pool.submit(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool); // must drain all 100, not abandon the queue
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
     }
 
     #[test]
@@ -444,10 +383,10 @@ mod tests {
 
     #[test]
     fn registry_reuses_pools_per_worker_count() {
-        let a = WorkerPool::for_parallelism(Parallelism::sharded(3));
-        let b = WorkerPool::for_parallelism(Parallelism::sharded(3));
+        let a = WorkerPool::for_parallelism(sharded(3));
+        let b = WorkerPool::for_parallelism(sharded(3));
         assert!(Arc::ptr_eq(&a, &b));
-        let c = WorkerPool::for_parallelism(Parallelism::sharded(4));
+        let c = WorkerPool::for_parallelism(sharded(4));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(c.workers(), 4);
     }

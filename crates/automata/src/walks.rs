@@ -13,9 +13,6 @@
 //! that "LLMs have finite state" — counting is performed up to a maximum
 //! walk length (the model's max sequence length).
 
-use std::sync::Arc;
-
-use crate::pool::{Parallelism, WorkerPool};
 use crate::{Dfa, StateId, Symbol};
 
 /// Precomputed accepting-walk counts for a [`Dfa`], up to a maximum length.
@@ -53,68 +50,6 @@ pub struct WalkTable {
 }
 
 impl WalkTable {
-    /// Automata smaller than this build their tables on the calling
-    /// thread even under [`Parallelism::Sharded`] — below it, the
-    /// worker pool costs more than the row fills it parallelizes.
-    const PARALLEL_MIN_STATES: usize = 64;
-
-    /// Build the table with the row fills split across `par` workers.
-    ///
-    /// Each length-`len` row assigns `cur[s] = Σ prev[target]` over
-    /// state `s`'s out-edges — states never touch each other's slots, so
-    /// the states split into contiguous near-equal ranges, one pool job
-    /// per range per row. The previous row goes out behind one shared
-    /// `Arc`, so a range reads any slot of it for free, and
-    /// [`WorkerPool::run`] returns the chunks in range order for an
-    /// in-order stitch. Every slot is summed in the same transition
-    /// order as the serial build, so the resulting `f64` tables are
-    /// **bit-identical** for every [`Parallelism`] setting and every
-    /// split. Small automata (and `Parallelism::Serial`) take the serial
-    /// path.
-    pub fn new_with(dfa: &Dfa, max_len: usize, par: Parallelism) -> Self {
-        let n = dfa.state_count();
-        if !par.is_parallel() || n < Self::PARALLEL_MIN_STATES || max_len == 0 {
-            return Self::new(dfa, max_len);
-        }
-        let mut exact_by_len: Vec<Vec<f64>> = Vec::with_capacity(max_len + 1);
-        let base: Vec<f64> = (0..n)
-            .map(|s| if dfa.is_accepting(s) { 1.0 } else { 0.0 })
-            .collect();
-        exact_by_len.push(base);
-        let chunk = n.div_ceil(par.threads());
-        // One clone of the automaton per build so the row jobs own their
-        // transition graph ('static pool jobs can't borrow).
-        let dfa = Arc::new(dfa.clone());
-        let pool = WorkerPool::for_parallelism(par);
-        for len in 1..=max_len {
-            let prev = Arc::new(exact_by_len[len - 1].clone());
-            let jobs: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|lo| {
-                    let range = lo..(lo + chunk).min(n);
-                    let dfa = Arc::clone(&dfa);
-                    let prev = Arc::clone(&prev);
-                    move || {
-                        // Each slot sums its transitions in the same
-                        // order as the serial loop: bit-identical rows.
-                        range
-                            .map(|s| {
-                                let mut acc = 0.0;
-                                for (_, t) in dfa.transitions(s) {
-                                    acc += prev[t];
-                                }
-                                acc
-                            })
-                            .collect::<Vec<f64>>()
-                    }
-                })
-                .collect();
-            // The ranges tile `0..n` in order, and so do their chunks.
-            exact_by_len.push(pool.run(jobs).concat());
-        }
-        Self::from_exact_rows_trusted(exact_by_len, max_len)
-    }
-
     /// Build the table for `dfa` with walk lengths up to `max_len`.
     ///
     /// Runs in `O(max_len · E)` for `E` transitions.
@@ -152,7 +87,7 @@ impl WalkTable {
 
     /// Rebuild a table from its exact-length rows (as produced by
     /// [`WalkTable::exact_rows`]). The cumulative rows are recomputed
-    /// as running sums in the same slot order as the in-process builds,
+    /// as running sums in the same slot order as [`WalkTable::new`],
     /// so a round trip through `exact_rows` is bit-identical for every
     /// `f64` the table can return.
     ///
@@ -171,8 +106,8 @@ impl WalkTable {
     }
 
     /// Finish a table from its exact-length rows: the cumulative rows
-    /// are running sums, identical whichever way the exact rows were
-    /// computed.
+    /// are running sums, identical whether the exact rows were just
+    /// built or read back.
     fn from_exact_rows_trusted(exact_by_len: Vec<Vec<f64>>, max_len: usize) -> Self {
         let n = exact_by_len.first().map_or(0, Vec::len);
         let mut cumulative: Vec<Vec<f64>> = Vec::with_capacity(max_len + 1);
@@ -504,51 +439,6 @@ mod tests {
         let last = table.draw(&dfa, dfa.start(), 3, 0.999_999);
         assert_eq!(first, Some(dist.choices()[0]));
         assert_eq!(last, dist.choices().last().copied());
-    }
-
-    #[test]
-    fn sharded_table_is_bit_identical_to_serial() {
-        use crate::Parallelism;
-        // A chain automaton wide enough to clear the parallel threshold.
-        let symbols: Vec<Symbol> = (0..120u32).map(|i| u32::from(b'a') + (i % 26)).collect();
-        let dfa = Nfa::literal(symbols.clone())
-            .union(Nfa::literal(symbols.into_iter().rev().collect::<Vec<_>>()))
-            .determinize();
-        assert!(dfa.state_count() >= WalkTable::PARALLEL_MIN_STATES);
-        let serial = WalkTable::new(&dfa, 24);
-        // No worker count here divides the state count, so every split
-        // ends in a short range.
-        for threads in [3, 4, 7] {
-            assert_ne!(dfa.state_count() % threads, 0);
-            let table = WalkTable::new_with(&dfa, 24, Parallelism::sharded(threads));
-            assert_eq!(table.max_len(), serial.max_len());
-            for budget in 0..=24 {
-                for state in 0..dfa.state_count() {
-                    assert_eq!(
-                        table.count(state, budget).to_bits(),
-                        serial.count(state, budget).to_bits(),
-                        "cumulative[{budget}][{state}]"
-                    );
-                    assert_eq!(
-                        table.exact_by_len[budget][state].to_bits(),
-                        serial.exact_by_len[budget][state].to_bits(),
-                        "exact[{budget}][{state}]"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn small_automata_take_the_serial_path_under_parallelism() {
-        use crate::Parallelism;
-        let dfa = abbb_dfa();
-        let serial = WalkTable::new(&dfa, 8);
-        let parallel = WalkTable::new_with(&dfa, 8, Parallelism::sharded(8));
-        assert_eq!(
-            parallel.count(dfa.start(), 8).to_bits(),
-            serial.count(dfa.start(), 8).to_bits()
-        );
     }
 
     #[test]

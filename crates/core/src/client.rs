@@ -92,8 +92,8 @@ pub struct RelmBuilder<M> {
 }
 
 impl<M: LanguageModel> RelmBuilder<M> {
-    /// Replace the whole runtime configuration (budgets, parallelism,
-    /// plan store) — the builder's one setter; build the value with
+    /// Replace the whole runtime configuration (budgets, plan store) —
+    /// the builder's one setter; build the value with
     /// [`SessionConfig`]'s `with_*` methods.
     pub fn config(mut self, config: SessionConfig) -> Self {
         self.config = config;

@@ -129,7 +129,7 @@ fn join(dfa: &Dfa, trie: &VocabTrie, node: u32, state: usize, mut f: impl FnMut(
 }
 
 /// [`compile_full`]: compile runs on the calling thread, and `par` is
-/// ignored.
+/// ignored. Called by the `benches/e2e` harness (`audit_cold.rs`).
 pub fn compile_full_with(char_dfa: &Dfa, tokenizer: &BpeTokenizer, _par: Parallelism) -> Dfa {
     compile_full(char_dfa, tokenizer)
 }
@@ -175,7 +175,7 @@ pub fn compile_canonical(
 }
 
 /// [`compile_canonical`]: compile runs on the calling thread, and `par`
-/// is ignored.
+/// is ignored. Called by the `benches/e2e` harness (`audit_cold.rs`).
 pub fn compile_canonical_with(
     char_dfa: &Dfa,
     tokenizer: &BpeTokenizer,

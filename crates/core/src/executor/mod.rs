@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use relm_automata::{Dfa, Parallelism, WalkTable};
+use relm_automata::{Dfa, WalkTable};
 use relm_bpe::{BpeTokenizer, TokenId};
 use relm_lm::{DecodingPolicy, LanguageModel, ScoringEngine};
 use relm_regex::Regex;
@@ -197,18 +197,14 @@ impl PlanParts {
 
     /// The walk-count table for the prefix machine covering at least
     /// `max_tokens`, building (or upgrading to the larger budget) and
-    /// memoizing it on first use. Parallel settings split the row fills
-    /// across the pool ([`WalkTable::new_with`]); serial and parallel
-    /// builds are bit-identical, so the memo never needs to know which
-    /// setting built the cached table. `None` when the plan has no
-    /// prefix.
-    pub(crate) fn walk_table(&self, max_tokens: usize, par: Parallelism) -> Option<Arc<WalkTable>> {
+    /// memoizing it on first use. `None` when the plan has no prefix.
+    pub(crate) fn walk_table(&self, max_tokens: usize) -> Option<Arc<WalkTable>> {
         let prefix = self.prefix.as_ref()?;
         let mut table = self.walk_table.lock();
         match table.as_ref() {
             Some(existing) if existing.max_len() >= max_tokens => Some(Arc::clone(existing)),
             _ => {
-                let built = Arc::new(WalkTable::new_with(prefix, max_tokens, par));
+                let built = Arc::new(WalkTable::new(prefix, max_tokens));
                 *table = Some(Arc::clone(&built));
                 Some(built)
             }
@@ -225,11 +221,6 @@ pub(crate) struct CompiledQuery {
     pub prefix_sampling: PrefixSampling,
     pub require_eos: bool,
     pub distinct_texts: bool,
-    /// Worker budget for the executors' frontier work (Dijkstra's
-    /// scoring lookahead, pooled scoring, sharded walk tables). Never
-    /// part of the plan key: results are byte-identical for every
-    /// setting.
-    pub parallelism: Parallelism,
 }
 
 /// Compile `query`'s patterns into token automata — the expensive,
@@ -242,9 +233,7 @@ pub(crate) struct CompiledQuery {
 ///
 /// Compile runs on the calling thread: a median query compiles in about
 /// a millisecond, less than a worker pool's dispatch and the copies it
-/// needs give back. The [`Parallelism`] a plan is executed under never
-/// reaches this stage, which is what keeps it out of the client's
-/// plan-memo key.
+/// needs give back.
 pub(crate) fn compile_parts(
     query: &SearchQuery,
     tokenizer: &BpeTokenizer,
@@ -333,7 +322,6 @@ pub(crate) fn assemble_compiled(
     query: &SearchQuery,
     parts: Arc<PlanParts>,
     max_sequence_len: usize,
-    par: Parallelism,
 ) -> Result<CompiledQuery, RelmError> {
     let max_tokens = query
         .max_tokens
@@ -349,7 +337,6 @@ pub(crate) fn assemble_compiled(
         prefix_sampling: query.prefix_sampling,
         require_eos: query.require_eos,
         distinct_texts: query.distinct_texts,
-        parallelism: par,
     })
 }
 
@@ -799,12 +786,11 @@ mod tests {
     use super::*;
     use crate::query::QueryString;
 
-    /// A query whose prefix token automaton is wide enough (≥ 64
-    /// states, the walk table's threshold) for a parallel walk-table
-    /// build to really run its rows on the pool.
+    /// A query whose prefix token automaton is wide: a 40-word
+    /// alternation.
     fn wide_prefix_parts() -> PlanParts {
         // Pseudo-random words: minimization cannot collapse the prefix
-        // trie below the threshold.
+        // trie.
         let words = crate::test_lexicon(0x2545f4914f6cdd1d, 40, 8);
         let corpus = words.join(" ");
         let tokenizer = BpeTokenizer::train(&corpus, 40);
@@ -823,34 +809,17 @@ mod tests {
     #[test]
     fn parallel_walk_table_is_memoized_and_charged_to_the_plan() {
         let parts = wide_prefix_parts();
-        let prefix_states = parts.prefix.as_ref().unwrap().state_count();
-        assert!(
-            prefix_states >= 64,
-            "fixture too small: {prefix_states} states"
-        );
         let before = parts.estimated_bytes();
-        let table = parts.walk_table(16, Parallelism::sharded(4)).unwrap();
+        let table = parts.walk_table(16).unwrap();
         let after = parts.estimated_bytes();
         assert!(
             after >= before + table.estimated_bytes(),
             "estimated_bytes must charge the walk table: {before} -> {after}"
         );
-        let again = parts.walk_table(12, Parallelism::sharded(4)).unwrap();
+        let again = parts.walk_table(12).unwrap();
         assert!(
             Arc::ptr_eq(&table, &again),
             "a smaller budget reuses the table"
         );
-        // The parallel table is bit-identical to a serial build.
-        let serial_parts = wide_prefix_parts();
-        let serial_table = serial_parts.walk_table(16, Parallelism::Serial).unwrap();
-        let prefix = parts.prefix.as_ref().unwrap();
-        for budget in 0..=16 {
-            for state in 0..prefix.state_count() {
-                assert_eq!(
-                    table.count(state, budget).to_bits(),
-                    serial_table.count(state, budget).to_bits()
-                );
-            }
-        }
     }
 }

@@ -62,9 +62,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
         compiled: CompiledQuery,
         seed: u64,
     ) -> Self {
-        let walk_table = compiled
-            .parts
-            .walk_table(compiled.max_tokens, compiled.parallelism);
+        let walk_table = compiled.parts.walk_table(compiled.max_tokens);
         SamplingIter {
             kernel: Kernel::new(engine, tokenizer, compiled, false),
             rng: SmallRng::seed_from_u64(seed),

@@ -27,15 +27,11 @@ use relm_lm::{LanguageModel, ScoringEngine};
 
 use crate::executor::{At, CompiledQuery, Kernel, Next, StepOutcome};
 
-/// Cap on contexts prefetched per model call **per worker**.
+/// Cap on contexts scored per model call, the popped one included.
 /// The prefetch picks the *cheapest* frontier nodes — the ones Dijkstra
-/// pops next — so nearly every prefetched context is consumed. Under a
-/// parallel setting the cap scales with the worker count
-/// ([`ShortestPathIter::frontier_cap`]): one `step()` then scores a
-/// whole frontier shard in a single engine batch, which the engine
-/// spreads across the persistent worker pool. Scoring is pure, so the
-/// wider lookahead can never change which node is expanded or emitted —
-/// serial and sharded runs stay byte-identical.
+/// pops next — so nearly every prefetched context is consumed; past the
+/// first few, lookahead accuracy decays. Scoring is pure, so the width
+/// can never change which node is expanded or emitted.
 const MAX_FRONTIER_BATCH: usize = 8;
 
 /// Cap on heap entries scanned per prefetch. Bounds per-miss overhead
@@ -49,12 +45,6 @@ const FRONTIER_SCAN_LIMIT: usize = 512;
 /// on **every** round-robin rotation (one heap pop each), so its scan
 /// must stay cheap — the heap top region alone yields the next pops.
 const FRONTIER_TICK_SCAN_LIMIT: usize = 64;
-
-/// Cap on the worker-count multiplier applied to the frontier batch
-/// and scan bounds: the heap scan that selects the shard is serial, so
-/// its cost must stay bounded on many-core hosts even though the
-/// scoring it feeds parallelizes.
-const FRONTIER_THREADS_CAP: usize = 8;
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -113,25 +103,6 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
         }
     }
 
-    /// The frontier-shard width: how many of the cheapest frontier
-    /// contexts one step may feed into a single engine batch. Scales
-    /// with the configured worker count so multicore hosts fill wider
-    /// model batches per Dijkstra pop — but bounded: the selection scan
-    /// runs serially on the calling thread, and lookahead accuracy
-    /// decays past the first few dozen nodes, so a many-core host must
-    /// not inflate per-miss overhead linearly in its core count.
-    fn frontier_threads(&self) -> usize {
-        self.kernel
-            .compiled
-            .parallelism
-            .threads()
-            .min(FRONTIER_THREADS_CAP)
-    }
-
-    fn frontier_cap(&self) -> usize {
-        MAX_FRONTIER_BATCH * self.frontier_threads()
-    }
-
     /// The tokens of the cheapest expandable nodes among the first
     /// `scan` heap entries, at most `keep` of them, cheapest first — the
     /// paths Dijkstra pops (and therefore scores) next. The scan is
@@ -157,7 +128,7 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
     /// the cheapest few, lookahead accuracy decays. Read-only: the heap
     /// is scanned, never mutated.
     pub(crate) fn frontier_contexts(&self, limit: usize) -> Vec<Vec<TokenId>> {
-        let limit = limit.min(self.frontier_cap());
+        let limit = limit.min(MAX_FRONTIER_BATCH);
         let mut out = Vec::new();
         if self.kernel.frontier_open(limit)
             && self.kernel.stats.expansions < self.max_expansions as u64
@@ -178,10 +149,10 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
         if engine.is_cached(&ctx) || !engine.admits_new_entries() {
             return engine.score(&ctx);
         }
-        let cap = self.frontier_cap();
-        let paths = self.cheapest(FRONTIER_SCAN_LIMIT * self.frontier_threads(), cap - 1);
+        let paths = self.cheapest(FRONTIER_SCAN_LIMIT, MAX_FRONTIER_BATCH - 1);
         let mut batch = vec![ctx];
-        self.kernel.add_uncached(&mut batch, paths, cap);
+        self.kernel
+            .add_uncached(&mut batch, paths, MAX_FRONTIER_BATCH);
         let refs: Vec<&[TokenId]> = batch.iter().map(Vec::as_slice).collect();
         engine.score_batch(&refs).swap_remove(0)
     }

@@ -83,12 +83,7 @@ pub fn explain(
     max_sequence_len: usize,
 ) -> Result<QueryPlan, RelmError> {
     let parts = std::sync::Arc::new(compile_parts(query, tokenizer)?);
-    let compiled = assemble_compiled(
-        query,
-        parts,
-        max_sequence_len,
-        relm_automata::Parallelism::auto(),
-    )?;
+    let compiled = assemble_compiled(query, parts, max_sequence_len)?;
     Ok(QueryPlan {
         prefix_machine: compiled.parts.prefix.as_ref().map(|p| MachineShape {
             states: p.state_count(),

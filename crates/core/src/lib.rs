@@ -73,14 +73,9 @@ pub use query::{
     PrefixSampling, QueryId, QuerySet, QuerySpec, QueryString, SearchQuery, SearchStrategy,
     TokenizationStrategy,
 };
-// The sharding knob lives in relm-automata (compilation is where the
-// shards run) but is configured through `SessionConfig`, so it is
-// re-exported as part of this crate's public surface.
-pub use relm_automata::Parallelism;
-
-/// Deterministic pseudo-random word fixtures shared by tests that need
-/// automata large enough to clear the sharding spawn gates: words with
-/// no common structure, so minimization cannot collapse them.
+/// Deterministic pseudo-random word fixtures for tests that need wide
+/// automata: words with no common structure, so minimization cannot
+/// collapse them.
 #[cfg(test)]
 pub(crate) fn test_lexicon(seed: u64, words: usize, len: usize) -> Vec<String> {
     let mut state = seed;

@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use relm_automata::Parallelism;
 use relm_bpe::BpeTokenizer;
 use relm_lm::{Clock, LanguageModel, ScoringEngine, SharedCacheStats, SharedScoringCache};
 use relm_store::{ArtifactKey, CacheArtifact, PlanArtifact, PlanStore, StoreError};
@@ -76,15 +75,6 @@ pub struct SessionConfig {
     /// dominate memory unnoticed. Plans larger than the whole budget
     /// are compiled but never memoized.
     pub(crate) plan_memo_bytes: usize,
-    /// Worker budget for the executors' frontier work: the Dijkstra
-    /// prefetch, walk tables and pooled scoring.
-    /// Plan compilation runs on the calling thread whatever the
-    /// setting. Defaults to one worker per available core;
-    /// [`Parallelism::Serial`] is the single-threaded reference path.
-    /// Results are **byte-identical** for every setting — sharded work
-    /// merges deterministically — so this knob trades wall-clock only,
-    /// never answers, and is deliberately not part of the plan-memo key.
-    pub parallelism: Parallelism,
     /// Directory of an on-disk warm-artifact store
     /// ([`relm_store::PlanStore`]). When set, the client consults the
     /// store on every plan-memo miss before compiling (a disk hit skips
@@ -105,7 +95,6 @@ impl SessionConfig {
             scoring_cache_bytes: relm_lm::DEFAULT_SHARED_CACHE_BYTES,
             plan_memo_capacity: 256,
             plan_memo_bytes: DEFAULT_PLAN_MEMO_BYTES,
-            parallelism: Parallelism::auto(),
             plan_store: None,
         }
     }
@@ -128,13 +117,6 @@ impl SessionConfig {
     #[must_use]
     pub fn with_plan_memo_bytes(mut self, bytes: usize) -> Self {
         self.plan_memo_bytes = bytes;
-        self
-    }
-
-    /// Set the worker budget for frontier work and pooled scoring.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -197,9 +179,7 @@ impl SessionStats {
 
 /// The compilation-relevant identity of a query. Execution flags
 /// (policy, strategy, seeds, caps) are deliberately absent: they are
-/// attached per-run and do not affect the automata. The client's
-/// [`Parallelism`] is absent too: compilation never reads it, so every
-/// client builds the same automata for a query. The pattern, prefix,
+/// attached per-run and do not affect the automata. The pattern, prefix,
 /// and preprocessor configuration are stored **exactly** (the
 /// preprocessor list as its full structural encoding, not a hash), so a
 /// memo hit can never serve automata compiled from a different query;
@@ -496,14 +476,12 @@ impl<M: LanguageModel> Relm<M> {
     }
 
     /// A scoring engine over the client's model wired to its shared
-    /// cache at the configured parallelism — the engine every
-    /// execution scores through, and the one to use for scoring work
-    /// outside `search` (ancestral sampling, scoring sweeps) that
-    /// should pool its memo with the client's queries. The engine
-    /// implements [`LanguageModel`].
+    /// cache — the engine every execution scores through, and the one
+    /// to use for scoring work outside `search` (ancestral sampling,
+    /// scoring sweeps) that should pool its memo with the client's
+    /// queries. The engine implements [`LanguageModel`].
     pub fn engine(&self) -> ScoringEngine<&M> {
         ScoringEngine::with_shared_cache(&self.model, Arc::clone(&self.scoring_cache))
-            .with_parallelism(self.config.parallelism)
     }
 
     /// Compile `query` into an executable plan, serving the automata
@@ -558,12 +536,7 @@ impl<M: LanguageModel> Relm<M> {
                 }
             }
         };
-        let compiled = assemble_compiled(
-            query,
-            parts,
-            self.model.max_sequence_len(),
-            self.config.parallelism,
-        )?;
+        let compiled = assemble_compiled(query, parts, self.model.max_sequence_len())?;
         Ok((
             CompiledSearch::from_query(query, compiled, self.tokenizer_fingerprint),
             source,
@@ -1432,7 +1405,7 @@ mod tests {
                         served(old.get(&memo_key(i)))
                     ),
                     MemoOp::Recost(i, tokens) => {
-                        let _ = plan(i).walk_table(tokens, Parallelism::Serial);
+                        let _ = plan(i).walk_table(tokens);
                         prop_assert_eq!(
                             served(live.get(&memo_key(i))),
                             served(old.get(&memo_key(i)))

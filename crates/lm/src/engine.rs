@@ -11,10 +11,9 @@
 //!    without model work (graph traversals revisit constantly),
 //! 2. **deduplication** — identical contexts inside one batch are
 //!    evaluated once,
-//! 3. **batching** — the surviving misses are scored in one call at
-//!    the engine's configured [`Parallelism`]: inline when it is serial
-//!    or the batch is small, on the persistent worker pool otherwise —
-//!    the engine is the one way into that pool,
+//! 3. **batching** — the surviving misses are scored in one
+//!    [`LanguageModel::next_log_probs_batch`] call on the calling
+//!    thread,
 //! 4. **accounting** — hit/miss/batch counters feed
 //!    `ExecutionStats`, giving every benchmark a cost model; a
 //!    one-entry request ([`ScoringEngine::score_token`]) that the model
@@ -43,7 +42,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use relm_automata::Parallelism;
 use relm_bpe::TokenId;
 
 use crate::{LanguageModel, SharedScoringCache};
@@ -123,11 +121,6 @@ pub struct ScoringEngine<M> {
     model: M,
     /// The memo table: the session's cache, or one of the engine's own.
     cache: Arc<SharedScoringCache>,
-    /// Resolved worker budget for miss scoring. `Serial` scores misses
-    /// inline; a sharded setting routes them to the persistent
-    /// [`crate::pool::WorkerPool`]. Sessions thread their configured
-    /// [`Parallelism`] here so a serial session never spawns workers.
-    parallelism: Parallelism,
     hits: AtomicU64,
     misses: AtomicU64,
     batches: AtomicU64,
@@ -154,7 +147,6 @@ impl<M: LanguageModel> ScoringEngine<M> {
         ScoringEngine {
             model,
             cache,
-            parallelism: Parallelism::auto(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -163,38 +155,6 @@ impl<M: LanguageModel> ScoringEngine<M> {
             coalesced_contexts: AtomicU64::new(0),
             cross_query_batches: AtomicU64::new(0),
         }
-    }
-
-    /// Route miss scoring through the given [`Parallelism`] (builder
-    /// style). `Serial` scores misses inline on the calling thread; a
-    /// sharded setting scores batches large enough to split on the
-    /// persistent worker pool and smaller ones inline. The models do
-    /// not fan out on their own, so this setting is the only thing that
-    /// decides whether scoring enters the pool. The default is
-    /// [`Parallelism::auto`], which reads the host's core count once
-    /// per process.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The resolved worker budget for miss scoring.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Evaluate a deduplicated miss set under the configured
-    /// [`Parallelism`]: a parallel setting sends a batch large enough to
-    /// split to the persistent pool; every other batch is the model's
-    /// `next_log_probs_batch`, which the workspace's models leave as a
-    /// serial `next_log_probs` map (all paths are bit-identical).
-    fn compute_scores(&self, misses: &[&[TokenId]]) -> Vec<Arc<[f64]>> {
-        crate::pool::pooled_scores(self.model(), misses, self.parallelism)
-            .unwrap_or_else(|| self.model().next_log_probs_batch(misses))
-            .into_iter()
-            .map(Arc::from)
-            .collect()
     }
 
     /// The wrapped model.
@@ -308,7 +268,12 @@ impl<M: LanguageModel> ScoringEngine<M> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_contexts
             .fetch_add(miss_count, Ordering::Relaxed);
-        let computed = self.compute_scores(&plan.misses);
+        let computed: Vec<Arc<[f64]>> = self
+            .model()
+            .next_log_probs_batch(&plan.misses)
+            .into_iter()
+            .map(Arc::from)
+            .collect();
         if self.cache.admission_open() {
             self.cache.insert_many(
                 plan.misses

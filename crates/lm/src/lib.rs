@@ -28,11 +28,13 @@
 //!   client's plan memo: one bounded table, two owners,
 //! * [`AcceleratorSim`] — a batched-inference latency model standing in
 //!   for the paper's GTX-3080, so throughput figures have a time axis,
-//! * [`score_batch`] — batched scoring on the calling thread, and
-//!   [`pool::pooled_scores`] — the engine's fan-out on the persistent
-//!   [`pool::WorkerPool`], the CPU analogue of batched GPU inference;
-//!   the n-gram forward pass finishes each row with a portable
-//!   lane-chunked kernel.
+//! * [`score_batch`] — batched scoring on the calling thread; the
+//!   n-gram forward pass finishes each row with a portable lane-chunked
+//!   kernel.
+//!
+//! Every scoring call runs on the calling thread. The paper batches the
+//! frontier for the accelerator (§3.3); on the host, splitting a batch
+//! of n-gram contexts across threads cost more than it saved.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,7 +48,6 @@ mod eval;
 mod matrix;
 mod neural;
 mod ngram;
-pub mod pool;
 mod sampler;
 mod shared;
 mod simd;
@@ -57,8 +58,6 @@ pub use decoding::{Allowed, DecodingPolicy};
 pub use engine::{ScoringEngine, ScoringStats};
 pub use neural::{NeuralLm, NeuralLmConfig};
 pub use ngram::{NGramConfig, NGramLm};
-pub use pool::pooled_scores;
-pub use relm_automata::Parallelism;
 pub use relm_bpe::TokenId;
 pub use sampler::{sample_sequence, score_batch, sequence_log_prob};
 pub use shared::{SharedCacheStats, SharedScoringCache, DEFAULT_SHARED_CACHE_BYTES};
@@ -110,29 +109,13 @@ pub trait LanguageModel: Send + Sync {
     ///
     /// The default implementation loops over
     /// [`next_log_probs`](Self::next_log_probs) on the calling thread,
-    /// and [`NGramLm`] and [`NeuralLm`] keep it. Fanning a batch out over
-    /// worker threads is the [`ScoringEngine`]'s job, at its configured
-    /// [`Parallelism`] ([`pool::pooled_scores`]); an override here is
-    /// for a forward pass that is itself cheaper batched.
+    /// and [`NGramLm`] and [`NeuralLm`] keep it; an override is for a
+    /// forward pass that is itself cheaper batched.
     fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
         contexts
             .iter()
             .map(|ctx| self.next_log_probs(ctx))
             .collect()
-    }
-
-    /// A `'static`, shareable handle to this model for persistent-pool
-    /// workers, or `None` when pooled scoring does not apply.
-    ///
-    /// Pool jobs outlive any borrow of `self`, so [`pool::pooled_scores`]
-    /// needs an owned handle it can clone into each chunk job. Models
-    /// whose clone is cheap ([`NGramLm`] shares its count tables behind
-    /// an `Arc`) or small ([`NeuralLm`]'s matrices) return
-    /// `Some(Arc::new(self.clone()))`; the default `None` keeps wrappers
-    /// with interior state (engines, caches) off the pool and on their
-    /// own scoring paths.
-    fn pooled_handle(&self) -> Option<std::sync::Arc<dyn LanguageModel>> {
-        None
     }
 }
 
@@ -155,9 +138,6 @@ impl<M: LanguageModel + ?Sized> LanguageModel for &M {
     fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
         (**self).next_log_probs_batch(contexts)
     }
-    fn pooled_handle(&self) -> Option<std::sync::Arc<dyn LanguageModel>> {
-        (**self).pooled_handle()
-    }
 }
 
 impl<M: LanguageModel + ?Sized> LanguageModel for std::sync::Arc<M> {
@@ -178,9 +158,6 @@ impl<M: LanguageModel + ?Sized> LanguageModel for std::sync::Arc<M> {
     }
     fn next_log_probs_batch(&self, contexts: &[&[TokenId]]) -> Vec<Vec<f64>> {
         (**self).next_log_probs_batch(contexts)
-    }
-    fn pooled_handle(&self) -> Option<std::sync::Arc<dyn LanguageModel>> {
-        (**self).pooled_handle()
     }
 }
 

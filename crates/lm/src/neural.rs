@@ -263,13 +263,6 @@ impl LanguageModel for NeuralLm {
         let (_, _, logits) = self.forward(&window);
         log_softmax(&logits)
     }
-
-    fn pooled_handle(&self) -> Option<std::sync::Arc<dyn LanguageModel>> {
-        // The weight matrices are intentionally small (see the module
-        // docs), so an owned snapshot per pooled batch is cheap — and,
-        // trained weights being immutable at inference, exact.
-        Some(std::sync::Arc::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -98,9 +98,7 @@ struct ContextCounts {
 
 /// The interpolated back-off n-gram model. See the module docs.
 ///
-/// Cloning is cheap: the count tables sit behind an `Arc`, so
-/// [`LanguageModel::pooled_handle`] can hand persistent-pool workers a
-/// shared handle without copying the training data.
+/// Cloning is cheap: the count tables sit behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct NGramLm {
     config: NGramConfig,
@@ -108,7 +106,7 @@ pub struct NGramLm {
     eos: TokenId,
     /// `orders[k]` holds counts for contexts of length `k`
     /// (`orders[0]` is the unigram table with the empty context).
-    /// Shared so clones (pool handles) cost two pointer copies.
+    /// Shared so a clone costs a pointer copy.
     orders: Arc<Vec<OrderCounts>>,
 }
 
@@ -276,10 +274,6 @@ impl LanguageModel for NGramLm {
         } else {
             (p + floor).ln()
         })
-    }
-
-    fn pooled_handle(&self) -> Option<Arc<dyn LanguageModel>> {
-        Some(Arc::new(self.clone()))
     }
 }
 
@@ -486,14 +480,6 @@ mod tests {
                 "{ctx:?} token {t}: {one} vs {reference}"
             );
         }
-    }
-
-    #[test]
-    fn pooled_handle_shares_the_count_tables() {
-        let (tok, lm) = corpus_lm(NGramConfig::xl());
-        let handle = lm.pooled_handle().expect("n-gram models pool");
-        let ctx = tok.encode("the cat");
-        assert_eq!(handle.next_log_probs(&ctx), lm.next_log_probs(&ctx));
     }
 
     #[test]

@@ -93,8 +93,7 @@ pub fn sequence_log_prob<M: LanguageModel>(
 /// This is a convenience wrapper over
 /// [`LanguageModel::next_log_probs_batch`], which scores on the calling
 /// thread; prefer scoring through a [`crate::ScoringEngine`], which
-/// adds deduplication, memoization and the persistent-pool fan-out of
-/// [`crate::pool::pooled_scores`] on top.
+/// adds deduplication and memoization on top.
 pub fn score_batch<M: LanguageModel>(model: &M, contexts: &[Vec<TokenId>]) -> Vec<Vec<f64>> {
     let refs: Vec<&[TokenId]> = contexts.iter().map(Vec::as_slice).collect();
     model.next_log_probs_batch(&refs)

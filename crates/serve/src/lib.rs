@@ -3,7 +3,7 @@
 //! The paper frames LM validation as a *query workload*: many patterns,
 //! many prefixes, repeated audits. Everything below the socket already
 //! exists in this workspace — session warmth, coalesced cross-query
-//! scoring, sharded frontiers. This crate adds the socket: a
+//! scoring, batched frontiers. This crate adds the socket: a
 //! hand-rolled, dependency-free serving layer that accepts concurrent
 //! TCP connections, admits each request into **one** shared
 //! [`relm_core::QueryDriver`], and pumps every live query through the
@@ -28,8 +28,8 @@
 //!   nothing waits on a timer. Within a shard, concurrency comes from
 //!   the *driver*: every connection's queries interleave through the
 //!   same stepwise executor protocol (`step()`/`frontier_contexts()`)
-//!   that `run_many` uses. Across shards, the plan memo, scoring cache,
-//!   plan store, and worker pool stay shared, so warmth is global.
+//!   that `run_many` uses. Across shards, the plan memo, scoring cache
+//!   and plan store stay shared, so warmth is global.
 //!   Backpressure is enforced at admit time (per-connection quota +
 //!   global in-flight cap) with typed busy frames.
 //! * [`ServeClient`] — a small blocking client (tests, benches, the

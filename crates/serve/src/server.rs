@@ -28,8 +28,8 @@
 //!
 //! Shards parallelize *driving*; warmth stays global. Every shard's
 //! driver executes through the same [`Relm`] client, so the plan memo,
-//! the shared scoring cache, the plan store, and the worker pool are
-//! one instance behind all N loops — a plan compiled (or a score
+//! the shared scoring cache and the plan store are one instance behind
+//! all N loops — a plan compiled (or a score
 //! memoized) on one shard is warm on every other.
 //!
 //! Why per-connection determinism survives N shards: scoring is pure

@@ -7,8 +7,6 @@
 //! was built before the snapshot — the walk table. It is keyed by
 //! exactly the in-memory memo key: pattern, prefix, tokenization
 //! strategy, preprocessor fingerprints, and tokenizer fingerprint.
-//! Nothing in it depends on the worker count of the process that
-//! wrote it.
 //!
 //! A **cache artifact** is a snapshot of a `SharedScoringCache`'s live
 //! entries, tagged with the generation and tokenizer fingerprint they

@@ -9,9 +9,7 @@
 //! file per compiled plan — prefix and body automata, deferred filters,
 //! walk table — keyed by exactly the in-memory memo key
 //! ([`ArtifactKey`]), plus an optional snapshot of the shared scoring
-//! cache ([`CacheArtifact`]) tagged with its generation. A plan file
-//! holds nothing that depends on the writer's worker count, so hosts
-//! with different core counts write the same bytes for the same plan.
+//! cache ([`CacheArtifact`]) tagged with its generation.
 //!
 //! # Format
 //!

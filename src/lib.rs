@@ -45,7 +45,7 @@
 
 pub use relm_automata::{
     ascii_alphabet, concat, dfa_to_dot, levenshtein_within, reverse, str_symbols, Dfa, Nfa,
-    Parallelism, StateId, Symbol, WalkChoice, WalkTable, WorkerPool,
+    StateId, Symbol, WalkChoice, WalkTable,
 };
 pub use relm_bpe::{pretokenize, BpeTokenizer, TokenId};
 pub use relm_core::{
@@ -55,9 +55,9 @@ pub use relm_core::{
     SearchQuery, SearchResults, SearchStrategy, SessionConfig, SessionStats, TokenizationStrategy,
 };
 pub use relm_lm::{
-    pooled_scores, sample_sequence, score_batch, sequence_log_prob, AcceleratorSim, DecodingPolicy,
-    LanguageModel, NGramConfig, NGramLm, NeuralLm, NeuralLmConfig, ScoringEngine, ScoringStats,
-    SharedCacheStats, SharedScoringCache,
+    sample_sequence, score_batch, sequence_log_prob, AcceleratorSim, DecodingPolicy, LanguageModel,
+    NGramConfig, NGramLm, NeuralLm, NeuralLmConfig, ScoringEngine, ScoringStats, SharedCacheStats,
+    SharedScoringCache,
 };
 pub use relm_regex::{disjunction_of, escape, Regex};
 pub use relm_store::{

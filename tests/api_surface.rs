@@ -77,12 +77,10 @@ fn facade_reexport_list_matches_snapshot() {
         "str_symbols",
         "Dfa",
         "Nfa",
-        "Parallelism",
         "StateId",
         "Symbol",
         "WalkChoice",
         "WalkTable",
-        "WorkerPool",
         // relm-bpe
         "pretokenize",
         "BpeTokenizer",
@@ -119,7 +117,6 @@ fn facade_reexport_list_matches_snapshot() {
         "SessionStats",
         "TokenizationStrategy",
         // relm-lm
-        "pooled_scores",
         "sample_sequence",
         "score_batch",
         "sequence_log_prob",
