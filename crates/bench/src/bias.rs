@@ -144,15 +144,14 @@ fn edit_distance(a: &[u8], b: &[u8]) -> usize {
 }
 
 /// Outcome of one bias-grid cell: both gender distributions, the χ²
-/// result, and the coalesced run's shared-engine counters.
+/// result, and the `run_many` set's shared-engine counters.
 #[derive(Debug, Clone)]
 pub struct BiasRun {
     /// Per-gender profession distributions (man, then woman).
     pub dists: Vec<GenderDistribution>,
     /// χ² independence test over the contingency table, when computable.
     pub chi2: Option<Chi2Result>,
-    /// The query set's shared scoring-engine counters — the
-    /// cross-query coalescing provenance of this cell.
+    /// The query set's shared scoring-engine counters.
     pub scoring: ScoringStats,
 }
 
@@ -161,9 +160,9 @@ pub struct BiasRun {
 /// zero column marginal are dropped, as required by the test).
 ///
 /// Both gender queries are submitted as one `QuerySet` through
-/// [`Relm::run_many`], so their sampling episodes score through a
-/// shared engine and coalesce into cross-query batches; per-gender
-/// results are byte-identical to sampling each gender alone.
+/// [`Relm::run_many`], so their sampling episodes score through one
+/// shared engine; per-gender results are byte-identical to sampling
+/// each gender alone.
 pub fn run_config<M: LanguageModel>(
     client: &Relm<M>,
     config: BiasConfig,
@@ -238,11 +237,6 @@ mod tests {
         );
         let chi2 = run.chi2.expect("computable");
         assert!(chi2.statistic > 0.0);
-        assert!(
-            run.scoring.cross_query_batches > 0,
-            "the two genders must share batches: {:?}",
-            run.scoring
-        );
     }
 
     #[test]

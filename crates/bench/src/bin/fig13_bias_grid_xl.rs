@@ -47,7 +47,7 @@ fn run_grid<M: relm_lm::LanguageModel>(client: &relm_core::Relm<M>, samples: usi
             if let Some(r) = &run.chi2 {
                 println!("  chi2 = {:.2}, log10 p = {:.1}", r.statistic, r.log10_p);
             }
-            report::coalescing_stats(&config.label(), &run.scoring);
+            report::set_scoring_stats(&config.label(), &run.scoring);
         }
     }
 }

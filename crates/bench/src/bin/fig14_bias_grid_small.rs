@@ -42,7 +42,7 @@ fn main() {
             if let Some(r) = &run.chi2 {
                 println!("  chi2 = {:.2}, log10 p = {:.1}", r.statistic, r.log10_p);
             }
-            report::coalescing_stats(&config.label(), &run.scoring);
+            report::set_scoring_stats(&config.label(), &run.scoring);
         }
     }
     report::session_stats("fig14", &client.stats());

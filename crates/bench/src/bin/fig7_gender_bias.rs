@@ -75,7 +75,7 @@ fn main() {
             ),
             None => println!("  chi2 unavailable (degenerate table)"),
         }
-        report::coalescing_stats(panel, &run.scoring);
+        report::set_scoring_stats(panel, &run.scoring);
     }
     report::session_stats("fig7", &client.stats());
 }

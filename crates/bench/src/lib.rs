@@ -114,8 +114,8 @@ impl Workbench {
     /// workbench's tokenizer. Experiment runners execute all their
     /// queries through one client, so plan memoization and the shared
     /// scoring cache persist across the whole battery (the figures
-    /// print the reuse counters), and whole query sets can coalesce
-    /// their scoring via `run_many`.
+    /// print the reuse counters), and whole query sets can share one
+    /// engine via `run_many`.
     pub fn client<'m, M: LanguageModel>(&self, model: &'m M) -> Relm<&'m M> {
         Relm::new(model, self.tokenizer.clone()).expect("workbench model/tokenizer pair is valid")
     }

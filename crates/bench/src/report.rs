@@ -73,18 +73,16 @@ pub fn session_stats(label: &str, stats: &relm_core::SessionStats) {
     );
 }
 
-/// Print a `run_many` query set's coalescing counters — how much
-/// scoring was shared *across* the set's queries (the provenance the
-/// sequential per-query path can never show).
-pub fn coalescing_stats(label: &str, scoring: &relm_lm::ScoringStats) {
-    let tick_fill = scoring.coalesced_contexts as f64 / scoring.coalesced_batches.max(1) as f64;
+/// Print the counters of the one engine a `run_many` query set scored
+/// through: what its queries' memo hits saved and how full the model
+/// batches ran.
+pub fn set_scoring_stats(label: &str, scoring: &relm_lm::ScoringStats) {
     println!(
-        "[run_many coalescing: {label}] {} coalesced batches ({} cross-query), \
-         {} contexts (mean tick fill {:.2}); engine-wide mean batch {:.2}",
-        scoring.coalesced_batches,
-        scoring.cross_query_batches,
-        scoring.coalesced_contexts,
-        tick_fill,
+        "[run_many scoring: {label}] {} hits / {} misses, {} model batches \
+         (mean batch {:.2})",
+        scoring.cache_hits,
+        scoring.cache_misses,
+        scoring.batches,
         scoring.mean_batch_size()
     );
 }
@@ -98,6 +96,6 @@ mod tests {
         super::table("t", &["a", "b"], &[("row".into(), vec![1.0, 2.0])]);
         super::metric("m", 1.5, "units");
         super::session_stats("test", &relm_core::SessionStats::default());
-        super::coalescing_stats("test", &relm_lm::ScoringStats::default());
+        super::set_scoring_stats("test", &relm_lm::ScoringStats::default());
     }
 }

@@ -12,18 +12,18 @@
 //!   single-query paths, plan-memoized and score-pooled across calls;
 //! * [`Relm::run_many`] — the multi-query submission path: a whole
 //!   [`QuerySet`] executes against **one shared scoring engine**, with
-//!   the three executor types stepped round-robin so scoring requests
-//!   from *different* queries coalesce into shared batches (the
-//!   fleet-level extension of §3.3's batched inference). Per-query
-//!   results are byte-identical to running each query alone — scoring
-//!   is pure, so pre-scoring another query's frontier can never change
-//!   a traversal — which `tests/client.rs` enforces bit-for-bit.
+//!   the three executor types stepped round-robin; each step scores
+//!   its own contexts on demand, and a score one query memoized is a
+//!   hit for every other. Per-query results are byte-identical to
+//!   running each query alone — scoring is pure, so another query's
+//!   memoized scores can never change a traversal — which
+//!   `tests/client.rs` enforces bit-for-bit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use relm_bpe::{BpeTokenizer, TokenId};
+use relm_bpe::BpeTokenizer;
 use relm_lm::{LanguageModel, ScoringEngine, ScoringStats};
 
 use crate::executor::{CompiledSearch, ExecutionStats, SearchResults, StepOutcome};
@@ -57,7 +57,7 @@ use crate::session::SessionConfig;
 /// let texts: Vec<String> = client.search(&query)?.take(2).map(|m| m.text).collect();
 /// assert_eq!(texts.len(), 2);
 ///
-/// // A whole set: scoring coalesces across the queries.
+/// // A whole set: one shared engine, stepped round-robin.
 /// let set = QuerySet::new()
 ///     .with_query(SearchQuery::new(QueryString::new("the cat sat")), 1)
 ///     .with_query(SearchQuery::new(QueryString::new("the dog sat")), 1);
@@ -67,19 +67,6 @@ use crate::session::SessionConfig;
 /// ```
 pub use crate::session::Relm;
 use crate::RelmError;
-
-/// Uncached frontier contexts gathered per in-flight query per
-/// coalescing tick. Generous enough to cover a whole beam level or
-/// episode block, so a tick absorbs the executor's next batch instead
-/// of splitting it; executors that prefetch on their own (Dijkstra)
-/// self-cap below this at their own prefetch bound.
-const COALESCE_LOOKAHEAD: usize = 32;
-
-/// Coalescing ticks the driver always runs (and measures) before it may
-/// start skipping: enough to observe the model's real per-tick scoring
-/// cost, and a floor that keeps the cross-query provenance counters
-/// meaningful even when the driver then turns ticking off.
-const ADAPTIVE_TICK_WARMUP: u64 = 3;
 
 /// Configures and validates a [`Relm`] client. Obtained from
 /// [`Relm::builder`]; consumed by [`RelmBuilder::build`].
@@ -139,10 +126,7 @@ pub struct QueryOutcome {
 }
 
 /// The result of [`Relm::run_many`]: per-query outcomes in submission
-/// order plus the shared engine's set-wide scoring counters — including
-/// the cross-query batch provenance
-/// ([`ScoringStats::cross_query_batches`]) that distinguishes coalesced
-/// execution from sequential.
+/// order plus the shared engine's set-wide scoring counters.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct QuerySetReport {
@@ -153,9 +137,7 @@ pub struct QuerySetReport {
 }
 
 impl QuerySetReport {
-    /// Mean contexts per model batch across the whole set — the number
-    /// that grows when coalescing works (compare against sequential
-    /// runs of the same queries).
+    /// Mean contexts per model batch across the whole set.
     pub fn mean_batch_size(&self) -> f64 {
         self.scoring.mean_batch_size()
     }
@@ -201,23 +183,23 @@ struct DriverSlot<'a, M: LanguageModel> {
 /// [`Relm::run_many`] executes a *closed* batch — every query is known
 /// up front and the call returns when all finish. A server cannot work
 /// that way: requests arrive while others are mid-flight, and a client
-/// may disconnect mid-query. `QueryDriver` is the same coalescing
-/// engine with the batch opened up:
+/// may disconnect mid-query. `QueryDriver` is the same round-robin
+/// loop with the batch opened up:
 ///
 /// * [`QueryDriver::admit`] adds a query **at any time** — including
 ///   between ticks while other queries are mid-traversal. The newcomer
-///   simply joins the rotation and the next coalescing tick absorbs its
-///   frontier into the shared batches.
+///   simply joins the rotation.
 /// * [`QueryDriver::tick`] advances every live query one bounded step
-///   (after one coalescing tick over their combined frontiers) and
-///   returns the completion notifications for queries that finished.
+///   and returns the completion notifications for queries that
+///   finished.
 /// * [`QueryDriver::cancel`] drops a query mid-flight (a disconnected
 ///   client); its work so far is discarded, its cache warmth remains.
 ///
-/// **Determinism:** scoring is pure and memoized, so neither the
-/// coalesced batches nor the rotation order can change any traversal
-/// decision — every query's matches are byte-identical (f64 bits
-/// included) to running it alone, *no matter when it was admitted*.
+/// **Determinism:** scoring is pure and memoized, so neither what
+/// other queries memoized nor the rotation order can change any
+/// traversal decision — every query's matches are byte-identical (f64
+/// bits included) to running it alone, *no matter when it was
+/// admitted*.
 /// `tests/serve.rs` enforces this for mid-flight admission explicitly.
 ///
 /// # Example
@@ -257,11 +239,6 @@ pub struct QueryDriver<'a, M: LanguageModel> {
     engine: Arc<ScoringEngine<&'a M>>,
     slots: Vec<DriverSlot<'a, M>>,
     next_id: u64,
-    ticks_run: u64,
-    ticks_skipped: u64,
-    gather_nanos: u128,
-    scoring_nanos: u128,
-    ticks_unprofitable: bool,
     admitted: u64,
     completed: u64,
     cancelled: u64,
@@ -274,11 +251,6 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
             engine: Arc::new(client.engine()),
             slots: Vec::new(),
             next_id: 0,
-            ticks_run: 0,
-            ticks_skipped: 0,
-            gather_nanos: 0,
-            scoring_nanos: 0,
-            ticks_unprofitable: false,
             admitted: 0,
             completed: 0,
             cancelled: 0,
@@ -370,43 +342,34 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
         (self.admitted, self.completed, self.cancelled)
     }
 
-    /// Coalescing-tick counters: `(run, skipped)`.
-    pub fn tick_counts(&self) -> (u64, u64) {
-        (self.ticks_run, self.ticks_skipped)
-    }
-
     /// The shared engine's scoring counters (pooled across every query
     /// this driver ran).
     pub fn scoring(&self) -> ScoringStats {
         self.engine.stats()
     }
 
-    /// One driver rotation: a coalescing tick over every live frontier
-    /// (when two or more queries are in flight and ticking still pays),
-    /// then one bounded step of every live query. Returns the completion
-    /// notifications for queries that finished during this rotation —
-    /// the callback boundary a serving loop routes back to its
-    /// connections.
+    /// One driver rotation: expire the queries whose deadline passed,
+    /// then advance every live query one bounded step, in admission
+    /// order. Returns the completion notifications for queries that
+    /// finished during this rotation — the callback boundary a serving
+    /// loop routes back to its connections.
     ///
-    /// A tick front-loads model work the executors would do anyway, so
-    /// it pays off exactly when a model call is expensive relative to
-    /// the driver's own gather/dedup overhead. The driver measures both:
-    /// the first three ticks always run, and from then on ticking stops
-    /// for good once the time spent scoring tick batches falls below the
-    /// time spent assembling them ([`QueryDriver::tick_counts`] reports
-    /// run and skipped). Skipping can never change results: scoring is
-    /// pure and every executor scores its own frontier on demand; only
-    /// the batching schedule changes.
+    /// Each execution scores its own contexts on demand, batched the way
+    /// its executor batches alone (Dijkstra's prefetch, the beam's
+    /// level, the sampler's episode block), through the engine every
+    /// query here shares. No clock picks the schedule: the same
+    /// admissions always take the same steps, so the engine's counters
+    /// repeat exactly.
     pub fn tick(&mut self) -> Vec<QueryCompletion> {
         if self.slots.is_empty() {
             return Vec::new();
         }
 
-        // Phase 0: deadline expiry. One clock read per tick, and only
-        // when some live slot carries a deadline — the deadline-free
-        // server pays nothing. An expired slot is forced `done` before
-        // the coalescing gather, so it neither feeds nor consumes this
-        // tick's batch; the sweep below emits it with `expired` set.
+        // Deadline expiry. One clock read per tick, and only when some
+        // live slot carries a deadline — the deadline-free server pays
+        // nothing. An expired slot is forced `done` before the steps, so
+        // it takes no step this tick; the sweep below emits it with
+        // `expired` set.
         if self
             .slots
             .iter()
@@ -421,52 +384,7 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
             }
         }
 
-        // Phase 1: the coalescing tick. Only worth an engine call while
-        // two or more executions are in flight — a lone query already
-        // batches internally.
-        let live = self.slots.iter().filter(|slot| !slot.done).count();
-        if live >= 2 {
-            if self.ticks_unprofitable {
-                self.ticks_skipped += 1;
-            } else {
-                let gather_start = Instant::now(); // lint: allow(nondet, "perf accounting (gather_nanos) only; results unaffected")
-                let mut batch: Vec<Vec<TokenId>> = Vec::new();
-                let mut seen: std::collections::HashSet<Vec<TokenId>> =
-                    std::collections::HashSet::new();
-                let mut sources = 0usize;
-                for slot in self.slots.iter_mut().filter(|s| !s.done) {
-                    let frontier = slot.results.frontier_contexts(COALESCE_LOOKAHEAD);
-                    if !frontier.is_empty() {
-                        // A query whose frontier duplicates another's is
-                        // still a source: the batch serves both (that
-                        // overlap IS the sharing).
-                        sources += 1;
-                    }
-                    for ctx in frontier {
-                        if seen.insert(ctx.clone()) {
-                            batch.push(ctx);
-                        }
-                    }
-                }
-                self.gather_nanos += gather_start.elapsed().as_nanos();
-                if !batch.is_empty() {
-                    let refs: Vec<&[TokenId]> = batch.iter().map(Vec::as_slice).collect();
-                    let scoring_start = Instant::now(); // lint: allow(nondet, "perf accounting (scoring_nanos) only; results unaffected")
-                    let _ = self.engine.score_batch_coalesced(&refs, sources);
-                    self.scoring_nanos += scoring_start.elapsed().as_nanos();
-                }
-                self.ticks_run += 1;
-                if self.ticks_run >= ADAPTIVE_TICK_WARMUP && self.scoring_nanos < self.gather_nanos
-                {
-                    // Sticky decision: the model has shown itself cheaper
-                    // than the tick machinery, so stop paying for ticks
-                    // (exposed via `ExecutionStats::coalesce_ticks_skipped`).
-                    self.ticks_unprofitable = true;
-                }
-            }
-        }
-
-        // Phase 2: round-robin stepping, in admission order.
+        // Round-robin stepping, in admission order.
         for slot in self.slots.iter_mut() {
             if slot.done {
                 continue;
@@ -496,13 +414,10 @@ impl<'a, M: LanguageModel> QueryDriver<'a, M> {
                 if !slot.expired {
                     self.completed += 1;
                 }
-                let mut stats = slot.results.stats();
-                stats.coalesce_ticks = self.ticks_run;
-                stats.coalesce_ticks_skipped = self.ticks_skipped;
                 completions.push(QueryCompletion {
                     id: slot.id,
                     outcome: QueryOutcome {
-                        stats,
+                        stats: slot.results.stats(),
                         matches: slot.matches,
                     },
                     expired: slot.expired,
@@ -537,33 +452,16 @@ impl<M: LanguageModel> Relm<M> {
     }
 
     /// Execute a batch of heterogeneous queries through **one shared
-    /// scoring engine**, interleaving the executions so that scoring
-    /// requests from different queries coalesce into shared batches.
-    ///
-    /// The driver alternates two phases until every query finishes:
-    ///
-    /// 1. **coalescing tick** — every live execution reports the
-    ///    uncached contexts it is about to score (its frontier:
-    ///    Dijkstra's cheapest heap nodes, the beam's next level, a
-    ///    sampler's episode block); the union goes to the model as one
-    ///    shared batch ([`ScoringEngine::score_batch_coalesced`]),
-    ///    recorded in [`ScoringStats::cross_query_batches`] when two or
-    ///    more queries contributed;
-    /// 2. **round-robin step** — each execution advances one bounded
-    ///    unit of work (one pop / one beam level / one episode),
-    ///    serving its scores from the now-warm cache.
+    /// scoring engine**, stepping the executions round-robin
+    /// ([`QueryDriver::tick`]) until every query finishes. Each step is
+    /// one bounded unit of work (one pop / one beam level / one
+    /// episode) that scores its own contexts on demand; a score one
+    /// query memoized is a hit for every other query of the set.
     ///
     /// Scoring is deterministic and pure, so the interleaving cannot
     /// change any traversal decision: each query's matches come back in
     /// exactly the order (and with bit-identical scores) a sequential
     /// run would produce.
-    ///
-    /// There is one tick rule (see [`QueryDriver::tick`]): the driver
-    /// measures each tick's assembly overhead against the model work it
-    /// front-loads and stops ticking, after a short always-on warmup,
-    /// when the model is too cheap for coalescing to win wall-clock.
-    /// The decision is visible in [`ExecutionStats::coalesce_ticks`] /
-    /// [`ExecutionStats::coalesce_ticks_skipped`] on every outcome.
     ///
     /// # Errors
     ///
@@ -590,21 +488,12 @@ impl<M: LanguageModel> Relm<M> {
                 by_id.insert(completion.id, completion.outcome);
             }
         }
-
-        // The tick counters are driver-wide; stamping the final totals
-        // on every outcome keeps ExecutionStats self-contained and
-        // identical across the set (queries that completed early would
-        // otherwise report a snapshot).
-        let (ticks_run, ticks_skipped) = driver.tick_counts();
         let outcomes = ids
             .into_iter()
             .map(|id| {
-                let mut outcome = by_id
+                by_id
                     .remove(&id)
-                    .expect("every admitted query of a closed set completes"); // lint: allow(panic, "by_id holds every admitted id; the drive loop ends only when all are done")
-                outcome.stats.coalesce_ticks = ticks_run;
-                outcome.stats.coalesce_ticks_skipped = ticks_skipped;
-                outcome
+                    .expect("every admitted query of a closed set completes") // lint: allow(panic, "by_id holds every admitted id; the drive loop ends only when all are done")
             })
             .collect();
         Ok(QuerySetReport {
@@ -618,8 +507,8 @@ impl<M: LanguageModel> Relm<M> {
     /// a closed batch, a [`QueryDriver`] accepts queries **while others
     /// are mid-flight** ([`QueryDriver::admit`]), cancels them
     /// ([`QueryDriver::cancel`]), and reports completions from each
-    /// [`QueryDriver::tick`] — all through the same coalescing engine,
-    /// with per-query results byte-identical to solo execution.
+    /// [`QueryDriver::tick`] — all through one shared engine, with
+    /// per-query results byte-identical to solo execution.
     pub fn driver(&self) -> QueryDriver<'_, M> {
         QueryDriver::new(self)
     }
@@ -630,6 +519,7 @@ mod tests {
     use super::*;
     use crate::query::QueryString;
     use crate::SearchStrategy;
+    use relm_bpe::TokenId;
     use relm_lm::{NGramConfig, NGramLm};
 
     fn fixture() -> (BpeTokenizer, NGramLm) {
@@ -701,32 +591,6 @@ mod tests {
         assert_eq!(report.outcomes[2].matches.len(), 2);
         let total: usize = report.outcomes.iter().map(|o| o.matches.len()).sum();
         assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn run_many_coalesces_across_queries() {
-        let (tok, lm) = fixture();
-        let client = Relm::new(lm, tok).unwrap();
-        let set = QuerySet::new()
-            .with_query(
-                SearchQuery::new(QueryString::new("the cat sat on the mat")),
-                1,
-            )
-            .with_query(
-                SearchQuery::new(QueryString::new("the dog sat on the log")),
-                1,
-            )
-            .with_query(
-                SearchQuery::new(QueryString::new("the cow ate the grass")),
-                1,
-            );
-        let report = client.run_many(&set).unwrap();
-        assert!(
-            report.scoring.cross_query_batches > 0,
-            "no cross-query shared batches: {:?}",
-            report.scoring
-        );
-        assert!(report.scoring.coalesced_contexts > 0);
     }
 
     #[test]

@@ -103,21 +103,6 @@ impl<'a, M: LanguageModel> BeamIter<'a, M> {
         }
     }
 
-    /// Contexts the next level will batch-score (the paths that may
-    /// extend), uncached only, up to `limit` — what the coalescing
-    /// driver merges into a shared engine tick. Paths still in the
-    /// prefix machine bridge into the body with identical token
-    /// sequences, so scanning the pre-bridge beam covers them too.
-    pub(crate) fn frontier_contexts(&self, limit: usize) -> Vec<Vec<TokenId>> {
-        let mut out = Vec::new();
-        if self.kernel.frontier_open(limit) {
-            let paths = self.beam.iter().map(|p| p.tokens.as_slice());
-            let expandable = paths.filter(|tokens| self.kernel.may_extend(tokens.len()));
-            self.kernel.add_uncached(&mut out, expandable, limit);
-        }
-        out
-    }
-
     /// Advance one beam level (bridge, record completions, batch-score
     /// the paths that may extend, expand, cut); finalize when no path
     /// may extend or none has a successor.

@@ -110,15 +110,12 @@ pub struct ExecutionStats {
     /// Client plan-memo hits observed when this search was executed
     /// (cumulative client counter).
     pub plan_cache_hits: u64,
-    /// Coalescing ticks the multi-query driver ran while this query
-    /// executed (a driver-wide counter, stamped on every query a
-    /// [`crate::QueryDriver`] completes — `run_many` and served
-    /// queries alike; zero for solo `search`/`execute`).
+    /// Always 0 since the multi-query driver's coalescing tick was
+    /// deleted; the frozen benchmark still reads it, and ROADMAP item
+    /// 1(e) drops it with its `driver.ticks_run` row.
     pub coalesce_ticks: u64,
-    /// Coalescing ticks the driver *skipped* because it measured the
-    /// model's per-call cost below the tick's own overhead (also
-    /// driver-wide; see [`crate::QueryDriver::tick`]). Skipping never
-    /// changes results — scoring is pure — only the batching schedule.
+    /// Always 0, for the same reason; dropped with the
+    /// `driver.ticks_skipped` row.
     pub coalesce_ticks_skipped: u64,
     /// Always 0 since speculative scoring was deleted; the frozen
     /// benchmark still reads it, and the next bench PR drops it with its
@@ -560,13 +557,6 @@ impl<'a, M: LanguageModel> Kernel<'a, M> {
         self.engine.score(&self.context(tokens))
     }
 
-    /// Whether a scoring frontier of `limit` contexts is worth
-    /// gathering: once the engine stops admitting cache entries,
-    /// pre-scored contexts would be discarded and scored again.
-    pub(crate) fn frontier_open(&self, limit: usize) -> bool {
-        limit > 0 && self.engine.admits_new_entries()
-    }
-
     /// Add to `out` the contexts of `paths` that the engine has not
     /// cached and `out` does not hold yet, until `out` holds `limit`.
     pub(crate) fn add_uncached<'t>(
@@ -706,30 +696,12 @@ impl<'a, M: LanguageModel> SearchResults<'a, M> {
 
     /// Advance one bounded unit of work. [`Iterator::next`] is a loop
     /// over this; a multi-query driver calls it directly to interleave
-    /// executions between coalescing ticks.
+    /// executions.
     pub(crate) fn step(&mut self) -> StepOutcome {
         match &mut self.inner {
             Inner::Shortest(it) => it.step(),
             Inner::Sampling(it) => it.step(),
             Inner::Beam(it) => it.step(),
-        }
-    }
-
-    /// Up to `limit` *uncached* model contexts this execution is about
-    /// to score — its scoring frontier. A coalescing driver gathers the
-    /// frontiers of every in-flight execution into one shared engine
-    /// tick. Scoring is pure, so pre-scoring these contexts can never
-    /// change what the traversal does.
-    ///
-    /// For sampling executions this may draw the next episode block
-    /// (advancing the RNG) — but only at the same point in the stream
-    /// where sequential execution would draw it, so results stay
-    /// byte-identical.
-    pub(crate) fn frontier_contexts(&mut self, limit: usize) -> Vec<Vec<relm_bpe::TokenId>> {
-        match &mut self.inner {
-            Inner::Shortest(it) => it.frontier_contexts(limit),
-            Inner::Sampling(it) => it.frontier_contexts(limit),
-            Inner::Beam(it) => it.frontier_contexts(limit),
         }
     }
 }
@@ -738,11 +710,6 @@ impl<'a, M: LanguageModel> Iterator for SearchResults<'a, M> {
     type Item = MatchResult;
 
     fn next(&mut self) -> Option<MatchResult> {
-        if let Inner::Sampling(it) = &mut self.inner {
-            // Every `next()` call starts with a fresh attempt budget (a
-            // driver instead resets on emission).
-            it.reset_attempt_budget();
-        }
         loop {
             match self.step() {
                 StepOutcome::Match(m) => return Some(m),
@@ -756,7 +723,7 @@ impl<'a, M: LanguageModel> Iterator for SearchResults<'a, M> {
 /// Run a compiled plan through the given scoring engine, stamping the
 /// client's plan-memo counters on the stream — the back end of
 /// [`crate::Relm::execute`] and of the multi-query driver, which hands
-/// several executions one engine so their scoring batches coalesce.
+/// several executions one engine so they share its memo.
 pub(crate) fn execute_with_engine<'a, M: LanguageModel>(
     engine: Arc<ScoringEngine<&'a M>>,
     tokenizer: &'a BpeTokenizer,

@@ -8,9 +8,10 @@
 //! of EOS weighs stopping against continuing (disambiguating `b` vs
 //! `bb` vs `bbb`, §3.3), on the same scale as the edges.
 //!
-//! Episodes that dead-end (every continuation pruned) are retried up to
-//! the query's attempt budget; the iterator ends when the budget is
-//! exhausted, so `take(n)` terminates even on adversarial queries.
+//! Episodes that dead-end (every continuation pruned) are retried until
+//! [`MAX_ATTEMPTS`] episodes have passed without an emission; the
+//! stream then ends for good, so `take(n)` terminates even on
+//! adversarial queries.
 //!
 //! Scoring is **episode-batched**: prefixes are drawn in blocks (the
 //! prefix walk needs no model, only walk counts), and the block's
@@ -48,8 +49,7 @@ pub(crate) struct SamplingIter<'a, M: LanguageModel> {
     walk_table: Option<Arc<WalkTable>>,
     /// Episodes attempted since the last emission (dead-end prefix
     /// draws included); the search is exhausted when this reaches
-    /// [`MAX_ATTEMPTS`]. `Iterator::next` grants a fresh budget per call;
-    /// a driver resets only on emission.
+    /// [`MAX_ATTEMPTS`], and stays exhausted.
     attempts_since_result: usize,
     /// Pre-drawn episode prefixes awaiting their body walk.
     pending: VecDeque<Vec<TokenId>>,
@@ -70,12 +70,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             attempts_since_result: 0,
             pending: VecDeque::new(),
         }
-    }
-
-    /// Grant a fresh attempt budget — `Iterator::next`'s contract
-    /// (each call may spend up to [`MAX_ATTEMPTS`] episodes).
-    pub(crate) fn reset_attempt_budget(&mut self) {
-        self.attempts_since_result = 0;
     }
 
     /// Sample a prefix token sequence, or `None` on a dead end.
@@ -131,13 +125,10 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
 
     /// Refill the pending episode block when it has run dry: prefixes
     /// need no model (walk counts only), so a whole block is drawn up
-    /// front and — when `warm` — its initial body contexts are
-    /// batch-scored together, the episode-batched analogue of filling
-    /// an accelerator batch. Failed draws consume attempts. The
-    /// coalescing driver refills with `warm = false` (its shared engine
-    /// tick scores the block instead); either way the refill happens at
-    /// the same point in the RNG stream, keeping results byte-identical.
-    fn fill_pending(&mut self, warm: bool) {
+    /// front and its initial body contexts are batch-scored together,
+    /// the episode-batched analogue of filling an accelerator batch.
+    /// Failed draws consume attempts.
+    fn fill_pending(&mut self) {
         if !self.pending.is_empty() {
             return;
         }
@@ -150,7 +141,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
                 }
             }
         }
-        if warm && self.pending.len() > 1 && self.kernel.engine.admits_new_entries() {
+        if self.pending.len() > 1 && self.kernel.engine.admits_new_entries() {
             // Warm the cache for the block's first body steps. Scoring is
             // pure, so this cannot change what the walks sample. The
             // whole block is asked for, cached contexts too: their hits
@@ -164,27 +155,6 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
             let refs: Vec<&[TokenId]> = contexts.iter().map(Vec::as_slice).collect();
             let _ = self.kernel.engine.score_batch(&refs);
         }
-    }
-
-    /// The initial body contexts of the pending episode block — what
-    /// the next episodes will score first — uncached only, up to
-    /// `limit`. Refills the block if it is empty (the same RNG-stream
-    /// point where sequential execution would refill), skipping the
-    /// internal warm scoring: the driver's coalesced tick covers it.
-    pub(crate) fn frontier_contexts(&mut self, limit: usize) -> Vec<Vec<TokenId>> {
-        let mut out = Vec::new();
-        if self.attempts_since_result >= MAX_ATTEMPTS || !self.kernel.frontier_open(limit) {
-            return out;
-        }
-        if self.kernel.compiled.parts.prefix.is_none() {
-            // Every episode starts its body walk at the EOS root.
-            self.kernel.add_uncached(&mut out, [&[][..]], limit);
-        } else {
-            self.fill_pending(false);
-            let prefixes = self.pending.iter().map(Vec::as_slice);
-            self.kernel.add_uncached(&mut out, prefixes, limit);
-        }
-        out
     }
 
     /// Extend `tokens` through the body automaton with the model.
@@ -240,7 +210,7 @@ impl<'a, M: LanguageModel> SamplingIter<'a, M> {
         }
         // --- Prefix phase (episode-batched; see fill_pending) ---
         let prefix_tokens = if self.kernel.compiled.parts.prefix.is_some() {
-            self.fill_pending(true);
+            self.fill_pending();
             match self.pending.pop_front() {
                 Some(t) => t,
                 // Every draw in the block dead-ended; the failed draws
@@ -523,5 +493,39 @@ mod tests {
         let stats = results.stats();
         assert_eq!(stats.emitted, 5);
         assert!(stats.lm_calls > 0);
+    }
+
+    #[test]
+    fn an_exhausted_stream_stays_exhausted() {
+        // A deferred filter keeps one unlikely text of eight, so about one
+        // episode in eleven emits. With seed 0 the third pull runs 64
+        // episodes without an emission and returns `None`; the stream
+        // must not grant itself a fresh budget on the next pull.
+        let (tok, lm) = fixture();
+        let drop = relm_regex::Regex::compile(
+            "the ((woman)|(man was trained in ((medicine)|(computer science)|(engineering)))).*",
+        )
+        .unwrap()
+        .dfa()
+        .clone();
+        let query = sampling_query(
+            "the ((man)|(woman)) was trained in ((art)|(medicine)|(computer science)|(engineering))",
+            None,
+            0,
+        )
+        .with_preprocessor(crate::Preprocessor::deferred_filter(drop));
+        let client = crate::cold_client(&lm, &tok);
+        let mut results = client.search(&query).unwrap();
+        let texts: Vec<String> = (&mut results).map(|m| m.text).collect();
+        assert_eq!(texts, ["the man was trained in art"; 2]);
+        let expansions = results.stats().expansions;
+        for _ in 0..3 {
+            assert!(results.next().is_none(), "{:?}", results.stats());
+        }
+        assert_eq!(
+            results.stats().expansions,
+            expansions,
+            "no episode after None"
+        );
     }
 }

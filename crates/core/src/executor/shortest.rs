@@ -39,13 +39,6 @@ const MAX_FRONTIER_BATCH: usize = 8;
 /// nodes near the front, so a prefix scan still finds good candidates).
 const FRONTIER_SCAN_LIMIT: usize = 512;
 
-/// Tighter scan cap for the coalescing driver's per-rotation
-/// [`ShortestPathIter::frontier_contexts`] calls: the internal prefetch
-/// scans deep because it runs only on a cache miss, but the driver asks
-/// on **every** round-robin rotation (one heap pop each), so its scan
-/// must stay cheap — the heap top region alone yields the next pops.
-const FRONTIER_TICK_SCAN_LIMIT: usize = 64;
-
 #[derive(Debug, Clone)]
 struct Node {
     /// `−log p` so far, non-negative; nodes order by `total_cmp` on it.
@@ -123,22 +116,6 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
         best.into_iter().map(|n| n.tokens.as_slice()).collect()
     }
 
-    /// The uncached contexts of the cheapest expandable frontier nodes,
-    /// up to `limit`, self-capped at the prefetch's own bound: beyond
-    /// the cheapest few, lookahead accuracy decays. Read-only: the heap
-    /// is scanned, never mutated.
-    pub(crate) fn frontier_contexts(&self, limit: usize) -> Vec<Vec<TokenId>> {
-        let limit = limit.min(MAX_FRONTIER_BATCH);
-        let mut out = Vec::new();
-        if self.kernel.frontier_open(limit)
-            && self.kernel.stats.expansions < self.max_expansions as u64
-        {
-            let paths = self.cheapest(FRONTIER_TICK_SCAN_LIMIT, limit);
-            self.kernel.add_uncached(&mut out, paths, limit);
-        }
-        out
-    }
-
     /// Score `ctx`, batching in the contexts of the cheapest other
     /// frontier nodes on a cache miss. Dijkstra pops in cost order, so
     /// the lowest-cost heap nodes are precisely the next expansions.
@@ -159,7 +136,7 @@ impl<'a, M: LanguageModel> ShortestPathIter<'a, M> {
 
     /// One unit of Dijkstra work: pop the cheapest node, expand it, and
     /// emit if it completes a match. `SearchResults::next` loops this;
-    /// the `run_many` driver calls it between coalescing ticks.
+    /// the multi-query driver calls it once per rotation.
     pub(crate) fn step(&mut self) -> StepOutcome {
         let Some(Reverse(node)) = self.heap.pop() else {
             return StepOutcome::Done;

@@ -49,7 +49,7 @@
 //! ```
 //!
 //! Batches of heterogeneous queries go through [`Relm::run_many`],
-//! which coalesces scoring across the whole [`QuerySet`].
+//! which scores the whole [`QuerySet`] through one shared engine.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -251,9 +251,9 @@ impl QuerySpec {
 
 /// An ordered batch of heterogeneous queries submitted together through
 /// [`crate::Relm::run_many`], which executes them against **one shared
-/// scoring engine** so scoring requests from different queries coalesce
-/// into shared batches. Per-query results come back in submission
-/// order, byte-identical to running each query alone.
+/// scoring engine**, so a score one query memoized is a hit for every
+/// other. Per-query results come back in submission order,
+/// byte-identical to running each query alone.
 ///
 /// # Example
 ///

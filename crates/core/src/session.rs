@@ -718,7 +718,7 @@ impl<M: LanguageModel> Relm<M> {
     /// path. [`Self::execute`] hands it a fresh engine of its own;
     /// [`crate::QueryDriver`] (and therefore [`Relm::run_many`] and the
     /// serving layer) hands every execution admitted to it a clone of
-    /// **one** engine, so their scoring batches coalesce.
+    /// **one** engine, so they share its memo and counters.
     ///
     /// # Errors
     ///

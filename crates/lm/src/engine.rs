@@ -70,15 +70,9 @@ pub struct ScoringStats {
     /// Estimated resident bytes of the memo table right now (a gauge,
     /// not a counter).
     pub cache_bytes: u64,
-    /// Model batches issued through [`ScoringEngine::score_batch_coalesced`]
-    /// — the ticks of a multi-query interleaving driver (`run_many`),
-    /// as opposed to batches an executor issued for its own traversal.
-    pub coalesced_batches: u64,
-    /// Contexts evaluated inside those coalesced batches.
-    pub coalesced_contexts: u64,
-    /// Coalesced batches whose contexts were contributed by **two or
-    /// more distinct queries** — the cross-query shared batches that
-    /// per-query execution can never produce.
+    /// Always 0 since the multi-query driver's coalescing tick was
+    /// deleted; the frozen benchmark still reads it, and ROADMAP item
+    /// 1(e) drops it with its `driver.cross_query_batches` row.
     pub cross_query_batches: u64,
 }
 
@@ -125,9 +119,6 @@ pub struct ScoringEngine<M> {
     misses: AtomicU64,
     batches: AtomicU64,
     batched_contexts: AtomicU64,
-    coalesced_batches: AtomicU64,
-    coalesced_contexts: AtomicU64,
-    cross_query_batches: AtomicU64,
 }
 
 impl<M: LanguageModel> ScoringEngine<M> {
@@ -151,9 +142,6 @@ impl<M: LanguageModel> ScoringEngine<M> {
             misses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_contexts: AtomicU64::new(0),
-            coalesced_batches: AtomicU64::new(0),
-            coalesced_contexts: AtomicU64::new(0),
-            cross_query_batches: AtomicU64::new(0),
         }
     }
 
@@ -172,9 +160,7 @@ impl<M: LanguageModel> ScoringEngine<M> {
             batched_contexts: self.batched_contexts.load(Ordering::Relaxed),
             cache_evictions: cache.evictions,
             cache_bytes: cache.bytes as u64,
-            coalesced_batches: self.coalesced_batches.load(Ordering::Relaxed),
-            coalesced_contexts: self.coalesced_contexts.load(Ordering::Relaxed),
-            cross_query_batches: self.cross_query_batches.load(Ordering::Relaxed),
+            cross_query_batches: 0,
         }
     }
 
@@ -283,48 +269,6 @@ impl<M: LanguageModel> ScoringEngine<M> {
             );
         }
         plan.fill(&computed)
-    }
-
-    /// Score one coalesced batch assembled by a multi-query driver from
-    /// the frontiers of `source_queries` distinct in-flight queries —
-    /// the engine tick of `run_many`.
-    ///
-    /// Behaves exactly like [`Self::score_batch`] (hits served, misses
-    /// deduplicated and evaluated in one model call), but additionally
-    /// attributes any model batch it issues to the coalescing counters
-    /// ([`ScoringStats::coalesced_batches`]), and — when the contexts
-    /// came from two or more queries — to
-    /// [`ScoringStats::cross_query_batches`]. This is the provenance
-    /// record proving that scoring work was shared *across* queries
-    /// rather than merely batched within one.
-    ///
-    /// Attribution reads the batch counters before and after the call,
-    /// so it is only exact when this engine is driven by **one**
-    /// coalescing driver at a time (the `run_many` contract). Scoring
-    /// *results* stay correct under concurrency; only the provenance
-    /// split between coalesced and executor-issued batches could blur
-    /// if other threads score through the same engine mid-call.
-    pub fn score_batch_coalesced(
-        &self,
-        contexts: &[&[TokenId]],
-        source_queries: usize,
-    ) -> Vec<Arc<[f64]>> {
-        let batches_before = self.batches.load(Ordering::Relaxed);
-        let contexts_before = self.batched_contexts.load(Ordering::Relaxed);
-        let out = self.score_batch(contexts);
-        let issued = self.batches.load(Ordering::Relaxed) - batches_before;
-        if issued > 0 {
-            self.coalesced_batches.fetch_add(issued, Ordering::Relaxed);
-            self.coalesced_contexts.fetch_add(
-                self.batched_contexts.load(Ordering::Relaxed) - contexts_before,
-                Ordering::Relaxed,
-            );
-            if source_queries >= 2 {
-                self.cross_query_batches
-                    .fetch_add(issued, Ordering::Relaxed);
-            }
-        }
-        out
     }
 }
 
@@ -600,30 +544,6 @@ mod tests {
             1,
             "stale entry must not serve"
         );
-    }
-
-    #[test]
-    fn coalesced_batches_are_attributed() {
-        let (tok, lm) = fixture();
-        let engine = ScoringEngine::new(&lm);
-        let a = tok.encode("the");
-        let b = tok.encode("the cat");
-        let out = engine.score_batch_coalesced(&[&a, &b], 2);
-        assert_eq!(out[0][..], lm.next_log_probs(&a));
-        let stats = engine.stats();
-        assert_eq!(stats.coalesced_batches, 1);
-        assert_eq!(stats.coalesced_contexts, 2);
-        assert_eq!(stats.cross_query_batches, 1);
-        // A fully warm tick issues no model batch: nothing attributed.
-        engine.score_batch_coalesced(&[&a, &b], 2);
-        assert_eq!(engine.stats().coalesced_batches, 1);
-        // A single-source tick is coalesced but not cross-query.
-        let c = tok.encode("the dog");
-        engine.score_batch_coalesced(&[&c], 1);
-        let stats = engine.stats();
-        assert_eq!(stats.coalesced_batches, 2);
-        assert_eq!(stats.cross_query_batches, 1);
-        assert!((stats.mean_batch_size() - 1.5).abs() < 1e-12);
     }
 
     proptest::proptest! {

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Pipelines one query per `PATTERN` (all sent before any response is
-//! read — the server interleaves them through its coalescing driver),
+//! read — the server interleaves them through its driver),
 //! prints one line per match as responses arrive, and with `--stats`
 //! finishes by printing the server's counters. A `PREFIX::PATTERN`
 //! argument attaches a conditioning prefix.
@@ -92,13 +92,12 @@ fn run() -> Result<(), String> {
         {
             Response::Stats(stats) => println!(
                 "server stats: {} admitted, {} completed, {} cancelled, in flight {}, \
-                 mean batch fill {:.2} ({} cross-query batches)",
+                 mean batch fill {:.2}",
                 stats.admitted,
                 stats.completed,
                 stats.cancelled,
                 stats.in_flight,
                 stats.mean_batch_fill,
-                stats.cross_query_batches,
             ),
             other => println!("unexpected stats answer: {other:?}"),
         }

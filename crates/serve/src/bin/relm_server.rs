@@ -127,8 +127,7 @@ fn run() -> Result<(), String> {
     for shard in &report.shards {
         println!(
             "relm_server shard {}: {} connections, {} admitted, {} completed, \
-             {} cancelled, {} expired, {} busy_rejections, {} store hits, \
-             {} cross-query batches",
+             {} cancelled, {} expired, {} busy_rejections, {} store hits",
             shard.shard,
             shard.connections,
             shard.admitted,
@@ -137,18 +136,16 @@ fn run() -> Result<(), String> {
             shard.expired,
             shard.busy_rejections,
             shard.store_hits,
-            shard.cross_query_batches,
         );
     }
     println!(
         "relm_server done: {} connections, {} admitted, {} completed, {} cancelled, \
-         mean batch fill {:.2} ({} cross-query batches)",
+         mean batch fill {:.2}",
         report.accepted,
         report.admitted,
         report.completed,
         report.cancelled,
         report.mean_batch_fill,
-        report.cross_query_batches,
     );
     Ok(())
 }

@@ -2,13 +2,13 @@
 //!
 //! The paper frames LM validation as a *query workload*: many patterns,
 //! many prefixes, repeated audits. Everything below the socket already
-//! exists in this workspace — session warmth, coalesced cross-query
-//! scoring, batched frontiers. This crate adds the socket: a
+//! exists in this workspace — session warmth, one scoring cache shared
+//! across queries, batched frontiers. This crate adds the socket: a
 //! hand-rolled, dependency-free serving layer that accepts concurrent
-//! TCP connections, admits each request into **one** shared
-//! [`relm_core::QueryDriver`], and pumps every live query through the
-//! same coalescing rotation — so scoring requests from *different
-//! clients* merge into shared model batches.
+//! TCP connections, admits each request into a shard's
+//! [`relm_core::QueryDriver`], and steps every live query round-robin
+//! — so a score one client's query memoized is a hit for every other
+//! client's.
 //!
 //! The pieces, bottom to top:
 //!
@@ -27,7 +27,7 @@
 //!   draining the inbox (admitting queries) with one driver tick, so
 //!   nothing waits on a timer. Within a shard, concurrency comes from
 //!   the *driver*: every connection's queries interleave through the
-//!   same stepwise executor protocol (`step()`/`frontier_contexts()`)
+//!   same stepwise executor protocol (one `step()` per query per tick)
 //!   that `run_many` uses. Across shards, the plan memo, scoring cache
 //!   and plan store stay shared, so warmth is global.
 //!   Backpressure is enforced at admit time (per-connection quota +

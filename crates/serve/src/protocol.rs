@@ -686,9 +686,10 @@ pub struct WireServerStats {
     pub shard: u64,
     /// Total shard count the server is running.
     pub shards: u64,
-    /// Mean contexts per coalesced model batch (set-wide batch fill).
+    /// Mean contexts per model batch in the answering shard's engine.
     pub mean_batch_fill: f64,
-    /// Model batches that mixed contexts from two or more queries.
+    /// Always 0 since the multi-query driver's coalescing tick was
+    /// deleted; the field stays so the frame layout does not change.
     pub cross_query_batches: u64,
 }
 

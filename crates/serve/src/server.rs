@@ -13,10 +13,10 @@
 //! queries mid-flight — where backpressure bites: a connection over its
 //! quota, or a server at its global cap, gets a typed [`Response::Busy`]
 //! — and cancels the in-flight queries of a connection whose reader
-//! ended. A tick coalesces the live frontiers into shared batches, steps
-//! every query once, and sends completions to their writers
-//! ([`Response::DeadlineExceeded`] for expired ones). Shards never write
-//! to a socket, so a client that stops reading stalls nobody else.
+//! ended. A tick steps every live query once and sends completions to
+//! their writers ([`Response::DeadlineExceeded`] for expired ones).
+//! Shards never write to a socket, so a client that stops reading
+//! stalls nobody else.
 //!
 //! To stop, [`ServerHandle::stop`] (or the shard that reaches
 //! [`ServerConfig::with_max_requests`]) sets the stop flag and wakes the
@@ -34,10 +34,10 @@
 //!
 //! Why per-connection determinism survives N shards: scoring is pure
 //! and memoized, so neither which shard drives a query, nor which other
-//! queries share its coalesced batches, nor what the cache already
-//! holds can change any traversal decision — every response carries
-//! exactly the match texts and score *bits* a solo `Relm::search` of
-//! the same query produces (`tests/serve.rs`, `tests/serve_sharded.rs`).
+//! queries step beside it, nor what the cache already holds can change
+//! any traversal decision — every response carries exactly the match
+//! texts and score *bits* a solo `Relm::search` of the same query
+//! produces (`tests/serve.rs`, `tests/serve_sharded.rs`).
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -186,18 +186,11 @@ pub struct ShardReport {
     pub store_hits: u64,
     /// Mean contexts per model batch in this shard's engine.
     pub mean_batch_fill: f64,
-    /// This shard's model batches that mixed two or more queries'
-    /// contexts.
-    pub cross_query_batches: u64,
     /// Model batches this shard's engine issued (the denominator of
     /// [`ShardReport::mean_batch_fill`]).
     pub batches: u64,
     /// Contexts across those batches (the numerator).
     pub batched_contexts: u64,
-    /// Coalescing ticks run / skipped by the adaptive quantum.
-    pub ticks_run: u64,
-    /// See [`ShardReport::ticks_run`].
-    pub ticks_skipped: u64,
 }
 
 /// What a serve loop did, returned when it exits: server-wide totals
@@ -228,13 +221,13 @@ pub struct ServerReport {
     pub parks: u64,
     /// Mean contexts per model batch, weighted across shard engines.
     pub mean_batch_fill: f64,
-    /// Model batches that mixed two or more queries' contexts — the
-    /// cross-connection coalescing the server exists to produce.
+    /// Always 0 since the multi-query driver's coalescing tick was
+    /// deleted; the frozen benchmark still reads it, and ROADMAP item
+    /// 1(e) drops it with its `server.cross_query_batches` row.
     pub cross_query_batches: u64,
-    /// Coalescing ticks run / skipped by the adaptive quantum (summed).
+    /// Always 0, for the same reason; dropped with the
+    /// `server.ticks_run` row.
     pub ticks_run: u64,
-    /// See [`ServerReport::ticks_run`].
-    pub ticks_skipped: u64,
     /// Compiled plans restored from the warm-artifact store at boot
     /// ([`ServerConfig::with_preload_store`]).
     pub plans_preloaded: u64,
@@ -467,9 +460,6 @@ impl<M: LanguageModel> RelmServer<M> {
         for shard in &shard_reports {
             report.rejected += shard.rejected;
             report.store_hits += shard.store_hits;
-            report.cross_query_batches += shard.cross_query_batches;
-            report.ticks_run += shard.ticks_run;
-            report.ticks_skipped += shard.ticks_skipped;
             batches += shard.batches;
             contexts += shard.batched_contexts;
         }
@@ -549,7 +539,7 @@ impl<M: LanguageModel> Shard<'_, M> {
             }
             // A busy shard can keep its own readers off the CPU: give
             // them a turn before each tick, so what already arrived is
-            // admitted now and shares this tick's batch.
+            // admitted now and takes its first step this tick.
             std::thread::yield_now();
             while let Ok(event) = events.try_recv() {
                 if !self.handle(event) || self.shared.stop.load(Ordering::Relaxed) {
@@ -563,12 +553,8 @@ impl<M: LanguageModel> Shard<'_, M> {
 
         let scoring = self.driver.scoring();
         self.report.mean_batch_fill = scoring.mean_batch_size();
-        self.report.cross_query_batches = scoring.cross_query_batches;
         self.report.batches = scoring.batches;
         self.report.batched_contexts = scoring.batched_contexts;
-        let (ticks_run, ticks_skipped) = self.driver.tick_counts();
-        self.report.ticks_run = ticks_run;
-        self.report.ticks_skipped = ticks_skipped;
         self.report
     }
 
@@ -618,7 +604,7 @@ impl<M: LanguageModel> Shard<'_, M> {
                     busy_rejections: shared.busy_rejections.load(Ordering::Relaxed),
                     in_flight: shared.in_flight.load(Ordering::Relaxed) as u64,
                     mean_batch_fill: scoring.mean_batch_size(),
-                    cross_query_batches: scoring.cross_query_batches,
+                    cross_query_batches: 0,
                     shard: self.report.shard as u64,
                     shards: self.shard_count as u64,
                 });

@@ -31,9 +31,9 @@ fn main() -> Result<(), relm::RelmError> {
     let client = Relm::new(model, tokenizer)?;
 
     // Both gender templates go in as ONE QuerySet: `run_many` steps the
-    // two samplers in lockstep against a shared scoring engine, so
-    // their scoring requests coalesce into shared batches — results are
-    // byte-identical to running each query alone.
+    // two samplers in lockstep against a shared scoring engine, so a
+    // context one gender's episodes scored is a hit for the other's —
+    // results are byte-identical to running each query alone.
     let samples_per_gender = 150;
     let genders = ["man", "woman"];
     let mut set = QuerySet::new();
@@ -70,9 +70,10 @@ fn main() -> Result<(), relm::RelmError> {
         table.push(dist.counts_for(&PROFESSIONS));
     }
     println!(
-        "coalesced scoring: {} shared batches ({} cross-query), mean batch size {:.1}\n",
-        report.scoring.coalesced_batches,
-        report.scoring.cross_query_batches,
+        "shared scoring: {} hits / {} misses, {} model batches, mean batch size {:.1}\n",
+        report.scoring.cache_hits,
+        report.scoring.cache_misses,
+        report.scoring.batches,
         report.mean_batch_size()
     );
 

@@ -1,5 +1,5 @@
 //! Serving ReLM queries over TCP: spawn a `RelmServer`, drive it with
-//! concurrent protocol clients, and watch cross-client coalescing.
+//! concurrent protocol clients, and read the server's counters.
 //!
 //! Run with `cargo run --example serving`. For a standalone endpoint
 //! and a scripted driver, see the `relm_server` / `relm_client` bins in
@@ -24,8 +24,8 @@ fn main() {
     let model = NGramLm::train(&tokenizer, &docs, NGramConfig::xl());
     let client = Relm::builder(model, tokenizer).build().unwrap();
 
-    // One server thread; concurrency comes from its coalescing driver,
-    // not from a thread pool.
+    // One shard; concurrency comes from its driver stepping every live
+    // query round-robin, not from a thread pool.
     let handle = spawn(
         RelmServer::with_config(client, ServerConfig::new()),
         "127.0.0.1:0",
@@ -67,8 +67,7 @@ fn main() {
 
     let report = handle.stop().unwrap();
     println!(
-        "server: {} queries over {} connections, mean batch fill {:.2}, \
-         {} cross-query batches",
-        report.completed, report.accepted, report.mean_batch_fill, report.cross_query_batches
+        "server: {} queries over {} connections, mean batch fill {:.2}",
+        report.completed, report.accepted, report.mean_batch_fill
     );
 }

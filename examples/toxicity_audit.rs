@@ -32,7 +32,7 @@ fn main() -> Result<(), relm::RelmError> {
     // Step 2: prompted extraction — can the model regenerate the insult
     // given the preceding text as a prompt? The whole battery (baseline
     // and ReLM query per prompt) is submitted as ONE QuerySet, so
-    // `run_many` coalesces scoring across all of them.
+    // `run_many` scores all of them through one shared engine.
     let client = Relm::new(model, tokenizer)?;
     let budget = matches.len().min(12);
     let mut set = QuerySet::new();
@@ -67,10 +67,11 @@ fn main() -> Result<(), relm::RelmError> {
         }
     }
     println!(
-        "\ncoalesced scoring across {} queries: {} shared batches ({} cross-query), mean fill {:.1}",
+        "\nshared scoring across {} queries: {} hits / {} misses, {} model batches, mean fill {:.1}",
         set.len(),
-        report.scoring.coalesced_batches,
-        report.scoring.cross_query_batches,
+        report.scoring.cache_hits,
+        report.scoring.cache_misses,
+        report.scoring.batches,
         report.mean_batch_size()
     );
     println!("\nprompted extraction over {budget} prompts:");

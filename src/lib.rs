@@ -13,7 +13,7 @@
 //! The entry point is the [`Relm`] client — it owns the model,
 //! tokenizer, compiled-plan memo, and shared scoring cache, and serves
 //! single queries ([`Relm::search`]) as well as whole query sets
-//! ([`Relm::run_many`], which coalesces scoring *across* the queries).
+//! ([`Relm::run_many`], which scores all of them through one engine).
 //!
 //! ```
 //! use relm::{
@@ -65,8 +65,8 @@ pub use relm_store::{
 };
 
 /// The serving front end: a dependency-free TCP protocol server pumping
-/// concurrent connections' queries through one coalescing
-/// [`QueryDriver`] (`RelmServer`, `ServeClient`, the wire protocol).
+/// concurrent connections' queries through a [`QueryDriver`] per shard
+/// (`RelmServer`, `ServeClient`, the wire protocol).
 pub mod serve {
     pub use relm_serve::*;
 }

@@ -2,8 +2,7 @@
 //! `Relm::run_many` must produce, per query, results byte-identical
 //! (including the f64 score bits) to running the same queries
 //! sequentially — even under scoring-cache eviction pressure and across
-//! model swaps — while its shared engine records cross-query coalesced
-//! batches that sequential execution can never produce. (Warm-vs-cold
+//! model swaps. (Warm-vs-cold
 //! identity of `Relm::search` for all three executors is
 //! `tests/session.rs`'s.)
 
@@ -106,31 +105,14 @@ fn run_many_is_byte_identical_to_sequential_per_query() {
     // Sequential ground truth on one fresh client...
     let sequential_client = Relm::new(&lm, tok.clone()).unwrap();
     let expected = run_sequentially(&sequential_client, &set);
-    // ...vs the coalescing driver on another fresh client.
+    // ...vs the round-robin driver on another fresh client.
     let client = Relm::new(&lm, tok).unwrap();
     let report = client.run_many(&set).unwrap();
     assert_eq!(report.outcomes.len(), set.len());
     for (i, (outcome, exp)) in report.outcomes.iter().zip(&expected).enumerate() {
         assert_identical(&outcome.matches, exp, &format!("query {i}"));
     }
-    // The whole point: scoring was shared across queries.
-    assert!(
-        report.scoring.cross_query_batches > 0,
-        "expected cross-query shared batches: {:?}",
-        report.scoring
-    );
     assert!(report.scoring.mean_batch_size() >= 1.0);
-    // ...by coalescing ticks that really ran (the warm-up ticks always
-    // do), and every outcome carries the same driver-wide tick counters.
-    let first = report.outcomes[0].stats;
-    assert!(first.coalesce_ticks > 0, "{first:?}");
-    for outcome in &report.outcomes {
-        assert_eq!(outcome.stats.coalesce_ticks, first.coalesce_ticks);
-        assert_eq!(
-            outcome.stats.coalesce_ticks_skipped,
-            first.coalesce_ticks_skipped
-        );
-    }
 }
 
 #[test]

@@ -12,7 +12,7 @@
 mod reference;
 
 use relm::{
-    BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, QueryString, Relm,
+    BpeTokenizer, DecodingPolicy, MatchResult, NGramConfig, NGramLm, QuerySet, QueryString, Relm,
     SearchQuery, SearchStrategy, TokenizationStrategy,
 };
 
@@ -228,6 +228,59 @@ fn sampling_work_counts_are_pinned() {
     // used to serve it (1 miss, 11 hits, 1 batch).
     assert_eq!(counts, [48, 96, 12, 87, 25, 13]);
     assert_eq!(bits, [A, C, A, A, A, A, A, A, B, A, B, C]);
+}
+
+/// One mixed set — Dijkstra, beam and sampling — through `run_many` on
+/// a fresh client: the shared engine's counters and each outcome's.
+fn run_many_work() -> (relm::ScoringStats, Vec<relm::ExecutionStats>) {
+    let (tok, lm) = fixture();
+    let client = Relm::builder(&lm, tok).build().expect("client");
+    let set = QuerySet::new()
+        .with_query(pinned_query().with_policy(DecodingPolicy::top_k(2)), 10)
+        .with_query(
+            pinned_query().with_strategy(SearchStrategy::Beam { width: 4 }),
+            10,
+        )
+        .with_query(
+            pinned_query().with_strategy(SearchStrategy::RandomSampling { seed: 41 }),
+            12,
+        );
+    let report = client.run_many(&set).expect("run_many");
+    let outcomes = report.outcomes.iter().map(|o| o.stats).collect();
+    (report.scoring, outcomes)
+}
+
+#[test]
+fn run_many_work_counts_are_pinned() {
+    // The driver steps the queries round-robin and no clock picks the
+    // schedule, so a second fresh client repeats every counter.
+    let (scoring, outcomes) = run_many_work();
+    assert_eq!(run_many_work(), (scoring, outcomes.clone()));
+    assert_eq!(
+        [
+            scoring.cache_hits,
+            scoring.cache_misses,
+            scoring.batches,
+            scoring.batched_contexts
+        ],
+        [122, 20, 16, 20]
+    );
+    // `[expansions, lm_calls, emitted, dead_ends]` per query, and the
+    // engine counters each outcome saw when it completed.
+    let traversal: Vec<[u64; 4]> = outcomes
+        .iter()
+        .map(|s| [s.expansions, s.lm_calls, s.emitted, s.dead_ends])
+        .collect();
+    // The same traversals the solo pins above count.
+    assert_eq!(traversal, [[9, 9, 2, 0], [21, 21, 5, 0], [48, 96, 12, 0]]);
+    let engine: Vec<[u64; 4]> = outcomes
+        .iter()
+        .map(|s| [s.cache_hits, s.cache_misses, s.batches, s.batched_contexts])
+        .collect();
+    assert_eq!(
+        engine,
+        [[98, 20, 16, 20], [122, 20, 16, 20], [122, 20, 16, 20]]
+    );
 }
 
 #[test]
